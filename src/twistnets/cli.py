@@ -3,22 +3,24 @@
 Net documents are JSON files with a schema version, the lattice box, a value
 kind (cp1, hp1, q4 or pcen) and one coordinate array per lattice index.
 Complex numbers are stored as [re, im] pairs, quaternions as [w, x, y, z] and
-Pluecker vectors as 12 reals; points at infinity are stored as null.  Exit
-codes: 0 success, 1 usage or I/O problems, 2 degenerate geometry, 3 a
-verification report exceeding its tolerance.
+Pluecker vectors as 12 reals; points at infinity are stored as null.  Every
+number must be finite.  Exit codes: 0 success, 1 usage, I/O or malformed
+document problems, 2 degenerate geometry, 3 a verification report exceeding
+its tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .quat import Quaternion
 from . import proj4
-from .proj4 import GeometryError, normalize_proj, nullspace, quadric_pair, wedge
+from .proj4 import GeometryError, ProjPlane, normalize_proj, quadric_pair, wedge
 from .twistor import HPoint, is_j_real, twistor_project
 from .xratio import INF, ExtC, as_ext, complex_cr
 from .nets import (
@@ -46,6 +48,10 @@ from .lie import QuatHermitianForm, lie_signature_report
 SCHEMA_VERSION = 1
 
 
+class DocumentError(ValueError):
+    """A malformed document or argument value (exit code 1)."""
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -68,30 +74,36 @@ def _hpoint_out(p: HPoint):
     return [q.w, q.x, q.y, q.z]
 
 
-def _bivector_out(a: np.ndarray) -> list:
+def _cvec_out(a: np.ndarray) -> list:
+    """A complex vector (C^4 point, plane functional or bivector) as reals."""
     out = []
     for c in np.asarray(a, dtype=complex):
         out.extend(_complex_out(c))
     return out
 
 
-def _vec4_out(v: np.ndarray) -> list:
-    out = []
-    for c in np.asarray(v, dtype=complex):
-        out.extend(_complex_out(c))
-    return out
+def _reals(vals, count: int, what: str) -> list:
+    """The `count` finite real numbers of a document value."""
+    if not isinstance(vals, list) or len(vals) != count:
+        raise DocumentError(f"{what} needs a list of {count} reals")
+    for x in vals:
+        try:
+            finite = not isinstance(x, bool) and math.isfinite(x)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise DocumentError(f"{what} holds {x!r}, not a finite real")
+    return vals
 
 
-def _bivector_in(vals) -> np.ndarray:
-    if len(vals) != 12:
-        raise GeometryError("bivector entries need 12 reals")
-    return np.array([complex(vals[2 * k], vals[2 * k + 1]) for k in range(6)])
+def _cvec_in(vals, count: int, what: str) -> np.ndarray:
+    """A complex vector of `count` entries stored as 2 * count reals."""
+    vals = _reals(vals, 2 * count, what)
+    return np.array([complex(vals[2 * k], vals[2 * k + 1]) for k in range(count)])
 
 
-def _vec4_in(vals) -> np.ndarray:
-    if len(vals) != 8:
-        raise GeometryError("point entries need 8 reals")
-    return np.array([complex(vals[2 * k], vals[2 * k + 1]) for k in range(4)])
+def _hpoint_in(vals, what: str) -> HPoint:
+    return HPoint.from_quaternion(Quaternion(*_reals(vals, 4, what)))
 
 
 def _idx_key(idx) -> str:
@@ -99,7 +111,21 @@ def _idx_key(idx) -> str:
 
 
 def _key_idx(key: str) -> tuple:
-    return tuple(int(p) for p in key.split(","))
+    try:
+        return tuple(int(p) for p in key.split(","))
+    except ValueError as exc:
+        raise DocumentError(f"entry index {key!r} is not a list of integers") from exc
+
+
+def _doc_shape(doc: dict) -> tuple:
+    """The document's lattice dimension and box, once its entries are an object."""
+    dim, box = doc["dim"], doc["box"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or not isinstance(box, list) \
+            or not all(isinstance(n, int) and not isinstance(n, bool) for n in box):
+        raise DocumentError("document dim and box must be integers")
+    if not isinstance(doc["entries"], dict):
+        raise DocumentError("document entries must be an object")
+    return dim, tuple(box)
 
 
 def net_to_doc(net: LatticeNet) -> dict:
@@ -112,7 +138,7 @@ def net_to_doc(net: LatticeNet) -> dict:
         elif net.kind == "hp1":
             entries[_idx_key(idx)] = _hpoint_out(v)
         else:
-            entries[_idx_key(idx)] = _bivector_out(v)
+            entries[_idx_key(idx)] = _cvec_out(v)
     doc = {
         "schema": SCHEMA_VERSION,
         "dim": net.dim,
@@ -130,7 +156,7 @@ def _metadata_out(md: dict) -> dict:
         if key == "lambda":
             out["lambda"] = _complex_out(complex(val))
         elif key == "sphere":
-            out["sphere"] = _bivector_out(val)
+            out["sphere"] = _cvec_out(val)
         else:
             out[key] = val
     return out
@@ -140,9 +166,10 @@ def _metadata_in(md: dict) -> dict:
     out = {}
     for key, val in md.items():
         if key == "lambda":
-            out["lambda"] = complex(val[0], val[1])
+            re, im = _reals(val, 2, "lambda")
+            out["lambda"] = complex(re, im)
         elif key == "sphere":
-            out["sphere"] = _bivector_in(val)
+            out["sphere"] = _cvec_in(val, 6, "sphere")
         else:
             out[key] = val
     return out
@@ -158,8 +185,8 @@ def doc_to_net(doc: dict) -> LatticeNet:
     kind = doc["kind"]
     if kind == "pcen":
         raise GeometryError("pcen documents are handled separately")
-    net = LatticeNet(int(doc["dim"]), tuple(int(n) for n in doc["box"]), kind,
-                     metadata=_metadata_in(doc.get("metadata", {})))
+    dim, box = _doc_shape(doc)
+    net = LatticeNet(dim, box, kind, metadata=_metadata_in(doc.get("metadata", {})))
     for key, vals in doc["entries"].items():
         idx = _key_idx(key)
         if len(idx) != net.dim:
@@ -168,15 +195,18 @@ def doc_to_net(doc: dict) -> LatticeNet:
             if not 0 <= i < n:
                 raise GeometryError(f"entry index {key!r} outside the box")
         if kind == "cp1":
-            net.values[idx] = INF if vals is None \
-                else ExtC(complex(vals[0], vals[1]), 1.0)
+            if vals is None:
+                net.values[idx] = INF
+            else:
+                re, im = _reals(vals, 2, f"cp1 entry {key!r}")
+                net.values[idx] = ExtC(complex(re, im), 1.0)
         elif kind == "hp1":
             net.values[idx] = HPoint.infinity() if vals is None \
-                else HPoint.from_quaternion(Quaternion(*vals))
+                else _hpoint_in(vals, f"hp1 entry {key!r}")
         else:
             # values are stored normalized; keep them verbatim so that a
             # re-export reproduces the file byte for byte
-            net.values[idx] = _bivector_in(vals)
+            net.values[idx] = _cvec_in(vals, 6, f"q4 entry {key!r}")
     return net
 
 
@@ -185,8 +215,8 @@ def pcen_to_doc(pcen: PCEN) -> dict:
     for idx in sorted(pcen.elements):
         el = pcen.elements[idx]
         entry = {
-            "point": _vec4_out(el.point),
-            "plane": _vec4_out(el.plane.functional),
+            "point": _cvec_out(el.point),
+            "plane": _cvec_out(el.plane.functional),
         }
         if idx in pcen.base.values:
             entry["base"] = _hpoint_out(pcen.base.values[idx])
@@ -204,17 +234,16 @@ def pcen_to_doc(pcen: PCEN) -> dict:
 def doc_to_pcen(doc: dict) -> PCEN:
     if doc.get("kind") != "pcen":
         raise GeometryError("not a pcen document")
-    base = LatticeNet(int(doc["dim"]), tuple(int(n) for n in doc["box"]),
-                      "hp1", metadata=_metadata_in(doc.get("metadata", {})))
+    dim, box = _doc_shape(doc)
+    base = LatticeNet(dim, box, "hp1", metadata=_metadata_in(doc.get("metadata", {})))
     elements = {}
     for key, entry in doc["entries"].items():
         idx = _key_idx(key)
-        point = _vec4_in(entry["point"])
-        functional = _vec4_in(entry["plane"])
-        basis = nullspace(functional.reshape(1, 4), 1e-10)
-        elements[idx] = NullLine(point, proj4.ProjPlane(basis))
+        point = _cvec_in(entry["point"], 4, f"pcen point {key!r}")
+        plane = ProjPlane(_cvec_in(entry["plane"], 4, f"pcen plane {key!r}"))
+        elements[idx] = NullLine(point, plane)
         if entry.get("base") is not None:
-            base.values[idx] = HPoint.from_quaternion(Quaternion(*entry["base"]))
+            base.values[idx] = _hpoint_in(entry["base"], f"pcen base {key!r}")
     return PCEN(base, elements)
 
 
@@ -226,7 +255,10 @@ def load_doc(path: str) -> dict:
 
 
 def dump_doc(doc: dict, path: str | None):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise GeometryError(f"non-finite value in output: {exc}") from exc
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -303,7 +335,7 @@ def cmd_evolve(args) -> int:
 def _circular_seeds(net: LatticeNet, steps: int, rng) -> list:
     tv = net.metadata.get("transverse")
     if tv is not None:
-        return [HPoint.from_quaternion(Quaternion(*v)) for v in tv]
+        return [_hpoint_in(v, "transverse seed") for v in tv]
     return [HPoint.from_quaternion(
         Quaternion(*(rng.standard_normal(4) * (k + 1)))) for k in range(steps)]
 
@@ -311,15 +343,18 @@ def _circular_seeds(net: LatticeNet, steps: int, rng) -> list:
 def _complex_seeds(net: LatticeNet, steps: int, rng) -> list:
     tv = net.metadata.get("transverse")
     if tv is not None:
-        return [complex(v[0], v[1]) for v in tv]
+        return [complex(*_reals(v, 2, "transverse seed")) for v in tv]
     vals = rng.standard_normal((steps, 2))
     return [complex(a, b) for a, b in vals]
 
 
 def _sphere_arg(args) -> np.ndarray:
     if getattr(args, "sphere", None):
-        vals = [float(t) for t in args.sphere.split(",")]
-        return _bivector_in(vals)
+        try:
+            vals = [float(t) for t in args.sphere.split(",")]
+        except ValueError as exc:
+            raise DocumentError(f"--sphere: {exc}") from exc
+        return _cvec_in(vals, 6, "--sphere")
     e1 = np.array([1, 0, 0, 0], dtype=complex)
     e2 = np.array([0, 0, 1, 0], dtype=complex)
     return normalize_proj(wedge(e1, e2))
@@ -583,15 +618,15 @@ def cmd_hexahedron(args) -> int:
         print("error: hexahedron input needs a 'points' list of 7 bivectors",
               file=sys.stderr)
         return 1
-    vs = [_bivector_in(p) for p in pts]
+    vs = [_cvec_in(p, 6, "hexahedron point") for p in pts]
     eighth = hexahedron_complete(*vs)
     resid = abs(quadric_pair(eighth, eighth))
     if args.json:
-        print(json.dumps({"eighth": _bivector_out(eighth),
+        print(json.dumps({"eighth": _cvec_out(eighth),
                           "quadric_residual": resid}, indent=2, sort_keys=True))
     else:
         print("eighth point:")
-        print("  " + " ".join(_fmt(c) for c in _bivector_out(eighth)))
+        print("  " + " ".join(_fmt(c) for c in _cvec_out(eighth)))
         print(f"quadric residual: {resid:.3e}")
     return 0
 
@@ -715,7 +750,7 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

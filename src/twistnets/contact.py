@@ -20,17 +20,19 @@ from .proj4 import (
     ProjPlane,
     line_meet_point,
     lines_incident,
-    meet_line,
+    meet_span,
     normalize_proj,
+    orthonormal_pair,
     plane_from_span,
+    span_residual,
     wedge,
 )
 from .twistor import (
     HPoint,
+    fiber_pair,
     j_on_vector,
     twistor_fiber,
     twistor_project,
-    _point_on_line,
 )
 from .nets import LatticeNet
 from .xratio import as_ext
@@ -50,9 +52,10 @@ class NullLine:
 
     def pencil_basis(self):
         """Two spanning directions u, v with members point ^ (u z + v w)."""
-        # complete the point to a basis of the plane
+        # complete the point to a basis of the plane; the basis is
+        # orthonormal, so the point's coordinates are inner products
         b = self.plane.basis
-        coeff, _, _, _ = np.linalg.lstsq(b, self.point, rcond=None)
+        coeff = b.conj().T @ self.point
         k = int(np.argmax(np.abs(coeff)))
         rest = [b[:, i] for i in range(3) if i != k]
         return rest[0], rest[1]
@@ -70,7 +73,7 @@ class NullLine:
     def contains_line(self, a: np.ndarray, tol: float = 1e-7) -> bool:
         """True iff the line a is a member of the pencil."""
         v, w = proj4.line_factorize(a)
-        return (_point_on_line(self.point, v, w, tol)
+        return (span_residual(self.point, v, w) < tol
                 and self.plane.contains(v, tol) and self.plane.contains(w, tol))
 
     def isclose(self, other: "NullLine", tol: float = DEFAULT_TOL) -> bool:
@@ -104,34 +107,36 @@ def contact_element(p: HPoint, sphere: np.ndarray,
     if not lines_incident(sphere, fib, max(tol, 1e-7)):
         raise GeometryError("point is not on the sphere")
     x = line_meet_point(sphere, fib)
-    fv, fw = proj4.line_factorize(fib)
+    fv, fw = fiber_pair(p)
     sv, sw = proj4.line_factorize(sphere)
     plane = plane_from_span([fv, fw, sv, sw])
     return NullLine(x, plane)
 
 
-def propagate_element(l: NullLine, p_next: HPoint,
-                      tol: float = DEFAULT_TOL) -> NullLine:
+def propagate_element(l: NullLine, p_next: HPoint) -> NullLine:
     """The unique adjacent contact element at p_next intersecting l.
 
-    The fiber of p_next meets the plane of l in a single lift point; the line
-    joining it to l's point is the sphere shared by the two pencils, and the
-    new element is the pencil at the new lift inside span{fiber, shared line}.
+    The fiber (v, vj) of p_next meets the plane of l in a single lift point;
+    the line joining it to l's point is the sphere shared by the two pencils,
+    and the new element is the pencil at the new lift inside the plane
+    span{v, vj, l.point} of the fiber and the shared line.
     """
-    fib = twistor_fiber(p_next)
-    fv, fw = proj4.line_factorize(fib)
+    v, vj = fiber_pair(p_next)
     try:
-        y = meet_line(l.plane, fib)
+        y = meet_span(l.plane, v, vj)
     except GeometryError as exc:
         raise GeometryError(f"fiber-in-plane degeneracy: {exc}") from exc
-    if proj4.proj_distance(y, l.point) < 1e-9:
-        raise GeometryError("next point coincides with the element's point")
-    plane = plane_from_span([fv, fw, l.point])
+    # l's point lies on the fiber over its own base point, and distinct fibers
+    # are disjoint: v, vj and l's point fail to span a plane only when p_next
+    # coincides with that base point
+    try:
+        plane = plane_from_span([v, vj, l.point])
+    except GeometryError as exc:
+        raise GeometryError(f"next point coincides with the element's point: {exc}") from exc
     return NullLine(y, plane)
 
 
-def shared_sphere(l1: NullLine, l2: NullLine,
-                  tol: float = DEFAULT_TOL) -> np.ndarray:
+def shared_sphere(l1: NullLine, l2: NullLine) -> np.ndarray:
     """The unique pencil member common to two adjacent elements."""
     line = normalize_proj(wedge(l1.point, l2.point))
     if not (l1.contains_line(line, 1e-6) and l2.contains_line(line, 1e-6)):
@@ -162,8 +167,7 @@ def _check_distinct_neighbors(base: LatticeNet):
                 raise GeometryError(f"colliding base points at {idx} and {tuple(nxt)}")
 
 
-def pcen_from_circular(base: LatticeNet, initial: NullLine,
-                       tol: float = DEFAULT_TOL) -> PCEN:
+def pcen_from_circular(base: LatticeNet, initial: NullLine) -> PCEN:
     """Propagate an initial contact element over a circular base net.
 
     The element at each vertex is obtained by propagation from its left or
@@ -213,18 +217,17 @@ def pcen_adjacency_residual(pcen: PCEN) -> float:
                 continue
             l1 = pcen.elements[tuple(idx)]
             l2 = pcen.elements[tuple(nxt)]
-            line = normalize_proj(wedge(l1.point, l2.point))
+            # orthonormal pair spanning the line joining the two points
+            v, w = orthonormal_pair(l1.point, l2.point)
             worst = max(worst,
-                        _member_residual(l1, line) + _member_residual(l2, line))
+                        _member_residual(l1, v, w) + _member_residual(l2, v, w))
     return worst
 
 
-def _member_residual(l: NullLine, a: np.ndarray) -> float:
-    v, w = proj4.line_factorize(a)
-    span = np.column_stack([v, w])
-    c, _, _, _ = np.linalg.lstsq(span, l.point, rcond=None)
-    r1 = float(np.linalg.norm(span @ c - l.point))
-    return r1 + l.plane.residual(v) + l.plane.residual(w)
+def _member_residual(l: NullLine, v: np.ndarray, w: np.ndarray) -> float:
+    """Failure of the line span{v, w} (orthonormal pair) to be a member of l."""
+    return (span_residual(l.point, v, w)
+            + l.plane.residual(v) + l.plane.residual(w))
 
 
 def pcen_from_complex_cr(S: np.ndarray, base: LatticeNet,

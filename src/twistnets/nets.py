@@ -176,34 +176,6 @@ def hexahedron_complete(phi, phi1, phi2, phi3, phi12, phi13, phi23,
     return normalize_proj(basis @ ns[:, 0])
 
 
-def hexahedron_coefficients(phi, phi1, phi2, phi3, phi12, phi13, phi23):
-    """Closed-form coefficient evaluator for the eighth point (reference only).
-
-    Expresses the three far vertices in the basis {phi, phi1, phi2, phi3} as
-    phi12 = (a0, a1, a2, 0), phi13 = (b0, b1, 0, b3), phi23 = (c0, 0, c2, c3)
-    and combines them through a printed coefficient block.  On the symmetric
-    test cube this evaluator returns [2:3:3:3] while the three face planes
-    intersect at [2:1:1:1]; hexahedron_complete is the authoritative method
-    and this one is retained only for cross-reference.
-    """
-    pts = [np.asarray(p, dtype=complex) for p in
-           (phi, phi1, phi2, phi3, phi12, phi13, phi23)]
-    basis, coords = _span_coordinates(pts)
-    m = np.column_stack(coords[:4])
-    a = np.linalg.solve(m, coords[4])
-    b = np.linalg.solve(m, coords[5])
-    c = np.linalg.solve(m, coords[6])
-    a0, a1, a2 = a[0], a[1], a[2]
-    b0, b1, b3 = b[0], b[1], b[3]
-    c0, c2, c3 = c[0], c[2], c[3]
-    y0 = a0 * b0 * c0 * (1 / (a2 * b1 * c3) + 1 / (a1 * b3 * c2))
-    y1 = b0 * c0 / (b3 * c2) + a0 * c0 / (a2 * c3) + c0 ** 2 / (c2 * c3)
-    y2 = a0 * b0 / (a1 * b3) + b0 * c0 / (b1 * c3) + b0 ** 2 / (b1 * b3)
-    y3 = a0 * c0 / (a1 * c2) + a0 * b0 / (a2 * b1) + a0 ** 2 / (a1 * a2)
-    y = np.array([y0, y1, y2, y3])
-    return normalize_proj(basis @ (m @ y))
-
-
 # ---------------------------------------------------------------------------
 # curve evolution
 

@@ -9,16 +9,29 @@ where {e1, e1j, e2, e2j} is the fixed basis of C^4 coming from H^2 via
 q = z1 + j z2.  A bivector is decomposable (a line in CP^3, a point of the
 four-dimensional quadric) iff its self-pairing under the wedge-product form
 vanishes.
+
+Incidences of known vectors are closed-form: the plane through three vectors
+is their ∧³ functional (the 3x3 minors of the stacked vectors), and a line
+spanned by a pair meets a plane in the point given by two dot products.
+Singular values serve inputs whose rank is not known in advance: the SVD
+helpers (line_factorize, nullspace, orthonormal_span), and plane_from_span on
+nearly dependent vectors, where the closed form is inaccurate.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+# smallest triple volume for which plane_from_span trusts the ∧³ functional
+_CLOSED_FORM_VOLUME = 1e-4
 
 # Index pairs (a, b) of the six basis bivectors e_a ^ e_b.
 BIVECTOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_PAIR_A, _PAIR_B = np.array(BIVECTOR_PAIRS).T
 
 # pair(a, b) = a01 b23 - a02 b13 + a03 b12 + a12 b03 - a13 b02 + a23 b01
 QUADRIC_MATRIX = np.array(
@@ -34,39 +47,59 @@ QUADRIC_MATRIX = np.array(
 )
 
 
+def _levi_civita() -> np.ndarray:
+    """eps[m, 4k + l] = sign of the permutation (i, j, k, l), (i, j) = pair m.
+
+    With p = a ^ b, det[a; b; c; x] = sum_{m,k,l} p_m eps[m, 4k + l] c_k x_l.
+    """
+    eps = np.zeros((6, 16))
+    for m, (i, j) in enumerate(BIVECTOR_PAIRS):
+        for k, l in itertools.permutations(sorted({0, 1, 2, 3} - {i, j})):
+            perm = (i, j, k, l)
+            inversions = sum(perm[s] > perm[t] for s in range(4) for t in range(s + 1, 4))
+            eps[m, 4 * k + l] = (-1) ** inversions
+    return eps
+
+
+_EPS = _levi_civita()
+
+
 class GeometryError(ValueError):
     """Raised when a geometric construction is degenerate."""
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(np.vdot(v, v).real)
 
 
 def normalize_proj(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Normalize a homogeneous vector: unit norm, anchor component positive real.
 
-    The phase anchor is the first component whose modulus is within a factor
-    ~1e6 of the largest one, which keeps the anchor stable under perturbation.
+    The phase anchor is the first component whose modulus exceeds 1e-6 of the
+    vector's norm, which keeps the anchor stable under perturbation.  The
+    anchor of the result is exactly real, so normalizing a normalized vector
+    returns it unchanged, bit for bit.
     """
     v = np.asarray(v, dtype=complex)
-    n = np.linalg.norm(v)
+    mags = np.abs(v)
+    n = math.hypot(*mags.tolist())
     if n < tol:
         raise GeometryError("cannot normalize (near-)zero homogeneous vector")
-    v = v / n
-    mags = np.abs(v)
-    anchor = None
-    for idx in range(v.size):
-        if mags[idx] > 1e-6:
-            anchor = idx
-            break
-    if anchor is None:
-        anchor = int(np.argmax(mags))
-    phase = v[anchor] / mags[anchor]
-    return v * np.conj(phase)
+    anchor = int((mags > 1e-6 * n).argmax())
+    a = complex(v[anchor])
+    if a.imag == 0.0 and a.real > 0.0 and abs(n - 1.0) < 1e-14:
+        return v.copy()
+    out = v * (a.conjugate() / (mags[anchor] * n))
+    out[anchor] = mags[anchor] / n
+    return out
 
 
 def proj_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Angle metric between projective points given by homogeneous vectors."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    na = _norm(a)
+    nb = _norm(b)
     if na == 0.0 or nb == 0.0:
         raise GeometryError("projective distance of zero vector")
     a = a / na
@@ -74,14 +107,23 @@ def proj_distance(a: np.ndarray, b: np.ndarray) -> float:
     # the sine of the angle is the size of b's component orthogonal to a,
     # which stays accurate for nearly identical points
     ortho = b - a * np.vdot(a, b)
-    return float(np.arcsin(min(1.0, float(np.linalg.norm(ortho)))))
+    return math.asin(min(1.0, _norm(ortho)))
 
 
 def wedge(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Exterior product of two C^4 vectors as a Pluecker 6-vector."""
     v = np.asarray(v, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    return np.array([v[a] * w[b] - v[b] * w[a] for a, b in BIVECTOR_PAIRS])
+    return v[_PAIR_A] * w[_PAIR_B] - v[_PAIR_B] * w[_PAIR_A]
+
+
+def span_functional(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The ∧³ functional f of three C^4 vectors: f @ x = det[a; b; c; x].
+
+    Its entries are the signed 3x3 minors of the stacked vectors; it vanishes
+    exactly on span{a, b, c}, and its norm is the volume of the three vectors.
+    """
+    return np.asarray(c, dtype=complex) @ (wedge(a, b) @ _EPS).reshape(4, 4)
 
 
 def quadric_pair(a: np.ndarray, b: np.ndarray) -> complex:
@@ -131,6 +173,27 @@ def line_factorize(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray,
     return normalize_proj(v), normalize_proj(w * c / np.abs(c) if abs(c) else w)
 
 
+def orthonormal_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An orthonormal pair spanning span{a, b}, by Gram-Schmidt."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    na, nb = _norm(a), _norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise GeometryError("degenerate-span: zero vector")
+    u = a / na
+    w = b - u * np.vdot(u, b)
+    nw = _norm(w)
+    if nw < 1e-12 * nb:
+        raise GeometryError("degenerate-span: the two vectors are parallel")
+    return u, w / nw
+
+
+def span_residual(x: np.ndarray, u: np.ndarray, w: np.ndarray) -> float:
+    """Norm of the part of x orthogonal to span{u, w}, for an orthonormal pair."""
+    r = x - u * np.vdot(u, x) - w * np.vdot(w, x)
+    return _norm(r)
+
+
 def nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Columns spanning the numerical null space of m (SVD thresholding)."""
     m = np.asarray(m, dtype=complex)
@@ -170,48 +233,101 @@ def line_meet_point(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> n
 
 
 class ProjPlane:
-    """A projective plane in CP^3, stored as an orthonormal spanning basis."""
+    """A projective plane in CP^3, stored as its annihilating functional.
 
-    def __init__(self, basis: np.ndarray):
-        basis = np.asarray(basis, dtype=complex)
-        if basis.shape != (4, 3):
-            raise GeometryError("plane basis must be 4x3")
-        self.basis = basis
-        # annihilating functional f with f @ x = 0 for x in the plane
-        f = nullspace(basis.T, 1e-10)
-        if f.shape[1] != 1:
-            raise GeometryError("degenerate-span: plane basis not rank 3")
-        self.functional = normalize_proj(f[:, 0])
+    The plane is {x : functional @ x = 0}; the functional is kept normalized.
+    """
+
+    def __init__(self, functional: np.ndarray):
+        functional = np.asarray(functional, dtype=complex)
+        if functional.shape != (4,):
+            raise GeometryError("plane functional must have 4 entries")
+        self.functional = normalize_proj(functional)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Orthonormal spanning columns (4x3), derived from the functional."""
+        return nullspace(self.functional.reshape(1, 4))
 
     def contains(self, v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        v = normalize_proj(v)
-        return abs(self.functional @ v) < tol
+        return self.residual(v) < tol
 
     def residual(self, v: np.ndarray) -> float:
-        v = normalize_proj(v)
-        return float(abs(self.functional @ v))
+        """|f @ v| for the unit-scaled v."""
+        v = np.asarray(v, dtype=complex)
+        n = _norm(v)
+        if n < 1e-12:
+            raise GeometryError("cannot normalize (near-)zero homogeneous vector")
+        return abs(self.functional @ v) / n
 
 
 def plane_from(points) -> ProjPlane:
     """Plane through three independent CP^3 points."""
-    basis = orthonormal_span(points, rank=3)
-    return ProjPlane(basis)
+    return plane_from_span(points)
 
 
 def plane_from_span(vectors) -> ProjPlane:
-    """Plane spanned by any vectors of total rank 3 (e.g. a line plus a point)."""
-    basis = orthonormal_span(vectors, rank=3)
-    return ProjPlane(basis)
+    """Plane spanned by vectors of total rank 3 (e.g. a line plus a point).
+
+    The rank test is the singular-value test s3 > DEFAULT_TOL s1 >= s4 of the
+    unit-scaled vectors.  Let f be the largest ∧³ functional of a triple of
+    them, V = |f| that triple's volume and e1 the number of nonzero vectors.
+    V^2 > DEFAULT_TOL^2 e1^3 implies s3 > DEFAULT_TOL s1, and
+    |rows @ f|^2 <= DEFAULT_TOL^2 V^2 e1 / 4 implies s4 <= DEFAULT_TOL s1.
+    When both bounds hold and V >= 1e-4 the plane is f.  The rounding error
+    of f is about 1e-16 / V, so nearly dependent vectors, where a bound is
+    open or f is inaccurate, go to the singular value decomposition, which
+    decides the rank and gives the functional.
+    """
+    rows = np.array(vectors, dtype=complex).reshape(-1, 4)
+    norms = np.sqrt((rows * rows.conj()).real.sum(axis=1))
+    rows = rows / np.where(norms > 0.0, norms, 1.0)[:, None]
+    f = max((span_functional(*triple) for triple in itertools.combinations(rows, 3)),
+            key=_norm, default=np.zeros(4))
+    vol2 = np.vdot(f, f).real
+    e1 = float(np.count_nonzero(norms))
+    off = rows @ f
+    tol2 = DEFAULT_TOL * DEFAULT_TOL
+    if (vol2 >= _CLOSED_FORM_VOLUME ** 2 and vol2 > tol2 * e1 ** 3
+            and np.vdot(off, off).real <= tol2 * vol2 * e1 / 4):
+        return ProjPlane(f)
+    _, s, vh = np.linalg.svd(rows)
+    rank = int(np.sum(s > DEFAULT_TOL * s[0]))
+    if rank != 3:
+        values = ", ".join(f"{x:.1e}" for x in s)
+        raise GeometryError(f"degenerate-span: rank {rank}, expected 3; singular "
+                            f"values {values} of the unit-scaled vectors, "
+                            f"cutoff {DEFAULT_TOL:g} of the largest")
+    # rows @ conj(vh[3]) is s4 u4, the smallest the rows allow
+    return ProjPlane(vh[3].conj())
+
+
+def _meet_point(x: np.ndarray, scale: float, tol: float) -> np.ndarray:
+    if _norm(x) < max(tol, 1e-10) * scale:
+        raise GeometryError("line-in-plane: intersection is not a point")
+    return normalize_proj(x)
+
+
+def meet_span(plane: ProjPlane, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Intersection point of a plane and the line span{v, w} not contained in it.
+
+    With f the plane's functional the point is v (f @ w) - w (f @ v); the
+    line-in-plane test is relative to |v| |w|.
+    """
+    f = plane.functional
+    return _meet_point(v * (f @ w) - w * (f @ v), _norm(v) * _norm(w), DEFAULT_TOL)
 
 
 def meet_line(plane: ProjPlane, line: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Intersection point of a plane and a line not contained in it."""
-    v, w = line_factorize(line)
-    alpha = plane.functional @ w
-    beta = -(plane.functional @ v)
-    if max(abs(alpha), abs(beta)) < max(tol, 1e-10):
-        raise GeometryError("line-in-plane: intersection is not a point")
-    return normalize_proj(v * alpha + w * beta)
+    """Intersection point of a plane and a line (Pluecker vector) not contained in it.
+
+    For line = v ^ w the line matrix maps the functional f to the point
+    v (f @ w) - w (f @ v), as in meet_span.
+    """
+    line = np.asarray(line, dtype=complex)
+    if not is_decomposable(line, max(tol, 1e-7)):
+        raise GeometryError("bivector is not decomposable")
+    return _meet_point(line_matrix(line) @ plane.functional, _norm(line), tol)
 
 
 def meet_planes(p1: ProjPlane, p2: ProjPlane, p3: ProjPlane,

@@ -25,7 +25,7 @@ from .proj4 import (
     normalize_proj,
     nullspace,
     plane_from_span,
-    quadric_pair,
+    span_residual,
     wedge,
 )
 
@@ -67,17 +67,13 @@ class HPoint:
     def isclose(self, other: "HPoint", tol: float = DEFAULT_TOL) -> bool:
         # right-scale invariance: the lift must lie in the other point's
         # quaternionic line, i.e. in span{lift, J lift}
-        la = self.lift()
-        lb = other.lift()
-        span = np.column_stack([lb, j_on_vector(lb)])
-        resid = la - span @ np.linalg.lstsq(span, la, rcond=None)[0]
-        return float(np.linalg.norm(resid)) < tol
+        return span_residual(self.lift(), *fiber_pair(other)) < tol
 
 
 def j_on_vector(v: np.ndarray) -> np.ndarray:
     """Right j-multiplication on H^2 in complex coordinates (antilinear, J^2 = -1)."""
-    v = np.asarray(v, dtype=complex)
-    return np.array([-np.conj(v[1]), np.conj(v[0]), -np.conj(v[3]), np.conj(v[2])])
+    c = np.conj(np.asarray(v, dtype=complex))
+    return np.array([-c[1], c[0], -c[3], c[2]])
 
 
 def j_on_bivector(a: np.ndarray) -> np.ndarray:
@@ -105,10 +101,15 @@ def twistor_project(v: np.ndarray) -> HPoint:
     return HPoint(q1, q2)
 
 
+def fiber_pair(p: HPoint) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal pair (v, vj) spanning the twistor fiber over p."""
+    v = p.lift()
+    return v, j_on_vector(v)
+
+
 def twistor_fiber(p: HPoint) -> np.ndarray:
     """The line v ^ vj over a point of HP^1; always a j-real quadric point."""
-    v = p.lift()
-    return normalize_proj(wedge(v, j_on_vector(v)))
+    return normalize_proj(wedge(*fiber_pair(p)))
 
 
 def hpoints_close(p: HPoint, q: HPoint, tol: float = DEFAULT_TOL) -> bool:
@@ -241,7 +242,8 @@ def plane_fiber(plane: proj4.ProjPlane, tol: float = DEFAULT_TOL) -> np.ndarray:
     The plane meets its j-image in a line; that line is fixed by J and hence
     a fiber.
     """
-    jbasis = np.column_stack([j_on_vector(plane.basis[:, k]) for k in range(3)])
+    basis = plane.basis
+    jbasis = np.column_stack([j_on_vector(basis[:, k]) for k in range(3)])
     m = np.vstack([plane.functional, normalize_proj(nullspace(jbasis.T, 1e-10)[:, 0])])
     ns = nullspace(m, 1e-8)
     if ns.shape[1] != 2:
@@ -280,7 +282,7 @@ def classify_contact(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> 
         fiber = plane_fiber(plane)
         fv, fw = line_factorize(fiber)
         # tangency iff the common point lies on the fiber
-        if _point_on_line(p, fv, fw, itol):
+        if span_residual(p, fv, fw) < itol:
             return ContactClass("touch", (twistor_project(p),))
         # the second common point projects from the plane's fiber
         return ContactClass("half_touch", (twistor_project(p), twistor_project(fv)))
@@ -290,10 +292,3 @@ def classify_contact(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> 
         return ContactClass("circle_intersection",
                             (twistor_project(p), twistor_project(q)))
     return ContactClass("disjoint", ())
-
-
-def _point_on_line(p: np.ndarray, v: np.ndarray, w: np.ndarray,
-                   tol: float = DEFAULT_TOL) -> bool:
-    span = np.column_stack([v, w])
-    coeffs, _, _, _ = np.linalg.lstsq(span, p, rcond=None)
-    return bool(np.linalg.norm(span @ coeffs - p) < tol * max(1.0, float(np.linalg.norm(p))))

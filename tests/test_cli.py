@@ -8,12 +8,19 @@ from twistnets.proj4 import QUADRIC_MATRIX, normalize_proj, nullspace, quadric_p
 from twistnets.twistor import HPoint, is_j_real, twistor_fiber
 from twistnets.xratio import _quadric_roots
 from twistnets.cli import (
-    _bivector_out,
+    _cvec_out,
     doc_to_net,
+    doc_to_pcen,
+    dump_doc,
+    load_doc,
     main,
     net_to_doc,
     parse_complex,
+    pcen_to_doc,
 )
+from twistnets.contact import contact_element, pcen_from_circular
+from twistnets.nets import evolve_net_circular
+from twistnets.proj4 import GeometryError, wedge
 
 
 def _write(tmp_path, name, doc):
@@ -145,7 +152,7 @@ def test_export_obj_skips_infinity(tmp_path, capsys):
 def test_export_obj_sphere_matches_circumsphere(tmp_path):
     S = _unit_sphere_bivector()
     doc = {"schema": 1, "dim": 1, "box": [1], "kind": "q4",
-           "entries": {"0": _bivector_out(S)}, "metadata": {}}
+           "entries": {"0": _cvec_out(S)}, "metadata": {}}
     src = _write(tmp_path, "sphere.json", doc)
     obj = str(tmp_path / "sphere.obj")
     assert main(["export", src, "-o", obj]) == 0
@@ -171,6 +178,58 @@ def test_exit_code_usage_errors(tmp_path):
     assert main(["evolve", src, "--mode", "circular", "--lambda", "-1"]) == 1
 
 
+def test_exit_code_malformed_entries(tmp_path, capsys):
+    # wrong arity, non-finite numbers and non-integer index keys are
+    # malformed documents: exit 1 with a message, never a traceback
+    doc = _cp1_curve_doc()
+    doc["entries"]["2"] = [0.5]
+    src = _write(tmp_path, "short.json", doc)
+    assert main(["evolve", src, "--mode", "complex", "--lambda", "-1"]) == 1
+    doc = _hp1_curve_doc()
+    doc["entries"]["1"][2] = float("nan")
+    src = _write(tmp_path, "nan.json", doc)
+    out = tmp_path / "net.json"
+    assert main(["evolve", src, "--mode", "circular", "--lambda", "-1",
+                 "-o", str(out)]) == 1
+    assert not out.exists()
+    for field, bad in (("box", ["x"]), ("entries", [])):
+        doc = _hp1_curve_doc()
+        doc[field] = bad
+        src = _write(tmp_path, f"bad-{field}.json", doc)
+        assert main(["check", src]) == 1
+    doc = _hp1_curve_doc()
+    doc["entries"]["x"] = doc["entries"].pop("0")
+    src = _write(tmp_path, "key.json", doc)
+    assert main(["check", src]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_dump_doc_rejects_non_finite(tmp_path):
+    path = tmp_path / "out.json"
+    with pytest.raises(GeometryError):
+        dump_doc({"value": float("nan")}, str(path))
+    assert not path.exists()
+
+
+def test_pcen_doc_check_and_byte_stable_reexport(tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    pts = [HPoint.from_quaternion(Quaternion(*rng.standard_normal(4)))
+           for _ in range(11)]
+    net = evolve_net_circular(pts[:6], pts[6:], -1.3)
+    lift = net[0, 0].lift()
+    sphere = normalize_proj(wedge(lift, rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+    pcen = pcen_from_circular(net, contact_element(net[0, 0], sphere))
+    first = str(tmp_path / "pcen.json")
+    dump_doc(pcen_to_doc(pcen), first)
+    assert main(["check", first, "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["report"] == "pcen" and rep["ok"]
+    # loading and writing the document again reproduces it byte for byte
+    second = str(tmp_path / "again.json")
+    dump_doc(pcen_to_doc(doc_to_pcen(load_doc(first))), second)
+    assert open(first).read() == open(second).read()
+
+
 def test_exit_code_geometry_errors(tmp_path, capsys):
     src = _write(tmp_path, "curve.json", _hp1_curve_doc())
     # lambda = 1 is a degenerate cross ratio
@@ -186,7 +245,7 @@ def test_hexahedron_command(tmp_path, capsys):
     phi = wedge(e[0], e[1])
     p1, p2, p3 = wedge(e[0], e[2]), wedge(e[0], e[3]), wedge(e[1], e[2])
     pts = [phi, p1, p2, p3, phi + p1 + p2, phi + p1 + p3, phi + p2 + p3]
-    doc = {"points": [_bivector_out(normalize_proj(p)) for p in pts]}
+    doc = {"points": [_cvec_out(normalize_proj(p)) for p in pts]}
     src = _write(tmp_path, "hex.json", doc)
     assert main(["hexahedron", src, "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)

@@ -1,0 +1,181 @@
+"""Property tests: the closed-form incidence kernel against SVD references.
+
+The references are SVD constructions of the same objects: a plane's
+functional as the null space of its spanning vectors, a line's spanning pair
+recovered from its Pluecker vector by line_factorize, and the meet of a plane
+and a line as the null space of the plane's functional stacked with two
+functionals that vanish on the line.  Inputs are kept away from degenerate
+configurations (volume or meet size below 1e-2), where both sides lose
+accuracy in proportion to the conditioning; the rank test is checked against
+the singular-value rule on nearly dependent inputs too.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from twistnets.contact import contact_element, propagate_element
+from twistnets.proj4 import (
+    GeometryError,
+    line_factorize,
+    meet_line,
+    meet_span,
+    normalize_proj,
+    nullspace,
+    orthonormal_pair,
+    orthonormal_span,
+    plane_from_span,
+    proj_distance,
+    span_functional,
+    span_residual,
+    wedge,
+)
+from twistnets.quat import Quaternion
+from twistnets.twistor import HPoint, fiber_pair, twistor_fiber
+
+AGREE = 1e-12
+WELL_POSED = 1e-2
+
+settings.register_profile("kernel", max_examples=200, deadline=None,
+                          derandomize=True, database=None)
+
+coords = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+vec4 = st.lists(coords, min_size=8, max_size=8).map(
+    lambda x: np.array(x[:4]) + 1j * np.array(x[4:]))
+quat = st.lists(st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False),
+                min_size=4, max_size=4).map(lambda x: Quaternion(*x))
+scalar = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+log_scale = st.floats(-14.0, 0.0).map(lambda e: 10.0 ** e)
+
+
+def _norm(v):
+    return float(np.linalg.norm(v))
+
+
+def _volume(*vectors):
+    """Volume of the unit-scaled vectors (0 if one of them is zero)."""
+    if min(_norm(v) for v in vectors) == 0.0:
+        return 0.0
+    return _norm(span_functional(*(v / _norm(v) for v in vectors)))
+
+
+def _meet_size(functional, line):
+    """How far a line is from lying in a plane: |f| on the line's unit pair."""
+    v, w = line_factorize(line)
+    return math.hypot(abs(functional @ v), abs(functional @ w))
+
+
+def _reference_meet(functional, line):
+    """The meet of a plane and a line as a null space.
+
+    The point is annihilated by the plane's functional and by two functionals
+    that vanish on the line, the null space of the line's SVD factors.
+    """
+    v, w = line_factorize(line)
+    on_line = nullspace(np.array([v, w]))
+    assert on_line.shape == (4, 2)
+    ns = nullspace(np.vstack([functional, on_line.T]))
+    assert ns.shape == (4, 1)
+    return ns[:, 0]
+
+
+@settings(settings.get_profile("kernel"))
+@given(vec4, vec4, vec4)
+def test_span_functional_matches_nullspace(a, b, c):
+    assume(_volume(a, b, c) > WELL_POSED)
+    f = plane_from_span([a, b, c]).functional
+    ref = nullspace(np.array([a, b, c]))
+    assert ref.shape == (4, 1)
+    assert proj_distance(f, ref[:, 0]) < AGREE
+
+
+@settings(settings.get_profile("kernel"))
+@given(vec4, vec4, vec4, vec4, vec4)
+def test_pair_meet_matches_null_space_meet(a, b, c, v, w):
+    assume(_volume(a, b, c) > WELL_POSED)
+    assume(_norm(v) > 0.0 and _norm(w) > 0.0)
+    line = wedge(v, w)
+    assume(_norm(line) > WELL_POSED * _norm(v) * _norm(w))
+    plane = plane_from_span([a, b, c])
+    assume(_meet_size(plane.functional, line) > WELL_POSED)
+    ref = _reference_meet(plane.functional, line)
+    got = meet_span(plane, v, w)
+    assert proj_distance(got, ref) < AGREE
+    assert proj_distance(meet_line(plane, line), ref) < AGREE
+    # the meet is incident with both the plane and the line
+    assert abs(plane.functional @ got) < AGREE
+    assert span_residual(got, *orthonormal_pair(v, w)) < AGREE
+
+
+@settings(settings.get_profile("kernel"))
+@given(vec4, vec4, vec4, vec4, log_scale, st.booleans())
+def test_rank_test_matches_singular_value_rule(a, b, c, d, eps, fourth):
+    """Nearly dependent vectors: raises exactly when the SVD rule says so."""
+    assume(min(_norm(a), _norm(b), _norm(c), _norm(d)) > WELL_POSED)
+    if fourth:
+        # a fourth vector eps off the plane of the first three
+        vectors = [a, b, c, a + b + eps * d]
+    else:
+        # a nearly collinear triple, eps from the line through a
+        vectors = [a, a + eps * b, a + eps * c]
+    rows = np.array([x / _norm(x) for x in vectors])
+    s = np.linalg.svd(rows, compute_uv=False)
+    # s3 / s1, and s4 / s1 for four vectors; skip ratios within rounding of
+    # the cutoff
+    ratios = s[2:] / s[0]
+    assume(all(r == 0.0 or abs(math.log(r / 1e-9)) > 1e-3 for r in ratios))
+    if not (ratios[0] > 1e-9 and all(r <= 1e-9 for r in ratios[1:])):
+        with pytest.raises(GeometryError, match="degenerate-span"):
+            plane_from_span(vectors)
+        return
+    f = plane_from_span(vectors).functional
+    # the best-fitting plane leaves s4 (0 for three vectors); the plane of the
+    # largest-volume triple leaves at most twice that
+    smallest = ratios[1] * s[0] if fourth else 0.0
+    assert _norm(rows @ f) <= 2.0 * smallest + AGREE
+
+
+def test_meet_line_rejects_generic_bivector():
+    plane = plane_from_span(np.eye(4)[:3])
+    generic = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0], dtype=complex)  # e0^e1 + e2^e3
+    with pytest.raises(GeometryError, match="not decomposable"):
+        meet_line(plane, generic)
+
+
+@settings(settings.get_profile("kernel"))
+@given(vec4, vec4, scalar, scalar)
+def test_dependent_triple_is_degenerate_span(a, b, alpha, beta):
+    c = alpha * a + beta * b
+    # c must be in span{a, b} up to rounding: skip cancellation that leaves
+    # only rounding error in c
+    scale = abs(alpha) * _norm(a) + abs(beta) * _norm(b)
+    assume(_norm(c) == 0.0 or _norm(c) > 1e-6 * scale)
+    with pytest.raises(GeometryError, match="degenerate-span"):
+        plane_from_span([a, b, c])
+
+
+@settings(settings.get_profile("kernel"))
+@given(quat, quat, vec4)
+def test_propagate_matches_svd_reference(p, q, direction):
+    p, q = HPoint.from_quaternion(p), HPoint.from_quaternion(q)
+    assume(proj_distance(p.lift(), q.lift()) > WELL_POSED)
+    # a sphere through p: a line through p's lift, off p's fiber
+    assume(_volume(*fiber_pair(p), direction) > WELL_POSED)
+    direction = direction / _norm(direction)
+    element = contact_element(p, normalize_proj(wedge(p.lift(), direction)))
+    got = propagate_element(element, q)
+
+    # reference: the fiber's pair from its Pluecker vector by SVD, and the
+    # new plane as the null space of an SVD-orthonormal basis
+    fiber = twistor_fiber(q)
+    assume(_meet_size(element.plane.functional, fiber) > WELL_POSED)
+    ref_point = _reference_meet(element.plane.functional, fiber)
+    v, w = line_factorize(fiber)
+    assume(_volume(v, w, element.point) > WELL_POSED)
+    basis = orthonormal_span([v, w, element.point], rank=3)
+    ref_plane = nullspace(basis.T, 1e-10)[:, 0]
+    assert proj_distance(got.point, ref_point) < AGREE
+    assert proj_distance(got.plane.functional, ref_plane) < AGREE
