@@ -20,7 +20,7 @@ import numpy as np
 
 from .quat import Quaternion
 from . import proj4
-from .proj4 import GeometryError, ProjPlane, normalize_proj, quadric_pair, wedge
+from .proj4 import FIBER_TOL, GeometryError, ProjPlane, normalize_proj, quadric_pair, wedge
 from .twistor import HPoint, is_j_real, twistor_project
 from .xratio import INF, ExtC, as_ext, complex_cr
 from .nets import (
@@ -401,13 +401,13 @@ def _run_report(doc: dict, report: str, tol: float):
     net = doc_to_net(doc)
     if report == "planarity":
         for base, axes in net.faces():
-            r = float(face_planarity(net, base, axes))
+            r = max(face_planarity(net, base, axes), _quadric_defect(net, base, axes))
             rows.append({"face": f"{_idx_key(base)}/{axes[0]}{axes[1]}",
                          "residual": r})
             worst = max(worst, r)
     elif report == "conic":
         for rep in is_conic_net(net, max(tol, 1e-12)):
-            r = float(rep.planarity)
+            r = max(rep.planarity, _quadric_defect(net, rep.base, rep.axes))
             if not rep.irreducible:
                 r = max(r, 1.0)  # reducible face counts as a failure
             rows.append({"face": f"{_idx_key(rep.base)}/{rep.axes[0]}{rep.axes[1]}",
@@ -427,6 +427,15 @@ def _run_report(doc: dict, report: str, tol: float):
     else:
         raise GeometryError(f"unknown report {report!r}")
     return rows, float(worst)
+
+
+def _quadric_defect(net: LatticeNet, base, axes) -> float:
+    """Largest |<a, a>| over a q4 face's unit-scaled vertices, 0 for other
+    kinds: a q4 value off the Pluecker quadric is no line of CP^3."""
+    if net.kind != "q4":
+        return 0.0
+    return max(abs(quadric_pair(a, a))
+               for a in map(normalize_proj, net.face_vertices(base, axes)))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +556,7 @@ def _export_spheres(net: LatticeNet, axis: int, lines: list,
     offset = 0
     for idx in sorted(net.values):
         a = net.values[idx]
-        if is_j_real(a, 1e-7):
+        if is_j_real(a, FIBER_TOL):
             p = twistor_project(_line_point(a))
             affine = _hpoint_out(p)
             if affine is None:

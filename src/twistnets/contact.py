@@ -15,7 +15,7 @@ import numpy as np
 
 from . import proj4
 from .proj4 import (
-    DEFAULT_TOL,
+    INCIDENCE_TOL,
     GeometryError,
     ProjPlane,
     line_meet_point,
@@ -34,7 +34,7 @@ from .twistor import (
     twistor_fiber,
     twistor_project,
 )
-from .nets import LatticeNet
+from .nets import LatticeNet, sphere_frame
 from .xratio import as_ext
 
 
@@ -76,13 +76,8 @@ class NullLine:
         return (span_residual(self.point, v, w) < tol
                 and self.plane.contains(v, tol) and self.plane.contains(w, tol))
 
-    def isclose(self, other: "NullLine", tol: float = DEFAULT_TOL) -> bool:
-        return (proj4.proj_distance(self.point, other.point) < tol
-                and proj4.proj_distance(self.plane.functional,
-                                        other.plane.functional) < tol)
 
-
-def null_line_real_point(l: NullLine, tol: float = 1e-7):
+def null_line_real_point(l: NullLine):
     """The unique point of S^4 whose fiber belongs to the pencil, if any.
 
     The fiber through the pencil point lies in the plane exactly when the
@@ -90,13 +85,12 @@ def null_line_real_point(l: NullLine, tol: float = 1e-7):
     element and the real member is the fiber over the projected point.
     Returns None for half-contact elements.
     """
-    if l.plane.contains(j_on_vector(l.point), tol):
+    if l.plane.contains(j_on_vector(l.point), 1e-7):
         return twistor_project(l.point)
     return None
 
 
-def contact_element(p: HPoint, sphere: np.ndarray,
-                    tol: float = DEFAULT_TOL) -> NullLine:
+def contact_element(p: HPoint, sphere: np.ndarray) -> NullLine:
     """The pencil of spheres touching the given sphere at the point p.
 
     The pencil point is the lift of p on the sphere's twistor line and the
@@ -104,7 +98,7 @@ def contact_element(p: HPoint, sphere: np.ndarray,
     """
     sphere = normalize_proj(sphere)
     fib = twistor_fiber(p)
-    if not lines_incident(sphere, fib, max(tol, 1e-7)):
+    if not lines_incident(sphere, fib, INCIDENCE_TOL):
         raise GeometryError("point is not on the sphere")
     x = line_meet_point(sphere, fib)
     fv, fw = fiber_pair(p)
@@ -245,7 +239,6 @@ def pcen_from_complex_cr(S: np.ndarray, base: LatticeNet,
         raise GeometryError("complex cross-ratio base must be a cp1 net")
     if side not in ("left", "right"):
         raise GeometryError("side must be 'left' or 'right'")
-    from .nets import sphere_frame
     p, q = sphere_frame(S)
     jp, jq = j_on_vector(p), j_on_vector(q)
     elements = {}

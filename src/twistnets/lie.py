@@ -20,13 +20,17 @@ from . import proj4
 from .proj4 import (
     BIVECTOR_PAIRS,
     DEFAULT_TOL,
+    INCIDENCE_TOL,
+    RANK_CUT,
     GeometryError,
     QUADRIC_MATRIX,
     line_factorize,
     normalize_proj,
     nullspace,
-    orthonormal_span,
     quadric_pair,
+    quadric_roots,
+    sort_key,
+    svd_rank,
     wedge,
 )
 from .twistor import (
@@ -34,10 +38,8 @@ from .twistor import (
     classify_contact,
     is_j_real,
     j_on_bivector,
-    j_on_vector,
     twistor_fiber,
 )
-from .xratio import _quadric_roots, _sort_key
 
 # the four complex basis directions of C^4 as elements of H^2
 _H2_BASIS = (
@@ -109,12 +111,7 @@ class QuatHermitianForm:
         return self.value(v, v).norm() < tol
 
 
-def decompose_form(form: QuatHermitianForm):
-    return form.hmat, form.omega
-
-
-def rho(l: np.ndarray, form: QuatHermitianForm | None = None,
-        tol: float = DEFAULT_TOL) -> np.ndarray:
+def rho(l: np.ndarray, form: QuatHermitianForm | None = None) -> np.ndarray:
     """The h-perpendicular line; an anti-holomorphic involution on lines."""
     if form is None:
         form = QuatHermitianForm()
@@ -218,8 +215,7 @@ def lie_signature_report(form: QuatHermitianForm | None = None) -> dict:
     # omega = 0 cuts one real dimension out of the fixed slice
     om = np.array([form.omega_vec @ b for b in basis])
     rows = np.vstack([om.real, om.imag])
-    u, s, vh = np.linalg.svd(rows)
-    rank = int(np.sum(s > 1e-10 * max(s[0], 1e-30)))
+    rank, _, vh = svd_rank(rows, 1e-10)
     if rank != 1:
         raise GeometryError("omega does not cut a hyperplane of the real slice")
     coeffs = vh[rank:].T  # real 6x5
@@ -230,8 +226,7 @@ def lie_signature_report(form: QuatHermitianForm | None = None) -> dict:
 
 
 def circle_to_Q3(p1: HPoint, p2: HPoint, p3: HPoint,
-                 form: QuatHermitianForm | None = None,
-                 tol: float = DEFAULT_TOL):
+                 form: QuatHermitianForm | None = None):
     """The two oriented-circle representatives of the circle through three
     points of S^3.
 
@@ -247,14 +242,14 @@ def circle_to_Q3(p1: HPoint, p2: HPoint, p3: HPoint,
     fibers = [twistor_fiber(p) for p in (p1, p2, p3)]
     rows = [f @ QUADRIC_MATRIX for f in fibers]
     rows.append(form.omega_vec)
-    ns = nullspace(np.array(rows), 1e-9)
+    ns = nullspace(np.array(rows))
     if ns.shape[1] != 2:
         raise GeometryError("collinear or coincident circle points")
-    roots = _quadric_roots(ns[:, 0], ns[:, 1])
-    roots = [x for x in roots if abs(quadric_pair(x, x)) < 1e-7]
+    roots = quadric_roots(ns[:, 0], ns[:, 1])
+    roots = [x for x in roots if abs(quadric_pair(x, x)) < INCIDENCE_TOL]
     if len(roots) != 2:
         raise GeometryError("circle pencil has no two quadric points")
-    roots.sort(key=_sort_key)
+    roots.sort(key=sort_key)
     a, b = roots
     if proj4.proj_distance(normalize_proj(j_on_bivector(a)), b) > 1e-6:
         raise GeometryError("circle representatives are not a j-pair")
@@ -284,8 +279,7 @@ def _oriented_contact(a: np.ndarray, b: np.ndarray):
     return cc, b
 
 
-def touching_coins_check(circles, form: QuatHermitianForm | None = None,
-                         tol: float = DEFAULT_TOL) -> CoinReport:
+def touching_coins_check(circles, form: QuatHermitianForm | None = None) -> CoinReport:
     """Verify the coin-chain picture for four cyclically touching circles.
 
     Each circle is given by one oriented representative (a quadric point);
@@ -318,15 +312,15 @@ def touching_coins_check(circles, form: QuatHermitianForm | None = None,
         points.append(cc.witnesses[0])
     fibers = [twistor_fiber(p) for p in points]
     rows = np.array([f @ QUADRIC_MATRIX for f in fibers])
-    ns = nullspace(rows, 1e-8)
+    ns = nullspace(rows, RANK_CUT)
     generic = ns.shape[1] == 2
     if generic:
-        roots = _quadric_roots(ns[:, 0], ns[:, 1])
-        roots = [x for x in roots if abs(quadric_pair(x, x)) < 1e-7
+        roots = quadric_roots(ns[:, 0], ns[:, 1])
+        roots = [x for x in roots if abs(quadric_pair(x, x)) < INCIDENCE_TOL
                  and not is_j_real(x, 1e-6)]
         if not roots:
             raise GeometryError("no sphere through the four contact points")
-        roots.sort(key=_sort_key)
+        roots.sort(key=sort_key)
         sphere = roots[0]
     else:
         sphere = _representative_contact_sphere(oriented)
@@ -349,13 +343,13 @@ def _representative_contact_sphere(circles):
     is incident with every representative.
     """
     rows = np.array([normalize_proj(c) @ QUADRIC_MATRIX for c in circles])
-    pol = nullspace(rows, 1e-8)
+    pol = nullspace(rows, RANK_CUT)
     if pol.shape[1] != 2:
         raise GeometryError("representatives have a degenerate polar pencil")
-    roots = [x for x in _quadric_roots(pol[:, 0], pol[:, 1])
-             if abs(quadric_pair(x, x)) < 1e-7 and not is_j_real(x, 1e-6)]
+    roots = [x for x in quadric_roots(pol[:, 0], pol[:, 1])
+             if abs(quadric_pair(x, x)) < INCIDENCE_TOL and not is_j_real(x, 1e-6)]
     if not roots:
         raise GeometryError("no sphere in contact with all four "
                             "representatives")
-    roots.sort(key=_sort_key)
+    roots.sort(key=sort_key)
     return roots[0]

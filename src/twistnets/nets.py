@@ -19,24 +19,27 @@ import numpy as np
 from .quat import Quaternion
 from . import proj4
 from .proj4 import (
-    DEFAULT_TOL,
+    FIBER_TOL,
+    INCIDENCE_TOL,
+    RANK_CUT,
     GeometryError,
     line_meet_point,
     lines_incident,
     normalize_proj,
     nullspace,
     orthonormal_span,
+    planarity,
     quadric_pair,
+    svd_rank,
     wedge,
 )
-from .twistor import HPoint, is_j_real, j_on_bivector, j_on_vector, twistor_project
+from .twistor import HPoint, is_j_real, j_on_vector, twistor_fiber
 from .xratio import (
     ExtC,
     as_ext,
-    complex_cr,
     complex_fourth_point,
+    cross_det,
     quat_fourth_point,
-    _cross_det,
 )
 
 
@@ -104,7 +107,6 @@ class LatticeNet:
 def _face_vectors(net: LatticeNet, base, axes) -> list:
     vals = net.face_vertices(base, axes)
     if net.kind == "hp1":
-        from .twistor import twistor_fiber
         return [twistor_fiber(p) for p in vals]
     if net.kind == "cp1":
         raise GeometryError("cp1 nets have no ambient planarity notion")
@@ -119,9 +121,7 @@ def face_planarity(net: LatticeNet, base, axes) -> float:
     the vertices are lifted to their twistor fibers first, so the residual
     measures concircularity.
     """
-    vecs = _face_vectors(net, base, axes)
-    s = np.linalg.svd(np.array(vecs), compute_uv=False)
-    return float(s[3] / s[0])
+    return planarity(_face_vectors(net, base, axes))
 
 
 # ---------------------------------------------------------------------------
@@ -130,33 +130,29 @@ def face_planarity(net: LatticeNet, base, axes) -> float:
 
 def _span_coordinates(points):
     """Express homogeneous points in a common 4-dim linear subspace."""
-    basis = orthonormal_span(points, tol=1e-8)
+    basis = orthonormal_span(points, tol=RANK_CUT)
     if basis.shape[1] > 4:
         raise GeometryError("seven points span more than four dimensions; "
                             "faces are not planar")
     if basis.shape[1] < 4:
-        # degenerate but workable: pad to 4 columns is not meaningful; the
-        # plane construction below only needs consistent coordinates
         raise GeometryError("seven points span fewer than four dimensions")
-    coords = []
-    for p in points:
-        p = np.asarray(p, dtype=complex)
-        c, _, _, _ = np.linalg.lstsq(basis, p, rcond=None)
-        if np.linalg.norm(basis @ c - p) > 1e-7 * np.linalg.norm(p):
-            raise GeometryError("point does not lie in the common span")
-        coords.append(c)
-    return basis, coords
+    # the basis is orthonormal, so coordinates are inner products
+    pts = np.array(points).T
+    coords = basis.conj().T @ pts
+    resid = np.linalg.norm(basis @ coords - pts, axis=0)
+    if np.any(resid > 1e-7 * np.linalg.norm(pts, axis=0)):
+        raise GeometryError("point does not lie in the common span")
+    return basis, coords.T
 
 
 def _plane_functional(a, b, c):
-    ns = nullspace(np.array([a, b, c]), 1e-8)
+    ns = nullspace(np.array([a, b, c]), RANK_CUT)
     if ns.shape[1] != 1:
         raise GeometryError("plane through point triple is degenerate")
     return ns[:, 0]
 
 
-def hexahedron_complete(phi, phi1, phi2, phi3, phi12, phi13, phi23,
-                        tol: float = DEFAULT_TOL) -> np.ndarray:
+def hexahedron_complete(phi, phi1, phi2, phi3, phi12, phi13, phi23) -> np.ndarray:
     """The eighth vertex of a combinatorial cube with planar faces.
 
     The three planes through {phi_i, phi_ij, phi_ik} meet in a single point;
@@ -170,7 +166,7 @@ def hexahedron_complete(phi, phi1, phi2, phi3, phi12, phi13, phi23,
     f1 = _plane_functional(c1, c12, c13)
     f2 = _plane_functional(c2, c12, c23)
     f3 = _plane_functional(c3, c13, c23)
-    ns = nullspace(np.array([f1, f2, f3]), max(tol, 1e-8))
+    ns = nullspace(np.array([f1, f2, f3]), RANK_CUT)
     if ns.shape[1] != 1:
         raise GeometryError("planes-near-parallel: no unique eighth point")
     return normalize_proj(basis @ ns[:, 0])
@@ -254,7 +250,7 @@ def sphere_frame(S: np.ndarray):
     """Spanning points p, q of the line S with the parameter convention that
     the CP^1 coordinate z on the sphere corresponds to [p z + q]."""
     S = normalize_proj(S)
-    if is_j_real(S, 1e-7):
+    if is_j_real(S, FIBER_TOL):
         raise GeometryError("S must be a sphere lift, not a twistor fiber")
     p, q = proj4.line_factorize(S)
     return p, q
@@ -326,15 +322,15 @@ def project_from_QS2(S: np.ndarray, net: LatticeNet) -> LatticeNet:
     if net.kind != "q4":
         raise GeometryError("projection expects a q4 net")
     p, q = sphere_frame(S)
-    span = np.column_stack([p, q])
+    line = normalize_proj(wedge(p, q))
     out = LatticeNet(net.dim, net.shape, "cp1", metadata=dict(net.metadata))
     for idx in net.indices():
         a = net[idx]
-        if not lines_incident(a, normalize_proj(wedge(p, q)), 1e-7):
+        if not lines_incident(a, line, INCIDENCE_TOL):
             raise GeometryError(f"value at {idx} is not a line through S")
-        x = line_meet_point(a, normalize_proj(wedge(p, q)))
-        c, _, _, _ = np.linalg.lstsq(span, x, rcond=None)
-        out.values[idx] = ExtC(c[0], c[1])
+        x = line_meet_point(a, line)
+        # sphere_frame's pair is orthonormal: coordinates are inner products
+        out.values[idx] = ExtC(np.vdot(p, x), np.vdot(q, x))
     return out
 
 
@@ -360,16 +356,14 @@ def is_conic_net(net: LatticeNet, tol: float = 1e-7) -> list:
         raise GeometryError("conic reports need a q4 net")
     reports = []
     for base, axes in net.faces():
-        vecs = [normalize_proj(v) for v in net.face_vertices(base, axes)]
-        s = np.linalg.svd(np.array(vecs), compute_uv=False)
+        vecs = np.array([normalize_proj(v) for v in net.face_vertices(base, axes)])
+        # one decomposition gives the planarity and the plane's basis
+        rank, s, vh = svd_rank(vecs, 1e-7)
         resid = float(s[3] / s[0])
-        if resid > tol:
+        if resid > tol or rank != 3:
             reports.append(FaceConic(base, axes, resid, None, 0.0, False))
             continue
-        basis = orthonormal_span(vecs, tol=1e-7)
-        if basis.shape[1] != 3:
-            reports.append(FaceConic(base, axes, resid, None, 0.0, False))
-            continue
+        basis = vh[:3].T
         g = np.array([[quadric_pair(basis[:, i], basis[:, j])
                        for j in range(3)] for i in range(3)])
         det = complex(np.linalg.det(g))
@@ -381,7 +375,7 @@ def is_conic_net(net: LatticeNet, tol: float = 1e-7) -> list:
 # four-dimensional consistency
 
 
-def bianchi_check(hypercube: dict, tol: float = 1e-7) -> bool:
+def bianchi_check(hypercube: dict) -> bool:
     """Consistency of a combinatorial 4-cube of homogeneous points.
 
     Requires every elementary 2-face planar and each of the four cubes
@@ -402,8 +396,7 @@ def bianchi_check(hypercube: dict, tol: float = 1e-7) -> bool:
                         idx[a], idx[b] = da, db
                         idx[rest[0]], idx[rest[1]] = va, vb
                         quad.append(normalize_proj(hypercube[tuple(idx)]))
-                    s = np.linalg.svd(np.array(quad), compute_uv=False)
-                    if s[3] / s[0] > tol:
+                    if planarity(quad) > 1e-7:
                         return False
     # the four 3-cubes through the far corner must reproduce it
     far = normalize_proj(hypercube[(1, 1, 1, 1)])
@@ -424,7 +417,7 @@ def bianchi_check(hypercube: dict, tol: float = 1e-7) -> bool:
                 vertex((1, 1, 0)), vertex((1, 0, 1)), vertex((0, 1, 1)))
         except GeometryError:
             return False
-        if proj4.proj_distance(completed, far) > tol:
+        if proj4.proj_distance(completed, far) > 1e-7:
             return False
     return True
 
@@ -439,7 +432,7 @@ def edge_transfer_matrix(z1: ExtC, z2: ExtC, lam: complex) -> np.ndarray:
     Derived from the fourth-point formula with z1 = c(k+1), z2 = c(k); the
     determinant is d(z1, z2)^2 (1 - lam) under this normalization.
     """
-    a = _cross_det(z1, z2)
+    a = cross_det(z1, z2)
     return np.array([
         [a - lam * z1.num * z2.den, lam * z1.num * z2.num],
         [-lam * z1.den * z2.den, a + lam * z1.den * z2.num],

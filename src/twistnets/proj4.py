@@ -13,9 +13,11 @@ vanishes.
 Incidences of known vectors are closed-form: the plane through three vectors
 is their ∧³ functional (the 3x3 minors of the stacked vectors), and a line
 spanned by a pair meets a plane in the point given by two dot products.
-Singular values serve inputs whose rank is not known in advance: the SVD
-helpers (line_factorize, nullspace, orthonormal_span), and plane_from_span on
-nearly dependent vectors, where the closed form is inaccurate.
+Singular values serve inputs whose rank is not known in advance.  Every rank
+decision goes through svd_rank, a cut relative to the largest singular value
+(nullspace, orthonormal_span, plane_from_span on nearly dependent vectors,
+where the closed form is inaccurate), and four-point planarity through
+planarity.  The thresholds that several modules share live here.
 """
 
 from __future__ import annotations
@@ -26,6 +28,14 @@ import math
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+# |<a, a>| and |<a, b>| bound for unit bivectors that should be decomposable
+# or incident after a construction
+INCIDENCE_TOL = 1e-7
+# |a - j(a)| bound below which a unit bivector counts as a twistor fiber
+FIBER_TOL = 1e-7
+# relative singular-value cut of the rank decisions on constructed vectors:
+# meets of lines and planes, the span of a hexahedron, sphere eigenlines
+RANK_CUT = 1e-8
 # smallest triple volume for which plane_from_span trusts the ∧³ functional
 _CLOSED_FORM_VOLUME = 1e-4
 
@@ -72,7 +82,7 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(v, v).real)
 
 
-def normalize_proj(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def normalize_proj(v: np.ndarray) -> np.ndarray:
     """Normalize a homogeneous vector: unit norm, anchor component positive real.
 
     The phase anchor is the first component whose modulus exceeds 1e-6 of the
@@ -83,7 +93,7 @@ def normalize_proj(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     mags = np.abs(v)
     n = math.hypot(*mags.tolist())
-    if n < tol:
+    if n < 1e-12:
         raise GeometryError("cannot normalize (near-)zero homogeneous vector")
     anchor = int((mags > 1e-6 * n).argmax())
     a = complex(v[anchor])
@@ -158,10 +168,10 @@ def line_matrix(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def line_factorize(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def line_factorize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a decomposable bivector into two independent spanning vectors."""
     a = normalize_proj(a)
-    if not is_decomposable(a, max(tol, 1e-7)):
+    if not is_decomposable(a, INCIDENCE_TOL):
         raise GeometryError("bivector is not decomposable")
     u, s, _ = np.linalg.svd(line_matrix(a))
     v = u[:, 0]
@@ -194,23 +204,34 @@ def span_residual(x: np.ndarray, u: np.ndarray, w: np.ndarray) -> float:
     return _norm(r)
 
 
+def svd_rank(m: np.ndarray, cut: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """Numerical rank of m with its singular values s and right factor vh.
+
+    The rank counts singular values above cut times the largest; rows
+    vh[rank:] span the null space, and the rows of m are combinations of
+    vh[:rank].
+    """
+    _, s, vh = np.linalg.svd(m)
+    return int(np.sum(s > cut * s.max(initial=0.0))), s, vh
+
+
+def planarity(vectors) -> float:
+    """s4 / s1 of four stacked unit vectors: zero iff they span at most a plane."""
+    s = np.linalg.svd(np.array(vectors), compute_uv=False)
+    return float(s[3] / s[0])
+
+
 def nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Columns spanning the numerical null space of m (SVD thresholding)."""
-    m = np.asarray(m, dtype=complex)
-    u, s, vh = np.linalg.svd(m)
-    if s.size == 0:
-        return np.eye(m.shape[1], dtype=complex)
-    cutoff = tol * s[0] if s[0] > 0 else tol
-    rank = int(np.sum(s > cutoff))
+    """Columns spanning the numerical null space of m, at a cut relative to
+    its largest singular value."""
+    rank, _, vh = svd_rank(np.asarray(m, dtype=complex), tol)
     return vh[rank:].conj().T
 
 
 def orthonormal_span(vectors, rank: int | None = None, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the span of the given row vectors."""
     m = np.array([np.asarray(v, dtype=complex) / np.linalg.norm(v) for v in vectors])
-    u, s, vh = np.linalg.svd(m)
-    cutoff = max(tol, 1e-12) * (s[0] if s[0] > 0 else 1.0)
-    r = int(np.sum(s > cutoff))
+    r, _, vh = svd_rank(m, tol)
     if rank is not None and r != rank:
         raise GeometryError(f"degenerate-span: rank {r}, expected {rank}")
     # rows of m are combinations of rows of vh, so the (plain-linear) span is
@@ -218,12 +239,12 @@ def orthonormal_span(vectors, rank: int | None = None, tol: float = DEFAULT_TOL)
     return vh[:r].T
 
 
-def line_meet_point(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def line_meet_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersection point of two incident, distinct lines in CP^3."""
     v1, w1 = line_factorize(a)
     v2, w2 = line_factorize(b)
     m = np.column_stack([v1, w1, -v2, -w2])
-    ns = nullspace(m, max(tol, 1e-8))
+    ns = nullspace(m, RANK_CUT)
     if ns.shape[1] == 0:
         raise GeometryError("lines are not incident")
     if ns.shape[1] > 1:
@@ -261,11 +282,6 @@ class ProjPlane:
         return abs(self.functional @ v) / n
 
 
-def plane_from(points) -> ProjPlane:
-    """Plane through three independent CP^3 points."""
-    return plane_from_span(points)
-
-
 def plane_from_span(vectors) -> ProjPlane:
     """Plane spanned by vectors of total rank 3 (e.g. a line plus a point).
 
@@ -291,8 +307,7 @@ def plane_from_span(vectors) -> ProjPlane:
     if (vol2 >= _CLOSED_FORM_VOLUME ** 2 and vol2 > tol2 * e1 ** 3
             and np.vdot(off, off).real <= tol2 * vol2 * e1 / 4):
         return ProjPlane(f)
-    _, s, vh = np.linalg.svd(rows)
-    rank = int(np.sum(s > DEFAULT_TOL * s[0]))
+    rank, s, vh = svd_rank(rows, DEFAULT_TOL)
     if rank != 3:
         values = ", ".join(f"{x:.1e}" for x in s)
         raise GeometryError(f"degenerate-span: rank {rank}, expected 3; singular "
@@ -302,8 +317,8 @@ def plane_from_span(vectors) -> ProjPlane:
     return ProjPlane(vh[3].conj())
 
 
-def _meet_point(x: np.ndarray, scale: float, tol: float) -> np.ndarray:
-    if _norm(x) < max(tol, 1e-10) * scale:
+def _meet_point(x: np.ndarray, scale: float) -> np.ndarray:
+    if _norm(x) < DEFAULT_TOL * scale:
         raise GeometryError("line-in-plane: intersection is not a point")
     return normalize_proj(x)
 
@@ -315,26 +330,52 @@ def meet_span(plane: ProjPlane, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     line-in-plane test is relative to |v| |w|.
     """
     f = plane.functional
-    return _meet_point(v * (f @ w) - w * (f @ v), _norm(v) * _norm(w), DEFAULT_TOL)
+    return _meet_point(v * (f @ w) - w * (f @ v), _norm(v) * _norm(w))
 
 
-def meet_line(plane: ProjPlane, line: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def meet_line(plane: ProjPlane, line: np.ndarray) -> np.ndarray:
     """Intersection point of a plane and a line (Pluecker vector) not contained in it.
 
     For line = v ^ w the line matrix maps the functional f to the point
     v (f @ w) - w (f @ v), as in meet_span.
     """
     line = np.asarray(line, dtype=complex)
-    if not is_decomposable(line, max(tol, 1e-7)):
+    if not is_decomposable(line, INCIDENCE_TOL):
         raise GeometryError("bivector is not decomposable")
-    return _meet_point(line_matrix(line) @ plane.functional, _norm(line), tol)
+    return _meet_point(line_matrix(line) @ plane.functional, _norm(line))
 
 
-def meet_planes(p1: ProjPlane, p2: ProjPlane, p3: ProjPlane,
-                tol: float = DEFAULT_TOL) -> np.ndarray:
+def meet_planes(p1: ProjPlane, p2: ProjPlane, p3: ProjPlane) -> np.ndarray:
     """Common point of three planes in general position."""
     m = np.array([p1.functional, p2.functional, p3.functional])
-    ns = nullspace(m, max(tol, 1e-8))
+    ns = nullspace(m, RANK_CUT)
     if ns.shape[1] != 1:
         raise GeometryError("non-point-intersection of three planes")
     return normalize_proj(ns[:, 0])
+
+
+def quadric_roots(g: np.ndarray, h: np.ndarray) -> list:
+    """Points of the quadric on the pencil g + t h (plus h itself at t = inf)."""
+    a = quadric_pair(h, h)
+    b = 2.0 * quadric_pair(g, h)
+    c = quadric_pair(g, g)
+    scale = max(abs(a), abs(b), abs(c), 1e-30)
+    roots = []
+    if abs(a) < 1e-10 * scale:
+        roots.append(None)  # t = infinity: the line h itself
+        if abs(b) > 1e-10 * scale:
+            roots.append(-c / b)
+    else:
+        disc = np.sqrt(b * b - 4.0 * a * c + 0j)
+        roots.extend([(-b + disc) / (2 * a), (-b - disc) / (2 * a)])
+    out = []
+    for t in roots:
+        x = h if t is None else g + t * h
+        if np.linalg.norm(x) > 1e-12:
+            out.append(normalize_proj(x))
+    return out
+
+
+def sort_key(x: np.ndarray) -> tuple:
+    """A deterministic order on vectors: real, then imaginary parts to 9 digits."""
+    return tuple(np.round(np.concatenate([x.real, x.imag]), 9))

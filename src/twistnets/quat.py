@@ -1,4 +1,4 @@
-"""Quaternion algebra and the rotation actions built from it.
+"""Quaternion algebra and the conjugation of i to a unit imaginary quaternion.
 
 Conventions: i = jk (so ij = k, jk = i, ki = j) and i^2 = j^2 = k^2 = -1.
 The complex numbers sit inside H as the real span of {1, i}, and every
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-DEFAULT_TOL = 1e-9
+from .proj4 import DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -119,32 +119,19 @@ class Quaternion:
         return (self - other).norm() < tol * max(1.0, self.norm(), other.norm())
 
 
-def mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    return a * b
-
-
 def is_imaginary_unit(v: Quaternion, tol: float = DEFAULT_TOL) -> bool:
     """True iff v is a unit imaginary quaternion, equivalently v^2 = -1."""
     return abs(v.w) < tol and abs(v.norm() - 1.0) < tol
 
 
-def conjugator_to(n: Quaternion, tol: float = DEFAULT_TOL) -> Quaternion:
+def conjugator_to(n: Quaternion) -> Quaternion:
     """Return lam with lam * i * lam^-1 = n, for n a unit imaginary quaternion.
 
     Uses lam = 1 - n*i away from the branch point n = -i, where lam = j.
     """
-    if not is_imaginary_unit(n, max(tol, 1e-6)):
+    if not is_imaginary_unit(n, 1e-6):
         raise ValueError("conjugator_to requires a unit imaginary quaternion")
     if (n + Quaternion.i()).norm() < 1e-8:
         return Quaternion.j()
     return (Quaternion.one() - n * Quaternion.i()).normalized()
 
-
-def rot3(lam: Quaternion, x: Quaternion) -> Quaternion:
-    """Conjugation x -> lam x lam^-1; an SO(3) action on Im(H)."""
-    return lam * x * lam.inverse()
-
-
-def rot4(lam: Quaternion, mu: Quaternion, x: Quaternion) -> Quaternion:
-    """Two-sided action x -> lam x mu^-1; an SO(4) action on H for unit pairs."""
-    return lam * x * mu.inverse()

@@ -18,6 +18,9 @@ from .quat import Quaternion
 from . import proj4
 from .proj4 import (
     DEFAULT_TOL,
+    FIBER_TOL,
+    INCIDENCE_TOL,
+    RANK_CUT,
     GeometryError,
     lines_incident,
     line_factorize,
@@ -49,8 +52,8 @@ class HPoint:
     def infinity() -> "HPoint":
         return HPoint(Quaternion.one(), Quaternion(0, 0, 0, 0))
 
-    def is_infinity(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.b.norm() < tol * max(1.0, self.a.norm())
+    def is_infinity(self) -> bool:
+        return self.b.norm() < DEFAULT_TOL * max(1.0, self.a.norm())
 
     def affine(self) -> Quaternion:
         """The quaternion q with self = [q : 1]; raises at infinity."""
@@ -112,10 +115,6 @@ def twistor_fiber(p: HPoint) -> np.ndarray:
     return normalize_proj(wedge(*fiber_pair(p)))
 
 
-def hpoints_close(p: HPoint, q: HPoint, tol: float = DEFAULT_TOL) -> bool:
-    return p.isclose(q, tol)
-
-
 @dataclass
 class SphereEndo:
     """A round two-sphere as an endomorphism of H^2 with square -Identity.
@@ -130,21 +129,10 @@ class SphereEndo:
 
     def eigenline(self) -> np.ndarray:
         """The i-eigenspace as a Pluecker vector."""
-        ns = nullspace(self.matrix - 1j * np.eye(4), 1e-8)
+        ns = nullspace(self.matrix - 1j * np.eye(4), RANK_CUT)
         if ns.shape[1] != 2:
             raise GeometryError("endomorphism has no 2-dim i-eigenspace")
         return normalize_proj(wedge(ns[:, 0], ns[:, 1]))
-
-    def quaternion_entry(self, row: int, col: int) -> Quaternion:
-        """Entry of the 2x2 quaternionic matrix (row, col in {0, 1}).
-
-        A right-H-linear map sends the basis quaternion direction e_col to
-        sum_row e_row * entry; in complex coordinates the (row, col) block is
-        [[a, -conj(b)], [b, conj(a)]] for the quaternion entry a + j b.
-        """
-        a = self.matrix[2 * row, 2 * col]
-        b = self.matrix[2 * row + 1, 2 * col]
-        return Quaternion.from_complex_pair(a, b)
 
     def squares_to_minus_identity(self, tol: float = DEFAULT_TOL) -> bool:
         return bool(np.linalg.norm(self.matrix @ self.matrix + np.eye(4)) < tol * 4)
@@ -165,12 +153,12 @@ def sphere_from_eigenvectors(v: np.ndarray, w: np.ndarray) -> SphereEndo:
     return SphereEndo(basis @ d @ np.linalg.inv(basis))
 
 
-def sphere_from_line(a: np.ndarray, tol: float = DEFAULT_TOL):
+def sphere_from_line(a: np.ndarray):
     """A decomposable bivector as either an HP^1 point (j-real) or a sphere."""
     a = normalize_proj(a)
-    if not proj4.is_decomposable(a, max(tol, 1e-7)):
+    if not proj4.is_decomposable(a, INCIDENCE_TOL):
         raise GeometryError("sphere_from_line needs a decomposable bivector")
-    if is_j_real(a, max(tol, 1e-7)):
+    if is_j_real(a, FIBER_TOL):
         v, _ = line_factorize(a)
         return twistor_project(v)
     v, w = line_factorize(a)
@@ -212,20 +200,18 @@ def sphere_contains(s: SphereEndo, p: HPoint, tol: float = DEFAULT_TOL) -> bool:
     Equivalently S v lies in span{v, Jv} for a lift v, with eigen-quaternion
     mu of square -1.
     """
-    v = p.lift()
-    span = np.column_stack([v, j_on_vector(v)])
+    v, vj = fiber_pair(p)
     target = s.matrix @ v
-    coeffs, resid, _, _ = np.linalg.lstsq(span, target, rcond=None)
-    residual = np.linalg.norm(span @ coeffs - target)
+    residual = span_residual(target, v, vj)
     return bool(residual < tol * max(1.0, float(np.linalg.norm(target))))
 
 
 def sphere_eigen_quaternion(s: SphereEndo, p: HPoint) -> Quaternion:
     """The quaternion mu with S v = v mu for a point p on the sphere."""
-    v = p.lift()
-    span = np.column_stack([v, j_on_vector(v)])
-    coeffs, _, _, _ = np.linalg.lstsq(span, s.matrix @ v, rcond=None)
-    return Quaternion.from_complex_pair(coeffs[0], coeffs[1])
+    # (v, Jv) is orthonormal, so mu's complex pair is two inner products
+    v, vj = fiber_pair(p)
+    target = s.matrix @ v
+    return Quaternion.from_complex_pair(np.vdot(v, target), np.vdot(vj, target))
 
 
 @dataclass
@@ -236,7 +222,7 @@ class ContactClass:
     witnesses: tuple = field(default_factory=tuple)  # HPoints on both spheres
 
 
-def plane_fiber(plane: proj4.ProjPlane, tol: float = DEFAULT_TOL) -> np.ndarray:
+def plane_fiber(plane: proj4.ProjPlane) -> np.ndarray:
     """The unique twistor fiber contained in a plane of CP^3.
 
     The plane meets its j-image in a line; that line is fixed by J and hence
@@ -245,7 +231,7 @@ def plane_fiber(plane: proj4.ProjPlane, tol: float = DEFAULT_TOL) -> np.ndarray:
     basis = plane.basis
     jbasis = np.column_stack([j_on_vector(basis[:, k]) for k in range(3)])
     m = np.vstack([plane.functional, normalize_proj(nullspace(jbasis.T, 1e-10)[:, 0])])
-    ns = nullspace(m, 1e-8)
+    ns = nullspace(m, RANK_CUT)
     if ns.shape[1] != 2:
         raise GeometryError("plane meets its j-image in unexpected dimension")
     line = normalize_proj(wedge(ns[:, 0], ns[:, 1]))
@@ -258,7 +244,11 @@ def plane_fiber(plane: proj4.ProjPlane, tol: float = DEFAULT_TOL) -> np.ndarray:
     return line
 
 
-def classify_contact(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> ContactClass:
+# distance, incidence and tangency cut of classify_contact
+_CONTACT_TOL = 1e-8
+
+
+def classify_contact(a: np.ndarray, b: np.ndarray) -> ContactClass:
     """Classify the contact of the two sphere point-sets given by lines a, b.
 
     Incident lines span a plane; that plane's unique fiber either passes
@@ -270,11 +260,10 @@ def classify_contact(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> 
     a = normalize_proj(a)
     b = normalize_proj(b)
     bj = j_on_bivector(b)
-    if proj4.proj_distance(a, b) < max(tol, 1e-8) or \
-            proj4.proj_distance(a, bj) < max(tol, 1e-8):
+    if proj4.proj_distance(a, b) < _CONTACT_TOL or \
+            proj4.proj_distance(a, bj) < _CONTACT_TOL:
         return ContactClass("identical", ())
-    itol = max(tol, 1e-8)
-    if lines_incident(a, b, itol):
+    if lines_incident(a, b, _CONTACT_TOL):
         p = line_meet_point(a, b)
         va, wa = line_factorize(a)
         vb, wb = line_factorize(b)
@@ -282,11 +271,11 @@ def classify_contact(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> 
         fiber = plane_fiber(plane)
         fv, fw = line_factorize(fiber)
         # tangency iff the common point lies on the fiber
-        if span_residual(p, fv, fw) < itol:
+        if span_residual(p, fv, fw) < _CONTACT_TOL:
             return ContactClass("touch", (twistor_project(p),))
         # the second common point projects from the plane's fiber
         return ContactClass("half_touch", (twistor_project(p), twistor_project(fv)))
-    if lines_incident(a, bj, itol):
+    if lines_incident(a, bj, _CONTACT_TOL):
         p = line_meet_point(a, bj)
         q = line_meet_point(j_on_bivector(a), b)
         return ContactClass("circle_intersection",

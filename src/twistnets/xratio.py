@@ -18,12 +18,16 @@ from .quat import Quaternion
 from . import proj4
 from .proj4 import (
     DEFAULT_TOL,
+    FIBER_TOL,
+    INCIDENCE_TOL,
     GeometryError,
     lines_incident,
     line_meet_point,
     normalize_proj,
     nullspace,
     quadric_pair,
+    quadric_roots,
+    sort_key,
     wedge,
 )
 from .twistor import HPoint, is_j_real, j_on_bivector, j_on_vector
@@ -70,33 +74,34 @@ def as_ext(z) -> ExtC:
     raise TypeError(f"cannot interpret {z!r} as an extended complex number")
 
 
-def _cross_det(u: ExtC, v: ExtC) -> complex:
+def cross_det(u: ExtC, v: ExtC) -> complex:
+    """d(u, v) = u_n v_d - v_n u_d, zero iff u and v are the same point."""
     return u.num * v.den - v.num * u.den
 
 
-def complex_cr(z1, z2, z3, z4, tol: float = DEFAULT_TOL) -> ExtC:
+def complex_cr(z1, z2, z3, z4) -> ExtC:
     """Cross ratio of four points of CP^1, normalized so [inf,1,0,lam] = lam."""
     zs = [as_ext(z) for z in (z1, z2, z3, z4)]
     for a in range(4):
         for b in range(a + 1, 4):
-            if zs[a].isclose(zs[b], tol):
+            if zs[a].isclose(zs[b]):
                 raise GeometryError(f"coincident points {a} and {b} in cross ratio")
-    num = _cross_det(zs[0], zs[1]) * _cross_det(zs[2], zs[3])
-    den = _cross_det(zs[1], zs[2]) * _cross_det(zs[3], zs[0])
+    num = cross_det(zs[0], zs[1]) * cross_det(zs[2], zs[3])
+    den = cross_det(zs[1], zs[2]) * cross_det(zs[3], zs[0])
     return ExtC(num, den)
 
 
-def complex_fourth_point(z1, z2, z3, lam, tol: float = DEFAULT_TOL) -> ExtC:
+def complex_fourth_point(z1, z2, z3, lam) -> ExtC:
     """The unique w with complex_cr(z1, z2, z3, w) = lam."""
     z1, z2, z3 = as_ext(z1), as_ext(z2), as_ext(z3)
     lam = as_ext(lam)
     if lam.is_infinity(1e-14):
         raise GeometryError("degenerate cross-ratio value infinity")
     lv = lam.value()
-    if abs(lv) < tol or abs(lv - 1.0) < tol:
+    if abs(lv) < DEFAULT_TOL or abs(lv - 1.0) < DEFAULT_TOL:
         raise GeometryError("degenerate cross-ratio value 0 or 1")
-    a = _cross_det(z1, z2)
-    b = _cross_det(z2, z3)
+    a = cross_det(z1, z2)
+    b = cross_det(z2, z3)
     num = a * z3.num + lv * b * z1.num
     den = a * z3.den + lv * b * z1.den
     # keep homogeneous pairs at unit scale so chained evaluations stay finite
@@ -110,8 +115,7 @@ def complex_fourth_point(z1, z2, z3, lam, tol: float = DEFAULT_TOL) -> ExtC:
 # quaternionic cross ratio
 
 
-def quat_cr(p1: HPoint, p2: HPoint, p3: HPoint, p4: HPoint,
-            tol: float = DEFAULT_TOL) -> Quaternion:
+def quat_cr(p1: HPoint, p2: HPoint, p3: HPoint, p4: HPoint) -> Quaternion:
     """(q1-q2)(q2-q3)^-1 (q3-q4)(q4-q1)^-1 in the affine chart [q : 1].
 
     At most one input may be the point at infinity; the two factors involving
@@ -138,10 +142,9 @@ def quat_cr(p1: HPoint, p2: HPoint, p3: HPoint, p4: HPoint,
     return -(a - b) * (b - c).inverse()
 
 
-def quat_fourth_point(p1: HPoint, p2: HPoint, p3: HPoint, lam: Quaternion,
-                      tol: float = DEFAULT_TOL) -> HPoint:
+def quat_fourth_point(p1: HPoint, p2: HPoint, p3: HPoint, lam: Quaternion) -> HPoint:
     """The unique p4 with quat_cr(p1, p2, p3, p4) = lam."""
-    if lam.is_zero(tol) or (lam - Quaternion.one()).is_zero(tol):
+    if lam.is_zero() or (lam - Quaternion.one()).is_zero():
         raise GeometryError("degenerate cross-ratio value 0 or 1")
     inf_idx = [k for k, p in enumerate((p1, p2, p3)) if p.is_infinity()]
     if len(inf_idx) > 1:
@@ -205,38 +208,12 @@ class Regulus:
     qt: np.ndarray
 
 
-def _quadric_roots(g: np.ndarray, h: np.ndarray, tol: float = 1e-10):
-    """Points of the quadric on the pencil g + t h (plus h itself at t = inf)."""
-    a = quadric_pair(h, h)
-    b = 2.0 * quadric_pair(g, h)
-    c = quadric_pair(g, g)
-    scale = max(abs(a), abs(b), abs(c), 1e-30)
-    roots = []
-    if abs(a) < tol * scale:
-        roots.append(None)  # t = infinity: the line h itself
-        if abs(b) > tol * scale:
-            roots.append(-c / b)
-    else:
-        disc = np.sqrt(b * b - 4.0 * a * c + 0j)
-        roots.extend([(-b + disc) / (2 * a), (-b - disc) / (2 * a)])
-    out = []
-    for t in roots:
-        x = h if t is None else g + t * h
-        if np.linalg.norm(x) > 1e-12:
-            out.append(normalize_proj(x))
-    return out
-
-
-def _sort_key(x: np.ndarray):
-    return tuple(np.round(np.concatenate([x.real, x.imag]), 9))
-
-
-def regulus_transversals(f1, f2, f3, tol: float = DEFAULT_TOL):
+def regulus_transversals(f1, f2, f3):
     """The two lines incident to all three pairwise skew generators."""
     gens = [normalize_proj(f) for f in (f1, f2, f3)]
     for a in range(3):
         for b in range(a + 1, 3):
-            if lines_incident(gens[a], gens[b], max(tol, 1e-8)):
+            if lines_incident(gens[a], gens[b], 1e-8):
                 raise GeometryError("generators-not-skew")
     rows = np.array([g @ proj4.QUADRIC_MATRIX for g in gens])
     w = nullspace(rows, 1e-10)
@@ -249,12 +226,12 @@ def regulus_transversals(f1, f2, f3, tol: float = DEFAULT_TOL):
             third = 3 - i - jdx
             g = w[:, i] + s * w[:, third]
             h = w[:, jdx]
-            cands = _quadric_roots(g, h)
+            cands = quadric_roots(g, h)
             good = [x for x in cands
-                    if abs(quadric_pair(x, x)) < 1e-7]
+                    if abs(quadric_pair(x, x)) < INCIDENCE_TOL]
             if len(good) < 2:
                 continue
-            good.sort(key=_sort_key)
+            good.sort(key=sort_key)
             s1, s2 = good[0], good[1]
             if proj4.proj_distance(s1, s2) < 1e-6:
                 continue
@@ -276,10 +253,10 @@ def _scaled_factors(S, f1, f2, f3):
     return p0 * a, q0 * b
 
 
-def regulus_build(f1, f2, f3, tol: float = DEFAULT_TOL) -> Regulus:
+def regulus_build(f1, f2, f3) -> Regulus:
     gens = tuple(normalize_proj(f) for f in (f1, f2, f3))
-    S, St = regulus_transversals(*gens, tol=tol)
-    all_real = all(is_j_real(g, 1e-7) for g in gens)
+    S, St = regulus_transversals(*gens)
+    all_real = all(is_j_real(g, FIBER_TOL) for g in gens)
     if all_real:
         # for generators fixed by the j-action the transversal pair is swapped
         # by j; using the exact j-image keeps real parameters exactly real
@@ -301,11 +278,11 @@ def regulus_point(r: Regulus, z) -> np.ndarray:
     return normalize_proj(wedge(v, w))
 
 
-def regulus_parameter(r: Regulus, a: np.ndarray, tol: float = DEFAULT_TOL) -> ExtC:
+def regulus_parameter(r: Regulus, a: np.ndarray) -> ExtC:
     """The CP^1 parameter of a regulus point, read off on the transversal S."""
     a = normalize_proj(a)
-    if not lines_incident(a, r.S, max(tol, 1e-7)) or \
-            not lines_incident(a, r.S_tilde, max(tol, 1e-7)):
+    if not lines_incident(a, r.S, INCIDENCE_TOL) or \
+            not lines_incident(a, r.S_tilde, INCIDENCE_TOL):
         raise GeometryError("point is not on the regulus conic")
     x = line_meet_point(a, r.S)
     coeffs, _, _, _ = np.linalg.lstsq(np.column_stack([r.p, r.q]), x, rcond=None)
@@ -315,13 +292,13 @@ def regulus_parameter(r: Regulus, a: np.ndarray, tol: float = DEFAULT_TOL) -> Ex
     return ExtC(coeffs[0], coeffs[1])
 
 
-def steiner_cr(r: Regulus, a1, a2, a3, a4, tol: float = DEFAULT_TOL) -> ExtC:
+def steiner_cr(r: Regulus, a1, a2, a3, a4) -> ExtC:
     """Cross ratio of four conic points via their transversal parameters."""
-    zs = [regulus_parameter(r, a, tol) for a in (a1, a2, a3, a4)]
-    return complex_cr(*zs, tol=tol)
+    zs = [regulus_parameter(r, a) for a in (a1, a2, a3, a4)]
+    return complex_cr(*zs)
 
 
-def steiner_fourth_point(f1, f2, f3, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
+def steiner_fourth_point(f1, f2, f3, lam) -> np.ndarray:
     """The point completing f1, f2, f3 to Steiner cross ratio lam.
 
     Parameters are normalized so (f1, f2, f3) sit at (inf, 1, 0); for real lam
@@ -337,5 +314,5 @@ def steiner_fourth_point(f1, f2, f3, lam, tol: float = DEFAULT_TOL) -> np.ndarra
         raise GeometryError("degenerate cross-ratio value infinity")
     # regulus normalization puts generators at (inf, 0, 1); reorder so that
     # the parameter quadruple is (inf, 1, 0, lam)
-    r = regulus_build(f1, f3, f2, tol=tol)
+    r = regulus_build(f1, f3, f2)
     return regulus_point(r, lam)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from twistnets.quat import Quaternion
-from twistnets.proj4 import QUADRIC_MATRIX, normalize_proj, nullspace, quadric_pair
+from twistnets.proj4 import QUADRIC_MATRIX, normalize_proj, nullspace, quadric_pair, quadric_roots
 from twistnets.twistor import HPoint, is_j_real, twistor_fiber
-from twistnets.xratio import _quadric_roots
 from twistnets.cli import (
     _cvec_out,
     doc_to_net,
@@ -53,7 +52,7 @@ def _unit_sphere_bivector():
         p = HPoint.from_quaternion(Quaternion(0.0, x, y, z))
         rows.append(twistor_fiber(p) @ QUADRIC_MATRIX)
     ns = nullspace(np.array(rows), 1e-9)
-    roots = [r for r in _quadric_roots(ns[:, 0], ns[:, 1])
+    roots = [r for r in quadric_roots(ns[:, 0], ns[:, 1])
              if abs(quadric_pair(r, r)) < 1e-8 and not is_j_real(r, 1e-6)]
     return normalize_proj(roots[0])
 
@@ -91,6 +90,20 @@ def test_check_detects_broken_net(tmp_path, capsys):
     rc = main(["check", bad, "--json"])
     rep = json.loads(capsys.readouterr().out)
     assert rc == 3 and not rep["ok"]
+
+
+def test_check_rejects_q4_values_off_the_quadric(tmp_path, capsys):
+    # e0^e1 + e2^e3 is no line: <a, a> = 1 for the unit-scaled value, although
+    # four equal values make a planar face
+    value = [1.0, 0.0] + [0.0] * 8 + [1.0, 0.0]
+    doc = {"schema": 1, "dim": 2, "box": [2, 2], "kind": "q4",
+           "entries": {f"{m},{n}": value for m in range(2) for n in range(2)}}
+    src = _write(tmp_path, "off.json", doc)
+    for report in ("planarity", "conic"):
+        rc = main(["check", src, "--report", report, "--json"])
+        rep = json.loads(capsys.readouterr().out)
+        assert rc == 3 and not rep["ok"]
+        assert rep["max_residual"] >= 1.0 - 1e-12
 
 
 def test_evolve_complex_cr_report(tmp_path, capsys):

@@ -7,7 +7,10 @@ and a line as the null space of the plane's functional stacked with two
 functionals that vanish on the line.  Inputs are kept away from degenerate
 configurations (volume or meet size below 1e-2), where both sides lose
 accuracy in proportion to the conditioning; the rank test is checked against
-the singular-value rule on nearly dependent inputs too.
+the singular-value rule on nearly dependent inputs too.  The rank decisions
+of svd_rank, nullspace, orthonormal_span and is_conic_net are checked against
+the singular values of a direct decomposition, on matrices whose singular
+values lie within 1e-3...1e3 of the cut.
 """
 
 import math
@@ -18,6 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistnets.contact import contact_element, propagate_element
+from twistnets.nets import LatticeNet, is_conic_net
 from twistnets.proj4 import (
     GeometryError,
     line_factorize,
@@ -29,8 +33,10 @@ from twistnets.proj4 import (
     orthonormal_span,
     plane_from_span,
     proj_distance,
+    quadric_pair,
     span_functional,
     span_residual,
+    svd_rank,
     wedge,
 )
 from twistnets.quat import Quaternion
@@ -49,6 +55,9 @@ quat = st.lists(st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False),
                 min_size=4, max_size=4).map(lambda x: Quaternion(*x))
 scalar = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
 log_scale = st.floats(-14.0, 0.0).map(lambda e: 10.0 ** e)
+# seeds of the unitary factors of test matrices, and offsets from a cut
+rngs = st.integers(0, 2 ** 32 - 1).map(np.random.default_rng)
+near_cut = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
 
 
 def _norm(v):
@@ -179,3 +188,74 @@ def test_propagate_matches_svd_reference(p, q, direction):
     ref_plane = nullspace(basis.T, 1e-10)[:, 0]
     assert proj_distance(got.point, ref_point) < AGREE
     assert proj_distance(got.plane.functional, ref_plane) < AGREE
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _with_singular_values(rng, m, n, values):
+    """An m x n matrix U diag(values) V^H with random unitary U and V."""
+    k = len(values)
+    return _unitary(rng, m)[:, :k] @ np.diag(values) @ _unitary(rng, n)[:k]
+
+
+def _svd_rank_reference(matrix, cut):
+    """Rank at a cut relative to s1, or None when a value is within rounding."""
+    s = np.linalg.svd(matrix, compute_uv=False)
+    ratios = s[1:] / (cut * s[0])
+    if any(r > 0.0 and abs(math.log(r)) < 1e-6 for r in ratios):
+        return None
+    return int(np.sum(s > cut * s[0]))
+
+
+@settings(settings.get_profile("kernel"))
+@given(rngs, st.sampled_from((4, 6)), st.integers(1, 6),
+       st.sampled_from((1e-10, 1e-9, 1e-8, 1e-7)),
+       st.lists(near_cut, min_size=5, max_size=5),
+       st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))
+def test_rank_helpers_match_direct_svd(rng, n, m, cut, offsets, scale):
+    m = min(m, n)
+    values = [1.0] + sorted((cut * x for x in offsets[:m - 1]), reverse=True)
+    matrix = scale * _with_singular_values(rng, m, n, values)
+    rank = _svd_rank_reference(matrix, cut)
+    rows = np.array([r / np.linalg.norm(r) for r in matrix])
+    span_rank = _svd_rank_reference(rows, cut)
+    assume(rank is not None and span_rank is not None)
+    assert svd_rank(matrix, cut)[0] == rank
+    assert nullspace(matrix, cut).shape == (n, n - rank)
+    assert orthonormal_span(matrix, tol=cut).shape == (n, span_rank)
+
+
+def _two_svd_conic_det(vecs):
+    """The restricted quadric form's determinant as built before is_conic_net
+    shared its decomposition: planarity from one SVD, the plane's basis from
+    orthonormal_span's."""
+    s = np.linalg.svd(np.array(vecs), compute_uv=False)
+    if s[3] / s[0] > 1e-7:
+        return None
+    basis = orthonormal_span(vecs, tol=1e-7)
+    if basis.shape[1] != 3:
+        return None
+    return np.linalg.det(np.array([[quadric_pair(basis[:, i], basis[:, j])
+                                    for j in range(3)] for i in range(3)]))
+
+
+@settings(settings.get_profile("kernel"))
+@given(rngs, st.floats(1e-2, 1.0), st.floats(1e-2, 1.0), near_cut)
+def test_conic_form_from_one_svd_matches_two(rng, s2, s3, offset):
+    values = [1.0, max(s2, s3), min(s2, s3), 1e-7 * offset]
+    net = LatticeNet(2, (2, 2), "q4")
+    for idx, v in zip(((0, 0), (1, 0), (1, 1), (0, 1)),
+                      _with_singular_values(rng, 4, 6, values)):
+        net[idx] = v
+    vecs = net.face_vertices((0, 0), (0, 1))
+    assume(_svd_rank_reference(np.array(vecs), 1e-7) is not None)
+    want = _two_svd_conic_det(vecs)
+    (report,) = is_conic_net(net)
+    if want is None:
+        assert report.form is None and not report.irreducible
+    else:
+        assert report.form is not None
+        assert abs(report.det - want) < AGREE

@@ -14,7 +14,6 @@ from twistnets.twistor import HPoint, j_on_bivector, j_on_vector, twistor_fiber
 from twistnets.lie import (
     QuatHermitianForm,
     circle_to_Q3,
-    decompose_form,
     is_lie_real,
     lie_basis,
     lie_signature_report,
@@ -44,7 +43,7 @@ def test_form_split_identities():
 
 
 def test_omega_alternating_and_h_hermitian():
-    h, om = decompose_form(FORM)
+    h, om = FORM.hmat, FORM.omega
     assert np.allclose(h, h.conj().T)
     assert np.allclose(om, -om.T)
     # h has split signature (2, 2)

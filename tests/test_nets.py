@@ -11,7 +11,7 @@ from twistnets.proj4 import (
     wedge,
 )
 from twistnets.twistor import HPoint, is_j_real, twistor_fiber
-from twistnets.xratio import INF, as_ext, complex_cr, quat_cr, _cross_det
+from twistnets.xratio import INF, as_ext, complex_cr, quat_cr, cross_det
 from twistnets.nets import (
     LatticeNet,
     bianchi_check,
@@ -90,6 +90,24 @@ def test_hexahedron_rejects_degenerate_span():
     phi = wedge(e[0], e[1])
     with pytest.raises(GeometryError):
         hexahedron_complete(phi, phi, phi, phi, phi, phi, phi)
+
+
+def test_hexahedron_rejects_span_of_five_and_of_three():
+    rng = np.random.default_rng(4)
+
+    def point():
+        return rng.standard_normal(4) + 1j * rng.standard_normal(4)
+
+    a, b, p = point(), point(), point()
+    # lines meeting the line a ^ b form the linear complex <., a ^ b> = 0,
+    # so seven of them span five dimensions
+    meeting = [wedge(a + rng.standard_normal() * b, point()) for _ in range(7)]
+    with pytest.raises(GeometryError, match="more than four dimensions"):
+        hexahedron_complete(*meeting)
+    # lines through the common point p span three
+    through = [wedge(p, point()) for _ in range(7)]
+    with pytest.raises(GeometryError, match="fewer than four"):
+        hexahedron_complete(*through)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +271,7 @@ def test_edge_transfer_determinant():
         z2 = as_ext(complex(*rng.standard_normal(2)))
         lam = complex(*rng.standard_normal(2))
         m = edge_transfer_matrix(z1, z2, lam)
-        want = _cross_det(z1, z2) ** 2 * (1 - lam)
+        want = cross_det(z1, z2) ** 2 * (1 - lam)
         assert abs(np.linalg.det(m) - want) < 1e-9 * max(1.0, abs(want))
 
 

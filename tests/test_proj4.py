@@ -13,7 +13,6 @@ from twistnets.proj4 import (
     normalize_proj,
     nullspace,
     orthonormal_span,
-    plane_from,
     plane_from_span,
     proj_distance,
     quadric_pair,
@@ -100,7 +99,7 @@ def test_orthonormal_span_rank_check():
 def test_plane_membership_and_meet():
     rng = np.random.default_rng(6)
     pts = [_random_vec(rng) for _ in range(3)]
-    plane = plane_from(pts)
+    plane = plane_from_span(pts)
     for p in pts:
         assert plane.contains(p, 1e-9)
     line = wedge(pts[0] + pts[1], _random_vec(rng))
@@ -111,7 +110,7 @@ def test_plane_membership_and_meet():
 def test_meet_planes():
     rng = np.random.default_rng(7)
     p = _random_vec(rng)
-    planes = [plane_from([p, _random_vec(rng), _random_vec(rng)])
+    planes = [plane_from_span([p, _random_vec(rng), _random_vec(rng)])
               for _ in range(3)]
     x = meet_planes(*planes)
     assert proj_distance(x, p) < 1e-8
@@ -119,7 +118,7 @@ def test_meet_planes():
 
 def test_meet_line_in_plane_raises():
     pts = [np.eye(4, dtype=complex)[k] for k in range(3)]
-    plane = plane_from(pts)
+    plane = plane_from_span(pts)
     with pytest.raises(GeometryError):
         meet_line(plane, wedge(pts[0], pts[1]))
 

@@ -13,7 +13,6 @@ from twistnets.proj4 import (
 from twistnets.twistor import (
     HPoint,
     classify_contact,
-    hpoints_close,
     is_j_real,
     j_on_bivector,
     j_on_vector,
@@ -174,4 +173,4 @@ def test_hpoints_close_scaling():
     mu = Quaternion(0.3, -1.0, 0.7, 2.0)
     p1 = HPoint(q, Quaternion.one())
     p2 = HPoint(q * mu, mu)
-    assert hpoints_close(p1, p2, 1e-10)
+    assert p1.isclose(p2, 1e-10)
