@@ -25,14 +25,13 @@ from .twistor import HPoint, is_j_real, twistor_project
 from .xratio import INF, ExtC, as_ext, complex_cr
 from .nets import (
     LatticeNet,
-    evolve_circular,
-    evolve_complex_cr,
+    evolve_net_circular,
+    evolve_net_complex,
     face_planarity,
     hexahedron_complete,
     holonomy,
     is_conic_net,
     lift_to_QS2,
-    net_from_rows,
     sphere_frame,
     sphere_point,
 )
@@ -306,26 +305,11 @@ def cmd_evolve(args) -> int:
             raise GeometryError("circular evolution needs an hp1 curve")
         if abs(lam.imag) > 1e-13:
             raise GeometryError("circular evolution needs a real lambda")
-        seeds = _circular_seeds(net, steps, rng)
-        rows = [curve]
-        lams = [float(lam.real)] * (n_pts - 1)
-        for r, seed in enumerate(seeds):
-            try:
-                rows.append(evolve_circular(rows[-1], seed, lams))
-            except GeometryError as exc:
-                raise GeometryError(f"degenerate step in row {r + 1}: {exc}")
-        out = net_from_rows(rows, "hp1", metadata={"lambda": float(lam.real)})
+        out = evolve_net_circular(curve, _circular_seeds(net, steps, rng), lam.real)
     else:
         if net.kind != "cp1":
             raise GeometryError("complex evolution needs a cp1 curve")
-        seeds = _complex_seeds(net, steps, rng)
-        rows = [[as_ext(z) for z in curve]]
-        for r, seed in enumerate(seeds):
-            try:
-                rows.append(evolve_complex_cr(rows[-1], seed, lam))
-            except GeometryError as exc:
-                raise GeometryError(f"degenerate step in row {r + 1}: {exc}")
-        out = net_from_rows(rows, "cp1", metadata={"lambda": lam})
+        out = evolve_net_complex(curve, _complex_seeds(net, steps, rng), lam)
         if args.lift:
             out = lift_to_QS2(_sphere_arg(args), out, lam)
     dump_doc(net_to_doc(out), args.output)
@@ -557,7 +541,7 @@ def _export_spheres(net: LatticeNet, axis: int, lines: list,
     for idx in sorted(net.values):
         a = net.values[idx]
         if is_j_real(a, FIBER_TOL):
-            p = twistor_project(_line_point(a))
+            p = twistor_project(proj4.line_point(a))
             affine = _hpoint_out(p)
             if affine is None:
                 _warn(f"skipping point at infinity at index {idx}")
@@ -571,11 +555,6 @@ def _export_spheres(net: LatticeNet, axis: int, lines: list,
             continue
         center, radius = fit
         offset = _emit_uv_sphere(lines, center, radius, rings, segments, offset)
-
-
-def _line_point(a: np.ndarray) -> np.ndarray:
-    v, _ = proj4.line_factorize(a)
-    return v
 
 
 def _emit_uv_sphere(lines: list, center, radius: float,

@@ -18,8 +18,8 @@ from .proj4 import (
     INCIDENCE_TOL,
     GeometryError,
     ProjPlane,
-    line_meet_point,
     lines_incident,
+    meet_join,
     meet_span,
     normalize_proj,
     orthonormal_pair,
@@ -100,11 +100,7 @@ def contact_element(p: HPoint, sphere: np.ndarray) -> NullLine:
     fib = twistor_fiber(p)
     if not lines_incident(sphere, fib, INCIDENCE_TOL):
         raise GeometryError("point is not on the sphere")
-    x = line_meet_point(sphere, fib)
-    fv, fw = fiber_pair(p)
-    sv, sw = proj4.line_factorize(sphere)
-    plane = plane_from_span([fv, fw, sv, sw])
-    return NullLine(x, plane)
+    return NullLine(*meet_join(sphere, fib))
 
 
 def propagate_element(l: NullLine, p_next: HPoint) -> NullLine:

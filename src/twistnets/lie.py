@@ -24,7 +24,6 @@ from .proj4 import (
     RANK_CUT,
     GeometryError,
     QUADRIC_MATRIX,
-    line_factorize,
     normalize_proj,
     nullspace,
     quadric_pair,
@@ -112,15 +111,13 @@ class QuatHermitianForm:
 
 
 def rho(l: np.ndarray, form: QuatHermitianForm | None = None) -> np.ndarray:
-    """The h-perpendicular line; an anti-holomorphic involution on lines."""
-    if form is None:
-        form = QuatHermitianForm()
-    v, w = line_factorize(l)
-    rows = np.array([v.conj() @ form.hmat, w.conj() @ form.hmat])
-    ns = nullspace(rows, 1e-10)
-    if ns.shape[1] != 2:
-        raise GeometryError("perpendicular space has unexpected dimension")
-    return normalize_proj(wedge(ns[:, 0], ns[:, 1]))
+    """The h-perpendicular line; an anti-holomorphic involution on lines.
+
+    It is the projective class of the antilinear lift rho_tilde_matrix.
+    """
+    if not proj4.is_decomposable(l, INCIDENCE_TOL):
+        raise GeometryError("bivector is not decomposable")
+    return normalize_proj(rho_tilde_matrix(form) @ np.conj(normalize_proj(l)))
 
 
 def is_lie_real(l: np.ndarray, form: QuatHermitianForm | None = None,
@@ -154,8 +151,9 @@ def rho_tilde_matrix(form: QuatHermitianForm | None = None) -> np.ndarray:
     """Matrix M of the antilinear lift of perpendicularity: a -> M conj(a).
 
     The lift sends v ^ w to the quadric-dual of the wedge of the flats
-    h(v, .) and h(w, .); its square is the identity, so it defines a real
-    structure on the space of bivectors.
+    h(v, .) and h(w, .), scaled by det(h)^(-1/2) (det(h) > 0, as the
+    eigenvalues of h come in pairs); its square is then the identity, so it
+    defines a real structure on the space of bivectors.
     """
     if form is None:
         form = QuatHermitianForm()
@@ -164,6 +162,7 @@ def rho_tilde_matrix(form: QuatHermitianForm | None = None) -> np.ndarray:
     for col, (a, b) in enumerate(BIVECTOR_PAIRS):
         lam2[:, col] = wedge(ht[:, a], ht[:, b])
     m = np.linalg.inv(np.asarray(QUADRIC_MATRIX)) @ lam2
+    m /= np.sqrt(abs(np.linalg.det(form.hmat)))
     if np.linalg.norm(m @ m.conj() - np.eye(6)) > 1e-9:
         raise GeometryError("perpendicularity lift does not square to identity")
     return m
@@ -283,7 +282,9 @@ def touching_coins_check(circles, form: QuatHermitianForm | None = None) -> Coin
     """Verify the coin-chain picture for four cyclically touching circles.
 
     Each circle is given by one oriented representative (a quadric point);
-    consecutive representatives must touch, the four contact points determine
+    consecutive representatives must touch, each after its j-image takes its
+    place where only that one touches, and the chain so oriented must span
+    four dimensions.  The four contact points determine
     a two-sphere, and that sphere half-touches every representative.  When
     the four contact points happen to be concircular no single sphere passes
     through all of them while meeting every representative; the report then
@@ -296,10 +297,6 @@ def touching_coins_check(circles, form: QuatHermitianForm | None = None) -> Coin
     circles = [normalize_proj(c) for c in circles]
     if len(circles) != 4:
         raise GeometryError("need exactly four circles")
-    span_rank = np.linalg.matrix_rank(np.array(circles), tol=1e-8)
-    if span_rank < 4:
-        raise GeometryError("common-sphere degeneracy: representatives span "
-                            "fewer than four dimensions")
     tags = []
     points = []
     oriented = list(circles)
@@ -310,20 +307,18 @@ def touching_coins_check(circles, form: QuatHermitianForm | None = None) -> Coin
         if cc.tag != "touch" or not cc.witnesses:
             raise GeometryError(f"circles {k} and {(k + 1) % 4} do not touch")
         points.append(cc.witnesses[0])
-    fibers = [twistor_fiber(p) for p in points]
-    rows = np.array([f @ QUADRIC_MATRIX for f in fibers])
-    ns = nullspace(rows, RANK_CUT)
-    generic = ns.shape[1] == 2
-    if generic:
-        roots = quadric_roots(ns[:, 0], ns[:, 1])
-        roots = [x for x in roots if abs(quadric_pair(x, x)) < INCIDENCE_TOL
-                 and not is_j_real(x, 1e-6)]
-        if not roots:
-            raise GeometryError("no sphere through the four contact points")
-        roots.sort(key=sort_key)
-        sphere = roots[0]
-    else:
-        sphere = _representative_contact_sphere(oriented)
+    # the rank of the chain as it touches: either representative of a circle
+    # is valid input, and the given ones may span fewer dimensions
+    if np.linalg.matrix_rank(np.array(oriented), tol=1e-8) < 4:
+        raise GeometryError("common-sphere degeneracy: representatives span "
+                            "fewer than four dimensions")
+    spheres = _polar_spheres([twistor_fiber(p) for p in points])
+    generic = spheres is not None
+    if not generic:
+        spheres = _polar_spheres(oriented)
+    if not spheres:
+        raise GeometryError("no sphere in contact with the four circles")
+    sphere = spheres[0]
     sphere_tags = []
     for c in oriented:
         cc = classify_contact(sphere, c)
@@ -335,21 +330,16 @@ def touching_coins_check(circles, form: QuatHermitianForm | None = None) -> Coin
     return CoinReport(tags, points, sphere, sphere_tags, generic)
 
 
-def _representative_contact_sphere(circles):
-    """The two-sphere in contact with all four circle representatives.
+def _polar_spheres(lines):
+    """The spheres incident with four lines, in sort_key order, or None when
+    the lines do not span four dimensions.
 
-    The representatives span a four-dimensional linear space whose polar is a
-    pencil meeting the quadric in one pair of oriented spheres; either member
-    is incident with every representative.
+    The polar of their span is a pencil; its quadric points that are no
+    twistor fibers are the spheres.
     """
-    rows = np.array([normalize_proj(c) @ QUADRIC_MATRIX for c in circles])
-    pol = nullspace(rows, RANK_CUT)
+    pol = nullspace(np.array([x @ QUADRIC_MATRIX for x in lines]), RANK_CUT)
     if pol.shape[1] != 2:
-        raise GeometryError("representatives have a degenerate polar pencil")
-    roots = [x for x in quadric_roots(pol[:, 0], pol[:, 1])
-             if abs(quadric_pair(x, x)) < INCIDENCE_TOL and not is_j_real(x, 1e-6)]
-    if not roots:
-        raise GeometryError("no sphere in contact with all four "
-                            "representatives")
-    roots.sort(key=sort_key)
-    return roots[0]
+        return None
+    return sorted((x for x in quadric_roots(pol[:, 0], pol[:, 1])
+                   if abs(quadric_pair(x, x)) < INCIDENCE_TOL and not is_j_real(x, 1e-6)),
+                  key=sort_key)

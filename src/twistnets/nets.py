@@ -23,13 +23,15 @@ from .proj4 import (
     INCIDENCE_TOL,
     RANK_CUT,
     GeometryError,
+    ProjPlane,
     line_meet_point,
     lines_incident,
+    meet_planes,
     normalize_proj,
-    nullspace,
     orthonormal_span,
     planarity,
     quadric_pair,
+    span_functional,
     svd_rank,
     wedge,
 )
@@ -145,31 +147,25 @@ def _span_coordinates(points):
     return basis, coords.T
 
 
-def _plane_functional(a, b, c):
-    ns = nullspace(np.array([a, b, c]), RANK_CUT)
-    if ns.shape[1] != 1:
-        raise GeometryError("plane through point triple is degenerate")
-    return ns[:, 0]
-
-
 def hexahedron_complete(phi, phi1, phi2, phi3, phi12, phi13, phi23) -> np.ndarray:
     """The eighth vertex of a combinatorial cube with planar faces.
 
     The three planes through {phi_i, phi_ij, phi_ik} meet in a single point;
     the intersection is computed inside the four-dimensional linear span of
     the seven input vectors, so inputs may be C^4 vectors or Pluecker
-    6-vectors alike.
+    6-vectors alike.  Each plane is the ∧³ functional of its unit-scaled
+    triple, whose volume must exceed RANK_CUT.
     """
     pts = [np.asarray(p, dtype=complex) for p in
            (phi, phi1, phi2, phi3, phi12, phi13, phi23)]
     basis, (c0, c1, c2, c3, c12, c13, c23) = _span_coordinates(pts)
-    f1 = _plane_functional(c1, c12, c13)
-    f2 = _plane_functional(c2, c12, c23)
-    f3 = _plane_functional(c3, c13, c23)
-    ns = nullspace(np.array([f1, f2, f3]), RANK_CUT)
-    if ns.shape[1] != 1:
-        raise GeometryError("planes-near-parallel: no unique eighth point")
-    return normalize_proj(basis @ ns[:, 0])
+    planes = []
+    for triple in ((c1, c12, c13), (c2, c12, c23), (c3, c13, c23)):
+        f = span_functional(*(c / np.linalg.norm(c) for c in triple))
+        if np.linalg.norm(f) <= RANK_CUT:
+            raise GeometryError("plane through point triple is degenerate")
+        planes.append(ProjPlane(f))
+    return normalize_proj(basis @ meet_planes(*planes))
 
 
 # ---------------------------------------------------------------------------
@@ -224,21 +220,29 @@ def net_from_rows(rows, kind: str, metadata=None) -> LatticeNet:
     return net
 
 
+def _evolve_rows(first_row, seeds, step, *args) -> list:
+    """The rows first_row, step(first_row, seeds[0], *args), ...; a degenerate
+    step names its row."""
+    rows = [first_row]
+    for r, seed in enumerate(seeds):
+        try:
+            rows.append(step(rows[-1], seed, *args))
+        except GeometryError as exc:
+            raise GeometryError(f"degenerate step in row {r + 1}: {exc}") from exc
+    return rows
+
+
 def evolve_net_complex(curve, seeds, lam) -> LatticeNet:
     """Full 2-dim complex cross-ratio net from a curve and a transverse seed
     column c+(0), c++(0), ..."""
-    rows = [[as_ext(z) for z in curve]]
-    for seed in seeds:
-        rows.append(evolve_complex_cr(rows[-1], seed, lam))
+    rows = _evolve_rows([as_ext(z) for z in curve], seeds, evolve_complex_cr, lam)
     return net_from_rows(rows, "cp1", metadata={"lambda": complex(lam)})
 
 
 def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
     """Full 2-dim circular net with a constant real cross ratio."""
-    rows = [list(curve)]
-    lams = [float(lam)] * (len(curve) - 1)
-    for seed in seeds:
-        rows.append(evolve_circular(rows[-1], seed, lams))
+    rows = _evolve_rows(list(curve), seeds, evolve_circular,
+                        [float(lam)] * (len(curve) - 1))
     return net_from_rows(rows, "hp1", metadata={"lambda": float(lam)})
 
 
@@ -357,10 +361,12 @@ def is_conic_net(net: LatticeNet, tol: float = 1e-7) -> list:
     reports = []
     for base, axes in net.faces():
         vecs = np.array([normalize_proj(v) for v in net.face_vertices(base, axes)])
-        # one decomposition gives the planarity and the plane's basis
-        rank, s, vh = svd_rank(vecs, 1e-7)
+        # one decomposition gives the planarity, the rank and the plane's
+        # basis; a face is a conic exactly when its four vertices span three
+        # dimensions at the cut tol
+        rank, s, vh = svd_rank(vecs, tol)
         resid = float(s[3] / s[0])
-        if resid > tol or rank != 3:
+        if rank != 3:
             reports.append(FaceConic(base, axes, resid, None, 0.0, False))
             continue
         basis = vh[:3].T

@@ -10,11 +10,16 @@ q = z1 + j z2.  A bivector is decomposable (a line in CP^3, a point of the
 four-dimensional quadric) iff its self-pairing under the wedge-product form
 vanishes.
 
-Incidences of known vectors are closed-form: the plane through three vectors
-is their ∧³ functional (the 3x3 minors of the stacked vectors), and a line
-spanned by a pair meets a plane in the point given by two dot products.
-Singular values serve inputs whose rank is not known in advance.  Every rank
-decision goes through svd_rank, a cut relative to the largest singular value
+Incidences whose rank the construction fixes are closed forms in the
+exterior algebra: the plane through three vectors is their ∧³ functional
+(the 3x3 minors of the stacked vectors) and, dually, so is the point common
+to three planes; a line meets a plane in the point its line matrix assigns
+to the plane's functional; two incident lines meet and join in the rank-one
+product of the line matrix of one with that of the other's Hodge dual
+QUADRIC_MATRIX @ a (meet_join); and a line's orthonormal spanning pair comes
+from two columns of its line matrix (line_factorize).  Singular values serve
+only inputs whose rank is not known in advance.  Every such rank decision
+goes through svd_rank, a cut relative to the largest singular value
 (nullspace, orthonormal_span, plane_from_span on nearly dependent vectors,
 where the closed form is inaccurate), and four-point planarity through
 planarity.  The thresholds that several modules share live here.
@@ -158,29 +163,39 @@ def line_matrix(a: np.ndarray) -> np.ndarray:
     """The antisymmetric 4x4 matrix of a bivector.
 
     For a decomposable a = v ^ w this is v w^T - w v^T, whose column space is
-    span{v, w}.
+    span{v, w}; it maps a plane's functional f to the point
+    v (f @ w) - w (f @ v) where the line meets the plane.
     """
     a = np.asarray(a, dtype=complex)
     m = np.zeros((4, 4), dtype=complex)
-    for coeff, (i, j) in zip(a, BIVECTOR_PAIRS):
-        m[i, j] = coeff
-        m[j, i] = -coeff
+    m[_PAIR_A, _PAIR_B] = a
+    m[_PAIR_B, _PAIR_A] = -a
     return m
 
 
 def line_factorize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a decomposable bivector into two independent spanning vectors."""
+    """An orthonormal pair spanning the line of a decomposable bivector.
+
+    Columns i and j of the line matrix lie on the line, and their wedge is
+    a_ij a; at the largest |a_ij| they are the best-conditioned such pair.
+    Gram-Schmidt makes them orthonormal and normalize_proj fixes each
+    vector's phase, so the pair depends on the line alone, and continuously
+    away from ties of the largest |a_ij|.
+    """
     a = normalize_proj(a)
     if not is_decomposable(a, INCIDENCE_TOL):
         raise GeometryError("bivector is not decomposable")
-    u, s, _ = np.linalg.svd(line_matrix(a))
-    v = u[:, 0]
-    w = u[:, 1]
-    # fix scale so wedge(v, w) reproduces a itself (not just up to scalar)
-    ww = wedge(v, w)
-    idx = int(np.argmax(np.abs(ww)))
-    c = a[idx] / ww[idx]
-    return normalize_proj(v), normalize_proj(w * c / np.abs(c) if abs(c) else w)
+    i, j = BIVECTOR_PAIRS[int(np.argmax(np.abs(a)))]
+    m = line_matrix(a)
+    v, w = orthonormal_pair(m[:, i], m[:, j])
+    return normalize_proj(v), normalize_proj(w)
+
+
+def line_point(a: np.ndarray) -> np.ndarray:
+    """A point of the line of a decomposable bivector: the largest column of
+    its line matrix."""
+    m = line_matrix(a)
+    return normalize_proj(m[:, int(np.argmax((m.real ** 2 + m.imag ** 2).sum(axis=0)))])
 
 
 def orthonormal_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,20 +254,6 @@ def orthonormal_span(vectors, rank: int | None = None, tol: float = DEFAULT_TOL)
     return vh[:r].T
 
 
-def line_meet_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Intersection point of two incident, distinct lines in CP^3."""
-    v1, w1 = line_factorize(a)
-    v2, w2 = line_factorize(b)
-    m = np.column_stack([v1, w1, -v2, -w2])
-    ns = nullspace(m, RANK_CUT)
-    if ns.shape[1] == 0:
-        raise GeometryError("lines are not incident")
-    if ns.shape[1] > 1:
-        raise GeometryError("lines coincide; no unique intersection point")
-    c = ns[:, 0]
-    return normalize_proj(v1 * c[0] + w1 * c[1])
-
-
 class ProjPlane:
     """A projective plane in CP^3, stored as its annihilating functional.
 
@@ -280,6 +281,38 @@ class ProjPlane:
         if n < 1e-12:
             raise GeometryError("cannot normalize (near-)zero homogeneous vector")
         return abs(self.functional @ v) / n
+
+
+def meet_join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ProjPlane]:
+    """The common point and the common plane of two incident, distinct lines.
+
+    The line matrix of the Hodge dual QUADRIC_MATRIX @ a has planes through a
+    as columns, and that of b sends each to its meet with b, so for incident
+    lines m = line_matrix(b) @ line_matrix(QUADRIC_MATRIX @ a).T = x f^T: the
+    meet point x is m's largest column and the join plane f its largest row.
+    For unit a, b the singular values of m are the sines of the principal
+    angles t1 <= t2 between the lines, and |<a, b>| = sin t1 sin t2.  As in
+    the null-space rule tan(t / 2) > RANK_CUT, the lines coincide when
+    |m| ~ sin t2 <= 2 RANK_CUT and are skew when |<a, b>| / |m| ~ sin t1 > 2 RANK_CUT.
+    """
+    a = normalize_proj(a)
+    b = normalize_proj(b)
+    if not (is_decomposable(a, INCIDENCE_TOL) and is_decomposable(b, INCIDENCE_TOL)):
+        raise GeometryError("bivector is not decomposable")
+    m = line_matrix(b) @ line_matrix(QUADRIC_MATRIX @ a).T
+    sq = m.real ** 2 + m.imag ** 2
+    size = math.sqrt(sq.sum())
+    if size <= 2.0 * RANK_CUT:
+        raise GeometryError("lines coincide; no unique intersection point")
+    if abs(quadric_pair(a, b)) > 2.0 * RANK_CUT * size:
+        raise GeometryError("lines are not incident")
+    point = normalize_proj(m[:, int(np.argmax(sq.sum(axis=0)))])
+    return point, ProjPlane(m[int(np.argmax(sq.sum(axis=1)))])
+
+
+def line_meet_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection point of two incident, distinct lines in CP^3."""
+    return meet_join(a, b)[0]
 
 
 def plane_from_span(vectors) -> ProjPlane:
@@ -346,12 +379,15 @@ def meet_line(plane: ProjPlane, line: np.ndarray) -> np.ndarray:
 
 
 def meet_planes(p1: ProjPlane, p2: ProjPlane, p3: ProjPlane) -> np.ndarray:
-    """Common point of three planes in general position."""
-    m = np.array([p1.functional, p2.functional, p3.functional])
-    ns = nullspace(m, RANK_CUT)
-    if ns.shape[1] != 1:
-        raise GeometryError("non-point-intersection of three planes")
-    return normalize_proj(ns[:, 0])
+    """Common point of three planes in general position.
+
+    By duality it is the ∧³ functional of the three unit functionals; its
+    norm, their volume, must exceed RANK_CUT.
+    """
+    x = span_functional(p1.functional, p2.functional, p3.functional)
+    if _norm(x) <= RANK_CUT:
+        raise GeometryError("planes-near-parallel: three planes share no unique point")
+    return normalize_proj(x)
 
 
 def quadric_roots(g: np.ndarray, h: np.ndarray) -> list:

@@ -25,9 +25,10 @@ from .proj4 import (
     lines_incident,
     line_factorize,
     line_meet_point,
+    line_point,
+    meet_join,
     normalize_proj,
     nullspace,
-    plane_from_span,
     span_residual,
     wedge,
 )
@@ -158,10 +159,9 @@ def sphere_from_line(a: np.ndarray):
     a = normalize_proj(a)
     if not proj4.is_decomposable(a, INCIDENCE_TOL):
         raise GeometryError("sphere_from_line needs a decomposable bivector")
-    if is_j_real(a, FIBER_TOL):
-        v, _ = line_factorize(a)
-        return twistor_project(v)
     v, w = line_factorize(a)
+    if is_j_real(a, FIBER_TOL):
+        return twistor_project(v)
     return sphere_from_eigenvectors(v, w)
 
 
@@ -225,23 +225,13 @@ class ContactClass:
 def plane_fiber(plane: proj4.ProjPlane) -> np.ndarray:
     """The unique twistor fiber contained in a plane of CP^3.
 
-    The plane meets its j-image in a line; that line is fixed by J and hence
-    a fiber.
+    The plane f meets its j-image, the plane j_on_vector(f), in a J-invariant
+    line, hence a fiber: the Hodge dual of f ^ j_on_vector(f).  The two planes
+    never coincide, because J-invariant subspaces have even dimension; f and
+    j_on_vector(f) are orthogonal and of equal norm.
     """
-    basis = plane.basis
-    jbasis = np.column_stack([j_on_vector(basis[:, k]) for k in range(3)])
-    m = np.vstack([plane.functional, normalize_proj(nullspace(jbasis.T, 1e-10)[:, 0])])
-    ns = nullspace(m, RANK_CUT)
-    if ns.shape[1] != 2:
-        raise GeometryError("plane meets its j-image in unexpected dimension")
-    line = normalize_proj(wedge(ns[:, 0], ns[:, 1]))
-    if not is_j_real(line, 1e-6):
-        # the intersection line must be J-invariant; re-symmetrize numerically
-        sym = line + j_on_bivector(line)
-        if np.linalg.norm(sym) < 1e-8:
-            sym = 1j * line - 1j * j_on_bivector(line)
-        line = normalize_proj(sym)
-    return line
+    f = plane.functional
+    return normalize_proj(proj4.QUADRIC_MATRIX @ wedge(f, j_on_vector(f)))
 
 
 # distance, incidence and tangency cut of classify_contact
@@ -264,17 +254,15 @@ def classify_contact(a: np.ndarray, b: np.ndarray) -> ContactClass:
             proj4.proj_distance(a, bj) < _CONTACT_TOL:
         return ContactClass("identical", ())
     if lines_incident(a, b, _CONTACT_TOL):
-        p = line_meet_point(a, b)
-        va, wa = line_factorize(a)
-        vb, wb = line_factorize(b)
-        plane = plane_from_span([va, wa, vb, wb])
-        fiber = plane_fiber(plane)
-        fv, fw = line_factorize(fiber)
-        # tangency iff the common point lies on the fiber
-        if span_residual(p, fv, fw) < _CONTACT_TOL:
+        p, plane = meet_join(a, b)
+        # tangency iff the common point lies on the plane's fiber, the points
+        # x of the plane with Jx in it too; J maps the plane's part orthogonal
+        # to the fiber onto its normal, so |f(Jp)| is p's distance from it
+        if plane.residual(j_on_vector(p)) < _CONTACT_TOL:
             return ContactClass("touch", (twistor_project(p),))
         # the second common point projects from the plane's fiber
-        return ContactClass("half_touch", (twistor_project(p), twistor_project(fv)))
+        fiber_point = line_point(plane_fiber(plane))
+        return ContactClass("half_touch", (twistor_project(p), twistor_project(fiber_point)))
     if lines_incident(a, bj, _CONTACT_TOL):
         p = line_meet_point(a, bj)
         q = line_meet_point(j_on_bivector(a), b)

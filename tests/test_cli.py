@@ -18,7 +18,7 @@ from twistnets.cli import (
     pcen_to_doc,
 )
 from twistnets.contact import contact_element, pcen_from_circular
-from twistnets.nets import evolve_net_circular
+from twistnets.nets import evolve_net_circular, evolve_net_complex, lift_to_QS2
 from twistnets.proj4 import GeometryError, wedge
 
 
@@ -104,6 +104,27 @@ def test_check_rejects_q4_values_off_the_quadric(tmp_path, capsys):
         rep = json.loads(capsys.readouterr().out)
         assert rc == 3 and not rep["ok"]
         assert rep["max_residual"] >= 1.0 - 1e-12
+
+
+def test_conic_check_decides_rank_at_its_tol(tmp_path, capsys):
+    # a lifted complex net with 1e-5 noise on each value: s4 / s1 ~ 1e-4 on
+    # every face, so at --tol 1e-3 each face spans a plane and is a conic
+    rng = np.random.default_rng(5)
+    curve = [complex(*rng.standard_normal(2)) for _ in range(8)]
+    seeds = [complex(*rng.standard_normal(2)) for _ in range(7)]
+    lam = 0.4 + 0.9j
+    e = np.eye(4, dtype=complex)
+    net = lift_to_QS2(normalize_proj(wedge(e[0], e[2])),
+                      evolve_net_complex(curve, seeds, lam), lam)
+    for idx in net.indices():
+        net[idx] = net[idx] + 1e-5 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    src = _write(tmp_path, "noisy.json", net_to_doc(net))
+    planarity = main(["check", src, "--json", "--tol", "1e-3"])
+    worst = json.loads(capsys.readouterr().out)["max_residual"]
+    assert planarity == 0 and 1e-6 < worst < 1e-3
+    rc = main(["check", src, "--report", "conic", "--tol", "1e-3", "--json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == 0 and rep["ok"] and rep["max_residual"] < 1e-3
 
 
 def test_evolve_complex_cr_report(tmp_path, capsys):

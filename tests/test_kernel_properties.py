@@ -2,7 +2,7 @@
 
 The references are SVD constructions of the same objects: a plane's
 functional as the null space of its spanning vectors, a line's spanning pair
-recovered from its Pluecker vector by line_factorize, and the meet of a plane
+as the singular vectors of its line matrix, and the meet of a plane
 and a line as the null space of the plane's functional stacked with two
 functionals that vanish on the line.  Inputs are kept away from degenerate
 configurations (volume or meet size below 1e-2), where both sides lose
@@ -10,7 +10,10 @@ accuracy in proportion to the conditioning; the rank test is checked against
 the singular-value rule on nearly dependent inputs too.  The rank decisions
 of svd_rank, nullspace, orthonormal_span and is_conic_net are checked against
 the singular values of a direct decomposition, on matrices whose singular
-values lie within 1e-3...1e3 of the cut.
+values lie within 1e-3...1e3 of the cut.  The exterior-algebra line kernel
+(line_factorize, meet_join, plane_fiber, the ∧³ meet of hexahedron_complete
+and rho) is checked against the null-space constructions it replaced, built
+here from an SVD of the line matrix.
 """
 
 import math
@@ -21,10 +24,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistnets.contact import contact_element, propagate_element
-from twistnets.nets import LatticeNet, is_conic_net
+from twistnets.lie import QuatHermitianForm, rho
+from twistnets.nets import LatticeNet, hexahedron_complete, is_conic_net
 from twistnets.proj4 import (
     GeometryError,
     line_factorize,
+    line_matrix,
+    meet_join,
     meet_line,
     meet_span,
     normalize_proj,
@@ -40,7 +46,14 @@ from twistnets.proj4 import (
     wedge,
 )
 from twistnets.quat import Quaternion
-from twistnets.twistor import HPoint, fiber_pair, twistor_fiber
+from twistnets.twistor import (
+    HPoint,
+    fiber_pair,
+    j_on_bivector,
+    j_on_vector,
+    plane_fiber,
+    twistor_fiber,
+)
 
 AGREE = 1e-12
 WELL_POSED = 1e-2
@@ -77,13 +90,20 @@ def _meet_size(functional, line):
     return math.hypot(abs(functional @ v), abs(functional @ w))
 
 
+def _svd_pair(a):
+    """An orthonormal pair spanning a line: the two left singular vectors of
+    its line matrix with nonzero singular value."""
+    u, _, _ = np.linalg.svd(line_matrix(a))
+    return u[:, 0], u[:, 1]
+
+
 def _reference_meet(functional, line):
     """The meet of a plane and a line as a null space.
 
     The point is annihilated by the plane's functional and by two functionals
     that vanish on the line, the null space of the line's SVD factors.
     """
-    v, w = line_factorize(line)
+    v, w = _svd_pair(line)
     on_line = nullspace(np.array([v, w]))
     assert on_line.shape == (4, 2)
     ns = nullspace(np.vstack([functional, on_line.T]))
@@ -182,7 +202,7 @@ def test_propagate_matches_svd_reference(p, q, direction):
     fiber = twistor_fiber(q)
     assume(_meet_size(element.plane.functional, fiber) > WELL_POSED)
     ref_point = _reference_meet(element.plane.functional, fiber)
-    v, w = line_factorize(fiber)
+    v, w = _svd_pair(fiber)
     assume(_volume(v, w, element.point) > WELL_POSED)
     basis = orthonormal_span([v, w, element.point], rank=3)
     ref_plane = nullspace(basis.T, 1e-10)[:, 0]
@@ -259,3 +279,151 @@ def test_conic_form_from_one_svd_matches_two(rng, s2, s3, offset):
     else:
         assert report.form is not None
         assert abs(report.det - want) < AGREE
+
+
+# ---------------------------------------------------------------------------
+# the exterior-algebra line kernel against its null-space predecessors
+
+
+vec6 = st.lists(coords, min_size=12, max_size=12).map(
+    lambda x: np.array(x[:6]) + 1j * np.array(x[6:]))
+
+
+def _line(v, w):
+    """The line v ^ w, if v and w are well apart; assumes otherwise."""
+    assume(_norm(v) > 0.0 and _norm(w) > 0.0)
+    line = wedge(v, w)
+    assume(_norm(line) > WELL_POSED * _norm(v) * _norm(w))
+    return line
+
+
+def _well_anchored(a, pair):
+    """No tie of the largest |a_ij|, and each vector's phase anchor (its
+    first component above 1e-6) well clear of zero: the column choice of
+    line_factorize is then fixed, and the phase normalize_proj gives each
+    vector moves with the anchor's relative perturbation."""
+    mags = np.sort(np.abs(a))
+    if mags[-1] - mags[-2] <= 1e-9 * mags[-1]:
+        return False
+    return all(np.abs(v)[np.abs(v) > 1e-7][0] > WELL_POSED for v in pair)
+
+
+@settings(settings.get_profile("kernel"))
+@given(vec4, vec4, vec6)
+def test_line_factorize_is_a_stable_orthonormal_pair(v, w, direction):
+    a = normalize_proj(_line(v, w))
+    x, y = line_factorize(a)
+    assert abs(_norm(x) - 1.0) < AGREE and abs(_norm(y) - 1.0) < AGREE
+    assert abs(np.vdot(x, y)) < AGREE
+    assert proj_distance(wedge(x, y), a) < AGREE
+    assume(_norm(direction) > 0.0 and _well_anchored(a, (x, y)))
+    x2, y2 = line_factorize(a + 1e-15 * direction / _norm(direction))
+    assert _norm(x2 - x) + _norm(y2 - y) < 1e-12
+
+
+@settings(settings.get_profile("kernel"))
+@given(vec4, vec4, vec4)
+def test_meet_join_matches_null_spaces(p, u, w):
+    assume(_volume(p, u, w) > WELL_POSED)
+    a, b = wedge(p, u), wedge(p, w)
+    point, plane = meet_join(a, b)
+    v1, w1 = _svd_pair(a)
+    v2, w2 = _svd_pair(b)
+    coeffs = nullspace(np.column_stack([v1, w1, -v2, -w2]), 1e-8)
+    assert coeffs.shape == (4, 1)
+    ref_point = v1 * coeffs[0, 0] + w1 * coeffs[1, 0]
+    ref_plane = nullspace(np.array([v1, w1, v2, w2]), 1e-8)
+    assert ref_plane.shape == (4, 1)
+    assert proj_distance(point, ref_point) < AGREE
+    assert proj_distance(point, p) < AGREE
+    assert proj_distance(plane.functional, ref_plane[:, 0]) < AGREE
+
+
+@settings(settings.get_profile("kernel"))
+@given(vec4, vec4, vec4, vec4, scalar, scalar, scalar, scalar)
+def test_meet_join_rejects_skew_and_coincident_lines(v1, w1, v2, w2, s, t, x, y):
+    assume(_volume(v1, w1, v2) > WELL_POSED and _volume(v1, w1, w2) > WELL_POSED)
+    rows = np.array([u / _norm(u) for u in (v1, w1, v2, w2)])
+    assume(abs(np.linalg.det(rows)) > WELL_POSED)
+    a = wedge(v1, w1)
+    with pytest.raises(GeometryError, match="lines are not incident"):
+        meet_join(a, wedge(v2, w2))
+    # another pair spanning the same line
+    assume(abs(s * y - t * x) > WELL_POSED)
+    with pytest.raises(GeometryError, match="lines coincide"):
+        meet_join(a, wedge(s * v1 + t * w1, x * v1 + y * w1))
+
+
+def _reference_plane_fiber(functional):
+    """The fiber in a plane as the null space of the plane's functional and
+    its j-image's, each plane spanned by a null-space basis."""
+    basis = nullspace(functional.reshape(1, 4))
+    jbasis = np.column_stack([j_on_vector(basis[:, k]) for k in range(3)])
+    jplane = nullspace(jbasis.T, 1e-10)
+    assert jplane.shape == (4, 1)
+    line = nullspace(np.vstack([functional, jplane[:, 0]]), 1e-8)
+    assert line.shape == (4, 2)
+    return wedge(line[:, 0], line[:, 1])
+
+
+@settings(settings.get_profile("kernel"))
+@given(vec4, vec4, vec4)
+def test_plane_fiber_matches_null_space_fiber(a, b, c):
+    assume(_volume(a, b, c) > WELL_POSED)
+    plane = plane_from_span([a, b, c])
+    got = plane_fiber(plane)
+    assert proj_distance(got, _reference_plane_fiber(plane.functional)) < AGREE
+    assert proj_distance(got, normalize_proj(j_on_bivector(got))) < AGREE
+    x, y = line_factorize(got)
+    assert max(plane.residual(x), plane.residual(y)) < AGREE
+
+
+def _reference_hexahedron(points):
+    """The eighth vertex from null spaces: the face planes in the span's
+    coordinates, then their common point."""
+    basis = orthonormal_span(points, rank=4, tol=1e-8)
+    c0, c1, c2, c3, c12, c13, c23 = (basis.conj().T @ x for x in points)
+    planes = []
+    for triple in ((c1, c12, c13), (c2, c12, c23), (c3, c13, c23)):
+        f = nullspace(np.array(triple), 1e-8)
+        assert f.shape == (4, 1)
+        planes.append(f[:, 0])
+    x = nullspace(np.array(planes), 1e-8)
+    assert x.shape == (4, 1)
+    return basis @ x[:, 0]
+
+
+@settings(settings.get_profile("kernel"))
+@given(st.lists(vec4, min_size=4, max_size=4), st.lists(scalar, min_size=9, max_size=9))
+def test_hexahedron_matches_null_space_construction(corners, weights):
+    """Cubes in C^4 with planar faces: phi_ij in the plane of phi, phi_i, phi_j."""
+    phi, phi1, phi2, phi3 = corners
+    pairs = ((phi1, phi2), (phi1, phi3), (phi2, phi3))
+    far = [weights[3 * k] * phi + weights[3 * k + 1] * x + weights[3 * k + 2] * y
+           for k, (x, y) in enumerate(pairs)]
+    cube = [phi, phi1, phi2, phi3, *far]
+    assume(min(_norm(x) for x in cube) > WELL_POSED)
+    faces = ((phi1, far[0], far[1]), (phi2, far[0], far[2]), (phi3, far[1], far[2]))
+    assume(all(_volume(*face) > WELL_POSED for face in faces))
+    functionals = [span_functional(*(x / _norm(x) for x in face)) for face in faces]
+    assume(_volume(*functionals) > WELL_POSED)
+    assume(abs(np.linalg.det(np.array(corners))) > WELL_POSED * np.prod([_norm(x) for x in corners]))
+    assert proj_distance(hexahedron_complete(*cube), _reference_hexahedron(cube)) < AGREE
+
+
+def _reference_rho(line, form):
+    """The h-perpendicular of a line as the null space of h(v, .), h(w, .)."""
+    v, w = _svd_pair(line)
+    perp = nullspace(np.array([v.conj() @ form.hmat, w.conj() @ form.hmat]), 1e-10)
+    assert perp.shape == (4, 2)
+    return wedge(perp[:, 0], perp[:, 1])
+
+
+@settings(settings.get_profile("kernel"))
+@given(vec4, vec4, quat, scalar, scalar)
+def test_rho_matches_perpendicular_null_space(v, w, q, r1, r2):
+    line = normalize_proj(_line(v, w))
+    assume(abs(r1 * r2 - q.norm() ** 2) > WELL_POSED)
+    form = QuatHermitianForm(((Quaternion.from_real(r1), q),
+                              (q.conjugate(), Quaternion.from_real(r2))))
+    assert proj_distance(rho(line, form), _reference_rho(line, form)) < AGREE

@@ -213,6 +213,20 @@ def test_touching_coins_generic():
     assert np.allclose(got, want, atol=1e-5)
 
 
+def test_touching_coins_rank_of_the_reoriented_chain():
+    # trial 5 of this seed: the representatives as given span three
+    # dimensions, the chain re-oriented so that consecutive circles touch
+    # spans four
+    rng = np.random.default_rng(0)
+    for _ in range(6):
+        qs = [v / np.linalg.norm(v) for v in rng.normal(size=(4, 3))]
+    circles = [_circle(_ortho_circle_points(qs[k - 1], qs[k])) for k in range(4)]
+    assert np.linalg.matrix_rank(np.array(circles), tol=1e-8) == 3
+    rpt = touching_coins_check(circles, FORM)
+    assert rpt.contact_tags == ["touch"] * 4
+    assert rpt.sphere_tags == ["half_touch"] * 4
+
+
 def test_touching_coins_coplanar_fallback():
     circles = _coplanar_coin_circles()
     rpt = touching_coins_check(circles, FORM)

@@ -110,6 +110,22 @@ def test_hexahedron_rejects_span_of_five_and_of_three():
         hexahedron_complete(*through)
 
 
+def test_hexahedron_rejects_degenerate_face_and_planes_sharing_a_line():
+    rng = np.random.default_rng(5)
+
+    def point():
+        return rng.standard_normal(4) + 1j * rng.standard_normal(4)
+
+    phi, p1, p2, p3, x, y = (point() for _ in range(6))
+    # phi1, phi12 and phi13 on one line: the first face plane is degenerate
+    with pytest.raises(GeometryError, match="plane through point triple is degenerate"):
+        hexahedron_complete(phi, p1, p2, p3, p1 + x, p1 - 2 * x, p2 + p3)
+    # phi12, phi13 and phi23 on the line span{x, y}: all three face planes
+    # contain that line
+    with pytest.raises(GeometryError, match="planes-near-parallel"):
+        hexahedron_complete(phi, p1, p2, p3, x, y, x + 3 * y)
+
+
 # ---------------------------------------------------------------------------
 # curve evolution
 
