@@ -20,7 +20,15 @@ import numpy as np
 
 from .quat import Quaternion
 from . import proj4
-from .proj4 import FIBER_TOL, GeometryError, ProjPlane, normalize_proj, quadric_pair, wedge
+from .proj4 import (
+    FIBER_TOL,
+    DocumentError,
+    GeometryError,
+    ProjPlane,
+    normalize_proj,
+    quadric_pair,
+    wedge,
+)
 from .twistor import HPoint, is_j_real, twistor_project
 from .xratio import INF, ExtC, as_ext, complex_cr
 from .nets import (
@@ -38,6 +46,7 @@ from .nets import (
 from .contact import (
     NullLine,
     PCEN,
+    closure_faces,
     null_line_real_point,
     pcen_adjacency_residual,
     pcen_face_closure,
@@ -45,10 +54,6 @@ from .contact import (
 from .lie import QuatHermitianForm, lie_signature_report
 
 SCHEMA_VERSION = 1
-
-
-class DocumentError(ValueError):
-    """A malformed document or argument value (exit code 1)."""
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +258,17 @@ def load_doc(path: str) -> dict:
         return json.load(fh)
 
 
-def dump_doc(doc: dict, path: str | None):
+def _json_text(obj) -> str:
+    """Indented, key-sorted JSON; a non-finite number, which JSON cannot
+    hold, is reported as degenerate geometry (exit 2)."""
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise GeometryError(f"non-finite value in output: {exc}") from exc
+
+
+def dump_doc(doc: dict, path: str | None):
+    text = _json_text(doc)
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -363,11 +374,12 @@ def cmd_check(args) -> int:
     if args.json:
         out = {"report": report, "tol": tol, "max_residual": worst,
                "ok": bool(worst <= tol), "faces": rows}
-        print(json.dumps(out, indent=2, sort_keys=True))
+        sys.stdout.write(_json_text(out))
     else:
         for row in rows:
             flag = "" if row["residual"] <= tol else "  FAIL"
-            print(f"{row['face']}: {row['residual']:.3e}{flag}")
+            count = f" over {row['faces']} faces" if "faces" in row else ""
+            print(f"{row['face']}: {row['residual']:.3e}{count}{flag}")
         print(f"max residual {worst:.3e} (tol {tol:g})")
     return 0 if worst <= tol else 3
 
@@ -377,8 +389,11 @@ def _run_report(doc: dict, report: str, tol: float):
     worst = 0.0
     if report == "pcen":
         pcen = doc_to_pcen(doc)
-        closure = pcen_face_closure(pcen) if pcen.base.is_complete() else 0.0
-        rows.append({"face": "closure", "residual": float(closure)})
+        # the closure leaves out the faces whose far vertex has no base point;
+        # the row says how many faces it checked
+        closure = pcen_face_closure(pcen)
+        rows.append({"face": "closure", "residual": closure,
+                     "faces": int(closure_faces(pcen).sum())})
         adjacency = pcen_adjacency_residual(pcen)
         rows.append({"face": "adjacency", "residual": float(adjacency)})
         return rows, max(closure, adjacency)
@@ -610,8 +625,8 @@ def cmd_hexahedron(args) -> int:
     eighth = hexahedron_complete(*vs)
     resid = abs(quadric_pair(eighth, eighth))
     if args.json:
-        print(json.dumps({"eighth": _cvec_out(eighth),
-                          "quadric_residual": resid}, indent=2, sort_keys=True))
+        sys.stdout.write(_json_text({"eighth": _cvec_out(eighth),
+                                     "quadric_residual": resid}))
     else:
         print("eighth point:")
         print("  " + " ".join(_fmt(c) for c in _cvec_out(eighth)))
@@ -628,12 +643,12 @@ def cmd_holonomy(args) -> int:
     lam = parse_complex(args.lam)
     h, eigenlines, parabolic = holonomy(curve, lam)
     if args.json:
-        print(json.dumps({
+        sys.stdout.write(_json_text({
             "matrix": [[_complex_out(h[i, j]) for j in range(2)]
                        for i in range(2)],
             "eigenlines": [_ext_out(l) for l in eigenlines],
             "parabolic": bool(parabolic),
-        }, indent=2, sort_keys=True))
+        }))
     else:
         print("holonomy matrix:")
         for i in range(2):
@@ -649,11 +664,11 @@ def cmd_holonomy(args) -> int:
 def cmd_lie_report(args) -> int:
     report = lie_signature_report(QuatHermitianForm())
     if args.json:
-        print(json.dumps({
+        sys.stdout.write(_json_text({
             "basis_signature": list(report["basis"]),
             "omega_slice_signature": list(report["omega_slice"]),
             "dimension": report["dimension"],
-        }, indent=2, sort_keys=True))
+        }))
     else:
         print(f"basis signature: {report['basis']}")
         print(f"omega-slice signature: {report['omega_slice']}")

@@ -16,26 +16,33 @@ import numpy as np
 from . import proj4
 from .proj4 import (
     INCIDENCE_TOL,
+    DocumentError,
     GeometryError,
     ProjPlane,
     lines_incident,
     meet_join,
-    meet_span,
+    meet_spans,
     normalize_proj,
-    orthonormal_pair,
     plane_from_span,
+    row_norms,
+    span_planes,
     span_residual,
     wedge,
 )
 from .twistor import (
     HPoint,
-    fiber_pair,
+    j_on_rows,
     j_on_vector,
+    lift_rows,
     twistor_fiber,
     twistor_project,
 )
 from .nets import LatticeNet, sphere_frame
 from .xratio import as_ext
+
+
+# |f @ x| bound for the unit pencil point x in the plane with functional f
+PENCIL_TOL = 1e-7
 
 
 @dataclass
@@ -47,7 +54,7 @@ class NullLine:
 
     def __post_init__(self):
         self.point = normalize_proj(self.point)
-        if not self.plane.contains(self.point, 1e-7):
+        if not self.plane.contains(self.point, PENCIL_TOL):
             raise GeometryError("pencil point must lie in the pencil plane")
 
     def pencil_basis(self):
@@ -85,7 +92,7 @@ def null_line_real_point(l: NullLine):
     element and the real member is the fiber over the projected point.
     Returns None for half-contact elements.
     """
-    if l.plane.contains(j_on_vector(l.point), 1e-7):
+    if l.plane.contains(j_on_vector(l.point), PENCIL_TOL):
         return twistor_project(l.point)
     return None
 
@@ -104,26 +111,40 @@ def contact_element(p: HPoint, sphere: np.ndarray) -> NullLine:
 
 
 def propagate_element(l: NullLine, p_next: HPoint) -> NullLine:
-    """The unique adjacent contact element at p_next intersecting l.
+    """The unique adjacent contact element at p_next intersecting l: the
+    batch of one of propagate_elements."""
+    point, functional = propagate_elements(l.point, l.plane.functional, p_next.lift())
+    return NullLine(point, ProjPlane(functional))
 
-    The fiber (v, vj) of p_next meets the plane of l in a single lift point;
-    the line joining it to l's point is the sphere shared by the two pencils,
-    and the new element is the pencil at the new lift inside the plane
-    span{v, vj, l.point} of the fiber and the shared line.
+
+def propagate_elements(points: np.ndarray, functionals: np.ndarray,
+                       lifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacent contact elements, row by row over leading axes.
+
+    Row k holds a contact element (its unit pencil point and plane
+    functional) and the unit lift v of the next base point.  The fiber
+    (v, vj) meets the element's plane in a single lift point; the line
+    joining it to the element's point is the sphere shared by the two
+    pencils, and the new element is the pencil at the new lift inside the
+    plane span{v, vj, point} of the fiber and the shared line.  Returns the
+    new points and functionals, normalized.
     """
-    v, vj = fiber_pair(p_next)
+    v = np.asarray(lifts, dtype=complex)
+    vj = j_on_rows(v)
     try:
-        y = meet_span(l.plane, v, vj)
+        y = meet_spans(functionals, v, vj)
     except GeometryError as exc:
         raise GeometryError(f"fiber-in-plane degeneracy: {exc}") from exc
-    # l's point lies on the fiber over its own base point, and distinct fibers
-    # are disjoint: v, vj and l's point fail to span a plane only when p_next
-    # coincides with that base point
+    # the element's point lies on the fiber over its own base point, and
+    # distinct fibers are disjoint: v, vj and that point fail to span a plane
+    # only when the next base point coincides with the element's
     try:
-        plane = plane_from_span([v, vj, l.point])
+        f = span_planes(np.stack([v, vj, np.asarray(points, dtype=complex)], axis=-2))
     except GeometryError as exc:
         raise GeometryError(f"next point coincides with the element's point: {exc}") from exc
-    return NullLine(y, plane)
+    if not (np.abs((f * y).sum(axis=-1)) < PENCIL_TOL).all():
+        raise GeometryError("pencil point must lie in the pencil plane")
+    return y, f
 
 
 def shared_sphere(l1: NullLine, l2: NullLine) -> np.ndarray:
@@ -145,79 +166,161 @@ class PCEN:
         return self.elements[tuple(idx)]
 
 
-def _check_distinct_neighbors(base: LatticeNet):
-    for idx in base.indices():
-        for ax in range(base.dim):
-            nxt = list(idx)
-            nxt[ax] += 1
-            if nxt[ax] >= base.shape[ax]:
-                continue
-            p, q = base[idx], base[tuple(nxt)]
-            if p.isclose(q, 1e-10):
-                raise GeometryError(f"colliding base points at {idx} and {tuple(nxt)}")
+def _edges(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows at the two ends of every lattice edge along an axis, stacked
+    as (k, 4) arrays."""
+    lo = (slice(None),) * axis + (slice(None, -1),)
+    hi = (slice(None),) * axis + (slice(1, None),)
+    return a[lo].reshape(-1, 4), a[hi].reshape(-1, 4)
+
+
+def _vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a.conj() * b).sum(axis=-1, keepdims=True)
+
+
+def _check_distinct_neighbors(lifts: np.ndarray):
+    """No two neighbouring base points coincide: HPoint.isclose at 1e-10,
+    the distance of one lift from the other's fiber span{v, vj}."""
+    shape = lifts.shape[:-1]
+    collisions = []
+    for ax in range(len(shape)):
+        x, v = _edges(lifts, ax)
+        vj = j_on_rows(v)
+        r = row_norms(x - v * _vdot_rows(v, x) - vj * _vdot_rows(vj, x))[:, 0]
+        edge_shape = tuple(n - (k == ax) for k, n in enumerate(shape))
+        for flat in np.nonzero(r < 1e-10)[0]:
+            idx = tuple(int(i) for i in np.unravel_index(flat, edge_shape))
+            collisions.append((idx, ax))
+    if collisions:
+        idx, ax = min(collisions)
+        nxt = tuple(i + (k == ax) for k, i in enumerate(idx))
+        raise GeometryError(f"colliding base points at {idx} and {nxt}")
 
 
 def pcen_from_circular(base: LatticeNet, initial: NullLine) -> PCEN:
     """Propagate an initial contact element over a circular base net.
 
-    The element at each vertex is obtained by propagation from its left or
-    lower neighbor; for circular bases the two routes agree on every face,
-    which pcen_face_closure verifies.
+    Column m = 0 is propagated along n, and every later column from the one
+    before it in one propagate_elements call: the element at (m, n) comes
+    from (m - 1, n), or from (0, n - 1) when m = 0.  For circular bases the
+    two routes agree on every face, which pcen_face_closure verifies.
     """
     if base.kind != "hp1" or base.dim != 2:
         raise GeometryError("circular base must be a 2-dim hp1 net")
-    _check_distinct_neighbors(base)
+    lifts = lift_rows([base[idx] for idx in base.indices()]).reshape(base.shape + (4,))
+    _check_distinct_neighbors(lifts)
     rp = null_line_real_point(initial)
     if rp is None or not rp.isclose(base[0, 0], 1e-7):
         raise GeometryError("initial element must be a contact element at the origin")
-    elements = {(0, 0): initial}
-    m_n, n_n = base.shape
-    for m in range(1, m_n):
-        elements[(m, 0)] = propagate_element(elements[(m - 1, 0)], base[m, 0])
-    for n in range(1, n_n):
-        elements[(0, n)] = propagate_element(elements[(0, n - 1)], base[0, n])
-        for m in range(1, m_n):
-            elements[(m, n)] = propagate_element(elements[(m - 1, n)], base[m, n])
+    points = np.empty_like(lifts)
+    functionals = np.empty_like(lifts)
+    points[0, 0], functionals[0, 0] = initial.point, initial.plane.functional
+    for n in range(1, base.shape[1]):
+        points[0, n], functionals[0, n] = propagate_elements(
+            points[0, n - 1], functionals[0, n - 1], lifts[0, n])
+    for m in range(1, base.shape[0]):
+        points[m], functionals[m] = propagate_elements(
+            points[m - 1], functionals[m - 1], lifts[m])
+    elements = {idx: NullLine(points[idx], ProjPlane(functionals[idx]))
+                for idx in base.indices()}
+    elements[(0, 0)] = initial
     return PCEN(base, elements)
 
 
-def pcen_face_closure(pcen: PCEN) -> float:
-    """Largest disagreement between the two propagation routes over a face."""
-    worst = 0.0
+def _gather(pcen: PCEN) -> tuple[np.ndarray, np.ndarray]:
+    """The elements' points and plane functionals, each of shape box + (4,)."""
+    points = np.empty(pcen.base.shape + (4,), dtype=complex)
+    functionals = np.empty_like(points)
+    for idx in pcen.base.indices():
+        el = pcen.elements.get(idx)
+        if el is None:
+            raise DocumentError(f"PCEN has no element at {idx}")
+        points[idx] = el.point
+        functionals[idx] = el.plane.functional
+    return points, functionals
+
+
+def closure_faces(pcen: PCEN) -> np.ndarray:
+    """Which faces pcen_face_closure checks: a boolean array over the faces
+    (m, n) -> (m + 1, n + 1) of a 2-dim net, true where the far vertex
+    (m + 1, n + 1) has a base point."""
+    if pcen.base.kind != "hp1" or pcen.base.dim != 2:
+        raise GeometryError("face closure needs a 2-dim hp1 base net")
     m_n, n_n = pcen.base.shape
-    for m in range(1, m_n):
-        for n in range(1, n_n):
-            via_m = propagate_element(pcen.elements[(m - 1, n)], pcen.base[m, n])
-            via_n = propagate_element(pcen.elements[(m, n - 1)], pcen.base[m, n])
-            worst = max(worst,
-                        proj4.proj_distance(via_m.point, via_n.point),
-                        proj4.proj_distance(via_m.plane.functional,
-                                            via_n.plane.functional))
-    return worst
+    return np.array([[(m, n) in pcen.base.values for n in range(1, n_n)]
+                     for m in range(1, m_n)], dtype=bool).reshape(m_n - 1, n_n - 1)
+
+
+def pcen_face_closure(pcen: PCEN) -> float:
+    """Largest disagreement between the two propagation routes over a face.
+
+    On each face of closure_faces the element at the far vertex is
+    propagated once from each of its two lower neighbours, all faces in one
+    propagate_elements call per route; the residual is the larger
+    proj_distance of the two points and of the two plane functionals.
+    """
+    faces = closure_faces(pcen)
+    if not faces.any():
+        return 0.0
+    points, functionals = _gather(pcen)
+    lifts = lift_rows([pcen.base.values[(m + 1, n + 1)] for m, n in zip(*np.nonzero(faces))])
+    via_m = propagate_elements(points[:-1, 1:][faces], functionals[:-1, 1:][faces], lifts)
+    via_n = propagate_elements(points[1:, :-1][faces], functionals[1:, :-1][faces], lifts)
+    return float(max(_proj_distances(a, b).max() for a, b in zip(via_m, via_n)))
+
+
+def _proj_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """proj4.proj_distance row by row."""
+    a = a / row_norms(a)
+    b = b / row_norms(b)
+    ortho = b - a * _vdot_rows(a, b)
+    return np.arcsin(np.minimum(1.0, row_norms(ortho)[:, 0]))
 
 
 def pcen_adjacency_residual(pcen: PCEN) -> float:
-    """Largest failure of adjacent elements to share a pencil member."""
+    """Largest failure of adjacent elements to share a pencil member.
+
+    For each lattice edge the line joining the two pencil points, spanned by
+    an orthonormal pair (v, w), must be a member of both pencils; the
+    residual is the sum of _member_residuals over the two ends.  The edges
+    along each axis are checked in one pass.
+    """
+    points, functionals = _gather(pcen)
     worst = 0.0
-    for idx in pcen.base.indices():
-        for ax in range(pcen.base.dim):
-            nxt = list(idx)
-            nxt[ax] += 1
-            if nxt[ax] >= pcen.base.shape[ax]:
-                continue
-            l1 = pcen.elements[tuple(idx)]
-            l2 = pcen.elements[tuple(nxt)]
-            # orthonormal pair spanning the line joining the two points
-            v, w = orthonormal_pair(l1.point, l2.point)
-            worst = max(worst,
-                        _member_residual(l1, v, w) + _member_residual(l2, v, w))
+    for ax in range(pcen.base.dim):
+        if pcen.base.shape[ax] < 2:
+            continue
+        p1, p2 = _edges(points, ax)
+        f1, f2 = _edges(functionals, ax)
+        v, w = _orthonormal_pairs(p1, p2)
+        r = _member_residuals(p1, f1, v, w) + _member_residuals(p2, f2, v, w)
+        worst = max(worst, float(r.max()))
     return worst
 
 
-def _member_residual(l: NullLine, v: np.ndarray, w: np.ndarray) -> float:
-    """Failure of the line span{v, w} (orthonormal pair) to be a member of l."""
-    return (span_residual(l.point, v, w)
-            + l.plane.residual(v) + l.plane.residual(w))
+def _orthonormal_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """proj4.orthonormal_pair row by row, for nonzero rows."""
+    u = a / row_norms(a)
+    w = b - u * _vdot_rows(u, b)
+    nw = row_norms(w)
+    if (nw < 1e-12 * row_norms(b)).any():
+        raise GeometryError("degenerate-span: the two vectors are parallel")
+    return u, w / nw
+
+
+def _member_residuals(points: np.ndarray, functionals: np.ndarray,
+                      v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Failure of the lines span{v, w} (orthonormal pairs) to be members of
+    the pencils: the point's distance from the line (span_residual) plus
+    the plane residuals |f @ v| / |v| and |f @ w| / |w|."""
+    off_line = points - v * _vdot_rows(v, points) - w * _vdot_rows(w, points)
+    return (row_norms(off_line) + _plane_residuals(functionals, v)
+            + _plane_residuals(functionals, w))[:, 0]
+
+
+def _plane_residuals(functionals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """ProjPlane.residual row by row: |f @ x| / |x|."""
+    return np.abs((functionals * x).sum(axis=-1, keepdims=True)) / row_norms(x)
 
 
 def pcen_from_complex_cr(S: np.ndarray, base: LatticeNet,

@@ -23,6 +23,11 @@ goes through svd_rank, a cut relative to the largest singular value
 (nullspace, orthonormal_span, plane_from_span on nearly dependent vectors,
 where the closed form is inaccurate), and four-point planarity through
 planarity.  The thresholds that several modules share live here.
+
+normalize_rows, meet_spans and span_planes take stacks of vectors along the
+last axis and broadcast over the leading axes; they apply the rules of
+normalize_proj, meet_span and plane_from_span row by row.  The one-vector
+kernels stay separate where broadcasting would cost more per call.
 """
 
 from __future__ import annotations
@@ -83,6 +88,10 @@ class GeometryError(ValueError):
     """Raised when a geometric construction is degenerate."""
 
 
+class DocumentError(ValueError):
+    """Raised when input data is malformed or lacks an entry it needs."""
+
+
 def _norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(v, v).real)
 
@@ -107,6 +116,31 @@ def normalize_proj(v: np.ndarray) -> np.ndarray:
     out = v * (a.conjugate() / (mags[anchor] * n))
     out[anchor] = mags[anchor] / n
     return out
+
+
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, which is kept with length 1."""
+    return np.sqrt((v * v.conj()).real.sum(axis=-1, keepdims=True))
+
+
+def normalize_rows(v: np.ndarray) -> np.ndarray:
+    """normalize_proj along the last axis of a stack of vectors.
+
+    Each row gets the same anchor rule: unit norm, and its first component
+    above 1e-6 of the norm exactly real and positive.
+    """
+    v = np.asarray(v, dtype=complex)
+    rows = v.reshape(-1, v.shape[-1])
+    mags = np.abs(rows)
+    n = np.sqrt((mags * mags).sum(axis=1))
+    if (n < 1e-12).any():
+        raise GeometryError("cannot normalize (near-)zero homogeneous vector")
+    k = np.arange(len(rows))
+    anchor = (mags > 1e-6 * n[:, None]).argmax(axis=-1)
+    a = mags[k, anchor]
+    out = rows * (rows[k, anchor].conj() / (a * n))[:, None]
+    out[k, anchor] = a / n
+    return out.reshape(v.shape)
 
 
 def proj_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -318,28 +352,68 @@ def line_meet_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def plane_from_span(vectors) -> ProjPlane:
     """Plane spanned by vectors of total rank 3 (e.g. a line plus a point).
 
-    The rank test is the singular-value test s3 > DEFAULT_TOL s1 >= s4 of the
-    unit-scaled vectors.  Let f be the largest ∧³ functional of a triple of
-    them, V = |f| that triple's volume and e1 the number of nonzero vectors.
-    V^2 > DEFAULT_TOL^2 e1^3 implies s3 > DEFAULT_TOL s1, and
-    |rows @ f|^2 <= DEFAULT_TOL^2 V^2 e1 / 4 implies s4 <= DEFAULT_TOL s1.
-    When both bounds hold and V >= 1e-4 the plane is f.  The rounding error
-    of f is about 1e-16 / V, so nearly dependent vectors, where a bound is
-    open or f is inaccurate, go to the singular value decomposition, which
-    decides the rank and gives the functional.
+    The functional is the largest ∧³ functional of a triple of the
+    unit-scaled vectors when _certified_span vouches for it, and otherwise
+    comes from the singular value decomposition (_svd_plane).
     """
     rows = np.array(vectors, dtype=complex).reshape(-1, 4)
     norms = np.sqrt((rows * rows.conj()).real.sum(axis=1))
     rows = rows / np.where(norms > 0.0, norms, 1.0)[:, None]
     f = max((span_functional(*triple) for triple in itertools.combinations(rows, 3)),
             key=_norm, default=np.zeros(4))
-    vol2 = np.vdot(f, f).real
-    e1 = float(np.count_nonzero(norms))
     off = rows @ f
+    if not _certified_span(np.vdot(f, f).real, np.vdot(off, off).real,
+                           np.count_nonzero(norms)):
+        f = _svd_plane(rows)
+    return ProjPlane(f)
+
+
+def span_planes(triples: np.ndarray) -> np.ndarray:
+    """plane_from_span on a stack of triples of shape (..., 3, 4).
+
+    Returns the normalized functionals, shape (..., 4).  The rank rule is
+    plane_from_span's: the ∧³ functional of each unit-scaled triple where
+    _certified_span vouches for it, the SVD of that triple where it does not.
+    """
+    rows = np.asarray(triples, dtype=complex)
+    norms = row_norms(rows)
+    rows = rows / np.where(norms > 0.0, norms, 1.0)
+    a, b, c = rows[..., 0, :], rows[..., 1, :], rows[..., 2, :]
+    ab = a[..., _PAIR_A] * b[..., _PAIR_B] - a[..., _PAIR_B] * b[..., _PAIR_A]
+    # span_functional row by row: c @ (wedge(a, b) @ _EPS).reshape(4, 4)
+    f = (c[..., None, :] @ (ab @ _EPS).reshape(ab.shape[:-1] + (4, 4)))[..., 0, :]
+    off = (rows @ f[..., None])[..., 0]
+    open_ = ~_certified_span((f * f.conj()).real.sum(axis=-1),
+                             (off * off.conj()).real.sum(axis=-1),
+                             (norms > 0.0).sum(axis=(-2, -1)))
+    if open_.any():
+        for i in np.ndindex(open_.shape):
+            if open_[i]:
+                f[i] = _svd_plane(rows[i])
+    return normalize_rows(f)
+
+
+def _certified_span(vol2, off2, count):
+    """Whether the ∧³ functional f of a triple of unit-scaled rows is
+    certified as the plane of all the rows, from vol2 = |f|^2, off2 =
+    |rows @ f|^2 and count, the number of nonzero rows; broadcasts.
+
+    The rank test is the singular-value test s3 > DEFAULT_TOL s1 >= s4 of
+    the rows.  With V = |f| the triple's volume and e1 = count,
+    V^2 > DEFAULT_TOL^2 e1^3 implies s3 > DEFAULT_TOL s1, and
+    |rows @ f|^2 <= DEFAULT_TOL^2 V^2 e1 / 4 implies s4 <= DEFAULT_TOL s1.
+    f is trusted when both bounds hold and V >= 1e-4: its rounding error is
+    about 1e-16 / V, so nearly dependent rows, where a bound is open or f is
+    inaccurate, are left to _svd_plane.
+    """
     tol2 = DEFAULT_TOL * DEFAULT_TOL
-    if (vol2 >= _CLOSED_FORM_VOLUME ** 2 and vol2 > tol2 * e1 ** 3
-            and np.vdot(off, off).real <= tol2 * vol2 * e1 / 4):
-        return ProjPlane(f)
+    return ((vol2 >= _CLOSED_FORM_VOLUME ** 2) & (vol2 > tol2 * count ** 3)
+            & (off2 <= tol2 * vol2 * count / 4))
+
+
+def _svd_plane(rows: np.ndarray) -> np.ndarray:
+    """The functional of the plane of unit-scaled rows of rank 3, decided and
+    fitted by their singular value decomposition."""
     rank, s, vh = svd_rank(rows, DEFAULT_TOL)
     if rank != 3:
         values = ", ".join(f"{x:.1e}" for x in s)
@@ -347,23 +421,38 @@ def plane_from_span(vectors) -> ProjPlane:
                             f"values {values} of the unit-scaled vectors, "
                             f"cutoff {DEFAULT_TOL:g} of the largest")
     # rows @ conj(vh[3]) is s4 u4, the smallest the rows allow
-    return ProjPlane(vh[3].conj())
+    return vh[3].conj()
+
+
+_LINE_IN_PLANE = "line-in-plane: intersection is not a point"
 
 
 def _meet_point(x: np.ndarray, scale: float) -> np.ndarray:
     if _norm(x) < DEFAULT_TOL * scale:
-        raise GeometryError("line-in-plane: intersection is not a point")
+        raise GeometryError(_LINE_IN_PLANE)
     return normalize_proj(x)
 
 
 def meet_span(plane: ProjPlane, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Intersection point of a plane and the line span{v, w} not contained in it.
+    """Intersection point of a plane and the line span{v, w} not contained in
+    it: the batch of one of meet_spans."""
+    return meet_spans(plane.functional, v, w)
 
-    With f the plane's functional the point is v (f @ w) - w (f @ v); the
-    line-in-plane test is relative to |v| |w|.
+
+def meet_spans(functionals: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Meets of planes and lines span{v, w}, row by row over leading axes.
+
+    With f a plane's functional the point is v (f @ w) - w (f @ v); the
+    line-in-plane test, the one of _meet_point, is relative to |v| |w|.
+    Returns the normalized points.
     """
-    f = plane.functional
-    return _meet_point(v * (f @ w) - w * (f @ v), _norm(v) * _norm(w))
+    f = np.asarray(functionals, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    x = v * (f * w).sum(axis=-1, keepdims=True) - w * (f * v).sum(axis=-1, keepdims=True)
+    if (row_norms(x) < DEFAULT_TOL * row_norms(v) * row_norms(w)).any():
+        raise GeometryError(_LINE_IN_PLANE)
+    return normalize_rows(x)
 
 
 def meet_line(plane: ProjPlane, line: np.ndarray) -> np.ndarray:

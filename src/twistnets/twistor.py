@@ -28,6 +28,7 @@ from .proj4 import (
     line_point,
     meet_join,
     normalize_proj,
+    normalize_rows,
     nullspace,
     span_residual,
     wedge,
@@ -80,6 +81,15 @@ def j_on_vector(v: np.ndarray) -> np.ndarray:
     return np.array([-c[1], c[0], -c[3], c[2]])
 
 
+_J_PERM = np.array([1, 0, 3, 2])
+_J_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
+
+
+def j_on_rows(v: np.ndarray) -> np.ndarray:
+    """j_on_vector along the last axis of a stack of vectors."""
+    return np.conj(np.asarray(v, dtype=complex))[..., _J_PERM] * _J_SIGN
+
+
 def j_on_bivector(a: np.ndarray) -> np.ndarray:
     """Induced action (v ^ w) -> (vj ^ wj) on Pluecker vectors; squares to +id."""
     a = np.asarray(a, dtype=complex)
@@ -103,6 +113,15 @@ def twistor_project(v: np.ndarray) -> HPoint:
     q1 = Quaternion.from_complex_pair(v[0], v[1])
     q2 = Quaternion.from_complex_pair(v[2], v[3])
     return HPoint(q1, q2)
+
+
+def lift_rows(points) -> np.ndarray:
+    """HPoint.lift of each of a sequence of points, stacked as (k, 4) rows."""
+    # (w, x) and (y, -z) of a quaternion are the real and imaginary parts of
+    # its complex pair
+    parts = np.array([(p.a.w, p.a.x, p.a.y, -p.a.z, p.b.w, p.b.x, p.b.y, -p.b.z)
+                      for p in points], dtype=float).reshape(-1, 8)
+    return normalize_rows(parts.view(complex))
 
 
 def fiber_pair(p: HPoint) -> tuple[np.ndarray, np.ndarray]:

@@ -264,6 +264,49 @@ def test_pcen_doc_check_and_byte_stable_reexport(tmp_path, capsys):
     assert open(first).read() == open(second).read()
 
 
+def _pcen_doc(rng, size):
+    pts = [HPoint.from_quaternion(Quaternion(*rng.standard_normal(4)))
+           for _ in range(2 * size - 1)]
+    net = evolve_net_circular(pts[:size], pts[size:], -1.3)
+    lift = net[0, 0].lift()
+    sphere = normalize_proj(wedge(lift, rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+    return pcen_to_doc(pcen_from_circular(net, contact_element(net[0, 0], sphere)))
+
+
+def test_check_names_a_missing_pcen_element(tmp_path, capsys):
+    doc = _pcen_doc(np.random.default_rng(12), 4)
+    del doc["entries"]["1,1"]
+    assert main(["check", _write(tmp_path, "pcen.json", doc)]) == 1
+    assert "PCEN has no element at (1, 1)" in capsys.readouterr().err
+
+
+def test_pcen_closure_checks_faces_with_a_far_base_point(tmp_path, capsys):
+    doc = _pcen_doc(np.random.default_rng(13), 6)
+    del doc["entries"]["2,3"]["base"]
+    assert main(["check", _write(tmp_path, "pcen.json", doc), "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    closure = rep["faces"][0]
+    assert closure["face"] == "closure" and closure["faces"] == 24
+    assert 0.0 < closure["residual"] < 1e-12
+
+
+@pytest.mark.parametrize("argv, patch", [
+    (["check", "{src}", "--json"], ("pcen_adjacency_residual", lambda pcen: float("nan"))),
+    (["hexahedron", "{hex}", "--json"], ("quadric_pair", lambda a, b: complex("inf"))),
+])
+def test_json_outputs_map_non_finite_to_exit_2(tmp_path, capsys, monkeypatch, argv, patch):
+    import twistnets.cli as cli
+    src = _write(tmp_path, "pcen.json", _pcen_doc(np.random.default_rng(14), 3))
+    e = np.eye(4, dtype=complex)
+    cube = [wedge(e[0], e[1]), wedge(e[0], e[2]), wedge(e[0], e[3]), wedge(e[1], e[2])]
+    cube += [cube[0] + cube[1] + cube[2], cube[0] + cube[1] + cube[3], cube[0] + cube[2] + cube[3]]
+    hexa = _write(tmp_path, "hex.json", {"points": [_cvec_out(normalize_proj(p)) for p in cube]})
+    monkeypatch.setattr(cli, *patch)
+    assert main([a.format(src=src, hex=hexa) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert "non-finite value in output" in out.err and out.out == ""
+
+
 def test_exit_code_geometry_errors(tmp_path, capsys):
     src = _write(tmp_path, "curve.json", _hp1_curve_doc())
     # lambda = 1 is a degenerate cross ratio

@@ -145,6 +145,15 @@ def test_pcen_from_complex_cr_adjacency():
         assert null_line_real_point(pcen[idx]) is not None
 
 
+def test_face_closure_needs_an_hp1_base():
+    rng = np.random.default_rng(9)
+    curve = [complex(*rng.standard_normal(2)) for _ in range(3)]
+    seeds = [complex(*rng.standard_normal(2)) for _ in range(2)]
+    pcen = pcen_from_complex_cr(_sphere_c(), evolve_net_complex(curve, seeds, 1j))
+    with pytest.raises(GeometryError, match="face closure needs a 2-dim hp1 base"):
+        pcen_face_closure(pcen)
+
+
 def test_pcen_from_complex_cr_connecting_spheres_half_touch():
     rng = np.random.default_rng(7)
     lam = 1j

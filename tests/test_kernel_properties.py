@@ -13,9 +13,13 @@ the singular values of a direct decomposition, on matrices whose singular
 values lie within 1e-3...1e3 of the cut.  The exterior-algebra line kernel
 (line_factorize, meet_join, plane_fiber, the ∧³ meet of hexahedron_complete
 and rho) is checked against the null-space constructions it replaced, built
-here from an SVD of the line matrix.
+here from an SVD of the line matrix.  The batched kernels (propagate_elements,
+span_planes, normalize_rows, lift_rows) are checked row by row against the
+same references or against their one-vector counterparts, and the whole-array
+PCEN checks against a single moved element.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -23,9 +27,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twistnets.contact import contact_element, propagate_element
+from twistnets.contact import (
+    PCEN,
+    NullLine,
+    contact_element,
+    pcen_adjacency_residual,
+    pcen_face_closure,
+    pcen_from_circular,
+    propagate_element,
+    propagate_elements,
+)
 from twistnets.lie import QuatHermitianForm, rho
-from twistnets.nets import LatticeNet, hexahedron_complete, is_conic_net
+from twistnets.nets import LatticeNet, evolve_net_circular, hexahedron_complete, is_conic_net
 from twistnets.proj4 import (
     GeometryError,
     line_factorize,
@@ -34,6 +47,7 @@ from twistnets.proj4 import (
     meet_line,
     meet_span,
     normalize_proj,
+    normalize_rows,
     nullspace,
     orthonormal_pair,
     orthonormal_span,
@@ -41,6 +55,7 @@ from twistnets.proj4 import (
     proj_distance,
     quadric_pair,
     span_functional,
+    span_planes,
     span_residual,
     svd_rank,
     wedge,
@@ -51,8 +66,10 @@ from twistnets.twistor import (
     fiber_pair,
     j_on_bivector,
     j_on_vector,
+    lift_rows,
     plane_fiber,
     twistor_fiber,
+    twistor_project,
 )
 
 AGREE = 1e-12
@@ -186,19 +203,19 @@ def test_dependent_triple_is_degenerate_span(a, b, alpha, beta):
         plane_from_span([a, b, c])
 
 
-@settings(settings.get_profile("kernel"))
-@given(quat, quat, vec4)
-def test_propagate_matches_svd_reference(p, q, direction):
+def _propagation_case(p, q, direction):
+    """A contact element at p, the next base point q and the SVD reference
+    of the element propagated to q, away from degenerate configurations.
+
+    The reference takes the fiber's pair from its Pluecker vector by SVD and
+    the new plane as the null space of an SVD-orthonormal basis.
+    """
     p, q = HPoint.from_quaternion(p), HPoint.from_quaternion(q)
     assume(proj_distance(p.lift(), q.lift()) > WELL_POSED)
     # a sphere through p: a line through p's lift, off p's fiber
     assume(_volume(*fiber_pair(p), direction) > WELL_POSED)
     direction = direction / _norm(direction)
     element = contact_element(p, normalize_proj(wedge(p.lift(), direction)))
-    got = propagate_element(element, q)
-
-    # reference: the fiber's pair from its Pluecker vector by SVD, and the
-    # new plane as the null space of an SVD-orthonormal basis
     fiber = twistor_fiber(q)
     assume(_meet_size(element.plane.functional, fiber) > WELL_POSED)
     ref_point = _reference_meet(element.plane.functional, fiber)
@@ -206,8 +223,156 @@ def test_propagate_matches_svd_reference(p, q, direction):
     assume(_volume(v, w, element.point) > WELL_POSED)
     basis = orthonormal_span([v, w, element.point], rank=3)
     ref_plane = nullspace(basis.T, 1e-10)[:, 0]
+    return element, q, ref_point, ref_plane
+
+
+@settings(settings.get_profile("kernel"))
+@given(quat, quat, vec4)
+def test_propagate_matches_svd_reference(p, q, direction):
+    element, q, ref_point, ref_plane = _propagation_case(p, q, direction)
+    got = propagate_element(element, q)
     assert proj_distance(got.point, ref_point) < AGREE
     assert proj_distance(got.plane.functional, ref_plane) < AGREE
+
+
+@settings(settings.get_profile("kernel"))
+@given(st.lists(st.tuples(quat, quat, vec4), min_size=1, max_size=5))
+def test_propagate_elements_matches_svd_reference_row_by_row(rows):
+    cases = [_propagation_case(*row) for row in rows]
+    points, functionals = propagate_elements(
+        np.array([el.point for el, _, _, _ in cases]),
+        np.array([el.plane.functional for el, _, _, _ in cases]),
+        np.array([q.lift() for _, q, _, _ in cases]))
+    assert points.shape == functionals.shape == (len(cases), 4)
+    for (_, _, ref_point, ref_plane), x, f in zip(cases, points, functionals):
+        assert proj_distance(x, ref_point) < AGREE
+        assert proj_distance(f, ref_plane) < AGREE
+
+
+@settings(settings.get_profile("kernel"))
+@given(st.lists(st.tuples(vec4, vec4, vec4), min_size=1, max_size=4),
+       vec4, vec4, vec4, log_scale, st.integers(0, 4))
+def test_span_planes_decides_each_row_as_plane_from_span(triples, a, b, c, eps, at):
+    """A nearly collinear triple, eps from the line through a, inside a
+    stack of well-posed ones: the stack raises exactly when plane_from_span
+    raises on that triple, with its message, and otherwise each row is that
+    row's plane_from_span."""
+    assume(all(_volume(*t) > WELL_POSED for t in triples))
+    assume(min(_norm(a), _norm(b), _norm(c)) > WELL_POSED)
+    triples.insert(min(at, len(triples)), (a, a + eps * b, a + eps * c))
+    try:
+        want = [plane_from_span(list(t)).functional for t in triples]
+    except GeometryError as exc:
+        with pytest.raises(GeometryError) as got:
+            span_planes(np.array(triples))
+        assert str(got.value) == str(exc)
+        return
+    got = span_planes(np.array(triples))
+    for f, w in zip(got, want):
+        # the same ∧³ functional or the same SVD; a volume down to 1e-4
+        # leaves the closed form rounding error of 1e-16 / volume
+        assert proj_distance(f, w) < 1e-10
+
+
+@settings(settings.get_profile("kernel"))
+@given(st.lists(st.tuples(quat, quat, vec4), min_size=2, max_size=4), st.integers(0, 3),
+       vec4, vec4, st.booleans())
+def test_coinciding_point_in_a_stack_raises_the_scalar_error(rows, at, u, w, half):
+    """One row of a stack propagates an element to its own base point.  A
+    contact element's plane holds that point's fiber (fiber-in-plane); a
+    half-contact element's plane meets the fiber in the element's point
+    alone, and the plane of the fiber and that point is degenerate."""
+    cases = [_propagation_case(*row) for row in rows]
+    at = min(at, len(cases) - 1)
+    element = cases[at][0]
+    if half:
+        x = element.point
+        assume(_volume(x, u, w) > WELL_POSED)
+        element = NullLine(x, plane_from_span([x, u, w]))
+        assume(element.plane.residual(j_on_vector(x)) > WELL_POSED)
+    base = twistor_project(element.point)
+    with pytest.raises(GeometryError) as want:
+        propagate_element(element, base)
+    assert str(want.value).startswith(
+        "next point coincides with the element's point: degenerate-span" if half
+        else "fiber-in-plane degeneracy: line-in-plane")
+    elements = [el for el, _, _, _ in cases]
+    elements[at] = element
+    lifts = np.array([q.lift() for _, q, _, _ in cases])
+    lifts[at] = base.lift()
+    with pytest.raises(GeometryError) as got:
+        propagate_elements(np.array([el.point for el in elements]),
+                           np.array([el.plane.functional for el in elements]), lifts)
+    assert str(got.value) == str(want.value)
+
+
+@functools.cache
+def _pcen_24():
+    """A PCEN over a 24x24 circular net."""
+    rng = np.random.default_rng(24)
+    points = [HPoint.from_quaternion(Quaternion(*rng.standard_normal(4))) for _ in range(47)]
+    net = evolve_net_circular(points[:24], points[24:], -1.3)
+    sphere = normalize_proj(wedge(net[0, 0].lift(), rng.standard_normal(4)
+                                  + 1j * rng.standard_normal(4)))
+    return pcen_from_circular(net, contact_element(net[0, 0], sphere))
+
+
+@settings(settings.get_profile("kernel"), max_examples=50)
+@given(st.integers(0, 23), st.integers(0, 23))
+def test_one_moved_element_shows_in_closure_and_adjacency(m, n):
+    """Every element but those at (0, 0) and (23, 23), which start no face's
+    propagation, feeds a face of the closure: moving its point by 1e-6
+    inside its plane, off its fiber, raises both residuals above 1e-7 (the
+    smallest over all elements of this net are 1.3e-7 and 5.7e-7)."""
+    assume((m, n) not in ((0, 0), (23, 23)))
+    pcen = _pcen_24()
+    assert max(pcen_face_closure(pcen), pcen_adjacency_residual(pcen)) < 1e-12
+    el = pcen[m, n]
+    x, jx = el.point, j_on_vector(el.point)
+    # the direction in the plane orthogonal to the fiber span{x, jx}
+    off = next(d for d in el.plane.basis.T if span_residual(d, x, jx) > 0.5)
+    off = off - x * np.vdot(x, off) - jx * np.vdot(jx, off)
+    moved = PCEN(pcen.base, {**pcen.elements,
+                             (m, n): NullLine(x + 1e-6 * off / _norm(off), el.plane)})
+    assert pcen_face_closure(moved) > 1e-7
+    assert pcen_adjacency_residual(moved) > 1e-7
+
+
+# each component scaled by 10^-k, k = 0...9, so that some fall below the
+# anchor threshold of 1e-6 of the norm
+scaled_vec4 = st.tuples(vec4, st.lists(st.integers(0, 9), min_size=4, max_size=4)).map(
+    lambda t: t[0] * 10.0 ** -np.array(t[1]))
+
+
+@settings(settings.get_profile("kernel"))
+@given(st.lists(scaled_vec4, min_size=1, max_size=6))
+def test_normalize_rows_matches_normalize_proj(rows):
+    try:
+        want = [normalize_proj(v) for v in rows]
+    except GeometryError:
+        with pytest.raises(GeometryError, match="cannot normalize"):
+            normalize_rows(np.array(rows))
+        return
+    got = normalize_rows(np.array(rows))
+    for v, g, w in zip(rows, got, want):
+        # the anchor, the first component above 1e-6 of the norm, is exactly
+        # real and positive in both
+        anchor = int((np.abs(v) > 1e-6 * _norm(v)).argmax())
+        for x in (g, w):
+            assert x[anchor].imag == 0.0 and x[anchor].real > 0.0
+        # normalize_proj's norm is math.hypot, normalize_rows' a sum of
+        # squares: they differ by rounding
+        assert np.abs(g - w).max() <= 1e-15
+
+
+@settings(settings.get_profile("kernel"))
+@given(st.lists(st.tuples(quat, quat), min_size=1, max_size=6))
+def test_lift_rows_matches_lift(pairs):
+    points = [HPoint(a, b) for a, b in pairs if not (a.is_zero(1e-14) and b.is_zero(1e-14))]
+    assume(points)
+    got = lift_rows(points)
+    for g, p in zip(got, points):
+        assert np.abs(g - p.lift()).max() <= 1e-15
 
 
 def _unitary(rng, n):
