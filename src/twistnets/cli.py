@@ -215,6 +215,8 @@ def doc_to_net(doc: dict) -> LatticeNet:
 
 
 def pcen_to_doc(pcen: PCEN) -> dict:
+    if pcen.base.kind != "hp1":
+        raise GeometryError("pcen document needs an hp1 base net")
     entries = {}
     for idx in sorted(pcen.elements):
         el = pcen.elements[idx]

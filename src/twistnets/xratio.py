@@ -6,6 +6,19 @@ infinity needs no special casing in the core formulas: with
 d(u, v) = u_n v_d - v_n u_d the cross ratio is
 
     [z1, z2, z3, z4] = d(z1,z2) d(z3,z4) / (d(z2,z3) d(z4,z1)).
+
+A regulus is the conic that the plane of three pairwise skew lines f1, f2,
+f3 cuts from the Pluecker quadric Q^4.  With g_ab = <f_a, f_b> its point at
+[t : s] is the closed form
+
+    x(t : s) = g23 t(t-s) f1 - g13 (t-s)s f2 + g12 ts f3,
+
+which puts f1, f2, f3 at infinity, 0 and 1, and the parameter of a conic
+point is read back from its pairings with the generators; neither needs the
+regulus's transversals, a singular value decomposition or a least-squares
+fit.  The Steiner cross ratio of four conic points is the complex cross
+ratio of their parameters, and steiner_fourth_point, in complex_cr's
+normalization, places its three lines at infinity, 1 and 0.
 """
 
 from __future__ import annotations
@@ -15,22 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quat import Quaternion
-from . import proj4
 from .proj4 import (
     DEFAULT_TOL,
-    FIBER_TOL,
-    INCIDENCE_TOL,
+    QUADRIC_MATRIX,
     GeometryError,
-    lines_incident,
-    line_meet_point,
+    line_factorize,
     normalize_proj,
-    nullspace,
+    proj_distance,
     quadric_pair,
-    quadric_roots,
-    sort_key,
     wedge,
 )
-from .twistor import HPoint, is_j_real, j_on_bivector, j_on_vector
+from .twistor import HPoint
 
 
 @dataclass(frozen=True)
@@ -192,108 +200,74 @@ def moebius_apply(m, p: HPoint) -> HPoint:
 
 @dataclass
 class Regulus:
-    """A regulus through three pairwise skew lines, with its two transversals.
+    """The conic of Q^4 through three pairwise skew lines f1, f2, f3.
 
-    Points of the regulus are parameterized by CP^1: the point at z is
-    (p z + q) ^ (pt z + qt), with p, q on the transversal S and pt, qt on the
-    second transversal, scaled so z = inf, 0, 1 give the three generators.
+    Its points are the lines of the regulus the three span.  The generators
+    are the rows of a 3x6 array, at unit scale, and their pairings
+    (g12, g13, g23), g_ab = <f_a, f_b>, give the conic's closed
+    parametrization (_conic_point).
     """
 
-    generators: tuple
-    S: np.ndarray
-    S_tilde: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    pt: np.ndarray
-    qt: np.ndarray
-
-
-def regulus_transversals(f1, f2, f3):
-    """The two lines incident to all three pairwise skew generators."""
-    gens = [normalize_proj(f) for f in (f1, f2, f3)]
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if lines_incident(gens[a], gens[b], 1e-8):
-                raise GeometryError("generators-not-skew")
-    rows = np.array([g @ proj4.QUADRIC_MATRIX for g in gens])
-    w = nullspace(rows, 1e-10)
-    if w.shape[1] != 3:
-        raise GeometryError("generators-not-skew: polar system not rank 3")
-    combos = [(0, 1), (0, 2), (1, 2)]
-    shifts = [0.0, 0.37, -0.61, 1.13]
-    for s in shifts:
-        for i, jdx in combos:
-            third = 3 - i - jdx
-            g = w[:, i] + s * w[:, third]
-            h = w[:, jdx]
-            cands = quadric_roots(g, h)
-            good = [x for x in cands
-                    if abs(quadric_pair(x, x)) < INCIDENCE_TOL]
-            if len(good) < 2:
-                continue
-            good.sort(key=sort_key)
-            s1, s2 = good[0], good[1]
-            if proj4.proj_distance(s1, s2) < 1e-6:
-                continue
-            if lines_incident(s1, s2, 1e-7):
-                continue
-            return s1, s2
-    raise GeometryError("degenerate-normalization: no skew transversal pair found")
-
-
-def _scaled_factors(S, f1, f2, f3):
-    """Points p, q of S on f1, f2, scaled so the point of S on f3 is p + q."""
-    p0 = line_meet_point(S, f1)
-    q0 = line_meet_point(S, f2)
-    r = line_meet_point(S, f3)
-    coeffs, _, _, _ = np.linalg.lstsq(np.column_stack([p0, q0]), r, rcond=None)
-    a, b = coeffs
-    if abs(a) < 1e-12 or abs(b) < 1e-12:
-        raise GeometryError("degenerate-normalization")
-    return p0 * a, q0 * b
+    generators: np.ndarray
+    pairings: tuple
 
 
 def regulus_build(f1, f2, f3) -> Regulus:
-    gens = tuple(normalize_proj(f) for f in (f1, f2, f3))
-    S, St = regulus_transversals(*gens)
-    all_real = all(is_j_real(g, FIBER_TOL) for g in gens)
-    if all_real:
-        # for generators fixed by the j-action the transversal pair is swapped
-        # by j; using the exact j-image keeps real parameters exactly real
-        Sj = normalize_proj(j_on_bivector(S))
-        if proj4.proj_distance(Sj, S) > 1e-6:
-            St = Sj
-    p, q = _scaled_factors(S, *gens)
-    if all_real and proj4.proj_distance(normalize_proj(j_on_bivector(S)), St) < 1e-8:
-        pt, qt = j_on_vector(p), j_on_vector(q)
-    else:
-        pt, qt = _scaled_factors(St, *gens)
-    return Regulus(gens, S, St, p, q, pt, qt)
+    gens = np.array([normalize_proj(f) for f in (f1, f2, f3)])
+    pairings = tuple(quadric_pair(gens[a], gens[b]) for a, b in ((0, 1), (0, 2), (1, 2)))
+    if min(abs(g) for g in pairings) < 1e-8:
+        raise GeometryError("generators-not-skew")
+    return Regulus(gens, pairings)
+
+
+def _conic_point(r: Regulus, t, s) -> np.ndarray:
+    """The conic's point at [t : s], with f1, f2, f3 at infinity, 0 and 1.
+
+    x = g23 t(t-s) f1 - g13 (t-s)s f2 + g12 ts f3 has <x, x> = 0 identically,
+    since each g_aa vanishes, and <x, f1>, <x, f2>, <x, f3> are g12 g13 s^2,
+    g12 g23 t^2 and g13 g23 (t-s)^2.
+    """
+    f1, f2, f3 = r.generators
+    g12, g13, g23 = r.pairings
+    return g23 * t * (t - s) * f1 - g13 * (t - s) * s * f2 + g12 * t * s * f3
 
 
 def regulus_point(r: Regulus, z) -> np.ndarray:
+    """The regulus line at parameter z.
+
+    The closed form is off Q^4 by rounding, and a chain of fourth points,
+    each built from the last, amplifies that; the wedge of the pair that
+    line_factorize takes from two columns of the line matrix is decomposable
+    whatever its input, so the result is snapped back onto the quadric.
+    """
     z = as_ext(z)
-    v = r.p * z.num + r.q * z.den
-    w = r.pt * z.num + r.qt * z.den
-    return normalize_proj(wedge(v, w))
+    return normalize_proj(wedge(*line_factorize(_conic_point(r, z.num, z.den))))
 
 
 def regulus_parameter(r: Regulus, a: np.ndarray) -> ExtC:
-    """The CP^1 parameter of a regulus point, read off on the transversal S."""
+    """The CP^1 parameter [t : s] of a regulus line, from its pairings.
+
+    By linearity a = k x(t, s) pairs with f1 / (g12 g13), f2 / (g12 g23) and
+    y = (f1 / (g12 g13) + f2 / (g12 g23) - f3 / (g13 g23)) / 2 to k s^2, k t^2
+    and k ts; [t : s] is the better conditioned of [t^2 : ts] and [ts : s^2].
+    The pairings see only a's part in the conic's plane, so a is accepted
+    only if the point at [t : s] is a itself.
+    """
     a = normalize_proj(a)
-    if not lines_incident(a, r.S, INCIDENCE_TOL) or \
-            not lines_incident(a, r.S_tilde, INCIDENCE_TOL):
+    g12, g13, g23 = r.pairings
+    p1, p2, p3 = r.generators @ QUADRIC_MATRIX @ a
+    ss = p1 / (g12 * g13)
+    tt = p2 / (g12 * g23)
+    ts = 0.5 * (ss + tt - p3 / (g13 * g23))
+    t, s = (tt, ts) if abs(tt) >= abs(ss) else (ts, ss)
+    scale = max(abs(t), abs(s))
+    if scale == 0.0 or proj_distance(_conic_point(r, t / scale, s / scale), a) > 1e-7:
         raise GeometryError("point is not on the regulus conic")
-    x = line_meet_point(a, r.S)
-    coeffs, _, _, _ = np.linalg.lstsq(np.column_stack([r.p, r.q]), x, rcond=None)
-    resid = np.linalg.norm(np.column_stack([r.p, r.q]) @ coeffs - x)
-    if resid > 1e-7:
-        raise GeometryError("point is not on the regulus conic")
-    return ExtC(coeffs[0], coeffs[1])
+    return ExtC(t / scale, s / scale)
 
 
 def steiner_cr(r: Regulus, a1, a2, a3, a4) -> ExtC:
-    """Cross ratio of four conic points via their transversal parameters."""
+    """Cross ratio of four conic points via their conic parameters."""
     zs = [regulus_parameter(r, a) for a in (a1, a2, a3, a4)]
     return complex_cr(*zs)
 

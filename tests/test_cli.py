@@ -17,7 +17,7 @@ from twistnets.cli import (
     parse_complex,
     pcen_to_doc,
 )
-from twistnets.contact import contact_element, pcen_from_circular
+from twistnets.contact import contact_element, pcen_from_circular, pcen_from_complex_cr
 from twistnets.nets import evolve_net_circular, evolve_net_complex, lift_to_QS2
 from twistnets.proj4 import GeometryError, wedge
 
@@ -262,6 +262,18 @@ def test_pcen_doc_check_and_byte_stable_reexport(tmp_path, capsys):
     second = str(tmp_path / "again.json")
     dump_doc(pcen_to_doc(doc_to_pcen(load_doc(first))), second)
     assert open(first).read() == open(second).read()
+
+
+def test_pcen_doc_needs_an_hp1_base():
+    # a PCEN from the complex cross-ratio construction sits over a cp1 net,
+    # which the pcen document format cannot hold
+    rng = np.random.default_rng(13)
+    curve = [complex(*rng.standard_normal(2)) for _ in range(3)]
+    seeds = [complex(*rng.standard_normal(2)) for _ in range(2)]
+    e = np.eye(4, dtype=complex)
+    pcen = pcen_from_complex_cr(wedge(e[0], e[2]), evolve_net_complex(curve, seeds, 1j))
+    with pytest.raises(GeometryError, match="pcen document needs an hp1 base"):
+        pcen_to_doc(pcen)
 
 
 def _pcen_doc(rng, size):

@@ -16,10 +16,16 @@ and rho) is checked against the null-space constructions it replaced, built
 here from an SVD of the line matrix.  The batched kernels (propagate_elements,
 span_planes, normalize_rows, lift_rows) are checked row by row against the
 same references or against their one-vector counterparts, and the whole-array
-PCEN checks against a single moved element.
+PCEN checks against a single moved element.  The closed-form conic of a
+regulus (regulus_point) is checked against the transversal construction it
+replaced: the two lines meeting the generators, from the null space of their
+polar rows, with points scaled by least squares.  steiner_fourth_point is
+checked for the 3D consistency of the cross-ratio system on cubes, with
+labels that do not factor as a control.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -40,9 +46,11 @@ from twistnets.contact import (
 from twistnets.lie import QuatHermitianForm, rho
 from twistnets.nets import LatticeNet, evolve_net_circular, hexahedron_complete, is_conic_net
 from twistnets.proj4 import (
+    QUADRIC_MATRIX,
     GeometryError,
     line_factorize,
     line_matrix,
+    line_meet_point,
     meet_join,
     meet_line,
     meet_span,
@@ -54,6 +62,7 @@ from twistnets.proj4 import (
     plane_from_span,
     proj_distance,
     quadric_pair,
+    quadric_roots,
     span_functional,
     span_planes,
     span_residual,
@@ -71,6 +80,7 @@ from twistnets.twistor import (
     twistor_fiber,
     twistor_project,
 )
+from twistnets.xratio import INF, as_ext, regulus_build, regulus_point, steiner_fourth_point
 
 AGREE = 1e-12
 WELL_POSED = 1e-2
@@ -592,3 +602,113 @@ def test_rho_matches_perpendicular_null_space(v, w, q, r1, r2):
     form = QuatHermitianForm(((Quaternion.from_real(r1), q),
                               (q.conjugate(), Quaternion.from_real(r2))))
     assert proj_distance(rho(line, form), _reference_rho(line, form)) < AGREE
+
+
+def _reference_transversals(gens):
+    """The two lines meeting three skew lines: the quadric's points on a
+    pencil in the plane polar to their span, found by shifting the pencil
+    until it cuts the quadric in two skew lines."""
+    w = nullspace(np.array([g @ QUADRIC_MATRIX for g in gens]), 1e-10)
+    assert w.shape == (6, 3)
+    for shift in (0.0, 0.37, -0.61, 1.13):
+        roots = [x for x in quadric_roots(w[:, 0] + shift * w[:, 2], w[:, 1])
+                 if abs(quadric_pair(x, x)) < 1e-7]
+        if len(roots) == 2 and abs(quadric_pair(*roots)) > WELL_POSED:
+            return roots
+    assume(False)
+
+
+def _reference_factors(transversal, gens):
+    """Points p, q of a transversal on the first two generators, scaled so
+    that its point on the third is p + q."""
+    p, q, r = (line_meet_point(transversal, g) for g in gens)
+    (a, b), *_ = np.linalg.lstsq(np.column_stack([p, q]), r, rcond=None)
+    return a * p, b * q
+
+
+def _reference_regulus_point(transversals, gens, z):
+    """The regulus line at z through the transversals' points at z, where
+    the generators sit at infinity, 0 and 1."""
+    (p, q), (pt, qt) = (_reference_factors(s, gens) for s in transversals)
+    return wedge(p * z.num + q * z.den, pt * z.num + qt * z.den)
+
+
+def _fibers(quats):
+    return [twistor_fiber(HPoint.from_quaternion(q)) for q in quats]
+
+
+def _skew(lines):
+    """The smallest |<a, b>| of a pair of the unit-scaled lines."""
+    units = [normalize_proj(x) for x in lines]
+    return min(abs(quadric_pair(a, b)) for a, b in itertools.combinations(units, 2))
+
+
+# three complex lines, or three twistor fibers
+generator_triples = st.one_of(st.lists(st.tuples(vec4, vec4), min_size=3, max_size=3),
+                              st.lists(quat, min_size=3, max_size=3))
+ext_param = st.one_of(st.just(INF), st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                                        allow_infinity=False).map(as_ext))
+
+
+@settings(settings.get_profile("kernel"))
+@given(generator_triples, ext_param)
+def test_regulus_point_matches_transversal_construction(triple, z):
+    if isinstance(triple[0], Quaternion):
+        gens = _fibers(triple)
+    else:
+        gens = [_line(v, w) for v, w in triple]
+    assume(_skew(gens) > WELL_POSED)
+    gens = [normalize_proj(g) for g in gens]
+    transversals = _reference_transversals(gens)
+    got = regulus_point(regulus_build(*gens), z)
+    assert proj_distance(got, _reference_regulus_point(transversals, gens, z)) < AGREE
+    assert max(abs(quadric_pair(got, s)) for s in transversals) < AGREE
+
+
+def _far_vertices(x, sides, l12, l13, l23):
+    """The far vertex of the cube on x, x1, x2, x3 by each of its three
+    faces, the face on x, x_i, x_j closed with cr(x_i, x, x_j, x_ij) = l_ij.
+    Cubes with a far face whose lines pair below 1e-3 are left out: the
+    completion's error grows as that pairing shrinks."""
+    x1, x2, x3 = sides
+    x12 = steiner_fourth_point(x1, x, x2, l12)
+    x13 = steiner_fourth_point(x1, x, x3, l13)
+    x23 = steiner_fourth_point(x2, x, x3, l23)
+    faces = ((x13, x3, x23), (x12, x2, x23), (x12, x1, x13))
+    assume(min(_skew(face) for face in faces) > 1e-3)
+    return [steiner_fourth_point(*face, label) for face, label in zip(faces, (l12, l13, l23))]
+
+
+def _spread(points):
+    return max(proj_distance(a, b) for a, b in itertools.combinations(points, 2))
+
+
+def _labels_ok(labels):
+    return all(WELL_POSED < abs(x) < 1.0 / WELL_POSED and abs(x - 1.0) > WELL_POSED
+               for x in labels)
+
+
+@settings(settings.get_profile("kernel"))
+@given(rngs, st.booleans())
+def test_cross_ratio_system_is_3d_consistent(rng, fibers):
+    """The complex cross-ratio system cr(x_i, x, x_j, x_ij) = a_i / a_j on
+    Q^4 is 3D consistent: the three completions of the far vertex agree.
+    Real labels on twistor fibers give the real cross-ratio system.  The
+    control, three labels l_ij with l12 l23 != l13, must disagree."""
+    def draw(n):
+        x = rng.standard_normal((n, 2))
+        return x[:, 0] if fibers else x[:, 0] + 1j * x[:, 1]
+
+    if fibers:
+        cube = _fibers(Quaternion(*q) for q in rng.standard_normal((4, 4)))
+    else:
+        cube = [wedge(v, w) for v, w in draw(32).reshape(4, 2, 4)]
+    assume(_skew(cube) > WELL_POSED)
+    a1, a2, a3 = draw(3)
+    labels = (a1 / a2, a1 / a3, a2 / a3)
+    assume(_labels_ok(labels))
+    assert _spread(_far_vertices(cube[0], cube[1:], *labels)) < 1e-10
+    free = draw(3)
+    l12, l13, l23 = free
+    assume(_labels_ok(free) and abs(l12 * l23 / l13 - 1.0) > 0.1)
+    assert _spread(_far_vertices(cube[0], cube[1:], *free)) > 1e-6

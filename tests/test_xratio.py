@@ -24,7 +24,6 @@ from twistnets.xratio import (
     regulus_build,
     regulus_parameter,
     regulus_point,
-    regulus_transversals,
     steiner_cr,
     steiner_fourth_point,
 )
@@ -132,16 +131,6 @@ def _random_fiber(rng):
     return twistor_fiber(_hp(Quaternion(*rng.standard_normal(4))))
 
 
-def test_regulus_transversals_meet_generators():
-    rng = np.random.default_rng(4)
-    gens = [_random_fiber(rng) for _ in range(3)]
-    s, s2 = regulus_transversals(*gens)
-    for t in (s, s2):
-        assert is_decomposable(t, 1e-8)
-        for g in gens:
-            assert lines_incident(t, g, 1e-8)
-
-
 def test_regulus_point_parameters():
     rng = np.random.default_rng(5)
     gens = [_random_fiber(rng) for _ in range(3)]
@@ -223,5 +212,24 @@ def test_regulus_rejects_non_skew():
     a = wedge(v, rng.standard_normal(4) + 1j * rng.standard_normal(4))
     b = wedge(v, rng.standard_normal(4) + 1j * rng.standard_normal(4))
     c = _random_fiber(rng)
-    with pytest.raises(GeometryError):
-        regulus_transversals(a, b, c)
+    with pytest.raises(GeometryError, match="generators-not-skew"):
+        regulus_build(a, b, c)
+
+
+def test_line_off_the_conic_through_both_transversals_is_rejected():
+    # the regulus of the fibers over infinity, 0 and 1 on the sphere C has
+    # the lines (z e1 + e2) ^ (z e1j + e2j) and the transversals
+    # span{e1, e2} and span{e1j, e2j}; the line through the point at z on
+    # the one and the point at w != z on the other meets both transversals
+    # but is not on the conic
+    e = np.eye(4, dtype=complex)
+    reg = regulus_build(wedge(e[0], e[1]), wedge(e[2], e[3]),
+                        wedge(e[0] + e[2], e[1] + e[3]))
+    z, w = 0.4 + 0.2j, -0.7 + 0.5j
+    off = wedge(z * e[0] + e[2], w * e[1] + e[3])
+    assert proj_distance(off, regulus_point(reg, z)) > 0.5
+    with pytest.raises(GeometryError, match="point is not on the regulus conic"):
+        regulus_parameter(reg, off)
+    on = [regulus_point(reg, x) for x in (0.5, -1.0, 2.0j)]
+    with pytest.raises(GeometryError, match="point is not on the regulus conic"):
+        steiner_cr(reg, *on, off)
