@@ -22,20 +22,22 @@ from .quat import Quaternion
 from . import proj4
 from .proj4 import (
     FIBER_TOL,
+    QUADRIC_MATRIX,
+    RANK_CUT,
     DocumentError,
     GeometryError,
-    ProjPlane,
     normalize_proj,
     quadric_pair,
+    span_ratios,
     wedge,
 )
-from .twistor import HPoint, is_j_real, twistor_project
-from .xratio import INF, ExtC, as_ext, complex_cr
+from .twistor import HPoint, affine_rows, is_j_real, twistor_project
+from .xratio import ExtC, complex_cr
 from .nets import (
     LatticeNet,
     evolve_net_circular,
     evolve_net_complex,
-    face_planarity,
+    face_vectors,
     hexahedron_complete,
     holonomy,
     is_conic_net,
@@ -44,7 +46,6 @@ from .nets import (
     sphere_point,
 )
 from .contact import (
-    NullLine,
     PCEN,
     closure_faces,
     null_line_real_point,
@@ -114,11 +115,17 @@ def _idx_key(idx) -> str:
     return ",".join(str(i) for i in idx)
 
 
-def _key_idx(key: str) -> tuple:
+def _key_idx(key: str, box: tuple) -> tuple:
+    """The lattice index of an entry key, inside the box."""
     try:
-        return tuple(int(p) for p in key.split(","))
+        idx = tuple(int(p) for p in key.split(","))
     except ValueError as exc:
         raise DocumentError(f"entry index {key!r} is not a list of integers") from exc
+    if len(idx) != len(box):
+        raise GeometryError(f"entry index {key!r} has wrong dimension")
+    if not all(0 <= i < n for i, n in zip(idx, box)):
+        raise GeometryError(f"entry index {key!r} outside the box")
+    return idx
 
 
 def _doc_shape(doc: dict) -> tuple:
@@ -129,29 +136,35 @@ def _doc_shape(doc: dict) -> tuple:
         raise DocumentError("document dim and box must be integers")
     if not isinstance(doc["entries"], dict):
         raise DocumentError("document entries must be an object")
+    if len(box) != dim or min(box, default=0) < 0:
+        raise DocumentError("document box must hold dim sizes, none negative")
     return dim, tuple(box)
 
 
 def net_to_doc(net: LatticeNet) -> dict:
     """Serializable document for a lattice net (values chart-normalized)."""
-    entries = {}
-    for idx in sorted(net.values):
-        v = net.values[idx]
-        if net.kind == "cp1":
-            entries[_idx_key(idx)] = _ext_out(as_ext(v))
-        elif net.kind == "hp1":
-            entries[_idx_key(idx)] = _hpoint_out(v)
-        else:
-            entries[_idx_key(idx)] = _cvec_out(v)
     doc = {
         "schema": SCHEMA_VERSION,
         "dim": net.dim,
         "box": list(net.shape),
         "kind": net.kind,
-        "entries": entries,
+        "entries": _entries_out(net),
         "metadata": _metadata_out(net.metadata),
     }
     return doc
+
+
+def _entries_out(net: LatticeNet) -> dict:
+    """The document entries of a net's values, by key in index order."""
+    rows = net.data[net.present]
+    if net.kind == "cp1":
+        values = [_ext_out(ExtC(*z)) for z in rows.tolist()]
+    elif net.kind == "hp1":
+        q, at_inf = affine_rows(rows)
+        values = [None if inf else v for v, inf in zip(q.tolist(), at_inf.tolist())]
+    else:
+        values = [_cvec_out(v) for v in rows]
+    return {_idx_key(idx): v for idx, v in zip(net.present_indices(), values)}
 
 
 def _metadata_out(md: dict) -> dict:
@@ -191,42 +204,37 @@ def doc_to_net(doc: dict) -> LatticeNet:
         raise GeometryError("pcen documents are handled separately")
     dim, box = _doc_shape(doc)
     net = LatticeNet(dim, box, kind, metadata=_metadata_in(doc.get("metadata", {})))
+    # the document's values go into the fresh net's arrays as they are, so
+    # that a re-export reproduces the file byte for byte
     for key, vals in doc["entries"].items():
-        idx = _key_idx(key)
-        if len(idx) != net.dim:
-            raise GeometryError(f"entry index {key!r} has wrong dimension")
-        for i, n in zip(idx, net.shape):
-            if not 0 <= i < n:
-                raise GeometryError(f"entry index {key!r} outside the box")
+        idx = _key_idx(key, box)
         if kind == "cp1":
-            if vals is None:
-                net.values[idx] = INF
-            else:
-                re, im = _reals(vals, 2, f"cp1 entry {key!r}")
-                net.values[idx] = ExtC(complex(re, im), 1.0)
+            net.data[idx] = (1.0, 0.0) if vals is None \
+                else (complex(*_reals(vals, 2, f"cp1 entry {key!r}")), 1.0)
         elif kind == "hp1":
-            net.values[idx] = HPoint.infinity() if vals is None \
-                else _hpoint_in(vals, f"hp1 entry {key!r}")
+            net.data[idx] = _INF_PAIR if vals is None \
+                else (_reals(vals, 4, f"hp1 entry {key!r}"), _ONE)
         else:
-            # values are stored normalized; keep them verbatim so that a
-            # re-export reproduces the file byte for byte
-            net.values[idx] = _cvec_in(vals, 6, f"q4 entry {key!r}")
+            net.data[idx] = _cvec_in(vals, 6, f"q4 entry {key!r}")
+        net.present[idx] = True
     return net
+
+
+_ONE = (1.0, 0.0, 0.0, 0.0)
+_INF_PAIR = (_ONE, (0.0, 0.0, 0.0, 0.0))
 
 
 def pcen_to_doc(pcen: PCEN) -> dict:
     if pcen.base.kind != "hp1":
         raise GeometryError("pcen document needs an hp1 base net")
+    base = _entries_out(pcen.base)
     entries = {}
-    for idx in sorted(pcen.elements):
-        el = pcen.elements[idx]
-        entry = {
-            "point": _cvec_out(el.point),
-            "plane": _cvec_out(el.plane.functional),
-        }
-        if idx in pcen.base.values:
-            entry["base"] = _hpoint_out(pcen.base.values[idx])
-        entries[_idx_key(idx)] = entry
+    for idx in pcen.elements:
+        key = _idx_key(idx)
+        entries[key] = {"point": _cvec_out(pcen.points[idx]),
+                        "plane": _cvec_out(pcen.functionals[idx])}
+        if key in base:
+            entries[key]["base"] = base[key]
     return {
         "schema": SCHEMA_VERSION,
         "dim": pcen.base.dim,
@@ -242,15 +250,18 @@ def doc_to_pcen(doc: dict) -> PCEN:
         raise GeometryError("not a pcen document")
     dim, box = _doc_shape(doc)
     base = LatticeNet(dim, box, "hp1", metadata=_metadata_in(doc.get("metadata", {})))
-    elements = {}
+    points = np.zeros(box + (4,), dtype=complex)
+    functionals = np.zeros_like(points)
+    present = np.zeros(box, dtype=bool)
     for key, entry in doc["entries"].items():
-        idx = _key_idx(key)
-        point = _cvec_in(entry["point"], 4, f"pcen point {key!r}")
-        plane = ProjPlane(_cvec_in(entry["plane"], 4, f"pcen plane {key!r}"))
-        elements[idx] = NullLine(point, plane)
+        idx = _key_idx(key, box)
+        points[idx] = _cvec_in(entry["point"], 4, f"pcen point {key!r}")
+        functionals[idx] = _cvec_in(entry["plane"], 4, f"pcen plane {key!r}")
+        present[idx] = True
         if entry.get("base") is not None:
-            base.values[idx] = _hpoint_in(entry["base"], f"pcen base {key!r}")
-    return PCEN(base, elements)
+            base.data[idx] = (_reals(entry["base"], 4, f"pcen base {key!r}"), _ONE)
+            base.present[idx] = True
+    return PCEN(base, points, functionals, present)
 
 
 def load_doc(path: str) -> dict:
@@ -374,8 +385,10 @@ def cmd_check(args) -> int:
         report = args.report
     rows, worst = _run_report(doc, report, tol)
     if args.json:
+        worst_face = rows[int(np.argmax([row["residual"] for row in rows]))]["face"] \
+            if rows else None
         out = {"report": report, "tol": tol, "max_residual": worst,
-               "ok": bool(worst <= tol), "faces": rows}
+               "ok": bool(worst <= tol), "worst_face": worst_face, "faces": rows}
         sys.stdout.write(_json_text(out))
     else:
         for row in rows:
@@ -401,14 +414,20 @@ def _run_report(doc: dict, report: str, tol: float):
         return rows, max(closure, adjacency)
     net = doc_to_net(doc)
     if report == "planarity":
-        for base, axes in net.faces():
-            r = max(face_planarity(net, base, axes), _quadric_defect(net, base, axes))
+        faces, vecs = face_vectors(net)
+        flat, resid = span_ratios(vecs).T
+        resid = np.maximum(resid, _quadric_defects(net, vecs))
+        # a face spanning fewer than three dimensions lies in no unique plane
+        resid[flat <= RANK_CUT] = np.maximum(resid[flat <= RANK_CUT], 1.0)
+        for (base, axes), r in zip(faces, resid.tolist()):
             rows.append({"face": f"{_idx_key(base)}/{axes[0]}{axes[1]}",
                          "residual": r})
             worst = max(worst, r)
     elif report == "conic":
-        for rep in is_conic_net(net, max(tol, 1e-12)):
-            r = max(rep.planarity, _quadric_defect(net, rep.base, rep.axes))
+        reports = is_conic_net(net, max(tol, 1e-12))
+        defects = _quadric_defects(net, face_vectors(net)[1])
+        for rep, defect in zip(reports, defects.tolist()):
+            r = max(rep.planarity, defect)
             if not rep.irreducible:
                 r = max(r, 1.0)  # reducible face counts as a failure
             rows.append({"face": f"{_idx_key(rep.base)}/{rep.axes[0]}{rep.axes[1]}",
@@ -430,13 +449,13 @@ def _run_report(doc: dict, report: str, tol: float):
     return rows, float(worst)
 
 
-def _quadric_defect(net: LatticeNet, base, axes) -> float:
-    """Largest |<a, a>| over a q4 face's unit-scaled vertices, 0 for other
-    kinds: a q4 value off the Pluecker quadric is no line of CP^3."""
+def _quadric_defects(net: LatticeNet, vecs: np.ndarray) -> np.ndarray:
+    """Largest |<a, a>| over each face's unit vectors, (faces, 4, 6), 0 for
+    kinds other than q4: a q4 value off the Pluecker quadric is no line of
+    CP^3."""
     if net.kind != "q4":
-        return 0.0
-    return max(abs(quadric_pair(a, a))
-               for a in map(normalize_proj, net.face_vertices(base, axes)))
+        return np.zeros(len(vecs))
+    return np.abs((vecs @ QUADRIC_MATRIX * vecs).sum(axis=-1)).max(axis=-1, initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -484,34 +503,20 @@ def cmd_export(args) -> int:
 def _export_lattice(net: LatticeNet, axis: int, lines: list):
     """Vertex lattice with quad faces; infinite points are skipped."""
     index_of = {}
-    for idx in sorted(net.values):
-        v = net.values[idx]
-        if net.kind == "cp1":
-            coords = _ext_out(as_ext(v))
-            coords = None if coords is None else [coords[0], coords[1], 0.0]
-        else:
-            affine = _hpoint_out(v)
-            coords = None if affine is None else _chart3(affine, axis)
-        if coords is None:
+    for idx, v in zip(net.present_indices(), _entries_out(net).values()):
+        if v is None:
             _warn(f"skipping point at infinity at index {idx}")
             continue
         index_of[idx] = len(index_of) + 1
+        coords = [v[0], v[1], 0.0] if net.kind == "cp1" else _chart3(v, axis)
         lines.append("v " + " ".join(_fmt(c) for c in coords))
     if net.dim == 2:
-        for base, axes in net.faces():
-            quad = []
-            for da, db in ((0, 0), (1, 0), (1, 1), (0, 1)):
-                idx = list(base)
-                idx[axes[0]] += da
-                idx[axes[1]] += db
-                quad.append(index_of.get(tuple(idx)))
-            if None in quad:
-                continue
-            lines.append("f " + " ".join(str(k) for k in quad))
-    elif net.dim == 1:
-        chain = [index_of[idx] for idx in sorted(index_of)]
-        if len(chain) >= 2:
-            lines.append("l " + " ".join(str(k) for k in chain))
+        for (m, n), _ in net.faces():
+            quad = [index_of.get((m + dm, n + dn)) for dm, dn in ((0, 0), (1, 0), (1, 1), (0, 1))]
+            if None not in quad:
+                lines.append("f " + " ".join(str(k) for k in quad))
+    elif net.dim == 1 and len(index_of) >= 2:
+        lines.append("l " + " ".join(str(k) for k in index_of.values()))
 
 
 def _sphere_center_radius(S: np.ndarray, axis: int, n_samples: int = 12):
@@ -555,8 +560,8 @@ def _sphere_center_radius(S: np.ndarray, axis: int, n_samples: int = 12):
 def _export_spheres(net: LatticeNet, axis: int, lines: list,
                     rings: int = 12, segments: int = 16):
     offset = 0
-    for idx in sorted(net.values):
-        a = net.values[idx]
+    for idx in net.present_indices():
+        a = net[idx]
         if is_j_real(a, FIBER_TOL):
             p = twistor_project(proj4.line_point(a))
             affine = _hpoint_out(p)
@@ -600,8 +605,8 @@ def _emit_uv_sphere(lines: list, center, radius: float,
 
 def _export_pcen(doc: dict, axis: int, lines: list):
     pcen = doc_to_pcen(doc)
-    for idx in sorted(pcen.elements):
-        p = null_line_real_point(pcen.elements[idx])
+    for idx, element in pcen.elements.items():
+        p = null_line_real_point(element)
         if p is None:
             _warn(f"skipping half-contact element at index {idx}")
             continue

@@ -9,7 +9,8 @@ point of S^4; a pencil with no fiber member is a half-contact element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .proj4 import (
     meet_join,
     meet_spans,
     normalize_proj,
-    plane_from_span,
+    normalize_rows,
     row_norms,
     span_planes,
     span_residual,
@@ -37,7 +38,7 @@ from .twistor import (
     twistor_fiber,
     twistor_project,
 )
-from .nets import LatticeNet, sphere_frame
+from .nets import LatticeNet, in_box, sphere_frame
 from .xratio import as_ext
 
 
@@ -155,15 +156,51 @@ def shared_sphere(l1: NullLine, l2: NullLine) -> np.ndarray:
     return line
 
 
-@dataclass
-class PCEN:
-    """A principal contact element net over a lattice of base points."""
+class PCEN(Mapping):
+    """A principal contact element net over a lattice of base points.
 
-    base: LatticeNet
-    elements: dict = field(default_factory=dict)
+    The element at a vertex of the base's box is a pencil point and a plane
+    functional, unit rows of points and functionals (box + (4,)); present
+    marks the vertices that have one.  As a mapping (pcen.elements is the
+    PCEN itself) it takes each such lattice index to its NullLine, built on
+    access.
+    """
 
-    def __getitem__(self, idx):
-        return self.elements[tuple(idx)]
+    def __init__(self, base: LatticeNet, points, functionals, present=None):
+        self.base = base
+        self.present = np.ones(base.shape, dtype=bool) if present is None else present
+        self.points, self.functionals = np.zeros((2,) + base.shape + (4,), dtype=complex)
+        self.points[self.present] = normalize_rows(points[self.present])
+        self.functionals[self.present] = normalize_rows(functionals[self.present])
+        # NullLine's condition, on all elements at once
+        if not (np.abs((self.points * self.functionals).sum(axis=-1)) < PENCIL_TOL).all():
+            raise GeometryError("pencil point must lie in the pencil plane")
+
+    @property
+    def elements(self) -> "PCEN":
+        return self
+
+    def __getitem__(self, idx) -> NullLine:
+        idx = tuple(idx)
+        if idx not in self:
+            raise KeyError(idx)
+        return NullLine(self.points[idx], ProjPlane(self.functionals[idx]))
+
+    def __contains__(self, idx) -> bool:
+        idx = tuple(idx)
+        return in_box(idx, self.base.shape) and bool(self.present[idx])
+
+    def __iter__(self):
+        return (tuple(idx) for idx in np.argwhere(self.present).tolist())
+
+    def __len__(self) -> int:
+        return int(self.present.sum())
+
+    def require_elements(self):
+        """Raise for the first vertex of the box without an element."""
+        missing = np.argwhere(~self.present).tolist()
+        if missing:
+            raise DocumentError(f"PCEN has no element at {tuple(missing[0])}")
 
 
 def _edges(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +244,8 @@ def pcen_from_circular(base: LatticeNet, initial: NullLine) -> PCEN:
     """
     if base.kind != "hp1" or base.dim != 2:
         raise GeometryError("circular base must be a 2-dim hp1 net")
-    lifts = lift_rows([base[idx] for idx in base.indices()]).reshape(base.shape + (4,))
+    base.require_complete()
+    lifts = lift_rows(base.data)
     _check_distinct_neighbors(lifts)
     rp = null_line_real_point(initial)
     if rp is None or not rp.isclose(base[0, 0], 1e-7):
@@ -221,23 +259,7 @@ def pcen_from_circular(base: LatticeNet, initial: NullLine) -> PCEN:
     for m in range(1, base.shape[0]):
         points[m], functionals[m] = propagate_elements(
             points[m - 1], functionals[m - 1], lifts[m])
-    elements = {idx: NullLine(points[idx], ProjPlane(functionals[idx]))
-                for idx in base.indices()}
-    elements[(0, 0)] = initial
-    return PCEN(base, elements)
-
-
-def _gather(pcen: PCEN) -> tuple[np.ndarray, np.ndarray]:
-    """The elements' points and plane functionals, each of shape box + (4,)."""
-    points = np.empty(pcen.base.shape + (4,), dtype=complex)
-    functionals = np.empty_like(points)
-    for idx in pcen.base.indices():
-        el = pcen.elements.get(idx)
-        if el is None:
-            raise DocumentError(f"PCEN has no element at {idx}")
-        points[idx] = el.point
-        functionals[idx] = el.plane.functional
-    return points, functionals
+    return PCEN(base, points, functionals)
 
 
 def closure_faces(pcen: PCEN) -> np.ndarray:
@@ -246,9 +268,7 @@ def closure_faces(pcen: PCEN) -> np.ndarray:
     (m + 1, n + 1) has a base point."""
     if pcen.base.kind != "hp1" or pcen.base.dim != 2:
         raise GeometryError("face closure needs a 2-dim hp1 base net")
-    m_n, n_n = pcen.base.shape
-    return np.array([[(m, n) in pcen.base.values for n in range(1, n_n)]
-                     for m in range(1, m_n)], dtype=bool).reshape(m_n - 1, n_n - 1)
+    return pcen.base.present[1:, 1:].copy()
 
 
 def pcen_face_closure(pcen: PCEN) -> float:
@@ -262,8 +282,9 @@ def pcen_face_closure(pcen: PCEN) -> float:
     faces = closure_faces(pcen)
     if not faces.any():
         return 0.0
-    points, functionals = _gather(pcen)
-    lifts = lift_rows([pcen.base.values[(m + 1, n + 1)] for m, n in zip(*np.nonzero(faces))])
+    pcen.require_elements()
+    points, functionals = pcen.points, pcen.functionals
+    lifts = lift_rows(pcen.base.data[1:, 1:][faces])
     via_m = propagate_elements(points[:-1, 1:][faces], functionals[:-1, 1:][faces], lifts)
     via_n = propagate_elements(points[1:, :-1][faces], functionals[1:, :-1][faces], lifts)
     return float(max(_proj_distances(a, b).max() for a, b in zip(via_m, via_n)))
@@ -285,7 +306,8 @@ def pcen_adjacency_residual(pcen: PCEN) -> float:
     residual is the sum of _member_residuals over the two ends.  The edges
     along each axis are checked in one pass.
     """
-    points, functionals = _gather(pcen)
+    pcen.require_elements()
+    points, functionals = pcen.points, pcen.functionals
     worst = 0.0
     for ax in range(pcen.base.dim):
         if pcen.base.shape[ax] < 2:
@@ -338,19 +360,11 @@ def pcen_from_complex_cr(S: np.ndarray, base: LatticeNet,
         raise GeometryError("complex cross-ratio base must be a cp1 net")
     if side not in ("left", "right"):
         raise GeometryError("side must be 'left' or 'right'")
+    base.require_complete()
     p, q = sphere_frame(S)
-    jp, jq = j_on_vector(p), j_on_vector(q)
-    elements = {}
-    for idx in base.indices():
-        z = as_ext(base[idx])
-        x = normalize_proj(p * z.num + q * z.den)
-        jx = j_on_vector(x)
-        parity = sum(idx) % 2
-        if side == "right":
-            parity = 1 - parity
-        if parity == 0:
-            # pencil at the lift on S, plane through the j-image line of S
-            elements[tuple(idx)] = NullLine(x, plane_from_span([x, jp, jq]))
-        else:
-            elements[tuple(idx)] = NullLine(jx, plane_from_span([jx, p, q]))
-    return PCEN(base, elements)
+    x = normalize_rows(base.data[..., :1] * p + base.data[..., 1:] * q)
+    odd = ((np.indices(base.shape).sum(axis=0) + (side == "right")) % 2 == 1)[..., None]
+    points = np.where(odd, j_on_rows(x), x)
+    # the pencil point and the other lift line of S span the plane
+    line = np.where(odd[..., None], (p, q), (j_on_vector(p), j_on_vector(q)))
+    return PCEN(base, points, span_planes(np.concatenate([points[..., None, :], line], -2)))

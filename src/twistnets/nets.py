@@ -1,18 +1,20 @@
 """Discrete conjugate, conic and circular nets on lattices.
 
-A net stores normalized homogeneous vectors over a finite box in Z^k.  The
-core construction is hexahedron completion: seven vertices of a combinatorial
+A net stores its values over a finite box in Z^k as one array, and builds
+the API value of a vertex (HPoint, ExtC or a vector) on access.  The core
+construction is hexahedron completion: seven vertices of a combinatorial
 cube with planar faces determine the eighth as the common point of three
-planes.  Curve evolution by cross ratio (real quaternionic or complex) builds
-two-dimensional nets row by row, and the lift into the subquadric of lines
-through a fixed sphere's two twistor lifts turns complex cross-ratio nets in
-CP^1 into conjugate nets with planar faces.
+planes.  Curve evolution by cross ratio builds two-dimensional nets, the
+real quaternionic evolution one anti-diagonal at a time and the complex one
+row by row, and the lift into the subquadric of lines through a fixed
+sphere's two twistor lifts turns complex cross-ratio nets in CP^1 into
+conjugate nets with planar faces.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from . import proj4
 from .proj4 import (
     FIBER_TOL,
     INCIDENCE_TOL,
+    QUADRIC_MATRIX,
     RANK_CUT,
     GeometryError,
     ProjPlane,
@@ -28,64 +31,103 @@ from .proj4 import (
     lines_incident,
     meet_planes,
     normalize_proj,
+    normalize_rows,
     orthonormal_span,
     planarity,
-    quadric_pair,
     span_functional,
     svd_rank,
     wedge,
+    wedge_rows,
 )
-from .twistor import HPoint, is_j_real, j_on_vector, twistor_fiber
+from .twistor import HPoint, affine_rows, fiber_rows, is_j_real, j_on_vector, quat_pairs
 from .xratio import (
     ExtC,
     as_ext,
     complex_fourth_point,
     cross_det,
     quat_fourth_point,
+    quat_fourth_points,
 )
 
 
-@dataclass
+# the shape of one stored value, per kind
+_VALUE_SHAPE = {"cp1": (2,), "hp1": (2, 4), "cp3": (4,), "q4": (6,)}
+
+
+def in_box(idx: tuple, shape: tuple) -> bool:
+    """Whether a lattice index lies in the box of the given shape."""
+    return len(idx) == len(shape) and all(0 <= i < n for i, n in zip(idx, shape))
+
+
 class LatticeNet:
     """Map from lattice indices in a finite box to projective values.
 
-    kind selects the value type: 'cp1' stores extended complex numbers,
-    'hp1' stores quaternionic projective points, 'cp3' stores C^4 vectors and
-    'q4' stores Pluecker 6-vectors.
+    The values are one array, data (box + value shape), and present marks
+    the vertices that hold one: 'cp1' holds extended complex numbers as pairs
+    [num : den], 'hp1' points [a : b] of HP^1 as quaternion pairs (a, b),
+    'cp3' C^4 vectors and 'q4' Pluecker 6-vectors.  net[idx] builds the API
+    value (ExtC, HPoint or a vector).  net[idx] = v normalizes cp3 and q4
+    vectors and drops the cached ambient() array; it is the only writer once
+    the net is read.  Arrays given to the constructor, or filled by a
+    document loader before the first read, are kept verbatim.
     """
 
-    dim: int
-    shape: tuple
-    kind: str
-    values: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in ("cp1", "hp1", "cp3", "q4"):
-            raise GeometryError(f"unknown net kind {self.kind!r}")
-        if len(self.shape) != self.dim:
+    def __init__(self, dim: int, shape, kind: str, metadata=None, data=None, present=None):
+        if kind not in _VALUE_SHAPE:
+            raise GeometryError(f"unknown net kind {kind!r}")
+        if len(shape) != dim:
             raise GeometryError("shape length must equal lattice dimension")
+        self.dim, self.shape, self.kind = dim, tuple(shape), kind
+        self.metadata = {} if metadata is None else metadata
+        if data is None:
+            data = np.zeros(self.shape + _VALUE_SHAPE[kind], float if kind == "hp1" else complex)
+            present = np.zeros(self.shape, dtype=bool)
+        self.data = data
+        self.present = np.ones(self.shape, dtype=bool) if present is None else present
+        self._ambient = None
+
+    def __contains__(self, idx) -> bool:
+        idx = tuple(idx)
+        return in_box(idx, self.shape) and bool(self.present[idx])
 
     def __getitem__(self, idx):
         idx = tuple(idx)
-        if idx not in self.values:
+        if idx not in self:
             raise GeometryError(f"vertex {idx} missing from net")
-        return self.values[idx]
+        value = self.data[idx]
+        if self.kind == "hp1":
+            a, b = value.tolist()
+            return HPoint(Quaternion(*a), Quaternion(*b))
+        return ExtC(*value.tolist()) if self.kind == "cp1" else value.copy()
 
     def __setitem__(self, idx, value):
         idx = tuple(int(i) for i in idx)
-        for i, n in zip(idx, self.shape):
-            if not 0 <= i < n:
-                raise GeometryError(f"index {idx} outside box {self.shape}")
-        if self.kind in ("cp3", "q4"):
+        if not in_box(idx, self.shape):
+            raise GeometryError(f"index {idx} outside box {self.shape}")
+        if self.kind == "hp1":
+            value = quat_pairs([value])[0]
+        elif self.kind == "cp1":
+            z = as_ext(value)
+            value = (z.num, z.den)
+        else:
             value = normalize_proj(value)
-        self.values[idx] = value
+        self.data[idx], self.present[idx], self._ambient = value, True, None
 
     def indices(self):
         return itertools.product(*(range(n) for n in self.shape))
 
+    def present_indices(self) -> list:
+        """The indices of the vertices that hold a value, in index order."""
+        return [tuple(i) for i in np.argwhere(self.present).tolist()]
+
     def is_complete(self) -> bool:
-        return all(tuple(i) in self.values for i in self.indices())
+        return bool(self.present.all())
+
+    def require_complete(self):
+        """Raise for the first vertex of the box without a value."""
+        missing = np.argwhere(~self.present).tolist()
+        if missing:
+            raise GeometryError(f"vertex {tuple(missing[0])} missing from net")
 
     def faces(self):
         """All elementary 2-faces: (base index, axis pair)."""
@@ -95,24 +137,35 @@ class LatticeNet:
                     if idx[a] + 1 < self.shape[a] and idx[b] + 1 < self.shape[b]:
                         yield idx, (a, b)
 
+    def face_index(self, base, axes) -> tuple:
+        """Index lists of a face's four vertices, in the order (0, 0),
+        (1, 0), (1, 1), (0, 1) along its axes; raises for a missing one."""
+        idx = [[i] * 4 for i in base]
+        for ax, steps in zip(axes, ((0, 1, 1, 0), (0, 0, 1, 1))):
+            idx[ax] = [base[ax] + d for d in steps]
+        corners = list(zip(*idx))
+        # the box holds the face when it holds the corners (0, 0) and (1, 1)
+        if not (in_box(corners[0], self.shape) and in_box(corners[2], self.shape)
+                and all(self.present[c] for c in corners)):
+            missing = next(c for c in corners if c not in self)
+            raise GeometryError(f"vertex {missing} missing from net")
+        return tuple(idx)
+
     def face_vertices(self, base, axes):
-        a, b = axes
-        out = []
-        for da, db in ((0, 0), (1, 0), (1, 1), (0, 1)):
-            idx = list(base)
-            idx[a] += da
-            idx[b] += db
-            out.append(self[tuple(idx)])
-        return out
+        return [self[corner] for corner in zip(*self.face_index(base, axes))]
 
-
-def _face_vectors(net: LatticeNet, base, axes) -> list:
-    vals = net.face_vertices(base, axes)
-    if net.kind == "hp1":
-        return [twistor_fiber(p) for p in vals]
-    if net.kind == "cp1":
-        raise GeometryError("cp1 nets have no ambient planarity notion")
-    return [normalize_proj(v) for v in vals]
+    def ambient(self) -> np.ndarray:
+        """The unit vectors the values stand for, box + (n,): twistor fibers
+        for hp1, the normalized values for cp3 and q4, zero where a vertex
+        has no value.  Cached until the next write."""
+        if self.kind == "cp1":
+            raise GeometryError("cp1 nets have no ambient planarity notion")
+        if self._ambient is None:
+            rows = self.data[self.present]
+            rows = fiber_rows(rows) if self.kind == "hp1" else normalize_rows(rows)
+            self._ambient = np.zeros(self.shape + rows.shape[-1:], dtype=complex)
+            self._ambient[self.present] = rows
+        return self._ambient
 
 
 def face_planarity(net: LatticeNet, base, axes) -> float:
@@ -123,7 +176,18 @@ def face_planarity(net: LatticeNet, base, axes) -> float:
     the vertices are lifted to their twistor fibers first, so the residual
     measures concircularity.
     """
-    return planarity(_face_vectors(net, base, axes))
+    idx = net.face_index(base, axes)
+    return planarity(net.ambient()[idx])
+
+
+def face_vectors(net: LatticeNet) -> tuple[list, np.ndarray]:
+    """The faces of net.faces() and the ambient vectors of their vertices,
+    stacked as (faces, 4, n) in face_index order."""
+    faces = list(net.faces())
+    if not faces:
+        return faces, np.zeros((0, 4, 6), dtype=complex)
+    idx = [net.face_index(base, axes) for base, axes in faces]
+    return faces, net.ambient()[tuple(np.array(idx).transpose(1, 0, 2))]
 
 
 # ---------------------------------------------------------------------------
@@ -205,21 +269,6 @@ def evolve_complex_cr(curve, seed, lam) -> list:
     return out
 
 
-def net_from_rows(rows, kind: str, metadata=None) -> LatticeNet:
-    """A 2-dim net from a list of rows (index order: net[m, n] = rows[n][m])."""
-    width = len(rows[0])
-    net = LatticeNet(2, (width, len(rows)), kind, metadata=metadata or {})
-    for n, row in enumerate(rows):
-        if len(row) != width:
-            raise GeometryError("ragged rows")
-        for m, v in enumerate(row):
-            if kind in ("cp3", "q4"):
-                net[m, n] = v
-            else:
-                net.values[(m, n)] = v
-    return net
-
-
 def _evolve_rows(first_row, seeds, step, *args) -> list:
     """The rows first_row, step(first_row, seeds[0], *args), ...; a degenerate
     step names its row."""
@@ -236,14 +285,41 @@ def evolve_net_complex(curve, seeds, lam) -> LatticeNet:
     """Full 2-dim complex cross-ratio net from a curve and a transverse seed
     column c+(0), c++(0), ..."""
     rows = _evolve_rows([as_ext(z) for z in curve], seeds, evolve_complex_cr, lam)
-    return net_from_rows(rows, "cp1", metadata={"lambda": complex(lam)})
+    data = np.array([[(z.num, z.den) for z in row] for row in rows], dtype=complex)
+    data = data.reshape(len(rows), len(rows[0]), 2).transpose(1, 0, 2)
+    return LatticeNet(2, data.shape[:2], "cp1", metadata={"lambda": complex(lam)}, data=data)
 
 
 def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
-    """Full 2-dim circular net with a constant real cross ratio."""
-    rows = _evolve_rows(list(curve), seeds, evolve_circular,
-                        [float(lam)] * (len(curve) - 1))
-    return net_from_rows(rows, "hp1", metadata={"lambda": float(lam)})
+    """Full 2-dim circular net with a constant real cross ratio.
+
+    The vertex (m, n) closes the face on (m, n - 1), (m - 1, n - 1) and
+    (m - 1, n), as in evolve_circular, so each anti-diagonal m + n = d
+    depends only on the two before it and is one quat_fourth_points call.
+    A degenerate face is named as the row-by-row evolution names the first
+    one it meets.
+    """
+    curve, seeds, lam = list(curve), list(seeds), float(lam)
+    if not curve:
+        raise GeometryError("circular evolution needs a curve point")
+    m_n, n_n = len(curve), len(seeds) + 1
+    pairs = np.zeros((m_n, n_n, 2, 4))
+    pairs[:, 0], pairs[0, 1:] = quat_pairs(curve), quat_pairs(seeds)
+    q, at_inf = affine_rows(pairs)
+    try:
+        for d in range(2, m_n + n_n - 1) if min(m_n, n_n) > 1 else ():
+            m = np.arange(max(1, d - n_n + 1), min(d, m_n))
+            face = ((m, d - m - 1), (m - 1, d - m - 1), (m - 1, d - m))
+            q[m, d - m], at_inf[m, d - m] = quat_fourth_points(
+                *(q[f] for f in face), (lam, 0, 0, 0), np.stack([at_inf[f] for f in face], -1))
+    except GeometryError:
+        _evolve_rows(curve, seeds, evolve_circular, [lam] * (m_n - 1))
+        raise
+    # the computed points as pairs [q : 1], or [1 : 0] at infinity
+    inner = pairs[1:, 1:]
+    inner[..., 0, :], inner[..., 1, :] = q[1:, 1:], (1, 0, 0, 0)
+    inner[at_inf[1:, 1:]] = ((1, 0, 0, 0), (0, 0, 0, 0))
+    return LatticeNet(2, (m_n, n_n), "hp1", metadata={"lambda": lam}, data=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -267,58 +343,34 @@ def sphere_point(S_or_frame, z) -> np.ndarray:
     return normalize_proj(p * z.num + q * z.den)
 
 
-def qs2_point(S_or_frame, z, eta) -> np.ndarray:
-    """The line joining the sphere point at z with the j-image point at eta.
-
-    Points with eta = conj(z) are the twistor fibers of sphere points; all
-    outputs are incident to both S and its j-image.
-    """
-    p, q = S_or_frame if isinstance(S_or_frame, tuple) else sphere_frame(S_or_frame)
-    z = as_ext(z)
-    eta = as_ext(eta)
-    x = p * z.num + q * z.den
-    y = j_on_vector(p) * eta.num + j_on_vector(q) * eta.den
-    return normalize_proj(wedge(x, y))
-
-
 def lift_to_QS2(S: np.ndarray, net: LatticeNet, lam=None) -> LatticeNet:
     """Lift a CP^1 net on the sphere S into the subquadric of lines through
     S and its j-image.
 
-    Without lam each point lifts to its twistor fiber (the j-real lift); this
-    produces planar faces exactly for real cross ratios.  With lam the second
-    conic coordinate is evolved by the same cross ratio from the conjugated
-    boundary data, which makes every face of the lifted net planar for any
-    complex lam.
+    The point at z becomes the line joining the sphere point [p z + q] with
+    the j-image point at a second parameter eta.  Without lam, eta is the
+    conjugate of z and each point lifts to its twistor fiber (the j-real
+    lift); this produces planar faces exactly for real cross ratios.  With
+    lam, eta is evolved by the same cross ratio from the conjugated boundary
+    data, which makes every face of the lifted net planar for any complex lam.
     """
     if net.kind != "cp1":
         raise GeometryError("lift expects a cp1 net")
-    frame = sphere_frame(S)
+    p, q = sphere_frame(S)
     if lam is None:
         lam = net.metadata.get("lambda")
-    out = LatticeNet(net.dim, net.shape, "q4",
-                     metadata=dict(net.metadata, sphere=normalize_proj(S)))
-    if lam is None or (abs(complex(lam).imag) < 1e-13):
-        for idx in net.indices():
-            z = net[idx]
-            out[idx] = qs2_point(frame, z, z.conj())
-        return out
-    if net.dim != 2:
-        raise GeometryError("complex-lambda lift needs a 2-dim net")
-    lam = complex(lam)
-    m_n, n_n = net.shape
-    eta = {}
-    for m in range(m_n):
-        eta[(m, 0)] = net[m, 0].conj()
-    for n in range(n_n):
-        eta[(0, n)] = net[0, n].conj()
-    for n in range(1, n_n):
-        for m in range(1, m_n):
-            eta[(m, n)] = complex_fourth_point(
-                eta[(m, n - 1)], eta[(m - 1, n - 1)], eta[(m - 1, n)], lam)
-    for idx in net.indices():
-        out[idx] = qs2_point(frame, net[idx], eta[idx])
-    return out
+    net.require_complete()
+    eta = net.data.conj()
+    if lam is not None and abs(complex(lam).imag) >= 1e-13:
+        if net.dim != 2:
+            raise GeometryError("complex-lambda lift needs a 2-dim net")
+        eta = evolve_net_complex([net[m, 0].conj() for m in range(net.shape[0])],
+                                 [net[0, n].conj() for n in range(1, net.shape[1])],
+                                 lam).data
+    x = net.data[..., :1] * p + net.data[..., 1:] * q
+    y = eta[..., :1] * j_on_vector(p) + eta[..., 1:] * j_on_vector(q)
+    return LatticeNet(net.dim, net.shape, "q4", data=normalize_rows(wedge_rows(x, y)),
+                      metadata=dict(net.metadata, sphere=normalize_proj(S)))
 
 
 def project_from_QS2(S: np.ndarray, net: LatticeNet) -> LatticeNet:
@@ -334,7 +386,7 @@ def project_from_QS2(S: np.ndarray, net: LatticeNet) -> LatticeNet:
             raise GeometryError(f"value at {idx} is not a line through S")
         x = line_meet_point(a, line)
         # sphere_frame's pair is orthonormal: coordinates are inner products
-        out.values[idx] = ExtC(np.vdot(p, x), np.vdot(q, x))
+        out[idx] = ExtC(np.vdot(p, x), np.vdot(q, x))
     return out
 
 
@@ -355,25 +407,26 @@ class FaceConic:
 
 
 def is_conic_net(net: LatticeNet, tol: float = 1e-7) -> list:
-    """Per-face conic report for a net with values on the Pluecker quadric."""
+    """Per-face conic report for a net with values on the Pluecker quadric.
+
+    One stacked decomposition of the faces' unit vectors gives each face's
+    planarity, rank and plane basis; a face is a conic exactly when its four
+    vertices span three dimensions at the cut tol.
+    """
     if net.kind != "q4":
         raise GeometryError("conic reports need a q4 net")
+    faces, vecs = face_vectors(net)
+    rank, s, vh = svd_rank(vecs, tol)
+    # the quadric form on each plane, in the basis of vh's first three rows
+    basis = vh[:, :3]
+    forms = basis @ QUADRIC_MATRIX @ basis.transpose(0, 2, 1)
+    dets = np.linalg.det(forms)
     reports = []
-    for base, axes in net.faces():
-        vecs = np.array([normalize_proj(v) for v in net.face_vertices(base, axes)])
-        # one decomposition gives the planarity, the rank and the plane's
-        # basis; a face is a conic exactly when its four vertices span three
-        # dimensions at the cut tol
-        rank, s, vh = svd_rank(vecs, tol)
-        resid = float(s[3] / s[0])
-        if rank != 3:
-            reports.append(FaceConic(base, axes, resid, None, 0.0, False))
-            continue
-        basis = vh[:3].T
-        g = np.array([[quadric_pair(basis[:, i], basis[:, j])
-                       for j in range(3)] for i in range(3)])
-        det = complex(np.linalg.det(g))
-        reports.append(FaceConic(base, axes, resid, g, det, abs(det) > tol))
+    for (base, axes), r, resid, g, det in zip(faces, rank, s[:, 3] / s[:, 0], forms, dets):
+        if r != 3:
+            reports.append(FaceConic(base, axes, float(resid), None, 0.0, False))
+        else:
+            reports.append(FaceConic(base, axes, float(resid), g, complex(det), abs(det) > tol))
     return reports
 
 
@@ -387,43 +440,26 @@ def bianchi_check(hypercube: dict) -> bool:
     Requires every elementary 2-face planar and each of the four cubes
     containing the far vertex to complete to the stored far vertex.
     """
-    for key in itertools.product((0, 1), repeat=4):
+    keys = list(itertools.product((0, 1), repeat=4))
+    for key in keys:
         if key not in hypercube:
             raise GeometryError(f"hypercube vertex {key} missing")
-    # planarity of all 24 faces
-    for a in range(4):
-        for b in range(a + 1, 4):
-            rest = [c for c in range(4) if c not in (a, b)]
-            for va in (0, 1):
-                for vb in (0, 1):
-                    quad = []
-                    for da, db in ((0, 0), (1, 0), (1, 1), (0, 1)):
-                        idx = [0, 0, 0, 0]
-                        idx[a], idx[b] = da, db
-                        idx[rest[0]], idx[rest[1]] = va, vb
-                        quad.append(normalize_proj(hypercube[tuple(idx)]))
-                    if planarity(quad) > 1e-7:
-                        return False
+    cube = np.array([normalize_proj(hypercube[key]) for key in keys])
+    cube = cube.reshape((2, 2, 2, 2, -1))
+    # the 24 faces: along each axis pair, at each setting of the other two
+    for axes in itertools.combinations(range(4), 2):
+        c = np.moveaxis(cube, axes, (0, 1))
+        if (planarity(np.stack([c[0, 0], c[1, 0], c[1, 1], c[0, 1]], axis=-2)) > 1e-7).any():
+            return False
     # the four 3-cubes through the far corner must reproduce it
-    far = normalize_proj(hypercube[(1, 1, 1, 1)])
     for fixed in range(4):
-        axes = [a for a in range(4) if a != fixed]
-
-        def vertex(bits):
-            idx = [0, 0, 0, 0]
-            idx[fixed] = 1
-            for ax, bit in zip(axes, bits):
-                idx[ax] = bit
-            return hypercube[tuple(idx)]
-
+        c = np.take(cube, 1, axis=fixed)
         try:
-            completed = hexahedron_complete(
-                vertex((0, 0, 0)),
-                vertex((1, 0, 0)), vertex((0, 1, 0)), vertex((0, 0, 1)),
-                vertex((1, 1, 0)), vertex((1, 0, 1)), vertex((0, 1, 1)))
+            completed = hexahedron_complete(c[0, 0, 0], c[1, 0, 0], c[0, 1, 0], c[0, 0, 1],
+                                            c[1, 1, 0], c[1, 0, 1], c[0, 1, 1])
         except GeometryError:
             return False
-        if proj4.proj_distance(completed, far) > 1e-7:
+        if proj4.proj_distance(completed, c[1, 1, 1]) > 1e-7:
             return False
     return True
 

@@ -24,9 +24,10 @@ goes through svd_rank, a cut relative to the largest singular value
 where the closed form is inaccurate), and four-point planarity through
 planarity.  The thresholds that several modules share live here.
 
-normalize_rows, meet_spans and span_planes take stacks of vectors along the
-last axis and broadcast over the leading axes; they apply the rules of
-normalize_proj, meet_span and plane_from_span row by row.  The one-vector
+normalize_rows, wedge_rows, meet_spans, span_planes and span_ratios take
+stacks of vectors along the last axis and broadcast over the leading axes;
+they apply the rules of normalize_proj, wedge, meet_span, plane_from_span
+and planarity row by row.  The one-vector
 kernels stay separate where broadcasting would cost more per call.
 """
 
@@ -127,7 +128,8 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
     """normalize_proj along the last axis of a stack of vectors.
 
     Each row gets the same anchor rule: unit norm, and its first component
-    above 1e-6 of the norm exactly real and positive.
+    above 1e-6 of the norm exactly real and positive; as there, a row that
+    already obeys it is returned unchanged.
     """
     v = np.asarray(v, dtype=complex)
     rows = v.reshape(-1, v.shape[-1])
@@ -138,8 +140,12 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
     k = np.arange(len(rows))
     anchor = (mags > 1e-6 * n[:, None]).argmax(axis=-1)
     a = mags[k, anchor]
-    out = rows * (rows[k, anchor].conj() / (a * n))[:, None]
+    lead = rows[k, anchor]
+    out = rows * (lead.conj() / (a * n))[:, None]
     out[k, anchor] = a / n
+    # rows that are normalized already (anchor real and positive, lead == a)
+    # are kept bit for bit
+    np.copyto(out, rows, where=((lead == a) & (np.abs(n - 1.0) < 1e-14))[:, None])
     return out.reshape(v.shape)
 
 
@@ -164,6 +170,11 @@ def wedge(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     w = np.asarray(w, dtype=complex)
     return v[_PAIR_A] * w[_PAIR_B] - v[_PAIR_B] * w[_PAIR_A]
+
+
+def wedge_rows(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """wedge row by row over leading axes."""
+    return v[..., _PAIR_A] * w[..., _PAIR_B] - v[..., _PAIR_B] * w[..., _PAIR_A]
 
 
 def span_functional(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -258,16 +269,28 @@ def svd_rank(m: np.ndarray, cut: float) -> tuple[int, np.ndarray, np.ndarray]:
 
     The rank counts singular values above cut times the largest; rows
     vh[rank:] span the null space, and the rows of m are combinations of
-    vh[:rank].
+    vh[:rank].  A stack of matrices gives an array of ranks.
     """
     _, s, vh = np.linalg.svd(m)
-    return int(np.sum(s > cut * s.max(initial=0.0))), s, vh
+    rank = np.sum(s > cut * s.max(axis=-1, initial=0.0, keepdims=True), axis=-1)
+    return (int(rank) if rank.ndim == 0 else rank), s, vh
 
 
-def planarity(vectors) -> float:
-    """s4 / s1 of four stacked unit vectors: zero iff they span at most a plane."""
-    s = np.linalg.svd(np.array(vectors), compute_uv=False)
-    return float(s[3] / s[0])
+def span_ratios(vectors) -> np.ndarray:
+    """(s3 / s1, s4 / s1) of four stacked vectors, over leading axes.
+
+    Four unit vectors span at most a plane iff s4 / s1 is zero, and fewer
+    than three dimensions iff s3 / s1 is zero too.
+    """
+    s = np.linalg.svd(np.asarray(vectors), compute_uv=False)
+    return s[..., 2:4] / s[..., :1]
+
+
+def planarity(vectors):
+    """s4 / s1 of four stacked unit vectors: zero iff they span at most a
+    plane.  A stack of faces (..., 4, n) gives an array of its leading shape."""
+    r = span_ratios(vectors)[..., 1]
+    return float(r) if r.ndim == 0 else r
 
 
 def nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -379,7 +402,7 @@ def span_planes(triples: np.ndarray) -> np.ndarray:
     norms = row_norms(rows)
     rows = rows / np.where(norms > 0.0, norms, 1.0)
     a, b, c = rows[..., 0, :], rows[..., 1, :], rows[..., 2, :]
-    ab = a[..., _PAIR_A] * b[..., _PAIR_B] - a[..., _PAIR_B] * b[..., _PAIR_A]
+    ab = wedge_rows(a, b)
     # span_functional row by row: c @ (wedge(a, b) @ _EPS).reshape(4, 4)
     f = (c[..., None, :] @ (ab @ _EPS).reshape(ab.shape[:-1] + (4, 4)))[..., 0, :]
     off = (rows @ f[..., None])[..., 0]

@@ -2,13 +2,18 @@
 
 Conventions: i = jk (so ij = k, jk = i, ki = j) and i^2 = j^2 = k^2 = -1.
 The complex numbers sit inside H as the real span of {1, i}, and every
-quaternion splits as q = z1 + j z2 with z1, z2 complex.
+quaternion splits as q = z1 + j z2 with z1, z2 complex.  A Quaternion whose
+components are arrays of one shape is a batch: its arithmetic, norm and
+inverse act elementwise, in the same operation order as on floats, so a
+batch agrees with its one-by-one evaluation bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .proj4 import DEFAULT_TOL
 
@@ -46,6 +51,15 @@ class Quaternion:
         return Quaternion(c.real, c.imag, 0.0, 0.0)
 
     @staticmethod
+    def of_rows(q: np.ndarray) -> "Quaternion":
+        """The batch of the quaternions (w, x, y, z) along the last axis."""
+        return Quaternion(q[..., 0], q[..., 1], q[..., 2], q[..., 3])
+
+    def rows(self) -> np.ndarray:
+        """The components stacked along a last axis: of_rows' inverse."""
+        return np.stack([self.w, self.x, self.y, self.z], axis=-1)
+
+    @staticmethod
     def from_complex_pair(z1: complex, z2: complex) -> "Quaternion":
         """Build q = z1 + j z2.  Note j z2 = y j + z k with z2 = y - i z."""
         z1 = complex(z1)
@@ -68,9 +82,8 @@ class Quaternion:
         return Quaternion(-self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            t = float(other)
-            return Quaternion(self.w * t, self.x * t, self.y * t, self.z * t)
+        if not isinstance(other, Quaternion):
+            return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
         a, b, c, d = self.w, self.x, self.y, self.z
         e, f, g, h = other.w, other.x, other.y, other.z
         return Quaternion(
@@ -89,14 +102,15 @@ class Quaternion:
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def norm_sq(self) -> float:
-        return self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2
+        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        n2 = self.norm_sq()
+        return np.sqrt(n2) if isinstance(n2, np.ndarray) else math.sqrt(n2)
 
     def inverse(self) -> "Quaternion":
         n2 = self.norm_sq()
-        if n2 == 0.0:
+        if not n2.all() if isinstance(n2, np.ndarray) else n2 == 0.0:
             raise ZeroDivisionError("zero quaternion has no inverse")
         return self.conjugate() * (1.0 / n2)
 

@@ -32,6 +32,7 @@ from .proj4 import (
     nullspace,
     span_residual,
     wedge,
+    wedge_rows,
 )
 
 
@@ -115,13 +116,39 @@ def twistor_project(v: np.ndarray) -> HPoint:
     return HPoint(q1, q2)
 
 
-def lift_rows(points) -> np.ndarray:
-    """HPoint.lift of each of a sequence of points, stacked as (k, 4) rows."""
+def quat_pairs(points) -> np.ndarray:
+    """The pairs (a, b) of a sequence of points [a : b], as a (k, 2, 4) array."""
+    return np.array([((p.a.w, p.a.x, p.a.y, p.a.z), (p.b.w, p.b.x, p.b.y, p.b.z))
+                     for p in points], dtype=float).reshape(-1, 2, 4)
+
+
+_ONE = np.array([1.0, 0.0, 0.0, 0.0])
+_CONJ_Z = np.array([1.0, 1.0, 1.0, -1.0])
+
+
+def affine_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """HPoint.is_infinity and HPoint.affine over leading axes of quaternion
+    pairs (..., 2, 4): the mask of points at infinity, and a b^-1 elsewhere
+    (1 at infinity)."""
+    a, b = Quaternion.of_rows(pairs[..., 0, :]), Quaternion.of_rows(pairs[..., 1, :])
+    at_inf = b.norm() < DEFAULT_TOL * np.maximum(1.0, a.norm())
+    b = Quaternion.of_rows(np.where(at_inf[..., None], _ONE, pairs[..., 1, :]))
+    return np.where(at_inf[..., None], _ONE, (a * b.inverse()).rows()), at_inf
+
+
+def lift_rows(pairs: np.ndarray) -> np.ndarray:
+    """HPoint.lift over leading axes of quaternion pairs (..., 2, 4), as
+    rows (..., 4)."""
     # (w, x) and (y, -z) of a quaternion are the real and imaginary parts of
     # its complex pair
-    parts = np.array([(p.a.w, p.a.x, p.a.y, -p.a.z, p.b.w, p.b.x, p.b.y, -p.b.z)
-                      for p in points], dtype=float).reshape(-1, 8)
+    parts = np.ascontiguousarray(pairs * _CONJ_Z).reshape(pairs.shape[:-2] + (8,))
     return normalize_rows(parts.view(complex))
+
+
+def fiber_rows(pairs: np.ndarray) -> np.ndarray:
+    """twistor_fiber over leading axes of quaternion pairs (..., 2, 4)."""
+    v = lift_rows(pairs)
+    return normalize_rows(wedge_rows(v, j_on_rows(v)))
 
 
 def fiber_pair(p: HPoint) -> tuple[np.ndarray, np.ndarray]:

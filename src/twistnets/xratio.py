@@ -151,29 +151,77 @@ def quat_cr(p1: HPoint, p2: HPoint, p3: HPoint, p4: HPoint) -> Quaternion:
 
 
 def quat_fourth_point(p1: HPoint, p2: HPoint, p3: HPoint, lam: Quaternion) -> HPoint:
-    """The unique p4 with quat_cr(p1, p2, p3, p4) = lam."""
-    if lam.is_zero() or (lam - Quaternion.one()).is_zero():
+    """The unique p4 with quat_cr(p1, p2, p3, p4) = lam: the batch of one of
+    quat_fourth_points."""
+    at_inf = [p.is_infinity() for p in (p1, p2, p3)]
+    q = [Quaternion.one() if inf else p.affine() for p, inf in zip((p1, p2, p3), at_inf)]
+    out, out_inf = quat_fourth_points(*([x.w, x.x, x.y, x.z] for x in (*q, lam)), at_inf)
+    if out_inf[0]:
+        return HPoint.infinity()
+    return HPoint.from_quaternion(Quaternion(*out[0].tolist()))
+
+
+_ONE = (1.0, 0.0, 0.0, 0.0)
+
+
+def quat_fourth_points(q1, q2, q3, lam, at_inf) -> tuple[np.ndarray, np.ndarray]:
+    """quat_fourth_point row by row, on affine coordinates.
+
+    Row k of the (k, 4) arrays q1, q2, q3 is the quaternion q of the point
+    [q : 1], or is ignored where row k of the (k, 3) mask at_inf marks the
+    point at infinity; lam is one quaternion or one per row.  Each row takes
+    the scalar formula for its points at infinity (_FOURTH_POINT) on batches
+    of Quaternions; with none, p4 is the point at infinity where 1 + B
+    nearly vanishes.  Returns p4's quaternions, 1 at infinity, and the mask
+    of the rows at infinity.
+    """
+    q1, q2, q3 = (np.reshape(np.asarray(q, dtype=float), (-1, 4)) for q in (q1, q2, q3))
+    lam = np.asarray(lam, dtype=float)
+    # Quaternion.is_zero of lam and of lam - 1
+    if (np.minimum((lam * lam).sum(axis=-1), ((lam - _ONE) ** 2).sum(axis=-1))
+            < DEFAULT_TOL ** 2).any():
         raise GeometryError("degenerate cross-ratio value 0 or 1")
-    inf_idx = [k for k, p in enumerate((p1, p2, p3)) if p.is_infinity()]
-    if len(inf_idx) > 1:
+    lam = np.broadcast_to(lam, q1.shape)
+    at_inf = np.reshape(np.asarray(at_inf, dtype=bool), (-1, 3))
+    count = at_inf.sum(axis=1)
+    if count.max(initial=0) > 1:
         raise GeometryError("more than one point at infinity")
-    if not inf_idx:
-        q1, q2, q3 = p1.affine(), p2.affine(), p3.affine()
+    # a batch of one runs on float components, which Python evaluates
+    # faster than numpy does arrays of one element
+    batch = (lambda x: Quaternion(*x[0].tolist())) if len(q1) == 1 else Quaternion.of_rows
+    out = np.empty_like(q1)
+    out_inf = np.zeros(len(q1), dtype=bool)
+    branches = [(slice(None), _no_infinity)] if not count.any() else \
+        [(rows, f) for rows, f in zip((count == 0, *at_inf.T), _FOURTH_POINT) if rows.any()]
+    for rows, fourth in branches:
+        p4, out_inf[rows] = fourth(*(batch(x[rows]) for x in (q1, q2, q3, lam)))
+        out[rows] = p4.rows()
+    out[out_inf] = _ONE
+    return out, out_inf
+
+
+def _no_infinity(q1, q2, q3, lam):
+    """p4 = (1 + B)^-1 (q3 + B q1), B = (q2 - q3)(q1 - q2)^-1 lam, and
+    whether |1 + B| < 1e-12 puts p4 at infinity."""
+    try:
         bmat = (q2 - q3) * (q1 - q2).inverse() * lam
-        den = Quaternion.one() + bmat
-        if den.is_zero(1e-12):
-            return HPoint.infinity()
-        return HPoint.from_quaternion(den.inverse() * (q3 + bmat * q1))
-    k = inf_idx[0]
-    if k == 0:
-        q2, q3 = p2.affine(), p3.affine()
-        return HPoint.from_quaternion(q3 - (q2 - q3) * lam)
-    if k == 1:
-        q1, q3 = p1.affine(), p3.affine()
-        den = Quaternion.one() - lam
-        return HPoint.from_quaternion(den.inverse() * (q3 - lam * q1))
-    q1, q2 = p1.affine(), p2.affine()
-    return HPoint.from_quaternion(q1 - lam.inverse() * (q1 - q2))
+    except ZeroDivisionError:
+        raise GeometryError("coincident points p1 and p2") from None
+    den = Quaternion.one() + bmat
+    at_inf = den.is_zero(1e-12)
+    # adding 1 to den.w makes den invertible where p4 is at infinity;
+    # elsewhere adding False keeps den.w = 1 + B.w, never -0.0, bit for bit
+    den = Quaternion(den.w + at_inf, den.x, den.y, den.z)
+    return den.inverse() * (q3 + bmat * q1), at_inf
+
+
+# the fourth point with no input at infinity, and with p1, p2 or p3 there
+_FOURTH_POINT = (
+    _no_infinity,
+    lambda q1, q2, q3, lam: (q3 - (q2 - q3) * lam, False),
+    lambda q1, q2, q3, lam: ((Quaternion.one() - lam).inverse() * (q3 - lam * q1), False),
+    lambda q1, q2, q3, lam: (q1 - lam.inverse() * (q1 - q2), False),
+)
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,73 @@ def test_check_rejects_q4_values_off_the_quadric(tmp_path, capsys):
         assert rep["max_residual"] >= 1.0 - 1e-12
 
 
+def _lifted_doc(shape=(3, 3), seed=6):
+    """A q4 document: a complex cross-ratio net lifted to planar faces."""
+    rng = np.random.default_rng(seed)
+    curve = [complex(*rng.standard_normal(2)) for _ in range(shape[0])]
+    seeds = [complex(*rng.standard_normal(2)) for _ in range(shape[1] - 1)]
+    lam = 0.4 + 0.9j
+    e = np.eye(4, dtype=complex)
+    return net_to_doc(lift_to_QS2(normalize_proj(wedge(e[0], e[2])),
+                                  evolve_net_complex(curve, seeds, lam), lam))
+
+
+def test_planarity_check_fails_faces_spanning_fewer_than_three_dimensions(tmp_path, capsys):
+    # four copies of one quadric point have planarity 0 but lie in no unique
+    # plane; the face fails with residual 1, as a reducible conic face does
+    value = _lifted_doc()["entries"]["0,0"]
+    doc = {"schema": 1, "dim": 2, "box": [2, 2], "kind": "q4",
+           "entries": {f"{m},{n}": value for m in range(2) for n in range(2)}}
+    rc = main(["check", _write(tmp_path, "point.json", doc), "--json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == 3 and not rep["ok"] and rep["max_residual"] == 1.0
+    # four distinct points of a lifted face span a plane and pass
+    doc = _lifted_doc((2, 2))
+    rc = main(["check", _write(tmp_path, "face.json", doc), "--json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert rc == 0 and rep["ok"] and rep["max_residual"] < 1e-10
+
+
+def test_check_json_names_the_worst_face(tmp_path, capsys):
+    # (4, 3) is a vertex of the face 3,2/01 only
+    src = _write(tmp_path, "curve.json", _hp1_curve_doc())
+    out = str(tmp_path / "net.json")
+    assert main(["evolve", src, "--mode", "circular", "--lambda", "-1",
+                 "--steps", "3", "-o", out]) == 0
+    doc = json.loads(open(out).read())
+    assert main(["check", out, "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["ok"] and rep["worst_face"] in {row["face"] for row in rep["faces"]}
+    doc["entries"]["4,3"][1] += 0.05
+    assert main(["check", _write(tmp_path, "bad.json", doc), "--json"]) == 3
+    rep = json.loads(capsys.readouterr().out)
+    bad = [row["face"] for row in rep["faces"] if row["residual"] > 1e-8]
+    assert not rep["ok"] and bad == ["3,2/01"] and rep["worst_face"] == "3,2/01"
+    assert rep["max_residual"] == max(row["residual"] for row in rep["faces"])
+
+
+def test_net_documents_reexport_byte_for_byte(tmp_path):
+    # hp1 and cp1 documents with a point at infinity and a missing vertex,
+    # and a q4 document with a missing vertex
+    hp1 = str(tmp_path / "hp1.json")
+    assert main(["evolve", _write(tmp_path, "c.json", _hp1_curve_doc()), "--mode", "circular",
+                 "--lambda", "-1.5", "-o", hp1]) == 0
+    cp1 = str(tmp_path / "cp1.json")
+    assert main(["evolve", _write(tmp_path, "z.json", _cp1_curve_doc()), "--mode", "complex",
+                 "--lambda", "0.4+0.9i", "-o", cp1]) == 0
+    docs = [json.loads(open(hp1).read()), json.loads(open(cp1).read()), _lifted_doc()]
+    for doc in docs:
+        del doc["entries"]["1,1"]
+    for doc in docs[:2]:
+        doc["entries"]["2,1"] = None
+    for doc in docs:
+        first = str(tmp_path / f"{doc['kind']}-first.json")
+        dump_doc(doc, first)
+        again = str(tmp_path / f"{doc['kind']}-again.json")
+        dump_doc(net_to_doc(doc_to_net(load_doc(first))), again)
+        assert open(first).read() == open(again).read()
+
+
 def test_conic_check_decides_rank_at_its_tol(tmp_path, capsys):
     # a lifted complex net with 1e-5 noise on each value: s4 / s1 ~ 1e-4 on
     # every face, so at --tol 1e-3 each face spans a plane and is a conic

@@ -118,7 +118,7 @@ def test_pcen_closure_on_circular_net():
 def test_pcen_rejects_colliding_base_points():
     rng = np.random.default_rng(4)
     net = _circular_net(rng, (3, 3))
-    net.values[(1, 0)] = net[0, 0]
+    net[1, 0] = net[0, 0]
     with pytest.raises(GeometryError):
         pcen_from_circular(net, _initial_element(net))
 

@@ -21,7 +21,9 @@ regulus (regulus_point) is checked against the transversal construction it
 replaced: the two lines meeting the generators, from the null space of their
 polar rows, with points scaled by least squares.  steiner_fourth_point is
 checked for the 3D consistency of the cross-ratio system on cubes, with
-labels that do not factor as a control.
+labels that do not factor as a control, and the circular nets of
+evolve_net_circular as the real section of its Steiner evolution, with
+relabelled cross ratios as the control.
 """
 
 import functools
@@ -77,6 +79,7 @@ from twistnets.twistor import (
     j_on_vector,
     lift_rows,
     plane_fiber,
+    quat_pairs,
     twistor_fiber,
     twistor_project,
 )
@@ -342,8 +345,9 @@ def test_one_moved_element_shows_in_closure_and_adjacency(m, n):
     # the direction in the plane orthogonal to the fiber span{x, jx}
     off = next(d for d in el.plane.basis.T if span_residual(d, x, jx) > 0.5)
     off = off - x * np.vdot(x, off) - jx * np.vdot(jx, off)
-    moved = PCEN(pcen.base, {**pcen.elements,
-                             (m, n): NullLine(x + 1e-6 * off / _norm(off), el.plane)})
+    points = pcen.points.copy()
+    points[m, n] = x + 1e-6 * off / _norm(off)
+    moved = PCEN(pcen.base, points, pcen.functionals)
     assert pcen_face_closure(moved) > 1e-7
     assert pcen_adjacency_residual(moved) > 1e-7
 
@@ -380,7 +384,7 @@ def test_normalize_rows_matches_normalize_proj(rows):
 def test_lift_rows_matches_lift(pairs):
     points = [HPoint(a, b) for a, b in pairs if not (a.is_zero(1e-14) and b.is_zero(1e-14))]
     assume(points)
-    got = lift_rows(points)
+    got = lift_rows(quat_pairs(points))
     for g, p in zip(got, points):
         assert np.abs(g - p.lift()).max() <= 1e-15
 
@@ -712,3 +716,40 @@ def test_cross_ratio_system_is_3d_consistent(rng, fibers):
     l12, l13, l23 = free
     assume(_labels_ok(free) and abs(l12 * l23 / l13 - 1.0) > 0.1)
     assert _spread(_far_vertices(cube[0], cube[1:], *free)) > 1e-6
+
+
+def _steiner_net(net, label):
+    """The fibers of the net's boundary evolved on Q^4 by Steiner cross ratio
+    label, each vertex from the three before it as in evolve_net_circular."""
+    width, height = net.shape
+    f = {idx: twistor_fiber(net[idx]) for idx in net.indices() if 0 in idx}
+    for n in range(1, height):
+        for m in range(1, width):
+            f[m, n] = steiner_fourth_point(f[m, n - 1], f[m - 1, n - 1], f[m - 1, n], label)
+    return f
+
+
+@settings(settings.get_profile("kernel"), max_examples=60)
+@given(rngs, st.floats(-4.0, 4.0))
+def test_real_section_is_the_steiner_evolution_of_fibers(rng, lam):
+    """The real cross-ratio system in S^4 is the real section of the one on
+    Q^4: at real lam, the twistor fibers of evolve_net_circular are the
+    Steiner evolution (steiner_fourth_point) of its boundary fibers at the
+    same lam.  Controls: the Moebius relabellings 1/lam, 1 - lam and
+    lam/(lam - 1) of the cross ratio, away from their fixed points, each
+    miss the net."""
+    assume(min(abs(lam - x) for x in (-1.0, 0.0, 0.5, 1.0, 2.0)) > 0.1)
+    points = [HPoint.from_quaternion(Quaternion(*q)) for q in rng.standard_normal((7, 4))]
+    net = evolve_net_circular(points[:4], points[4:], lam)
+    want = {idx: twistor_fiber(net[idx]) for idx in net.indices()}
+    # every face's three generators well apart on Q^4
+    assume(all(_skew([want[m, n - 1], want[m - 1, n - 1], want[m - 1, n]]) > WELL_POSED
+               for m in range(1, 4) for n in range(1, 4)))
+
+    def miss(label):
+        got = _steiner_net(net, label)
+        return max(proj_distance(got[idx], want[idx]) for idx in want)
+
+    assert miss(lam) < 1e-10
+    for label in (1.0 / lam, 1.0 - lam, lam / (lam - 1.0)):
+        assert miss(label) > 1e-3

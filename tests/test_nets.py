@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistnets.quat import Quaternion
 from twistnets.proj4 import (
@@ -24,7 +26,6 @@ from twistnets.nets import (
     holonomy,
     is_conic_net,
     lift_to_QS2,
-    net_from_rows,
     project_from_QS2,
     sphere_frame,
 )
@@ -314,7 +315,101 @@ def test_net_indexing_and_faces():
     net = LatticeNet(2, (2, 2), "cp1")
     with pytest.raises(GeometryError):
         net[(0, 0)]
-    net.values[(0, 0)] = as_ext(0.0)
+    net[0, 0] = as_ext(0.0)
     with pytest.raises(GeometryError):
         net[(5, 0)] = as_ext(1.0)
     assert not net.is_complete()
+    with pytest.raises(GeometryError, match=r"vertex \(1, 0\) missing"):
+        face_planarity(net, (0, 0), (0, 1))
+
+
+# ---------------------------------------------------------------------------
+# array storage and the wavefront evolution
+
+
+def _row_by_row(curve, seeds, lam):
+    """The circular net as rows of evolve_circular, rows[n][m] = net[m, n]."""
+    rows = [list(curve)]
+    for r, seed in enumerate(seeds):
+        try:
+            rows.append(evolve_circular(rows[-1], seed, [lam] * (len(curve) - 1)))
+        except GeometryError as exc:
+            raise GeometryError(f"degenerate step in row {r + 1}: {exc}") from exc
+    return rows
+
+
+def _assert_matches_rows(net, rows):
+    for (m, n) in net.indices():
+        got, want = twistor_fiber(net[m, n]), twistor_fiber(rows[n][m])
+        assert proj_distance(got, want) < 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2 ** 32 - 1),
+       st.integers(-1, 9), st.floats(-4.0, 4.0))
+def test_wavefront_matches_row_by_row_evolution(width, height, seed, at_inf, lam):
+    """The anti-diagonal wavefront gives the net of the row-by-row
+    evolve_circular, with at most one boundary point at infinity (at_inf
+    indexes the curve, then the seeds), and fails where the rows fail,
+    with the same message."""
+    rng = np.random.default_rng(seed)
+    points = [_hp(*rng.standard_normal(4)) for _ in range(width + height - 1)]
+    if 0 <= at_inf < len(points):
+        points[at_inf] = HPoint.infinity()
+    curve, seeds = points[:width], points[width:]
+    try:
+        rows = _row_by_row(curve, seeds, lam)
+    except GeometryError as exc:
+        with pytest.raises(GeometryError) as got:
+            evolve_net_circular(curve, seeds, lam)
+        assert str(got.value) == str(exc)
+        return
+    net = evolve_net_circular(curve, seeds, lam)
+    assert net.shape == (width, height) and net.is_complete()
+    _assert_matches_rows(net, rows)
+
+
+def test_wavefront_step_to_infinity():
+    # B = (q2 - q3)(q1 - q2)^-1 lam = -1 exactly at the face of (1, 1), so
+    # that vertex is the point at infinity, and the faces after it take each
+    # of the three branches with one input at infinity
+    curve = [_hp(0, 1, 0, 0), _hp(1, 0, 0, 0), _hp(0.5, 0.3, -0.2, 1.0)]
+    seeds = [_hp(-1, 2, 0, 0), _hp(0.2, -0.7, 1.1, 0.4)]
+    net = evolve_net_circular(curve, seeds, -1.0)
+    assert net[1, 1].is_infinity()
+    assert not any(net[idx].is_infinity() for idx in ((2, 1), (1, 2), (2, 2)))
+    _assert_matches_rows(net, _row_by_row(curve, seeds, -1.0))
+    assert max(face_planarity(net, base, axes) for base, axes in net.faces()) < 1e-10
+
+
+def test_wavefront_names_the_first_degenerate_face_in_row_order():
+    # seeds at infinity at (0, 1) and (0, 2) meet in the face of (1, 2), on
+    # anti-diagonal 3; the step above puts (2, 1) at infinity, and with
+    # (3, 0) there too the face of (3, 1), on anti-diagonal 4, fails first
+    # in row order
+    curve = [_hp(1, 0, 0, 0), _hp(0, 1, 0, 0), _hp(1, 0, 0, 0), HPoint.infinity()]
+    seeds = [HPoint.infinity(), HPoint.infinity()]
+    with pytest.raises(GeometryError) as want:
+        _row_by_row(curve, seeds, -1.0)
+    with pytest.raises(GeometryError) as got:
+        evolve_net_circular(curve, seeds, -1.0)
+    assert str(got.value) == str(want.value) == \
+        "degenerate step in row 1: more than one point at infinity"
+    with pytest.raises(GeometryError, match="row 1: degenerate lambda at edge 0"):
+        evolve_net_circular(curve[:2], seeds, 1.0)
+
+
+def test_write_after_planarity_drops_the_cached_fibers():
+    rng = np.random.default_rng(15)
+    curve = [_hp(*rng.standard_normal(4)) for _ in range(4)]
+    seeds = [_hp(*rng.standard_normal(4)) for _ in range(3)]
+    net = evolve_net_circular(curve, seeds, -1.3)
+    before = {base: face_planarity(net, base, axes) for base, axes in net.faces()}
+    assert max(before.values()) < 1e-10
+    net[1, 1] = _hp(*rng.standard_normal(4))
+    for base, axes in net.faces():
+        after = face_planarity(net, base, axes)
+        if base in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            assert after > 1e-3
+        else:
+            assert after == before[base]
