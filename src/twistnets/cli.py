@@ -1,12 +1,12 @@
 """Command line driver: net generation, verification reports and export.
 
 Net documents are JSON files with a schema version, the lattice box, a value
-kind (cp1, hp1, q4 or pcen) and one coordinate array per lattice index.
-Complex numbers are stored as [re, im] pairs, quaternions as [w, x, y, z] and
-Pluecker vectors as 12 reals; points at infinity are stored as null.  Every
-number must be finite.  Exit codes: 0 success, 1 usage, I/O or malformed
-document problems, 2 degenerate geometry, 3 a verification report exceeding
-its tolerance.
+kind (cp1, hp1, cp3, q4 or pcen) and one coordinate array per lattice index.
+Complex numbers are stored as [re, im] pairs, quaternions as [w, x, y, z],
+C^4 vectors as 8 reals and Pluecker vectors as 12; points at infinity are
+stored as null.  Every number must be finite.  Exit codes: 0 success, 1
+usage, I/O or malformed document problems, 2 degenerate geometry, 3 a
+verification report exceeding its tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .quat import Quaternion
 from . import proj4
 from .proj4 import (
     FIBER_TOL,
-    QUADRIC_MATRIX,
     RANK_CUT,
     DocumentError,
     GeometryError,
@@ -31,7 +30,7 @@ from .proj4 import (
     span_ratios,
     wedge,
 )
-from .twistor import HPoint, affine_rows, is_j_real, twistor_project
+from .twistor import INF_PAIR, QUAT_ONE, HPoint, affine_rows, is_j_real, twistor_project
 from .xratio import ExtC, complex_cr
 from .nets import (
     LatticeNet,
@@ -40,8 +39,10 @@ from .nets import (
     face_vectors,
     hexahedron_complete,
     holonomy,
+    in_box,
     is_conic_net,
     lift_to_QS2,
+    quadric_defects,
     sphere_frame,
     sphere_point,
 )
@@ -66,25 +67,17 @@ def _complex_out(z: complex) -> list:
 
 
 def _ext_out(z: ExtC):
-    if z.is_infinity():
-        return None
-    v = z.value()
-    return _complex_out(v)
+    return None if z.is_infinity() else _complex_out(z.value())
 
 
 def _hpoint_out(p: HPoint):
-    if p.is_infinity():
-        return None
-    q = p.affine()
-    return [q.w, q.x, q.y, q.z]
+    q = None if p.is_infinity() else p.affine()
+    return None if q is None else [q.w, q.x, q.y, q.z]
 
 
 def _cvec_out(a: np.ndarray) -> list:
     """A complex vector (C^4 point, plane functional or bivector) as reals."""
-    out = []
-    for c in np.asarray(a, dtype=complex):
-        out.extend(_complex_out(c))
-    return out
+    return np.ascontiguousarray(a, dtype=complex).view(float).tolist()
 
 
 def _reals(vals, count: int, what: str) -> list:
@@ -103,12 +96,7 @@ def _reals(vals, count: int, what: str) -> list:
 
 def _cvec_in(vals, count: int, what: str) -> np.ndarray:
     """A complex vector of `count` entries stored as 2 * count reals."""
-    vals = _reals(vals, 2 * count, what)
-    return np.array([complex(vals[2 * k], vals[2 * k + 1]) for k in range(count)])
-
-
-def _hpoint_in(vals, what: str) -> HPoint:
-    return HPoint.from_quaternion(Quaternion(*_reals(vals, 4, what)))
+    return np.array(_reals(vals, 2 * count, what), dtype=float).view(complex)
 
 
 def _idx_key(idx) -> str:
@@ -121,10 +109,8 @@ def _key_idx(key: str, box: tuple) -> tuple:
         idx = tuple(int(p) for p in key.split(","))
     except ValueError as exc:
         raise DocumentError(f"entry index {key!r} is not a list of integers") from exc
-    if len(idx) != len(box):
-        raise GeometryError(f"entry index {key!r} has wrong dimension")
-    if not all(0 <= i < n for i, n in zip(idx, box)):
-        raise GeometryError(f"entry index {key!r} outside the box")
+    if not in_box(idx, box):
+        raise GeometryError(f"entry index {key!r} outside the box {list(box)}")
     return idx
 
 
@@ -143,15 +129,13 @@ def _doc_shape(doc: dict) -> tuple:
 
 def net_to_doc(net: LatticeNet) -> dict:
     """Serializable document for a lattice net (values chart-normalized)."""
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "dim": net.dim,
-        "box": list(net.shape),
-        "kind": net.kind,
-        "entries": _entries_out(net),
-        "metadata": _metadata_out(net.metadata),
-    }
-    return doc
+    return _doc(net, net.kind, _entries_out(net))
+
+
+def _doc(net: LatticeNet, kind: str, entries: dict) -> dict:
+    """A document of the given kind with a net's box and metadata."""
+    return {"schema": SCHEMA_VERSION, "dim": net.dim, "box": list(net.shape), "kind": kind,
+            "entries": entries, "metadata": _metadata_out(net.metadata)}
 
 
 def _entries_out(net: LatticeNet) -> dict:
@@ -168,28 +152,13 @@ def _entries_out(net: LatticeNet) -> dict:
 
 
 def _metadata_out(md: dict) -> dict:
-    out = {}
-    for key, val in md.items():
-        if key == "lambda":
-            out["lambda"] = _complex_out(complex(val))
-        elif key == "sphere":
-            out["sphere"] = _cvec_out(val)
-        else:
-            out[key] = val
-    return out
+    return {key: _complex_out(complex(val)) if key == "lambda" else
+            _cvec_out(val) if key == "sphere" else val for key, val in md.items()}
 
 
 def _metadata_in(md: dict) -> dict:
-    out = {}
-    for key, val in md.items():
-        if key == "lambda":
-            re, im = _reals(val, 2, "lambda")
-            out["lambda"] = complex(re, im)
-        elif key == "sphere":
-            out["sphere"] = _cvec_in(val, 6, "sphere")
-        else:
-            out[key] = val
-    return out
+    return {key: complex(*_reals(val, 2, "lambda")) if key == "lambda" else
+            _cvec_in(val, 6, "sphere") if key == "sphere" else val for key, val in md.items()}
 
 
 def doc_to_net(doc: dict) -> LatticeNet:
@@ -207,21 +176,15 @@ def doc_to_net(doc: dict) -> LatticeNet:
     # the document's values go into the fresh net's arrays as they are, so
     # that a re-export reproduces the file byte for byte
     for key, vals in doc["entries"].items():
-        idx = _key_idx(key, box)
+        idx, what = _key_idx(key, box), f"{kind} entry {key!r}"
         if kind == "cp1":
-            net.data[idx] = (1.0, 0.0) if vals is None \
-                else (complex(*_reals(vals, 2, f"cp1 entry {key!r}")), 1.0)
+            net.data[idx] = (1.0, 0.0) if vals is None else (complex(*_reals(vals, 2, what)), 1.0)
         elif kind == "hp1":
-            net.data[idx] = _INF_PAIR if vals is None \
-                else (_reals(vals, 4, f"hp1 entry {key!r}"), _ONE)
+            net.data[idx] = INF_PAIR if vals is None else (_reals(vals, 4, what), QUAT_ONE)
         else:
-            net.data[idx] = _cvec_in(vals, 6, f"q4 entry {key!r}")
+            net.data[idx] = _cvec_in(vals, net.data.shape[-1], what)
         net.present[idx] = True
     return net
-
-
-_ONE = (1.0, 0.0, 0.0, 0.0)
-_INF_PAIR = (_ONE, (0.0, 0.0, 0.0, 0.0))
 
 
 def pcen_to_doc(pcen: PCEN) -> dict:
@@ -235,14 +198,7 @@ def pcen_to_doc(pcen: PCEN) -> dict:
                         "plane": _cvec_out(pcen.functionals[idx])}
         if key in base:
             entries[key]["base"] = base[key]
-    return {
-        "schema": SCHEMA_VERSION,
-        "dim": pcen.base.dim,
-        "box": list(pcen.base.shape),
-        "kind": "pcen",
-        "entries": entries,
-        "metadata": _metadata_out(pcen.base.metadata),
-    }
+    return _doc(pcen.base, "pcen", entries)
 
 
 def doc_to_pcen(doc: dict) -> PCEN:
@@ -259,7 +215,7 @@ def doc_to_pcen(doc: dict) -> PCEN:
         functionals[idx] = _cvec_in(entry["plane"], 4, f"pcen plane {key!r}")
         present[idx] = True
         if entry.get("base") is not None:
-            base.data[idx] = (_reals(entry["base"], 4, f"pcen base {key!r}"), _ONE)
+            base.data[idx] = (_reals(entry["base"], 4, f"pcen base {key!r}"), QUAT_ONE)
             base.present[idx] = True
     return PCEN(base, points, functionals, present)
 
@@ -281,7 +237,10 @@ def _json_text(obj) -> str:
 
 
 def dump_doc(doc: dict, path: str | None):
-    text = _json_text(doc)
+    _write_text(_json_text(doc), path)
+
+
+def _write_text(text: str, path: str | None):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -311,8 +270,7 @@ def _warn(msg: str):
 
 
 def cmd_evolve(args) -> int:
-    doc = load_doc(args.input)
-    net = doc_to_net(doc)
+    net = doc_to_net(load_doc(args.input))
     if net.dim != 1:
         raise GeometryError("evolve expects a one-dimensional curve document")
     n_pts = net.shape[0]
@@ -321,8 +279,7 @@ def cmd_evolve(args) -> int:
         return 1
     curve = [net[(k,)] for k in range(n_pts)]
     lam = parse_complex(args.lam)
-    steps = args.steps
-    rng = np.random.default_rng(args.seed)
+    steps, rng = args.steps, np.random.default_rng(args.seed)
 
     if args.mode == "circular":
         if net.kind != "hp1":
@@ -343,7 +300,7 @@ def cmd_evolve(args) -> int:
 def _circular_seeds(net: LatticeNet, steps: int, rng) -> list:
     tv = net.metadata.get("transverse")
     if tv is not None:
-        return [_hpoint_in(v, "transverse seed") for v in tv]
+        return [HPoint.from_quaternion(Quaternion(*_reals(v, 4, "transverse seed"))) for v in tv]
     return [HPoint.from_quaternion(
         Quaternion(*(rng.standard_normal(4) * (k + 1)))) for k in range(steps)]
 
@@ -352,8 +309,7 @@ def _complex_seeds(net: LatticeNet, steps: int, rng) -> list:
     tv = net.metadata.get("transverse")
     if tv is not None:
         return [complex(*_reals(v, 2, "transverse seed")) for v in tv]
-    vals = rng.standard_normal((steps, 2))
-    return [complex(a, b) for a, b in vals]
+    return [complex(a, b) for a, b in rng.standard_normal((steps, 2))]
 
 
 def _sphere_arg(args) -> np.ndarray:
@@ -363,9 +319,7 @@ def _sphere_arg(args) -> np.ndarray:
         except ValueError as exc:
             raise DocumentError(f"--sphere: {exc}") from exc
         return _cvec_in(vals, 6, "--sphere")
-    e1 = np.array([1, 0, 0, 0], dtype=complex)
-    e2 = np.array([0, 0, 1, 0], dtype=complex)
-    return normalize_proj(wedge(e1, e2))
+    return normalize_proj(wedge(np.eye(4)[0], np.eye(4)[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +330,10 @@ def cmd_check(args) -> int:
     doc = load_doc(args.input)
     kind = doc.get("kind")
     tol = args.tol
-    if args.report is None:
-        report = {"cp1": "cr", "hp1": "planarity",
-                  "q4": "planarity", "pcen": "pcen"}.get(kind)
-        if report is None:
-            raise GeometryError(f"unknown document kind {kind!r}")
-    else:
-        report = args.report
+    report = args.report or {"cp1": "cr", "hp1": "planarity", "cp3": "planarity",
+                             "q4": "planarity", "pcen": "pcen"}.get(kind)
+    if report is None:
+        raise GeometryError(f"unknown document kind {kind!r}")
     rows, worst = _run_report(doc, report, tol)
     if args.json:
         worst_face = rows[int(np.argmax([row["residual"] for row in rows]))]["face"] \
@@ -400,62 +351,46 @@ def cmd_check(args) -> int:
 
 
 def _run_report(doc: dict, report: str, tol: float):
-    rows = []
-    worst = 0.0
+    """The report's rows and their largest residual."""
     if report == "pcen":
         pcen = doc_to_pcen(doc)
         # the closure leaves out the faces whose far vertex has no base point;
         # the row says how many faces it checked
-        closure = pcen_face_closure(pcen)
-        rows.append({"face": "closure", "residual": closure,
-                     "faces": int(closure_faces(pcen).sum())})
-        adjacency = pcen_adjacency_residual(pcen)
-        rows.append({"face": "adjacency", "residual": float(adjacency)})
-        return rows, max(closure, adjacency)
-    net = doc_to_net(doc)
-    if report == "planarity":
+        rows = [{"face": "closure", "residual": pcen_face_closure(pcen),
+                 "faces": int(closure_faces(pcen).sum())},
+                {"face": "adjacency", "residual": pcen_adjacency_residual(pcen)}]
+    elif report == "planarity":
+        net = doc_to_net(doc)
         faces, vecs = face_vectors(net)
         flat, resid = span_ratios(vecs).T
-        resid = np.maximum(resid, _quadric_defects(net, vecs))
+        if net.kind == "q4":
+            resid = np.maximum(resid, quadric_defects(vecs))
         # a face spanning fewer than three dimensions lies in no unique plane
-        resid[flat <= RANK_CUT] = np.maximum(resid[flat <= RANK_CUT], 1.0)
-        for (base, axes), r in zip(faces, resid.tolist()):
-            rows.append({"face": f"{_idx_key(base)}/{axes[0]}{axes[1]}",
-                         "residual": r})
-            worst = max(worst, r)
+        resid = np.where(flat <= RANK_CUT, np.maximum(resid, 1.0), resid)
+        rows = [{"face": _face_key(*f), "residual": r} for f, r in zip(faces, resid.tolist())]
     elif report == "conic":
-        reports = is_conic_net(net, max(tol, 1e-12))
-        defects = _quadric_defects(net, face_vectors(net)[1])
-        for rep, defect in zip(reports, defects.tolist()):
-            r = max(rep.planarity, defect)
-            if not rep.irreducible:
-                r = max(r, 1.0)  # reducible face counts as a failure
-            rows.append({"face": f"{_idx_key(rep.base)}/{rep.axes[0]}{rep.axes[1]}",
-                         "residual": r, "det": abs(rep.det)})
-            worst = max(worst, r)
+        # a reducible face counts as a failure
+        rows = [{"face": _face_key(rep.base, rep.axes), "det": abs(rep.det),
+                 "residual": max(rep.planarity, rep.defect, 0.0 if rep.irreducible else 1.0)}
+                for rep in is_conic_net(doc_to_net(doc), max(tol, 1e-12))]
     elif report == "cr":
+        net = doc_to_net(doc)
         lam = net.metadata.get("lambda")
         if lam is None:
             raise GeometryError("cross-ratio report needs lambda metadata")
+        rows = []
         for base, axes in net.faces():
             z = net.face_vertices(base, axes)
             cr = complex_cr(z[1], z[0], z[3], z[2])
             r = np.inf if cr.is_infinity() else abs(cr.value() - complex(lam))
-            rows.append({"face": f"{_idx_key(base)}/{axes[0]}{axes[1]}",
-                         "residual": float(r)})
-            worst = max(worst, r)
+            rows.append({"face": _face_key(base, axes), "residual": float(r)})
     else:
         raise GeometryError(f"unknown report {report!r}")
-    return rows, float(worst)
+    return rows, max((row["residual"] for row in rows), default=0.0)
 
 
-def _quadric_defects(net: LatticeNet, vecs: np.ndarray) -> np.ndarray:
-    """Largest |<a, a>| over each face's unit vectors, (faces, 4, 6), 0 for
-    kinds other than q4: a q4 value off the Pluecker quadric is no line of
-    CP^3."""
-    if net.kind != "q4":
-        return np.zeros(len(vecs))
-    return np.abs((vecs @ QUADRIC_MATRIX * vecs).sum(axis=-1)).max(axis=-1, initial=0.0)
+def _face_key(base, axes) -> str:
+    return f"{_idx_key(base)}/{axes[0]}{axes[1]}"
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +426,7 @@ def cmd_export(args) -> int:
             _export_spheres(net, axis, lines)
         else:
             raise GeometryError(f"cannot export nets of kind {net.kind!r}")
-    text = "\n".join(lines) + "\n"
-    if args.output is None or args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+    _write_text("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -532,29 +462,22 @@ def _sphere_center_radius(S: np.ndarray, axis: int, n_samples: int = 12):
     for k in range(n_samples):
         t = 2.0 * np.pi * k / n_samples
         zval = complex(np.cos(t), np.sin(t)) * (1.4 if k % 2 else 0.6)
-        p = twistor_project(sphere_point(frame, zval))
-        if p.is_infinity():
+        q = _hpoint_out(twistor_project(sphere_point(frame, zval)))
+        if q is None:
             return None
-        q = p.affine()
-        samples.append([q.w, q.x, q.y, q.z])
+        samples.append(q)
     pts = np.array(samples)
-    dropped = pts[:, axis]
-    if np.ptp(dropped) > 1e-8 * max(1.0, float(np.max(np.abs(pts)))):
+    if np.ptp(pts[:, axis]) > 1e-8 * max(1.0, float(np.max(np.abs(pts)))):
         return None
     pts3 = np.delete(pts, axis, axis=1)
     # |x|^2 - 2 c . x + d = 0 for every sample
     mat = np.column_stack([-2.0 * pts3, np.ones(len(pts3))])
     rhs = -np.sum(pts3 * pts3, axis=1)
-    sol, _, _, _ = np.linalg.lstsq(mat, rhs, rcond=None)
-    center = sol[:3]
-    r2 = float(center @ center - sol[3])
-    if r2 <= 0:
+    sol = np.linalg.lstsq(mat, rhs, rcond=None)[0]
+    center, r2 = sol[:3], float(sol[:3] @ sol[:3] - sol[3])
+    if r2 <= 0 or float(np.max(np.abs(mat @ sol - rhs))) > 1e-6 * max(1.0, r2):
         return None
-    radius = float(np.sqrt(r2))
-    resid = float(np.max(np.abs(mat @ sol - rhs)))
-    if resid > 1e-6 * max(1.0, r2):
-        return None
-    return center, radius
+    return center, float(np.sqrt(r2))
 
 
 def _export_spheres(net: LatticeNet, axis: int, lines: list,
@@ -581,26 +504,21 @@ def _export_spheres(net: LatticeNet, axis: int, lines: list,
 
 def _emit_uv_sphere(lines: list, center, radius: float,
                     rings: int, segments: int, offset: int) -> int:
-    verts = []
     for i in range(rings + 1):
         theta = np.pi * i / rings
         for k in range(segments):
             phi = 2.0 * np.pi * k / segments
-            verts.append([
-                center[0] + radius * np.sin(theta) * np.cos(phi),
-                center[1] + radius * np.sin(theta) * np.sin(phi),
-                center[2] + radius * np.cos(theta),
-            ])
-    for v in verts:
-        lines.append("v " + " ".join(_fmt(c) for c in v))
+            v = (center[0] + radius * np.sin(theta) * np.cos(phi),
+                 center[1] + radius * np.sin(theta) * np.sin(phi),
+                 center[2] + radius * np.cos(theta))
+            lines.append("v " + " ".join(_fmt(c) for c in v))
     for i in range(rings):
+        # the first vertex of ring i and of ring i + 1, counted from 1
+        a, b = offset + i * segments + 1, offset + (i + 1) * segments + 1
         for k in range(segments):
-            a = offset + i * segments + k + 1
-            b = offset + i * segments + (k + 1) % segments + 1
-            c = offset + (i + 1) * segments + (k + 1) % segments + 1
-            d = offset + (i + 1) * segments + k + 1
-            lines.append(f"f {a} {b} {c} {d}")
-    return offset + len(verts)
+            k1 = (k + 1) % segments
+            lines.append(f"f {a + k} {a + k1} {b + k1} {b + k}")
+    return offset + (rings + 1) * segments
 
 
 def _export_pcen(doc: dict, axis: int, lines: list):
@@ -642,8 +560,7 @@ def cmd_hexahedron(args) -> int:
 
 
 def cmd_holonomy(args) -> int:
-    doc = load_doc(args.input)
-    net = doc_to_net(doc)
+    net = doc_to_net(load_doc(args.input))
     if net.kind != "cp1" or net.dim != 1:
         raise GeometryError("holonomy expects a one-dimensional cp1 document")
     curve = [net[(k,)] for k in range(net.shape[0])]
@@ -680,9 +597,7 @@ def cmd_lie_report(args) -> int:
         print(f"basis signature: {report['basis']}")
         print(f"omega-slice signature: {report['omega_slice']}")
         print(f"dimension: {report['dimension']}")
-    if report["basis"] != (2, 4) or report["omega_slice"] != (1, 4):
-        return 3
-    return 0
+    return 0 if report["basis"] == (2, 4) and report["omega_slice"] == (1, 4) else 3
 
 
 # ---------------------------------------------------------------------------

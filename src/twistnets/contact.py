@@ -32,13 +32,12 @@ from .proj4 import (
 )
 from .twistor import (
     HPoint,
-    j_on_rows,
     j_on_vector,
     lift_rows,
     twistor_fiber,
     twistor_project,
 )
-from .nets import LatticeNet, in_box, sphere_frame
+from .nets import LatticeNet, first_missing, in_box, sphere_frame
 from .xratio import as_ext
 
 
@@ -65,8 +64,7 @@ class NullLine:
         b = self.plane.basis
         coeff = b.conj().T @ self.point
         k = int(np.argmax(np.abs(coeff)))
-        rest = [b[:, i] for i in range(3) if i != k]
-        return rest[0], rest[1]
+        return tuple(b[:, i] for i in range(3) if i != k)
 
     def member(self, z) -> np.ndarray:
         z = as_ext(z)
@@ -74,9 +72,8 @@ class NullLine:
         return normalize_proj(wedge(self.point, u * z.num + v * z.den))
 
     def sample(self, n: int) -> list:
-        ts = np.linspace(0.0, 1.0, n, endpoint=False)
         return [self.member(complex(np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)))
-                for t in ts]
+                for t in np.linspace(0.0, 1.0, n, endpoint=False)]
 
     def contains_line(self, a: np.ndarray, tol: float = 1e-7) -> bool:
         """True iff the line a is a member of the pencil."""
@@ -93,9 +90,7 @@ def null_line_real_point(l: NullLine):
     element and the real member is the fiber over the projected point.
     Returns None for half-contact elements.
     """
-    if l.plane.contains(j_on_vector(l.point), PENCIL_TOL):
-        return twistor_project(l.point)
-    return None
+    return twistor_project(l.point) if l.plane.contains(j_on_vector(l.point), PENCIL_TOL) else None
 
 
 def contact_element(p: HPoint, sphere: np.ndarray) -> NullLine:
@@ -131,7 +126,7 @@ def propagate_elements(points: np.ndarray, functionals: np.ndarray,
     new points and functionals, normalized.
     """
     v = np.asarray(lifts, dtype=complex)
-    vj = j_on_rows(v)
+    vj = j_on_vector(v)
     try:
         y = meet_spans(functionals, v, vj)
     except GeometryError as exc:
@@ -198,9 +193,8 @@ class PCEN(Mapping):
 
     def require_elements(self):
         """Raise for the first vertex of the box without an element."""
-        missing = np.argwhere(~self.present).tolist()
-        if missing:
-            raise DocumentError(f"PCEN has no element at {tuple(missing[0])}")
+        if (missing := first_missing(self.present)) is not None:
+            raise DocumentError(f"PCEN has no element at {missing}")
 
 
 def _edges(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,12 +216,10 @@ def _check_distinct_neighbors(lifts: np.ndarray):
     collisions = []
     for ax in range(len(shape)):
         x, v = _edges(lifts, ax)
-        vj = j_on_rows(v)
-        r = row_norms(x - v * _vdot_rows(v, x) - vj * _vdot_rows(vj, x))[:, 0]
-        edge_shape = tuple(n - (k == ax) for k, n in enumerate(shape))
-        for flat in np.nonzero(r < 1e-10)[0]:
-            idx = tuple(int(i) for i in np.unravel_index(flat, edge_shape))
-            collisions.append((idx, ax))
+        vj = j_on_vector(v)
+        r = row_norms(x - v * _vdot_rows(v, x) - vj * _vdot_rows(vj, x))
+        close = (r < 1e-10).reshape(tuple(n - (k == ax) for k, n in enumerate(shape)))
+        collisions += [(tuple(idx), ax) for idx in np.argwhere(close).tolist()]
     if collisions:
         idx, ax = min(collisions)
         nxt = tuple(i + (k == ax) for k, i in enumerate(idx))
@@ -292,8 +284,7 @@ def pcen_face_closure(pcen: PCEN) -> float:
 
 def _proj_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """proj4.proj_distance row by row."""
-    a = a / row_norms(a)
-    b = b / row_norms(b)
+    a, b = a / row_norms(a), b / row_norms(b)
     ortho = b - a * _vdot_rows(a, b)
     return np.arcsin(np.minimum(1.0, row_norms(ortho)[:, 0]))
 
@@ -364,7 +355,7 @@ def pcen_from_complex_cr(S: np.ndarray, base: LatticeNet,
     p, q = sphere_frame(S)
     x = normalize_rows(base.data[..., :1] * p + base.data[..., 1:] * q)
     odd = ((np.indices(base.shape).sum(axis=0) + (side == "right")) % 2 == 1)[..., None]
-    points = np.where(odd, j_on_rows(x), x)
+    points = np.where(odd, j_on_vector(x), x)
     # the pencil point and the other lift line of S span the plane
     line = np.where(odd[..., None], (p, q), (j_on_vector(p), j_on_vector(q)))
     return PCEN(base, points, span_planes(np.concatenate([points[..., None, :], line], -2)))

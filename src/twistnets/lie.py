@@ -55,11 +55,8 @@ DEFAULT_FORM_MATRIX = (
 
 
 def _quat_form_value(fmat, v, w) -> Quaternion:
-    total = Quaternion(0, 0, 0, 0)
-    for a in range(2):
-        for b in range(2):
-            total = total + v[a].conjugate() * fmat[a][b] * w[b]
-    return total
+    return sum((v[a].conjugate() * fmat[a][b] * w[b] for a in range(2) for b in range(2)),
+               Quaternion(0, 0, 0, 0))
 
 
 @dataclass
@@ -72,14 +69,8 @@ class QuatHermitianForm:
     omega_vec: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        h = np.zeros((4, 4), dtype=complex)
-        om = np.zeros((4, 4), dtype=complex)
-        for a in range(4):
-            for b in range(4):
-                val = _quat_form_value(self.qmat, _H2_BASIS[a], _H2_BASIS[b])
-                z1, z2 = val.complex_pair()
-                h[a, b] = z1
-                om[a, b] = z2
+        h, om = np.array([[_quat_form_value(self.qmat, v, w).complex_pair() for w in _H2_BASIS]
+                          for v in _H2_BASIS]).transpose(2, 0, 1)
         if np.linalg.norm(h - h.conj().T) > 1e-12:
             raise GeometryError("h component is not hermitian")
         if np.linalg.norm(om + om.T) > 1e-12:
@@ -92,8 +83,7 @@ class QuatHermitianForm:
 
     def value(self, v: np.ndarray, w: np.ndarray) -> Quaternion:
         """frak_h on C^4 vectors, reassembled from the complex split."""
-        v = np.asarray(v, dtype=complex)
-        w = np.asarray(w, dtype=complex)
+        v, w = np.asarray(v, dtype=complex), np.asarray(w, dtype=complex)
         return Quaternion.from_complex_pair(complex(v.conj() @ self.hmat @ w),
                                             complex(v @ self.omega @ w))
 
@@ -185,8 +175,7 @@ def lie_basis(form: QuatHermitianForm | None = None) -> list:
         c = img[k] / b[k]
         if abs(abs(c) - 1.0) > 1e-9 or np.linalg.norm(img - c * b) > 1e-9:
             raise GeometryError("basis element is not projectively fixed")
-        mu = np.sqrt(np.conj(c))
-        fixed = mu * b
+        fixed = np.sqrt(np.conj(c)) * b
         if np.linalg.norm(m @ np.conj(fixed) - fixed) > 1e-9:
             raise GeometryError("phase correction failed")
         out.append(fixed)
@@ -195,9 +184,7 @@ def lie_basis(form: QuatHermitianForm | None = None) -> list:
 
 def _signature(gram: np.ndarray) -> tuple:
     evals = np.linalg.eigvalsh(gram)
-    pos = int(np.sum(evals > 1e-9))
-    neg = int(np.sum(evals < -1e-9))
-    return pos, neg
+    return int(np.sum(evals > 1e-9)), int(np.sum(evals < -1e-9))
 
 
 def lie_signature_report(form: QuatHermitianForm | None = None) -> dict:
@@ -210,17 +197,13 @@ def lie_signature_report(form: QuatHermitianForm | None = None) -> dict:
     if np.linalg.norm(gram.imag) > 1e-9:
         raise GeometryError("Gram matrix of the real basis is not real")
     gram = gram.real
-    full_sig = _signature(gram)
     # omega = 0 cuts one real dimension out of the fixed slice
     om = np.array([form.omega_vec @ b for b in basis])
-    rows = np.vstack([om.real, om.imag])
-    rank, _, vh = svd_rank(rows, 1e-10)
+    rank, _, vh = svd_rank(np.vstack([om.real, om.imag]), 1e-10)
     if rank != 1:
         raise GeometryError("omega does not cut a hyperplane of the real slice")
     coeffs = vh[rank:].T  # real 6x5
-    restricted = coeffs.T @ gram @ coeffs
-    sub_sig = _signature(restricted)
-    return {"basis": full_sig, "omega_slice": sub_sig,
+    return {"basis": _signature(gram), "omega_slice": _signature(coeffs.T @ gram @ coeffs),
             "dimension": len(basis)}
 
 
@@ -239,8 +222,7 @@ def circle_to_Q3(p1: HPoint, p2: HPoint, p3: HPoint,
         if not form.is_null_point(p, 1e-7):
             raise GeometryError("point is not on the three-sphere")
     fibers = [twistor_fiber(p) for p in (p1, p2, p3)]
-    rows = [f @ QUADRIC_MATRIX for f in fibers]
-    rows.append(form.omega_vec)
+    rows = [f @ QUADRIC_MATRIX for f in fibers] + [form.omega_vec]
     ns = nullspace(np.array(rows))
     if ns.shape[1] != 2:
         raise GeometryError("collinear or coincident circle points")
@@ -297,9 +279,7 @@ def touching_coins_check(circles, form: QuatHermitianForm | None = None) -> Coin
     circles = [normalize_proj(c) for c in circles]
     if len(circles) != 4:
         raise GeometryError("need exactly four circles")
-    tags = []
-    points = []
-    oriented = list(circles)
+    tags, points, oriented = [], [], list(circles)
     for k in range(4):
         cc, fixed = _oriented_contact(oriented[k], circles[(k + 1) % 4])
         oriented[(k + 1) % 4] = fixed

@@ -21,6 +21,7 @@ import numpy as np
 from .quat import Quaternion
 from . import proj4
 from .proj4 import (
+    DEFAULT_TOL,
     FIBER_TOL,
     INCIDENCE_TOL,
     QUADRIC_MATRIX,
@@ -39,7 +40,7 @@ from .proj4 import (
     wedge,
     wedge_rows,
 )
-from .twistor import HPoint, affine_rows, fiber_rows, is_j_real, j_on_vector, quat_pairs
+from .twistor import QUAT_ONE, HPoint, affine_rows, fiber_rows, is_j_real, j_on_vector, quat_pairs
 from .xratio import (
     ExtC,
     as_ext,
@@ -59,6 +60,12 @@ def in_box(idx: tuple, shape: tuple) -> bool:
     return len(idx) == len(shape) and all(0 <= i < n for i, n in zip(idx, shape))
 
 
+def first_missing(present: np.ndarray):
+    """The first index, in index order, where the mask present is false, or None."""
+    missing = np.argwhere(~present)
+    return tuple(missing[0].tolist()) if len(missing) else None
+
+
 class LatticeNet:
     """Map from lattice indices in a finite box to projective values.
 
@@ -68,22 +75,21 @@ class LatticeNet:
     'cp3' C^4 vectors and 'q4' Pluecker 6-vectors.  net[idx] builds the API
     value (ExtC, HPoint or a vector).  net[idx] = v normalizes cp3 and q4
     vectors and drops the cached ambient() array; it is the only writer once
-    the net is read.  Arrays given to the constructor, or filled by a
-    document loader before the first read, are kept verbatim.
+    the net is read.  Data given to the constructor fills the whole box;
+    it, and values a document loader writes before the first read, are
+    kept verbatim.
     """
 
-    def __init__(self, dim: int, shape, kind: str, metadata=None, data=None, present=None):
+    def __init__(self, dim: int, shape, kind: str, metadata=None, data=None):
         if kind not in _VALUE_SHAPE:
             raise GeometryError(f"unknown net kind {kind!r}")
         if len(shape) != dim:
             raise GeometryError("shape length must equal lattice dimension")
         self.dim, self.shape, self.kind = dim, tuple(shape), kind
         self.metadata = {} if metadata is None else metadata
-        if data is None:
-            data = np.zeros(self.shape + _VALUE_SHAPE[kind], float if kind == "hp1" else complex)
-            present = np.zeros(self.shape, dtype=bool)
-        self.data = data
-        self.present = np.ones(self.shape, dtype=bool) if present is None else present
+        self.present = np.full(self.shape, data is not None)
+        self.data = np.zeros(self.shape + _VALUE_SHAPE[kind], float if kind == "hp1"
+                             else complex) if data is None else data
         self._ambient = None
 
     def __contains__(self, idx) -> bool:
@@ -125,9 +131,8 @@ class LatticeNet:
 
     def require_complete(self):
         """Raise for the first vertex of the box without a value."""
-        missing = np.argwhere(~self.present).tolist()
-        if missing:
-            raise GeometryError(f"vertex {tuple(missing[0])} missing from net")
+        if (missing := first_missing(self.present)) is not None:
+            raise GeometryError(f"vertex {missing} missing from net")
 
     def faces(self):
         """All elementary 2-faces: (base index, axis pair)."""
@@ -243,17 +248,14 @@ def evolve_circular(curve, seed: HPoint, lambdas) -> list:
     [p(k+1), p(k), p+(k), p+(k+1)] = lambda_k with real lambda; faces are
     concircular.
     """
-    lambdas = list(lambdas)
+    lambdas = [float(lam) for lam in lambdas]
     if len(lambdas) != len(curve) - 1:
         raise GeometryError("need one lambda per curve edge")
     out = [seed]
     for k, lam in enumerate(lambdas):
-        lam = float(lam)
         if lam in (0.0, 1.0):
             raise GeometryError(f"degenerate lambda at edge {k}")
-        nxt = quat_fourth_point(curve[k + 1], curve[k], out[k],
-                                Quaternion.from_real(lam))
-        out.append(nxt)
+        out.append(quat_fourth_point(curve[k + 1], curve[k], out[k], Quaternion.from_real(lam)))
     return out
 
 
@@ -296,29 +298,32 @@ def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
     The vertex (m, n) closes the face on (m, n - 1), (m - 1, n - 1) and
     (m - 1, n), as in evolve_circular, so each anti-diagonal m + n = d
     depends only on the two before it and is one quat_fourth_points call.
-    A degenerate face is named as the row-by-row evolution names the first
-    one it meets.
+    A computed point is stored as [q : 1], or [1 : 0] at infinity, and the
+    later faces read it as evolve_circular does, through HPoint.is_infinity,
+    which also puts [q : 1] with |q| > 1 / DEFAULT_TOL at infinity.  A
+    degenerate face is named as the row-by-row evolution names the first one
+    it meets.
     """
     curve, seeds, lam = list(curve), list(seeds), float(lam)
     if not curve:
         raise GeometryError("circular evolution needs a curve point")
     m_n, n_n = len(curve), len(seeds) + 1
     pairs = np.zeros((m_n, n_n, 2, 4))
-    pairs[:, 0], pairs[0, 1:] = quat_pairs(curve), quat_pairs(seeds)
+    pairs[:, 0], pairs[0, 1:], pairs[1:, 1:, 1] = quat_pairs(curve), quat_pairs(seeds), QUAT_ONE
     q, at_inf = affine_rows(pairs)
     try:
         for d in range(2, m_n + n_n - 1) if min(m_n, n_n) > 1 else ():
             m = np.arange(max(1, d - n_n + 1), min(d, m_n))
             face = ((m, d - m - 1), (m - 1, d - m - 1), (m - 1, d - m))
-            q[m, d - m], at_inf[m, d - m] = quat_fourth_points(
-                *(q[f] for f in face), (lam, 0, 0, 0), np.stack([at_inf[f] for f in face], -1))
+            p4, inf = quat_fourth_points(*(q[f] for f in face), (lam, 0, 0, 0),
+                                         np.stack([at_inf[f] for f in face], -1))
+            pairs[m, d - m, 0], pairs[m[inf], d - m[inf], 1] = p4, 0.0
+            q[m, d - m] = p4
+            at_inf[m, d - m] = inf | (1.0 < DEFAULT_TOL * np.maximum(
+                1.0, Quaternion.of_rows(p4).norm()))
     except GeometryError:
         _evolve_rows(curve, seeds, evolve_circular, [lam] * (m_n - 1))
         raise
-    # the computed points as pairs [q : 1], or [1 : 0] at infinity
-    inner = pairs[1:, 1:]
-    inner[..., 0, :], inner[..., 1, :] = q[1:, 1:], (1, 0, 0, 0)
-    inner[at_inf[1:, 1:]] = ((1, 0, 0, 0), (0, 0, 0, 0))
     return LatticeNet(2, (m_n, n_n), "hp1", metadata={"lambda": lam}, data=pairs)
 
 
@@ -332,8 +337,7 @@ def sphere_frame(S: np.ndarray):
     S = normalize_proj(S)
     if is_j_real(S, FIBER_TOL):
         raise GeometryError("S must be a sphere lift, not a twistor fiber")
-    p, q = proj4.line_factorize(S)
-    return p, q
+    return proj4.line_factorize(S)
 
 
 def sphere_point(S_or_frame, z) -> np.ndarray:
@@ -396,7 +400,8 @@ def project_from_QS2(S: np.ndarray, net: LatticeNet) -> LatticeNet:
 
 @dataclass
 class FaceConic:
-    """Per-face report: plane basis, restricted quadric form, irreducibility."""
+    """Per-face report: planarity, restricted quadric form, irreducibility,
+    and the largest |<a, a>| of the face's unit vertex vectors."""
 
     base: tuple
     axes: tuple
@@ -404,6 +409,7 @@ class FaceConic:
     form: np.ndarray | None
     det: complex
     irreducible: bool
+    defect: float
 
 
 def is_conic_net(net: LatticeNet, tol: float = 1e-7) -> list:
@@ -421,13 +427,16 @@ def is_conic_net(net: LatticeNet, tol: float = 1e-7) -> list:
     basis = vh[:, :3]
     forms = basis @ QUADRIC_MATRIX @ basis.transpose(0, 2, 1)
     dets = np.linalg.det(forms)
-    reports = []
-    for (base, axes), r, resid, g, det in zip(faces, rank, s[:, 3] / s[:, 0], forms, dets):
-        if r != 3:
-            reports.append(FaceConic(base, axes, float(resid), None, 0.0, False))
-        else:
-            reports.append(FaceConic(base, axes, float(resid), g, complex(det), abs(det) > tol))
-    return reports
+    return [FaceConic(base, axes, float(resid), g if r == 3 else None, complex(det) if r == 3
+                      else 0.0, bool(r == 3 and abs(det) > tol), defect)
+            for (base, axes), r, resid, g, det, defect
+            in zip(faces, rank, s[:, 3] / s[:, 0], forms, dets, quadric_defects(vecs).tolist())]
+
+
+def quadric_defects(vecs: np.ndarray) -> np.ndarray:
+    """Largest |<a, a>| over the unit vectors a of each stacked face
+    (faces, 4, 6): a q4 value off the Pluecker quadric is no line of CP^3."""
+    return np.abs((vecs @ QUADRIC_MATRIX * vecs).sum(axis=-1)).max(axis=-1, initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +453,7 @@ def bianchi_check(hypercube: dict) -> bool:
     for key in keys:
         if key not in hypercube:
             raise GeometryError(f"hypercube vertex {key} missing")
-    cube = np.array([normalize_proj(hypercube[key]) for key in keys])
-    cube = cube.reshape((2, 2, 2, 2, -1))
+    cube = np.array([normalize_proj(hypercube[key]) for key in keys]).reshape((2, 2, 2, 2, -1))
     # the 24 faces: along each axis pair, at each setting of the other two
     for axes in itertools.combinations(range(4), 2):
         c = np.moveaxis(cube, axes, (0, 1))
@@ -498,9 +506,7 @@ def holonomy(closed_curve, lam):
     lam = complex(lam)
     h = np.eye(2, dtype=complex)
     for k in range(n):
-        z2 = pts[k]
-        z1 = pts[(k + 1) % n]
-        h = edge_transfer_matrix(z1, z2, lam) @ h
+        h = edge_transfer_matrix(pts[(k + 1) % n], pts[k], lam) @ h
     evals, evecs = np.linalg.eig(h)
     lines = [ExtC(evecs[0, k], evecs[1, k]) for k in range(2)]
     parabolic = lines[0].isclose(lines[1], 1e-8)

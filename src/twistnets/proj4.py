@@ -151,10 +151,8 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
 
 def proj_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Angle metric between projective points given by homogeneous vectors."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    na = _norm(a)
-    nb = _norm(b)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    na, nb = _norm(a), _norm(b)
     if na == 0.0 or nb == 0.0:
         raise GeometryError("projective distance of zero vector")
     a = a / na
@@ -167,8 +165,7 @@ def proj_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def wedge(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Exterior product of two C^4 vectors as a Pluecker 6-vector."""
-    v = np.asarray(v, dtype=complex)
-    w = np.asarray(w, dtype=complex)
+    v, w = np.asarray(v, dtype=complex), np.asarray(w, dtype=complex)
     return v[_PAIR_A] * w[_PAIR_B] - v[_PAIR_B] * w[_PAIR_A]
 
 
@@ -188,9 +185,7 @@ def span_functional(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def quadric_pair(a: np.ndarray, b: np.ndarray) -> complex:
     """Symmetric bilinear form induced by the wedge product on bivectors."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return complex(a @ QUADRIC_MATRIX @ b)
+    return complex(np.asarray(a, dtype=complex) @ QUADRIC_MATRIX @ np.asarray(b, dtype=complex))
 
 
 def is_decomposable(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -199,9 +194,7 @@ def is_decomposable(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 def lines_incident(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    a = normalize_proj(a)
-    b = normalize_proj(b)
-    return abs(quadric_pair(a, b)) < tol
+    return abs(quadric_pair(normalize_proj(a), normalize_proj(b))) < tol
 
 
 def line_matrix(a: np.ndarray) -> np.ndarray:
@@ -245,8 +238,7 @@ def line_point(a: np.ndarray) -> np.ndarray:
 
 def orthonormal_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An orthonormal pair spanning span{a, b}, by Gram-Schmidt."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     na, nb = _norm(a), _norm(b)
     if na == 0.0 or nb == 0.0:
         raise GeometryError("degenerate-span: zero vector")
@@ -260,8 +252,7 @@ def orthonormal_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def span_residual(x: np.ndarray, u: np.ndarray, w: np.ndarray) -> float:
     """Norm of the part of x orthogonal to span{u, w}, for an orthonormal pair."""
-    r = x - u * np.vdot(u, x) - w * np.vdot(w, x)
-    return _norm(r)
+    return _norm(x - u * np.vdot(u, x) - w * np.vdot(w, x))
 
 
 def svd_rank(m: np.ndarray, cut: float) -> tuple[int, np.ndarray, np.ndarray]:
@@ -352,8 +343,7 @@ def meet_join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ProjPlane]:
     the null-space rule tan(t / 2) > RANK_CUT, the lines coincide when
     |m| ~ sin t2 <= 2 RANK_CUT and are skew when |<a, b>| / |m| ~ sin t1 > 2 RANK_CUT.
     """
-    a = normalize_proj(a)
-    b = normalize_proj(b)
+    a, b = normalize_proj(a), normalize_proj(b)
     if not (is_decomposable(a, INCIDENCE_TOL) and is_decomposable(b, INCIDENCE_TOL)):
         raise GeometryError("bivector is not decomposable")
     m = line_matrix(b) @ line_matrix(QUADRIC_MATRIX @ a).T
@@ -450,12 +440,6 @@ def _svd_plane(rows: np.ndarray) -> np.ndarray:
 _LINE_IN_PLANE = "line-in-plane: intersection is not a point"
 
 
-def _meet_point(x: np.ndarray, scale: float) -> np.ndarray:
-    if _norm(x) < DEFAULT_TOL * scale:
-        raise GeometryError(_LINE_IN_PLANE)
-    return normalize_proj(x)
-
-
 def meet_span(plane: ProjPlane, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Intersection point of a plane and the line span{v, w} not contained in
     it: the batch of one of meet_spans."""
@@ -466,7 +450,7 @@ def meet_spans(functionals: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndar
     """Meets of planes and lines span{v, w}, row by row over leading axes.
 
     With f a plane's functional the point is v (f @ w) - w (f @ v); the
-    line-in-plane test, the one of _meet_point, is relative to |v| |w|.
+    line-in-plane test, the one of meet_line, is relative to |v| |w|.
     Returns the normalized points.
     """
     f = np.asarray(functionals, dtype=complex)
@@ -487,7 +471,10 @@ def meet_line(plane: ProjPlane, line: np.ndarray) -> np.ndarray:
     line = np.asarray(line, dtype=complex)
     if not is_decomposable(line, INCIDENCE_TOL):
         raise GeometryError("bivector is not decomposable")
-    return _meet_point(line_matrix(line) @ plane.functional, _norm(line))
+    x = line_matrix(line) @ plane.functional
+    if _norm(x) < DEFAULT_TOL * _norm(line):
+        raise GeometryError(_LINE_IN_PLANE)
+    return normalize_proj(x)
 
 
 def meet_planes(p1: ProjPlane, p2: ProjPlane, p3: ProjPlane) -> np.ndarray:
@@ -504,9 +491,7 @@ def meet_planes(p1: ProjPlane, p2: ProjPlane, p3: ProjPlane) -> np.ndarray:
 
 def quadric_roots(g: np.ndarray, h: np.ndarray) -> list:
     """Points of the quadric on the pencil g + t h (plus h itself at t = inf)."""
-    a = quadric_pair(h, h)
-    b = 2.0 * quadric_pair(g, h)
-    c = quadric_pair(g, g)
+    a, b, c = quadric_pair(h, h), 2.0 * quadric_pair(g, h), quadric_pair(g, g)
     scale = max(abs(a), abs(b), abs(c), 1e-30)
     roots = []
     if abs(a) < 1e-10 * scale:
@@ -516,12 +501,8 @@ def quadric_roots(g: np.ndarray, h: np.ndarray) -> list:
     else:
         disc = np.sqrt(b * b - 4.0 * a * c + 0j)
         roots.extend([(-b + disc) / (2 * a), (-b - disc) / (2 * a)])
-    out = []
-    for t in roots:
-        x = h if t is None else g + t * h
-        if np.linalg.norm(x) > 1e-12:
-            out.append(normalize_proj(x))
-    return out
+    xs = [h if t is None else g + t * h for t in roots]
+    return [normalize_proj(x) for x in xs if np.linalg.norm(x) > 1e-12]
 
 
 def sort_key(x: np.ndarray) -> tuple:

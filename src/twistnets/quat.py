@@ -62,8 +62,7 @@ class Quaternion:
     @staticmethod
     def from_complex_pair(z1: complex, z2: complex) -> "Quaternion":
         """Build q = z1 + j z2.  Note j z2 = y j + z k with z2 = y - i z."""
-        z1 = complex(z1)
-        z2 = complex(z2)
+        z1, z2 = complex(z1), complex(z2)
         return Quaternion(z1.real, z1.imag, z2.real, -z2.imag)
 
     def complex_pair(self) -> tuple[complex, complex]:

@@ -76,19 +76,16 @@ class HPoint:
         return span_residual(self.lift(), *fiber_pair(other)) < tol
 
 
-def j_on_vector(v: np.ndarray) -> np.ndarray:
-    """Right j-multiplication on H^2 in complex coordinates (antilinear, J^2 = -1)."""
-    c = np.conj(np.asarray(v, dtype=complex))
-    return np.array([-c[1], c[0], -c[3], c[2]])
-
-
 _J_PERM = np.array([1, 0, 3, 2])
 _J_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
 
 
-def j_on_rows(v: np.ndarray) -> np.ndarray:
-    """j_on_vector along the last axis of a stack of vectors."""
-    return np.conj(np.asarray(v, dtype=complex))[..., _J_PERM] * _J_SIGN
+def j_on_vector(v: np.ndarray) -> np.ndarray:
+    """Right j-multiplication on H^2 in complex coordinates (antilinear,
+    J^2 = -1), along the last axis."""
+    c = np.conj(np.asarray(v, dtype=complex))
+    # one vector is cheaper to build from its entries than by fancy indexing
+    return np.array([-c[1], c[0], -c[3], c[2]]) if c.ndim == 1 else c[..., _J_PERM] * _J_SIGN
 
 
 def j_on_bivector(a: np.ndarray) -> np.ndarray:
@@ -101,8 +98,7 @@ def j_on_bivector(a: np.ndarray) -> np.ndarray:
 def is_j_real(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff the bivector is fixed by the j-action up to positive real scale."""
     a = normalize_proj(a)
-    b = normalize_proj(j_on_bivector(a))
-    return bool(np.linalg.norm(a - b) < tol)
+    return bool(np.linalg.norm(a - normalize_proj(j_on_bivector(a))) < tol)
 
 
 def twistor_project(v: np.ndarray) -> HPoint:
@@ -111,9 +107,8 @@ def twistor_project(v: np.ndarray) -> HPoint:
     if np.linalg.norm(v) == 0.0:
         raise GeometryError("cannot project zero vector")
     v = v / np.linalg.norm(v)
-    q1 = Quaternion.from_complex_pair(v[0], v[1])
-    q2 = Quaternion.from_complex_pair(v[2], v[3])
-    return HPoint(q1, q2)
+    return HPoint(Quaternion.from_complex_pair(v[0], v[1]),
+                  Quaternion.from_complex_pair(v[2], v[3]))
 
 
 def quat_pairs(points) -> np.ndarray:
@@ -122,7 +117,9 @@ def quat_pairs(points) -> np.ndarray:
                      for p in points], dtype=float).reshape(-1, 2, 4)
 
 
-_ONE = np.array([1.0, 0.0, 0.0, 0.0])
+# the quaternion 1 as a row, and the pair [1 : 0] of the point at infinity
+QUAT_ONE = (1.0, 0.0, 0.0, 0.0)
+INF_PAIR = (QUAT_ONE, (0.0, 0.0, 0.0, 0.0))
 _CONJ_Z = np.array([1.0, 1.0, 1.0, -1.0])
 
 
@@ -132,8 +129,8 @@ def affine_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (1 at infinity)."""
     a, b = Quaternion.of_rows(pairs[..., 0, :]), Quaternion.of_rows(pairs[..., 1, :])
     at_inf = b.norm() < DEFAULT_TOL * np.maximum(1.0, a.norm())
-    b = Quaternion.of_rows(np.where(at_inf[..., None], _ONE, pairs[..., 1, :]))
-    return np.where(at_inf[..., None], _ONE, (a * b.inverse()).rows()), at_inf
+    b = Quaternion.of_rows(np.where(at_inf[..., None], QUAT_ONE, pairs[..., 1, :]))
+    return np.where(at_inf[..., None], QUAT_ONE, (a * b.inverse()).rows()), at_inf
 
 
 def lift_rows(pairs: np.ndarray) -> np.ndarray:
@@ -148,7 +145,7 @@ def lift_rows(pairs: np.ndarray) -> np.ndarray:
 def fiber_rows(pairs: np.ndarray) -> np.ndarray:
     """twistor_fiber over leading axes of quaternion pairs (..., 2, 4)."""
     v = lift_rows(pairs)
-    return normalize_rows(wedge_rows(v, j_on_rows(v)))
+    return normalize_rows(wedge_rows(v, j_on_vector(v)))
 
 
 def fiber_pair(p: HPoint) -> tuple[np.ndarray, np.ndarray]:
@@ -191,13 +188,11 @@ def sphere_from_eigenvectors(v: np.ndarray, w: np.ndarray) -> SphereEndo:
     The right-H-linear extension forces the Jv, Jw directions onto the
     -i-eigenvalue.
     """
-    v = np.asarray(v, dtype=complex)
-    w = np.asarray(w, dtype=complex)
+    v, w = np.asarray(v, dtype=complex), np.asarray(w, dtype=complex)
     basis = np.column_stack([v, w, j_on_vector(v), j_on_vector(w)])
     if abs(np.linalg.det(basis)) < 1e-10:
         raise GeometryError("eigenline is j-real: no sphere, only a point")
-    d = np.diag([1j, 1j, -1j, -1j])
-    return SphereEndo(basis @ d @ np.linalg.inv(basis))
+    return SphereEndo(basis @ np.diag([1j, 1j, -1j, -1j]) @ np.linalg.inv(basis))
 
 
 def sphere_from_line(a: np.ndarray):
@@ -206,9 +201,7 @@ def sphere_from_line(a: np.ndarray):
     if not proj4.is_decomposable(a, INCIDENCE_TOL):
         raise GeometryError("sphere_from_line needs a decomposable bivector")
     v, w = line_factorize(a)
-    if is_j_real(a, FIBER_TOL):
-        return twistor_project(v)
-    return sphere_from_eigenvectors(v, w)
+    return twistor_project(v) if is_j_real(a, FIBER_TOL) else sphere_from_eigenvectors(v, w)
 
 
 def sphere_from_rhn(R: Quaternion, H: Quaternion, N: Quaternion) -> SphereEndo:
@@ -236,8 +229,7 @@ def sphere_translate(center: Quaternion, R: Quaternion, N: Quaternion) -> Sphere
     The stabilized line set of the matrix (R, H; 0, N) is exactly
     {q : qN - Rq = H}, so the translate uses H = center*N - R*center.
     """
-    H = center * N - R * center
-    return sphere_from_rhn(R, H, N)
+    return sphere_from_rhn(R, center * N - R * center, N)
 
 
 def sphere_contains(s: SphereEndo, p: HPoint, tol: float = DEFAULT_TOL) -> bool:
@@ -248,8 +240,7 @@ def sphere_contains(s: SphereEndo, p: HPoint, tol: float = DEFAULT_TOL) -> bool:
     """
     v, vj = fiber_pair(p)
     target = s.matrix @ v
-    residual = span_residual(target, v, vj)
-    return bool(residual < tol * max(1.0, float(np.linalg.norm(target))))
+    return bool(span_residual(target, v, vj) < tol * max(1.0, float(np.linalg.norm(target))))
 
 
 def sphere_eigen_quaternion(s: SphereEndo, p: HPoint) -> Quaternion:
@@ -293,8 +284,7 @@ def classify_contact(a: np.ndarray, b: np.ndarray) -> ContactClass:
     Non-incident lines give disjoint spheres unless a meets bj, in which case
     the two point sets share a full circle.
     """
-    a = normalize_proj(a)
-    b = normalize_proj(b)
+    a, b = normalize_proj(a), normalize_proj(b)
     bj = j_on_bivector(b)
     if proj4.proj_distance(a, b) < _CONTACT_TOL or \
             proj4.proj_distance(a, bj) < _CONTACT_TOL:

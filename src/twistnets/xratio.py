@@ -23,6 +23,7 @@ normalization, places its three lines at infinity, 1 and 0.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ from .proj4 import (
     quadric_pair,
     wedge,
 )
-from .twistor import HPoint
+from .twistor import QUAT_ONE, HPoint
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,9 @@ def cross_det(u: ExtC, v: ExtC) -> complex:
 def complex_cr(z1, z2, z3, z4) -> ExtC:
     """Cross ratio of four points of CP^1, normalized so [inf,1,0,lam] = lam."""
     zs = [as_ext(z) for z in (z1, z2, z3, z4)]
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if zs[a].isclose(zs[b]):
-                raise GeometryError(f"coincident points {a} and {b} in cross ratio")
+    for a, b in itertools.combinations(range(4), 2):
+        if zs[a].isclose(zs[b]):
+            raise GeometryError(f"coincident points {a} and {b} in cross ratio")
     num = cross_det(zs[0], zs[1]) * cross_det(zs[2], zs[3])
     den = cross_det(zs[1], zs[2]) * cross_det(zs[3], zs[0])
     return ExtC(num, den)
@@ -101,15 +101,13 @@ def complex_cr(z1, z2, z3, z4) -> ExtC:
 
 def complex_fourth_point(z1, z2, z3, lam) -> ExtC:
     """The unique w with complex_cr(z1, z2, z3, w) = lam."""
-    z1, z2, z3 = as_ext(z1), as_ext(z2), as_ext(z3)
-    lam = as_ext(lam)
+    z1, z2, z3, lam = as_ext(z1), as_ext(z2), as_ext(z3), as_ext(lam)
     if lam.is_infinity(1e-14):
         raise GeometryError("degenerate cross-ratio value infinity")
     lv = lam.value()
     if abs(lv) < DEFAULT_TOL or abs(lv - 1.0) < DEFAULT_TOL:
         raise GeometryError("degenerate cross-ratio value 0 or 1")
-    a = cross_det(z1, z2)
-    b = cross_det(z2, z3)
+    a, b = cross_det(z1, z2), cross_det(z2, z3)
     num = a * z3.num + lv * b * z1.num
     den = a * z3.den + lv * b * z1.den
     # keep homogeneous pairs at unit scale so chained evaluations stay finite
@@ -138,8 +136,7 @@ def quat_cr(p1: HPoint, p2: HPoint, p3: HPoint, p4: HPoint) -> Quaternion:
         return ((q1 - q2) * (q2 - q3).inverse()
                 * (q3 - q4) * (q4 - q1).inverse())
     k = inf_idx[0]
-    finite = [p.affine() for i, p in enumerate(pts) if i != k]
-    a, b, c = finite
+    a, b, c = [p.affine() for i, p in enumerate(pts) if i != k]
     if k == 0:    # [inf, q2, q3, q4] = (q2-q3)^-1 (q3-q4)
         return (a - b).inverse() * (b - c)
     if k == 1:    # [q1, inf, q3, q4] = -(q3-q4)(q4-q1)^-1
@@ -161,9 +158,6 @@ def quat_fourth_point(p1: HPoint, p2: HPoint, p3: HPoint, lam: Quaternion) -> HP
     return HPoint.from_quaternion(Quaternion(*out[0].tolist()))
 
 
-_ONE = (1.0, 0.0, 0.0, 0.0)
-
-
 def quat_fourth_points(q1, q2, q3, lam, at_inf) -> tuple[np.ndarray, np.ndarray]:
     """quat_fourth_point row by row, on affine coordinates.
 
@@ -178,7 +172,7 @@ def quat_fourth_points(q1, q2, q3, lam, at_inf) -> tuple[np.ndarray, np.ndarray]
     q1, q2, q3 = (np.reshape(np.asarray(q, dtype=float), (-1, 4)) for q in (q1, q2, q3))
     lam = np.asarray(lam, dtype=float)
     # Quaternion.is_zero of lam and of lam - 1
-    if (np.minimum((lam * lam).sum(axis=-1), ((lam - _ONE) ** 2).sum(axis=-1))
+    if (np.minimum((lam * lam).sum(axis=-1), ((lam - QUAT_ONE) ** 2).sum(axis=-1))
             < DEFAULT_TOL ** 2).any():
         raise GeometryError("degenerate cross-ratio value 0 or 1")
     lam = np.broadcast_to(lam, q1.shape)
@@ -196,7 +190,7 @@ def quat_fourth_points(q1, q2, q3, lam, at_inf) -> tuple[np.ndarray, np.ndarray]
     for rows, fourth in branches:
         p4, out_inf[rows] = fourth(*(batch(x[rows]) for x in (q1, q2, q3, lam)))
         out[rows] = p4.rows()
-    out[out_inf] = _ONE
+    out[out_inf] = QUAT_ONE
     return out, out_inf
 
 
@@ -328,13 +322,10 @@ def steiner_fourth_point(f1, f2, f3, lam) -> np.ndarray:
     sphere half-touching the carrier of the conic.
     """
     lam = as_ext(lam)
-    if not lam.is_infinity(1e-14):
-        lv = lam.value()
-        if abs(lv) < 1e-13 or abs(lv - 1.0) < 1e-13:
-            raise GeometryError("degenerate cross-ratio value 0 or 1")
-    else:
+    if lam.is_infinity(1e-14):
         raise GeometryError("degenerate cross-ratio value infinity")
+    if abs(lam.value()) < 1e-13 or abs(lam.value() - 1.0) < 1e-13:
+        raise GeometryError("degenerate cross-ratio value 0 or 1")
     # regulus normalization puts generators at (inf, 0, 1); reorder so that
     # the parameter quadruple is (inf, 1, 0, lam)
-    r = regulus_build(f1, f3, f2)
-    return regulus_point(r, lam)
+    return regulus_point(regulus_build(f1, f3, f2), lam)

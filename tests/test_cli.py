@@ -18,7 +18,7 @@ from twistnets.cli import (
     pcen_to_doc,
 )
 from twistnets.contact import contact_element, pcen_from_circular, pcen_from_complex_cr
-from twistnets.nets import evolve_net_circular, evolve_net_complex, lift_to_QS2
+from twistnets.nets import LatticeNet, evolve_net_circular, evolve_net_complex, lift_to_QS2
 from twistnets.proj4 import GeometryError, wedge
 
 
@@ -171,6 +171,31 @@ def test_net_documents_reexport_byte_for_byte(tmp_path):
         again = str(tmp_path / f"{doc['kind']}-again.json")
         dump_doc(net_to_doc(doc_to_net(load_doc(first))), again)
         assert open(first).read() == open(again).read()
+
+
+def test_cp3_documents_load_check_and_reexport(tmp_path, capsys):
+    # four C^4 points in one plane, stored as 8 reals each
+    rng = np.random.default_rng(16)
+    plane = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    net = LatticeNet(2, (2, 2), "cp3")
+    for idx in net.indices():
+        net[idx] = rng.standard_normal(3) @ plane
+    first, again = str(tmp_path / "first.json"), str(tmp_path / "again.json")
+    dump_doc(net_to_doc(net), first)
+    dump_doc(net_to_doc(doc_to_net(load_doc(first))), again)
+    assert open(first).read() == open(again).read()
+    assert main(["check", first, "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["report"] == "planarity" and rep["max_residual"] < 1e-12
+    doc = load_doc(first)
+    doc["entries"]["1,1"] = _cvec_out(rng.standard_normal(4) + 0j)
+    assert main(["check", _write(tmp_path, "off.json", doc), "--report", "planarity"]) == 3
+    assert main(["export", first]) == 2
+    assert "cannot export nets of kind 'cp3'" in capsys.readouterr().err
+    # an entry of Pluecker length is malformed here
+    doc["entries"]["1,1"] = [0.5] * 12
+    assert main(["check", _write(tmp_path, "long.json", doc), "--report", "planarity"]) == 1
+    assert "cp3 entry '1,1' needs a list of 8 reals" in capsys.readouterr().err
 
 
 def test_conic_check_decides_rank_at_its_tol(tmp_path, capsys):

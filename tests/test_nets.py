@@ -382,6 +382,27 @@ def test_wavefront_step_to_infinity():
     assert max(face_planarity(net, base, axes) for base, axes in net.faces()) < 1e-10
 
 
+def test_wavefront_reads_large_points_as_infinity():
+    # at the face of (1, 1), 1 + B = 1 - 2 s is about 1e-10: above the
+    # kernel's 1e-12 cut, so (1, 1) is stored as [q : 1] with |q| near 5e9,
+    # which HPoint.is_infinity, and with it the row-by-row evolution, reads
+    # as the point at infinity in the faces after it
+    s = 0.5 - 5e-11
+    curve = [_hp(0, 0, 0, 0), _hp(1, 0, 0, 0), _hp(0.5, 0.3, -0.2, 1.0)]
+    seeds = [_hp(s, 0, 0, 0), _hp(0.2, -0.7, 1.1, 0.4)]
+    net = evolve_net_circular(curve, seeds, 2.0)
+    assert net.data[1, 1, 1, 0] == 1.0 and net[1, 1].is_infinity()
+    _assert_matches_rows(net, _row_by_row(curve, seeds, 2.0))
+    # with the seed (0, 2) at infinity too, the face of (1, 2) has two
+    seeds[1] = HPoint.infinity()
+    with pytest.raises(GeometryError) as want:
+        _row_by_row(curve, seeds, 2.0)
+    with pytest.raises(GeometryError) as got:
+        evolve_net_circular(curve, seeds, 2.0)
+    assert str(got.value) == str(want.value) == \
+        "degenerate step in row 2: more than one point at infinity"
+
+
 def test_wavefront_names_the_first_degenerate_face_in_row_order():
     # seeds at infinity at (0, 1) and (0, 2) meet in the face of (1, 2), on
     # anti-diagonal 3; the step above puts (2, 1) at infinity, and with
