@@ -21,7 +21,6 @@ import numpy as np
 from .quat import Quaternion
 from . import proj4
 from .proj4 import (
-    DEFAULT_TOL,
     FIBER_TOL,
     INCIDENCE_TOL,
     QUADRIC_MATRIX,
@@ -40,7 +39,7 @@ from .proj4 import (
     wedge,
     wedge_rows,
 )
-from .twistor import QUAT_ONE, HPoint, affine_rows, fiber_rows, is_j_real, j_on_vector, quat_pairs
+from .twistor import HPoint, fiber_rows, is_j_real, j_on_vector, pair_rows, quat_pairs
 from .xratio import (
     ExtC,
     as_ext,
@@ -297,33 +296,30 @@ def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
 
     The vertex (m, n) closes the face on (m, n - 1), (m - 1, n - 1) and
     (m - 1, n), as in evolve_circular, so each anti-diagonal m + n = d
-    depends only on the two before it and is one quat_fourth_points call.
-    A computed point is stored as [q : 1], or [1 : 0] at infinity, and the
-    later faces read it as evolve_circular does, through HPoint.is_infinity,
-    which also puts [q : 1] with |q| > 1 / DEFAULT_TOL at infinity.  A
-    degenerate face is named as the row-by-row evolution names the first one
-    it meets.
+    depends only on the two before it and is one quat_fourth_points call on
+    the C^4 lifts, where the point at infinity is an ordinary point.  The
+    boundary is stored as given and a computed point as the quaternion pair
+    of its unit lift.  A degenerate face is named as the row-by-row
+    evolution names the first one it meets.
     """
     curve, seeds, lam = list(curve), list(seeds), float(lam)
     if not curve:
         raise GeometryError("circular evolution needs a curve point")
     m_n, n_n = len(curve), len(seeds) + 1
-    pairs = np.zeros((m_n, n_n, 2, 4))
-    pairs[:, 0], pairs[0, 1:], pairs[1:, 1:, 1] = quat_pairs(curve), quat_pairs(seeds), QUAT_ONE
-    q, at_inf = affine_rows(pairs)
+    # lifted as evolve_circular lifts them, so that the two agree bit for bit
+    rows = np.array([p.lift() for p in curve + seeds])
+    lifts = np.zeros((m_n, n_n, 4), dtype=complex)
+    lifts[:, 0], lifts[0, 1:] = rows[:m_n], rows[m_n:]
     try:
         for d in range(2, m_n + n_n - 1) if min(m_n, n_n) > 1 else ():
             m = np.arange(max(1, d - n_n + 1), min(d, m_n))
-            face = ((m, d - m - 1), (m - 1, d - m - 1), (m - 1, d - m))
-            p4, inf = quat_fourth_points(*(q[f] for f in face), (lam, 0, 0, 0),
-                                         np.stack([at_inf[f] for f in face], -1))
-            pairs[m, d - m, 0], pairs[m[inf], d - m[inf], 1] = p4, 0.0
-            q[m, d - m] = p4
-            at_inf[m, d - m] = inf | (1.0 < DEFAULT_TOL * np.maximum(
-                1.0, Quaternion.of_rows(p4).norm()))
+            lifts[m, d - m] = quat_fourth_points(lifts[m, d - m - 1], lifts[m - 1, d - m - 1],
+                                                 lifts[m - 1, d - m], lam)
     except GeometryError:
         _evolve_rows(curve, seeds, evolve_circular, [lam] * (m_n - 1))
         raise
+    pairs = pair_rows(lifts)
+    pairs[:, 0], pairs[0, 1:] = quat_pairs(curve), quat_pairs(seeds)
     return LatticeNet(2, (m_n, n_n), "hp1", metadata={"lambda": lam}, data=pairs)
 
 

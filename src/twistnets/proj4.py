@@ -114,7 +114,8 @@ def normalize_proj(v: np.ndarray) -> np.ndarray:
     a = complex(v[anchor])
     if a.imag == 0.0 and a.real > 0.0 and abs(n - 1.0) < 1e-14:
         return v.copy()
-    out = v * (a.conjugate() / (mags[anchor] * n))
+    # dividing twice keeps the phase finite where |a| n overflows
+    out = v * (a.conjugate() / mags[anchor] / n)
     out[anchor] = mags[anchor] / n
     return out
 
@@ -134,14 +135,17 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     rows = v.reshape(-1, v.shape[-1])
     mags = np.abs(rows)
-    n = np.sqrt((mags * mags).sum(axis=1))
+    # hypot, as math.hypot in normalize_proj: squares of components above
+    # about 1e154 would overflow
+    n = np.hypot.reduce(mags, axis=1)
     if (n < 1e-12).any():
         raise GeometryError("cannot normalize (near-)zero homogeneous vector")
     k = np.arange(len(rows))
     anchor = (mags > 1e-6 * n[:, None]).argmax(axis=-1)
     a = mags[k, anchor]
     lead = rows[k, anchor]
-    out = rows * (lead.conj() / (a * n))[:, None]
+    # dividing twice keeps the phase finite where |a| n overflows
+    out = rows * (lead.conj() / a / n)[:, None]
     out[k, anchor] = a / n
     # rows that are normalized already (anchor real and positive, lead == a)
     # are kept bit for bit

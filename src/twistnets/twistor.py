@@ -142,6 +142,13 @@ def lift_rows(pairs: np.ndarray) -> np.ndarray:
     return normalize_rows(parts.view(complex))
 
 
+def pair_rows(v: np.ndarray) -> np.ndarray:
+    """The quaternion pairs (..., 2, 4) of C^4 rows (..., 4): lift_rows'
+    inverse up to scale."""
+    v = np.ascontiguousarray(v, dtype=complex)
+    return v.view(float).reshape(v.shape[:-1] + (2, 4)) * _CONJ_Z
+
+
 def fiber_rows(pairs: np.ndarray) -> np.ndarray:
     """twistor_fiber over leading axes of quaternion pairs (..., 2, 4)."""
     v = lift_rows(pairs)

@@ -7,6 +7,10 @@ d(u, v) = u_n v_d - v_n u_d the cross ratio is
 
     [z1, z2, z3, z4] = d(z1,z2) d(z3,z4) / (d(z2,z3) d(z4,z1)).
 
+The real quaternionic fourth point works the same way on unit C^4 lifts of
+points of HP^1: x3 splits along the twistor fibers of p1 and p2 as a + b,
+and p4 = [x3 - lam a], with no affine chart and no case at infinity.
+
 A regulus is the conic that the plane of three pairwise skew lines f1, f2,
 f3 cuts from the Pluecker quadric Q^4.  With g_ab = <f_a, f_b> its point at
 [t : s] is the closed form
@@ -35,11 +39,12 @@ from .proj4 import (
     GeometryError,
     line_factorize,
     normalize_proj,
+    normalize_rows,
     proj_distance,
     quadric_pair,
     wedge,
 )
-from .twistor import QUAT_ONE, HPoint
+from .twistor import HPoint, j_on_vector, pair_rows
 
 
 @dataclass(frozen=True)
@@ -125,7 +130,7 @@ def quat_cr(p1: HPoint, p2: HPoint, p3: HPoint, p4: HPoint) -> Quaternion:
     """(q1-q2)(q2-q3)^-1 (q3-q4)(q4-q1)^-1 in the affine chart [q : 1].
 
     At most one input may be the point at infinity; the two factors involving
-    it cancel in the limit, which is what the closed forms below encode.
+    it tend to -1 together, which is what the closed forms below encode.
     """
     pts = [p1, p2, p3, p4]
     inf_idx = [k for k, p in enumerate(pts) if p.is_infinity()]
@@ -137,8 +142,8 @@ def quat_cr(p1: HPoint, p2: HPoint, p3: HPoint, p4: HPoint) -> Quaternion:
                 * (q3 - q4) * (q4 - q1).inverse())
     k = inf_idx[0]
     a, b, c = [p.affine() for i, p in enumerate(pts) if i != k]
-    if k == 0:    # [inf, q2, q3, q4] = (q2-q3)^-1 (q3-q4)
-        return (a - b).inverse() * (b - c)
+    if k == 0:    # [inf, q2, q3, q4] = -(q2-q3)^-1 (q3-q4)
+        return -(a - b).inverse() * (b - c)
     if k == 1:    # [q1, inf, q3, q4] = -(q3-q4)(q4-q1)^-1
         return -(b - c) * (c - a).inverse()
     if k == 2:    # [q1, q2, inf, q4] = -(q1-q2)(q4-q1)^-1
@@ -148,74 +153,35 @@ def quat_cr(p1: HPoint, p2: HPoint, p3: HPoint, p4: HPoint) -> Quaternion:
 
 
 def quat_fourth_point(p1: HPoint, p2: HPoint, p3: HPoint, lam: Quaternion) -> HPoint:
-    """The unique p4 with quat_cr(p1, p2, p3, p4) = lam: the batch of one of
-    quat_fourth_points."""
-    at_inf = [p.is_infinity() for p in (p1, p2, p3)]
-    q = [Quaternion.one() if inf else p.affine() for p, inf in zip((p1, p2, p3), at_inf)]
-    out, out_inf = quat_fourth_points(*([x.w, x.x, x.y, x.z] for x in (*q, lam)), at_inf)
-    if out_inf[0]:
-        return HPoint.infinity()
-    return HPoint.from_quaternion(Quaternion(*out[0].tolist()))
+    """The unique p4 with quat_cr(p1, p2, p3, p4) = lam, for real lam: the
+    batch of one of quat_fourth_points."""
+    if lam.x or lam.y or lam.z:
+        raise GeometryError("quat_fourth_point needs a real cross ratio")
+    (a, b), = pair_rows(quat_fourth_points(p1.lift(), p2.lift(), p3.lift(), lam.w)).tolist()
+    return HPoint(Quaternion(*a), Quaternion(*b))
 
 
-def quat_fourth_points(q1, q2, q3, lam, at_inf) -> tuple[np.ndarray, np.ndarray]:
-    """quat_fourth_point row by row, on affine coordinates.
+def quat_fourth_points(x1, x2, x3, lam) -> np.ndarray:
+    """quat_fourth_point row by row, on C^4 lifts of the points.
 
-    Row k of the (k, 4) arrays q1, q2, q3 is the quaternion q of the point
-    [q : 1], or is ignored where row k of the (k, 3) mask at_inf marks the
-    point at infinity; lam is one quaternion or one per row.  Each row takes
-    the scalar formula for its points at infinity (_FOURTH_POINT) on batches
-    of Quaternions; with none, p4 is the point at infinity where 1 + B
-    nearly vanishes.  Returns p4's quaternions, 1 at infinity, and the mask
-    of the rows at infinity.
+    Row k of the (k, 4) arrays x1, x2, x3 lifts p1, p2, p3; lam is one real
+    number or one per row.  Distinct fibers are disjoint, so x1, x1 j, x2,
+    x2 j are a frame of C^4 and x3 = a + b with a = c0 x1 + c1 x1 j on the
+    fiber of p1 and b on that of p2.  The circle through the three points is
+    [a t + b s] for real [t : s], with p1, p2, p3 at infinity, 0 and 1, so
+    p4 = [x3 - lam a] sits at 1 - lam, where quat_cr is lam.  No input or
+    output is special at infinity.  Returns p4's unit lifts, (k, 4).
     """
-    q1, q2, q3 = (np.reshape(np.asarray(q, dtype=float), (-1, 4)) for q in (q1, q2, q3))
+    x1, x2, x3 = (np.reshape(np.asarray(x, dtype=complex), (-1, 4)) for x in (x1, x2, x3))
     lam = np.asarray(lam, dtype=float)
-    # Quaternion.is_zero of lam and of lam - 1
-    if (np.minimum((lam * lam).sum(axis=-1), ((lam - QUAT_ONE) ** 2).sum(axis=-1))
-            < DEFAULT_TOL ** 2).any():
+    if (np.minimum(np.abs(lam), np.abs(lam - 1.0)) < DEFAULT_TOL).any():
         raise GeometryError("degenerate cross-ratio value 0 or 1")
-    lam = np.broadcast_to(lam, q1.shape)
-    at_inf = np.reshape(np.asarray(at_inf, dtype=bool), (-1, 3))
-    count = at_inf.sum(axis=1)
-    if count.max(initial=0) > 1:
-        raise GeometryError("more than one point at infinity")
-    # a batch of one runs on float components, which Python evaluates
-    # faster than numpy does arrays of one element
-    batch = (lambda x: Quaternion(*x[0].tolist())) if len(q1) == 1 else Quaternion.of_rows
-    out = np.empty_like(q1)
-    out_inf = np.zeros(len(q1), dtype=bool)
-    branches = [(slice(None), _no_infinity)] if not count.any() else \
-        [(rows, f) for rows, f in zip((count == 0, *at_inf.T), _FOURTH_POINT) if rows.any()]
-    for rows, fourth in branches:
-        p4, out_inf[rows] = fourth(*(batch(x[rows]) for x in (q1, q2, q3, lam)))
-        out[rows] = p4.rows()
-    out[out_inf] = QUAT_ONE
-    return out, out_inf
-
-
-def _no_infinity(q1, q2, q3, lam):
-    """p4 = (1 + B)^-1 (q3 + B q1), B = (q2 - q3)(q1 - q2)^-1 lam, and
-    whether |1 + B| < 1e-12 puts p4 at infinity."""
+    x1j = j_on_vector(x1)
     try:
-        bmat = (q2 - q3) * (q1 - q2).inverse() * lam
-    except ZeroDivisionError:
+        c = np.linalg.solve(np.stack([x1, x1j, x2, j_on_vector(x2)], axis=-1), x3[..., None])
+    except np.linalg.LinAlgError:
         raise GeometryError("coincident points p1 and p2") from None
-    den = Quaternion.one() + bmat
-    at_inf = den.is_zero(1e-12)
-    # adding 1 to den.w makes den invertible where p4 is at infinity;
-    # elsewhere adding False keeps den.w = 1 + B.w, never -0.0, bit for bit
-    den = Quaternion(den.w + at_inf, den.x, den.y, den.z)
-    return den.inverse() * (q3 + bmat * q1), at_inf
-
-
-# the fourth point with no input at infinity, and with p1, p2 or p3 there
-_FOURTH_POINT = (
-    _no_infinity,
-    lambda q1, q2, q3, lam: (q3 - (q2 - q3) * lam, False),
-    lambda q1, q2, q3, lam: ((Quaternion.one() - lam).inverse() * (q3 - lam * q1), False),
-    lambda q1, q2, q3, lam: (q1 - lam.inverse() * (q1 - q2), False),
-)
+    return normalize_rows(x3 - lam[..., None] * (c[:, 0] * x1 + c[:, 1] * x1j))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,11 @@ from twistnets.proj4 import (
 from twistnets.twistor import (
     HPoint,
     classify_contact,
+    fiber_rows,
     j_on_bivector,
+    lift_rows,
+    pair_rows,
+    quat_pairs,
     sphere_translate,
     twistor_fiber,
 )
@@ -28,7 +32,7 @@ from twistnets.xratio import (
     cr_invariant,
     moebius_apply,
     quat_cr,
-    quat_fourth_point,
+    quat_fourth_points,
     regulus_build,
     regulus_point,
     steiner_cr,
@@ -157,12 +161,21 @@ def test_criterion_3_steiner_equals_parameter_cr():
             worst < 1e-9, f"max rel err {worst:.2e}")
 
 
-def _random_real_cube(rng):
-    pts = [_hp(rng) for _ in range(4)]
-    lams = rng.uniform(-3.0, -0.3, size=3)
-    far = [quat_fourth_point(pts[a], pts[0], pts[b], Quaternion.from_real(l))
-           for (a, b), l in zip(((1, 2), (1, 3), (2, 3)), lams)]
-    return [twistor_fiber(p) for p in pts + far]
+def _random_real_cubes(rng, count):
+    """The seven fibers of each of count cubes with concircular faces, (count,
+    7, 6): per cube, four random points and three real cross ratios, drawn
+    cube by cube; the far vertices of all faces are one quat_fourth_points
+    call."""
+    pairs, lams = [], []
+    for _ in range(count):
+        pairs.append(quat_pairs([_hp(rng) for _ in range(4)]))
+        lams.append(rng.uniform(-3.0, -0.3, size=3))
+    pairs = np.array(pairs)
+    lifts = lift_rows(pairs)
+    a, b = np.array(((1, 2), (1, 3), (2, 3))).T
+    far = quat_fourth_points(lifts[:, a].reshape(-1, 4), np.repeat(lifts[:, 0], 3, axis=0),
+                             lifts[:, b].reshape(-1, 4), np.ravel(lams))
+    return fiber_rows(np.concatenate([pairs, pair_rows(far).reshape(count, 3, 2, 4)], axis=1))
 
 
 def _j_real_defect(x: np.ndarray) -> float:
@@ -173,8 +186,8 @@ def _j_real_defect(x: np.ndarray) -> float:
 def test_criterion_4_reality_preservation():
     rng = np.random.default_rng(104)
     worst = 0.0
-    for _ in range(10_000):
-        eighth = hexahedron_complete(*_random_real_cube(rng))
+    for cube in _random_real_cubes(rng, 10_000):
+        eighth = hexahedron_complete(*cube)
         worst = max(worst, _j_real_defect(eighth))
     _report(4, "hexahedron completion preserves j-reality", worst < 1e-8,
             f"max defect {worst:.2e}")
@@ -183,8 +196,8 @@ def test_criterion_4_reality_preservation():
 def test_criterion_5_eight_point_property():
     rng = np.random.default_rng(105)
     worst = 0.0
-    for _ in range(1_000):
-        eighth = hexahedron_complete(*_random_real_cube(rng))
+    for cube in _random_real_cubes(rng, 1_000):
+        eighth = hexahedron_complete(*cube)
         worst = max(worst, abs(quadric_pair(eighth, eighth)))
     _report(5, "eighth point lies on the quadric", worst < 1e-8,
             f"max residual {worst:.2e}")

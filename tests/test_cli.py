@@ -304,6 +304,16 @@ def test_exit_code_usage_errors(tmp_path):
     assert main(["evolve", src, "--mode", "circular", "--lambda", "-1"]) == 1
 
 
+def test_check_reads_huge_coordinates(tmp_path, capsys):
+    # the real-line face 0, 1, 2, 1e200 is concircular; the lift of 1e200
+    # used to overflow to a zero row (exit 2)
+    doc = {"schema": 1, "dim": 2, "box": [2, 2], "kind": "hp1", "metadata": {},
+           "entries": {"0,0": [0.0, 0.0, 0.0, 0.0], "1,0": [1.0, 0.0, 0.0, 0.0],
+                       "1,1": [2.0, 0.0, 0.0, 0.0], "0,1": [1e200, 0.0, 0.0, 0.0]}}
+    assert main(["check", _write(tmp_path, "huge.json", doc)]) == 0
+    assert "max residual" in capsys.readouterr().out
+
+
 def test_exit_code_malformed_entries(tmp_path, capsys):
     # wrong arity, non-finite numbers and non-integer index keys are
     # malformed documents: exit 1 with a message, never a traceback

@@ -374,9 +374,20 @@ def test_normalize_rows_matches_normalize_proj(rows):
         anchor = int((np.abs(v) > 1e-6 * _norm(v)).argmax())
         for x in (g, w):
             assert x[anchor].imag == 0.0 and x[anchor].real > 0.0
-        # normalize_proj's norm is math.hypot, normalize_rows' a sum of
-        # squares: they differ by rounding
+        # normalize_proj's norm is math.hypot, normalize_rows' a chain of
+        # np.hypot: they differ by rounding
         assert np.abs(g - w).max() <= 1e-15
+
+
+def test_normalize_rows_keeps_huge_components():
+    # the squares of components above about 1e154 overflow; a row holding
+    # them is normalized as normalize_proj normalizes it, with no warning
+    rows = np.array([[1e200, 3e200j, 0.0, 1.0], [0.0, 1e200, -2e200, 5.0], [1.0, 2.0, 3.0, 4.0]])
+    got = normalize_rows(rows)
+    for g, v in zip(got, rows):
+        assert np.abs(g - normalize_proj(v)).max() <= 1e-15
+        assert abs(_norm(g) - 1.0) < 1e-15
+    assert abs(got[0, 1] - 3j / np.sqrt(10.0)) < 1e-15 and got[0, 3] > 0.0
 
 
 @settings(settings.get_profile("kernel"))

@@ -21,6 +21,7 @@ from twistnets.xratio import (
     moebius_apply,
     quat_cr,
     quat_fourth_point,
+    quat_fourth_points,
     regulus_build,
     regulus_parameter,
     regulus_point,
@@ -78,14 +79,19 @@ def _hp(q):
 
 
 def test_quat_cr_complex_agreement():
-    # on C subset of H the quaternionic cross ratio reduces to the complex one
+    # on C subset of H the quaternionic cross ratio reduces to the complex
+    # one, also with the point at infinity in any of the four slots
     rng = np.random.default_rng(1)
-    for _ in range(50):
-        zs = [complex(*rng.standard_normal(2)) for _ in range(4)]
-        cr_c = complex_cr(*zs).value()
-        cr_q = quat_cr(*(_hp(Quaternion.from_complex(z)) for z in zs))
-        z1, z2 = cr_q.complex_pair()
-        assert abs(z1 - cr_c) < 1e-9 and abs(z2) < 1e-9
+    for slot in (None, 0, 1, 2, 3):
+        for _ in range(50):
+            zs = [complex(*rng.standard_normal(2)) for _ in range(4)]
+            if slot is not None:
+                zs[slot] = INF
+            cr_c = complex_cr(*zs).value()
+            cr_q = quat_cr(*(HPoint.infinity() if z is INF else _hp(Quaternion.from_complex(z))
+                             for z in zs))
+            z1, z2 = cr_q.complex_pair()
+            assert abs(z1 - cr_c) < 1e-9 * max(1.0, abs(cr_c)) and abs(z2) < 1e-9
 
 
 def test_quat_fourth_point_known_value():
@@ -108,6 +114,32 @@ def test_quat_fourth_point_infinity_cases():
         q4 = quat_fourth_point(pts[0], pts[1], pts[2], lam)
         cr = quat_cr(pts[0], pts[1], pts[2], q4)
         assert cr.isclose(lam, 1e-8)
+
+
+def test_quat_fourth_point_needs_a_real_cross_ratio():
+    pts = [_hp(Quaternion(*v)) for v in np.eye(4)[:3]]
+    with pytest.raises(GeometryError, match="real cross ratio"):
+        quat_fourth_point(*pts, Quaternion(0.5, 0.0, 0.1, 0.0))
+    for lam in (0.0, 1.0):
+        with pytest.raises(GeometryError, match="degenerate cross-ratio value 0 or 1"):
+            quat_fourth_point(*pts, Quaternion.from_real(lam))
+    with pytest.raises(GeometryError, match="coincident points p1 and p2"):
+        quat_fourth_point(pts[0], pts[0], pts[1], Quaternion.from_real(-1.0))
+
+
+def test_quat_fourth_points_is_quat_fourth_point_row_by_row():
+    # one call on the lifts of many faces, with a lam per row, gives each
+    # face's batch of one bit for bit; points at infinity are ordinary rows
+    rng = np.random.default_rng(4)
+    pts = [[_hp(Quaternion(*rng.standard_normal(4))) for _ in range(3)] for _ in range(40)]
+    for k in range(0, 40, 7):
+        pts[k][k % 3] = HPoint.infinity()
+    lams = rng.uniform(-3.0, 3.0, size=40)
+    got = quat_fourth_points(*(np.array([p[a].lift() for p in pts]) for a in range(3)), lams)
+    for row, p, lam in zip(got, pts, lams):
+        want = quat_fourth_point(*p, Quaternion.from_real(lam))
+        assert np.array_equal(row, want.lift())
+        assert quat_cr(*p, want).isclose(Quaternion.from_real(lam), 1e-8)
 
 
 def test_quat_cr_moebius_invariant_pair():
