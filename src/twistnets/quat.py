@@ -2,18 +2,13 @@
 
 Conventions: i = jk (so ij = k, jk = i, ki = j) and i^2 = j^2 = k^2 = -1.
 The complex numbers sit inside H as the real span of {1, i}, and every
-quaternion splits as q = z1 + j z2 with z1, z2 complex.  A Quaternion whose
-components are arrays of one shape is a batch: its arithmetic, norm and
-inverse act elementwise, in the same operation order as on floats, so a
-batch agrees with its one-by-one evaluation bit for bit.
+quaternion splits as q = z1 + j z2 with z1, z2 complex.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .proj4 import DEFAULT_TOL
 
@@ -49,15 +44,6 @@ class Quaternion:
     def from_complex(c: complex) -> "Quaternion":
         c = complex(c)
         return Quaternion(c.real, c.imag, 0.0, 0.0)
-
-    @staticmethod
-    def of_rows(q: np.ndarray) -> "Quaternion":
-        """The batch of the quaternions (w, x, y, z) along the last axis."""
-        return Quaternion(q[..., 0], q[..., 1], q[..., 2], q[..., 3])
-
-    def rows(self) -> np.ndarray:
-        """The components stacked along a last axis: of_rows' inverse."""
-        return np.stack([self.w, self.x, self.y, self.z], axis=-1)
 
     @staticmethod
     def from_complex_pair(z1: complex, z2: complex) -> "Quaternion":
@@ -104,12 +90,11 @@ class Quaternion:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def norm(self) -> float:
-        n2 = self.norm_sq()
-        return np.sqrt(n2) if isinstance(n2, np.ndarray) else math.sqrt(n2)
+        return math.sqrt(self.norm_sq())
 
     def inverse(self) -> "Quaternion":
         n2 = self.norm_sq()
-        if not n2.all() if isinstance(n2, np.ndarray) else n2 == 0.0:
+        if n2 == 0.0:
             raise ZeroDivisionError("zero quaternion has no inverse")
         return self.conjugate() * (1.0 / n2)
 

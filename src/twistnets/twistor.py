@@ -127,10 +127,13 @@ def affine_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """HPoint.is_infinity and HPoint.affine over leading axes of quaternion
     pairs (..., 2, 4): the mask of points at infinity, and a b^-1 elsewhere
     (1 at infinity)."""
-    a, b = Quaternion.of_rows(pairs[..., 0, :]), Quaternion.of_rows(pairs[..., 1, :])
-    at_inf = b.norm() < DEFAULT_TOL * np.maximum(1.0, a.norm())
-    b = Quaternion.of_rows(np.where(at_inf[..., None], QUAT_ONE, pairs[..., 1, :]))
-    return np.where(at_inf[..., None], QUAT_ONE, (a * b.inverse()).rows()), at_inf
+    # Quaternion arithmetic on arrays of components acts elementwise, in the
+    # order HPoint.affine takes on floats, so each row is its value bit for bit
+    a, b = (Quaternion(*np.moveaxis(pairs[..., k, :], -1, 0)) for k in (0, 1))
+    nb2 = b.norm_sq()
+    at_inf = np.sqrt(nb2) < DEFAULT_TOL * np.maximum(1.0, np.sqrt(a.norm_sq()))
+    q = a * (b.conjugate() * (1.0 / np.where(at_inf, 1.0, nb2)))
+    return np.where(at_inf[..., None], QUAT_ONE, np.stack([q.w, q.x, q.y, q.z], axis=-1)), at_inf
 
 
 def lift_rows(pairs: np.ndarray) -> np.ndarray:

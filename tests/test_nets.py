@@ -421,6 +421,15 @@ def test_wavefront_names_the_first_degenerate_face_in_row_order():
         evolve_net_circular(curve[:2], seeds, 1.0)
 
 
+def test_wavefront_rejects_a_repeated_random_curve_point():
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        p, r, s0, s1 = (_hp(*rng.standard_normal(4)) for _ in range(4))
+        with pytest.raises(GeometryError,
+                           match=r"^degenerate step in row 1: coincident points p1 and p2$"):
+            evolve_net_circular([p, p, r], [s0, s1], -1.0)
+
+
 def test_wavefront_passes_through_infinity_continuously():
     # the point at infinity is an ordinary point of the net: a boundary point
     # there and one at [1e8 : 1] give nets within 1e-7 of each other
