@@ -19,9 +19,7 @@ import sys
 import numpy as np
 
 from .quat import Quaternion
-from . import proj4
 from .proj4 import (
-    FIBER_TOL,
     RANK_CUT,
     DocumentError,
     GeometryError,
@@ -30,7 +28,7 @@ from .proj4 import (
     span_ratios,
     wedge,
 )
-from .twistor import INF_PAIR, QUAT_ONE, HPoint, affine_rows, is_j_real, twistor_project
+from .twistor import INF_PAIR, QUAT_ONE, HPoint, SphereEndo, affine_rows, sphere_from_line
 from .xratio import ExtC, complex_cr
 from .nets import (
     LatticeNet,
@@ -43,8 +41,6 @@ from .nets import (
     is_conic_net,
     lift_to_QS2,
     quadric_defects,
-    sphere_frame,
-    sphere_point,
 )
 from .contact import (
     PCEN,
@@ -270,6 +266,8 @@ def _warn(msg: str):
 
 
 def cmd_evolve(args) -> int:
+    if args.steps < 0:
+        raise DocumentError(f"--steps {args.steps} is negative")
     net = doc_to_net(load_doc(args.input))
     if net.dim != 1:
         raise GeometryError("evolve expects a one-dimensional curve document")
@@ -449,61 +447,51 @@ def _export_lattice(net: LatticeNet, axis: int, lines: list):
         lines.append("l " + " ".join(str(k) for k in index_of.values()))
 
 
-def _sphere_center_radius(S: np.ndarray, axis: int, n_samples: int = 12):
-    """Chart center and radius of a sphere line via sampled membership.
+def _sphere_center_radius(s: SphereEndo, axis: int):
+    """Chart center S(infinity) and radius 1/|C| of a sphere (SphereEndo).
 
-    Sampling the CP^1 parametrization of the sphere yields affine points; a
-    least-squares circumsphere fit recovers center and radius.  Returns None
-    when a sample is infinite or the samples are not concentric in the chart
-    (the sphere is flat or not aligned with the chosen chart).
+    The sphere spans the 3-plane normal to conj(C), so it reaches 2|C'|/|C|^2
+    along the dropped axis, C' being C without that component.  None when S
+    fixes infinity (a flat sphere) or that extent is over 1e-8 of the
+    sphere's coordinates (it is not round in the chart).
     """
-    frame = sphere_frame(S)
-    samples = []
-    for k in range(n_samples):
-        t = 2.0 * np.pi * k / n_samples
-        zval = complex(np.cos(t), np.sin(t)) * (1.4 if k % 2 else 0.6)
-        q = _hpoint_out(twistor_project(sphere_point(frame, zval)))
-        if q is None:
-            return None
-        samples.append(q)
-    pts = np.array(samples)
-    if np.ptp(pts[:, axis]) > 1e-8 * max(1.0, float(np.max(np.abs(pts)))):
+    m = s.matrix
+    c = Quaternion.from_complex_pair(m[2, 0], m[3, 0])
+    center = _hpoint_out(HPoint(Quaternion.from_complex_pair(m[0, 0], m[1, 0]), c))
+    if center is None:
         return None
-    pts3 = np.delete(pts, axis, axis=1)
-    # |x|^2 - 2 c . x + d = 0 for every sample
-    mat = np.column_stack([-2.0 * pts3, np.ones(len(pts3))])
-    rhs = -np.sum(pts3 * pts3, axis=1)
-    sol = np.linalg.lstsq(mat, rhs, rcond=None)[0]
-    center, r2 = sol[:3], float(sol[:3] @ sol[:3] - sol[3])
-    if r2 <= 0 or float(np.max(np.abs(mat @ sol - rhs))) > 1e-6 * max(1.0, r2):
+    radius = 1.0 / c.norm()
+    extent = 2.0 * math.hypot(*_chart3([c.w, c.x, c.y, c.z], axis)) * radius * radius
+    if extent > 1e-8 * max(1.0, max(map(abs, center)) + radius):
         return None
-    return center, float(np.sqrt(r2))
+    return _chart3(center, axis), radius
 
 
-def _export_spheres(net: LatticeNet, axis: int, lines: list,
-                    rings: int = 12, segments: int = 16):
+def _export_spheres(net: LatticeNet, axis: int, lines: list):
     offset = 0
     for idx in net.present_indices():
-        a = net[idx]
-        if is_j_real(a, FIBER_TOL):
-            p = twistor_project(proj4.line_point(a))
-            affine = _hpoint_out(p)
-            if affine is None:
-                _warn(f"skipping point at infinity at index {idx}")
-                continue
-            lines.append("v " + " ".join(_fmt(c) for c in _chart3(affine, axis)))
-            offset += 1
-            continue
-        fit = _sphere_center_radius(a, axis)
-        if fit is None:
+        s = sphere_from_line(net[idx])
+        if isinstance(s, HPoint):
+            offset += _emit_point(lines, s, axis, idx)
+        elif (fit := _sphere_center_radius(s, axis)) is None:
             _warn(f"skipping sphere at index {idx}: flat or not chart-round")
-            continue
-        center, radius = fit
-        offset = _emit_uv_sphere(lines, center, radius, rings, segments, offset)
+        else:
+            offset = _emit_uv_sphere(lines, *fit, offset)
 
 
-def _emit_uv_sphere(lines: list, center, radius: float,
-                    rings: int, segments: int, offset: int) -> int:
+def _emit_point(lines: list, p: HPoint, axis: int, idx) -> int:
+    """p as a chart vertex, or a warning at infinity; the count of vertices
+    written."""
+    affine = _hpoint_out(p)
+    if affine is None:
+        _warn(f"skipping point at infinity at index {idx}")
+        return 0
+    lines.append("v " + " ".join(_fmt(c) for c in _chart3(affine, axis)))
+    return 1
+
+
+def _emit_uv_sphere(lines: list, center, radius: float, offset: int) -> int:
+    rings, segments = 12, 16
     for i in range(rings + 1):
         theta = np.pi * i / rings
         for k in range(segments):
@@ -527,12 +515,8 @@ def _export_pcen(doc: dict, axis: int, lines: list):
         p = null_line_real_point(element)
         if p is None:
             _warn(f"skipping half-contact element at index {idx}")
-            continue
-        affine = _hpoint_out(p)
-        if affine is None:
-            _warn(f"skipping point at infinity at index {idx}")
-            continue
-        lines.append("v " + " ".join(_fmt(c) for c in _chart3(affine, axis)))
+        else:
+            _emit_point(lines, p, axis, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +652,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2, the code of degenerate geometry, on a usage error
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except GeometryError as exc:

@@ -32,6 +32,7 @@ from .proj4 import (
 )
 from .twistor import (
     HPoint,
+    coincident_rows,
     j_on_vector,
     lift_rows,
     twistor_fiber,
@@ -210,15 +211,12 @@ def _vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_distinct_neighbors(lifts: np.ndarray):
-    """No two neighbouring base points coincide: HPoint.isclose at 1e-10,
-    the distance of one lift from the other's fiber span{v, vj}."""
+    """No two neighbouring base points coincide, by coincident_rows."""
     shape = lifts.shape[:-1]
     collisions = []
     for ax in range(len(shape)):
-        x, v = _edges(lifts, ax)
-        vj = j_on_vector(v)
-        r = row_norms(x - v * _vdot_rows(v, x) - vj * _vdot_rows(vj, x))
-        close = (r < 1e-10).reshape(tuple(n - (k == ax) for k, n in enumerate(shape)))
+        close = coincident_rows(*_edges(lifts, ax))
+        close = close.reshape(tuple(n - (k == ax) for k, n in enumerate(shape)))
         collisions += [(tuple(idx), ax) for idx in np.argwhere(close).tolist()]
     if collisions:
         idx, ax = min(collisions)

@@ -336,13 +336,6 @@ def sphere_frame(S: np.ndarray):
     return proj4.line_factorize(S)
 
 
-def sphere_point(S_or_frame, z) -> np.ndarray:
-    """The C^4 lift of the sphere point with parameter z."""
-    p, q = S_or_frame if isinstance(S_or_frame, tuple) else sphere_frame(S_or_frame)
-    z = as_ext(z)
-    return normalize_proj(p * z.num + q * z.den)
-
-
 def lift_to_QS2(S: np.ndarray, net: LatticeNet, lam=None) -> LatticeNet:
     """Lift a CP^1 net on the sphere S into the subquadric of lines through
     S and its j-image.

@@ -30,6 +30,7 @@ from .proj4 import (
     normalize_proj,
     normalize_rows,
     nullspace,
+    row_norms,
     span_residual,
     wedge,
     wedge_rows,
@@ -158,6 +159,15 @@ def fiber_rows(pairs: np.ndarray) -> np.ndarray:
     return normalize_rows(wedge_rows(v, j_on_vector(v)))
 
 
+def coincident_rows(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Which unit rows x (..., 4) lift the points of the unit rows v: their
+    distance from the fiber span{v, vj} is under 1e-10 (HPoint.isclose)."""
+    vj = j_on_vector(v)
+    off = x - v * (v.conj() * x).sum(-1, keepdims=True) \
+        - vj * (vj.conj() * x).sum(-1, keepdims=True)
+    return row_norms(off)[..., 0] < 1e-10
+
+
 def fiber_pair(p: HPoint) -> tuple[np.ndarray, np.ndarray]:
     """The orthonormal pair (v, vj) spanning the twistor fiber over p."""
     v = p.lift()
@@ -177,6 +187,14 @@ class SphereEndo:
     basis; the i-eigenspace (a complex 2-plane) is the corresponding line in
     CP^3.  In an adapted quaternionic basis the matrix takes the upper
     triangular form (R, H; 0, N) with R^2 = N^2 = -1.
+
+    The first column gives the center.  As a quaternionic matrix
+    (A, B; C, D) in sphere_from_rhn's layout, A has the complex pair
+    (M00, M10) and C the pair (M20, M30), so S maps infinity [1 : 0] to
+    [A : C].  S fixes exactly the sphere's points: C = 0 for a sphere through
+    infinity.  Otherwise S^2 = -1 gives D = -C A C^-1, and q = A C^-1 + y is
+    on the sphere iff (yC)^2 = -1: the center is S(infinity) = A C^-1, the
+    radius 1/|C|, and the sphere spans the 3-plane normal to conj(C).
     """
 
     matrix: np.ndarray
@@ -196,12 +214,13 @@ def sphere_from_eigenvectors(v: np.ndarray, w: np.ndarray) -> SphereEndo:
     """The unique sphere endomorphism with i-eigenspace span{v, w}.
 
     The right-H-linear extension forces the Jv, Jw directions onto the
-    -i-eigenvalue.
+    -i-eigenvalue.  A j-real eigenline is decided at FIBER_TOL, as in
+    sphere_from_line, so every line that is no point there is a sphere.
     """
     v, w = np.asarray(v, dtype=complex), np.asarray(w, dtype=complex)
-    basis = np.column_stack([v, w, j_on_vector(v), j_on_vector(w)])
-    if abs(np.linalg.det(basis)) < 1e-10:
+    if is_j_real(wedge(v, w), FIBER_TOL):
         raise GeometryError("eigenline is j-real: no sphere, only a point")
+    basis = np.column_stack([v, w, j_on_vector(v), j_on_vector(w)])
     return SphereEndo(basis @ np.diag([1j, 1j, -1j, -1j]) @ np.linalg.inv(basis))
 
 

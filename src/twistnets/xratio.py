@@ -44,7 +44,7 @@ from .proj4 import (
     quadric_pair,
     wedge,
 )
-from .twistor import HPoint, j_on_vector, pair_rows
+from .twistor import HPoint, coincident_rows, j_on_vector, pair_rows
 
 
 @dataclass(frozen=True)
@@ -164,21 +164,21 @@ def quat_fourth_point(p1: HPoint, p2: HPoint, p3: HPoint, lam: Quaternion) -> HP
 def quat_fourth_points(x1, x2, x3, lam) -> np.ndarray:
     """quat_fourth_point row by row, on C^4 lifts of the points.
 
-    Row k of the (k, 4) arrays x1, x2, x3 lifts p1, p2, p3; lam is one real
-    number or one per row.  Distinct fibers are disjoint, so x1, x1 j, x2,
-    x2 j are a frame of C^4 and x3 = a + b with a = c0 x1 + c1 x1 j on the
-    fiber of p1 and b on that of p2.  The circle through the three points is
-    [a t + b s] for real [t : s], with p1, p2, p3 at infinity, 0 and 1, so
-    p4 = [x3 - lam a] sits at 1 - lam, where quat_cr is lam.  No input or
-    output is special at infinity.  Returns p4's unit lifts, (k, 4).
+    Row k of the (k, 4) arrays x1, x2, x3 is a unit lift of p1, p2, p3; lam
+    is one real number or one per row.  Distinct fibers are disjoint, so x1,
+    x1 j, x2, x2 j are a frame of C^4 and x3 = a + b with a = c0 x1 + c1 x1 j
+    on the fiber of p1 and b on that of p2.  The circle through the three
+    points is [a t + b s] for real [t : s], with p1, p2, p3 at infinity, 0
+    and 1, so p4 = [x3 - lam a] sits at 1 - lam, where quat_cr is lam.  No
+    input or output is special at infinity.  Returns p4's unit lifts, (k, 4).
     """
     x1, x2, x3 = (np.reshape(np.asarray(x, dtype=complex), (-1, 4)) for x in (x1, x2, x3))
     lam = np.asarray(lam, dtype=float)
     if (np.minimum(np.abs(lam), np.abs(lam - 1.0)) < DEFAULT_TOL).any():
         raise GeometryError("degenerate cross-ratio value 0 or 1")
-    # a point given twice has one lift, so the test is exact; LU does not
-    # always leave an exactly zero pivot on the repeated columns
-    if (x1 == x2).all(axis=-1).any():
+    # before LU, which leaves no exactly zero pivot for a point given twice
+    # at two scales
+    if coincident_rows(x2, x1).any():
         raise GeometryError("coincident points p1 and p2")
     x1j = j_on_vector(x1)
     try:

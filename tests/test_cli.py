@@ -5,7 +5,7 @@ import pytest
 
 from twistnets.quat import Quaternion
 from twistnets.proj4 import QUADRIC_MATRIX, normalize_proj, nullspace, quadric_pair, quadric_roots
-from twistnets.twistor import HPoint, is_j_real, twistor_fiber
+from twistnets.twistor import HPoint, SphereEndo, is_j_real, sphere_translate, twistor_fiber
 from twistnets.cli import (
     _cvec_out,
     doc_to_net,
@@ -104,6 +104,14 @@ def test_check_rejects_q4_values_off_the_quadric(tmp_path, capsys):
         rep = json.loads(capsys.readouterr().out)
         assert rc == 3 and not rep["ok"]
         assert rep["max_residual"] >= 1.0 - 1e-12
+
+
+def test_export_rejects_q4_values_off_the_quadric(tmp_path, capsys):
+    # e0^e1 + e2^e3 is j-real, but no line, so it is no point either
+    value = [1.0, 0.0] + [0.0] * 8 + [1.0, 0.0]
+    doc = {"schema": 1, "dim": 1, "box": [1], "kind": "q4", "entries": {"0": value}}
+    assert main(["export", _write(tmp_path, "off.json", doc)]) == 2
+    assert "needs a decomposable bivector" in capsys.readouterr().err
 
 
 def _lifted_doc(shape=(3, 3), seed=6):
@@ -291,6 +299,78 @@ def test_export_obj_sphere_matches_circumsphere(tmp_path):
     assert np.max(np.abs(radii - 1.0)) < 1e-6
 
 
+def _round_sphere(center: Quaternion, radius: float, normal):
+    """The q4 value of the sphere with this center and radius in the 3-plane
+    normal to `normal`, and its quaternionic matrix entries A and C.
+
+    S = (A, B; C, D) with C = conj(normal) / radius and A = center C; S^2 = -1
+    gives B and D.
+    """
+    C = Quaternion(*normal).conjugate() * (1.0 / radius)
+    A = center * C
+    blocks = {(0, 0): A, (0, 1): (Quaternion.from_real(-1.0) - A * A) * C.inverse(),
+              (1, 0): C, (1, 1): -(C * center)}
+    m = np.zeros((4, 4), dtype=complex)
+    for (row, col), q in blocks.items():
+        z1, z2 = q.complex_pair()
+        m[2 * row:2 * row + 2, 2 * col:2 * col + 2] = [[z1, -np.conj(z2)], [z2, np.conj(z1)]]
+    sphere = SphereEndo(m)
+    assert sphere.squares_to_minus_identity(1e-12)
+    return sphere.eigenline(), A, C
+
+
+def _export_q4_value(tmp_path, value, chart):
+    """Exit code, vertices and face count of a one-value q4 document's OBJ."""
+    doc = {"schema": 1, "dim": 1, "box": [1], "kind": "q4",
+           "entries": {"0": _cvec_out(value)}, "metadata": {}}
+    obj = str(tmp_path / "sphere.obj")
+    rc = main(["export", _write(tmp_path, "sphere.json", doc), "--chart", chart, "-o", obj])
+    lines = open(obj).read().splitlines()
+    verts = np.array([[float(t) for t in l.split()[1:]] for l in lines if l.startswith("v ")])
+    return rc, verts, sum(l.startswith("f ") for l in lines)
+
+
+def _uv_sphere(center, radius):
+    """The export's 13 x 16 vertex grid on a sphere."""
+    theta, phi = np.meshgrid(np.pi * np.arange(13) / 12, 2 * np.pi * np.arange(16) / 16,
+                             indexing="ij")
+    unit = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
+                    axis=-1)
+    return np.asarray(center) + radius * unit.reshape(-1, 3)
+
+
+@pytest.mark.parametrize("chart", "wxyz")
+def test_export_obj_sphere_has_its_center_and_radius(tmp_path, chart):
+    # off the origin, A and C do not commute outside the w chart, so the
+    # center A C^-1 differs from C^-1 A
+    axis = "wxyz".index(chart)
+    center, radius = Quaternion(0.7, -1.3, 0.4, 2.1), 0.8
+    line, A, C = _round_sphere(center, radius, np.eye(4)[axis])
+    rc, verts, faces = _export_q4_value(tmp_path, line, chart)
+    assert rc == 0 and faces == 12 * 16
+
+    def miss(q):
+        return np.max(np.abs(verts - _uv_sphere(np.delete([q.w, q.x, q.y, q.z], axis), radius)))
+
+    assert miss(center) < 1e-12
+    # a w-aligned sphere has a real C, and there the two orders agree
+    assert miss(C.inverse() * A) > 1.0 if chart != "w" else miss(C.inverse() * A) < 1e-12
+
+
+@pytest.mark.parametrize("chart", "wxyz")
+def test_export_obj_skips_tilted_and_flat_spheres(tmp_path, capsys, chart):
+    axis = "wxyz".index(chart)
+    normal = np.eye(4)[axis] * np.cos(1e-3) + np.eye(4)[(axis + 1) % 4] * np.sin(1e-3)
+    tilted, _, _ = _round_sphere(Quaternion(0.7, -1.3, 0.4, 2.1), 0.8, normal)
+    # sphere_translate's matrix is upper triangular: C = 0, so S fixes infinity
+    flat = sphere_translate(Quaternion(0.7, -1.3, 0.4, 2.1), Quaternion(0, 0.6, 0, 0.8),
+                            Quaternion(0, 0, 1, 0)).eigenline()
+    for value in (tilted, flat):
+        rc, verts, faces = _export_q4_value(tmp_path, value, chart)
+        assert rc == 0 and len(verts) == 0 and faces == 0
+        assert "skipping sphere at index (0,): flat or not chart-round" in capsys.readouterr().err
+
+
 def test_exit_code_usage_errors(tmp_path):
     # missing file and malformed JSON are usage/IO problems
     assert main(["check", str(tmp_path / "nope.json")]) == 1
@@ -302,6 +382,29 @@ def test_exit_code_usage_errors(tmp_path):
            "entries": {}, "metadata": {}}
     src = _write(tmp_path, "empty.json", doc)
     assert main(["evolve", src, "--mode", "circular", "--lambda", "-1"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "net.json", "--no-such-flag"],
+    ["evolve", "curve.json", "--mode", "circular"],
+    ["evolve", "curve.json", "--mode", "circular", "--lambda", "-1", "--steps", "-1"],
+    ["evolve", "curve.json", "--mode", "complex", "--lambda", "-1", "--steps", "-1"],
+])
+def test_command_line_usage_errors_exit_1(tmp_path, capsys, argv):
+    # argparse's own exit code is 2, the code of degenerate geometry; the
+    # curve is valid, so only the arguments are at fault
+    curve = {"circular": _hp1_curve_doc(), "complex": _cp1_curve_doc()}
+    doc = curve["complex" if "complex" in argv else "circular"]
+    argv = [_write(tmp_path, a, doc) if a == "curve.json" else a for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["evolve", "--help"]) == 0
+    assert "usage: twistnets" in capsys.readouterr().out
 
 
 def test_check_reads_huge_coordinates(tmp_path, capsys):

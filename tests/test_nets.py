@@ -430,6 +430,16 @@ def test_wavefront_rejects_a_repeated_random_curve_point():
             evolve_net_circular([p, p, r], [s0, s1], -1.0)
 
 
+def test_wavefront_names_the_row_of_a_curve_point_given_at_two_scales():
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        q, s = (Quaternion(*rng.standard_normal(4)) for _ in range(2))
+        r, s0, s1 = (_hp(*rng.standard_normal(4)) for _ in range(3))
+        with pytest.raises(GeometryError,
+                           match=r"^degenerate step in row 1: coincident points p1 and p2$"):
+            evolve_net_circular([HPoint.from_quaternion(q), HPoint(q * s, s), r], [s0, s1], -1.0)
+
+
 def test_wavefront_passes_through_infinity_continuously():
     # the point at infinity is an ordinary point of the net: a boundary point
     # there and one at [1e8 : 1] give nets within 1e-7 of each other

@@ -19,6 +19,7 @@ from twistnets.twistor import (
     plane_fiber,
     sphere_contains,
     sphere_eigen_quaternion,
+    sphere_from_eigenvectors,
     sphere_from_line,
     sphere_from_rhn,
     sphere_translate,
@@ -98,6 +99,17 @@ def test_sphere_eigenline_roundtrip():
     s2 = sphere_from_line(line)
     assert np.allclose(s2.matrix, s.matrix, atol=1e-9) or \
         np.allclose(s2.matrix, -s.matrix, atol=1e-9)
+
+
+def test_sphere_from_line_decides_points_at_fiber_tol():
+    # a line further than FIBER_TOL from a twistor fiber is a sphere, however
+    # small, and its eigenvectors pass the same test
+    rng = np.random.default_rng(9)
+    v, w = (normalize_proj(rng.standard_normal(4) + 1j * rng.standard_normal(4)) for _ in range(2))
+    for eps, point in ((1e-9, True), (1e-6, False), (1e-3, False)):
+        assert isinstance(sphere_from_line(wedge(v, j_on_vector(v) + eps * w)), HPoint) == point
+    with pytest.raises(GeometryError, match="eigenline is j-real"):
+        sphere_from_eigenvectors(v, 3 * j_on_vector(v))
 
 
 def test_sphere_eigen_quaternion_square():

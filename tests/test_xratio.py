@@ -137,6 +137,16 @@ def test_quat_fourth_point_rejects_a_repeated_random_point():
             quat_fourth_point(p, p, q, Quaternion.from_real(-1.0))
 
 
+def test_quat_fourth_point_rejects_a_point_given_at_two_scales():
+    # [q : 1] and [qs : s] are one point, but their unit lifts differ by
+    # rounding, so an exact test of the lifts misses most of them
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        q, s, r = (Quaternion(*rng.standard_normal(4)) for _ in range(3))
+        with pytest.raises(GeometryError, match="coincident points p1 and p2"):
+            quat_fourth_point(_hp(q), HPoint(q * s, s), _hp(r), Quaternion.from_real(-1.0))
+
+
 def test_quat_fourth_points_is_quat_fourth_point_row_by_row():
     # one call on the lifts of many faces, with a lam per row, gives each
     # face's batch of one bit for bit; points at infinity are ordinary rows
