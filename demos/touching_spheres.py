@@ -11,6 +11,7 @@ import numpy as np
 from twistnets.quat import Quaternion
 from twistnets.twistor import (
     classify_contact,
+    j_on_bivector,
     j_on_vector,
     sphere_from_rhn,
     sphere_translate,
@@ -56,6 +57,11 @@ def main():
         r2 = Quaternion(0.0, *rng.standard_normal(3)).normalized()
         b = sphere_translate(Quaternion(*rng.standard_normal(4)), r2, n)
         show(f"random translates #{k}", a.eigenline(), b.eigenline())
+
+    # the last pair with b's orientation reversed (its j-image line, the same
+    # point set): the two lines no longer meet, but a meets b's j-image, the
+    # classifier's circle case; its witness is a point on both spheres
+    show("translates, one reversed", a.eigenline(), j_on_bivector(b.eigenline()))
 
 
 if __name__ == "__main__":

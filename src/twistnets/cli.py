@@ -273,8 +273,7 @@ def cmd_evolve(args) -> int:
         raise GeometryError("evolve expects a one-dimensional curve document")
     n_pts = net.shape[0]
     if n_pts < 2 or not net.is_complete():
-        print("error: curve document is empty or incomplete", file=sys.stderr)
-        return 1
+        raise DocumentError("curve document is empty or incomplete")
     curve = [net[(k,)] for k in range(n_pts)]
     lam = parse_complex(args.lam)
     steps, rng = args.steps, np.random.default_rng(args.seed)
@@ -527,9 +526,7 @@ def cmd_hexahedron(args) -> int:
     data = load_doc(args.input)
     pts = data.get("points")
     if not isinstance(pts, list) or len(pts) != 7:
-        print("error: hexahedron input needs a 'points' list of 7 bivectors",
-              file=sys.stderr)
-        return 1
+        raise DocumentError("hexahedron input needs a 'points' list of 7 bivectors")
     vs = [_cvec_in(p, 6, "hexahedron point") for p in pts]
     eighth = hexahedron_complete(*vs)
     resid = abs(quadric_pair(eighth, eighth))

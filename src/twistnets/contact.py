@@ -100,7 +100,6 @@ def contact_element(p: HPoint, sphere: np.ndarray) -> NullLine:
     The pencil point is the lift of p on the sphere's twistor line and the
     plane is spanned by that line together with the fiber of p.
     """
-    sphere = normalize_proj(sphere)
     fib = twistor_fiber(p)
     if not lines_incident(sphere, fib, INCIDENCE_TOL):
         raise GeometryError("point is not on the sphere")

@@ -31,32 +31,26 @@ from .proj4 import (
     sort_key,
     svd_rank,
     wedge,
+    wedge_rows,
 )
 from .twistor import (
     HPoint,
     classify_contact,
     is_j_real,
     j_on_bivector,
+    quat_matrix,
     twistor_fiber,
 )
 
-# the four complex basis directions of C^4 as elements of H^2
-_H2_BASIS = (
-    (Quaternion.one(), Quaternion(0, 0, 0, 0)),
-    (Quaternion.j(), Quaternion(0, 0, 0, 0)),
-    (Quaternion(0, 0, 0, 0), Quaternion.one()),
-    (Quaternion(0, 0, 0, 0), Quaternion.j()),
-)
+# the j-part of conj(x) y is x1 y2 - x2 y1 for x = x1 + j x2, y = y1 + j y2,
+# so omega is this row map applied to h: I_2 (x) ((0, 1), (-1, 0))
+_OMEGA_OF_H = np.kron(np.eye(2), ((0, 1), (-1, 0)))
+_PAIR_A, _PAIR_B = np.array(BIVECTOR_PAIRS).T
 
 DEFAULT_FORM_MATRIX = (
     (Quaternion(0, 0, 0, 0), Quaternion.one()),
     (Quaternion.one(), Quaternion(0, 0, 0, 0)),
 )
-
-
-def _quat_form_value(fmat, v, w) -> Quaternion:
-    return sum((v[a].conjugate() * fmat[a][b] * w[b] for a in range(2) for b in range(2)),
-               Quaternion(0, 0, 0, 0))
 
 
 @dataclass
@@ -69,8 +63,8 @@ class QuatHermitianForm:
     omega_vec: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        h, om = np.array([[_quat_form_value(self.qmat, v, w).complex_pair() for w in _H2_BASIS]
-                          for v in _H2_BASIS]).transpose(2, 0, 1)
+        h = quat_matrix(self.qmat)
+        om = _OMEGA_OF_H @ h
         if np.linalg.norm(h - h.conj().T) > 1e-12:
             raise GeometryError("h component is not hermitian")
         if np.linalg.norm(om + om.T) > 1e-12:
@@ -79,7 +73,7 @@ class QuatHermitianForm:
             raise GeometryError("degenerate hermitian form")
         self.hmat = h
         self.omega = om
-        self.omega_vec = np.array([om[a, b] for a, b in BIVECTOR_PAIRS])
+        self.omega_vec = om[_PAIR_A, _PAIR_B]
 
     def value(self, v: np.ndarray, w: np.ndarray) -> Quaternion:
         """frak_h on C^4 vectors, reassembled from the complex split."""
@@ -113,7 +107,6 @@ def rho(l: np.ndarray, form: QuatHermitianForm | None = None) -> np.ndarray:
 def is_lie_real(l: np.ndarray, form: QuatHermitianForm | None = None,
                 tol: float = DEFAULT_TOL) -> bool:
     """True iff l equals its perpendicular: the sphere or point lies in S^3."""
-    l = normalize_proj(l)
     return proj4.proj_distance(l, rho(l, form)) < tol
 
 
@@ -147,11 +140,9 @@ def rho_tilde_matrix(form: QuatHermitianForm | None = None) -> np.ndarray:
     """
     if form is None:
         form = QuatHermitianForm()
-    ht = form.hmat.T
-    lam2 = np.zeros((6, 6), dtype=complex)
-    for col, (a, b) in enumerate(BIVECTOR_PAIRS):
-        lam2[:, col] = wedge(ht[:, a], ht[:, b])
-    m = np.linalg.inv(np.asarray(QUADRIC_MATRIX)) @ lam2
+    # column (a, b) of the compound is wedge(h(e_a, .), h(e_b, .)), and
+    # QUADRIC_MATRIX is its own inverse
+    m = QUADRIC_MATRIX @ wedge_rows(form.hmat[_PAIR_A], form.hmat[_PAIR_B]).T
     m /= np.sqrt(abs(np.linalg.det(form.hmat)))
     if np.linalg.norm(m @ m.conj() - np.eye(6)) > 1e-9:
         raise GeometryError("perpendicularity lift does not square to identity")
@@ -232,7 +223,7 @@ def circle_to_Q3(p1: HPoint, p2: HPoint, p3: HPoint,
         raise GeometryError("circle pencil has no two quadric points")
     roots.sort(key=sort_key)
     a, b = roots
-    if proj4.proj_distance(normalize_proj(j_on_bivector(a)), b) > 1e-6:
+    if proj4.proj_distance(j_on_bivector(a), b) > 1e-6:
         raise GeometryError("circle representatives are not a j-pair")
     return a, b
 
@@ -289,7 +280,7 @@ def touching_coins_check(circles, form: QuatHermitianForm | None = None) -> Coin
         points.append(cc.witnesses[0])
     # the rank of the chain as it touches: either representative of a circle
     # is valid input, and the given ones may span fewer dimensions
-    if np.linalg.matrix_rank(np.array(oriented), tol=1e-8) < 4:
+    if svd_rank(np.array(oriented), RANK_CUT)[0] < 4:
         raise GeometryError("common-sphere degeneracy: representatives span "
                             "fewer than four dimensions")
     spheres = _polar_spheres([twistor_fiber(p) for p in points])
@@ -303,7 +294,7 @@ def touching_coins_check(circles, form: QuatHermitianForm | None = None) -> Coin
     for c in oriented:
         cc = classify_contact(sphere, c)
         if cc.tag not in ("half_touch",):
-            cc2 = classify_contact(sphere, normalize_proj(j_on_bivector(c)))
+            cc2 = classify_contact(sphere, j_on_bivector(c))
             if cc2.tag == "half_touch":
                 cc = cc2
         sphere_tags.append(cc.tag)

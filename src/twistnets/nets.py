@@ -285,7 +285,10 @@ def _evolve_rows(first_row, seeds, step, *args) -> list:
 def evolve_net_complex(curve, seeds, lam) -> LatticeNet:
     """Full 2-dim complex cross-ratio net from a curve and a transverse seed
     column c+(0), c++(0), ..."""
-    rows = _evolve_rows([as_ext(z) for z in curve], seeds, evolve_complex_cr, lam)
+    curve = [as_ext(z) for z in curve]
+    if not curve:
+        raise GeometryError("complex evolution needs a curve point")
+    rows = _evolve_rows(curve, seeds, evolve_complex_cr, lam)
     data = np.array([[(z.num, z.den) for z in row] for row in rows], dtype=complex)
     data = data.reshape(len(rows), len(rows[0]), 2).transpose(1, 0, 2)
     return LatticeNet(2, data.shape[:2], "cp1", metadata={"lambda": complex(lam)}, data=data)
@@ -330,7 +333,6 @@ def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
 def sphere_frame(S: np.ndarray):
     """Spanning points p, q of the line S with the parameter convention that
     the CP^1 coordinate z on the sphere corresponds to [p z + q]."""
-    S = normalize_proj(S)
     if is_j_real(S, FIBER_TOL):
         raise GeometryError("S must be a sphere lift, not a twistor fiber")
     return proj4.line_factorize(S)
@@ -371,7 +373,7 @@ def project_from_QS2(S: np.ndarray, net: LatticeNet) -> LatticeNet:
     if net.kind != "q4":
         raise GeometryError("projection expects a q4 net")
     p, q = sphere_frame(S)
-    line = normalize_proj(wedge(p, q))
+    line = wedge(p, q)
     out = LatticeNet(net.dim, net.shape, "cp1", metadata=dict(net.metadata))
     for idx in net.indices():
         a = net[idx]

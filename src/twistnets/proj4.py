@@ -97,6 +97,16 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(v, v).real)
 
 
+def _nonzero_norm(v: np.ndarray) -> float:
+    """The norm of v by math.hypot, which does not overflow.  A norm under
+    1e-12 raises: the one zero cut of normalize_proj and of the scale-free
+    tests (proj_distance, lines_incident, ProjPlane.residual)."""
+    n = math.hypot(*np.abs(v).tolist())
+    if n < 1e-12:
+        raise GeometryError("cannot normalize (near-)zero homogeneous vector")
+    return n
+
+
 def normalize_proj(v: np.ndarray) -> np.ndarray:
     """Normalize a homogeneous vector: unit norm, anchor component positive real.
 
@@ -106,10 +116,8 @@ def normalize_proj(v: np.ndarray) -> np.ndarray:
     returns it unchanged, bit for bit.
     """
     v = np.asarray(v, dtype=complex)
+    n = _nonzero_norm(v)
     mags = np.abs(v)
-    n = math.hypot(*mags.tolist())
-    if n < 1e-12:
-        raise GeometryError("cannot normalize (near-)zero homogeneous vector")
     anchor = int((mags > 1e-6 * n).argmax())
     a = complex(v[anchor])
     if a.imag == 0.0 and a.real > 0.0 and abs(n - 1.0) < 1e-14:
@@ -156,11 +164,8 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
 def proj_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Angle metric between projective points given by homogeneous vectors."""
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    na, nb = _norm(a), _norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise GeometryError("projective distance of zero vector")
-    a = a / na
-    b = b / nb
+    a = a / _nonzero_norm(a)
+    b = b / _nonzero_norm(b)
     # the sine of the angle is the size of b's component orthogonal to a,
     # which stays accurate for nearly identical points
     ortho = b - a * np.vdot(a, b)
@@ -193,12 +198,15 @@ def quadric_pair(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 def is_decomposable(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    a = normalize_proj(a)
-    return abs(quadric_pair(a, a)) < tol
+    """Whether a bivector is a line of CP^3: lines_incident(a, a, tol)."""
+    return lines_incident(a, a, tol)
 
 
 def lines_incident(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return abs(quadric_pair(normalize_proj(a), normalize_proj(b))) < tol
+    """Whether the lines of two bivectors meet: |<a, b>| < tol |a| |b|, a
+    residual that no scale or phase of a or b changes."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return abs(quadric_pair(a / _nonzero_norm(a), b / _nonzero_norm(b))) < tol
 
 
 def line_matrix(a: np.ndarray) -> np.ndarray:
@@ -329,10 +337,7 @@ class ProjPlane:
     def residual(self, v: np.ndarray) -> float:
         """|f @ v| for the unit-scaled v."""
         v = np.asarray(v, dtype=complex)
-        n = _norm(v)
-        if n < 1e-12:
-            raise GeometryError("cannot normalize (near-)zero homogeneous vector")
-        return abs(self.functional @ v) / n
+        return abs(self.functional @ v) / _nonzero_norm(v)
 
 
 def meet_join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ProjPlane]:

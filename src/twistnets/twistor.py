@@ -97,9 +97,10 @@ def j_on_bivector(a: np.ndarray) -> np.ndarray:
 
 
 def is_j_real(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the bivector is fixed by the j-action up to positive real scale."""
-    a = normalize_proj(a)
-    return bool(np.linalg.norm(a - normalize_proj(j_on_bivector(a))) < tol)
+    """True iff the bivector's line is fixed by the j-action, a twistor fiber:
+    its angle to its j-image, which no scale or phase of a changes, is under
+    tol."""
+    return proj4.proj_distance(a, j_on_bivector(a)) < tol
 
 
 def twistor_project(v: np.ndarray) -> HPoint:
@@ -226,11 +227,23 @@ def sphere_from_eigenvectors(v: np.ndarray, w: np.ndarray) -> SphereEndo:
 
 def sphere_from_line(a: np.ndarray):
     """A decomposable bivector as either an HP^1 point (j-real) or a sphere."""
-    a = normalize_proj(a)
     if not proj4.is_decomposable(a, INCIDENCE_TOL):
         raise GeometryError("sphere_from_line needs a decomposable bivector")
     v, w = line_factorize(a)
     return twistor_project(v) if is_j_real(a, FIBER_TOL) else sphere_from_eigenvectors(v, w)
+
+
+def quat_matrix(qmat) -> np.ndarray:
+    """The complex 4x4 matrix of a 2x2 quaternionic matrix in the basis
+    {e1, e1j, e2, e2j}: each entry z1 + j z2 becomes the block
+    (z1, -conj(z2); z2, conj(z1))."""
+    m = np.zeros((4, 4), dtype=complex)
+    for row, entries in enumerate(qmat):
+        for col, q in enumerate(entries):
+            z1, z2 = q.complex_pair()
+            m[2 * row:2 * row + 2, 2 * col:2 * col + 2] = ((z1, -np.conj(z2)),
+                                                         (z2, np.conj(z1)))
+    return m
 
 
 def sphere_from_rhn(R: Quaternion, H: Quaternion, N: Quaternion) -> SphereEndo:
@@ -239,14 +252,7 @@ def sphere_from_rhn(R: Quaternion, H: Quaternion, N: Quaternion) -> SphereEndo:
     Valid when R^2 = N^2 = -1 and RH + HN = 0; the affine sphere is the set
     of q with qN - Rq = 2H.
     """
-    m = np.zeros((4, 4), dtype=complex)
-    for (row, col), q in (((0, 0), R), ((0, 1), H), ((1, 1), N)):
-        z1, z2 = q.complex_pair()
-        m[2 * row, 2 * col] = z1
-        m[2 * row + 1, 2 * col] = z2
-        m[2 * row, 2 * col + 1] = -np.conj(z2)
-        m[2 * row + 1, 2 * col + 1] = np.conj(z1)
-    endo = SphereEndo(m)
+    endo = SphereEndo(quat_matrix(((R, H), (Quaternion(0, 0, 0, 0), N))))
     if not endo.squares_to_minus_identity(1e-8):
         raise GeometryError("matrix (R,H;0,N) does not square to -Identity")
     return endo
@@ -311,9 +317,10 @@ def classify_contact(a: np.ndarray, b: np.ndarray) -> ContactClass:
     through the common point (tangency at one point) or not (point sets
     sharing exactly the two projections of the plane's distinguished points).
     Non-incident lines give disjoint spheres unless a meets bj, in which case
-    the two point sets share a full circle.
+    the two point sets share a full circle; its one witness is the projection
+    of that meet, which is also the projection of the meet of aj and b, its
+    J-image.
     """
-    a, b = normalize_proj(a), normalize_proj(b)
     bj = j_on_bivector(b)
     if proj4.proj_distance(a, b) < _CONTACT_TOL or \
             proj4.proj_distance(a, bj) < _CONTACT_TOL:
@@ -329,8 +336,5 @@ def classify_contact(a: np.ndarray, b: np.ndarray) -> ContactClass:
         fiber_point = line_point(plane_fiber(plane))
         return ContactClass("half_touch", (twistor_project(p), twistor_project(fiber_point)))
     if lines_incident(a, bj, _CONTACT_TOL):
-        p = line_meet_point(a, bj)
-        q = line_meet_point(j_on_bivector(a), b)
-        return ContactClass("circle_intersection",
-                            (twistor_project(p), twistor_project(q)))
+        return ContactClass("circle_intersection", (twistor_project(line_meet_point(a, bj)),))
     return ContactClass("disjoint", ())

@@ -8,6 +8,7 @@ from twistnets.proj4 import QUADRIC_MATRIX, normalize_proj, nullspace, quadric_p
 from twistnets.twistor import HPoint, SphereEndo, is_j_real, sphere_translate, twistor_fiber
 from twistnets.cli import (
     _cvec_out,
+    build_parser,
     doc_to_net,
     doc_to_pcen,
     dump_doc,
@@ -19,7 +20,7 @@ from twistnets.cli import (
 )
 from twistnets.contact import contact_element, pcen_from_circular, pcen_from_complex_cr
 from twistnets.nets import LatticeNet, evolve_net_circular, evolve_net_complex, lift_to_QS2
-from twistnets.proj4 import GeometryError, wedge
+from twistnets.proj4 import DocumentError, GeometryError, wedge
 
 
 def _write(tmp_path, name, doc):
@@ -330,6 +331,21 @@ def _export_q4_value(tmp_path, value, chart):
     return rc, verts, sum(l.startswith("f ") for l in lines)
 
 
+def test_export_writes_a_fiber_at_any_phase_as_one_vertex(tmp_path, capsys):
+    # fibers over points near the chart origin have a small leading Pluecker
+    # coordinate; written at a complex phase with 12 decimals they are fibers
+    # to about 1e-12, each a point
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        q = Quaternion(*(rng.standard_normal(4) * 1.5e-3))
+        phase = np.exp(2j * np.pi * rng.uniform())
+        value = np.round(twistor_fiber(HPoint.from_quaternion(q)) * phase, 12)
+        rc, verts, faces = _export_q4_value(tmp_path, value, "w")
+        assert rc == 0 and faces == 0 and verts.shape == (1, 3)
+        assert np.abs(verts[0] - [q.x, q.y, q.z]).max() < 1e-9
+    assert "error" not in capsys.readouterr().err
+
+
 def _uv_sphere(center, radius):
     """The export's 13 x 16 vertex grid on a sphere."""
     theta, phi = np.meshgrid(np.pi * np.arange(13) / 12, 2 * np.pi * np.arange(16) / 16,
@@ -441,6 +457,23 @@ def test_exit_code_malformed_entries(tmp_path, capsys):
     src = _write(tmp_path, "key.json", doc)
     assert main(["check", src]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", "one.json", "--mode", "circular", "--lambda", "-1"],
+     "curve document is empty or incomplete"),
+    (["hexahedron", "three.json"], "hexahedron input needs a 'points' list of 7 bivectors"),
+])
+def test_malformed_input_raises_document_error(tmp_path, capsys, monkeypatch, argv, message):
+    # the commands raise; main prints the one error line and exits 1
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "one.json", _hp1_curve_doc(1))
+    _write(tmp_path, "three.json", {"points": [[0.0] * 12] * 3})
+    args = build_parser().parse_args(argv)
+    with pytest.raises(DocumentError, match=message):
+        args.func(args)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_dump_doc_rejects_non_finite(tmp_path):

@@ -482,3 +482,8 @@ def test_write_after_planarity_drops_the_cached_fibers():
             assert after > 1e-3
         else:
             assert after == before[base]
+
+
+def test_complex_evolution_needs_a_curve_point():
+    with pytest.raises(GeometryError, match="complex evolution needs a curve point"):
+        evolve_net_complex([], [1j], 0.5)

@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
+from twistnets import proj4, twistor
 from twistnets.quat import Quaternion
 from twistnets.proj4 import (
+    FIBER_TOL,
+    INCIDENCE_TOL,
     GeometryError,
+    is_decomposable,
     lines_incident,
     normalize_proj,
     plane_from_span,
@@ -186,3 +194,111 @@ def test_hpoints_close_scaling():
     p1 = HPoint(q, Quaternion.one())
     p2 = HPoint(q * mu, mu)
     assert p1.isclose(p2, 1e-10)
+
+
+def test_circle_intersection_has_one_witness_on_both_lines():
+    # b is given by its j-image, the same sphere reversed: a misses it and
+    # meets b itself, and the witness's fiber meets both lines
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        r, r2, n = (Quaternion(0.0, *rng.standard_normal(3)).normalized() for _ in range(3))
+        a = sphere_translate(Quaternion(*rng.standard_normal(4)), r, n).eigenline()
+        b = j_on_bivector(sphere_translate(Quaternion(*rng.standard_normal(4)), r2, n).eigenline())
+        cc = classify_contact(a, b)
+        assert cc.tag == "circle_intersection" and len(cc.witnesses) == 1
+        fiber = twistor_fiber(cc.witnesses[0])
+        assert lines_incident(fiber, a, 1e-8) and lines_incident(fiber, b, 1e-8)
+
+
+# Near-fibers whose leading Pluecker coordinate, |q|^2 / (1 + |q|^2) for the
+# fiber over [q : 1], lies between 2e-6 and 1e-5 of the norm, just above the
+# 1e-6 of normalize_proj's phase anchor, plus noise of norm 1e-12; each comes
+# with a sphere line through one of its points and the fiber over infinity,
+# which it misses.  Scales r e^(i psi) have r in [1e-6, 1e6].
+PREDICATES = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+_direction = st.lists(st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False),
+                      min_size=4, max_size=4).filter(lambda x: math.hypot(*x) > 0.1)
+_noise = st.lists(st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False),
+                  min_size=12, max_size=12).filter(lambda x: math.hypot(*x) > 0.1)
+
+
+@st.composite
+def _near_fiber(draw):
+    d = np.array(draw(_direction))
+    lead = draw(st.floats(2e-6, 1e-5))
+    p = HPoint.from_quaternion(Quaternion(*(d / np.linalg.norm(d) * math.sqrt(lead / (1 - lead)))))
+    noise = np.array(draw(_noise))
+    noise = noise[:6] + 1j * noise[6:]
+    x = twistor_fiber(p) + 1e-12 * noise / np.linalg.norm(noise)
+    sphere = wedge(p.lift(), np.array(draw(_direction)) + 1j * np.array(draw(_direction)))
+    return x, sphere, twistor_fiber(HPoint.infinity())
+
+
+_scale = st.tuples(st.floats(-6.0, 6.0), st.floats(0.0, 2 * math.pi)).map(
+    lambda t: 10.0 ** t[0] * complex(math.cos(t[1]), math.sin(t[1])))
+
+
+def _anchored_is_j_real(a, tol):
+    """is_j_real as it was: the distance of two phase-anchored normalizations."""
+    a = normalize_proj(a)
+    return bool(np.linalg.norm(a - normalize_proj(j_on_bivector(a))) < tol)
+
+
+@PREDICATES
+@given(_near_fiber(), _scale, _scale)
+def test_incidence_verdicts_ignore_scale_and_phase(lines, s, t):
+    x, sphere, far = lines
+    for u, v in ((x, sphere), (s * x, t * sphere)):
+        assert is_decomposable(u, INCIDENCE_TOL) and is_decomposable(v, INCIDENCE_TOL)
+        assert lines_incident(u, v, INCIDENCE_TOL)
+        assert not lines_incident(u, t * far, INCIDENCE_TOL)
+        assert is_j_real(u, FIBER_TOL) and not is_j_real(v, FIBER_TOL)
+
+
+def test_anchored_fiber_test_misjudges_near_fibers():
+    # the control: the phase-anchored formula calls some of these inputs
+    # no fiber, so the property above has teeth; x and its j-image are each
+    # within 1e-12 of the fiber, 2e-12 apart up to rounding
+    x, _, _ = find(_near_fiber(), lambda lines: not _anchored_is_j_real(lines[0], FIBER_TOL),
+                   settings=PREDICATES)
+    assert proj_distance(x, j_on_bivector(x)) < 2.1e-12
+
+
+def test_incidence_predicates_never_normalize(monkeypatch):
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return normalize_proj(v)
+
+    for module in (proj4, twistor):
+        monkeypatch.setattr(module, "normalize_proj", counted)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        a, b = (wedge(*(rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))))
+                for _ in range(2))
+        is_decomposable(a)
+        lines_incident(a, b)
+        is_j_real(a)
+    assert calls == []
+    # below normalize_proj's 1e-12 cut a vector is no projective point
+    tiny = 1e-13 * a / np.linalg.norm(a)
+    for check in (lambda: is_decomposable(tiny), lambda: lines_incident(a, tiny),
+                  lambda: lines_incident(tiny, a), lambda: is_j_real(tiny),
+                  lambda: is_j_real(np.zeros(6))):
+        with pytest.raises(GeometryError, match="near-"):
+            check()
+
+
+@PREDICATES
+@given(_near_fiber(), st.floats(-13.0, -3.0), _scale)
+def test_sphere_from_line_never_disowns_a_sphere(lines, log_eps, s):
+    # near-fibers moved toward a sphere through one of their points, from well
+    # inside FIBER_TOL to well outside it: a line that sphere_from_line does
+    # not call a point has a sphere endomorphism
+    x, sphere, _ = lines
+    try:
+        sphere_from_line(s * (x + 10.0 ** log_eps * sphere))
+    except GeometryError as exc:
+        assert "eigenline is j-real" not in str(exc)
+        raise
