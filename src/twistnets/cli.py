@@ -25,7 +25,6 @@ from .proj4 import (
     GeometryError,
     normalize_proj,
     quadric_pair,
-    span_ratios,
     wedge,
 )
 from .twistor import INF_PAIR, QUAT_ONE, HPoint, SphereEndo, affine_rows, sphere_from_line
@@ -34,6 +33,7 @@ from .nets import (
     LatticeNet,
     evolve_net_circular,
     evolve_net_complex,
+    face_span_ratios,
     face_vectors,
     hexahedron_complete,
     holonomy,
@@ -152,7 +152,9 @@ def _metadata_out(md: dict) -> dict:
             _cvec_out(val) if key == "sphere" else val for key, val in md.items()}
 
 
-def _metadata_in(md: dict) -> dict:
+def _metadata_in(md) -> dict:
+    if not isinstance(md, dict):
+        raise DocumentError(f"document metadata must be an object, not {md!r}")
     return {key: complex(*_reals(val, 2, "lambda")) if key == "lambda" else
             _cvec_in(val, 6, "sphere") if key == "sphere" else val for key, val in md.items()}
 
@@ -358,10 +360,10 @@ def _run_report(doc: dict, report: str, tol: float):
                 {"face": "adjacency", "residual": pcen_adjacency_residual(pcen)}]
     elif report == "planarity":
         net = doc_to_net(doc)
-        faces, vecs = face_vectors(net)
-        flat, resid = span_ratios(vecs).T
+        faces, ratios = face_span_ratios(net)
+        flat, resid = ratios.T
         if net.kind == "q4":
-            resid = np.maximum(resid, quadric_defects(vecs))
+            resid = np.maximum(resid, quadric_defects(face_vectors(net)[1]))
         # a face spanning fewer than three dimensions lies in no unique plane
         resid = np.where(flat <= RANK_CUT, np.maximum(resid, 1.0), resid)
         rows = [{"face": _face_key(*f), "residual": r} for f, r in zip(faces, resid.tolist())]

@@ -9,11 +9,16 @@ real quaternionic evolution one anti-diagonal at a time and the complex one
 row by row, and the lift into the subquadric of lines through a fixed
 sphere's two twistor lifts turns complex cross-ratio nets in CP^1 into
 conjugate nets with planar faces.
+
+A face's planarity residual is looked up, not computed: the first query
+decomposes the four ambient vectors of every complete face of the net in
+one stacked SVD, and the net keeps the span ratios until its next write.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +38,8 @@ from .proj4 import (
     normalize_proj,
     normalize_rows,
     orthonormal_span,
-    planarity,
     span_functional,
+    span_ratios,
     svd_rank,
     wedge,
     wedge_rows,
@@ -52,6 +57,26 @@ from .xratio import (
 
 # the shape of one stored value, per kind
 _VALUE_SHAPE = {"cp1": (2,), "hp1": (2, 4), "cp3": (4,), "q4": (6,)}
+
+# a face's corners as steps along its axis pair, in face_index order
+_FACE_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
+def _axis_pairs(dim: int) -> list:
+    """The axis pairs (a, b), a < b, of faces, in net.faces() order."""
+    return list(itertools.combinations(range(dim), 2))
+
+
+def _face_corners(arr: np.ndarray, dim: int, a: int, b: int) -> np.ndarray:
+    """arr, an array over a box of dimension dim (box + tail), at the four
+    corners of every face along the axes a < b, in face_index order: the box
+    less one along a and b, then 4, then the tail.  Slices, not index lists."""
+    def corner(da, db):
+        cut = [slice(None)] * dim
+        cut[a] = slice(da, da + arr.shape[a] - 1)
+        cut[b] = slice(db, db + arr.shape[b] - 1)
+        return arr[tuple(cut)]
+    return np.stack([corner(da, db) for da, db in _FACE_CORNERS], axis=dim)
 
 
 def in_box(idx: tuple, shape: tuple) -> bool:
@@ -73,10 +98,10 @@ class LatticeNet:
     [num : den], 'hp1' points [a : b] of HP^1 as quaternion pairs (a, b),
     'cp3' C^4 vectors and 'q4' Pluecker 6-vectors.  net[idx] builds the API
     value (ExtC, HPoint or a vector).  net[idx] = v normalizes cp3 and q4
-    vectors and drops the cached ambient() array; it is the only writer once
-    the net is read.  Data given to the constructor fills the whole box;
-    it, and values a document loader writes before the first read, are
-    kept verbatim.
+    vectors and drops the cached ambient() array and face_ratios() tables;
+    it is the only writer once the net is read.  Data given to the
+    constructor fills the whole box; it, and values a document loader writes
+    before the first read, are kept verbatim.
     """
 
     def __init__(self, dim: int, shape, kind: str, metadata=None, data=None):
@@ -89,7 +114,7 @@ class LatticeNet:
         self.present = np.full(self.shape, data is not None)
         self.data = np.zeros(self.shape + _VALUE_SHAPE[kind], float if kind == "hp1"
                              else complex) if data is None else data
-        self._ambient = None
+        self._ambient = self._face_ratios = None
 
     def __contains__(self, idx) -> bool:
         idx = tuple(idx)
@@ -116,7 +141,8 @@ class LatticeNet:
             value = (z.num, z.den)
         else:
             value = normalize_proj(value)
-        self.data[idx], self.present[idx], self._ambient = value, True, None
+        self.data[idx], self.present[idx] = value, True
+        self._ambient = self._face_ratios = None
 
     def indices(self):
         return itertools.product(*(range(n) for n in self.shape))
@@ -135,11 +161,11 @@ class LatticeNet:
 
     def faces(self):
         """All elementary 2-faces: (base index, axis pair)."""
+        pairs = _axis_pairs(self.dim)
         for idx in self.indices():
-            for a in range(self.dim):
-                for b in range(a + 1, self.dim):
-                    if idx[a] + 1 < self.shape[a] and idx[b] + 1 < self.shape[b]:
-                        yield idx, (a, b)
+            for a, b in pairs:
+                if idx[a] + 1 < self.shape[a] and idx[b] + 1 < self.shape[b]:
+                    yield idx, (a, b)
 
     def face_index(self, base, axes) -> tuple:
         """Index lists of a face's four vertices, in the order (0, 0),
@@ -171,27 +197,94 @@ class LatticeNet:
             self._ambient[self.present] = rows
         return self._ambient
 
+    def face_ratios(self) -> dict:
+        """The span ratios (s3 / s1, s4 / s1) of every face's four ambient
+        vectors, by axis pair (a, b), a < b: an array over the bases of the
+        faces along the pair, (box less one along a and b) + (2,), NaN at a
+        face with a missing vertex.
+
+        One stacked SVD over the complete faces of all pairs builds the
+        tables, which are cached until the next write.  So the first query
+        of one face pays for every face, about 3 ms at 24 x 24 against about
+        30 us for one face alone, as ambient() lifts every vertex for one
+        face.  numpy hands LAPACK each matrix of a stack as it hands it a
+        single one, so a face's ratios are those of its own decomposition
+        bit for bit.
+        """
+        if self._face_ratios is None:
+            amb, pairs = self.ambient(), _axis_pairs(self.dim)
+            complete = [_face_corners(self.present, self.dim, a, b).all(axis=-1)
+                        for a, b in pairs]
+            # a face with a missing vertex stays out of the decomposition
+            vecs = [_face_corners(amb, self.dim, a, b)[c] for (a, b), c in zip(pairs, complete)]
+            ratios = span_ratios(np.concatenate(vecs)) if vecs else None
+            self._face_ratios, start = {}, 0
+            for pair, c in zip(pairs, complete):
+                table, stop = np.full(c.shape + (2,), np.nan), start + int(c.sum())
+                table[c] = ratios[start:stop]
+                self._face_ratios[pair], start = table, stop
+        return self._face_ratios
+
 
 def face_planarity(net: LatticeNet, base, axes) -> float:
-    """Deviation of a 2-face from lying in a projective plane.
+    """Deviation of a 2-face from lying in a projective plane: s4 / s1 of
+    its four ambient vectors, read from net.face_ratios().
 
-    Returns the smallest singular value of the stacked normalized vertex
-    vectors; zero means the four points span at most a plane.  For hp1 nets
-    the vertices are lifted to their twistor fibers first, so the residual
-    measures concircularity.
+    Zero means the four points span at most a plane.  For hp1 nets the
+    vertices are lifted to their twistor fibers first, so the residual
+    measures concircularity.  axes is a pair a < b, as in net.faces().
+    The first query on a net decomposes all of its faces at once.
     """
-    idx = net.face_index(base, axes)
-    return planarity(net.ambient()[idx])
+    base = tuple(base)
+    table = None if net.kind == "cp1" else net.face_ratios().get(tuple(axes))
+    if table is not None and in_box(base, table.shape[:-1]):
+        s4 = table[base + (1,)]
+        if not math.isnan(s4):
+            return float(s4)
+    # names the face's missing vertex, before ambient() refuses a cp1 net
+    net.face_index(base, axes)
+    net.ambient()
+    raise GeometryError(f"axes {tuple(axes)} are not an increasing pair of lattice axes")
+
+
+def _face_order(net: LatticeNet) -> tuple[list, np.ndarray | None]:
+    """net.faces(), and where each face sits among the bases of the axis
+    pairs a < b, flattened and concatenated in pair order (None without
+    faces); raises for the first face with a missing vertex."""
+    faces = list(net.faces())
+    if not faces:
+        return faces, None
+    pairs = _axis_pairs(net.dim)
+    flat = np.arange(net.present.size).reshape(net.shape)
+    # net.faces() runs over the bases in index order, and at each over the pairs
+    order = np.argsort(np.concatenate([_face_corners(flat, net.dim, a, b)[..., 0].ravel()
+                                       * len(pairs) + p for p, (a, b) in enumerate(pairs)]))
+    complete = np.concatenate([_face_corners(net.present, net.dim, a, b).all(axis=-1).ravel()
+                               for a, b in pairs])[order]
+    if not complete.all():
+        net.face_index(*faces[int(np.argmin(complete))])
+    return faces, order
 
 
 def face_vectors(net: LatticeNet) -> tuple[list, np.ndarray]:
     """The faces of net.faces() and the ambient vectors of their vertices,
-    stacked as (faces, 4, n) in face_index order."""
-    faces = list(net.faces())
+    stacked as (faces, 4, n) in face_index order; raises for a missing
+    vertex."""
+    faces, order = _face_order(net)
     if not faces:
         return faces, np.zeros((0, 4, 6), dtype=complex)
-    idx = [net.face_index(base, axes) for base, axes in faces]
-    return faces, net.ambient()[tuple(np.array(idx).transpose(1, 0, 2))]
+    amb = net.ambient()
+    return faces, np.concatenate([_face_corners(amb, net.dim, a, b).reshape(-1, 4, amb.shape[-1])
+                                  for a, b in _axis_pairs(net.dim)])[order]
+
+
+def face_span_ratios(net: LatticeNet) -> tuple[list, np.ndarray]:
+    """The faces of net.faces() and their net.face_ratios() rows, (faces, 2);
+    raises for a missing vertex."""
+    faces, order = _face_order(net)
+    if not faces:
+        return faces, np.zeros((0, 2))
+    return faces, np.concatenate([t.reshape(-1, 2) for t in net.face_ratios().values()])[order]
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +539,10 @@ def bianchi_check(hypercube: dict) -> bool:
             raise GeometryError(f"hypercube vertex {key} missing")
     cube = np.array([normalize_proj(hypercube[key]) for key in keys]).reshape((2, 2, 2, 2, -1))
     # the 24 faces: along each axis pair, at each setting of the other two
-    for axes in itertools.combinations(range(4), 2):
-        c = np.moveaxis(cube, axes, (0, 1))
-        if (planarity(np.stack([c[0, 0], c[1, 0], c[1, 1], c[0, 1]], axis=-2)) > 1e-7).any():
-            return False
+    faces = np.concatenate([_face_corners(cube, 4, a, b).reshape(-1, 4, cube.shape[-1])
+                            for a, b in _axis_pairs(4)])
+    if (span_ratios(faces)[:, 1] > 1e-7).any():
+        return False
     # the four 3-cubes through the far corner must reproduce it
     for fixed in range(4):
         c = np.take(cube, 1, axis=fixed)

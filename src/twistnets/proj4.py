@@ -22,13 +22,13 @@ only inputs whose rank is not known in advance.  Every such rank decision
 goes through svd_rank, a cut relative to the largest singular value
 (nullspace, orthonormal_span, plane_from_span on nearly dependent vectors,
 where the closed form is inaccurate), and four-point planarity through
-planarity.  The thresholds that several modules share live here.
+span_ratios.  The thresholds that several modules share live here.
 
 normalize_rows, wedge_rows, meet_spans, span_planes and span_ratios take
 stacks of vectors along the last axis and broadcast over the leading axes;
-they apply the rules of normalize_proj, wedge, meet_span, plane_from_span
-and planarity row by row.  The one-vector
-kernels stay separate where broadcasting would cost more per call.
+the first four apply the rules of normalize_proj, wedge, meet_span and
+plane_from_span row by row.  The one-vector kernels stay separate where
+broadcasting would cost more per call.
 """
 
 from __future__ import annotations
@@ -287,13 +287,6 @@ def span_ratios(vectors) -> np.ndarray:
     """
     s = np.linalg.svd(np.asarray(vectors), compute_uv=False)
     return s[..., 2:4] / s[..., :1]
-
-
-def planarity(vectors):
-    """s4 / s1 of four stacked unit vectors: zero iff they span at most a
-    plane.  A stack of faces (..., 4, n) gives an array of its leading shape."""
-    r = span_ratios(vectors)[..., 1]
-    return float(r) if r.ndim == 0 else r
 
 
 def nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -133,7 +133,10 @@ def affine_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # order HPoint.affine takes on floats, so each row is its value bit for bit
     a, b = (Quaternion(*np.moveaxis(pairs[..., k, :], -1, 0)) for k in (0, 1))
     nb2 = b.norm_sq()
-    at_inf = np.sqrt(nb2) < DEFAULT_TOL * np.maximum(1.0, np.sqrt(a.norm_sq()))
+    # hypot, as in normalize_rows: |a|^2 overflows for components above about
+    # 1e154, and a document's b is 1 or 0
+    norms = np.hypot.reduce(pairs, axis=-1)
+    at_inf = norms[..., 1] < DEFAULT_TOL * np.maximum(1.0, norms[..., 0])
     q = a * (b.conjugate() * (1.0 / np.where(at_inf, 1.0, nb2)))
     return np.where(at_inf[..., None], QUAT_ONE, np.stack([q.w, q.x, q.y, q.z], axis=-1)), at_inf
 
@@ -160,10 +163,11 @@ def fiber_rows(pairs: np.ndarray) -> np.ndarray:
     return normalize_rows(wedge_rows(v, j_on_vector(v)))
 
 
-def coincident_rows(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+def coincident_rows(x: np.ndarray, v: np.ndarray, vj: np.ndarray | None = None) -> np.ndarray:
     """Which unit rows x (..., 4) lift the points of the unit rows v: their
-    distance from the fiber span{v, vj} is under 1e-10 (HPoint.isclose)."""
-    vj = j_on_vector(v)
+    distance from the fiber span{v, vj} is under 1e-10 (HPoint.isclose).
+    vj, j_on_vector(v), may be passed by a caller that has it."""
+    vj = j_on_vector(v) if vj is None else vj
     off = x - v * (v.conj() * x).sum(-1, keepdims=True) \
         - vj * (vj.conj() * x).sum(-1, keepdims=True)
     return row_norms(off)[..., 0] < 1e-10

@@ -176,11 +176,11 @@ def quat_fourth_points(x1, x2, x3, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if (np.minimum(np.abs(lam), np.abs(lam - 1.0)) < DEFAULT_TOL).any():
         raise GeometryError("degenerate cross-ratio value 0 or 1")
+    x1j = j_on_vector(x1)
     # before LU, which leaves no exactly zero pivot for a point given twice
     # at two scales
-    if coincident_rows(x2, x1).any():
+    if coincident_rows(x2, x1, x1j).any():
         raise GeometryError("coincident points p1 and p2")
-    x1j = j_on_vector(x1)
     try:
         c = np.linalg.solve(np.stack([x1, x1j, x2, j_on_vector(x2)], axis=-1), x3[..., None])
     except np.linalg.LinAlgError:

@@ -19,8 +19,14 @@ from twistnets.cli import (
     pcen_to_doc,
 )
 from twistnets.contact import contact_element, pcen_from_circular, pcen_from_complex_cr
-from twistnets.nets import LatticeNet, evolve_net_circular, evolve_net_complex, lift_to_QS2
-from twistnets.proj4 import DocumentError, GeometryError, wedge
+from twistnets.nets import (
+    LatticeNet,
+    evolve_net_circular,
+    evolve_net_complex,
+    lift_to_QS2,
+    quadric_defects,
+)
+from twistnets.proj4 import RANK_CUT, DocumentError, GeometryError, span_ratios, wedge
 
 
 def _write(tmp_path, name, doc):
@@ -158,6 +164,70 @@ def test_check_json_names_the_worst_face(tmp_path, capsys):
     bad = [row["face"] for row in rep["faces"] if row["residual"] > 1e-8]
     assert not rep["ok"] and bad == ["3,2/01"] and rep["worst_face"] == "3,2/01"
     assert rep["max_residual"] == max(row["residual"] for row in rep["faces"])
+
+
+def _planarity_json_reference(net, tol=1e-8) -> str:
+    """check --json's planarity output as computed before the face ratios
+    were cached: the faces gathered by face_index, one span_ratios call."""
+    faces = list(net.faces())
+    idx = [net.face_index(base, axes) for base, axes in faces]
+    vecs = net.ambient()[tuple(np.array(idx).transpose(1, 0, 2))]
+    flat, resid = span_ratios(vecs).T
+    if net.kind == "q4":
+        resid = np.maximum(resid, quadric_defects(vecs))
+    resid = np.where(flat <= RANK_CUT, np.maximum(resid, 1.0), resid)
+    rows = [{"face": f"{','.join(map(str, base))}/{a}{b}", "residual": r}
+            for (base, (a, b)), r in zip(faces, resid.tolist())]
+    worst = max(resid.tolist())
+    out = {"report": "planarity", "tol": tol, "max_residual": worst, "ok": worst <= tol,
+           "worst_face": rows[int(np.argmax(resid))]["face"], "faces": rows}
+    return json.dumps(out, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["hp1", "cp3", "q4"])
+def test_planarity_report_of_a_3_dim_net_is_unchanged(tmp_path, capsys, kind):
+    # rows in net.faces() order, the three axis pairs interleaved, each
+    # residual as one decomposition per face gave it
+    rng = np.random.default_rng(19)
+    net = LatticeNet(3, (3, 2, 4), kind)
+    for idx in net.indices():
+        x, y = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        net[idx] = HPoint.from_quaternion(Quaternion(*x.real)) if kind == "hp1" \
+            else x if kind == "cp3" else wedge(x, y)
+    doc = net_to_doc(net)
+    main(["check", "--json", _write(tmp_path, "net.json", doc)])
+    assert capsys.readouterr().out == _planarity_json_reference(doc_to_net(doc))
+    # a missing vertex: the first face in that order that misses one names it
+    del doc["entries"]["1,1,2"]
+    with pytest.raises(GeometryError) as exc:
+        _planarity_json_reference(doc_to_net(doc))
+    assert main(["check", "--json", _write(tmp_path, "hole.json", doc)]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("metadata", ["x", [], 1.5, None])
+def test_metadata_that_is_no_object_exits_1(tmp_path, capsys, metadata):
+    doc = _hp1_curve_doc()
+    doc["metadata"] = metadata
+    src = _write(tmp_path, "meta.json", doc)
+    for argv in (["check", src], ["export", src],
+                 ["evolve", src, "--mode", "circular", "--lambda", "-1"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: document metadata must be an object")
+        assert "Traceback" not in err
+
+
+def test_export_of_huge_coordinates_decides_infinity_without_overflow(tmp_path, capsys):
+    # |a|^2 of a 1e200 coordinate overflowed in the infinity test (a
+    # RuntimeWarning, an error here); the point is at infinity by the cut
+    doc = {"schema": 1, "dim": 2, "box": [2, 2], "kind": "hp1", "metadata": {},
+           "entries": {"0,0": [0.0, 0.0, 0.0, 0.0], "1,0": [1.0, 0.0, 0.0, 0.0],
+                       "1,1": [2.0, 0.0, 0.0, 0.0], "0,1": [1e200, 0.0, 0.0, 0.0]}}
+    out = tmp_path / "huge.obj"
+    assert main(["export", _write(tmp_path, "huge.json", doc), "-o", str(out)]) == 0
+    assert capsys.readouterr().err == "warning: skipping point at infinity at index (0, 1)\n"
+    assert out.read_text().count("\nv ") == 3
 
 
 def test_net_documents_reexport_byte_for_byte(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from twistnets.proj4 import (
     normalize_proj,
     proj_distance,
     quadric_pair,
+    span_ratios,
     wedge,
 )
 from twistnets.twistor import HPoint, is_j_real, twistor_fiber
@@ -22,6 +25,7 @@ from twistnets.nets import (
     evolve_net_circular,
     evolve_net_complex,
     face_planarity,
+    face_vectors,
     hexahedron_complete,
     holonomy,
     is_conic_net,
@@ -482,6 +486,108 @@ def test_write_after_planarity_drops_the_cached_fibers():
             assert after > 1e-3
         else:
             assert after == before[base]
+    # the write dropped the cached face ratios with the fibers: every face
+    # reads as on a fresh net with the same values
+    fresh = LatticeNet(2, net.shape, "hp1", data=net.data.copy())
+    for base, axes in net.faces():
+        assert face_planarity(net, base, axes) == face_planarity(fresh, base, axes)
+    # a write that completes faces makes them readable, and the others keep
+    # their values
+    hole = LatticeNet(2, net.shape, "hp1")
+    for idx in net.indices():
+        if idx != (1, 1):
+            hole[idx] = net[idx]
+    with pytest.raises(GeometryError, match=r"^vertex \(1, 1\) missing from net$"):
+        face_planarity(hole, (0, 0), (0, 1))
+    assert face_planarity(hole, (2, 2), (0, 1)) == before[2, 2]
+    hole[1, 1] = net[1, 1]
+    for base, axes in net.faces():
+        assert face_planarity(hole, base, axes) == face_planarity(fresh, base, axes)
+
+
+# ---------------------------------------------------------------------------
+# face residuals: one cached decomposition against one per face
+
+
+def _face_index_reference(net, base, axes):
+    """LatticeNet.face_index as face_planarity used it per face before the
+    ratios were cached (a test-only copy)."""
+    idx = [[i] * 4 for i in base]
+    for ax, steps in zip(axes, ((0, 1, 1, 0), (0, 0, 1, 1))):
+        idx[ax] = [base[ax] + d for d in steps]
+    corners = list(zip(*idx))
+    if not all(c in net for c in corners):
+        missing = next(c for c in corners if c not in net)
+        raise GeometryError(f"vertex {missing} missing from net")
+    return tuple(idx)
+
+
+def _planarity_reference(net, base, axes):
+    """One decomposition per face, as face_planarity computed it before."""
+    return float(span_ratios(net.ambient()[_face_index_reference(net, base, axes)])[1])
+
+
+def _random_net(kind, shape, missing, planar, rng):
+    """A net of random values, with about a share `missing` of its vertices
+    left out; planar draws cp3 and q4 values from one 3-dim subspace."""
+    n = {"hp1": 8, "cp3": 4, "q4": 6}[kind]
+    basis = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    net = LatticeNet(len(shape), shape, kind)
+    for idx in net.indices():
+        if rng.random() < missing:
+            continue
+        if planar and kind != "hp1":
+            v = rng.standard_normal(3) @ basis
+        else:
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        net[idx] = HPoint(Quaternion(*v[:4].real), Quaternion(*v[4:].real)) \
+            if kind == "hp1" else v
+    return net
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["hp1", "q4", "cp3"]), st.lists(st.integers(1, 4), min_size=2, max_size=3),
+       st.sampled_from([0.0, 0.1, 0.3]), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_face_residuals_are_the_per_face_decomposition_bit_for_bit(kind, shape, missing,
+                                                                   planar, seed):
+    rng = np.random.default_rng(seed)
+    net = _random_net(kind, tuple(shape), missing, planar, rng)
+    faces = list(net.faces())
+    # faces in random order: the first query builds every face's ratios
+    for k in rng.permutation(len(faces)):
+        base, axes = faces[k]
+        try:
+            want = _planarity_reference(net, base, axes)
+        except GeometryError as exc:
+            with pytest.raises(GeometryError, match=f"^{re.escape(str(exc))}$"):
+                face_planarity(net, base, axes)
+        else:
+            got = face_planarity(net, base, axes)
+            assert type(got) is float and got == want
+    # the stacked face vectors, in net.faces() order, or the first face's
+    # missing vertex
+    try:
+        idx = [_face_index_reference(net, base, axes) for base, axes in faces]
+    except GeometryError as exc:
+        with pytest.raises(GeometryError, match=f"^{re.escape(str(exc))}$"):
+            face_vectors(net)
+    else:
+        got_faces, vecs = face_vectors(net)
+        assert got_faces == faces
+        if faces:
+            want = net.ambient()[tuple(np.array(idx).transpose(1, 0, 2))]
+            assert vecs.shape == want.shape and (vecs == want).all()
+
+
+def test_face_planarity_never_wraps_an_index():
+    rng = np.random.default_rng(18)
+    net = _random_net("hp1", (3, 3), 0.0, False, rng)
+    for base, missing in (((-1, 0), (-1, 0)), ((0, -1), (0, -1)), ((2, 0), (3, 0)),
+                          ((1, 2), (2, 3)), ((0, 0, 0), (0, 0, 0))):
+        with pytest.raises(GeometryError, match=f"^vertex {re.escape(str(missing))} missing"):
+            face_planarity(net, base, (0, 1))
+    with pytest.raises(GeometryError, match="not an increasing pair"):
+        face_planarity(net, (0, 0), (1, 0))
 
 
 def test_complex_evolution_needs_a_curve_point():

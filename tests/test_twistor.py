@@ -302,3 +302,23 @@ def test_sphere_from_line_never_disowns_a_sphere(lines, log_eps, s):
     except GeometryError as exc:
         assert "eigenline is j-real" not in str(exc)
         raise
+
+
+def test_affine_rows_are_hpoint_affine_and_never_overflow():
+    # bit for bit the scalar chart and infinity test, on pairs at scales from
+    # 1e-6 to 1e6 with b far from, near and at zero; components above 1e154,
+    # whose squares overflow, are at infinity without a RuntimeWarning
+    rng = np.random.default_rng(20)
+    pairs = rng.standard_normal((300, 2, 4)) * 10.0 ** rng.uniform(-6, 6, (300, 2, 1))
+    pairs[::7, 1] *= 1e-9
+    pairs[::11, 1] = 0.0
+    q, at_inf = twistor.affine_rows(pairs)
+    for row, inf, (a, b) in zip(q.tolist(), at_inf.tolist(), pairs.tolist()):
+        p = HPoint(Quaternion(*a), Quaternion(*b))
+        assert inf == p.is_infinity()
+        if not inf:
+            v = p.affine()
+            assert row == [v.w, v.x, v.y, v.z]
+    huge = np.array([[[1e200, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
+                     [[1e300, -1e300, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]]])
+    assert twistor.affine_rows(huge)[1].tolist() == [True, True]
