@@ -188,14 +188,18 @@ class LatticeNet:
         """The unit vectors the values stand for, box + (n,): twistor fibers
         for hp1, the normalized values for cp3 and q4, zero where a vertex
         has no value.  Cached until the next write."""
-        if self.kind == "cp1":
-            raise GeometryError("cp1 nets have no ambient planarity notion")
+        self.require_ambient()
         if self._ambient is None:
             rows = self.data[self.present]
             rows = fiber_rows(rows) if self.kind == "hp1" else normalize_rows(rows)
             self._ambient = np.zeros(self.shape + rows.shape[-1:], dtype=complex)
             self._ambient[self.present] = rows
         return self._ambient
+
+    def require_ambient(self):
+        """Raise for a cp1 net: its values stand for no ambient vectors."""
+        if self.kind == "cp1":
+            raise GeometryError("cp1 nets have no ambient planarity notion")
 
     def face_ratios(self) -> dict:
         """The span ratios (s3 / s1, s4 / s1) of every face's four ambient
@@ -250,9 +254,13 @@ def face_planarity(net: LatticeNet, base, axes) -> float:
 def _face_order(net: LatticeNet) -> tuple[list, np.ndarray | None]:
     """net.faces(), and where each face sits among the bases of the axis
     pairs a < b, flattened and concatenated in pair order (None without
-    faces); raises for the first face with a missing vertex."""
+    faces); raises for the first face with a missing vertex, and for a cp1
+    net without faces."""
     faces = list(net.faces())
     if not faces:
+        # ambient() refuses a cp1 net with faces; one without must not pass a
+        # report that cannot apply to it
+        net.require_ambient()
         return faces, None
     pairs = _axis_pairs(net.dim)
     flat = np.arange(net.present.size).reshape(net.shape)

@@ -24,11 +24,12 @@ goes through svd_rank, a cut relative to the largest singular value
 where the closed form is inaccurate), and four-point planarity through
 span_ratios.  The thresholds that several modules share live here.
 
-normalize_rows, wedge_rows, meet_spans, span_planes and span_ratios take
+normalize_rows, wedge_rows, join_matrices, span_planes and span_ratios take
 stacks of vectors along the last axis and broadcast over the leading axes;
-the first four apply the rules of normalize_proj, wedge, meet_span and
-plane_from_span row by row.  The one-vector kernels stay separate where
-broadcasting would cost more per call.
+normalize_rows, wedge_rows and span_planes apply the rules of normalize_proj,
+wedge and plane_from_span row by row, and settle_planes is the rank rule of
+span_planes on ∧³ functionals computed elsewhere.  The one-vector kernels
+stay separate where broadcasting would cost more per call.
 """
 
 from __future__ import annotations
@@ -181,6 +182,13 @@ def wedge(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 def wedge_rows(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """wedge row by row over leading axes."""
     return v[..., _PAIR_A] * w[..., _PAIR_B] - v[..., _PAIR_B] * w[..., _PAIR_A]
+
+
+def join_matrices(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The ∧³ contraction W (..., 4, 4) of each line span{v, w}, over leading
+    axes: for a row vector y, y @ W = det[v; w; y; .] is the ∧³ functional
+    of span{v, w, y} (span_functional)."""
+    return (wedge_rows(v, w) @ _EPS).reshape(v.shape[:-1] + (4, 4))
 
 
 def span_functional(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -393,19 +401,25 @@ def span_planes(triples: np.ndarray) -> np.ndarray:
     rows = np.asarray(triples, dtype=complex)
     norms = row_norms(rows)
     rows = rows / np.where(norms > 0.0, norms, 1.0)
-    a, b, c = rows[..., 0, :], rows[..., 1, :], rows[..., 2, :]
-    ab = wedge_rows(a, b)
-    # span_functional row by row: c @ (wedge(a, b) @ _EPS).reshape(4, 4)
-    f = (c[..., None, :] @ (ab @ _EPS).reshape(ab.shape[:-1] + (4, 4)))[..., 0, :]
+    f = (rows[..., 2, None, :] @ join_matrices(rows[..., 0, :], rows[..., 1, :]))[..., 0, :]
+    return normalize_rows(settle_planes(rows, f, (norms > 0.0).sum(axis=(-2, -1))))
+
+
+def settle_planes(rows: np.ndarray, f: np.ndarray, count) -> np.ndarray:
+    """The rank rule of span_planes on the ∧³ functionals f (..., 4) of
+    triples of unit-scaled rows (..., 3, 4), count of them nonzero: f is
+    kept where _certified_span vouches for it and replaced by the _svd_plane
+    of its rows where it does not.  Returns the functionals unit-scaled."""
     off = (rows @ f[..., None])[..., 0]
-    open_ = ~_certified_span((f * f.conj()).real.sum(axis=-1),
-                             (off * off.conj()).real.sum(axis=-1),
-                             (norms > 0.0).sum(axis=(-2, -1)))
+    vol2 = (f * f.conj()).real.sum(axis=-1, keepdims=True)
+    open_ = ~_certified_span(vol2[..., 0], (off * off.conj()).real.sum(axis=-1), count)
     if open_.any():
+        f = f.copy()
         for i in np.ndindex(open_.shape):
             if open_[i]:
-                f[i] = _svd_plane(rows[i])
-    return normalize_rows(f)
+                # _svd_plane's functional is unit
+                f[i], vol2[i] = _svd_plane(rows[i]), 1.0
+    return f / np.sqrt(vol2)
 
 
 def _certified_span(vol2, off2, count):
@@ -423,7 +437,7 @@ def _certified_span(vol2, off2, count):
     """
     tol2 = DEFAULT_TOL * DEFAULT_TOL
     return ((vol2 >= _CLOSED_FORM_VOLUME ** 2) & (vol2 > tol2 * count ** 3)
-            & (off2 <= tol2 * vol2 * count / 4))
+            & (off2 <= vol2 * (tol2 / 4 * count)))
 
 
 def _svd_plane(rows: np.ndarray) -> np.ndarray:
@@ -439,29 +453,22 @@ def _svd_plane(rows: np.ndarray) -> np.ndarray:
     return vh[3].conj()
 
 
-_LINE_IN_PLANE = "line-in-plane: intersection is not a point"
+LINE_IN_PLANE = "line-in-plane: intersection is not a point"
 
 
 def meet_span(plane: ProjPlane, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Intersection point of a plane and the line span{v, w} not contained in
-    it: the batch of one of meet_spans."""
-    return meet_spans(plane.functional, v, w)
+    it.
 
-
-def meet_spans(functionals: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Meets of planes and lines span{v, w}, row by row over leading axes.
-
-    With f a plane's functional the point is v (f @ w) - w (f @ v); the
+    With f the plane's functional the point is v (f @ w) - w (f @ v); the
     line-in-plane test, the one of meet_line, is relative to |v| |w|.
-    Returns the normalized points.
     """
-    f = np.asarray(functionals, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    x = v * (f * w).sum(axis=-1, keepdims=True) - w * (f * v).sum(axis=-1, keepdims=True)
-    if (row_norms(x) < DEFAULT_TOL * row_norms(v) * row_norms(w)).any():
-        raise GeometryError(_LINE_IN_PLANE)
-    return normalize_rows(x)
+    v, w = np.asarray(v, dtype=complex), np.asarray(w, dtype=complex)
+    f = plane.functional
+    x = v * (f @ w) - w * (f @ v)
+    if _norm(x) < DEFAULT_TOL * _norm(v) * _norm(w):
+        raise GeometryError(LINE_IN_PLANE)
+    return normalize_proj(x)
 
 
 def meet_line(plane: ProjPlane, line: np.ndarray) -> np.ndarray:
@@ -475,7 +482,7 @@ def meet_line(plane: ProjPlane, line: np.ndarray) -> np.ndarray:
         raise GeometryError("bivector is not decomposable")
     x = line_matrix(line) @ plane.functional
     if _norm(x) < DEFAULT_TOL * _norm(line):
-        raise GeometryError(_LINE_IN_PLANE)
+        raise GeometryError(LINE_IN_PLANE)
     return normalize_proj(x)
 
 

@@ -205,6 +205,19 @@ def test_planarity_report_of_a_3_dim_net_is_unchanged(tmp_path, capsys, kind):
     assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
+@pytest.mark.parametrize("box", [[3], [2, 2]])
+def test_planarity_report_refuses_a_cp1_document_of_any_dimension(tmp_path, capsys, box):
+    # a cp1 curve has no faces, and its report must not pass for that
+    rng = np.random.default_rng(20)
+    doc = {"schema": 1, "dim": len(box), "box": box, "kind": "cp1", "metadata": {},
+           "entries": {",".join(map(str, idx)): rng.standard_normal(2).tolist()
+                       for idx in np.ndindex(*box)}}
+    assert main(["check", _write(tmp_path, "cp1.json", doc), "--report", "planarity"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: cp1 nets have no ambient planarity notion\n"
+
+
 @pytest.mark.parametrize("metadata", ["x", [], 1.5, None])
 def test_metadata_that_is_no_object_exits_1(tmp_path, capsys, metadata):
     doc = _hp1_curve_doc()

@@ -16,14 +16,17 @@ and rho) is checked against the null-space constructions it replaced, built
 here from an SVD of the line matrix.  The batched kernels (propagate_elements,
 span_planes, normalize_rows, lift_rows) are checked row by row against the
 same references or against their one-vector counterparts, and the whole-array
-PCEN checks against a single moved element.  The closed-form conic of a
-regulus (regulus_point) is checked against the transversal construction it
-replaced: the two lines meeting the generators, from the null space of their
-polar rows, with points scaled by least squares.  steiner_fourth_point is
-checked for the 3D consistency of the cross-ratio system on cubes, with
-labels that do not factor as a control, and the circular nets of
-evolve_net_circular as the real section of its Steiner evolution, with
-relabelled cross ratios as the control.
+PCEN checks against a single moved element.  pcen_from_circular is checked
+against a copy of the loop it replaced, which called propagate_elements once
+per column: the same errors, near-coincident neighbours included, the same
+elements on well-separated nets, and residuals within twice that loop's.
+The closed-form conic of a regulus (regulus_point) is checked against the
+transversal construction it replaced: the two lines meeting the generators,
+from the null space of their polar rows, with points scaled by least
+squares.  steiner_fourth_point is checked for the 3D consistency of the
+cross-ratio system on cubes, with labels that do not factor as a control,
+and the circular nets of evolve_net_circular as the real section of its
+Steiner evolution, with relabelled cross ratios as the control.
 """
 
 import functools
@@ -37,6 +40,7 @@ from hypothesis import strategies as st
 
 from twistnets.contact import (
     PCEN,
+    PENCIL_TOL,
     NullLine,
     contact_element,
     pcen_adjacency_residual,
@@ -350,6 +354,133 @@ def test_one_moved_element_shows_in_closure_and_adjacency(m, n):
     moved = PCEN(pcen.base, points, pcen.functionals)
     assert pcen_face_closure(moved) > 1e-7
     assert pcen_adjacency_residual(moved) > 1e-7
+
+
+def _propagate_route_by_route(points, functionals, lifts):
+    """propagate_elements as computed before the fiber matrices: the meet of
+    meet_span and the plane of span_planes, with their checks, row by row."""
+    vj = j_on_vector(lifts)
+    f = functionals
+    x = lifts * (f * vj).sum(-1, keepdims=True) - vj * (f * lifts).sum(-1, keepdims=True)
+    if (np.linalg.norm(x, axis=-1) < 1e-9 * np.linalg.norm(lifts, axis=-1) ** 2).any():
+        raise GeometryError("fiber-in-plane degeneracy: line-in-plane: intersection is not a point")
+    y = normalize_rows(x)
+    try:
+        f = span_planes(np.stack([lifts, vj, points], axis=-2))
+    except GeometryError as exc:
+        raise GeometryError(f"next point coincides with the element's point: {exc}") from exc
+    if not (np.abs((f * y).sum(axis=-1)) < PENCIL_TOL).all():
+        raise GeometryError("pencil point must lie in the pencil plane")
+    return y, f
+
+
+def _pcen_route_by_route(base, initial):
+    """pcen_from_circular's propagation as one _propagate_route_by_route
+    call per column, column m = 0 along n first."""
+    lifts = lift_rows(base.data)
+    points, functionals = np.empty_like(lifts), np.empty_like(lifts)
+    points[0, 0], functionals[0, 0] = initial.point, initial.plane.functional
+    for n in range(1, base.shape[1]):
+        points[0, n], functionals[0, n] = _propagate_route_by_route(
+            points[0, n - 1], functionals[0, n - 1], lifts[0, n])
+    for m in range(1, base.shape[0]):
+        points[m], functionals[m] = _propagate_route_by_route(
+            points[m - 1], functionals[m - 1], lifts[m])
+    return points, functionals
+
+
+def _fiber_gaps(net):
+    """The distance of every lattice neighbour's lift from a vertex's fiber,
+    as coincident_rows measures it."""
+    lifts = lift_rows(net.data)
+    gaps = []
+    for ax in range(net.dim):
+        x = np.moveaxis(lifts, ax, 0)
+        v, w = x[:-1], x[1:]
+        vj = j_on_vector(v)
+        off = w - v * (v.conj() * w).sum(-1, keepdims=True) \
+            - vj * (vj.conj() * w).sum(-1, keepdims=True)
+        gaps.append(np.linalg.norm(off, axis=-1).ravel())
+    return np.concatenate(gaps)
+
+
+@settings(settings.get_profile("kernel"), max_examples=120)
+@given(st.integers(2, 8), st.integers(2, 8), st.floats(0.1, 3.0), st.booleans(), rngs,
+       st.one_of(st.none(), st.tuples(st.integers(0, 63), st.integers(0, 1),
+                                      st.floats(-9.6, -4.0) | st.floats(-9.0, -8.7))))
+def test_pcen_matches_the_route_by_route_loop(rows, cols, lam, negative, rng, moved):
+    """pcen_from_circular and the loop that called propagate_elements once per
+    column both succeed or raise the same error.  Some nets have one
+    neighbour pair moved to a fiber distance of 2.5e-10...1e-4, above the
+    collision cut of 1e-10: span certificates fail there and the SVD
+    decides, below 2e-9 it finds rank 2 (a second draw covers 1e-9...2e-9),
+    and below 1e-9 the fiber lies in the plane.  Nets whose neighbours are
+    all more than 1e-3 apart agree to 1e-11 in every point and functional."""
+    points = [HPoint.from_quaternion(Quaternion(*rng.standard_normal(4)))
+              for _ in range(rows + cols - 1)]
+    try:
+        net = evolve_net_circular(points[:rows], points[rows:], -lam if negative else lam)
+    except GeometryError:
+        assume(False)
+    if moved is not None:
+        at, ax, exponent = moved
+        gap = 10.0 ** exponent
+        # the meet with the moved neighbour's fiber has size gap, and the
+        # span of that fiber and the element's point s3 / s1 = gap / 2: within
+        # rounding of the cuts of 1e-9, either loop's rounding decides
+        assume(min(abs(gap / 1e-9 - 1.0), abs(gap / 2e-9 - 1.0)) > 1e-6)
+        m, n = divmod(at % (rows * cols), cols)
+        m, n = min(m, rows - 1 - (ax == 0)), min(n, cols - 1 - (ax == 1))
+        # the neighbour's lift: the vertex's own, moved off its fiber
+        v = net[m, n].lift()
+        d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        d = d - v * np.vdot(v, d) - j_on_vector(v) * np.vdot(j_on_vector(v), d)
+        net[m + (ax == 0), n + (ax == 1)] = twistor_project(v + gap * d / _norm(d))
+    sphere = normalize_proj(wedge(net[0, 0].lift(), rng.standard_normal(4)
+                                  + 1j * rng.standard_normal(4)))
+    initial = contact_element(net[0, 0], sphere)
+    try:
+        want = _pcen_route_by_route(net, initial)
+    except GeometryError as exc:
+        with pytest.raises(GeometryError) as got:
+            pcen_from_circular(net, initial)
+        assert str(got.value) == str(exc)
+        return
+    pcen = pcen_from_circular(net, initial)
+    if _fiber_gaps(net).min() > 1e-3:
+        for got, ref in zip((pcen.points, pcen.functionals), want):
+            for a, b in zip(got.reshape(-1, 4), ref.reshape(-1, 4)):
+                assert proj_distance(a, b) < 1e-11
+
+
+def _circular_pcen_inputs(seed, count, size=24):
+    """Inputs drawn as the circular_pcen benchmark workload draws them: each
+    from 2 size - 1 random points, a real cross ratio in [-3, -0.3) and a
+    random sphere through the first point."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        points = [HPoint.from_quaternion(Quaternion(*rng.standard_normal(4)))
+                  for _ in range(2 * size - 1)]
+        lam = float(rng.uniform(-3.0, -0.3))
+        vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        yield points[:size], points[size:], lam, normalize_proj(wedge(points[0].lift(), vec))
+
+
+# The worst residuals over the same 8 nets (seed 12) at commit 4d3da0d, whose
+# steps met and spanned from the lifts as _propagate_route_by_route does,
+# measured with Python 3.11.7 and numpy 2.4.6.
+ROUTE_BY_ROUTE_CLOSURE, ROUTE_BY_ROUTE_ADJACENCY = 1.498e-13, 1.156e-13
+
+
+def test_pcen_residuals_stay_within_twice_the_route_by_route_ones():
+    closure = adjacency = 0.0
+    for curve, seeds, lam, sphere in _circular_pcen_inputs(12, 8):
+        net = evolve_net_circular(curve, seeds, lam)
+        pcen = pcen_from_circular(net, contact_element(net[0, 0], sphere))
+        closure = max(closure, pcen_face_closure(pcen))
+        adjacency = max(adjacency, pcen_adjacency_residual(pcen))
+    assert closure <= 2.0 * ROUTE_BY_ROUTE_CLOSURE
+    assert adjacency <= 2.0 * ROUTE_BY_ROUTE_ADJACENCY
 
 
 # each component scaled by 10^-k, k = 0...9, so that some fall below the
