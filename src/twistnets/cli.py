@@ -159,8 +159,15 @@ def _metadata_in(md) -> dict:
             _cvec_in(val, 6, "sphere") if key == "sphere" else val for key, val in md.items()}
 
 
+def _require_object(doc):
+    """Raise for a parsed document that is no JSON object."""
+    if not isinstance(doc, dict):
+        raise DocumentError(f"a document must be a JSON object, not {type(doc).__name__}")
+
+
 def doc_to_net(doc: dict) -> LatticeNet:
     """Rebuild a lattice net from a parsed document (values kept verbatim)."""
+    _require_object(doc)
     for field in ("schema", "dim", "box", "kind", "entries"):
         if field not in doc:
             raise GeometryError(f"document is missing field {field!r}")
@@ -200,6 +207,7 @@ def pcen_to_doc(pcen: PCEN) -> dict:
 
 
 def doc_to_pcen(doc: dict) -> PCEN:
+    _require_object(doc)
     if doc.get("kind") != "pcen":
         raise GeometryError("not a pcen document")
     dim, box = _doc_shape(doc)
@@ -220,9 +228,12 @@ def doc_to_pcen(doc: dict) -> PCEN:
 
 def load_doc(path: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(sys.stdin)
+    else:
+        with open(path) as fh:
+            doc = json.load(fh)
+    _require_object(doc)
+    return doc
 
 
 def _json_text(obj) -> str:

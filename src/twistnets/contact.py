@@ -43,7 +43,6 @@ from .twistor import (
     HPoint,
     coincident_rows,
     j_on_vector,
-    lift_rows,
     twistor_fiber,
     twistor_project,
 )
@@ -156,12 +155,23 @@ def fiber_matrices(lifts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return fibers, j_on_vector(fibers).swapaxes(-1, -2), join_matrices(lifts, vj)
 
 
+class StepError(GeometryError):
+    """A propagation step's failure; row is the index, over the step's
+    leading axes, of the first row in row order that fails a check."""
+
+    def __init__(self, message: str, row: tuple):
+        super().__init__(message)
+        self.row = row
+
+
 def _propagate(points: np.ndarray, functionals: np.ndarray, fibers: np.ndarray,
                meets: np.ndarray, joins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One propagation step of contact elements, unit rows of points and
     functionals, onto the fibers of fiber_matrices: the new point is
     (f @ meets) @ fibers of the old functional f, the new functional
-    y @ joins of the old point y.  Returns them unit-scaled.
+    y @ joins of the old point y.  Returns them unit-scaled, or raises a
+    StepError for the first failing row, with the message of the first check
+    that row fails.
 
     Taken in the fiber's coordinates, the meet is a combination of the
     stored rows v and vj; through the 4x4 line matrix of v ^ vj, one product
@@ -172,20 +182,28 @@ def _propagate(points: np.ndarray, functionals: np.ndarray, fibers: np.ndarray,
     """
     point = ((functionals[..., None, :] @ meets) @ fibers)[..., 0, :]
     size = row_norms(point)
-    if (size < DEFAULT_TOL).any():
-        raise GeometryError(f"fiber-in-plane degeneracy: {LINE_IN_PLANE}")
+    in_plane = size[..., 0] < DEFAULT_TOL
+    any_in_plane = in_plane.any()
     functional = (points[..., None, :] @ joins)[..., 0, :]
     # the element's point lies on the fiber over its own base point, and
     # distinct fibers are disjoint: v, vj and that point fail to span a plane
     # only when the next base point coincides with the element's
-    try:
-        functional = settle_planes(np.concatenate([fibers, points[..., None, :]], axis=-2),
-                                   functional, 3)
-    except GeometryError as exc:
-        raise GeometryError(f"next point coincides with the element's point: {exc}") from exc
-    point /= size
-    if not (np.abs((point * functional).sum(axis=-1)) < PENCIL_TOL).all():
-        raise GeometryError("pencil point must lie in the pencil plane")
+    no_span = {}
+    functional = settle_planes(np.concatenate([fibers, points[..., None, :]], axis=-2),
+                               functional, 3, no_span)
+    point /= np.where(in_plane[..., None], 1.0, size) if any_in_plane else size
+    on_pencil = np.abs((point * functional).sum(axis=-1)) < PENCIL_TOL
+    if no_span or any_in_plane or not on_pencil.all():
+        failed = np.array(in_plane | ~on_pencil)
+        for row in no_span:
+            failed[row] = True
+        row = tuple(np.argwhere(failed)[0].tolist())
+        if in_plane[row]:
+            raise StepError(f"fiber-in-plane degeneracy: {LINE_IN_PLANE}", row)
+        if row in no_span:
+            raise StepError(f"next point coincides with the element's point: {no_span[row]}",
+                            row) from no_span[row]
+        raise StepError("pencil point must lie in the pencil plane", row)
     return point, functional
 
 
@@ -276,12 +294,13 @@ def pcen_from_circular(base: LatticeNet, initial: NullLine) -> PCEN:
     propagated along n, and every later column from the one before it in one
     step: the element at (m, n) comes from (m - 1, n), or from (0, n - 1)
     when m = 0.  For circular bases the two routes agree on every face,
-    which pcen_face_closure verifies.
+    which pcen_face_closure verifies.  A failed step names the first vertex
+    it fails at, in row order, and the one it propagates from.
     """
     if base.kind != "hp1" or base.dim != 2:
         raise GeometryError("circular base must be a 2-dim hp1 net")
     base.require_complete()
-    lifts = lift_rows(base.data)
+    lifts = base.lifts()
     _check_distinct_neighbors(lifts)
     rp = null_line_real_point(initial)
     if rp is None or not rp.isclose(base[0, 0], 1e-7):
@@ -290,12 +309,19 @@ def pcen_from_circular(base: LatticeNet, initial: NullLine) -> PCEN:
     points = np.empty_like(lifts)
     functionals = np.empty_like(lifts)
     points[0, 0], functionals[0, 0] = initial.point, initial.plane.functional
-    for n in range(1, base.shape[1]):
-        points[0, n], functionals[0, n] = _propagate(
-            points[0, n - 1], functionals[0, n - 1], fibers[0, n], meets[0, n], joins[0, n])
-    for m in range(1, base.shape[0]):
-        points[m], functionals[m] = _propagate(
-            points[m - 1], functionals[m - 1], fibers[m], meets[m], joins[m])
+    try:
+        for n in range(1, base.shape[1]):
+            at = (0, n)
+            points[at], functionals[at] = _propagate(
+                points[0, n - 1], functionals[0, n - 1], fibers[at], meets[at], joins[at])
+        for m in range(1, base.shape[0]):
+            at = (m,)
+            points[m], functionals[m] = _propagate(
+                points[m - 1], functionals[m - 1], fibers[m], meets[m], joins[m])
+    except StepError as exc:
+        m, n = at + exc.row
+        source = (m - 1, n) if m else (0, n - 1)
+        raise GeometryError(f"at {(m, n)} from {source}: {exc}") from exc
     return PCEN(base, points, functionals)
 
 
@@ -321,7 +347,7 @@ def pcen_face_closure(pcen: PCEN) -> float:
         return 0.0
     pcen.require_elements()
     points, functionals = pcen.points, pcen.functionals
-    fiber = fiber_matrices(lift_rows(pcen.base.data[1:, 1:][faces]))
+    fiber = fiber_matrices(pcen.base.lifts()[1:, 1:][faces])
     via_m = _propagate(points[:-1, 1:][faces], functionals[:-1, 1:][faces], *fiber)
     via_n = _propagate(points[1:, :-1][faces], functionals[1:, :-1][faces], *fiber)
     return float(max(_proj_distances(a, b).max() for a, b in zip(via_m, via_n)))

@@ -44,14 +44,23 @@ from .proj4 import (
     wedge,
     wedge_rows,
 )
-from .twistor import HPoint, fiber_rows, is_j_real, j_on_vector, pair_rows, quat_pairs
+from .twistor import (
+    HPoint,
+    is_j_real,
+    j_on_vector,
+    lift_fiber_rows,
+    lift_rows,
+    pair_rows,
+    quat_pairs,
+)
 from .xratio import (
     ExtC,
     as_ext,
+    check_real_cross_ratio,
     complex_fourth_point,
     cross_det,
+    fourth_points_on_frames,
     quat_fourth_point,
-    quat_fourth_points,
 )
 
 
@@ -98,10 +107,11 @@ class LatticeNet:
     [num : den], 'hp1' points [a : b] of HP^1 as quaternion pairs (a, b),
     'cp3' C^4 vectors and 'q4' Pluecker 6-vectors.  net[idx] builds the API
     value (ExtC, HPoint or a vector).  net[idx] = v normalizes cp3 and q4
-    vectors and drops the cached ambient() array and face_ratios() tables;
-    it is the only writer once the net is read.  Data given to the
-    constructor fills the whole box; it, and values a document loader writes
-    before the first read, are kept verbatim.
+    vectors and drops the four caches: the lifts() and ambient() arrays, the
+    face_ratios() tables and their planarity_lists(); it is the only writer
+    once the net is read.  Data given to the constructor fills the whole
+    box; it, and values a document loader writes before the first read, are
+    kept verbatim.
     """
 
     def __init__(self, dim: int, shape, kind: str, metadata=None, data=None):
@@ -114,7 +124,10 @@ class LatticeNet:
         self.present = np.full(self.shape, data is not None)
         self.data = np.zeros(self.shape + _VALUE_SHAPE[kind], float if kind == "hp1"
                              else complex) if data is None else data
-        self._ambient = self._face_ratios = None
+        self._drop_caches()
+
+    def _drop_caches(self):
+        self._lifts = self._ambient = self._face_ratios = self._planarity_lists = None
 
     def __contains__(self, idx) -> bool:
         idx = tuple(idx)
@@ -142,7 +155,7 @@ class LatticeNet:
         else:
             value = normalize_proj(value)
         self.data[idx], self.present[idx] = value, True
-        self._ambient = self._face_ratios = None
+        self._drop_caches()
 
     def indices(self):
         return itertools.product(*(range(n) for n in self.shape))
@@ -184,14 +197,24 @@ class LatticeNet:
     def face_vertices(self, base, axes):
         return [self[corner] for corner in zip(*self.face_index(base, axes))]
 
+    def lifts(self) -> np.ndarray:
+        """The unit C^4 lifts (lift_rows) of an hp1 net's values, box + (4,),
+        zero where a vertex has no value.  Cached until the next write."""
+        if self.kind != "hp1":
+            raise GeometryError(f"{self.kind} nets have no twistor lifts")
+        if self._lifts is None:
+            self._lifts = np.zeros(self.shape + (4,), dtype=complex)
+            self._lifts[self.present] = lift_rows(self.data[self.present])
+        return self._lifts
+
     def ambient(self) -> np.ndarray:
         """The unit vectors the values stand for, box + (n,): twistor fibers
-        for hp1, the normalized values for cp3 and q4, zero where a vertex
-        has no value.  Cached until the next write."""
+        of lifts() for hp1, the normalized values for cp3 and q4, zero where
+        a vertex has no value.  Cached until the next write."""
         self.require_ambient()
         if self._ambient is None:
-            rows = self.data[self.present]
-            rows = fiber_rows(rows) if self.kind == "hp1" else normalize_rows(rows)
+            rows = lift_fiber_rows(self.lifts()[self.present]) if self.kind == "hp1" \
+                else normalize_rows(self.data[self.present])
             self._ambient = np.zeros(self.shape + rows.shape[-1:], dtype=complex)
             self._ambient[self.present] = rows
         return self._ambient
@@ -227,7 +250,17 @@ class LatticeNet:
                 table, stop = np.full(c.shape + (2,), np.nan), start + int(c.sum())
                 table[c] = ratios[start:stop]
                 self._face_ratios[pair], start = table, stop
+            self._planarity_lists = {pair: table[..., 1].tolist()
+                                     for pair, table in self._face_ratios.items()}
         return self._face_ratios
+
+    def planarity_lists(self) -> dict:
+        """The s4 / s1 column of face_ratios() as nested lists, by axis pair:
+        one face's residual is then a few list lookups, not an array index.
+        Made with the tables and dropped with them."""
+        if self._planarity_lists is None:
+            self.face_ratios()
+        return self._planarity_lists
 
 
 def face_planarity(net: LatticeNet, base, axes) -> float:
@@ -240,11 +273,13 @@ def face_planarity(net: LatticeNet, base, axes) -> float:
     The first query on a net decomposes all of its faces at once.
     """
     base = tuple(base)
-    table = None if net.kind == "cp1" else net.face_ratios().get(tuple(axes))
-    if table is not None and in_box(base, table.shape[:-1]):
-        s4 = table[base + (1,)]
-        if not math.isnan(s4):
-            return float(s4)
+    if net.kind != "cp1":
+        s4 = net.planarity_lists().get(tuple(axes))
+        for i in base:
+            s4 = s4[i] if type(s4) is list and 0 <= i < len(s4) else None
+        # NaN marks a face with a missing vertex
+        if type(s4) is float and not math.isnan(s4):
+            return s4
     # names the face's missing vertex, before ambient() refuses a cp1 net
     net.face_index(base, axes)
     net.ambient()
@@ -400,11 +435,18 @@ def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
 
     The vertex (m, n) closes the face on (m, n - 1), (m - 1, n - 1) and
     (m - 1, n), as in evolve_circular, so each anti-diagonal m + n = d
-    depends only on the two before it and is one quat_fourth_points call on
-    the C^4 lifts, where the point at infinity is an ordinary point.  The
-    boundary is stored as given and a computed point as the quaternion pair
-    of its unit lift.  A degenerate face is named as the row-by-row
-    evolution names the first one it meets.
+    depends only on the two before it and is one fourth_points_on_frames
+    call on the C^4 lifts, where the point at infinity is an ordinary point.
+
+    The lifts live in a diagonal-major store: entry [d, m] is the frame of
+    the vertex (m, d - m), its unit lift and that lift's j-image, each
+    computed once, when the vertex is made.  Diagonal d reads the frames of
+    its p1, p2 and p3 as the slices [d - 1, lo:hi], [d - 2, lo - 1:hi - 1]
+    and [d - 1, lo - 1:hi - 1], and its 4 x 4 frames are the first two
+    stacked.  The boundary is stored as given and a computed point as the
+    quaternion pair of its unit lift.  A degenerate face, or a cross ratio
+    within DEFAULT_TOL of 0 or 1 when there is a face, is named as the
+    row-by-row evolution names the first one it meets.
     """
     curve, seeds, lam = list(curve), list(seeds), float(lam)
     if not curve:
@@ -412,17 +454,25 @@ def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
     m_n, n_n = len(curve), len(seeds) + 1
     # lifted as evolve_circular lifts them, so that the two agree bit for bit
     rows = np.array([p.lift() for p in curve + seeds])
-    lifts = np.zeros((m_n, n_n, 4), dtype=complex)
-    lifts[:, 0], lifts[0, 1:] = rows[:m_n], rows[m_n:]
+    frames = np.stack([rows, j_on_vector(rows)], axis=-2)
+    store = np.zeros((m_n + n_n - 1, m_n, 2, 4), dtype=complex)
+    # (m, 0) sits at [m, m] and (0, n) at [n, 0]
+    store[np.arange(m_n), np.arange(m_n)], store[1:n_n, 0] = frames[:m_n], frames[m_n:]
     try:
-        for d in range(2, m_n + n_n - 1) if min(m_n, n_n) > 1 else ():
-            m = np.arange(max(1, d - n_n + 1), min(d, m_n))
-            lifts[m, d - m] = quat_fourth_points(lifts[m, d - m - 1], lifts[m - 1, d - m - 1],
-                                                 lifts[m - 1, d - m], lam)
+        if min(m_n, n_n) > 1:
+            lam_array = np.asarray(lam)
+            check_real_cross_ratio(lam_array)
+            for d in range(2, m_n + n_n - 1):
+                lo, hi = max(1, d - n_n + 1), min(d, m_n)
+                x = fourth_points_on_frames(
+                    np.concatenate([store[d - 1, lo:hi], store[d - 2, lo - 1:hi - 1]], axis=-2),
+                    store[d - 1, lo - 1:hi - 1, 0], lam_array)
+                store[d, lo:hi, 0], store[d, lo:hi, 1] = x, j_on_vector(x)
     except GeometryError:
         _evolve_rows(curve, seeds, evolve_circular, [lam] * (m_n - 1))
         raise
-    pairs = pair_rows(lifts)
+    m, n = np.indices((m_n, n_n))
+    pairs = pair_rows(store[m + n, m, 0])
     pairs[:, 0], pairs[0, 1:] = quat_pairs(curve), quat_pairs(seeds)
     return LatticeNet(2, (m_n, n_n), "hp1", metadata={"lambda": lam}, data=pairs)
 
@@ -597,8 +647,12 @@ def holonomy(closed_curve, lam):
         raise GeometryError("closed curve needs at least three distinct points")
     lam = complex(lam)
     h = np.eye(2, dtype=complex)
-    for k in range(n):
-        h = edge_transfer_matrix(pts[(k + 1) % n], pts[k], lam) @ h
+    # a product beyond the float range is reported, not handed to eig
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            h = edge_transfer_matrix(pts[(k + 1) % n], pts[k], lam) @ h
+    if not np.isfinite(h).all():
+        raise GeometryError("holonomy matrix overflows the float range")
     evals, evecs = np.linalg.eig(h)
     lines = [ExtC(evecs[0, k], evecs[1, k]) for k in range(2)]
     parabolic = lines[0].isclose(lines[1], 1e-8)

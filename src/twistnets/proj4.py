@@ -405,11 +405,16 @@ def span_planes(triples: np.ndarray) -> np.ndarray:
     return normalize_rows(settle_planes(rows, f, (norms > 0.0).sum(axis=(-2, -1))))
 
 
-def settle_planes(rows: np.ndarray, f: np.ndarray, count) -> np.ndarray:
+def settle_planes(rows: np.ndarray, f: np.ndarray, count,
+                  failed: dict | None = None) -> np.ndarray:
     """The rank rule of span_planes on the ∧³ functionals f (..., 4) of
     triples of unit-scaled rows (..., 3, 4), count of them nonzero: f is
     kept where _certified_span vouches for it and replaced by the _svd_plane
-    of its rows where it does not.  Returns the functionals unit-scaled."""
+    of its rows where it does not.  Returns the functionals unit-scaled.
+
+    A row whose rank is not 3 raises _svd_plane's error; with a dict failed,
+    it goes into it instead, its index over the leading axes to that error,
+    and its functional is zero."""
     off = (rows @ f[..., None])[..., 0]
     vol2 = (f * f.conj()).real.sum(axis=-1, keepdims=True)
     open_ = ~_certified_span(vol2[..., 0], (off * off.conj()).real.sum(axis=-1), count)
@@ -417,8 +422,13 @@ def settle_planes(rows: np.ndarray, f: np.ndarray, count) -> np.ndarray:
         f = f.copy()
         for i in np.ndindex(open_.shape):
             if open_[i]:
-                # _svd_plane's functional is unit
-                f[i], vol2[i] = _svd_plane(rows[i]), 1.0
+                try:
+                    # _svd_plane's functional is unit
+                    f[i], vol2[i] = _svd_plane(rows[i]), 1.0
+                except GeometryError as exc:
+                    if failed is None:
+                        raise
+                    failed[i], f[i], vol2[i] = exc, 0.0, 1.0
     return f / np.sqrt(vol2)
 
 

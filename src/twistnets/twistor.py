@@ -159,7 +159,11 @@ def pair_rows(v: np.ndarray) -> np.ndarray:
 
 def fiber_rows(pairs: np.ndarray) -> np.ndarray:
     """twistor_fiber over leading axes of quaternion pairs (..., 2, 4)."""
-    v = lift_rows(pairs)
+    return lift_fiber_rows(lift_rows(pairs))
+
+
+def lift_fiber_rows(v: np.ndarray) -> np.ndarray:
+    """The twistor fibers v ^ vj of unit lifts v (..., 4), normalized."""
     return normalize_rows(wedge_rows(v, j_on_vector(v)))
 
 

@@ -174,15 +174,37 @@ def quat_fourth_points(x1, x2, x3, lam) -> np.ndarray:
     """
     x1, x2, x3 = (np.reshape(np.asarray(x, dtype=complex), (-1, 4)) for x in (x1, x2, x3))
     lam = np.asarray(lam, dtype=float)
-    if (np.minimum(np.abs(lam), np.abs(lam - 1.0)) < DEFAULT_TOL).any():
+    check_real_cross_ratio(lam)
+    frames = np.stack([x1, j_on_vector(x1), x2, j_on_vector(x2)], axis=-2)
+    return fourth_points_on_frames(frames, x3, lam)
+
+
+def check_real_cross_ratio(lam: np.ndarray):
+    """Raise for a real cross ratio, an array of one or one per row, within
+    DEFAULT_TOL of 0 or 1, where the fourth point collapses onto p3 or p1."""
+    if lam.ndim == 0:
+        # one number in Python floats, which round as numpy does and cost less
+        x = float(lam)
+        degenerate = min(abs(x), abs(x - 1.0)) < DEFAULT_TOL
+    else:
+        degenerate = (np.minimum(np.abs(lam), np.abs(lam - 1.0)) < DEFAULT_TOL).any()
+    if degenerate:
         raise GeometryError("degenerate cross-ratio value 0 or 1")
-    x1j = j_on_vector(x1)
+
+
+def fourth_points_on_frames(frames: np.ndarray, x3: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """quat_fourth_points' rows on their frames: row k of frames (k, 4, 4)
+    holds x1, x1 j, x2, x2 j, and lam, checked by the caller, is a number or
+    one per row.  A caller that keeps each lift's j-image stacks two stored
+    (k, 2, 4) frames; nothing here computes one again."""
+    x1, x1j, x2 = frames[:, 0], frames[:, 1], frames[:, 2]
     # before LU, which leaves no exactly zero pivot for a point given twice
     # at two scales
     if coincident_rows(x2, x1, x1j).any():
         raise GeometryError("coincident points p1 and p2")
     try:
-        c = np.linalg.solve(np.stack([x1, x1j, x2, j_on_vector(x2)], axis=-1), x3[..., None])
+        # the frame's rows are the columns of the system
+        c = np.linalg.solve(frames.swapaxes(-1, -2), x3[..., None])
     except np.linalg.LinAlgError:
         raise GeometryError("coincident points p1 and p2") from None
     return normalize_rows(x3 - lam[..., None] * (c[:, 0] * x1 + c[:, 1] * x1j))

@@ -680,6 +680,30 @@ def test_holonomy_command(tmp_path, capsys):
     assert abs(np.linalg.det(h)) > 1e-12
 
 
+@pytest.mark.parametrize("doc", [[], ["x"], "x", 1.5, None])
+def test_a_document_that_is_no_object_exits_1(tmp_path, capsys, doc):
+    src = _write(tmp_path, "doc.json", doc)
+    for argv in (["check", src], ["export", src], ["hexahedron", src],
+                 ["evolve", src, "--mode", "circular", "--lambda", "-1"],
+                 ["holonomy", src, "--lambda", "-1"]):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("error: a document must be a JSON object") and out.out == ""
+    for load in (doc_to_net, doc_to_pcen):
+        with pytest.raises(DocumentError, match="must be a JSON object"):
+            load(doc)
+
+
+def test_holonomy_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # the transfer matrices of an 8e154 coordinate overflow in their product
+    # (a RuntimeWarning, an error here), which eig cannot take
+    doc = _cp1_curve_doc(4)
+    doc["entries"]["3"] = [0.8, 8.4e154]
+    assert main(["holonomy", _write(tmp_path, "huge.json", doc), "--lambda", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: holonomy matrix overflows the float range\n" and out.out == ""
+
+
 def test_lie_report_command(capsys):
     assert main(["lie-report", "--json"]) == 0
     rep = json.loads(capsys.readouterr().out)

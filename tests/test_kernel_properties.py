@@ -18,7 +18,8 @@ span_planes, normalize_rows, lift_rows) are checked row by row against the
 same references or against their one-vector counterparts, and the whole-array
 PCEN checks against a single moved element.  pcen_from_circular is checked
 against a copy of the loop it replaced, which called propagate_elements once
-per column: the same errors, near-coincident neighbours included, the same
+per column: the same errors, near-coincident neighbours included, each named
+by the first vertex whose step fails and the vertex it comes from, the same
 elements on well-separated nets, and residuals within twice that loop's.
 The closed-form conic of a regulus (regulus_point) is checked against the
 transversal construction it replaced: the two lines meeting the generators,
@@ -376,16 +377,32 @@ def _propagate_route_by_route(points, functionals, lifts):
 
 def _pcen_route_by_route(base, initial):
     """pcen_from_circular's propagation as one _propagate_route_by_route
-    call per column, column m = 0 along n first."""
+    call per column, column m = 0 along n first.  A failed column is rerun
+    element by element, and the error names the first element that fails
+    and the one it comes from."""
     lifts = lift_rows(base.data)
     points, functionals = np.empty_like(lifts), np.empty_like(lifts)
     points[0, 0], functionals[0, 0] = initial.point, initial.plane.functional
+
+    def step(at, prev):
+        points[at], functionals[at] = _propagate_route_by_route(
+            points[prev], functionals[prev], lifts[at])
+
+    def named_step(at, prev):
+        try:
+            step(at, prev)
+        except GeometryError as exc:
+            raise GeometryError(f"at {at} from {prev}: {exc}") from exc
+
     for n in range(1, base.shape[1]):
-        points[0, n], functionals[0, n] = _propagate_route_by_route(
-            points[0, n - 1], functionals[0, n - 1], lifts[0, n])
+        named_step((0, n), (0, n - 1))
     for m in range(1, base.shape[0]):
-        points[m], functionals[m] = _propagate_route_by_route(
-            points[m - 1], functionals[m - 1], lifts[m])
+        try:
+            step(m, m - 1)
+        except GeometryError:
+            for n in range(base.shape[1]):
+                named_step((m, n), (m - 1, n))
+            raise
     return points, functionals
 
 
@@ -451,6 +468,62 @@ def test_pcen_matches_the_route_by_route_loop(rows, cols, lam, negative, rng, mo
         for got, ref in zip((pcen.points, pcen.functionals), want):
             for a, b in zip(got.reshape(-1, 4), ref.reshape(-1, 4)):
                 assert proj_distance(a, b) < 1e-11
+
+
+def _near_fiber_pcen(seed, moves):
+    """A 6x6 circular net in which each vertex `moved` of moves (moved,
+    source, gap) is put at fiber distance gap from the vertex source, and a
+    contact element at its origin."""
+    rng = np.random.default_rng(seed)
+    points = [HPoint.from_quaternion(Quaternion(*rng.standard_normal(4))) for _ in range(11)]
+    net = evolve_net_circular(points[:6], points[6:], -1.1)
+    for moved, source, gap in moves:
+        v = net[source].lift()
+        d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        d = d - v * np.vdot(v, d) - j_on_vector(v) * np.vdot(j_on_vector(v), d)
+        net[moved] = twistor_project(v + gap * d / _norm(d))
+    sphere = normalize_proj(wedge(net[0, 0].lift(), rng.standard_normal(4)
+                                  + 1j * rng.standard_normal(4)))
+    return net, contact_element(net[0, 0], sphere)
+
+
+def _assert_pcen_error(net, initial, start):
+    """pcen_from_circular raises the route-by-route loop's error, which
+    starts with start."""
+    with pytest.raises(GeometryError) as want:
+        _pcen_route_by_route(net, initial)
+    with pytest.raises(GeometryError) as got:
+        pcen_from_circular(net, initial)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(start)
+
+
+@pytest.mark.parametrize("gap, message", [
+    (5e-10, "fiber-in-plane degeneracy: line-in-plane: "),
+    (1.5e-9, "next point coincides with the element's point: degenerate-span: rank 2"),
+], ids=["fiber-in-plane", "degenerate-span"])
+@pytest.mark.parametrize("moved, source", [((0, 3), (0, 2)), ((3, 0), (2, 0)),
+                                           ((2, 4), (1, 4)), ((5, 5), (4, 5))],
+                         ids=["column-0", "row-3-first", "row-2", "last"])
+def test_pcen_names_the_vertex_of_a_neighbour_near_the_fiber(gap, message, moved, source):
+    """A base point at fiber distance 1e-10 <= gap < 2e-9 from the one its
+    element comes from passes the collision cut and fails in propagation:
+    below 1e-9 the fiber lies in the element's plane, and above it the span
+    with the element's point has s3 / s1 = gap / 2.  Both errors name the
+    vertex and its source, as the route-by-route loop does."""
+    net, initial = _near_fiber_pcen(6, [(moved, source, gap)])
+    _assert_pcen_error(net, initial, f"at {moved} from {source}: {message}")
+
+
+@pytest.mark.parametrize("gaps, message", [
+    ((1.5e-9, 5e-10), "at (3, 1) from (2, 1): next point coincides with the element's point"),
+    ((5e-10, 1.5e-9), "at (3, 1) from (2, 1): fiber-in-plane degeneracy"),
+], ids=["span-first", "meet-first"])
+def test_pcen_names_the_first_failing_vertex_of_a_step(gaps, message):
+    """Two vertices of one row fail their step, each with its own check: the
+    error is that of the first in row order, whichever check fails."""
+    net, initial = _near_fiber_pcen(7, [((3, n), (2, n), gap) for n, gap in zip((1, 4), gaps)])
+    _assert_pcen_error(net, initial, message)
 
 
 def _circular_pcen_inputs(seed, count, size=24):

@@ -10,13 +10,23 @@ from twistnets.proj4 import (
     GeometryError,
     is_decomposable,
     normalize_proj,
+    normalize_rows,
     proj_distance,
     quadric_pair,
     span_ratios,
     wedge,
 )
-from twistnets.twistor import HPoint, is_j_real, twistor_fiber
+from twistnets.twistor import (
+    HPoint,
+    coincident_rows,
+    is_j_real,
+    j_on_vector,
+    pair_rows,
+    quat_pairs,
+    twistor_fiber,
+)
 from twistnets.xratio import INF, as_ext, complex_cr, quat_cr, cross_det
+from twistnets.contact import contact_element, pcen_from_circular
 from twistnets.nets import (
     LatticeNet,
     bianchi_check,
@@ -25,6 +35,7 @@ from twistnets.nets import (
     evolve_net_circular,
     evolve_net_complex,
     face_planarity,
+    face_span_ratios,
     face_vectors,
     hexahedron_complete,
     holonomy,
@@ -503,6 +514,116 @@ def test_write_after_planarity_drops_the_cached_fibers():
     hole[1, 1] = net[1, 1]
     for base, axes in net.faces():
         assert face_planarity(hole, base, axes) == face_planarity(fresh, base, axes)
+
+
+def _fourth_points_reference(x1, x2, x3, lam):
+    """quat_fourth_points as it computed before its rows moved onto stored
+    frames (a test-only copy): the frame is stacked from the lifts."""
+    x1, x2, x3 = (np.reshape(np.asarray(x, dtype=complex), (-1, 4)) for x in (x1, x2, x3))
+    lam = np.asarray(lam, dtype=float)
+    if (np.minimum(np.abs(lam), np.abs(lam - 1.0)) < 1e-9).any():
+        raise GeometryError("degenerate cross-ratio value 0 or 1")
+    x1j = j_on_vector(x1)
+    if coincident_rows(x2, x1, x1j).any():
+        raise GeometryError("coincident points p1 and p2")
+    try:
+        c = np.linalg.solve(np.stack([x1, x1j, x2, j_on_vector(x2)], axis=-1), x3[..., None])
+    except np.linalg.LinAlgError:
+        raise GeometryError("coincident points p1 and p2") from None
+    return normalize_rows(x3 - lam[..., None] * (c[:, 0] * x1 + c[:, 1] * x1j))
+
+
+def _evolve_by_gathers(curve, seeds, lam):
+    """evolve_net_circular's data as computed before the frame store (a
+    test-only copy): per anti-diagonal, p1, p2 and p3 gathered from a
+    lattice of lifts by index lists, and each lift's j-image computed
+    again on each diagonal that reads it."""
+    curve, seeds, lam = list(curve), list(seeds), float(lam)
+    m_n, n_n = len(curve), len(seeds) + 1
+    rows = np.array([p.lift() for p in curve + seeds])
+    lifts = np.zeros((m_n, n_n, 4), dtype=complex)
+    lifts[:, 0], lifts[0, 1:] = rows[:m_n], rows[m_n:]
+    try:
+        for d in range(2, m_n + n_n - 1) if min(m_n, n_n) > 1 else ():
+            m = np.arange(max(1, d - n_n + 1), min(d, m_n))
+            lifts[m, d - m] = _fourth_points_reference(
+                lifts[m, d - m - 1], lifts[m - 1, d - m - 1], lifts[m - 1, d - m], lam)
+    except GeometryError:
+        _row_by_row(curve, seeds, lam)
+        raise
+    pairs = pair_rows(lifts)
+    pairs[:, 0], pairs[0, 1:] = quat_pairs(curve), quat_pairs(seeds)
+    return pairs
+
+
+# cross ratios within 1e-9 of 0 or 1, the cut, and just outside it
+_NEAR_DEGENERATE_LAMBDAS = [0.0, 1.0, 5e-10, -9.9e-10, 1.0 + 3e-10, 1.0 - 9e-10, 1.2e-9,
+                            1.0 - 1.5e-9]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 7), st.integers(2, 7), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["plain"] * 3 + ["twice", "lambda", "infinity", "thin"]),
+       st.floats(-4.0, 4.0),
+       st.integers(0, 12), st.integers(0, 12), st.sampled_from(_NEAR_DEGENERATE_LAMBDAS))
+def test_frame_store_evolution_is_the_gathered_one_bit_for_bit(width, height, seed, case, lam,
+                                                               at, other, near):
+    """evolve_net_circular on its diagonal-major frame store gives the net of
+    the per-diagonal loop it replaced bit for bit, and raises its messages
+    on degenerate input: a boundary point given again at another scale, a
+    cross ratio within 1e-9 of 0 or 1, boundary points at infinity, and
+    nets of one row or one column."""
+    rng = np.random.default_rng(seed)
+    if case == "thin":
+        # one curve point or no seeds, near-degenerate cross ratios included
+        width, height, lam = (1, height, near) if other % 2 else (width, 1, near)
+    qs = [Quaternion(*rng.standard_normal(4)) for _ in range(width + height - 1)]
+    points = [HPoint.from_quaternion(q) for q in qs]
+    at, other = at % len(points), other % len(points)
+    if case == "twice":
+        # [q s : s] is [q : 1], next to it on the boundary or anywhere
+        s = Quaternion(*rng.standard_normal(4))
+        points[(at + 1) % len(points) if other % 2 else other] = HPoint(qs[at] * s, s)
+    elif case == "lambda":
+        lam = near
+    elif case == "infinity":
+        points[at] = points[other] = HPoint.infinity()
+    curve, seeds = points[:width], points[width:]
+    try:
+        want = _evolve_by_gathers(curve, seeds, lam)
+    except GeometryError as exc:
+        with pytest.raises(GeometryError) as got:
+            evolve_net_circular(curve, seeds, lam)
+        assert str(got.value) == str(exc)
+        return
+    got = evolve_net_circular(curve, seeds, lam).data
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_a_write_after_every_cache_is_built_changes_every_reading():
+    """A write drops all four caches of a net: lifts(), ambient(),
+    face_ratios() and planarity_lists().  After it, face_planarity,
+    ambient(), pcen_from_circular and the planarity report's ratios read
+    as on a fresh net with the same values, and differ from before."""
+    rng = np.random.default_rng(21)
+    points = [_hp(*rng.standard_normal(4)) for _ in range(9)]
+    net = evolve_net_circular(points[:5], points[5:], -1.2)
+    sphere = normalize_proj(wedge(net[0, 0].lift(), rng.standard_normal(4)
+                                  + 1j * rng.standard_normal(4)))
+    initial = contact_element(net[0, 0], sphere)
+
+    def readings(net):
+        return (net.lifts().copy(), face_planarity(net, (1, 1), (0, 1)), net.ambient().copy(),
+                pcen_from_circular(net, initial).points, face_span_ratios(net)[1])
+
+    net.lifts(), net.ambient(), net.face_ratios(), net.planarity_lists()
+    before = readings(net)
+    net[2, 2] = _hp(*rng.standard_normal(4))
+    after = readings(net)
+    fresh = readings(LatticeNet(2, net.shape, "hp1", data=net.data.copy()))
+    for b, a, f in zip(before, after, fresh):
+        assert np.array_equal(a, f)
+        assert not np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
