@@ -12,6 +12,7 @@ verification report exceeding its tolerance.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -262,12 +263,15 @@ def _write_text(text: str, path: str | None):
 
 
 def parse_complex(text: str) -> complex:
-    """Parse '-1', '2.5', '0+1i', '1-2j' style complex literals."""
-    cleaned = text.strip().replace("i", "j").replace(" ", "")
+    """Parse '-1', '2.5', '0+1i', '1-2j' style complex literals; text that is
+    no finite complex number is a usage error."""
     try:
-        return complex(cleaned)
-    except ValueError as exc:
-        raise GeometryError(f"cannot parse complex number {text!r}") from exc
+        z = complex(text.strip().replace("i", "j").replace(" ", ""))
+    except ValueError:
+        z = cmath.nan
+    if not cmath.isfinite(z):
+        raise DocumentError(f"cannot parse {text!r} as a finite complex number")
+    return z
 
 
 def _warn(msg: str):
@@ -337,6 +341,8 @@ def _sphere_arg(args) -> np.ndarray:
 
 
 def cmd_check(args) -> int:
+    if not math.isfinite(args.tol):
+        raise DocumentError(f"--tol {args.tol} is not a finite number")
     doc = load_doc(args.input)
     kind = doc.get("kind")
     tol = args.tol

@@ -6,9 +6,10 @@ construction is hexahedron completion: seven vertices of a combinatorial
 cube with planar faces determine the eighth as the common point of three
 planes.  Curve evolution by cross ratio builds two-dimensional nets, the
 real quaternionic evolution one anti-diagonal at a time and the complex one
-row by row, and the lift into the subquadric of lines through a fixed
-sphere's two twistor lifts turns complex cross-ratio nets in CP^1 into
-conjugate nets with planar faces.
+row by row; both name the first degenerate face in row order.  The lift
+into the subquadric of lines through a fixed sphere's two twistor lifts
+turns complex cross-ratio nets in CP^1 into conjugate nets with planar
+faces.
 
 A face's planarity residual is looked up, not computed: the first query
 decomposes the four ambient vectors of every complete face of the net in
@@ -60,7 +61,6 @@ from .xratio import (
     complex_fourth_point,
     cross_det,
     fourth_points_on_frames,
-    quat_fourth_point,
 )
 
 
@@ -376,24 +376,6 @@ def hexahedron_complete(phi, phi1, phi2, phi3, phi12, phi13, phi23) -> np.ndarra
 # curve evolution
 
 
-def evolve_circular(curve, seed: HPoint, lambdas) -> list:
-    """One step of the real cross-ratio evolution of a curve in HP^1.
-
-    Each new point is the unique solution of the face condition
-    [p(k+1), p(k), p+(k), p+(k+1)] = lambda_k with real lambda; faces are
-    concircular.
-    """
-    lambdas = [float(lam) for lam in lambdas]
-    if len(lambdas) != len(curve) - 1:
-        raise GeometryError("need one lambda per curve edge")
-    out = [seed]
-    for k, lam in enumerate(lambdas):
-        if lam in (0.0, 1.0):
-            raise GeometryError(f"degenerate lambda at edge {k}")
-        out.append(quat_fourth_point(curve[k + 1], curve[k], out[k], Quaternion.from_real(lam)))
-    return out
-
-
 def evolve_complex_cr(curve, seed, lam) -> list:
     """One step of the complex cross-ratio evolution of a curve in CP^1."""
     lam = complex(lam)
@@ -406,25 +388,19 @@ def evolve_complex_cr(curve, seed, lam) -> list:
     return out
 
 
-def _evolve_rows(first_row, seeds, step, *args) -> list:
-    """The rows first_row, step(first_row, seeds[0], *args), ...; a degenerate
-    step names its row."""
-    rows = [first_row]
-    for r, seed in enumerate(seeds):
-        try:
-            rows.append(step(rows[-1], seed, *args))
-        except GeometryError as exc:
-            raise GeometryError(f"degenerate step in row {r + 1}: {exc}") from exc
-    return rows
-
-
 def evolve_net_complex(curve, seeds, lam) -> LatticeNet:
     """Full 2-dim complex cross-ratio net from a curve and a transverse seed
-    column c+(0), c++(0), ..."""
+    column c+(0), c++(0), ..., evolved row by row; a degenerate step names
+    its row."""
     curve = [as_ext(z) for z in curve]
     if not curve:
         raise GeometryError("complex evolution needs a curve point")
-    rows = _evolve_rows(curve, seeds, evolve_complex_cr, lam)
+    rows = [curve]
+    for r, seed in enumerate(seeds):
+        try:
+            rows.append(evolve_complex_cr(rows[-1], seed, lam))
+        except GeometryError as exc:
+            raise GeometryError(f"degenerate step in row {r + 1}: {exc}") from exc
     data = np.array([[(z.num, z.den) for z in row] for row in rows], dtype=complex)
     data = data.reshape(len(rows), len(rows[0]), 2).transpose(1, 0, 2)
     return LatticeNet(2, data.shape[:2], "cp1", metadata={"lambda": complex(lam)}, data=data)
@@ -433,10 +409,11 @@ def evolve_net_complex(curve, seeds, lam) -> LatticeNet:
 def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
     """Full 2-dim circular net with a constant real cross ratio.
 
-    The vertex (m, n) closes the face on (m, n - 1), (m - 1, n - 1) and
-    (m - 1, n), as in evolve_circular, so each anti-diagonal m + n = d
-    depends only on the two before it and is one fourth_points_on_frames
-    call on the C^4 lifts, where the point at infinity is an ordinary point.
+    The vertex (m, n) is the fourth point of the face on (m, n - 1),
+    (m - 1, n - 1) and (m - 1, n) at the real cross ratio lam, so its face
+    is concircular and each anti-diagonal m + n = d depends only on the two
+    before it: one fourth_points_on_frames call on the C^4 lifts, where the
+    point at infinity is an ordinary point.
 
     The lifts live in a diagonal-major store: entry [d, m] is the frame of
     the vertex (m, d - m), its unit lift and that lift's j-image, each
@@ -444,33 +421,42 @@ def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
     its p1, p2 and p3 as the slices [d - 1, lo:hi], [d - 2, lo - 1:hi - 1]
     and [d - 1, lo - 1:hi - 1], and its 4 x 4 frames are the first two
     stacked.  The boundary is stored as given and a computed point as the
-    quaternion pair of its unit lift.  A degenerate face, or a cross ratio
-    within DEFAULT_TOL of 0 or 1 when there is a face, is named as the
-    row-by-row evolution names the first one it meets.
+    quaternion pair of its unit lift.
+
+    A face whose p1 and p2 coincide is flagged, and the first flagged face
+    in row order (n, then m) is named after the last diagonal: the faces
+    before it read only faces before it, so it is the face a row-by-row
+    evolution fails on first.  A lam within DEFAULT_TOL of 0 or 1 fails the
+    first face, (1, 1), when there is one.
     """
     curve, seeds, lam = list(curve), list(seeds), float(lam)
     if not curve:
         raise GeometryError("circular evolution needs a curve point")
     m_n, n_n = len(curve), len(seeds) + 1
-    # lifted as evolve_circular lifts them, so that the two agree bit for bit
+    # lifted one by one as HPoint.lift lifts them, as quat_fourth_point does
     rows = np.array([p.lift() for p in curve + seeds])
     frames = np.stack([rows, j_on_vector(rows)], axis=-2)
     store = np.zeros((m_n + n_n - 1, m_n, 2, 4), dtype=complex)
     # (m, 0) sits at [m, m] and (0, n) at [n, 0]
     store[np.arange(m_n), np.arange(m_n)], store[1:n_n, 0] = frames[:m_n], frames[m_n:]
-    try:
-        if min(m_n, n_n) > 1:
-            lam_array = np.asarray(lam)
+    if min(m_n, n_n) > 1:
+        lam_array = np.asarray(lam)
+        try:
             check_real_cross_ratio(lam_array)
-            for d in range(2, m_n + n_n - 1):
-                lo, hi = max(1, d - n_n + 1), min(d, m_n)
-                x = fourth_points_on_frames(
-                    np.concatenate([store[d - 1, lo:hi], store[d - 2, lo - 1:hi - 1]], axis=-2),
-                    store[d - 1, lo - 1:hi - 1, 0], lam_array)
-                store[d, lo:hi, 0], store[d, lo:hi, 1] = x, j_on_vector(x)
-    except GeometryError:
-        _evolve_rows(curve, seeds, evolve_circular, [lam] * (m_n - 1))
-        raise
+        except GeometryError as exc:
+            why = "degenerate lambda at edge 0" if lam in (0.0, 1.0) else exc
+            raise GeometryError(f"degenerate step in row 1: {why}") from exc
+        coincident = np.zeros(store.shape[:2], dtype=bool)
+        for d in range(2, m_n + n_n - 1):
+            lo, hi = max(1, d - n_n + 1), min(d, m_n)
+            x, coincident[d, lo:hi] = fourth_points_on_frames(
+                np.concatenate([store[d - 1, lo:hi], store[d - 2, lo - 1:hi - 1]], axis=-2),
+                store[d - 1, lo - 1:hi - 1, 0], lam_array)
+            store[d, lo:hi, 0], store[d, lo:hi, 1] = x, j_on_vector(x)
+        d, m = np.nonzero(coincident)  # (m, n) sits at [m + n, m]
+        if len(d):
+            raise GeometryError(f"degenerate step in row {(d - m).min()}: "
+                                "coincident points p1 and p2")
     m, n = np.indices((m_n, n_n))
     pairs = pair_rows(store[m + n, m, 0])
     pairs[:, 0], pairs[0, 1:] = quat_pairs(curve), quat_pairs(seeds)

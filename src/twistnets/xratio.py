@@ -176,7 +176,10 @@ def quat_fourth_points(x1, x2, x3, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     check_real_cross_ratio(lam)
     frames = np.stack([x1, j_on_vector(x1), x2, j_on_vector(x2)], axis=-2)
-    return fourth_points_on_frames(frames, x3, lam)
+    x4, coincident = fourth_points_on_frames(frames, x3, lam)
+    if coincident.any():
+        raise GeometryError("coincident points p1 and p2")
+    return x4
 
 
 def check_real_cross_ratio(lam: np.ndarray):
@@ -192,22 +195,26 @@ def check_real_cross_ratio(lam: np.ndarray):
         raise GeometryError("degenerate cross-ratio value 0 or 1")
 
 
-def fourth_points_on_frames(frames: np.ndarray, x3: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """quat_fourth_points' rows on their frames: row k of frames (k, 4, 4)
-    holds x1, x1 j, x2, x2 j, and lam, checked by the caller, is a number or
-    one per row.  A caller that keeps each lift's j-image stacks two stored
-    (k, 2, 4) frames; nothing here computes one again."""
-    x1, x1j, x2 = frames[:, 0], frames[:, 1], frames[:, 2]
+def fourth_points_on_frames(frames: np.ndarray, x3: np.ndarray, lam: np.ndarray) -> tuple:
+    """quat_fourth_points' rows on their frames, and the mask of rows whose
+    p1 and p2 coincide: row k of frames (k, 4, 4) holds x1, x1 j, x2, x2 j,
+    and lam, checked by the caller, is a number or one per row.  A caller
+    that keeps each lift's j-image stacks two stored (k, 2, 4) frames;
+    nothing here computes one again.  A coincident row is solved on the
+    identity frame, so it cannot make the batched solve raise, and its unit
+    result stands for no point."""
     # before LU, which leaves no exactly zero pivot for a point given twice
     # at two scales
-    if coincident_rows(x2, x1, x1j).any():
-        raise GeometryError("coincident points p1 and p2")
+    coincident = coincident_rows(frames[:, 2], frames[:, 0], frames[:, 1])
+    if coincident.any():
+        frames = np.where(coincident[:, None, None], np.eye(4), frames)
+    x1, x1j = frames[:, 0], frames[:, 1]
     try:
         # the frame's rows are the columns of the system
         c = np.linalg.solve(frames.swapaxes(-1, -2), x3[..., None])
     except np.linalg.LinAlgError:
         raise GeometryError("coincident points p1 and p2") from None
-    return normalize_rows(x3 - lam[..., None] * (c[:, 0] * x1 + c[:, 1] * x1j))
+    return normalize_rows(x3 - lam[..., None] * (c[:, 0] * x1 + c[:, 1] * x1j)), coincident
 
 
 @dataclass(frozen=True)

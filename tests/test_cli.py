@@ -68,8 +68,7 @@ def test_parse_complex():
     assert parse_complex("-1") == -1
     assert parse_complex("0+1i") == 1j
     assert parse_complex("2.5-0.5j") == 2.5 - 0.5j
-    from twistnets.proj4 import GeometryError
-    with pytest.raises(GeometryError):
+    with pytest.raises(DocumentError, match="cannot parse 'nope' as a finite complex number"):
         parse_complex("nope")
 
 
@@ -498,6 +497,30 @@ def test_command_line_usage_errors_exit_1(tmp_path, capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    *(["evolve", "curve.json", "--mode", "circular", f"--lambda={lam}"]
+      for lam in ("nan", "inf", "1e400", "-1e400", "nope")),
+    *(["evolve", "ccurve.json", "--mode", "complex", f"--lambda={lam}"]
+      for lam in ("nan", "1e400j", "1-nanj", "0+1e400i", "nope")),
+    *(["holonomy", "ccurve.json", f"--lambda={lam}"] for lam in ("nan", "1e400", "1e400j", "x")),
+    *(["check", "net.json", f"--tol={tol}"] for tol in ("nan", "inf", "-inf", "1e400", "tight")),
+])
+def test_non_finite_lambda_or_tol_exits_1(tmp_path, capsys, argv):
+    # a --lambda or --tol that is no finite number is a usage error: before,
+    # NaN went into the evolution (RuntimeWarnings, an error here), an
+    # infinite tolerance passed every report and text exited 2
+    docs = {"curve.json": _hp1_curve_doc(), "ccurve.json": _cp1_curve_doc(4)}
+    net = tmp_path / "net.json"
+    assert main(["evolve", _write(tmp_path, "c.json", _hp1_curve_doc()), "--mode", "circular",
+                 "--lambda", "-1", "-o", str(net)]) == 0
+    argv = [_write(tmp_path, a, docs[a]) if a in docs else str(net) if a == "net.json" else a
+            for a in argv]
+    capsys.readouterr()
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.err.count("error:") == 1 and "Traceback" not in out.err and out.out == ""
 
 
 def test_help_exits_0(capsys):

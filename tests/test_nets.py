@@ -1,3 +1,4 @@
+import contextlib
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistnets import nets, xratio
 from twistnets.quat import Quaternion
 from twistnets.proj4 import (
     GeometryError,
@@ -25,13 +27,12 @@ from twistnets.twistor import (
     quat_pairs,
     twistor_fiber,
 )
-from twistnets.xratio import INF, as_ext, complex_cr, quat_cr, cross_det
+from twistnets.xratio import INF, as_ext, complex_cr, quat_cr, quat_fourth_point, cross_det
 from twistnets.contact import contact_element, pcen_from_circular
 from twistnets.nets import (
     LatticeNet,
     bianchi_check,
     edge_transfer_matrix,
-    evolve_circular,
     evolve_net_circular,
     evolve_net_complex,
     face_planarity,
@@ -151,17 +152,18 @@ def test_evolve_circular_faces():
     curve = [_hp(*rng.standard_normal(4)) for _ in range(6)]
     seed = _hp(*rng.standard_normal(4))
     lam = -1.5
-    out = evolve_circular(curve, seed, [lam] * 5)
+    net = evolve_net_circular(curve, [seed], lam)
     for k in range(5):
-        cr = quat_cr(curve[k + 1], curve[k], out[k], out[k + 1])
+        cr = quat_cr(curve[k + 1], curve[k], net[k, 1], net[k + 1, 1])
         assert cr.isclose(Quaternion.from_real(lam), 1e-8)
 
 
 def test_evolve_circular_degenerate_lambda():
     rng = np.random.default_rng(3)
     curve = [_hp(*rng.standard_normal(4)) for _ in range(3)]
-    with pytest.raises(GeometryError):
-        evolve_circular(curve, curve[0], [1.0, 1.0])
+    with pytest.raises(GeometryError,
+                       match=r"^degenerate step in row 1: degenerate lambda at edge 0$"):
+        evolve_net_circular(curve, [curve[0]], 1.0)
 
 
 def test_circular_net_faces_concircular():
@@ -342,12 +344,27 @@ def test_net_indexing_and_faces():
 # array storage and the wavefront evolution
 
 
+def _evolve_circular(curve, seed: HPoint, lambdas) -> list:
+    """One row of the real cross-ratio evolution, point by point: the
+    row-by-row evolution that evolve_net_circular replaced (a test-only
+    copy, the reference of its nets and of its error messages)."""
+    lambdas = [float(lam) for lam in lambdas]
+    if len(lambdas) != len(curve) - 1:
+        raise GeometryError("need one lambda per curve edge")
+    out = [seed]
+    for k, lam in enumerate(lambdas):
+        if lam in (0.0, 1.0):
+            raise GeometryError(f"degenerate lambda at edge {k}")
+        out.append(quat_fourth_point(curve[k + 1], curve[k], out[k], Quaternion.from_real(lam)))
+    return out
+
+
 def _row_by_row(curve, seeds, lam):
-    """The circular net as rows of evolve_circular, rows[n][m] = net[m, n]."""
+    """The circular net as rows of _evolve_circular, rows[n][m] = net[m, n]."""
     rows = [list(curve)]
     for r, seed in enumerate(seeds):
         try:
-            rows.append(evolve_circular(rows[-1], seed, [lam] * (len(curve) - 1)))
+            rows.append(_evolve_circular(rows[-1], seed, [lam] * (len(curve) - 1)))
         except GeometryError as exc:
             raise GeometryError(f"degenerate step in row {r + 1}: {exc}") from exc
     return rows
@@ -364,7 +381,7 @@ def _assert_matches_rows(net, rows):
        st.lists(st.integers(0, 9), max_size=10), st.floats(-4.0, 4.0))
 def test_wavefront_matches_row_by_row_evolution(width, height, seed, at_inf, lam):
     """The anti-diagonal wavefront gives the net of the row-by-row
-    evolve_circular, with any number of boundary points at infinity (at_inf
+    _evolve_circular, with any number of boundary points at infinity (at_inf
     indexes the curve, then the seeds), and fails where the rows fail,
     with the same message."""
     rng = np.random.default_rng(seed)
@@ -434,6 +451,66 @@ def test_wavefront_names_the_first_degenerate_face_in_row_order():
             f"degenerate step in row {row}: coincident points p1 and p2"
     with pytest.raises(GeometryError, match="row 1: degenerate lambda at edge 0"):
         evolve_net_circular(curve[:2], seeds, 1.0)
+
+
+@contextlib.contextmanager
+def _kernel_calls():
+    """A list that gets one entry per call of fourth_points_on_frames, from
+    nets and from xratio's quat_fourth_points alike."""
+    calls, kernel = [], xratio.fourth_points_on_frames
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (nets, xratio):
+            patch.setattr(module, "fourth_points_on_frames", counted)
+        yield calls
+
+
+def _evolve_or_message(evolve, curve, seeds, lam):
+    try:
+        return evolve(curve, seeds, lam), None
+    except GeometryError as exc:
+        return None, str(exc)
+
+
+def test_wavefront_names_the_first_of_several_degenerate_faces():
+    # row 1 is 0, 0, 0 up to (4, 1), whose face has p1 = p2 = 1, on
+    # anti-diagonal 5; the face of (1, 2), in row 2, has p1 = p2 = 0 on
+    # anti-diagonal 3, and the faces of (2, 2), (3, 2) and (4, 2) read its
+    # stand-in vertex and are flagged too, on diagonals 4 to 6; rows 3 and 4
+    # and the last curve point add faces downstream of all of them
+    rng = np.random.default_rng(20)
+    zero, one = _hp(0, 0, 0, 0), _hp(1, 0, 0, 0)
+    curve = [zero, HPoint.infinity(), zero, one, one, _hp(*rng.standard_normal(4))]
+    seeds = [zero, one] + [_hp(*rng.standard_normal(4)) for _ in range(2)]
+    _, want = _evolve_or_message(_row_by_row, curve, seeds, -1.0)
+    with _kernel_calls() as calls:
+        _, got = _evolve_or_message(evolve_net_circular, curve, seeds, -1.0)
+    assert got == want == "degenerate step in row 1: coincident points p1 and p2"
+    # one kernel call per anti-diagonal 2, ..., 9, and no rerun
+    assert len(calls) == 8
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.integers(2, 6),
+       st.lists(st.sampled_from([0.0, 1.0, 2.0, -1.0, None]), min_size=11, max_size=11),
+       st.sampled_from([-1.0, 2.0, 0.5, -3.0]))
+def test_wavefront_names_the_row_by_row_failure_among_many(width, height, values, lam):
+    """Boundaries on the real line from 0, 1, 2, -1 and infinity (None)
+    make coincident faces in any number and any rows, and faces downstream
+    of them; the wavefront names the face that the row-by-row evolution
+    fails on, with one kernel call per anti-diagonal."""
+    points = [HPoint.infinity() if v is None else _hp(v, 0, 0, 0)
+              for v in values[:width + height - 1]]
+    curve, seeds = points[:width], points[width:]
+    rows, want = _evolve_or_message(_row_by_row, curve, seeds, lam)
+    with _kernel_calls() as calls:
+        net, got = _evolve_or_message(evolve_net_circular, curve, seeds, lam)
+    assert got == want and len(calls) == width + height - 3
+    if net is not None:
+        _assert_matches_rows(net, rows)
 
 
 def test_wavefront_rejects_a_repeated_random_curve_point():

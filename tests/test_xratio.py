@@ -10,7 +10,7 @@ from twistnets.proj4 import (
     proj_distance,
     wedge,
 )
-from twistnets.twistor import HPoint, is_j_real, twistor_fiber
+from twistnets.twistor import HPoint, is_j_real, j_on_vector, twistor_fiber
 from twistnets.xratio import (
     INF,
     ExtC,
@@ -18,6 +18,7 @@ from twistnets.xratio import (
     complex_cr,
     complex_fourth_point,
     cr_invariant,
+    fourth_points_on_frames,
     moebius_apply,
     quat_cr,
     quat_fourth_point,
@@ -160,6 +161,25 @@ def test_quat_fourth_points_is_quat_fourth_point_row_by_row():
         want = quat_fourth_point(*p, Quaternion.from_real(lam))
         assert np.array_equal(row, want.lift())
         assert quat_cr(*p, want).isclose(Quaternion.from_real(lam), 1e-8)
+
+
+def test_fourth_points_on_frames_flags_coincident_rows():
+    # rows whose p2 is p1 at another scale, or p1 itself, are flagged, not
+    # raised, and leave the other rows' results bit for bit as they are
+    rng = np.random.default_rng(8)
+    x1, x2, x3 = (np.array([_hp(Quaternion(*rng.standard_normal(4))).lift() for _ in range(12)])
+                  for _ in range(3))
+    q, s = (Quaternion(*rng.standard_normal(4)) for _ in range(2))
+    x1[3], x2[3] = _hp(q).lift(), HPoint(q * s, s).lift()
+    x2[7] = x1[7]
+    frames = np.stack([x1, j_on_vector(x1), x2, j_on_vector(x2)], axis=-2)
+    got, coincident = fourth_points_on_frames(frames, x3, np.asarray(-0.7))
+    assert np.flatnonzero(coincident).tolist() == [3, 7]
+    assert np.isfinite(got).all()
+    good = ~coincident
+    assert np.array_equal(got[good], quat_fourth_points(x1[good], x2[good], x3[good], -0.7))
+    with pytest.raises(GeometryError, match="^coincident points p1 and p2$"):
+        quat_fourth_points(x1, x2, x3, -0.7)
 
 
 def test_quat_cr_moebius_invariant_pair():
