@@ -26,6 +26,7 @@ from .proj4 import (
     GeometryError,
     normalize_proj,
     quadric_pair,
+    span_ratios,
     wedge,
 )
 from .twistor import INF_PAIR, QUAT_ONE, HPoint, SphereEndo, affine_rows, sphere_from_line
@@ -34,7 +35,6 @@ from .nets import (
     LatticeNet,
     evolve_net_circular,
     evolve_net_complex,
-    face_span_ratios,
     face_vectors,
     hexahedron_complete,
     holonomy,
@@ -53,6 +53,11 @@ from .contact import (
 from .lie import QuatHermitianForm, lie_signature_report
 
 SCHEMA_VERSION = 1
+
+# the most vertices a document's box or an evolved net may hold, a 1000 x 1000
+# net: a q4 net of that size holds 96 MB of values, and its planarity report
+# gathers four times as much per axis pair
+MAX_VERTICES = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +126,16 @@ def _doc_shape(doc: dict) -> tuple:
         raise DocumentError("document entries must be an object")
     if len(box) != dim or min(box, default=0) < 0:
         raise DocumentError("document box must hold dim sizes, none negative")
+    _require_box(box, "document box")
     return dim, tuple(box)
+
+
+def _require_box(box, what: str):
+    """Raise for a box of over MAX_VERTICES vertices, an empty axis counted
+    as one (numpy cannot make so long an axis even when another is empty),
+    before any array over it is made."""
+    if math.prod(max(n, 1) for n in box) > MAX_VERTICES:
+        raise DocumentError(f"{what} {list(box)} holds over {MAX_VERTICES} vertices")
 
 
 def net_to_doc(net: LatticeNet) -> dict:
@@ -285,6 +299,8 @@ def _warn(msg: str):
 def cmd_evolve(args) -> int:
     if args.steps < 0:
         raise DocumentError(f"--steps {args.steps} is negative")
+    if args.seed < 0:
+        raise DocumentError(f"--seed {args.seed} is negative")
     net = doc_to_net(load_doc(args.input))
     if net.dim != 1:
         raise GeometryError("evolve expects a one-dimensional curve document")
@@ -294,33 +310,35 @@ def cmd_evolve(args) -> int:
     curve = [net[(k,)] for k in range(n_pts)]
     lam = parse_complex(args.lam)
     steps, rng = args.steps, np.random.default_rng(args.seed)
+    # the net to build: the curve, and a column per transverse seed, given
+    # in the metadata or drawn
+    tv = net.metadata.get("transverse")
+    _require_box((n_pts, (steps if tv is None else len(tv)) + 1), "evolved net")
 
     if args.mode == "circular":
         if net.kind != "hp1":
             raise GeometryError("circular evolution needs an hp1 curve")
         if abs(lam.imag) > 1e-13:
             raise GeometryError("circular evolution needs a real lambda")
-        out = evolve_net_circular(curve, _circular_seeds(net, steps, rng), lam.real)
+        out = evolve_net_circular(curve, _circular_seeds(tv, steps, rng), lam.real)
     else:
         if net.kind != "cp1":
             raise GeometryError("complex evolution needs a cp1 curve")
-        out = evolve_net_complex(curve, _complex_seeds(net, steps, rng), lam)
+        out = evolve_net_complex(curve, _complex_seeds(tv, steps, rng), lam)
         if args.lift:
             out = lift_to_QS2(_sphere_arg(args), out, lam)
     dump_doc(net_to_doc(out), args.output)
     return 0
 
 
-def _circular_seeds(net: LatticeNet, steps: int, rng) -> list:
-    tv = net.metadata.get("transverse")
+def _circular_seeds(tv, steps: int, rng) -> list:
     if tv is not None:
         return [HPoint.from_quaternion(Quaternion(*_reals(v, 4, "transverse seed"))) for v in tv]
     return [HPoint.from_quaternion(
         Quaternion(*(rng.standard_normal(4) * (k + 1)))) for k in range(steps)]
 
 
-def _complex_seeds(net: LatticeNet, steps: int, rng) -> list:
-    tv = net.metadata.get("transverse")
+def _complex_seeds(tv, steps: int, rng) -> list:
     if tv is not None:
         return [complex(*_reals(v, 2, "transverse seed")) for v in tv]
     return [complex(a, b) for a, b in rng.standard_normal((steps, 2))]
@@ -341,8 +359,8 @@ def _sphere_arg(args) -> np.ndarray:
 
 
 def cmd_check(args) -> int:
-    if not math.isfinite(args.tol):
-        raise DocumentError(f"--tol {args.tol} is not a finite number")
+    if not 0.0 <= args.tol < math.inf:
+        raise DocumentError(f"--tol {args.tol} is not a finite number of at least 0")
     doc = load_doc(args.input)
     kind = doc.get("kind")
     tol = args.tol
@@ -377,10 +395,10 @@ def _run_report(doc: dict, report: str, tol: float):
                 {"face": "adjacency", "residual": pcen_adjacency_residual(pcen)}]
     elif report == "planarity":
         net = doc_to_net(doc)
-        faces, ratios = face_span_ratios(net)
-        flat, resid = ratios.T
+        faces, vecs = face_vectors(net)
+        flat, resid = span_ratios(vecs).T
         if net.kind == "q4":
-            resid = np.maximum(resid, quadric_defects(face_vectors(net)[1]))
+            resid = np.maximum(resid, quadric_defects(vecs))
         # a face spanning fewer than three dimensions lies in no unique plane
         resid = np.where(flat <= RANK_CUT, np.maximum(resid, 1.0), resid)
         rows = [{"face": _face_key(*f), "residual": r} for f, r in zip(faces, resid.tolist())]
@@ -605,19 +623,12 @@ def cmd_lie_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-8,
-                        help="residual tolerance (default 1e-8)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized constructions")
-
     parser = argparse.ArgumentParser(
         prog="twistnets",
         description="discrete nets and sphere geometry in twistor space")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("evolve", parents=[common],
-                       help="evolve a curve document into a net")
+    p = sub.add_parser("evolve", help="evolve a curve document into a net")
     p.add_argument("input", help="curve document (JSON), '-' for stdin")
     p.add_argument("--mode", choices=("circular", "complex"), required=True)
     p.add_argument("--lambda", dest="lam", required=True,
@@ -627,18 +638,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lift", action="store_true",
                    help="lift the evolved complex net into the sphere quadric")
     p.add_argument("--sphere", help="12 comma-separated reals for the sphere")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the random transverse seeds (default 0)")
     p.add_argument("--output", "-o", help="output path (default stdout)")
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("check", parents=[common],
-                       help="residual report for a net document")
+    p = sub.add_parser("check", help="residual report for a net document")
     p.add_argument("input")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="residual tolerance (default 1e-8)")
     p.add_argument("--report", choices=("planarity", "conic", "cr", "pcen"))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("export", parents=[common],
-                       help="export a net document to OBJ or JSON")
+    p = sub.add_parser("export", help="export a net document to OBJ or JSON")
     p.add_argument("input")
     p.add_argument("--target", choices=("obj", "json"), default="obj")
     p.add_argument("--chart", choices=tuple(_CHART_AXES), default="w",
@@ -646,21 +659,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o")
     p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("hexahedron", parents=[common],
-                       help="complete a combinatorial cube from 7 points")
+    p = sub.add_parser("hexahedron", help="complete a combinatorial cube from 7 points")
     p.add_argument("input", help="JSON file with a 'points' list of 7 bivectors")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_hexahedron)
 
-    p = sub.add_parser("holonomy", parents=[common],
-                       help="holonomy matrix and eigenlines of a closed curve")
+    p = sub.add_parser("holonomy", help="holonomy matrix and eigenlines of a closed curve")
     p.add_argument("input")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_holonomy)
 
-    p = sub.add_parser("lie-report", parents=[common],
-                       help="signatures of the real structure reduction")
+    p = sub.add_parser("lie-report", help="signatures of the real structure reduction")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_lie_report)
 

@@ -13,7 +13,8 @@ faces.
 
 A face's planarity residual is looked up, not computed: the first query
 decomposes the four ambient vectors of every complete face of the net in
-one stacked SVD, and the net keeps the span ratios until its next write.
+one stacked SVD per axis pair, and the net keeps the s4 / s1 ratios until
+its next write.
 """
 
 from __future__ import annotations
@@ -107,11 +108,11 @@ class LatticeNet:
     [num : den], 'hp1' points [a : b] of HP^1 as quaternion pairs (a, b),
     'cp3' C^4 vectors and 'q4' Pluecker 6-vectors.  net[idx] builds the API
     value (ExtC, HPoint or a vector).  net[idx] = v normalizes cp3 and q4
-    vectors and drops the four caches: the lifts() and ambient() arrays, the
-    face_ratios() tables and their planarity_lists(); it is the only writer
-    once the net is read.  Data given to the constructor fills the whole
-    box; it, and values a document loader writes before the first read, are
-    kept verbatim.
+    vectors and drops the net's two caches, lifts() and planarity_lists(),
+    which a workload reads more than once; ambient() is computed on each
+    call.  It is the only writer once the net is read.  Data given to the
+    constructor fills the whole box; it, and values a document loader writes
+    before the first read, are kept verbatim.
     """
 
     def __init__(self, dim: int, shape, kind: str, metadata=None, data=None):
@@ -127,7 +128,7 @@ class LatticeNet:
         self._drop_caches()
 
     def _drop_caches(self):
-        self._lifts = self._ambient = self._face_ratios = self._planarity_lists = None
+        self._lifts = self._planarity_lists = None
 
     def __contains__(self, idx) -> bool:
         idx = tuple(idx)
@@ -210,62 +211,43 @@ class LatticeNet:
     def ambient(self) -> np.ndarray:
         """The unit vectors the values stand for, box + (n,): twistor fibers
         of lifts() for hp1, the normalized values for cp3 and q4, zero where
-        a vertex has no value.  Cached until the next write."""
-        self.require_ambient()
-        if self._ambient is None:
-            rows = lift_fiber_rows(self.lifts()[self.present]) if self.kind == "hp1" \
-                else normalize_rows(self.data[self.present])
-            self._ambient = np.zeros(self.shape + rows.shape[-1:], dtype=complex)
-            self._ambient[self.present] = rows
-        return self._ambient
-
-    def require_ambient(self):
-        """Raise for a cp1 net: its values stand for no ambient vectors."""
+        a vertex has no value.  Computed on each call, from the cached
+        lifts() for hp1; a cp1 net's values stand for no ambient vectors."""
         if self.kind == "cp1":
             raise GeometryError("cp1 nets have no ambient planarity notion")
-
-    def face_ratios(self) -> dict:
-        """The span ratios (s3 / s1, s4 / s1) of every face's four ambient
-        vectors, by axis pair (a, b), a < b: an array over the bases of the
-        faces along the pair, (box less one along a and b) + (2,), NaN at a
-        face with a missing vertex.
-
-        One stacked SVD over the complete faces of all pairs builds the
-        tables, which are cached until the next write.  So the first query
-        of one face pays for every face, about 3 ms at 24 x 24 against about
-        30 us for one face alone, as ambient() lifts every vertex for one
-        face.  numpy hands LAPACK each matrix of a stack as it hands it a
-        single one, so a face's ratios are those of its own decomposition
-        bit for bit.
-        """
-        if self._face_ratios is None:
-            amb, pairs = self.ambient(), _axis_pairs(self.dim)
-            complete = [_face_corners(self.present, self.dim, a, b).all(axis=-1)
-                        for a, b in pairs]
-            # a face with a missing vertex stays out of the decomposition
-            vecs = [_face_corners(amb, self.dim, a, b)[c] for (a, b), c in zip(pairs, complete)]
-            ratios = span_ratios(np.concatenate(vecs)) if vecs else None
-            self._face_ratios, start = {}, 0
-            for pair, c in zip(pairs, complete):
-                table, stop = np.full(c.shape + (2,), np.nan), start + int(c.sum())
-                table[c] = ratios[start:stop]
-                self._face_ratios[pair], start = table, stop
-            self._planarity_lists = {pair: table[..., 1].tolist()
-                                     for pair, table in self._face_ratios.items()}
-        return self._face_ratios
+        rows = lift_fiber_rows(self.lifts()[self.present]) if self.kind == "hp1" \
+            else normalize_rows(self.data[self.present])
+        amb = np.zeros(self.shape + rows.shape[-1:], dtype=complex)
+        amb[self.present] = rows
+        return amb
 
     def planarity_lists(self) -> dict:
-        """The s4 / s1 column of face_ratios() as nested lists, by axis pair:
-        one face's residual is then a few list lookups, not an array index.
-        Made with the tables and dropped with them."""
+        """s4 / s1 of every face's four ambient vectors, by axis pair (a, b),
+        a < b: nested lists over the bases of the faces along the pair (box
+        less one along a and b), NaN at a face with a missing vertex.  One
+        face's residual is then a few list lookups, not an array index.
+
+        One stacked SVD per axis pair builds the lists, which are cached
+        until the next write.  So the first query of one face pays for every
+        face, about 3 ms at 24 x 24 against about 30 us for one face alone.
+        numpy hands LAPACK each matrix of a stack as it hands it a single
+        one, so a face's ratio is that of its own decomposition bit for bit.
+        """
         if self._planarity_lists is None:
-            self.face_ratios()
+            amb, lists = self.ambient(), {}
+            for a, b in _axis_pairs(self.dim):
+                complete = _face_corners(self.present, self.dim, a, b).all(axis=-1)
+                s4 = np.full(complete.shape, np.nan)
+                # a face with a missing vertex stays out of the decomposition
+                s4[complete] = span_ratios(_face_corners(amb, self.dim, a, b)[complete])[:, 1]
+                lists[a, b] = s4.tolist()
+            self._planarity_lists = lists
         return self._planarity_lists
 
 
 def face_planarity(net: LatticeNet, base, axes) -> float:
     """Deviation of a 2-face from lying in a projective plane: s4 / s1 of
-    its four ambient vectors, read from net.face_ratios().
+    its four ambient vectors, read from net.planarity_lists().
 
     Zero means the four points span at most a plane.  For hp1 nets the
     vertices are lifted to their twistor fibers first, so the residual
@@ -286,17 +268,16 @@ def face_planarity(net: LatticeNet, base, axes) -> float:
     raise GeometryError(f"axes {tuple(axes)} are not an increasing pair of lattice axes")
 
 
-def _face_order(net: LatticeNet) -> tuple[list, np.ndarray | None]:
-    """net.faces(), and where each face sits among the bases of the axis
-    pairs a < b, flattened and concatenated in pair order (None without
-    faces); raises for the first face with a missing vertex, and for a cp1
-    net without faces."""
+def face_vectors(net: LatticeNet) -> tuple[list, np.ndarray]:
+    """The faces of net.faces() and the ambient vectors of their vertices,
+    stacked as (faces, 4, n) in face_index order; raises for the first face
+    with a missing vertex, and for a cp1 net with or without faces."""
     faces = list(net.faces())
     if not faces:
-        # ambient() refuses a cp1 net with faces; one without must not pass a
-        # report that cannot apply to it
-        net.require_ambient()
-        return faces, None
+        # ambient() refuses a cp1 net, also one without faces: it must not
+        # pass a report that cannot apply to it
+        net.ambient()
+        return faces, np.zeros((0, 4, 6), dtype=complex)
     pairs = _axis_pairs(net.dim)
     flat = np.arange(net.present.size).reshape(net.shape)
     # net.faces() runs over the bases in index order, and at each over the pairs
@@ -306,28 +287,9 @@ def _face_order(net: LatticeNet) -> tuple[list, np.ndarray | None]:
                                for a, b in pairs])[order]
     if not complete.all():
         net.face_index(*faces[int(np.argmin(complete))])
-    return faces, order
-
-
-def face_vectors(net: LatticeNet) -> tuple[list, np.ndarray]:
-    """The faces of net.faces() and the ambient vectors of their vertices,
-    stacked as (faces, 4, n) in face_index order; raises for a missing
-    vertex."""
-    faces, order = _face_order(net)
-    if not faces:
-        return faces, np.zeros((0, 4, 6), dtype=complex)
     amb = net.ambient()
     return faces, np.concatenate([_face_corners(amb, net.dim, a, b).reshape(-1, 4, amb.shape[-1])
-                                  for a, b in _axis_pairs(net.dim)])[order]
-
-
-def face_span_ratios(net: LatticeNet) -> tuple[list, np.ndarray]:
-    """The faces of net.faces() and their net.face_ratios() rows, (faces, 2);
-    raises for a missing vertex."""
-    faces, order = _face_order(net)
-    if not faces:
-        return faces, np.zeros((0, 2))
-    return faces, np.concatenate([t.reshape(-1, 2) for t in net.face_ratios().values()])[order]
+                                  for a, b in pairs])[order]
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +322,8 @@ def hexahedron_complete(phi, phi1, phi2, phi3, phi12, phi13, phi23) -> np.ndarra
     6-vectors alike.  Each plane is the ∧³ functional of its unit-scaled
     triple, whose volume must exceed RANK_CUT.
     """
-    pts = [np.asarray(p, dtype=complex) for p in
-           (phi, phi1, phi2, phi3, phi12, phi13, phi23)]
+    # unit points: a scale moves no plane, but its square can overflow
+    pts = normalize_rows([phi, phi1, phi2, phi3, phi12, phi13, phi23])
     basis, (c0, c1, c2, c3, c12, c13, c23) = _span_coordinates(pts)
     planes = []
     for triple in ((c1, c12, c13), (c2, c12, c23), (c3, c13, c23)):

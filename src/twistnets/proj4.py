@@ -305,8 +305,9 @@ def nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def orthonormal_span(vectors, rank: int | None = None, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of the given row vectors."""
-    m = np.array([np.asarray(v, dtype=complex) / np.linalg.norm(v) for v in vectors])
+    """Orthonormal basis (columns) of the span of the given row vectors; a
+    row of norm under 1e-12 raises, as in normalize_proj."""
+    m = np.array([np.asarray(v, dtype=complex) / _nonzero_norm(v) for v in vectors])
     r, _, vh = svd_rank(m, tol)
     if rank is not None and r != rank:
         raise GeometryError(f"degenerate-span: rank {r}, expected {rank}")

@@ -217,6 +217,19 @@ def test_planarity_report_refuses_a_cp1_document_of_any_dimension(tmp_path, caps
     assert out.err == "error: cp1 nets have no ambient planarity notion\n"
 
 
+@pytest.mark.parametrize("box", [[2], [2, 2]])
+def test_planarity_report_refuses_a_zero_vector_with_or_without_faces(tmp_path, capsys, box):
+    # the report reads the ambient vectors of every value; before, a curve
+    # without faces passed with a zero vector
+    entries = {",".join(map(str, idx)): [1.0, 0.0] * 4 for idx in np.ndindex(*box)}
+    entries[",".join(["0"] * len(box))] = [0.0] * 8
+    doc = {"schema": 1, "dim": len(box), "box": box, "kind": "cp3", "metadata": {},
+           "entries": entries}
+    assert main(["check", _write(tmp_path, "cp3.json", doc), "--report", "planarity"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: cannot normalize (near-)zero homogeneous vector\n"
+
+
 @pytest.mark.parametrize("metadata", ["x", [], 1.5, None])
 def test_metadata_that_is_no_object_exits_1(tmp_path, capsys, metadata):
     doc = _hp1_curve_doc()
@@ -523,6 +536,58 @@ def test_non_finite_lambda_or_tol_exits_1(tmp_path, capsys, argv):
     assert out.err.count("error:") == 1 and "Traceback" not in out.err and out.out == ""
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["evolve", "curve.json", "--mode", "circular", "--lambda", "-1"], ["--tol", "1e-3"]),
+    (["export", "net.json"], ["--seed", "1"]),
+    (["lie-report"], ["--tol=-5"]),
+    (["check", "net.json"], ["--tol=-1"]),
+    (["evolve", "curve.json", "--mode", "circular", "--lambda", "-1"], ["--seed=-1"]),
+])
+def test_options_only_on_the_commands_that_read_them(tmp_path, capsys, argv, option):
+    # --tol belongs to check and --seed to evolve, neither negative.  Before,
+    # every command took both, a negative --tol failed every face (exit 3)
+    # and a negative --seed escaped main from numpy
+    net = tmp_path / "net.json"
+    assert main(["evolve", _write(tmp_path, "curve.json", _hp1_curve_doc()), "--mode",
+                 "circular", "--lambda", "-1", "-o", str(net)]) == 0
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + option) == 1
+    out = capsys.readouterr()
+    assert out.err.count("error:") == 1 and "Traceback" not in out.err and out.out == ""
+
+
+def _box_doc(kind, box):
+    return {"schema": 1, "dim": len(box), "box": box, "kind": kind, "entries": {},
+            "metadata": {}}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["check", "doc.json"], _box_doc("hp1", [10 ** 30])),
+    (["check", "doc.json"], _box_doc("hp1", [10 ** 6] * 3)),
+    (["check", "doc.json"], _box_doc("q4", [0, 10 ** 30])),
+    (["check", "doc.json"], _box_doc("pcen", [10 ** 30])),
+    (["export", "doc.json"], _box_doc("cp1", [10 ** 3, 10 ** 3 + 1])),
+    (["evolve", "doc.json", "--mode", "complex", "--lambda", "0.5", "--steps", str(10 ** 15)],
+     _cp1_curve_doc()),
+    (["evolve", "doc.json", "--mode", "circular", "--lambda", "-1", "--steps", str(10 ** 15)],
+     _hp1_curve_doc()),
+    (["evolve", "doc.json", "--mode", "circular", "--lambda", "-1"],
+     dict(_hp1_curve_doc(10 ** 3), metadata={"transverse": [[1.0, 0.0, 0.0, 0.0]] * 10 ** 3})),
+], ids=["long-axis", "cube", "empty-axis", "pcen", "export", "complex-steps", "circular-steps",
+        "transverse"])
+def test_a_box_too_large_to_allocate_exits_1(tmp_path, capsys, argv, doc):
+    # rejected before any array over the box is made: before, numpy raised
+    # from main (a box beyond its index range, a MemoryError), or the
+    # circular evolution drew 10**15 seeds one by one
+    argv = [_write(tmp_path, a, doc) if a == "doc.json" else a for a in argv]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and out.err.count("error:") == 1
+    assert f"holds over {10 ** 6} vertices" in out.err and out.out == ""
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["evolve", "--help"]) == 0
@@ -690,6 +755,15 @@ def test_hexahedron_command(tmp_path, capsys):
     # wrong shape is a usage error
     bad = _write(tmp_path, "bad.json", {"points": doc["points"][:3]})
     assert main(["hexahedron", bad]) == 1
+    capsys.readouterr()
+    # a zero point is degenerate geometry, also when all seven are zero
+    for zero in ([0], [5], range(7)):
+        points = [[0.0] * 12 if k in zero else p for k, p in enumerate(doc["points"])]
+        assert main(["hexahedron", _write(tmp_path, "zero.json", {"points": points}),
+                     "--json"]) == 2
+        out = capsys.readouterr()
+        assert out.err == "error: cannot normalize (near-)zero homogeneous vector\n"
+        assert out.out == ""
 
 
 def test_holonomy_command(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""A fuzz test of the document boundary: mutated net and PCEN documents go
-through doc_to_net, doc_to_pcen and the commands that read documents.
+"""A fuzz test of the document boundary: mutated net, PCEN and hexahedron
+documents go through doc_to_net, doc_to_pcen and the commands that read
+documents.
 
 Every run ends in an exit code of 0 (success), 1 (usage or malformed
 document), 2 (degenerate geometry) or 3 (a report over its tolerance); no
@@ -21,7 +22,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twistnets.cli import doc_to_net, doc_to_pcen, main, net_to_doc, pcen_to_doc
+from twistnets.cli import _cvec_out, doc_to_net, doc_to_pcen, main, net_to_doc, pcen_to_doc
 from twistnets.contact import contact_element, pcen_from_circular
 from twistnets.nets import evolve_net_circular, evolve_net_complex, lift_to_QS2
 from twistnets.proj4 import DocumentError, GeometryError, normalize_proj, wedge
@@ -32,7 +33,7 @@ from twistnets.twistor import HPoint
 @functools.cache
 def _documents() -> tuple:
     """Valid documents of every kind the commands read: hp1 and cp1 curves,
-    hp1, cp1 and q4 nets and a PCEN."""
+    hp1, cp1 and q4 nets, a PCEN and the seven points of a hexahedron."""
     rng = np.random.default_rng(5)
     pts = [HPoint.from_quaternion(Quaternion(*rng.standard_normal(4))) for _ in range(5)]
     hp1 = evolve_net_circular(pts[:3], pts[3:], -0.8)
@@ -47,13 +48,19 @@ def _documents() -> tuple:
                  "entries": {str(k): rng.standard_normal(4).tolist() for k in range(4)}}
     cp1_curve = {"schema": 1, "dim": 1, "box": [4], "kind": "cp1", "metadata": {},
                  "entries": {str(k): rng.standard_normal(2).tolist() for k in range(4)}}
+    # seven vertices of a cube with planar faces, the eighth 2 phi + p1 + p2 + p3
+    e = np.eye(4, dtype=complex)
+    cube = [wedge(e[0], e[1]), wedge(e[0], e[2]), wedge(e[0], e[3]), wedge(e[1], e[2])]
+    cube += [cube[0] + cube[1] + cube[2], cube[0] + cube[1] + cube[3], cube[0] + cube[2] + cube[3]]
+    hexahedron = {"points": [_cvec_out(normalize_proj(p)) for p in cube]}
     return (hp1_curve, cp1_curve, net_to_doc(hp1), net_to_doc(cp1), net_to_doc(q4),
-            pcen_to_doc(pcen))
+            pcen_to_doc(pcen), hexahedron)
 
 
-# values a mutation writes: wrong types, empty and nested containers, huge,
-# tiny and non-finite numbers (json reads NaN and Infinity), and bad keys
-_VALUES = [None, True, 0, -1, 2, 1.5, 1e200, -1e308, 5e-324, float("nan"), float("inf"),
+# values a mutation writes: wrong types, empty and nested containers, huge
+# (also as a box size), tiny and non-finite numbers (json reads NaN and
+# Infinity), and bad keys
+_VALUES = [None, True, 0, -1, 2, 1.5, 10 ** 30, 1e200, -1e308, 5e-324, float("nan"), float("inf"),
            "x", "", "0,0", [], [0], [1, 0], [0.0, 0.0, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0],
            [0.0] * 8, [1.0] + [0.0] * 11, [[1, 2]], {}, {"point": [0.0] * 8}]
 _KEYS = ["0", "1", "-1", "9", "a", "0,0", "0,0,0", "1,1", " 1", "1e3", "point", "plane",
@@ -113,6 +120,7 @@ _COMMANDS = [
     ["evolve", "{doc}", "--mode", "complex", "--lambda", "0.5", "--steps", "2", "--lift",
      "-o", "{out}"],
     ["holonomy", "{doc}", "--lambda", "-1", "--json"],
+    ["hexahedron", "{doc}", "--json"],
 ]
 
 _NAN = re.compile(r"\bnan\b", re.IGNORECASE)

@@ -36,7 +36,6 @@ from twistnets.nets import (
     evolve_net_circular,
     evolve_net_complex,
     face_planarity,
-    face_span_ratios,
     face_vectors,
     hexahedron_complete,
     holonomy,
@@ -107,6 +106,24 @@ def test_hexahedron_rejects_degenerate_span():
     phi = wedge(e[0], e[1])
     with pytest.raises(GeometryError):
         hexahedron_complete(phi, phi, phi, phi, phi, phi, phi)
+    # a zero point has no norm to divide by
+    for at in (0, 4, 6):
+        points = [phi] * 7
+        points[at] = np.zeros(6, dtype=complex)
+        with pytest.raises(GeometryError, match=r"^cannot normalize \(near-\)zero homogeneous"):
+            hexahedron_complete(*points)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e300, 1e-10, 3j])
+def test_hexahedron_ignores_the_scale_of_a_point(scale):
+    # the eighth point of a scaled cube; a square of 1e155 used to overflow
+    # (a RuntimeWarning, an error here, and a wrong point or exit 2 in the CLI)
+    rng = np.random.default_rng(7)
+    cube = list(_random_real_cube(rng))
+    want = hexahedron_complete(*cube)
+    for at in range(7):
+        scaled = cube[:at] + [cube[at] * scale] + cube[at + 1:]
+        assert proj_distance(hexahedron_complete(*scaled), want) < 1e-12
 
 
 def test_hexahedron_rejects_span_of_five_and_of_three():
@@ -678,10 +695,10 @@ def test_frame_store_evolution_is_the_gathered_one_bit_for_bit(width, height, se
 
 
 def test_a_write_after_every_cache_is_built_changes_every_reading():
-    """A write drops all four caches of a net: lifts(), ambient(),
-    face_ratios() and planarity_lists().  After it, face_planarity,
-    ambient(), pcen_from_circular and the planarity report's ratios read
-    as on a fresh net with the same values, and differ from before."""
+    """A write drops both caches of a net: lifts() and planarity_lists().
+    After it, face_planarity, ambient(), pcen_from_circular and the
+    planarity report's ratios read as on a fresh net with the same values,
+    and differ from before."""
     rng = np.random.default_rng(21)
     points = [_hp(*rng.standard_normal(4)) for _ in range(9)]
     net = evolve_net_circular(points[:5], points[5:], -1.2)
@@ -691,9 +708,9 @@ def test_a_write_after_every_cache_is_built_changes_every_reading():
 
     def readings(net):
         return (net.lifts().copy(), face_planarity(net, (1, 1), (0, 1)), net.ambient().copy(),
-                pcen_from_circular(net, initial).points, face_span_ratios(net)[1])
+                pcen_from_circular(net, initial).points, span_ratios(face_vectors(net)[1]))
 
-    net.lifts(), net.ambient(), net.face_ratios(), net.planarity_lists()
+    net.lifts(), net.planarity_lists()
     before = readings(net)
     net[2, 2] = _hp(*rng.standard_normal(4))
     after = readings(net)
@@ -775,6 +792,9 @@ def test_face_residuals_are_the_per_face_decomposition_bit_for_bit(kind, shape, 
         if faces:
             want = net.ambient()[tuple(np.array(idx).transpose(1, 0, 2))]
             assert vecs.shape == want.shape and (vecs == want).all()
+        # the planarity report's reading: one stacked decomposition
+        assert span_ratios(vecs).tolist() == [
+            span_ratios(net.ambient()[i]).tolist() for i in idx]
 
 
 def test_face_planarity_never_wraps_an_index():

@@ -96,6 +96,14 @@ def test_orthonormal_span_rank_check():
         orthonormal_span([v, 2 * v], rank=2)
 
 
+def test_orthonormal_span_rejects_a_zero_vector():
+    # before, the zero row was divided by its zero norm: a RuntimeWarning
+    v = np.array([1.0, 0, 0, 0], dtype=complex)
+    for zero in (np.zeros(4), np.full(4, 1e-13)):
+        with pytest.raises(GeometryError, match=r"cannot normalize \(near-\)zero"):
+            orthonormal_span([v, zero])
+
+
 def test_plane_membership_and_meet():
     rng = np.random.default_rng(6)
     pts = [_random_vec(rng) for _ in range(3)]
