@@ -59,6 +59,9 @@ SCHEMA_VERSION = 1
 # gathers four times as much per axis pair
 MAX_VERTICES = 10 ** 6
 
+# the most axes a document's box may have: numpy's 64, less an hp1 value's two
+MAX_DIM = 62
+
 
 # ---------------------------------------------------------------------------
 # serialization
@@ -112,13 +115,21 @@ def _key_idx(key: str, box: tuple) -> tuple:
     except ValueError as exc:
         raise DocumentError(f"entry index {key!r} is not a list of integers") from exc
     if not in_box(idx, box):
-        raise GeometryError(f"entry index {key!r} outside the box {list(box)}")
+        raise DocumentError(f"entry index {key!r} outside the box {list(box)}")
     return idx
 
 
-def _doc_shape(doc: dict) -> tuple:
-    """The document's lattice dimension and box, once its entries are an object."""
-    dim, box = doc["dim"], doc["box"]
+def _doc_header(doc) -> tuple:
+    """A net or PCEN document's kind, lattice dimension and box, its header checked."""
+    _require_object(doc)
+    for field in ("schema", "dim", "box", "kind", "entries"):
+        if field not in doc:
+            raise DocumentError(f"document is missing field {field!r}")
+    if doc["schema"] != SCHEMA_VERSION:
+        raise DocumentError(f"unsupported schema version {doc['schema']!r}")
+    kind, dim, box = doc["kind"], doc["dim"], doc["box"]
+    if kind not in ("cp1", "hp1", "cp3", "q4", "pcen"):
+        raise DocumentError(f"unknown document kind {kind!r}")
     if isinstance(dim, bool) or not isinstance(dim, int) or not isinstance(box, list) \
             or not all(isinstance(n, int) and not isinstance(n, bool) for n in box):
         raise DocumentError("document dim and box must be integers")
@@ -126,8 +137,10 @@ def _doc_shape(doc: dict) -> tuple:
         raise DocumentError("document entries must be an object")
     if len(box) != dim or min(box, default=0) < 0:
         raise DocumentError("document box must hold dim sizes, none negative")
+    if dim > MAX_DIM:
+        raise DocumentError(f"document dim {dim} is over {MAX_DIM}")
     _require_box(box, "document box")
-    return dim, tuple(box)
+    return kind, dim, tuple(box)
 
 
 def _require_box(box, what: str):
@@ -182,16 +195,9 @@ def _require_object(doc):
 
 def doc_to_net(doc: dict) -> LatticeNet:
     """Rebuild a lattice net from a parsed document (values kept verbatim)."""
-    _require_object(doc)
-    for field in ("schema", "dim", "box", "kind", "entries"):
-        if field not in doc:
-            raise GeometryError(f"document is missing field {field!r}")
-    if doc["schema"] != SCHEMA_VERSION:
-        raise GeometryError(f"unsupported schema version {doc['schema']!r}")
-    kind = doc["kind"]
+    kind, dim, box = _doc_header(doc)
     if kind == "pcen":
         raise GeometryError("pcen documents are handled separately")
-    dim, box = _doc_shape(doc)
     net = LatticeNet(dim, box, kind, metadata=_metadata_in(doc.get("metadata", {})))
     # the document's values go into the fresh net's arrays as they are, so
     # that a re-export reproduces the file byte for byte
@@ -222,10 +228,9 @@ def pcen_to_doc(pcen: PCEN) -> dict:
 
 
 def doc_to_pcen(doc: dict) -> PCEN:
-    _require_object(doc)
-    if doc.get("kind") != "pcen":
+    kind, dim, box = _doc_header(doc)
+    if kind != "pcen":
         raise GeometryError("not a pcen document")
-    dim, box = _doc_shape(doc)
     base = LatticeNet(dim, box, "hp1", metadata=_metadata_in(doc.get("metadata", {})))
     points = np.zeros(box + (4,), dtype=complex)
     functionals = np.zeros_like(points)
@@ -297,10 +302,12 @@ def _warn(msg: str):
 
 
 def cmd_evolve(args) -> int:
-    if args.steps < 0:
-        raise DocumentError(f"--steps {args.steps} is negative")
-    if args.seed < 0:
-        raise DocumentError(f"--seed {args.seed} is negative")
+    for bad, why in ((args.steps < 0, f"--steps {args.steps} is negative"),
+                     (args.seed < 0, f"--seed {args.seed} is negative"),
+                     (args.lift and args.mode != "complex", "--lift needs --mode complex"),
+                     (args.sphere is not None and not args.lift, "--sphere needs --lift")):
+        if bad:
+            raise DocumentError(why)
     net = doc_to_net(load_doc(args.input))
     if net.dim != 1:
         raise GeometryError("evolve expects a one-dimensional curve document")
@@ -345,7 +352,7 @@ def _complex_seeds(tv, steps: int, rng) -> list:
 
 
 def _sphere_arg(args) -> np.ndarray:
-    if getattr(args, "sphere", None):
+    if args.sphere is not None:
         try:
             vals = [float(t) for t in args.sphere.split(",")]
         except ValueError as exc:
@@ -362,12 +369,8 @@ def cmd_check(args) -> int:
     if not 0.0 <= args.tol < math.inf:
         raise DocumentError(f"--tol {args.tol} is not a finite number of at least 0")
     doc = load_doc(args.input)
-    kind = doc.get("kind")
     tol = args.tol
-    report = args.report or {"cp1": "cr", "hp1": "planarity", "cp3": "planarity",
-                             "q4": "planarity", "pcen": "pcen"}.get(kind)
-    if report is None:
-        raise GeometryError(f"unknown document kind {kind!r}")
+    report = args.report or {"cp1": "cr", "pcen": "pcen"}.get(_doc_header(doc)[0], "planarity")
     rows, worst = _run_report(doc, report, tol)
     if args.json:
         worst_face = rows[int(np.argmax([row["residual"] for row in rows]))]["face"] \
@@ -449,8 +452,7 @@ def cmd_export(args) -> int:
         return 0
     axis = _CHART_AXES[args.chart]
     lines = ["# twistnets export"]
-    kind = doc.get("kind")
-    if kind == "pcen":
+    if doc.get("kind") == "pcen":
         _export_pcen(doc, axis, lines)
     else:
         net = doc_to_net(doc)

@@ -5,11 +5,11 @@ the API value of a vertex (HPoint, ExtC or a vector) on access.  The core
 construction is hexahedron completion: seven vertices of a combinatorial
 cube with planar faces determine the eighth as the common point of three
 planes.  Curve evolution by cross ratio builds two-dimensional nets, the
-real quaternionic evolution one anti-diagonal at a time and the complex one
-row by row; both name the first degenerate face in row order.  The lift
-into the subquadric of lines through a fixed sphere's two twistor lifts
-turns complex cross-ratio nets in CP^1 into conjugate nets with planar
-faces.
+real quaternionic evolution one anti-diagonal at a time, in memory the
+net's size, and the complex one row by row; both name the first degenerate
+face in row order.  The lift into the subquadric of lines through a fixed
+sphere's two twistor lifts turns complex cross-ratio nets in CP^1 into
+conjugate nets with planar faces.
 
 A face's planarity residual is looked up, not computed: the first query
 decomposes the four ambient vectors of every complete face of the net in
@@ -377,13 +377,14 @@ def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
     before it: one fourth_points_on_frames call on the C^4 lifts, where the
     point at infinity is an ordinary point.
 
-    The lifts live in a diagonal-major store: entry [d, m] is the frame of
-    the vertex (m, d - m), its unit lift and that lift's j-image, each
-    computed once, when the vertex is made.  Diagonal d reads the frames of
-    its p1, p2 and p3 as the slices [d - 1, lo:hi], [d - 2, lo - 1:hi - 1]
-    and [d - 1, lo - 1:hi - 1], and its 4 x 4 frames are the first two
-    stacked.  The boundary is stored as given and a computed point as the
-    quaternion pair of its unit lift.
+    The lifts live in a store indexed by vertex, the net's size:
+    frames[m, n] holds the unit lift of (m, n) and its j-image, each
+    computed once, when the vertex is made.  Flattened, the store holds a
+    face's p2, p3, p1 and new vertex at k, k + 1, k + N and k + N + 1, and
+    the p2 of diagonal d, the vertices (m, d - 2 - m), at d - 2 + m (N - 1):
+    one strided slice of four views shifted by those offsets reads the
+    diagonal's inputs and writes its vertices.  The boundary is stored as
+    given and a computed point as the quaternion pair of its unit lift.
 
     A face whose p1 and p2 coincide is flagged, and the first flagged face
     in row order (n, then m) is named after the last diagonal: the faces
@@ -397,10 +398,8 @@ def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
     m_n, n_n = len(curve), len(seeds) + 1
     # lifted one by one as HPoint.lift lifts them, as quat_fourth_point does
     rows = np.array([p.lift() for p in curve + seeds])
-    frames = np.stack([rows, j_on_vector(rows)], axis=-2)
-    store = np.zeros((m_n + n_n - 1, m_n, 2, 4), dtype=complex)
-    # (m, 0) sits at [m, m] and (0, n) at [n, 0]
-    store[np.arange(m_n), np.arange(m_n)], store[1:n_n, 0] = frames[:m_n], frames[m_n:]
+    frames = np.zeros((m_n, n_n, 2, 4), dtype=complex)
+    frames[:, 0], frames[0, 1:] = np.split(np.stack([rows, j_on_vector(rows)], axis=-2), [m_n])
     if min(m_n, n_n) > 1:
         lam_array = np.asarray(lam)
         try:
@@ -408,19 +407,18 @@ def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
         except GeometryError as exc:
             why = "degenerate lambda at edge 0" if lam in (0.0, 1.0) else exc
             raise GeometryError(f"degenerate step in row 1: {why}") from exc
-        coincident = np.zeros(store.shape[:2], dtype=bool)
+        coincident = np.zeros((m_n, n_n), dtype=bool)
+        p2, p3, p1, p4 = (frames.reshape(-1, 2, 4)[k:] for k in (0, 1, n_n, n_n + 1))
+        flags, step = coincident.reshape(-1)[n_n + 1:], n_n - 1
         for d in range(2, m_n + n_n - 1):
-            lo, hi = max(1, d - n_n + 1), min(d, m_n)
-            x, coincident[d, lo:hi] = fourth_points_on_frames(
-                np.concatenate([store[d - 1, lo:hi], store[d - 2, lo - 1:hi - 1]], axis=-2),
-                store[d - 1, lo - 1:hi - 1, 0], lam_array)
-            store[d, lo:hi, 0], store[d, lo:hi, 1] = x, j_on_vector(x)
-        d, m = np.nonzero(coincident)  # (m, n) sits at [m + n, m]
-        if len(d):
-            raise GeometryError(f"degenerate step in row {(d - m).min()}: "
-                                "coincident points p1 and p2")
-    m, n = np.indices((m_n, n_n))
-    pairs = pair_rows(store[m + n, m, 0])
+            lo, hi = max(0, d - n_n), min(d, m_n) - 1
+            at = slice(d - 2 + lo * step, d - 2 + hi * step, step)
+            x, flags[at] = fourth_points_on_frames(
+                np.concatenate([p1[at], p2[at]], axis=-2), p3[at, 0], lam_array)
+            p4[at, 0], p4[at, 1] = x, j_on_vector(x)
+        if (n := np.nonzero(coincident)[1]).size:
+            raise GeometryError(f"degenerate step in row {n.min()}: coincident points p1 and p2")
+    pairs = pair_rows(frames[..., 0, :])
     pairs[:, 0], pairs[0, 1:] = quat_pairs(curve), quat_pairs(seeds)
     return LatticeNet(2, (m_n, n_n), "hp1", metadata={"lambda": lam}, data=pairs)
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -24,9 +25,17 @@ from twistnets.nets import (
     evolve_net_circular,
     evolve_net_complex,
     lift_to_QS2,
+    project_from_QS2,
     quadric_defects,
 )
-from twistnets.proj4 import RANK_CUT, DocumentError, GeometryError, span_ratios, wedge
+from twistnets.proj4 import (
+    RANK_CUT,
+    DocumentError,
+    GeometryError,
+    proj_distance,
+    span_ratios,
+    wedge,
+)
 
 
 def _write(tmp_path, name, doc):
@@ -347,6 +356,26 @@ def test_evolve_lift_conic_and_byte_stable_reexport(tmp_path, capsys):
     assert open(out).read() == open(out2).read()
 
 
+def test_evolve_lift_on_a_given_sphere(tmp_path, capsys):
+    sphere = _unit_sphere_bivector()
+    src = _write(tmp_path, "curve.json", _cp1_curve_doc())
+    out = str(tmp_path / "lifted.json")
+    argv = ["evolve", src, "--mode", "complex", "--lambda", "0.7-0.4i", "--steps", "3", "--lift",
+            "-o", out, "--sphere"]
+    assert main(argv + [",".join(repr(x) for x in _cvec_out(sphere))]) == 0
+    net = doc_to_net(load_doc(out))
+    assert proj_distance(net.metadata["sphere"], sphere) < 1e-12
+    # every value is a line through the sphere, and every face a conic
+    assert project_from_QS2(sphere, net).is_complete()
+    assert main(["check", out, "--report", "conic", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+    # twelve finite reals, or a usage error
+    for text in ("1,2,3", "1,x" + ",0" * 10, ",".join(["nan"] + ["0"] * 11), ""):
+        assert main(argv + [text]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sphere") and err.count("error:") == 1
+
+
 def test_net_doc_roundtrip(tmp_path):
     src = _write(tmp_path, "curve.json", _hp1_curve_doc())
     out = str(tmp_path / "net.json")
@@ -542,14 +571,23 @@ def test_non_finite_lambda_or_tol_exits_1(tmp_path, capsys, argv):
     (["lie-report"], ["--tol=-5"]),
     (["check", "net.json"], ["--tol=-1"]),
     (["evolve", "curve.json", "--mode", "circular", "--lambda", "-1"], ["--seed=-1"]),
+    (["evolve", "curve.json", "--mode", "circular", "--lambda", "-1"], ["--lift"]),
+    (["evolve", "curve.json", "--mode", "circular", "--lambda", "-1"],
+     ["--lift", "--sphere", "1,2,3"]),
+    (["evolve", "ccurve.json", "--mode", "complex", "--lambda", "0.5"], ["--sphere", "garbage"]),
+    (["evolve", "ccurve.json", "--mode", "complex", "--lambda", "0.5"],
+     ["--sphere", ",".join(["1"] + ["0"] * 11)]),
 ])
 def test_options_only_on_the_commands_that_read_them(tmp_path, capsys, argv, option):
-    # --tol belongs to check and --seed to evolve, neither negative.  Before,
-    # every command took both, a negative --tol failed every face (exit 3)
-    # and a negative --seed escaped main from numpy
+    # --tol belongs to check and --seed to evolve, neither negative, --lift
+    # to a complex evolution and --sphere to --lift.  Before, every command
+    # took --tol and --seed, a negative --tol failed every face (exit 3), a
+    # negative --seed escaped main from numpy, and --lift and --sphere exited
+    # 0 where nothing read them
     net = tmp_path / "net.json"
     assert main(["evolve", _write(tmp_path, "curve.json", _hp1_curve_doc()), "--mode",
                  "circular", "--lambda", "-1", "-o", str(net)]) == 0
+    _write(tmp_path, "ccurve.json", _cp1_curve_doc())
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     assert main(argv) == 0
     capsys.readouterr()
@@ -586,6 +624,58 @@ def test_a_box_too_large_to_allocate_exits_1(tmp_path, capsys, argv, doc):
     out = capsys.readouterr()
     assert out.err.startswith("error: ") and out.err.count("error:") == 1
     assert f"holds over {10 ** 6} vertices" in out.err and out.out == ""
+
+
+def _header_doc(kind):
+    """A valid 3 x 3 hp1 net document, or a PCEN document over such a net."""
+    if kind == "pcen":
+        return _pcen_doc(np.random.default_rng(15), 3)
+    pts = [HPoint.from_quaternion(Quaternion(*q))
+           for q in np.random.default_rng(15).standard_normal((5, 4))]
+    return net_to_doc(evolve_net_circular(pts[:3], pts[3:], -1.3))
+
+
+_HEADER_FAULTS = {
+    **{f"no-{field}": ((lambda doc, field=field: doc.pop(field)),
+                       f"document is missing field {field!r}")
+       for field in ("schema", "dim", "box", "kind", "entries")},
+    "schema-99": (lambda doc: doc.update(schema=99), "unsupported schema version 99"),
+    "kind": (lambda doc: doc.update(kind="hp2"), "unknown document kind 'hp2'"),
+    "key": (lambda doc: doc["entries"].update({"3,0": doc["entries"]["0,0"]}),
+            "entry index '3,0' outside the box [3, 3]"),
+    "dim-63": (lambda doc: doc.update(dim=63, box=[1] * 63, entries={}),
+               "document dim 63 is over 62"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_HEADER_FAULTS))
+@pytest.mark.parametrize("kind", ["hp1", "pcen"])
+def test_a_malformed_header_exits_1_from_either_reader(tmp_path, capsys, kind, fault):
+    # one header check serves doc_to_net and doc_to_pcen.  Before, the net
+    # reader exited 2 for a missing field, a schema, a kind or a key outside
+    # the box, the PCEN reader took any schema and exited 1 with "'dim'" for a
+    # missing dim, and a dim of 63 escaped main from numpy
+    mutate, message = _HEADER_FAULTS[fault]
+    doc = _header_doc(kind)
+    mutate(doc)
+    src = _write(tmp_path, "doc.json", doc)
+    for argv in (["check", src], ["check", src, "--report", "pcen" if kind == "pcen" else "conic"],
+                 ["export", src]):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.err == f"error: {message}\n" and out.out == ""
+    with pytest.raises(DocumentError, match=re.escape(message)):
+        (doc_to_pcen if kind == "pcen" else doc_to_net)(doc)
+
+
+@pytest.mark.parametrize("kind, value", [("hp1", [1.0, 0.0, 0.0, 0.0]),
+                                         ("q4", _cvec_out(wedge(*np.eye(4)[:2])))])
+def test_a_document_of_62_axes_is_read(tmp_path, capsys, kind, value):
+    # the most axes a box may have: its arrays, with an hp1 value's two
+    # axes, reach numpy's 64
+    doc = dict(_box_doc(kind, [1] * 62), entries={",".join(["0"] * 62): value})
+    assert main(["check", _write(tmp_path, "doc.json", doc)]) == 0
+    assert "max residual 0.000e+00" in capsys.readouterr().out
 
 
 def test_help_exits_0(capsys):
@@ -694,6 +784,28 @@ def _pcen_doc(rng, size):
     return pcen_to_doc(pcen_from_circular(net, contact_element(net[0, 0], sphere)))
 
 
+def test_export_of_a_pcen_document_writes_the_contact_points(tmp_path, capsys):
+    doc = _pcen_doc(np.random.default_rng(16), 3)
+    obj = tmp_path / "pcen.obj"
+
+    def vertices():
+        assert main(["export", _write(tmp_path, "pcen.json", doc), "-o", str(obj)]) == 0
+        return [[float(c) for c in line.split()[1:]] for line in obj.read_text().splitlines()
+                if line.startswith("v ")]
+
+    # each element touches at its base point, written in the chart without w
+    bases = [entry["base"][1:] for _, entry in sorted(doc["entries"].items())]
+    assert np.allclose(vertices(), bases, rtol=1e-9, atol=1e-12)
+    assert capsys.readouterr().err == ""
+    # a plane through the pencil point but not through its j-image makes a
+    # half-contact element, which has no point of S^4
+    point = np.array(doc["entries"]["1,1"]["point"]).view(complex)
+    plane = np.random.default_rng(17).standard_normal(8).view(complex)
+    doc["entries"]["1,1"]["plane"] = _cvec_out(plane - (plane @ point) / (point @ point) * point)
+    assert np.allclose(vertices(), bases[:4] + bases[5:], rtol=1e-9, atol=1e-12)
+    assert capsys.readouterr().err == "warning: skipping half-contact element at index (1, 1)\n"
+
+
 def test_check_names_a_missing_pcen_element(tmp_path, capsys):
     doc = _pcen_doc(np.random.default_rng(12), 4)
     del doc["entries"]["1,1"]
@@ -752,6 +864,11 @@ def test_hexahedron_command(tmp_path, capsys):
     want = normalize_proj(2 * phi + p1 + p2 + p3)
     from twistnets.proj4 import proj_distance
     assert proj_distance(got, want) < 1e-9
+    # the text report prints the same numbers
+    assert main(["hexahedron", src]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "eighth point:", "  " + " ".join(f"{c:.17g}" for c in rep["eighth"]),
+        f"quadric residual: {rep['quadric_residual']:.3e}"]
     # wrong shape is a usage error
     bad = _write(tmp_path, "bad.json", {"points": doc["points"][:3]})
     assert main(["hexahedron", bad]) == 1
@@ -775,6 +892,14 @@ def test_holonomy_command(tmp_path, capsys):
     h = np.array([[complex(*rep["matrix"][i][j]) for j in range(2)]
                   for i in range(2)])
     assert abs(np.linalg.det(h)) > 1e-12
+    # the text report prints the same numbers
+    assert main(["holonomy", src, "--lambda", "-1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "holonomy matrix:",
+        *("  " + "  ".join(f"{z.real:+.12g}{z.imag:+.12g}i" for z in row) for row in h),
+        *(f"eigenline {k}: " + ("inf" if z is None else f"{complex(*z):.12g}")
+          for k, z in enumerate(rep["eigenlines"])),
+        f"parabolic: {rep['parabolic']}"]
 
 
 @pytest.mark.parametrize("doc", [[], ["x"], "x", 1.5, None])

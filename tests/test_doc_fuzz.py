@@ -1,6 +1,6 @@
 """A fuzz test of the document boundary: mutated net, PCEN and hexahedron
-documents go through doc_to_net, doc_to_pcen and the commands that read
-documents.
+documents, some with a box of up to 70 axes, go through doc_to_net,
+doc_to_pcen and the commands that read documents.
 
 Every run ends in an exit code of 0 (success), 1 (usage or malformed
 document), 2 (degenerate geometry) or 3 (a report over its tolerance); no
@@ -85,7 +85,12 @@ def _mutated(draw):
     for _ in range(draw(st.integers(1, 3))):
         containers = list(_containers(doc))
         _, node = draw(st.sampled_from(containers))
-        action = draw(st.sampled_from(["set", "delete", "add", "scale"]))
+        action = draw(st.sampled_from(["set", "delete", "add", "scale", "dim"]))
+        if action == "dim":
+            # a box of one vertex, on either side of numpy's 64 axes
+            doc["box"] = [1] * draw(st.integers(60, 70))
+            doc["dim"] = len(doc["box"])
+            continue
         keys = list(node) if isinstance(node, dict) else list(range(len(node)))
         if action == "add" or not keys:
             if isinstance(node, dict):

@@ -1,5 +1,6 @@
 import contextlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -662,7 +663,7 @@ _NEAR_DEGENERATE_LAMBDAS = [0.0, 1.0, 5e-10, -9.9e-10, 1.0 + 3e-10, 1.0 - 9e-10,
        st.integers(0, 12), st.integers(0, 12), st.sampled_from(_NEAR_DEGENERATE_LAMBDAS))
 def test_frame_store_evolution_is_the_gathered_one_bit_for_bit(width, height, seed, case, lam,
                                                                at, other, near):
-    """evolve_net_circular on its diagonal-major frame store gives the net of
+    """evolve_net_circular on its vertex-indexed frame store gives the net of
     the per-diagonal loop it replaced bit for bit, and raises its messages
     on degenerate input: a boundary point given again at another scale, a
     cross ratio within 1e-9 of 0 or 1, boundary points at infinity, and
@@ -692,6 +693,24 @@ def test_frame_store_evolution_is_the_gathered_one_bit_for_bit(width, height, se
         return
     got = evolve_net_circular(curve, seeds, lam).data
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width, height", [(1000, 2), (2, 1000)])
+def test_circular_evolution_works_in_memory_bounded_by_the_net(width, height):
+    """The frame store holds one frame per vertex.  Both nets peak at about
+    0.8 MB (tracemalloc), with 0.13 MB of values; a store of (M + N - 1) x M
+    frames took 130 MB for the 1000 x 2 net."""
+    rng = np.random.default_rng(30)
+    points = [_hp(*rng.standard_normal(4)) for _ in range(width + height - 1)]
+    # a small net first, so that one-time allocations stay out of the count
+    evolve_net_circular(points[:3], points[3:5], -0.7)
+    tracemalloc.start()
+    try:
+        net = evolve_net_circular(points[:width], points[width:], -0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.data.nbytes == 128_000 and peak < 2_000_000
 
 
 def test_a_write_after_every_cache_is_built_changes_every_reading():
