@@ -50,7 +50,7 @@ from .contact import (
     pcen_adjacency_residual,
     pcen_face_closure,
 )
-from .lie import QuatHermitianForm, lie_signature_report
+from .lie import lie_signature_report
 
 SCHEMA_VERSION = 1
 
@@ -237,6 +237,11 @@ def doc_to_pcen(doc: dict) -> PCEN:
     present = np.zeros(box, dtype=bool)
     for key, entry in doc["entries"].items():
         idx = _key_idx(key, box)
+        if not isinstance(entry, dict):
+            raise DocumentError(f"pcen entry {key!r} must be an object")
+        for field in ("point", "plane"):
+            if field not in entry:
+                raise DocumentError(f"pcen entry {key!r} is missing field {field!r}")
         points[idx] = _cvec_in(entry["point"], 4, f"pcen point {key!r}")
         functionals[idx] = _cvec_in(entry["plane"], 4, f"pcen plane {key!r}")
         present[idx] = True
@@ -412,6 +417,8 @@ def _run_report(doc: dict, report: str, tol: float):
                 for rep in is_conic_net(doc_to_net(doc), max(tol, 1e-12))]
     elif report == "cr":
         net = doc_to_net(doc)
+        if net.kind != "cp1":
+            raise GeometryError(f"cross-ratio reports need a cp1 net, not {net.kind}")
         lam = net.metadata.get("lambda")
         if lam is None:
             raise GeometryError("cross-ratio report needs lambda metadata")
@@ -447,12 +454,16 @@ def _fmt(x: float) -> str:
 
 def cmd_export(args) -> int:
     doc = load_doc(args.input)
+    pcen = doc.get("kind") == "pcen"
     if args.target == "json":
-        dump_doc(doc, args.output)
+        # written from what the readers return, so a malformed document fails
+        # as it does on every other path
+        dump_doc(pcen_to_doc(doc_to_pcen(doc)) if pcen else net_to_doc(doc_to_net(doc)),
+                 args.output)
         return 0
     axis = _CHART_AXES[args.chart]
     lines = ["# twistnets export"]
-    if doc.get("kind") == "pcen":
+    if pcen:
         _export_pcen(doc, axis, lines)
     else:
         net = doc_to_net(doc)
@@ -606,7 +617,7 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_lie_report(args) -> int:
-    report = lie_signature_report(QuatHermitianForm())
+    report = lie_signature_report()
     if args.json:
         sys.stdout.write(_json_text({
             "basis_signature": list(report["basis"]),

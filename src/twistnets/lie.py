@@ -30,7 +30,6 @@ from .proj4 import (
     quadric_roots,
     sort_key,
     svd_rank,
-    wedge,
     wedge_rows,
 )
 from .twistor import (
@@ -94,7 +93,10 @@ class QuatHermitianForm:
         return self.value(v, v).norm() < tol
 
 
-def rho(l: np.ndarray, form: QuatHermitianForm | None = None) -> np.ndarray:
+DEFAULT_FORM = QuatHermitianForm()
+
+
+def rho(l: np.ndarray, form: QuatHermitianForm = DEFAULT_FORM) -> np.ndarray:
     """The h-perpendicular line; an anti-holomorphic involution on lines.
 
     It is the projective class of the antilinear lift rho_tilde_matrix.
@@ -104,33 +106,13 @@ def rho(l: np.ndarray, form: QuatHermitianForm | None = None) -> np.ndarray:
     return normalize_proj(rho_tilde_matrix(form) @ np.conj(normalize_proj(l)))
 
 
-def is_lie_real(l: np.ndarray, form: QuatHermitianForm | None = None,
+def is_lie_real(l: np.ndarray, form: QuatHermitianForm = DEFAULT_FORM,
                 tol: float = DEFAULT_TOL) -> bool:
     """True iff l equals its perpendicular: the sphere or point lies in S^3."""
     return proj4.proj_distance(l, rho(l, form)) < tol
 
 
-def projective_basis(form: QuatHermitianForm | None = None) -> list:
-    """Six bivectors whose projective classes are fixed by perpendicularity.
-
-    Built on the C^4 basis directions v = e1, w = e2 whose projections are
-    the null points infinity and 0 of the default form.  The classes are
-    fixed but the vectors themselves are only fixed up to phase; lie_basis
-    returns the phase-corrected, genuinely involution-fixed representatives.
-    """
-    e = np.eye(4, dtype=complex)
-    v, vj, w, wj = e[0], e[1], e[2], e[3]
-    return [
-        wedge(v, vj),
-        wedge(w, wj),
-        wedge(v, wj),
-        wedge(vj, w),
-        0.5 * (wedge(v, w) - wedge(vj, wj)),
-        0.5 * (wedge(v, w) + wedge(vj, wj)),
-    ]
-
-
-def rho_tilde_matrix(form: QuatHermitianForm | None = None) -> np.ndarray:
+def rho_tilde_matrix(form: QuatHermitianForm = DEFAULT_FORM) -> np.ndarray:
     """Matrix M of the antilinear lift of perpendicularity: a -> M conj(a).
 
     The lift sends v ^ w to the quadric-dual of the wedge of the flats
@@ -138,8 +120,6 @@ def rho_tilde_matrix(form: QuatHermitianForm | None = None) -> np.ndarray:
     eigenvalues of h come in pairs); its square is then the identity, so it
     defines a real structure on the space of bivectors.
     """
-    if form is None:
-        form = QuatHermitianForm()
     # column (a, b) of the compound is wedge(h(e_a, .), h(e_b, .)), and
     # QUADRIC_MATRIX is its own inverse
     m = QUADRIC_MATRIX @ wedge_rows(form.hmat[_PAIR_A], form.hmat[_PAIR_B]).T
@@ -149,28 +129,19 @@ def rho_tilde_matrix(form: QuatHermitianForm | None = None) -> np.ndarray:
     return m
 
 
-def lie_basis(form: QuatHermitianForm | None = None) -> list:
-    """Real basis of the involution-fixed slice of the bivector space.
+def lie_basis(form: QuatHermitianForm = DEFAULT_FORM) -> np.ndarray:
+    """Real basis (rows) of the involution-fixed slice of the bivector space.
 
-    Each element satisfies rho_tilde(a) = a exactly; real linear combinations
-    parameterize the spheres and points contained in S^3.
+    With M = rho_tilde_matrix(form) and a = x + i y, M conj(a) = a reads
+    [[Re M - I, Im M], [Im M, -Re M - I]] (x, y) = 0; its real null space
+    gives the six rows.  Real linear combinations parameterize the spheres
+    and points contained in S^3.
     """
-    if form is None:
-        form = QuatHermitianForm()
     m = rho_tilde_matrix(form)
-    out = []
-    for b in projective_basis(form):
-        img = m @ np.conj(b)
-        # rho_tilde(b) = c b with |c| = 1; sqrt(conj(c)) corrects the phase
-        k = int(np.argmax(np.abs(b)))
-        c = img[k] / b[k]
-        if abs(abs(c) - 1.0) > 1e-9 or np.linalg.norm(img - c * b) > 1e-9:
-            raise GeometryError("basis element is not projectively fixed")
-        fixed = np.sqrt(np.conj(c)) * b
-        if np.linalg.norm(m @ np.conj(fixed) - fixed) > 1e-9:
-            raise GeometryError("phase correction failed")
-        out.append(fixed)
-    return out
+    eye = np.eye(6)
+    # the matrix is real, and so is the SVD that nullspace takes of it
+    xy = nullspace(np.block([[m.real - eye, m.imag], [m.imag, -m.real - eye]])).real
+    return (xy[:6] + 1j * xy[6:]).T
 
 
 def _signature(gram: np.ndarray) -> tuple:
@@ -178,18 +149,16 @@ def _signature(gram: np.ndarray) -> tuple:
     return int(np.sum(evals > 1e-9)), int(np.sum(evals < -1e-9))
 
 
-def lie_signature_report(form: QuatHermitianForm | None = None) -> dict:
+def lie_signature_report(form: QuatHermitianForm = DEFAULT_FORM) -> dict:
     """Signatures of the quadric form on the involution-fixed real span and
     on its circle-space slice cut out by the omega functional."""
-    if form is None:
-        form = QuatHermitianForm()
     basis = lie_basis(form)
-    gram = np.array([[quadric_pair(a, b) for b in basis] for a in basis])
+    gram = basis @ QUADRIC_MATRIX @ basis.T
     if np.linalg.norm(gram.imag) > 1e-9:
         raise GeometryError("Gram matrix of the real basis is not real")
     gram = gram.real
     # omega = 0 cuts one real dimension out of the fixed slice
-    om = np.array([form.omega_vec @ b for b in basis])
+    om = basis @ form.omega_vec
     rank, _, vh = svd_rank(np.vstack([om.real, om.imag]), 1e-10)
     if rank != 1:
         raise GeometryError("omega does not cut a hyperplane of the real slice")
@@ -199,7 +168,7 @@ def lie_signature_report(form: QuatHermitianForm | None = None) -> dict:
 
 
 def circle_to_Q3(p1: HPoint, p2: HPoint, p3: HPoint,
-                 form: QuatHermitianForm | None = None):
+                 form: QuatHermitianForm = DEFAULT_FORM):
     """The two oriented-circle representatives of the circle through three
     points of S^3.
 
@@ -207,8 +176,6 @@ def circle_to_Q3(p1: HPoint, p2: HPoint, p3: HPoint,
     omega; the result is a pair swapped by the j-action, each a two-sphere
     meeting S^3 along the circle.
     """
-    if form is None:
-        form = QuatHermitianForm()
     for p in (p1, p2, p3):
         if not form.is_null_point(p, 1e-7):
             raise GeometryError("point is not on the three-sphere")
@@ -251,7 +218,7 @@ def _oriented_contact(a: np.ndarray, b: np.ndarray):
     return cc, b
 
 
-def touching_coins_check(circles, form: QuatHermitianForm | None = None) -> CoinReport:
+def touching_coins_check(circles, form: QuatHermitianForm = DEFAULT_FORM) -> CoinReport:
     """Verify the coin-chain picture for four cyclically touching circles.
 
     Each circle is given by one oriented representative (a quadric point);
@@ -263,10 +230,9 @@ def touching_coins_check(circles, form: QuatHermitianForm | None = None) -> Coin
     through all of them while meeting every representative; the report then
     falls back to the unique two-sphere in contact with all four
     representatives (the quadric points polar to their span) and flags the
-    configuration as non-generic.
+    configuration as non-generic.  The check reads no form: contact and
+    spheres are incidences on Q^4, so form is accepted and ignored.
     """
-    if form is None:
-        form = QuatHermitianForm()
     circles = [normalize_proj(c) for c in circles]
     if len(circles) != 4:
         raise GeometryError("need exactly four circles")

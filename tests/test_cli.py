@@ -823,6 +823,50 @@ def test_pcen_closure_checks_faces_with_a_far_base_point(tmp_path, capsys):
     assert 0.0 < closure["residual"] < 1e-12
 
 
+def _hp1_net_doc():
+    rng = np.random.default_rng(14)
+    pts = [HPoint.from_quaternion(Quaternion(*rng.standard_normal(4))) for _ in range(5)]
+    return net_to_doc(evolve_net_circular(pts[:3], pts[3:], -0.8))
+
+
+def _pcen_entry_fault(fault):
+    def doc():
+        doc = _pcen_doc(np.random.default_rng(15), 3)
+        if fault == "list":
+            doc["entries"]["1,1"] = list(doc["entries"]["1,1"].values())
+        else:
+            del doc["entries"]["1,1"][fault]
+        return doc
+    return doc
+
+
+@pytest.mark.parametrize("argv, doc, code, message", [
+    (["export", "{src}", "--target", "json"], lambda: {"x": 1}, 1,
+     "document is missing field 'schema'"),
+    (["export", "{src}", "--target", "json"], _pcen_entry_fault("plane"), 1,
+     "pcen entry '1,1' is missing field 'plane'"),
+    (["check", "{src}", "--report", "cr"], _hp1_net_doc, 2,
+     "cross-ratio reports need a cp1 net, not hp1"),
+    (["check", "{src}"], _pcen_entry_fault("point"), 1,
+     "pcen entry '1,1' is missing field 'point'"),
+    (["check", "{src}", "--report", "pcen"], _pcen_entry_fault("list"), 1,
+     "pcen entry '1,1' must be an object"),
+    (["export", "{src}"], _pcen_entry_fault("list"), 1, "pcen entry '1,1' must be an object"),
+], ids=["json-no-document", "json-pcen-no-plane", "cr-of-hp1", "check-pcen-no-point",
+        "check-pcen-entry-list", "obj-pcen-entry-list"])
+def test_documents_the_readers_refuse_exit_with_one_message(tmp_path, capsys, argv, doc, code,
+                                                             message):
+    # export --target json writes what the readers return, the cr report
+    # needs a cp1 net, and a PCEN entry must be an object with a point and a
+    # plane.  Before, export wrote any JSON object back with exit 0, the cr
+    # report of an hp1 net exited 1 with a Python repr, and a bad PCEN entry
+    # exited 1 with a KeyError or TypeError message
+    src = _write(tmp_path, "doc.json", doc())
+    assert main([a.format(src=src) for a in argv]) == code
+    out = capsys.readouterr()
+    assert out.err == f"error: {message}\n" and out.out == ""
+
+
 @pytest.mark.parametrize("argv, patch", [
     (["check", "{src}", "--json"], ("pcen_adjacency_residual", lambda pcen: float("nan"))),
     (["hexahedron", "{hex}", "--json"], ("quadric_pair", lambda a, b: complex("inf"))),

@@ -26,6 +26,26 @@ from twistnets.lie import (
 FORM = QuatHermitianForm()
 
 
+def _indefinite_forms():
+    """The default form, diag(1, -1) and three seeded random indefinite
+    forms ((r1, q), (conj q, r2)) with r1 r2 < |q|^2."""
+    zero = Quaternion(0.0, 0.0, 0.0, 0.0)
+    forms = [FORM, QuatHermitianForm(((Quaternion.from_real(1.0), zero),
+                                      (zero, Quaternion.from_real(-1.0))))]
+    rng = np.random.default_rng(17)
+    while len(forms) < 5:
+        q = Quaternion(*rng.standard_normal(4))
+        r1, r2 = rng.standard_normal(2)
+        if r1 * r2 < q.norm() ** 2 - 0.1:
+            forms.append(QuatHermitianForm(((Quaternion.from_real(r1), q),
+                                            (q.conjugate(), Quaternion.from_real(r2)))))
+    return forms
+
+
+INDEFINITE_FORMS = pytest.mark.parametrize(
+    "form", _indefinite_forms(), ids=["default", "diag(1,-1)", "random0", "random1", "random2"])
+
+
 # ---------------------------------------------------------------------------
 # the form and its complex split
 
@@ -87,9 +107,10 @@ def test_rho_tilde_squares_to_identity():
     assert np.linalg.norm(m @ m.conj() - np.eye(6)) < 1e-9
 
 
-def test_lie_basis_fixed_and_real_gram():
-    basis = lie_basis(FORM)
-    m = rho_tilde_matrix(FORM)
+@INDEFINITE_FORMS
+def test_lie_basis_fixed_and_real_gram(form):
+    basis = lie_basis(form)
+    m = rho_tilde_matrix(form)
     for b in basis:
         assert np.linalg.norm(m @ np.conj(b) - b) < 1e-9
     gram = np.array([[quadric_pair(a, b) for b in basis] for a in basis])
@@ -111,8 +132,9 @@ def test_fiber_of_null_point_is_lie_real():
 # signatures
 
 
-def test_signature_report():
-    rpt = lie_signature_report(FORM)
+@INDEFINITE_FORMS
+def test_signature_report(form):
+    rpt = lie_signature_report(form)
     assert rpt["dimension"] == 6
     assert rpt["basis"] == (2, 4)
     assert rpt["omega_slice"] == (1, 4)
