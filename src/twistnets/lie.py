@@ -34,11 +34,12 @@ from .proj4 import (
 )
 from .twistor import (
     HPoint,
-    classify_contact,
+    _contact,
     is_j_real,
     j_on_bivector,
+    j_on_vector,
     quat_matrix,
-    twistor_fiber,
+    twistor_project,
 )
 
 # the j-part of conj(x) y is x1 y2 - x2 y1 for x = x1 + j x2, y = y1 + j y2,
@@ -176,12 +177,12 @@ def circle_to_Q3(p1: HPoint, p2: HPoint, p3: HPoint,
     omega; the result is a pair swapped by the j-action, each a two-sphere
     meeting S^3 along the circle.
     """
-    for p in (p1, p2, p3):
-        if not form.is_null_point(p, 1e-7):
+    # one lift per point serves is_null_point's test and the fiber
+    lifts = np.array([p.lift() for p in (p1, p2, p3)])
+    for v in lifts:
+        if not form.value(v, v).norm() < 1e-7:
             raise GeometryError("point is not on the three-sphere")
-    fibers = [twistor_fiber(p) for p in (p1, p2, p3)]
-    rows = [f @ QUADRIC_MATRIX for f in fibers] + [form.omega_vec]
-    ns = nullspace(np.array(rows))
+    ns = nullspace(np.vstack([_fibers(lifts) @ QUADRIC_MATRIX, form.omega_vec]))
     if ns.shape[1] != 2:
         raise GeometryError("collinear or coincident circle points")
     roots = quadric_roots(ns[:, 0], ns[:, 1])
@@ -190,7 +191,8 @@ def circle_to_Q3(p1: HPoint, p2: HPoint, p3: HPoint,
         raise GeometryError("circle pencil has no two quadric points")
     roots.sort(key=sort_key)
     a, b = roots
-    if proj4.proj_distance(j_on_bivector(a), b) > 1e-6:
+    # the roots are unit, and so is the j-image of one
+    if proj4._unit_distance(j_on_bivector(a), b) > 1e-6:
         raise GeometryError("circle representatives are not a j-pair")
     return a, b
 
@@ -204,18 +206,6 @@ class CoinReport:
     sphere: np.ndarray
     sphere_tags: list
     generic: bool
-
-
-def _oriented_contact(a: np.ndarray, b: np.ndarray):
-    """Contact classification allowing for the two orientations of b."""
-    cc = classify_contact(a, b)
-    if cc.tag == "touch":
-        return cc, b
-    alt = normalize_proj(j_on_bivector(b))
-    cc2 = classify_contact(a, alt)
-    if cc2.tag == "touch":
-        return cc2, alt
-    return cc, b
 
 
 def touching_coins_check(circles, form: QuatHermitianForm = DEFAULT_FORM) -> CoinReport:
@@ -232,39 +222,48 @@ def touching_coins_check(circles, form: QuatHermitianForm = DEFAULT_FORM) -> Coi
     representatives (the quadric points polar to their span) and flags the
     configuration as non-generic.  The check reads no form: contact and
     spheres are incidences on Q^4, so form is accepted and ignored.
+
+    Each circle is normalized and its j-image formed once; one contact
+    decision settles both orientations of the next circle.
     """
     circles = [normalize_proj(c) for c in circles]
     if len(circles) != 4:
         raise GeometryError("need exactly four circles")
-    tags, points, oriented = [], [], list(circles)
+    # each representative with its j-image, the other orientation
+    pairs = [(c, j_on_bivector(c)) for c in circles]
+    tags, points, oriented = [], [], list(pairs)
     for k in range(4):
-        cc, fixed = _oriented_contact(oriented[k], circles[(k + 1) % 4])
-        oriented[(k + 1) % 4] = fixed
-        tags.append(cc.tag)
-        if cc.tag != "touch" or not cc.witnesses:
-            raise GeometryError(f"circles {k} and {(k + 1) % 4} do not touch")
-        points.append(cc.witnesses[0])
+        nxt = (k + 1) % 4
+        tag, meet, flipped = _contact(oriented[k][0], *pairs[nxt], "touch")
+        if flipped:
+            oriented[nxt] = pairs[nxt][::-1]
+        tags.append(tag)
+        if tag != "touch":
+            raise GeometryError(f"circles {k} and {nxt} do not touch")
+        points.append(meet[0])
+    lines = np.array([c for c, _ in oriented])
     # the rank of the chain as it touches: either representative of a circle
     # is valid input, and the given ones may span fewer dimensions
-    if svd_rank(np.array(oriented), RANK_CUT)[0] < 4:
+    if svd_rank(lines, RANK_CUT)[0] < 4:
         raise GeometryError("common-sphere degeneracy: representatives span "
                             "fewer than four dimensions")
-    spheres = _polar_spheres([twistor_fiber(p) for p in points])
+    spheres = _polar_spheres(_fibers(np.array(points)))
     generic = spheres is not None
     if not generic:
-        spheres = _polar_spheres(oriented)
+        spheres = _polar_spheres(lines)
     if not spheres:
         raise GeometryError("no sphere in contact with the four circles")
     sphere = spheres[0]
-    sphere_tags = []
-    for c in oriented:
-        cc = classify_contact(sphere, c)
-        if cc.tag not in ("half_touch",):
-            cc2 = classify_contact(sphere, j_on_bivector(c))
-            if cc2.tag == "half_touch":
-                cc = cc2
-        sphere_tags.append(cc.tag)
-    return CoinReport(tags, points, sphere, sphere_tags, generic)
+    # tags only: the report keeps no witness of the sphere's contacts
+    sphere_tags = [_contact(sphere, *pair, "half_touch")[0] for pair in oriented]
+    return CoinReport(tags, [twistor_project(p) for p in points], sphere, sphere_tags, generic)
+
+
+def _fibers(v: np.ndarray) -> np.ndarray:
+    """The twistor fibers v ^ vj through unit rows v (k, 4).  They are unit
+    too, and only the null spaces of their pairings are read, which no phase
+    moves, so they are not normalized."""
+    return wedge_rows(v, j_on_vector(v))
 
 
 def _polar_spheres(lines):
@@ -274,7 +273,7 @@ def _polar_spheres(lines):
     The polar of their span is a pencil; its quadric points that are no
     twistor fibers are the spheres.
     """
-    pol = nullspace(np.array([x @ QUADRIC_MATRIX for x in lines]), RANK_CUT)
+    pol = nullspace(np.asarray(lines) @ QUADRIC_MATRIX, RANK_CUT)
     if pol.shape[1] != 2:
         return None
     return sorted((x for x in quadric_roots(pol[:, 0], pol[:, 1])

@@ -67,6 +67,8 @@ QUADRIC_MATRIX = np.array(
     ],
     dtype=complex,
 )
+# the antidiagonal of QUADRIC_MATRIX, its only nonzero entries
+_QUADRIC_SIGNS = QUADRIC_MATRIX[::-1].diagonal().copy()
 
 
 def _levi_civita() -> np.ndarray:
@@ -117,15 +119,23 @@ def normalize_proj(v: np.ndarray) -> np.ndarray:
     returns it unchanged, bit for bit.
     """
     v = np.asarray(v, dtype=complex)
-    n = _nonzero_norm(v)
-    mags = np.abs(v)
-    anchor = int((mags > 1e-6 * n).argmax())
+    # one list of moduli serves the norm (as in _nonzero_norm) and the anchor
+    mags = np.abs(v).tolist()
+    n = math.hypot(*mags)
+    if n < 1e-12:
+        raise GeometryError("cannot normalize (near-)zero homogeneous vector")
+    cut = 1e-6 * n
+    for anchor, m in enumerate(mags):
+        if m > cut:
+            break
+    else:  # a NaN norm: no component passes the cut
+        anchor, m = 0, mags[0]
     a = complex(v[anchor])
     if a.imag == 0.0 and a.real > 0.0 and abs(n - 1.0) < 1e-14:
         return v.copy()
     # dividing twice keeps the phase finite where |a| n overflows
-    out = v * (a.conjugate() / mags[anchor] / n)
-    out[anchor] = mags[anchor] / n
+    out = v * (a.conjugate() / m / n)
+    out[anchor] = m / n
     return out
 
 
@@ -142,35 +152,48 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
     already obeys it is returned unchanged.
     """
     v = np.asarray(v, dtype=complex)
-    rows = v.reshape(-1, v.shape[-1])
+    width = v.shape[-1]
+    rows = v.reshape(-1, width)
     mags = np.abs(rows)
     # hypot, as math.hypot in normalize_proj: squares of components above
     # about 1e154 would overflow
     n = np.hypot.reduce(mags, axis=1)
-    if (n < 1e-12).any():
+    if np.count_nonzero(n < 1e-12):
         raise GeometryError("cannot normalize (near-)zero homogeneous vector")
-    k = np.arange(len(rows))
+    # the anchors as indices into the flattened rows
     anchor = (mags > 1e-6 * n[:, None]).argmax(axis=-1)
-    a = mags[k, anchor]
-    lead = rows[k, anchor]
+    anchor += np.arange(0, rows.size, width)
+    a = mags.take(anchor)
+    lead = rows.take(anchor)
     # dividing twice keeps the phase finite where |a| n overflows
     out = rows * (lead.conj() / a / n)[:, None]
-    out[k, anchor] = a / n
-    # rows that are normalized already (anchor real and positive, lead == a)
-    # are kept bit for bit
-    np.copyto(out, rows, where=((lead == a) & (np.abs(n - 1.0) < 1e-14))[:, None])
+    out.put(anchor, a / n)
+    # rows that are normalized already (anchor real and positive, lead == a,
+    # and unit norm) are kept bit for bit
+    keep = lead == a
+    if np.count_nonzero(keep):
+        keep &= np.abs(n - 1.0) < 1e-14
+        np.copyto(out, rows, where=keep[:, None])
     return out.reshape(v.shape)
 
 
 def proj_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Angle metric between projective points given by homogeneous vectors."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    a = a / _nonzero_norm(a)
-    b = b / _nonzero_norm(b)
+    return _unit_distance(_unit(a), _unit(b))
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v scaled to unit norm, its phase kept; under the 1e-12 zero cut of
+    _nonzero_norm it raises."""
+    v = np.asarray(v, dtype=complex)
+    return v / _nonzero_norm(v)
+
+
+def _unit_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """proj_distance of unit vectors."""
     # the sine of the angle is the size of b's component orthogonal to a,
     # which stays accurate for nearly identical points
-    ortho = b - a * np.vdot(a, b)
-    return math.asin(min(1.0, _norm(ortho)))
+    return math.asin(min(1.0, _norm(b - a * np.vdot(a, b))))
 
 
 def wedge(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -202,7 +225,9 @@ def span_functional(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def quadric_pair(a: np.ndarray, b: np.ndarray) -> complex:
     """Symmetric bilinear form induced by the wedge product on bivectors."""
-    return complex(np.asarray(a, dtype=complex) @ QUADRIC_MATRIX @ np.asarray(b, dtype=complex))
+    # a @ QUADRIC_MATRIX is a reversed with signs, and exactly so
+    return complex(np.dot(np.asarray(a, dtype=complex)[::-1] * _QUADRIC_SIGNS,
+                          np.asarray(b, dtype=complex)))
 
 
 def is_decomposable(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -213,8 +238,7 @@ def is_decomposable(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 def lines_incident(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Whether the lines of two bivectors meet: |<a, b>| < tol |a| |b|, a
     residual that no scale or phase of a or b changes."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    return abs(quadric_pair(a / _nonzero_norm(a), b / _nonzero_norm(b))) < tol
+    return abs(quadric_pair(_unit(a), _unit(b))) < tol
 
 
 def line_matrix(a: np.ndarray) -> np.ndarray:
@@ -307,7 +331,7 @@ def nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 def orthonormal_span(vectors, rank: int | None = None, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the span of the given row vectors; a
     row of norm under 1e-12 raises, as in normalize_proj."""
-    m = np.array([np.asarray(v, dtype=complex) / _nonzero_norm(v) for v in vectors])
+    m = np.array([_unit(v) for v in vectors])
     r, _, vh = svd_rank(m, tol)
     if rank is not None and r != rank:
         raise GeometryError(f"degenerate-span: rank {r}, expected {rank}")
@@ -354,18 +378,23 @@ def meet_join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ProjPlane]:
     the null-space rule tan(t / 2) > RANK_CUT, the lines coincide when
     |m| ~ sin t2 <= 2 RANK_CUT and are skew when |<a, b>| / |m| ~ sin t1 > 2 RANK_CUT.
     """
-    a, b = normalize_proj(a), normalize_proj(b)
-    if not (is_decomposable(a, INCIDENCE_TOL) and is_decomposable(b, INCIDENCE_TOL)):
+    return _unit_meet_join(normalize_proj(a), normalize_proj(b))
+
+
+def _unit_meet_join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ProjPlane]:
+    """meet_join of unit a and b, which it does not scale again."""
+    if not (abs(quadric_pair(a, a)) < INCIDENCE_TOL and abs(quadric_pair(b, b)) < INCIDENCE_TOL):
         raise GeometryError("bivector is not decomposable")
     m = line_matrix(b) @ line_matrix(QUADRIC_MATRIX @ a).T
-    sq = m.real ** 2 + m.imag ** 2
-    size = math.sqrt(sq.sum())
+    sq = (m * m.conj()).real
+    cols = sq.sum(axis=0)
+    size = math.sqrt(cols.sum())
     if size <= 2.0 * RANK_CUT:
         raise GeometryError("lines coincide; no unique intersection point")
     if abs(quadric_pair(a, b)) > 2.0 * RANK_CUT * size:
         raise GeometryError("lines are not incident")
-    point = normalize_proj(m[:, int(np.argmax(sq.sum(axis=0)))])
-    return point, ProjPlane(m[int(np.argmax(sq.sum(axis=1)))])
+    point = normalize_proj(m[:, int(cols.argmax())])
+    return point, ProjPlane(m[int(sq.sum(axis=1).argmax())])
 
 
 def line_meet_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -522,9 +551,9 @@ def quadric_roots(g: np.ndarray, h: np.ndarray) -> list:
         disc = np.sqrt(b * b - 4.0 * a * c + 0j)
         roots.extend([(-b + disc) / (2 * a), (-b - disc) / (2 * a)])
     xs = [h if t is None else g + t * h for t in roots]
-    return [normalize_proj(x) for x in xs if np.linalg.norm(x) > 1e-12]
+    return [normalize_proj(x) for x in xs if _norm(x) > 1e-12]
 
 
 def sort_key(x: np.ndarray) -> tuple:
     """A deterministic order on vectors: real, then imaginary parts to 9 digits."""
-    return tuple(np.round(np.concatenate([x.real, x.imag]), 9))
+    return tuple(np.concatenate((x.real, x.imag)).round(9).tolist())

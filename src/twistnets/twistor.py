@@ -22,11 +22,8 @@ from .proj4 import (
     INCIDENCE_TOL,
     RANK_CUT,
     GeometryError,
-    lines_incident,
     line_factorize,
-    line_meet_point,
     line_point,
-    meet_join,
     normalize_proj,
     normalize_rows,
     nullspace,
@@ -105,10 +102,9 @@ def is_j_real(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 def twistor_project(v: np.ndarray) -> HPoint:
     """The point of HP^1 under (z1,z2,z3,z4) -> [z1 + j z2 : z3 + j z4]."""
-    v = np.asarray(v, dtype=complex)
-    if np.linalg.norm(v) == 0.0:
-        raise GeometryError("cannot project zero vector")
-    v = v / np.linalg.norm(v)
+    # one norm by hypot, which does not overflow; under its 1e-12 cut a
+    # vector is no point
+    v = proj4._unit(v)
     return HPoint(Quaternion.from_complex_pair(v[0], v[1]),
                   Quaternion.from_complex_pair(v[2], v[3]))
 
@@ -329,20 +325,55 @@ def classify_contact(a: np.ndarray, b: np.ndarray) -> ContactClass:
     of that meet, which is also the projection of the meet of aj and b, its
     J-image.
     """
-    bj = j_on_bivector(b)
-    if proj4.proj_distance(a, b) < _CONTACT_TOL or \
-            proj4.proj_distance(a, bj) < _CONTACT_TOL:
-        return ContactClass("identical", ())
-    if lines_incident(a, b, _CONTACT_TOL):
-        p, plane = meet_join(a, b)
-        # tangency iff the common point lies on the plane's fiber, the points
-        # x of the plane with Jx in it too; J maps the plane's part orthogonal
-        # to the fiber onto its normal, so |f(Jp)| is p's distance from it
-        if plane.residual(j_on_vector(p)) < _CONTACT_TOL:
-            return ContactClass("touch", (twistor_project(p),))
-        # the second common point projects from the plane's fiber
-        fiber_point = line_point(plane_fiber(plane))
-        return ContactClass("half_touch", (twistor_project(p), twistor_project(fiber_point)))
-    if lines_incident(a, bj, _CONTACT_TOL):
-        return ContactClass("circle_intersection", (twistor_project(line_meet_point(a, bj)),))
-    return ContactClass("disjoint", ())
+    a, b = proj4._unit(a), proj4._unit(b)
+    tag, meet, _ = _contact(a, b, j_on_bivector(b))
+    return ContactClass(tag, _witnesses(tag, meet))
+
+
+def _contact(a: np.ndarray, b: np.ndarray, bj: np.ndarray, prefer: str | None = None):
+    """classify_contact of unit lines a and b, with bj = j_on_bivector(b), as
+    (tag, meet, flipped): meet is the (point, plane) of the incident pair the
+    witnesses come from, None for identical and disjoint lines.
+
+    b and bj are the two orientations of one sphere, so they share the
+    identical test, and the incidences of a with b and with bj decide both
+    pairs: where a meets only bj, (a, b) share a circle and (a, bj) touch or
+    half-touch at the same meet.  With prefer, a tag: where (a, b) is not of
+    that class and (a, bj) is, the class of (a, bj) is returned, flipped
+    True.  Every test is a residual of the unit lines, so none depends on
+    their phases.
+    """
+    if proj4._unit_distance(a, b) < _CONTACT_TOL or proj4._unit_distance(a, bj) < _CONTACT_TOL:
+        return "identical", None, False
+    on_b, on_bj = (abs(proj4.quadric_pair(a, x)) < _CONTACT_TOL for x in (b, bj))
+    if not (on_b or on_bj):
+        return "disjoint", None, False
+    meet = proj4._unit_meet_join(a, b if on_b else bj)
+    tag = _tangency(meet) if on_b else "circle_intersection"
+    if prefer is None or tag == prefer or not on_bj:
+        return tag, meet, False
+    # a circle's meet is already that of a and bj
+    meet_j = proj4._unit_meet_join(a, bj) if on_b else meet
+    tag_j = _tangency(meet_j)
+    return (tag_j, meet_j, True) if tag_j == prefer else (tag, meet, False)
+
+
+def _tangency(meet) -> str:
+    """touch or half_touch of two incident lines, from their meet_join."""
+    p, plane = meet
+    # tangency iff the common point lies on the plane's fiber, the points
+    # x of the plane with Jx in it too; J maps the plane's part orthogonal
+    # to the fiber onto its normal, so |f(Jp)| is p's distance from it
+    return "touch" if plane.residual(j_on_vector(p)) < _CONTACT_TOL else "half_touch"
+
+
+def _witnesses(tag: str, meet) -> tuple:
+    """The witnesses of _contact's class: the projection of the meet point,
+    and for half_touch the second common point, which projects from the
+    plane's fiber."""
+    if meet is None:
+        return ()
+    p, plane = meet
+    if tag == "half_touch":
+        return twistor_project(p), twistor_project(line_point(plane_fiber(plane)))
+    return (twistor_project(p),)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistnets.proj4 import (
     GeometryError,
@@ -11,6 +15,7 @@ from twistnets.proj4 import (
     meet_line,
     meet_planes,
     normalize_proj,
+    normalize_rows,
     nullspace,
     orthonormal_span,
     plane_from_span,
@@ -147,3 +152,115 @@ def test_normalize_proj_idempotent_phase():
         n1 = normalize_proj(v)
         n2 = normalize_proj(v * (0.3 - 2.1j))
         assert np.linalg.norm(n1 - n2) < 1e-12
+
+
+# normalize_proj and normalize_rows as they were before one list of moduli
+# served both the norm and the anchor, kept here to pin the results bit for bit
+
+
+def _reference_normalize_proj(v):
+    v = np.asarray(v, dtype=complex)
+    n = math.hypot(*np.abs(v).tolist())
+    if n < 1e-12:
+        raise GeometryError("cannot normalize (near-)zero homogeneous vector")
+    mags = np.abs(v)
+    anchor = int((mags > 1e-6 * n).argmax())
+    a = complex(v[anchor])
+    if a.imag == 0.0 and a.real > 0.0 and abs(n - 1.0) < 1e-14:
+        return v.copy()
+    out = v * (a.conjugate() / mags[anchor] / n)
+    out[anchor] = mags[anchor] / n
+    return out
+
+
+def _reference_normalize_rows(v):
+    v = np.asarray(v, dtype=complex)
+    rows = v.reshape(-1, v.shape[-1])
+    mags = np.abs(rows)
+    n = np.hypot.reduce(mags, axis=1)
+    if (n < 1e-12).any():
+        raise GeometryError("cannot normalize (near-)zero homogeneous vector")
+    k = np.arange(len(rows))
+    anchor = (mags > 1e-6 * n[:, None]).argmax(axis=-1)
+    a = mags[k, anchor]
+    lead = rows[k, anchor]
+    out = rows * (lead.conj() / a / n)[:, None]
+    out[k, anchor] = a / n
+    np.copyto(out, rows, where=((lead == a) & (np.abs(n - 1.0) < 1e-14))[:, None])
+    return out.reshape(v.shape)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+_unit_float = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def _vector(draw, size):
+    """A vector whose leading component sits just below, at or just above
+    the 1e-6 anchor cut, or anywhere; possibly normalized already; scaled by
+    r e^(i psi) with r in [1e-6, 1e200]."""
+    parts = draw(st.lists(_unit_float, min_size=2 * size, max_size=2 * size))
+    v = np.array(parts[:size]) + 1j * np.array(parts[size:])
+    rest = float(np.linalg.norm(v[1:]))
+    if rest < 1e-3:
+        v[1] = 1.0
+        rest = float(np.linalg.norm(v[1:]))
+    lead = draw(st.sampled_from(["free", "cut", "zero"]))
+    if lead == "cut":
+        # |v0| = c 1e-6 |v| with c a hair from 1, so the anchor is v0 or v1
+        c = 1.0 + draw(st.sampled_from([-1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-3, -1e-3]))
+        t = c * 1e-6 / math.sqrt(1.0 - (c * 1e-6) ** 2)
+        v[0] = t * rest * np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+    elif lead == "zero":
+        v[0] = 0.0
+    if draw(st.booleans()):
+        v = _reference_normalize_proj(v)
+    if draw(st.booleans()):
+        r, psi = draw(st.floats(-6.0, 200.0)), draw(st.floats(0.0, 2 * math.pi))
+        v = v * (10.0 ** r * complex(math.cos(psi), math.sin(psi)))
+        if draw(st.booleans()):
+            v = _reference_normalize_proj(v)
+    return v
+
+
+BIT_FOR_BIT = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@BIT_FOR_BIT
+@given(st.sampled_from([4, 6]).flatmap(_vector))
+def test_normalize_proj_is_the_reference_bit_for_bit(v):
+    assert np.array_equal(_bits(normalize_proj(v)), _bits(_reference_normalize_proj(v)))
+    assert np.array_equal(_bits(normalize_proj(normalize_proj(v))), _bits(normalize_proj(v)))
+
+
+@BIT_FOR_BIT
+@given(st.sampled_from([4, 6]).flatmap(
+    lambda size: st.lists(_vector(size), min_size=1, max_size=12)), st.booleans())
+def test_normalize_rows_is_the_reference_bit_for_bit(rows, stacked):
+    v = np.array(rows)
+    if stacked and len(v) % 2 == 0:
+        v = v.reshape(2, -1, v.shape[-1])
+    got = normalize_rows(v)
+    assert got.shape == v.shape
+    assert np.array_equal(_bits(got), _bits(_reference_normalize_rows(v)))
+
+
+def test_normalizers_keep_the_reference_edge_cases():
+    # a NaN or infinite norm passes no component through the anchor cut:
+    # the anchor is the first component, as argmax had it
+    with np.errstate(all="ignore"):
+        for v in (np.array([np.nan, 1.0, 2.0, 3.0]), np.array([1.0, 2.0, np.inf, 0.0]),
+                  np.array([1e-7, np.nan, 0.0, 1.0])):
+            for got, want in ((normalize_proj(v), _reference_normalize_proj(v)),
+                              (normalize_rows(v[None]), _reference_normalize_rows(v[None]))):
+                assert np.array_equal(got.view(float), want.view(float), equal_nan=True)
+    for zero in (np.zeros(4), np.full(6, 1e-13)):
+        for normalize in (normalize_proj, normalize_rows, _reference_normalize_proj,
+                          _reference_normalize_rows):
+            with pytest.raises(GeometryError, match=r"cannot normalize \(near-\)zero"):
+                normalize(zero)
+    with pytest.raises(GeometryError):
+        normalize_rows(np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]))

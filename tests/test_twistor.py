@@ -291,6 +291,82 @@ def test_incidence_predicates_never_normalize(monkeypatch):
 
 
 @PREDICATES
+@given(st.lists(st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False), min_size=8,
+                max_size=8).filter(lambda x: math.hypot(*x) > 0.1),
+       st.floats(-6.0, 200.0), st.floats(0.0, 2 * math.pi))
+def test_twistor_project_at_any_scale(parts, log_r, psi):
+    # one hypot norm: 1e200 components neither overflow nor lose the point
+    v = np.array(parts[:4]) + 1j * np.array(parts[4:])
+    scaled = v * (10.0 ** log_r * complex(math.cos(psi), math.sin(psi)))
+    assert twistor_project(scaled).isclose(twistor_project(v), 1e-12)
+
+
+def test_twistor_project_refuses_a_zero_vector():
+    assert twistor_project(np.array([1e200, 0, 0, 1])).is_infinity()
+    for zero in (np.zeros(4), np.full(4, 1e-13)):
+        with pytest.raises(GeometryError):
+            twistor_project(zero)
+
+
+def test_contact_and_coin_tags_never_read_the_phase_anchor(monkeypatch):
+    # normalize_proj with a random unit phase on every result: every tag of
+    # classify_contact and touching_coins_check stays as it was
+    from twistnets import lie
+    from twistnets.proj4 import line_factorize
+
+    rng = np.random.default_rng(12)
+
+    def unit_quaternion():
+        return Quaternion(0.0, *rng.standard_normal(3)).normalized()
+
+    def sphere(r, n):
+        return sphere_translate(Quaternion(*rng.standard_normal(4)), r, n).eigenline()
+
+    pairs = []
+    for _ in range(10):
+        r, n = unit_quaternion(), unit_quaternion()
+        a = sphere(r, n)
+        v, w = line_factorize(a)
+        pairs += [(a, 1j * a), (a, sphere(r, n)),
+                  (a, wedge(v + 0.7 * w, rng.standard_normal(4) + 1j * rng.standard_normal(4))),
+                  (a, j_on_bivector(sphere(unit_quaternion(), n))),
+                  tuple(wedge(*(rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))))
+                        for _ in range(2))]
+    chains = []
+    for _ in range(10):
+        qs = [x / np.linalg.norm(x) for x in rng.standard_normal((4, 3))]
+        chains.append([lie.circle_to_Q3(*_geodesic_points(qs[k - 1], qs[k]))[0] for k in range(4)])
+
+    def tags():
+        coins = [lie.touching_coins_check(chain) for chain in chains]
+        return ([classify_contact(a, b).tag for a, b in pairs],
+                [(c.contact_tags, c.sphere_tags, c.generic) for c in coins])
+
+    want = tags()
+    assert set(want[0]) == {"identical", "touch", "half_touch", "circle_intersection",
+                            "disjoint"}
+
+    def rotated(v):
+        return normalize_proj(v) * np.exp(2j * math.pi * rng.random())
+
+    for module in (proj4, twistor, lie):
+        monkeypatch.setattr(module, "normalize_proj", rotated)
+    assert tags() == want
+
+
+def _geodesic_points(a, b):
+    """Three points of the circle through unit vectors a, b of S^2 that meets
+    the unit sphere orthogonally."""
+    c = (a + b) / (1.0 + float(a @ b))
+    r = np.linalg.norm(a - c)
+    u = (a - c) / r
+    w = b - c - ((b - c) @ u) * u
+    w = w / np.linalg.norm(w)
+    return [HPoint.from_quaternion(Quaternion(0.0, *(c + r * (np.cos(t) * u + np.sin(t) * w))))
+            for t in (0.4, 1.3, 2.5)]
+
+
+@PREDICATES
 @given(_near_fiber(), st.floats(-13.0, -3.0), _scale)
 def test_sphere_from_line_never_disowns_a_sphere(lines, log_eps, s):
     # near-fibers moved toward a sphere through one of their points, from well
