@@ -33,6 +33,7 @@ from .twistor import INF_PAIR, QUAT_ONE, HPoint, SphereEndo, affine_rows, sphere
 from .xratio import ExtC, complex_cr
 from .nets import (
     LatticeNet,
+    box_cells,
     evolve_net_circular,
     evolve_net_complex,
     face_vectors,
@@ -325,6 +326,8 @@ def cmd_evolve(args) -> int:
     # the net to build: the curve, and a column per transverse seed, given
     # in the metadata or drawn
     tv = net.metadata.get("transverse")
+    if tv is not None and not isinstance(tv, list):
+        raise DocumentError(f"curve metadata transverse must be a list of seeds, not {tv!r}")
     _require_box((n_pts, (steps if tv is None else len(tv)) + 1), "evolved net")
 
     if args.mode == "circular":
@@ -479,19 +482,20 @@ def cmd_export(args) -> int:
 
 def _export_lattice(net: LatticeNet, axis: int, lines: list):
     """Vertex lattice with quad faces; infinite points are skipped."""
+    # the OBJ number of each vertex written, by flat index
     index_of = {}
-    for idx, v in zip(net.present_indices(), _entries_out(net).values()):
+    for flat, idx, v in zip(np.flatnonzero(net.present).tolist(), net.present_indices(),
+                            _entries_out(net).values()):
         if v is None:
             _warn(f"skipping point at infinity at index {idx}")
             continue
-        index_of[idx] = len(index_of) + 1
+        index_of[flat] = len(index_of) + 1
         coords = [v[0], v[1], 0.0] if net.kind == "cp1" else _chart3(v, axis)
         lines.append("v " + " ".join(_fmt(c) for c in coords))
     if net.dim == 2:
-        for (m, n), _ in net.faces():
-            quad = [index_of.get((m + dm, n + dn)) for dm, dn in ((0, 0), (1, 0), (1, 1), (0, 1))]
-            if None not in quad:
-                lines.append("f " + " ".join(str(k) for k in quad))
+        for quad in box_cells(net.shape, 2)[2].tolist():
+            if all(k in index_of for k in quad):
+                lines.append("f " + " ".join(str(index_of[k]) for k in quad))
     elif net.dim == 1 and len(index_of) >= 2:
         lines.append("l " + " ".join(str(k) for k in index_of.values()))
 

@@ -46,7 +46,7 @@ from .twistor import (
     twistor_fiber,
     twistor_project,
 )
-from .nets import LatticeNet, first_missing, in_box, sphere_frame
+from .nets import LatticeNet, box_cells, first_missing, in_box, sphere_frame
 from .xratio import as_ext
 
 
@@ -261,28 +261,18 @@ class PCEN(Mapping):
             raise DocumentError(f"PCEN has no element at {missing}")
 
 
-def _edges(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows at the two ends of every lattice edge along an axis, stacked
-    as (k, 4) arrays."""
-    lo = (slice(None),) * axis + (slice(None, -1),)
-    hi = (slice(None),) * axis + (slice(1, None),)
-    return a[lo].reshape(-1, 4), a[hi].reshape(-1, 4)
-
-
 def _vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj() * b).sum(axis=-1, keepdims=True)
 
 
 def _check_distinct_neighbors(lifts: np.ndarray):
-    """No two neighbouring base points coincide, by coincident_rows."""
-    shape = lifts.shape[:-1]
-    collisions = []
-    for ax in range(len(shape)):
-        close = coincident_rows(*_edges(lifts, ax))
-        close = close.reshape(tuple(n - (k == ax) for k, n in enumerate(shape)))
-        collisions += [(tuple(idx), ax) for idx in np.argwhere(close).tolist()]
-    if collisions:
-        idx, ax = min(collisions)
+    """No two neighbouring base points coincide, by coincident_rows; names
+    the first colliding edge of box_cells."""
+    bases, axes, corners = box_cells(lifts.shape[:-1], 1)
+    close = coincident_rows(*lifts.reshape(-1, 4)[corners.T])
+    if close.any():
+        edge = int(np.argmax(close))
+        idx, ax = tuple(bases[edge].tolist()), int(axes[edge, 0])
         nxt = tuple(i + (k == ax) for k, i in enumerate(idx))
         raise GeometryError(f"colliding base points at {idx} and {nxt}")
 
@@ -365,21 +355,15 @@ def pcen_adjacency_residual(pcen: PCEN) -> float:
 
     For each lattice edge the line joining the two pencil points, spanned by
     an orthonormal pair (v, w), must be a member of both pencils; the
-    residual is the sum of _member_residuals over the two ends.  The edges
-    along each axis are checked in one pass.
+    residual is the sum of _member_residuals over the two ends.  All edges
+    of box_cells are checked in one pass.
     """
     pcen.require_elements()
-    points, functionals = pcen.points, pcen.functionals
-    worst = 0.0
-    for ax in range(pcen.base.dim):
-        if pcen.base.shape[ax] < 2:
-            continue
-        p1, p2 = _edges(points, ax)
-        f1, f2 = _edges(functionals, ax)
-        v, w = _orthonormal_pairs(p1, p2)
-        r = _member_residuals(p1, f1, v, w) + _member_residuals(p2, f2, v, w)
-        worst = max(worst, float(r.max()))
-    return worst
+    ends = box_cells(pcen.base.shape, 1)[2].T
+    (p1, p2), (f1, f2) = (a.reshape(-1, 4)[ends] for a in (pcen.points, pcen.functionals))
+    v, w = _orthonormal_pairs(p1, p2)
+    r = _member_residuals(p1, f1, v, w) + _member_residuals(p2, f2, v, w)
+    return float(r.max(initial=0.0))
 
 
 def _orthonormal_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

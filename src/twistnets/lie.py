@@ -177,11 +177,10 @@ def circle_to_Q3(p1: HPoint, p2: HPoint, p3: HPoint,
     omega; the result is a pair swapped by the j-action, each a two-sphere
     meeting S^3 along the circle.
     """
-    # one lift per point serves is_null_point's test and the fiber
+    # one lift per point serves the null test, of the real frak_h(v, v) = h(v, v), and the fiber
     lifts = np.array([p.lift() for p in (p1, p2, p3)])
-    for v in lifts:
-        if not form.value(v, v).norm() < 1e-7:
-            raise GeometryError("point is not on the three-sphere")
+    if not (np.abs(((lifts.conj() @ form.hmat) * lifts).sum(axis=-1)) < 1e-7).all():
+        raise GeometryError("point is not on the three-sphere")
     ns = nullspace(np.vstack([_fibers(lifts) @ QUADRIC_MATRIX, form.omega_vec]))
     if ns.shape[1] != 2:
         raise GeometryError("collinear or coincident circle points")
@@ -255,7 +254,7 @@ def touching_coins_check(circles, form: QuatHermitianForm = DEFAULT_FORM) -> Coi
         raise GeometryError("no sphere in contact with the four circles")
     sphere = spheres[0]
     # tags only: the report keeps no witness of the sphere's contacts
-    sphere_tags = [_contact(sphere, *pair, "half_touch")[0] for pair in oriented]
+    sphere_tags = [_contact(sphere, *pair)[0] for pair in oriented]
     return CoinReport(tags, [twistor_project(p) for p in points], sphere, sphere_tags, generic)
 
 

@@ -11,14 +11,15 @@ face in row order.  The lift into the subquadric of lines through a fixed
 sphere's two twistor lifts turns complex cross-ratio nets in CP^1 into
 conjugate nets with planar faces.
 
-A face's planarity residual is looked up, not computed: the first query
-decomposes the four ambient vectors of every complete face of the net in
-one stacked SVD per axis pair, and the net keeps the s4 / s1 ratios until
-its next write.
+Every face and edge check indexes one table of a box's cells, box_cells.  A
+face's planarity residual is looked up: the first query decomposes the four
+ambient vectors of every complete face of the net in one stacked SVD per
+axis pair, and the net keeps the s4 / s1 ratios until its next write.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -68,25 +69,28 @@ from .xratio import (
 # the shape of one stored value, per kind
 _VALUE_SHAPE = {"cp1": (2,), "hp1": (2, 4), "cp3": (4,), "q4": (6,)}
 
-# a face's corners as steps along its axis pair, in face_index order
-_FACE_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+# a cell's corners as steps along its axes: a k-cell's are the first 2^k rows, in k columns
+CORNER_STEPS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
-def _axis_pairs(dim: int) -> list:
-    """The axis pairs (a, b), a < b, of faces, in net.faces() order."""
-    return list(itertools.combinations(range(dim), 2))
-
-
-def _face_corners(arr: np.ndarray, dim: int, a: int, b: int) -> np.ndarray:
-    """arr, an array over a box of dimension dim (box + tail), at the four
-    corners of every face along the axes a < b, in face_index order: the box
-    less one along a and b, then 4, then the tail.  Slices, not index lists."""
-    def corner(da, db):
-        cut = [slice(None)] * dim
-        cut[a] = slice(da, da + arr.shape[a] - 1)
-        cut[b] = slice(db, db + arr.shape[b] - 1)
-        return arr[tuple(cut)]
-    return np.stack([corner(da, db) for da, db in _FACE_CORNERS], axis=dim)
+@functools.lru_cache(maxsize=32)
+def box_cells(shape: tuple, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges (k = 1) or 2-faces (k = 2) of a box, in net.faces() order:
+    the bases in index order, and at each base the axis tuples in
+    combinations order.  Returns their bases (cells, dim), axes (cells, k)
+    and corners (cells, 2^k), the flat indices of each cell's corners in
+    CORNER_STEPS order: integer arrays, built once per shape, read-only."""
+    dim = len(shape)
+    combos = np.array(list(itertools.combinations(range(dim), k)), dtype=int).reshape(-1, k)
+    coords = np.indices(shape).reshape(dim, math.prod(shape)).T
+    # a base has a cell along the axes where it is not on the box's last layer
+    flat, combo = np.nonzero((coords < np.array(shape) - 1)[:, combos].all(axis=-1))
+    strides = np.array([math.prod(shape[a + 1:]) for a in range(dim)], dtype=int)
+    axes = combos[combo]
+    cells = coords[flat], axes, flat[:, None] + strides[axes] @ np.array(CORNER_STEPS)[:2**k, :k].T
+    for arr in cells:
+        arr.setflags(write=False)
+    return cells
 
 
 def in_box(idx: tuple, shape: tuple) -> bool:
@@ -174,18 +178,15 @@ class LatticeNet:
             raise GeometryError(f"vertex {missing} missing from net")
 
     def faces(self):
-        """All elementary 2-faces: (base index, axis pair)."""
-        pairs = _axis_pairs(self.dim)
-        for idx in self.indices():
-            for a, b in pairs:
-                if idx[a] + 1 < self.shape[a] and idx[b] + 1 < self.shape[b]:
-                    yield idx, (a, b)
+        """All elementary 2-faces, (base index, axis pair), in box_cells order."""
+        bases, axes, _ = box_cells(self.shape, 2)
+        return zip(map(tuple, bases.tolist()), map(tuple, axes.tolist()))
 
     def face_index(self, base, axes) -> tuple:
-        """Index lists of a face's four vertices, in the order (0, 0),
-        (1, 0), (1, 1), (0, 1) along its axes; raises for a missing one."""
+        """Index lists of a face's four vertices, in CORNER_STEPS order along
+        its axes; raises for a missing one."""
         idx = [[i] * 4 for i in base]
-        for ax, steps in zip(axes, ((0, 1, 1, 0), (0, 0, 1, 1))):
+        for ax, steps in zip(axes, zip(*CORNER_STEPS)):
             idx[ax] = [base[ax] + d for d in steps]
         corners = list(zip(*idx))
         # the box holds the face when it holds the corners (0, 0) and (1, 1)
@@ -234,13 +235,17 @@ class LatticeNet:
         one, so a face's ratio is that of its own decomposition bit for bit.
         """
         if self._planarity_lists is None:
-            amb, lists = self.ambient(), {}
-            for a, b in _axis_pairs(self.dim):
-                complete = _face_corners(self.present, self.dim, a, b).all(axis=-1)
-                s4 = np.full(complete.shape, np.nan)
+            (_, axes, corners), amb, lists = box_cells(self.shape, 2), self.ambient(), {}
+            amb, present = amb.reshape(-1, amb.shape[-1]), self.present.reshape(-1)
+            for pair in itertools.combinations(range(self.dim), 2):
+                # the faces along the pair, in the index order of their bases
+                at = corners[(axes == pair).all(axis=-1)]
+                complete = present[at].all(axis=-1)
+                s4 = np.full(len(at), np.nan)
                 # a face with a missing vertex stays out of the decomposition
-                s4[complete] = span_ratios(_face_corners(amb, self.dim, a, b)[complete])[:, 1]
-                lists[a, b] = s4.tolist()
+                s4[complete] = span_ratios(amb[at[complete]])[:, 1]
+                lists[pair] = s4.reshape([max(n - (i in pair), 0)
+                                          for i, n in enumerate(self.shape)]).tolist()
             self._planarity_lists = lists
         return self._planarity_lists
 
@@ -272,24 +277,13 @@ def face_vectors(net: LatticeNet) -> tuple[list, np.ndarray]:
     """The faces of net.faces() and the ambient vectors of their vertices,
     stacked as (faces, 4, n) in face_index order; raises for the first face
     with a missing vertex, and for a cp1 net with or without faces."""
-    faces = list(net.faces())
-    if not faces:
-        # ambient() refuses a cp1 net, also one without faces: it must not
-        # pass a report that cannot apply to it
-        net.ambient()
-        return faces, np.zeros((0, 4, 6), dtype=complex)
-    pairs = _axis_pairs(net.dim)
-    flat = np.arange(net.present.size).reshape(net.shape)
-    # net.faces() runs over the bases in index order, and at each over the pairs
-    order = np.argsort(np.concatenate([_face_corners(flat, net.dim, a, b)[..., 0].ravel()
-                                       * len(pairs) + p for p, (a, b) in enumerate(pairs)]))
-    complete = np.concatenate([_face_corners(net.present, net.dim, a, b).all(axis=-1).ravel()
-                               for a, b in pairs])[order]
+    faces, (_, _, corners) = list(net.faces()), box_cells(net.shape, 2)
+    complete = net.present.reshape(-1)[corners].all(axis=-1)
     if not complete.all():
         net.face_index(*faces[int(np.argmin(complete))])
+    # ambient() refuses a cp1 net, also one without faces
     amb = net.ambient()
-    return faces, np.concatenate([_face_corners(amb, net.dim, a, b).reshape(-1, 4, amb.shape[-1])
-                                  for a, b in pairs])[order]
+    return faces, amb.reshape(-1, amb.shape[-1])[corners]
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +536,8 @@ def bianchi_check(hypercube: dict) -> bool:
         if key not in hypercube:
             raise GeometryError(f"hypercube vertex {key} missing")
     cube = np.array([normalize_proj(hypercube[key]) for key in keys]).reshape((2, 2, 2, 2, -1))
-    # the 24 faces: along each axis pair, at each setting of the other two
-    faces = np.concatenate([_face_corners(cube, 4, a, b).reshape(-1, 4, cube.shape[-1])
-                            for a, b in _axis_pairs(4)])
-    if (span_ratios(faces)[:, 1] > 1e-7).any():
+    # the 24 faces: the keys in product order are the cube's flat indices
+    if (span_ratios(cube.reshape(16, -1)[box_cells((2, 2, 2, 2), 2)[2]])[:, 1] > 1e-7).any():
         return False
     # the four 3-cubes through the far corner must reproduce it
     for fixed in range(4):

@@ -626,6 +626,18 @@ def test_a_box_too_large_to_allocate_exits_1(tmp_path, capsys, argv, doc):
     assert f"holds over {10 ** 6} vertices" in out.err and out.out == ""
 
 
+@pytest.mark.parametrize("transverse", [5, 2.5, True])
+@pytest.mark.parametrize("mode", ["circular", "complex"])
+def test_a_transverse_value_that_is_no_list_exits_1(tmp_path, capsys, mode, transverse):
+    doc = _hp1_curve_doc() if mode == "circular" else _cp1_curve_doc()
+    doc["metadata"]["transverse"] = transverse
+    argv = ["evolve", _write(tmp_path, "curve.json", doc), "--mode", mode, "--lambda", "-1"]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.err == ("error: curve metadata transverse must be a list of seeds, "
+                       f"not {transverse!r}\n") and out.out == ""
+
+
 def _header_doc(kind):
     """A valid 3 x 3 hp1 net document, or a PCEN document over such a net."""
     if kind == "pcen":
@@ -821,6 +833,18 @@ def test_pcen_closure_checks_faces_with_a_far_base_point(tmp_path, capsys):
     closure = rep["faces"][0]
     assert closure["face"] == "closure" and closure["faces"] == 24
     assert 0.0 < closure["residual"] < 1e-12
+
+
+@pytest.mark.parametrize("box", [[0, 3], [3, 0]])
+def test_pcen_report_of_a_box_with_an_empty_axis_checks_no_edge(tmp_path, capsys, box):
+    # before, the adjacency of the edges along the other axis, none, raised
+    # numpy's ValueError for the largest of no residuals
+    doc = {"schema": 1, "dim": 2, "box": box, "kind": "pcen", "entries": {}, "metadata": {}}
+    assert main(["check", _write(tmp_path, "pcen.json", doc), "--json"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert [(row["face"], row["residual"]) for row in json.loads(out.out)["faces"]] == [
+        ("closure", 0.0), ("adjacency", 0.0)]
 
 
 def _hp1_net_doc():

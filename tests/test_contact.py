@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,13 @@ from twistnets.proj4 import (
     wedge,
 )
 from twistnets.twistor import HPoint, classify_contact, twistor_fiber
-from twistnets.nets import evolve_net_circular, evolve_net_complex, sphere_frame
+from twistnets.cli import doc_to_pcen, pcen_to_doc
+from twistnets.nets import LatticeNet, evolve_net_circular, evolve_net_complex, sphere_frame
 from twistnets.contact import (
+    PCEN,
     NullLine,
+    _member_residuals,
+    _orthonormal_pairs,
     contact_element,
     null_line_real_point,
     pcen_adjacency_residual,
@@ -123,6 +129,21 @@ def test_pcen_rejects_colliding_base_points():
         pcen_from_circular(net, _initial_element(net))
 
 
+@pytest.mark.parametrize("copies, first", [
+    ((((2, 1), (2, 2)), ((3, 1), (2, 2))), "(2, 1) and (3, 1)"),
+    ((((2, 1), (2, 2)), ((3, 1), (2, 2)), ((0, 3), (0, 2))), "(0, 2) and (0, 3)"),
+])
+def test_colliding_base_points_name_the_first_colliding_edge(copies, first):
+    """Of several colliding neighbours the message names the first edge by
+    its base in index order, then by its axis."""
+    net = _circular_net(np.random.default_rng(4), (4, 4))
+    initial = _initial_element(net)
+    for to, source in copies:
+        net[to] = net[source]
+    with pytest.raises(GeometryError, match=rf"^colliding base points at {re.escape(first)}$"):
+        pcen_from_circular(net, initial)
+
+
 def test_pcen_rejects_wrong_initial_element():
     rng = np.random.default_rng(5)
     net = _circular_net(rng, (3, 3))
@@ -152,6 +173,46 @@ def test_face_closure_needs_an_hp1_base():
     pcen = pcen_from_complex_cr(_sphere_c(), evolve_net_complex(curve, seeds, 1j))
     with pytest.raises(GeometryError, match="face closure needs a 2-dim hp1 base"):
         pcen_face_closure(pcen)
+
+
+def _adjacency_reference(pcen):
+    """pcen_adjacency_residual one axis at a time, the edges of each axis
+    from two shifted slices (a test-only copy of the per-axis pass)."""
+    worst = 0.0
+    for ax in range(pcen.base.dim):
+        if pcen.base.shape[ax] < 2:
+            continue
+        lo = (slice(None),) * ax + (slice(None, -1),)
+        hi = (slice(None),) * ax + (slice(1, None),)
+        p1, p2 = pcen.points[lo].reshape(-1, 4), pcen.points[hi].reshape(-1, 4)
+        f1, f2 = pcen.functionals[lo].reshape(-1, 4), pcen.functionals[hi].reshape(-1, 4)
+        v, w = _orthonormal_pairs(p1, p2)
+        r = _member_residuals(p1, f1, v, w) + _member_residuals(p2, f2, v, w)
+        worst = max(worst, float(r.max()))
+    return worst
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 4), (2, 1, 3)])
+def test_adjacency_residual_of_a_3_dim_pcen_document_is_the_per_axis_one(shape):
+    """All edges in one pass give the per-axis residual bit for bit: on the
+    alternating net of a 3-dim complex cross-ratio base, whose elements
+    share their spheres, and on random elements, which do not."""
+    rng = np.random.default_rng(41)
+    base = LatticeNet(len(shape), shape, "cp1",
+                      data=rng.standard_normal(shape + (2,)) + 1j * rng.standard_normal(shape + (2,)))
+    alternating = pcen_from_complex_cr(_sphere_c(), base)
+    points = rng.standard_normal(shape + (4,)) + 1j * rng.standard_normal(shape + (4,))
+    planes = rng.standard_normal(shape + (4,)) + 1j * rng.standard_normal(shape + (4,))
+    # each plane through its point: f @ p = 0
+    planes -= ((planes * points).sum(-1) / (points.conj() * points).sum(-1))[..., None] \
+        * points.conj()
+    residuals = []
+    for pts, fns in ((alternating.points, alternating.functionals), (points, planes)):
+        doc = pcen_to_doc(PCEN(LatticeNet(len(shape), shape, "hp1"), pts, fns))
+        pcen = doc_to_pcen(doc)
+        residuals.append(pcen_adjacency_residual(pcen))
+        assert residuals[-1] == _adjacency_reference(pcen)
+    assert residuals[0] < 1e-9 < residuals[1]
 
 
 def test_pcen_from_complex_cr_connecting_spheres_half_touch():

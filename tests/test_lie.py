@@ -257,6 +257,41 @@ def test_touching_coins_coplanar_fallback():
     assert rpt.sphere_tags == ["half_touch"] * 4
 
 
+def _benchmark_chains():
+    """The 20 geodesic coin chains of the seed-1 sphere_kernels inputs, as
+    circle_to_Q3 pairs: each input draws 17 random points, whose last four
+    give the chain's directions, and then 19 more numbers."""
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        points = rng.standard_normal((17, 4))
+        rng.uniform(size=3), rng.standard_normal(16)
+        qs = []
+        for x in points[13:]:
+            q = HPoint.from_quaternion(Quaternion(*x)).affine()
+            q = Quaternion(0.0, q.x, q.y, q.z).normalized()
+            qs.append(np.array([q.x, q.y, q.z]))
+        yield [circle_to_Q3(*_ortho_circle_points(qs[k - 1], qs[k]), FORM) for k in range(4)]
+
+
+def test_sphere_tags_need_no_orientation_preference():
+    """The sphere through the contact points meets every representative as
+    given, whichever orientation each circle is given in: the chains of the
+    benchmark by their first representatives, their j-images and their
+    second representatives, and the coplanar chain as given, as j-images and
+    mixed, all report four touches and four half-touches."""
+    chains = []
+    for pairs in _benchmark_chains():
+        first = [a for a, _ in pairs]
+        chains += [first, [j_on_bivector(a) for a in first], [b for _, b in pairs]]
+    coplanar = _coplanar_coin_circles()
+    chains += [coplanar, [j_on_bivector(c) for c in coplanar],
+               [j_on_bivector(c) if k % 2 else c for k, c in enumerate(coplanar)]]
+    for circles in chains:
+        rpt = touching_coins_check(circles, FORM)
+        assert rpt.contact_tags == ["touch"] * 4
+        assert rpt.sphere_tags == ["half_touch"] * 4
+
+
 def test_touching_coins_rejects_broken_chain():
     circles = _coplanar_coin_circles()
     # move the third circle so it no longer touches its neighbors

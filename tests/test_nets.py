@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import re
 import tracemalloc
 
@@ -29,7 +30,12 @@ from twistnets.twistor import (
     twistor_fiber,
 )
 from twistnets.xratio import INF, as_ext, complex_cr, quat_cr, quat_fourth_point, cross_det
-from twistnets.contact import contact_element, pcen_from_circular
+from twistnets.contact import (
+    contact_element,
+    pcen_adjacency_residual,
+    pcen_face_closure,
+    pcen_from_circular,
+)
 from twistnets.nets import (
     LatticeNet,
     bianchi_check,
@@ -713,6 +719,40 @@ def test_circular_evolution_works_in_memory_bounded_by_the_net(width, height):
     assert net.data.nbytes == 128_000 and peak < 2_000_000
 
 
+@pytest.mark.parametrize("width, height", [(1000, 2), (2, 1000)])
+def test_the_circular_pipeline_works_in_memory_bounded_by_the_net(width, height):
+    """The first face_planarity, face_vectors, pcen_from_circular,
+    pcen_face_closure and pcen_adjacency_residual on each net each peak
+    under 3 MB (tracemalloc): 1.1 to 2.3 MB with the faces and edges read
+    from box_cells, 0.7 to 2.1 MB with the per-axis slices before it."""
+    rng = np.random.default_rng(31)
+    points = [_hp(*rng.standard_normal(4)) for _ in range(width + height - 1)]
+    direction = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+
+    def steps(net):
+        initial = contact_element(net[0, 0], normalize_proj(wedge(net[0, 0].lift(), direction)))
+        pcen = []
+        return [lambda: face_planarity(net, (0, 0), (0, 1)), lambda: face_vectors(net),
+                lambda: pcen.append(pcen_from_circular(net, initial)),
+                lambda: pcen_face_closure(pcen[0]), lambda: pcen_adjacency_residual(pcen[0])]
+
+    # a small net first, so that one-time allocations stay out of the count
+    for step in steps(evolve_net_circular(points[:3], points[3:5], -0.7)):
+        step()
+    net = evolve_net_circular(points[:width], points[width:], -0.7)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for step in steps(net):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 5 and max(peaks) < 3_000_000
+
+
 def test_a_write_after_every_cache_is_built_changes_every_reading():
     """A write drops both caches of a net: lifts() and planarity_lists().
     After it, face_planarity, ambient(), pcen_from_circular and the
@@ -814,6 +854,81 @@ def test_face_residuals_are_the_per_face_decomposition_bit_for_bit(kind, shape, 
         # the planarity report's reading: one stacked decomposition
         assert span_ratios(vecs).tolist() == [
             span_ratios(net.ambient()[i]).tolist() for i in idx]
+
+
+def _faces_reference(net):
+    """LatticeNet.faces() as a generator over the box's indices, before the
+    faces came from box_cells (a test-only copy)."""
+    pairs = list(itertools.combinations(range(net.dim), 2))
+    for idx in net.indices():
+        for a, b in pairs:
+            if idx[a] + 1 < net.shape[a] and idx[b] + 1 < net.shape[b]:
+                yield idx, (a, b)
+
+
+def _face_corners_reference(arr, dim, a, b):
+    """arr (box + tail) at the four corners of every face along the axes
+    a < b, by slices (a test-only copy)."""
+    def corner(da, db):
+        cut = [slice(None)] * dim
+        cut[a] = slice(da, da + arr.shape[a] - 1)
+        cut[b] = slice(db, db + arr.shape[b] - 1)
+        return arr[tuple(cut)]
+    return np.stack([corner(da, db) for da, db in ((0, 0), (1, 0), (1, 1), (0, 1))], axis=dim)
+
+
+def _face_vectors_reference(net):
+    """face_vectors before box_cells: the faces of each axis pair by slices,
+    put in faces() order by an argsort (a test-only copy)."""
+    faces = list(_faces_reference(net))
+    if not faces:
+        net.ambient()
+        return faces, np.zeros((0, 4, 6), dtype=complex)
+    pairs = list(itertools.combinations(range(net.dim), 2))
+    flat = np.arange(net.present.size).reshape(net.shape)
+    order = np.argsort(np.concatenate([
+        _face_corners_reference(flat, net.dim, a, b)[..., 0].ravel() * len(pairs) + p
+        for p, (a, b) in enumerate(pairs)]))
+    complete = np.concatenate([_face_corners_reference(net.present, net.dim, a, b)
+                               .all(axis=-1).ravel() for a, b in pairs])[order]
+    if not complete.all():
+        _face_index_reference(net, *faces[int(np.argmin(complete))])
+    amb = net.ambient()
+    return faces, np.concatenate([
+        _face_corners_reference(amb, net.dim, a, b).reshape(-1, 4, amb.shape[-1])
+        for a, b in pairs])[order]
+
+
+@pytest.mark.parametrize("kind, shape", [
+    ("hp1", (3, 0, 2)), ("q4", (0,)), ("hp1", (5,)), ("q4", (0, 3, 2, 2)), ("cp3", (2, 2, 2, 2)),
+    ("hp1", (3, 1, 2, 3)), ("q4", (2, 3, 1, 2)),
+])
+@pytest.mark.parametrize("missing", [0.0, 0.1])
+def test_faces_of_boxes_the_property_test_does_not_draw(kind, shape, missing):
+    """A box with an empty axis, with one axis, and with four axes: faces()
+    and face_vectors read as the generator and the argsort did, and every
+    face's ratio is that of its own decomposition."""
+    rng = np.random.default_rng(sum(shape) + 10 * len(shape) + int(100 * missing))
+    net = _random_net(kind, shape, missing, False, rng)
+    faces = list(net.faces())
+    assert faces == list(_faces_reference(net))
+    try:
+        want_faces, want = _face_vectors_reference(net)
+    except GeometryError as exc:
+        with pytest.raises(GeometryError, match=f"^{re.escape(str(exc))}$"):
+            face_vectors(net)
+    else:
+        got_faces, got = face_vectors(net)
+        assert got_faces == want_faces
+        assert got.tobytes() == want.tobytes() and (not faces or got.shape == want.shape)
+    for base, axes in faces:
+        try:
+            want = _planarity_reference(net, base, axes)
+        except GeometryError as exc:
+            with pytest.raises(GeometryError, match=f"^{re.escape(str(exc))}$"):
+                face_planarity(net, base, axes)
+        else:
+            assert face_planarity(net, base, axes) == want
 
 
 def test_face_planarity_never_wraps_an_index():
