@@ -198,7 +198,7 @@ def doc_to_net(doc: dict) -> LatticeNet:
     """Rebuild a lattice net from a parsed document (values kept verbatim)."""
     kind, dim, box = _doc_header(doc)
     if kind == "pcen":
-        raise GeometryError("pcen documents are handled separately")
+        raise GeometryError("this command needs a net document, not a pcen document")
     net = LatticeNet(dim, box, kind, metadata=_metadata_in(doc.get("metadata", {})))
     # the document's values go into the fresh net's arrays as they are, so
     # that a re-export reproduces the file byte for byte
@@ -492,11 +492,10 @@ def _export_lattice(net: LatticeNet, axis: int, lines: list):
         index_of[flat] = len(index_of) + 1
         coords = [v[0], v[1], 0.0] if net.kind == "cp1" else _chart3(v, axis)
         lines.append("v " + " ".join(_fmt(c) for c in coords))
-    if net.dim == 2:
-        for quad in box_cells(net.shape, 2)[2].tolist():
-            if all(k in index_of for k in quad):
-                lines.append("f " + " ".join(str(index_of[k]) for k in quad))
-    elif net.dim == 1 and len(index_of) >= 2:
+    for quad in box_cells(net.shape, 2)[2].tolist():
+        if all(k in index_of for k in quad):
+            lines.append("f " + " ".join(str(index_of[k]) for k in quad))
+    if net.dim == 1 and len(index_of) >= 2:
         lines.append("l " + " ".join(str(k) for k in index_of.values()))
 
 

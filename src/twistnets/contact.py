@@ -278,69 +278,68 @@ def _check_distinct_neighbors(lifts: np.ndarray):
 
 
 def pcen_from_circular(base: LatticeNet, initial: NullLine) -> PCEN:
-    """Propagate an initial contact element over a circular base net.
+    """Propagate an initial contact element over a circular base net of any
+    dimension.
 
-    The fiber matrices of every base point are built once.  Column m = 0 is
-    propagated along n, and every later column from the one before it in one
-    step: the element at (m, n) comes from (m - 1, n), or from (0, n - 1)
-    when m = 0.  For circular bases the two routes agree on every face,
-    which pcen_face_closure verifies.  A failed step names the first vertex
-    it fails at, in row order, and the one it propagates from.
+    The fiber matrices of every base point are built once.  The axes are
+    walked last first: along axis a, the slab origin[:a] + (k,) comes from
+    origin[:a] + (k - 1,) in one step, for k = 1 ... n_a - 1.  On a 2-dim net
+    that is column m = 0 along n, then every later column from the one
+    before it.  For circular bases the two routes agree on every face, which
+    pcen_face_closure verifies.  A failed step names the first vertex it
+    fails at, in index order, and the one it propagates from.
     """
-    if base.kind != "hp1" or base.dim != 2:
-        raise GeometryError("circular base must be a 2-dim hp1 net")
+    if base.kind != "hp1":
+        raise GeometryError("circular base must be an hp1 net")
     base.require_complete()
     lifts = base.lifts()
     _check_distinct_neighbors(lifts)
+    origin = (0,) * base.dim
     rp = null_line_real_point(initial)
-    if rp is None or not rp.isclose(base[0, 0], 1e-7):
+    if rp is None or not rp.isclose(base[origin], 1e-7):
         raise GeometryError("initial element must be a contact element at the origin")
     fibers, meets, joins = fiber_matrices(lifts)
     points = np.empty_like(lifts)
     functionals = np.empty_like(lifts)
-    points[0, 0], functionals[0, 0] = initial.point, initial.plane.functional
+    points[origin], functionals[origin] = initial.point, initial.plane.functional
     try:
-        for n in range(1, base.shape[1]):
-            at = (0, n)
-            points[at], functionals[at] = _propagate(
-                points[0, n - 1], functionals[0, n - 1], fibers[at], meets[at], joins[at])
-        for m in range(1, base.shape[0]):
-            at = (m,)
-            points[m], functionals[m] = _propagate(
-                points[m - 1], functionals[m - 1], fibers[m], meets[m], joins[m])
+        for a in reversed(range(base.dim)):
+            for k in range(1, base.shape[a]):
+                at, prev = origin[:a] + (k,), origin[:a] + (k - 1,)
+                points[at], functionals[at] = _propagate(
+                    points[prev], functionals[prev], fibers[at], meets[at], joins[at])
     except StepError as exc:
-        m, n = at + exc.row
-        source = (m - 1, n) if m else (0, n - 1)
-        raise GeometryError(f"at {(m, n)} from {source}: {exc}") from exc
+        raise GeometryError(f"at {at + exc.row} from {prev + exc.row}: {exc}") from exc
     return PCEN(base, points, functionals)
 
 
 def closure_faces(pcen: PCEN) -> np.ndarray:
-    """Which faces pcen_face_closure checks: a boolean array over the faces
-    (m, n) -> (m + 1, n + 1) of a 2-dim net, true where the far vertex
-    (m + 1, n + 1) has a base point."""
-    if pcen.base.kind != "hp1" or pcen.base.dim != 2:
-        raise GeometryError("face closure needs a 2-dim hp1 base net")
-    return pcen.base.present[1:, 1:].copy()
+    """Which faces pcen_face_closure checks: a boolean mask over the faces of
+    box_cells(shape, 2), true where the far corner (CORNER_STEPS[2]) has a
+    base point."""
+    if pcen.base.kind != "hp1":
+        raise GeometryError("face closure needs an hp1 base net")
+    return pcen.base.present.reshape(-1)[box_cells(pcen.base.shape, 2)[2][:, 2]]
 
 
 def pcen_face_closure(pcen: PCEN) -> float:
     """Largest disagreement between the two propagation routes over a face.
 
-    On each face of closure_faces the element at the far vertex is
-    propagated once from each of its two lower neighbours, all faces in one
-    step per route on fiber matrices built once; the residual is the larger
-    proj_distance of the two points and of the two plane functionals.
+    On each face of closure_faces the element at the far corner is
+    propagated once from each of its neighbours on the face, corners 3 and
+    1, all faces in one step per route on fiber matrices built once; the
+    residual is the larger proj_distance of the two points and of the two
+    plane functionals.
     """
     faces = closure_faces(pcen)
     if not faces.any():
         return 0.0
     pcen.require_elements()
-    points, functionals = pcen.points, pcen.functionals
-    fiber = fiber_matrices(pcen.base.lifts()[1:, 1:][faces])
-    via_m = _propagate(points[:-1, 1:][faces], functionals[:-1, 1:][faces], *fiber)
-    via_n = _propagate(points[1:, :-1][faces], functionals[1:, :-1][faces], *fiber)
-    return float(max(_proj_distances(a, b).max() for a, b in zip(via_m, via_n)))
+    corners = box_cells(pcen.base.shape, 2)[2][faces].T
+    points, functionals = (a.reshape(-1, 4) for a in (pcen.points, pcen.functionals))
+    fiber = fiber_matrices(pcen.base.lifts().reshape(-1, 4)[corners[2]])
+    via_3, via_1 = (_propagate(points[c], functionals[c], *fiber) for c in corners[[3, 1]])
+    return float(max(_proj_distances(a, b).max() for a, b in zip(via_3, via_1)))
 
 
 def _proj_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from twistnets.cli import (
     parse_complex,
     pcen_to_doc,
 )
-from twistnets.contact import contact_element, pcen_from_circular, pcen_from_complex_cr
+from twistnets.contact import PCEN, contact_element, pcen_from_circular, pcen_from_complex_cr
 from twistnets.nets import (
     LatticeNet,
     evolve_net_circular,
@@ -406,6 +406,34 @@ def test_export_obj_skips_infinity(tmp_path, capsys):
     src = _write(tmp_path, "curve.json", doc)
     assert main(["export", src, "-o", str(tmp_path / "c.obj")]) == 0
     assert "infinity" in capsys.readouterr().err
+
+
+def _grid_net(shape):
+    """A circular hp1 net of any dimension up to 4: a box grid in H, axis a
+    along the quaternion unit a, so that every face is a rectangle."""
+    net = LatticeNet(len(shape), shape, "hp1")
+    for idx in net.indices():
+        q = [0.3, -0.2, 0.5, 0.1]
+        q[:len(idx)] = [c + 0.7 * i + 0.1 * i * i for c, i in zip(q, idx)]
+        net[idx] = HPoint.from_quaternion(Quaternion(*q))
+    return net
+
+
+def test_export_obj_writes_the_quads_of_a_3_dim_net(tmp_path, capsys):
+    # every 2-cell of box_cells whose four corners were written is a quad:
+    # the 8 + 9 + 12 faces of a 2 x 3 x 4 box, less the three at a vertex at
+    # infinity.  Before, a net of any dimension but 2 wrote vertices only
+    doc = net_to_doc(_grid_net((2, 3, 4)))
+    obj = tmp_path / "net.obj"
+    for infinite, faces in ((None, 29), ("0,0,0", 26)):
+        if infinite is not None:
+            doc["entries"][infinite] = None
+        assert main(["export", _write(tmp_path, "net.json", doc), "-o", str(obj)]) == 0
+        text = obj.read_text().splitlines()
+        assert sum(l.startswith("v ") for l in text) == 24 - (infinite is not None)
+        assert sum(l.startswith("f ") for l in text) == faces
+        assert not any(l.startswith("l ") for l in text)
+    assert capsys.readouterr().err == "warning: skipping point at infinity at index (0, 0, 0)\n"
 
 
 def test_export_obj_sphere_matches_circumsphere(tmp_path):
@@ -833,6 +861,57 @@ def test_pcen_closure_checks_faces_with_a_far_base_point(tmp_path, capsys):
     closure = rep["faces"][0]
     assert closure["face"] == "closure" and closure["faces"] == 24
     assert 0.0 < closure["residual"] < 1e-12
+
+
+def _grid_pcen_doc(shape):
+    net = _grid_net(shape)
+    origin = net[(0,) * len(shape)]
+    sphere = normalize_proj(wedge(origin.lift(), np.array([1.0, 2.0j, -0.5, 1.0 + 1.0j])))
+    return pcen_to_doc(pcen_from_circular(net, contact_element(origin, sphere)))
+
+
+@pytest.mark.parametrize("shape, faces", [((5,), 0), ((2, 3, 2), 4 + 3 + 4)])
+def test_pcen_documents_of_any_dimension_are_checked(tmp_path, capsys, shape, faces):
+    # before, the closure of any but a 2-dim PCEN document exited 2 with
+    # "face closure needs a 2-dim hp1 base net"
+    assert main(["check", _write(tmp_path, "pcen.json", _grid_pcen_doc(shape)), "--json"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    closure, adjacency = json.loads(out.out)["faces"]
+    assert (closure["face"], closure["faces"], adjacency["face"]) == ("closure", faces, "adjacency")
+    assert closure["residual"] < 1e-12 and adjacency["residual"] < 1e-12
+
+
+def test_pcen_document_of_a_3_dim_box_without_base_points_reports_the_adjacency(tmp_path, capsys):
+    # the alternating elements of a 2 x 2 x 2 complex cross-ratio net, with
+    # no base points: the closure checks no face, and the adjacency, which
+    # no report reached before, holds
+    rng = np.random.default_rng(18)
+    base = LatticeNet(3, (2, 2, 2), "cp1", data=rng.standard_normal((2, 2, 2, 2))
+                      + 1j * rng.standard_normal((2, 2, 2, 2)))
+    e = np.eye(4, dtype=complex)
+    pcen = pcen_from_complex_cr(normalize_proj(wedge(e[0], e[2])), base)
+    doc = pcen_to_doc(PCEN(LatticeNet(3, (2, 2, 2), "hp1"), pcen.points, pcen.functionals))
+    assert main(["check", _write(tmp_path, "pcen.json", doc)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "closure: 0.000e+00 over 0 faces"
+    assert out[1].startswith("adjacency: ") and float(out[1].split()[1]) < 1e-15
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{src}", "--report", "planarity"],
+    ["check", "{src}", "--report", "conic"],
+    ["check", "{src}", "--report", "cr"],
+    ["evolve", "{src}", "--mode", "circular", "--lambda", "-1"],
+    ["holonomy", "{src}", "--lambda", "-1"],
+], ids=["planarity", "conic", "cr", "evolve", "holonomy"])
+def test_commands_that_read_nets_refuse_a_pcen_document(tmp_path, capsys, argv):
+    # before, the message said only "pcen documents are handled separately"
+    src = _write(tmp_path, "pcen.json", _pcen_doc(np.random.default_rng(19), 3))
+    assert main([a.format(src=src) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: this command needs a net document, not a pcen document\n"
+    assert out.out == ""
 
 
 @pytest.mark.parametrize("box", [[0, 3], [3, 0]])

@@ -12,14 +12,22 @@ from twistnets.proj4 import (
     plane_from_span,
     wedge,
 )
-from twistnets.twistor import HPoint, classify_contact, twistor_fiber
+from twistnets.twistor import HPoint, classify_contact, j_on_vector, twistor_fiber, twistor_project
+from twistnets.xratio import moebius_apply
 from twistnets.cli import doc_to_pcen, pcen_to_doc
-from twistnets.nets import LatticeNet, evolve_net_circular, evolve_net_complex, sphere_frame
+from twistnets.nets import (
+    LatticeNet,
+    box_cells,
+    evolve_net_circular,
+    evolve_net_complex,
+    sphere_frame,
+)
 from twistnets.contact import (
     PCEN,
     NullLine,
     _member_residuals,
     _orthonormal_pairs,
+    closure_faces,
     contact_element,
     null_line_real_point,
     pcen_adjacency_residual,
@@ -171,8 +179,73 @@ def test_face_closure_needs_an_hp1_base():
     curve = [complex(*rng.standard_normal(2)) for _ in range(3)]
     seeds = [complex(*rng.standard_normal(2)) for _ in range(2)]
     pcen = pcen_from_complex_cr(_sphere_c(), evolve_net_complex(curve, seeds, 1j))
-    with pytest.raises(GeometryError, match="face closure needs a 2-dim hp1 base"):
+    with pytest.raises(GeometryError, match="face closure needs an hp1 base"):
         pcen_face_closure(pcen)
+
+
+def _grid_net(rng, shape):
+    """A circular net of any dimension up to 4: a box grid in H, axis a
+    along the quaternion unit a with random steps, so that every face is a
+    rectangle, mapped by a random Moebius transformation."""
+    m = tuple(tuple(Quaternion(*rng.standard_normal(4)) for _ in range(2)) for _ in range(2))
+    ticks = [np.cumsum(rng.uniform(0.3, 1.0, n)) for n in shape]
+    offset = rng.standard_normal(4)
+    net = LatticeNet(len(shape), shape, "hp1")
+    for idx in np.ndindex(*shape):
+        q = offset.copy()
+        q[:len(idx)] += [t[i] for t, i in zip(ticks, idx)]
+        net[idx] = moebius_apply(m, HPoint.from_quaternion(Quaternion(*q)))
+    return net
+
+
+def _origin_element(net, rng):
+    """A contact element at the origin of the net, on a random sphere."""
+    origin = net[(0,) * net.dim]
+    return contact_element(origin, _touching_sphere(origin, rng))
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (2, 2, 2), (4, 1, 3), (3, 3, 3), (2, 3, 2, 2)])
+def test_pcen_over_a_circular_grid_of_any_dimension_closes(shape):
+    """Propagated along the axes, last first, the PCEN of a 3- or 4-dim
+    circular net closes on every face of box_cells and shares a sphere
+    along every edge (measured: at most 6.0e-14 and 1.1e-14)."""
+    rng = np.random.default_rng(sum(shape))
+    net = _grid_net(rng, shape)
+    pcen = pcen_from_circular(net, _origin_element(net, rng))
+    assert pcen_face_closure(pcen) < 1e-9
+    assert pcen_adjacency_residual(pcen) < 1e-9
+    assert closure_faces(pcen).sum() == len(box_cells(shape, 2)[0])
+    for idx in net.indices():
+        assert null_line_real_point(pcen[idx]).isclose(net[idx], 1e-7)
+
+
+def test_pcen_over_a_random_3_dim_net_fails_the_closure():
+    """The control: the faces of a net of random points are not circular,
+    and the two routes over them disagree (measured: 1.41)."""
+    rng = np.random.default_rng(20)
+    net = LatticeNet(3, (3, 3, 3), "hp1")
+    for idx in net.indices():
+        net[idx] = _hp(*rng.standard_normal(4))
+    assert pcen_face_closure(pcen_from_circular(net, _origin_element(net, rng))) > 1e-3
+
+
+@pytest.mark.parametrize("gap, message", [
+    (5e-10, "fiber-in-plane degeneracy: line-in-plane: "),
+    (1.5e-9, "next point coincides with the element's point: degenerate-span: rank 2"),
+])
+def test_a_3_dim_pcen_names_the_vertex_of_a_neighbour_near_the_fiber(gap, message):
+    """A failed step of a 3-dim propagation names its vertex and its source
+    as index triples: (1, 0, 1), moved to fiber distance gap from (0, 0, 1),
+    fails the step along axis 0 that comes from it."""
+    rng = np.random.default_rng(5)
+    net = _grid_net(rng, (3, 3, 3))
+    v = net[0, 0, 1].lift()
+    d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    d = d - v * np.vdot(v, d) - j_on_vector(v) * np.vdot(j_on_vector(v), d)
+    net[1, 0, 1] = twistor_project(v + gap * d / np.linalg.norm(d))
+    with pytest.raises(GeometryError,
+                       match=re.escape(f"at (1, 0, 1) from (0, 0, 1): {message}")):
+        pcen_from_circular(net, _origin_element(net, rng))
 
 
 def _adjacency_reference(pcen):

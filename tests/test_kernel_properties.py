@@ -39,11 +39,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from twistnets.cli import doc_to_pcen, pcen_to_doc
 from twistnets.contact import (
     PCEN,
     PENCIL_TOL,
     NullLine,
+    _propagate,
+    _proj_distances,
+    closure_faces,
     contact_element,
+    fiber_matrices,
     pcen_adjacency_residual,
     pcen_face_closure,
     pcen_from_circular,
@@ -554,6 +559,80 @@ def test_pcen_residuals_stay_within_twice_the_route_by_route_ones():
         adjacency = max(adjacency, pcen_adjacency_residual(pcen))
     assert closure <= 2.0 * ROUTE_BY_ROUTE_CLOSURE
     assert adjacency <= 2.0 * ROUTE_BY_ROUTE_ADJACENCY
+
+
+def _pcen_from_circular_2d(base, initial):
+    """pcen_from_circular as it was for 2-dim bases only: column m = 0 along
+    n, then each later column from the one before it (a test-only copy,
+    without its checks)."""
+    lifts = base.lifts()
+    fibers, meets, joins = fiber_matrices(lifts)
+    points, functionals = np.empty_like(lifts), np.empty_like(lifts)
+    points[0, 0], functionals[0, 0] = initial.point, initial.plane.functional
+    for n in range(1, base.shape[1]):
+        at = (0, n)
+        points[at], functionals[at] = _propagate(
+            points[0, n - 1], functionals[0, n - 1], fibers[at], meets[at], joins[at])
+    for m in range(1, base.shape[0]):
+        points[m], functionals[m] = _propagate(
+            points[m - 1], functionals[m - 1], fibers[m], meets[m], joins[m])
+    return PCEN(base, points, functionals)
+
+
+def _closure_faces_2d(pcen):
+    """closure_faces as it was: the far vertices (m + 1, n + 1) of the
+    faces, by 2-dim slices (a test-only copy)."""
+    return pcen.base.present[1:, 1:].copy()
+
+
+def _pcen_face_closure_2d(pcen):
+    """pcen_face_closure as it was: the far vertices and their two lower
+    neighbours by 2-dim slices (a test-only copy)."""
+    faces = _closure_faces_2d(pcen)
+    if not faces.any():
+        return 0.0
+    points, functionals = pcen.points, pcen.functionals
+    fiber = fiber_matrices(pcen.base.lifts()[1:, 1:][faces])
+    via_m = _propagate(points[:-1, 1:][faces], functionals[:-1, 1:][faces], *fiber)
+    via_n = _propagate(points[1:, :-1][faces], functionals[1:, :-1][faces], *fiber)
+    return float(max(_proj_distances(a, b).max() for a, b in zip(via_m, via_n)))
+
+
+def _assert_as_in_2d(pcen):
+    """closure_faces and pcen_face_closure give the 2-dim slice copies'
+    mask, in box_cells order, and closure bit for bit."""
+    assert (closure_faces(pcen) == _closure_faces_2d(pcen).ravel()).all()
+    assert pcen_face_closure(pcen) == _pcen_face_closure_2d(pcen)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_pcen_on_the_lattice_table_is_the_2_dim_one_bit_for_bit(seed):
+    """On nets drawn as the circular_pcen workload draws them, and on their
+    1 x N, N x 1 and 2 x 2 corners, the propagation over any dimension and
+    the closure over box_cells faces equal the 2-dim slice copies bit for
+    bit: each step takes the same rows in the same order."""
+    for curve, seeds, lam, sphere in _circular_pcen_inputs(seed, 8):
+        for rows, cols in ((24, 24), (1, 24), (24, 1), (2, 2)):
+            net = evolve_net_circular(curve[:rows], seeds[:cols - 1], lam)
+            initial = contact_element(net[0, 0], sphere)
+            pcen, want = pcen_from_circular(net, initial), _pcen_from_circular_2d(net, initial)
+            assert pcen.points.tobytes() == want.points.tobytes()
+            assert pcen.functionals.tobytes() == want.functionals.tobytes()
+            _assert_as_in_2d(pcen)
+
+
+def test_pcen_document_missing_far_base_points_closes_as_in_2d():
+    """A PCEN document without base points at some far corners: the closure
+    leaves out the same faces as the 2-dim slice copy, and its value is that
+    copy's bit for bit."""
+    curve, seeds, lam, sphere = next(_circular_pcen_inputs(4, 1, size=6))
+    net = evolve_net_circular(curve, seeds, lam)
+    doc = pcen_to_doc(pcen_from_circular(net, contact_element(net[0, 0], sphere)))
+    for key in ("1,1", "2,4", "5,5", "0,3", "3,0"):
+        del doc["entries"][key]["base"]
+    pcen = doc_to_pcen(doc)
+    assert int(closure_faces(pcen).sum()) == 25 - 3
+    _assert_as_in_2d(pcen)
 
 
 # each component scaled by 10^-k, k = 0...9, so that some fall below the
