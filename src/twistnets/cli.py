@@ -30,7 +30,7 @@ from .proj4 import (
     wedge,
 )
 from .twistor import INF_PAIR, QUAT_ONE, HPoint, SphereEndo, affine_rows, sphere_from_line
-from .xratio import ExtC, complex_cr
+from .xratio import REAL_TOL, ExtC, complex_cr
 from .nets import (
     LatticeNet,
     box_cells,
@@ -333,7 +333,7 @@ def cmd_evolve(args) -> int:
     if args.mode == "circular":
         if net.kind != "hp1":
             raise GeometryError("circular evolution needs an hp1 curve")
-        if abs(lam.imag) > 1e-13:
+        if abs(lam.imag) > REAL_TOL:
             raise GeometryError("circular evolution needs a real lambda")
         out = evolve_net_circular(curve, _circular_seeds(tv, steps, rng), lam.real)
     else:

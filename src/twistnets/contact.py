@@ -80,10 +80,6 @@ class NullLine:
         u, v = self.pencil_basis()
         return normalize_proj(wedge(self.point, u * z.num + v * z.den))
 
-    def sample(self, n: int) -> list:
-        return [self.member(complex(np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)))
-                for t in np.linspace(0.0, 1.0, n, endpoint=False)]
-
     def contains_line(self, a: np.ndarray, tol: float = 1e-7) -> bool:
         """True iff the line a is a member of the pencil."""
         v, w = proj4.line_factorize(a)
@@ -176,8 +172,8 @@ def _propagate(points: np.ndarray, functionals: np.ndarray, fibers: np.ndarray,
     Taken in the fiber's coordinates, the meet is a combination of the
     stored rows v and vj; through the 4x4 line matrix of v ^ vj, one product
     fewer, PCEN closure and adjacency residuals came out about a quarter
-    larger.  The checks are those of the scalar constructions: meet_span's
-    line-in-plane cut (relative to |v| |vj| = 1), span_planes' certificate
+    larger.  The checks are those of the scalar constructions: meet_line's
+    line-in-plane cut (relative to |v ^ vj| = 1), span_planes' certificate
     with an SVD for each row it leaves open, and NullLine's pencil condition.
     """
     point = ((functionals[..., None, :] @ meets) @ fibers)[..., 0, :]

@@ -57,10 +57,11 @@ from .twistor import (
     quat_pairs,
 )
 from .xratio import (
+    REAL_TOL,
     ExtC,
     as_ext,
-    check_real_cross_ratio,
-    complex_fourth_point,
+    check_cross_ratio,
+    complex_fourth_step,
     cross_det,
     fourth_points_on_frames,
 )
@@ -299,12 +300,7 @@ def _span_coordinates(points):
     if basis.shape[1] < 4:
         raise GeometryError("seven points span fewer than four dimensions")
     # the basis is orthonormal, so coordinates are inner products
-    pts = np.array(points).T
-    coords = basis.conj().T @ pts
-    resid = np.linalg.norm(basis @ coords - pts, axis=0)
-    if np.any(resid > 1e-7 * np.linalg.norm(pts, axis=0)):
-        raise GeometryError("point does not lie in the common span")
-    return basis, coords.T
+    return basis, (basis.conj().T @ np.array(points).T).T
 
 
 def hexahedron_complete(phi, phi1, phi2, phi3, phi12, phi13, phi23) -> np.ndarray:
@@ -333,21 +329,21 @@ def hexahedron_complete(phi, phi1, phi2, phi3, phi12, phi13, phi23) -> np.ndarra
 
 
 def evolve_complex_cr(curve, seed, lam) -> list:
-    """One step of the complex cross-ratio evolution of a curve in CP^1."""
-    lam = complex(lam)
-    if abs(lam) < 1e-13 or abs(lam - 1.0) < 1e-13:
-        raise GeometryError("degenerate lambda")
-    out = [as_ext(seed)]
-    curve = [as_ext(z) for z in curve]
+    """One step of the complex cross-ratio evolution of a curve in CP^1: the
+    row from seed, which tests lam once when it has a face."""
+    out, curve = [as_ext(seed)], [as_ext(z) for z in curve]
+    if len(curve) > 1:
+        check_cross_ratio(lam)
+        lam = as_ext(lam).value()
     for k in range(len(curve) - 1):
-        out.append(complex_fourth_point(curve[k + 1], curve[k], out[k], lam))
+        out.append(complex_fourth_step(curve[k + 1], curve[k], out[k], lam))
     return out
 
 
 def evolve_net_complex(curve, seeds, lam) -> LatticeNet:
     """Full 2-dim complex cross-ratio net from a curve and a transverse seed
-    column c+(0), c++(0), ..., evolved row by row; a degenerate step names
-    its row."""
+    column c+(0), c++(0), ..., evolved row by row; each row with a face
+    tests lam once, and a degenerate step names its row."""
     curve = [as_ext(z) for z in curve]
     if not curve:
         raise GeometryError("complex evolution needs a curve point")
@@ -383,8 +379,8 @@ def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
     A face whose p1 and p2 coincide is flagged, and the first flagged face
     in row order (n, then m) is named after the last diagonal: the faces
     before it read only faces before it, so it is the face a row-by-row
-    evolution fails on first.  A lam within DEFAULT_TOL of 0 or 1 fails the
-    first face, (1, 1), when there is one.
+    evolution fails on first.  A lam that check_cross_ratio refuses fails
+    the first face, (1, 1), when there is one.
     """
     curve, seeds, lam = list(curve), list(seeds), float(lam)
     if not curve:
@@ -395,12 +391,12 @@ def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
     frames = np.zeros((m_n, n_n, 2, 4), dtype=complex)
     frames[:, 0], frames[0, 1:] = np.split(np.stack([rows, j_on_vector(rows)], axis=-2), [m_n])
     if min(m_n, n_n) > 1:
-        lam_array = np.asarray(lam)
         try:
-            check_real_cross_ratio(lam_array)
+            check_cross_ratio(lam)
         except GeometryError as exc:
             why = "degenerate lambda at edge 0" if lam in (0.0, 1.0) else exc
             raise GeometryError(f"degenerate step in row 1: {why}") from exc
+        lam_array = np.asarray(lam)
         coincident = np.zeros((m_n, n_n), dtype=bool)
         p2, p3, p1, p4 = (frames.reshape(-1, 2, 4)[k:] for k in (0, 1, n_n, n_n + 1))
         flags, step = coincident.reshape(-1)[n_n + 1:], n_n - 1
@@ -447,7 +443,7 @@ def lift_to_QS2(S: np.ndarray, net: LatticeNet, lam=None) -> LatticeNet:
         lam = net.metadata.get("lambda")
     net.require_complete()
     eta = net.data.conj()
-    if lam is not None and abs(complex(lam).imag) >= 1e-13:
+    if lam is not None and abs(complex(lam).imag) > REAL_TOL:
         if net.dim != 2:
             raise GeometryError("complex-lambda lift needs a 2-dim net")
         eta = evolve_net_complex([net[m, 0].conj() for m in range(net.shape[0])],
@@ -583,6 +579,7 @@ def holonomy(closed_curve, lam):
     n = len(pts)
     if n < 3:
         raise GeometryError("closed curve needs at least three distinct points")
+    check_cross_ratio(lam)
     lam = complex(lam)
     h = np.eye(2, dtype=complex)
     # a product beyond the float range is reported, not handed to eig

@@ -496,26 +496,11 @@ def _svd_plane(rows: np.ndarray) -> np.ndarray:
 LINE_IN_PLANE = "line-in-plane: intersection is not a point"
 
 
-def meet_span(plane: ProjPlane, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Intersection point of a plane and the line span{v, w} not contained in
-    it.
-
-    With f the plane's functional the point is v (f @ w) - w (f @ v); the
-    line-in-plane test, the one of meet_line, is relative to |v| |w|.
-    """
-    v, w = np.asarray(v, dtype=complex), np.asarray(w, dtype=complex)
-    f = plane.functional
-    x = v * (f @ w) - w * (f @ v)
-    if _norm(x) < DEFAULT_TOL * _norm(v) * _norm(w):
-        raise GeometryError(LINE_IN_PLANE)
-    return normalize_proj(x)
-
-
 def meet_line(plane: ProjPlane, line: np.ndarray) -> np.ndarray:
     """Intersection point of a plane and a line (Pluecker vector) not contained in it.
 
     For line = v ^ w the line matrix maps the functional f to the point
-    v (f @ w) - w (f @ v), as in meet_span.
+    v (f @ w) - w (f @ v); the line-in-plane test is relative to |line|.
     """
     line = np.asarray(line, dtype=complex)
     if not is_decomposable(line, INCIDENCE_TOL):

@@ -41,11 +41,6 @@ class Quaternion:
         return Quaternion(float(t), 0.0, 0.0, 0.0)
 
     @staticmethod
-    def from_complex(c: complex) -> "Quaternion":
-        c = complex(c)
-        return Quaternion(c.real, c.imag, 0.0, 0.0)
-
-    @staticmethod
     def from_complex_pair(z1: complex, z2: complex) -> "Quaternion":
         """Build q = z1 + j z2.  Note j z2 = y j + z k with z2 = y - i z."""
         z1, z2 = complex(z1), complex(z2)

@@ -153,11 +153,6 @@ def pair_rows(v: np.ndarray) -> np.ndarray:
     return v.view(float).reshape(v.shape[:-1] + (2, 4)) * _CONJ_Z
 
 
-def fiber_rows(pairs: np.ndarray) -> np.ndarray:
-    """twistor_fiber over leading axes of quaternion pairs (..., 2, 4)."""
-    return lift_fiber_rows(lift_rows(pairs))
-
-
 def lift_fiber_rows(v: np.ndarray) -> np.ndarray:
     """The twistor fibers v ^ vj of unit lifts v (..., 4), normalized."""
     return normalize_rows(wedge_rows(v, j_on_vector(v)))

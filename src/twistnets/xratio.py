@@ -27,7 +27,9 @@ normalization, places its three lines at infinity, 1 and 0.
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,17 +106,48 @@ def complex_cr(z1, z2, z3, z4) -> ExtC:
     return ExtC(num, den)
 
 
+# |Im lam| above this makes a cross ratio complex: the circular evolution
+# refuses it, and the lift evolves the conjugate parameters by it
+REAL_TOL = 1e-13
+
+
+def check_cross_ratio(lam):
+    """The one test of a cross ratio before a fourth point, an evolution or
+    a holonomy is built on it.
+
+    lam is one value in a form as_ext takes, or an array of one per row.
+    Raises unless every value is finite and more than DEFAULT_TOL from 0
+    and 1, where the fourth point collapses onto p3 or p1.
+    """
+    if isinstance(lam, ExtC):
+        lam = math.inf if lam.is_infinity(1e-14) else lam.value()
+    if isinstance(lam, (int, float, complex)):
+        # one number in Python arithmetic, which costs less than numpy's
+        bad = cmath.isinf(lam), cmath.isnan(lam), min(abs(lam), abs(lam - 1.0)) < DEFAULT_TOL
+    else:
+        lam = np.asarray(lam)
+        bad = (np.isinf(lam).any(), np.isnan(lam).any(),
+               (np.minimum(np.abs(lam), np.abs(lam - 1.0)) < DEFAULT_TOL).any())
+    for degenerate, what in zip(bad, ("infinity", "nan", "0 or 1")):
+        if degenerate:
+            raise GeometryError(f"degenerate cross-ratio value {what}")
+
+
 def complex_fourth_point(z1, z2, z3, lam) -> ExtC:
     """The unique w with complex_cr(z1, z2, z3, w) = lam."""
-    z1, z2, z3, lam = as_ext(z1), as_ext(z2), as_ext(z3), as_ext(lam)
-    if lam.is_infinity(1e-14):
-        raise GeometryError("degenerate cross-ratio value infinity")
-    lv = lam.value()
-    if abs(lv) < DEFAULT_TOL or abs(lv - 1.0) < DEFAULT_TOL:
-        raise GeometryError("degenerate cross-ratio value 0 or 1")
+    check_cross_ratio(lam)
+    return complex_fourth_step(as_ext(z1), as_ext(z2), as_ext(z3), as_ext(lam).value())
+
+
+def complex_fourth_step(z1: ExtC, z2: ExtC, z3: ExtC, lam: complex) -> ExtC:
+    """complex_fourth_point on points of CP^1, with lam, checked by the
+    caller, as a complex number: the face step of the complex evolution."""
+    # the cross ratio of p1, p2 and any two points is 0, never lam
+    if z1.isclose(z2):
+        raise GeometryError("coincident points p1 and p2")
     a, b = cross_det(z1, z2), cross_det(z2, z3)
-    num = a * z3.num + lv * b * z1.num
-    den = a * z3.den + lv * b * z1.den
+    num = a * z3.num + lam * b * z1.num
+    den = a * z3.den + lam * b * z1.den
     # keep homogeneous pairs at unit scale so chained evaluations stay finite
     s = max(abs(num), abs(den))
     if s == 0.0:
@@ -173,26 +206,13 @@ def quat_fourth_points(x1, x2, x3, lam) -> np.ndarray:
     input or output is special at infinity.  Returns p4's unit lifts, (k, 4).
     """
     x1, x2, x3 = (np.reshape(np.asarray(x, dtype=complex), (-1, 4)) for x in (x1, x2, x3))
+    check_cross_ratio(lam)
     lam = np.asarray(lam, dtype=float)
-    check_real_cross_ratio(lam)
     frames = np.stack([x1, j_on_vector(x1), x2, j_on_vector(x2)], axis=-2)
     x4, coincident = fourth_points_on_frames(frames, x3, lam)
     if coincident.any():
         raise GeometryError("coincident points p1 and p2")
     return x4
-
-
-def check_real_cross_ratio(lam: np.ndarray):
-    """Raise for a real cross ratio, an array of one or one per row, within
-    DEFAULT_TOL of 0 or 1, where the fourth point collapses onto p3 or p1."""
-    if lam.ndim == 0:
-        # one number in Python floats, which round as numpy does and cost less
-        x = float(lam)
-        degenerate = min(abs(x), abs(x - 1.0)) < DEFAULT_TOL
-    else:
-        degenerate = (np.minimum(np.abs(lam), np.abs(lam - 1.0)) < DEFAULT_TOL).any()
-    if degenerate:
-        raise GeometryError("degenerate cross-ratio value 0 or 1")
 
 
 def fourth_points_on_frames(frames: np.ndarray, x3: np.ndarray, lam: np.ndarray) -> tuple:
@@ -320,11 +340,7 @@ def steiner_fourth_point(f1, f2, f3, lam) -> np.ndarray:
     and j-real generators the result is again j-real, for non-real lam it is a
     sphere half-touching the carrier of the conic.
     """
-    lam = as_ext(lam)
-    if lam.is_infinity(1e-14):
-        raise GeometryError("degenerate cross-ratio value infinity")
-    if abs(lam.value()) < 1e-13 or abs(lam.value() - 1.0) < 1e-13:
-        raise GeometryError("degenerate cross-ratio value 0 or 1")
+    check_cross_ratio(lam)
     # regulus normalization puts generators at (inf, 0, 1); reorder so that
     # the parameter quadruple is (inf, 1, 0, lam)
     return regulus_point(regulus_build(f1, f3, f2), lam)

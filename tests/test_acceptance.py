@@ -17,8 +17,8 @@ from twistnets.proj4 import (
 from twistnets.twistor import (
     HPoint,
     classify_contact,
-    fiber_rows,
     j_on_bivector,
+    lift_fiber_rows,
     lift_rows,
     pair_rows,
     quat_pairs,
@@ -175,7 +175,8 @@ def _random_real_cubes(rng, count):
     a, b = np.array(((1, 2), (1, 3), (2, 3))).T
     far = quat_fourth_points(lifts[:, a].reshape(-1, 4), np.repeat(lifts[:, 0], 3, axis=0),
                              lifts[:, b].reshape(-1, 4), np.ravel(lams))
-    return fiber_rows(np.concatenate([pairs, pair_rows(far).reshape(count, 3, 2, 4)], axis=1))
+    far = pair_rows(far).reshape(count, 3, 2, 4)
+    return lift_fiber_rows(lift_rows(np.concatenate([pairs, far], axis=1)))
 
 
 def _j_real_defect(x: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -666,6 +667,56 @@ def test_a_transverse_value_that_is_no_list_exits_1(tmp_path, capsys, mode, tran
                        f"not {transverse!r}\n") and out.out == ""
 
 
+_TRANSVERSE = {"circular": [[0.1, -2.5, 0.75, 3.0], [1.5, 0.2, -0.3, 0.4], [7.0, 0.0, 1.0, 2.0]],
+               "complex": [[0.1, -2.5], [1.5, 0.25], [-0.3, 0.4]]}
+
+
+@pytest.mark.parametrize("mode", ["circular", "complex"])
+def test_the_transverse_seeds_of_a_curve_document_start_the_nets_columns(tmp_path, capsys, mode):
+    doc = _hp1_curve_doc() if mode == "circular" else _cp1_curve_doc()
+    doc["metadata"]["transverse"] = seeds = _TRANSVERSE[mode]
+    out = tmp_path / "net.json"
+    argv = ["evolve", _write(tmp_path, "curve.json", doc), "--mode", mode, "--lambda", "-1",
+            "--steps", "1", "-o", str(out)]
+    assert main(argv) == 0
+    net = json.loads(out.read_text())
+    assert net["box"] == [doc["box"][0], len(seeds) + 1]
+    for n, seed in enumerate(seeds, 1):
+        assert json.dumps(net["entries"][f"0,{n}"]) == json.dumps(seed)
+
+
+@pytest.mark.parametrize("fault", ["short", "long", "inf", "nan"])
+@pytest.mark.parametrize("mode", ["circular", "complex"])
+def test_a_transverse_seed_of_the_wrong_length_or_not_finite_exits_1(tmp_path, capsys, mode,
+                                                                      fault):
+    doc = _hp1_curve_doc() if mode == "circular" else _cp1_curve_doc()
+    good = _TRANSVERSE[mode][0]
+    bad = {"short": good[1:], "long": good + [1.0], "inf": good[:-1] + [math.inf],
+           "nan": [math.nan] + good[1:]}[fault]
+    doc["metadata"]["transverse"] = [good, bad]
+    argv = ["evolve", _write(tmp_path, "curve.json", doc), "--mode", mode, "--lambda", "-1"]
+    assert main(argv) == 1
+    want = f"needs a list of {len(good)} reals" if fault in ("short", "long") \
+        else f"holds {fault}, not a finite real"
+    out = capsys.readouterr()
+    assert out.err == f"error: transverse seed {want}\n" and out.out == ""
+
+
+@pytest.mark.parametrize("mode", ["circular", "complex"])
+def test_a_curve_with_a_repeated_point_exits_2_in_either_mode(tmp_path, capsys, mode):
+    # before, the complex evolution wrote a net whose check exited 2 with
+    # "coincident points 0 and 1 in cross ratio"
+    kind, n = ("hp1", 4) if mode == "circular" else ("cp1", 2)
+    doc = {"schema": 1, "dim": 1, "box": [3], "kind": kind, "metadata": {},
+           "entries": {"0": [0] * n, "1": [0] * n, "2": [1] + [0] * (n - 1)}}
+    argv = ["evolve", _write(tmp_path, "curve.json", doc), "--mode", mode, "--lambda=-1",
+            "--steps", "2"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: degenerate step in row 1: coincident points p1 and p2\n"
+    assert out.out == ""
+
+
 def _header_doc(kind):
     """A valid 3 x 3 hp1 net document, or a PCEN document over such a net."""
     if kind == "pcen":
@@ -1061,6 +1112,15 @@ def test_a_document_that_is_no_object_exits_1(tmp_path, capsys, doc):
     for load in (doc_to_net, doc_to_pcen):
         with pytest.raises(DocumentError, match="must be a JSON object"):
             load(doc)
+
+
+@pytest.mark.parametrize("lam", ["1", "0", "1e-12"])
+def test_holonomy_at_a_cross_ratio_of_0_or_1_exits_2(tmp_path, capsys, lam):
+    # before, it printed a holonomy matrix and exited 0
+    src = _write(tmp_path, "hexagon.json", _cp1_curve_doc(6))
+    assert main(["holonomy", src, "--lambda", lam]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: degenerate cross-ratio value 0 or 1\n" and out.out == ""
 
 
 def test_holonomy_beyond_the_float_range_exits_2(tmp_path, capsys):

@@ -71,7 +71,8 @@ def test_null_line_members_on_quadric():
     rng = np.random.default_rng(0)
     p = _hp(*rng.standard_normal(4))
     el = contact_element(p, _touching_sphere(p, rng))
-    for a in el.sample(7):
+    for t in np.linspace(0.0, 1.0, 7, endpoint=False):
+        a = el.member(complex(np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)))
         assert is_decomposable(a, 1e-8)
     # all members pass through the pencil point and pairwise touch there
     m1, m2 = el.member(0.3), el.member(-2.0 + 1.0j)

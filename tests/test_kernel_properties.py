@@ -65,7 +65,6 @@ from twistnets.proj4 import (
     line_meet_point,
     meet_join,
     meet_line,
-    meet_span,
     normalize_proj,
     normalize_rows,
     nullspace,
@@ -171,9 +170,8 @@ def test_pair_meet_matches_null_space_meet(a, b, c, v, w):
     plane = plane_from_span([a, b, c])
     assume(_meet_size(plane.functional, line) > WELL_POSED)
     ref = _reference_meet(plane.functional, line)
-    got = meet_span(plane, v, w)
+    got = meet_line(plane, line)
     assert proj_distance(got, ref) < AGREE
-    assert proj_distance(meet_line(plane, line), ref) < AGREE
     # the meet is incident with both the plane and the line
     assert abs(plane.functional @ got) < AGREE
     assert span_residual(got, *orthonormal_pair(v, w)) < AGREE
@@ -363,8 +361,9 @@ def test_one_moved_element_shows_in_closure_and_adjacency(m, n):
 
 
 def _propagate_route_by_route(points, functionals, lifts):
-    """propagate_elements as computed before the fiber matrices: the meet of
-    meet_span and the plane of span_planes, with their checks, row by row."""
+    """propagate_elements as computed before the fiber matrices: the meet
+    v (f @ vj) - vj (f @ v) and the plane of span_planes, with their checks,
+    row by row."""
     vj = j_on_vector(lifts)
     f = functionals
     x = lifts * (f * vj).sum(-1, keepdims=True) - vj * (f * lifts).sum(-1, keepdims=True)

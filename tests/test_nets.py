@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -352,6 +353,50 @@ def test_holonomy_strips_duplicate_endpoint():
     assert np.allclose(h1, h2)
 
 
+@pytest.mark.parametrize("lam", [0.0, 1.0, 1e-12, 1 + 1e-12])
+def test_holonomy_refuses_a_cross_ratio_at_0_or_1(lam):
+    # at 1 every transfer matrix is singular, at 0 a multiple of the
+    # identity; before, holonomy returned a matrix for each
+    curve = [complex(*z) for z in np.random.default_rng(16).standard_normal((5, 2))]
+    with pytest.raises(GeometryError, match=r"^degenerate cross-ratio value 0 or 1$"):
+        holonomy(curve, lam)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_evolutions_and_holonomy_refuse_a_non_finite_cross_ratio(lam):
+    # before, the evolutions returned NaN nets and holonomy reported an
+    # overflow
+    rng = np.random.default_rng(17)
+    curve = [_hp(*rng.standard_normal(4)) for _ in range(3)]
+    zs = [complex(*z) for z in rng.standard_normal((4, 2))]
+    row = "degenerate step in row 1: "
+    for build, prefix in ((lambda: evolve_net_circular(curve, curve[:2], lam), row),
+                          (lambda: evolve_net_complex(zs, zs[:2], lam), row),
+                          (lambda: holonomy(zs, lam), "")):
+        with pytest.raises(GeometryError) as got:
+            build()
+        assert str(got.value).startswith(prefix + "degenerate cross-ratio value ")
+
+
+def test_the_complex_evolution_tests_lambda_at_most_once_per_row():
+    rng = np.random.default_rng(18)
+    curve, seeds = ([complex(*z) for z in rng.standard_normal((n, 2))] for n in (12, 11))
+    calls, check = [], xratio.check_cross_ratio
+
+    def counted(lam):
+        calls.append(lam)
+        return check(lam)
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (nets, xratio):
+            patch.setattr(module, "check_cross_ratio", counted)
+        assert evolve_net_complex(curve, seeds, 0.3 + 0.7j).shape == (12, 12)
+        assert 1 <= len(calls) <= 11
+        # a net without a face has no fourth point, and tests no lambda
+        calls.clear()
+        assert evolve_net_complex(curve[:1], seeds, 1.0).shape == (1, 12)
+        assert calls == []
+
+
 def test_net_indexing_and_faces():
     net = LatticeNet(2, (2, 2), "cp1")
     with pytest.raises(GeometryError):
@@ -580,7 +625,7 @@ def test_wavefront_on_complex_data_is_the_complex_evolution():
     cnet = evolve_net_complex(curve, seeds, -0.7)
     for idx in net.indices():
         z = cnet[idx]
-        want = HPoint(Quaternion.from_complex(z.num), Quaternion.from_complex(z.den))
+        want = HPoint(Quaternion(z.num.real, z.num.imag), Quaternion(z.den.real, z.den.imag))
         assert proj_distance(twistor_fiber(net[idx]), twistor_fiber(want)) < 1e-12
 
 

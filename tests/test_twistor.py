@@ -90,7 +90,7 @@ def test_sphere_complex_plane():
     i = Quaternion.i()
     s = sphere_from_rhn(i, Quaternion(0, 0, 0, 0), i)
     for z in (0.0, 1.0, 1j, 2.3 - 0.7j):
-        q = Quaternion.from_complex(complex(z))
+        q = Quaternion(z.real, z.imag)
         assert sphere_contains(s, HPoint.from_quaternion(q), 1e-9)
     assert sphere_contains(s, HPoint.infinity(), 1e-9)
     assert not sphere_contains(s, HPoint.from_quaternion(Quaternion.j()), 1e-6)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from twistnets.xratio import (
     INF,
     ExtC,
     as_ext,
+    check_cross_ratio,
     complex_cr,
     complex_fourth_point,
     cr_invariant,
@@ -71,6 +74,43 @@ def test_complex_cr_coincident_raises():
         complex_cr(1.0, 1.0, 0.0, 2.0)
 
 
+def test_complex_fourth_point_refuses_coincident_p1_and_p2():
+    # the cross ratio of p1, p2 and any two points is 0, never lam; before,
+    # p1 came back, also given at two scales
+    for p1, p2 in ((0.5 + 1j, 0.5 + 1j), (ExtC(1.0, 1.0), ExtC(2.0, 2.0)), (INF, INF)):
+        with pytest.raises(GeometryError, match="^coincident points p1 and p2$"):
+            complex_fourth_point(p1, p2, 3.0, -1.0)
+
+
+def test_one_rule_decides_every_cross_ratio_form():
+    for lam in (-1, 0.5, 2 - 1j, 1 + 2e-9, ExtC(3.0, 2.0), ExtC(1.0, 1.0 + 1e-6),
+                np.array([-1.0, 2.0, 0.3 + 4j]), [0.25, -3.0]):
+        check_cross_ratio(lam)
+    for lam, what in ((0, "0 or 1"), (1 - 5e-10, "0 or 1"), (5e-10j, "0 or 1"),
+                      (ExtC(2.0, 2.0), "0 or 1"), (INF, "infinity"), (ExtC(1.0, 1e-16), "infinity"),
+                      (complex(math.inf, 1.0), "infinity"), (complex(0.0, math.nan), "nan"),
+                      (np.array([-1.0, 1e-10]), "0 or 1"), (np.array([2.0, np.nan]), "nan"),
+                      (np.array([-np.inf, 3.0]), "infinity")):
+        with pytest.raises(GeometryError, match=f"^degenerate cross-ratio value {what}$"):
+            check_cross_ratio(lam)
+
+
+_FIBERS = [wedge(*np.eye(4, dtype=complex)[[0, 1]]), wedge(*np.eye(4, dtype=complex)[[2, 3]]),
+           wedge(np.array([1, 0, 1, 0], dtype=complex), np.array([0, 1, 0, 1], dtype=complex))]
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_fourth_point_kernels_refuse_a_non_finite_cross_ratio(lam):
+    # before, quat_fourth_point returned a NaN point for each, and
+    # complex_fourth_point for NaN
+    pts = [_hp(Quaternion(*v)) for v in np.eye(4)[:3]]
+    for build in (lambda: quat_fourth_point(*pts, Quaternion(lam)),
+                  lambda: complex_fourth_point(0.5, 1.0, 2.0, lam),
+                  lambda: steiner_fourth_point(*_FIBERS, lam)):
+        with pytest.raises(GeometryError, match=r"^degenerate cross-ratio value (nan|infinity)$"):
+            build()
+
+
 # ---------------------------------------------------------------------------
 # quaternionic cross ratio
 
@@ -89,7 +129,7 @@ def test_quat_cr_complex_agreement():
             if slot is not None:
                 zs[slot] = INF
             cr_c = complex_cr(*zs).value()
-            cr_q = quat_cr(*(HPoint.infinity() if z is INF else _hp(Quaternion.from_complex(z))
+            cr_q = quat_cr(*(HPoint.infinity() if z is INF else _hp(Quaternion(z.real, z.imag))
                              for z in zs))
             z1, z2 = cr_q.complex_pair()
             assert abs(z1 - cr_c) < 1e-9 and abs(z2) < 1e-9
@@ -269,6 +309,14 @@ def test_steiner_fourth_point_minus_one_is_circular():
     got = steiner_fourth_point(f_inf, f_one, f_zero, -1.0)
     want = wedge(-e[0] + e[2], -e[1] + e[3])
     assert proj_distance(got, want) < 1e-10
+
+
+@pytest.mark.parametrize("lam", [1e-11, 1 + 1e-11])
+def test_steiner_fourth_point_refuses_lambda_within_the_cut_of_0_or_1(lam):
+    # the Steiner window was 1e-13, and is complex_fourth_point's now
+    for build, points in ((steiner_fourth_point, _FIBERS), (complex_fourth_point, (INF, 1.0, 0.0))):
+        with pytest.raises(GeometryError, match="^degenerate cross-ratio value 0 or 1$"):
+            build(*points, lam)
 
 
 def test_steiner_fourth_point_real_lambda_is_fiber():
