@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -638,7 +639,10 @@ def cmd_lie_report(args) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parse_args
+    keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="twistnets",
         description="discrete nets and sphere geometry in twistor space")

@@ -33,10 +33,14 @@ from .proj4 import (
     meet_join,
     normalize_proj,
     normalize_rows,
+    orthonormal_pair_rows,
+    plane_residual_rows,
+    proj_distance_rows,
     row_norms,
     settle_planes,
     span_planes,
     span_residual,
+    span_residual_rows,
     wedge,
 )
 from .twistor import (
@@ -257,10 +261,6 @@ class PCEN(Mapping):
             raise DocumentError(f"PCEN has no element at {missing}")
 
 
-def _vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.conj() * b).sum(axis=-1, keepdims=True)
-
-
 def _check_distinct_neighbors(lifts: np.ndarray):
     """No two neighbouring base points coincide, by coincident_rows; names
     the first colliding edge of box_cells."""
@@ -335,14 +335,7 @@ def pcen_face_closure(pcen: PCEN) -> float:
     points, functionals = (a.reshape(-1, 4) for a in (pcen.points, pcen.functionals))
     fiber = fiber_matrices(pcen.base.lifts().reshape(-1, 4)[corners[2]])
     via_3, via_1 = (_propagate(points[c], functionals[c], *fiber) for c in corners[[3, 1]])
-    return float(max(_proj_distances(a, b).max() for a, b in zip(via_3, via_1)))
-
-
-def _proj_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """proj4.proj_distance row by row."""
-    a, b = a / row_norms(a), b / row_norms(b)
-    ortho = b - a * _vdot_rows(a, b)
-    return np.arcsin(np.minimum(1.0, row_norms(ortho)[:, 0]))
+    return float(max(proj_distance_rows(a, b).max() for a, b in zip(via_3, via_1)))
 
 
 def pcen_adjacency_residual(pcen: PCEN) -> float:
@@ -350,40 +343,17 @@ def pcen_adjacency_residual(pcen: PCEN) -> float:
 
     For each lattice edge the line joining the two pencil points, spanned by
     an orthonormal pair (v, w), must be a member of both pencils; the
-    residual is the sum of _member_residuals over the two ends.  All edges
-    of box_cells are checked in one pass.
+    residual sums over the two ends the point's distance from the line
+    (span_residual) and the plane residuals of v and w.  All edges of
+    box_cells are checked in one pass.
     """
     pcen.require_elements()
     ends = box_cells(pcen.base.shape, 1)[2].T
     (p1, p2), (f1, f2) = (a.reshape(-1, 4)[ends] for a in (pcen.points, pcen.functionals))
-    v, w = _orthonormal_pairs(p1, p2)
-    r = _member_residuals(p1, f1, v, w) + _member_residuals(p2, f2, v, w)
+    v, w = orthonormal_pair_rows(p1, p2)
+    r = sum(span_residual_rows(p, v, w) + plane_residual_rows(f, v) + plane_residual_rows(f, w)
+            for p, f in ((p1, f1), (p2, f2)))
     return float(r.max(initial=0.0))
-
-
-def _orthonormal_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """proj4.orthonormal_pair row by row, for nonzero rows."""
-    u = a / row_norms(a)
-    w = b - u * _vdot_rows(u, b)
-    nw = row_norms(w)
-    if (nw < 1e-12 * row_norms(b)).any():
-        raise GeometryError("degenerate-span: the two vectors are parallel")
-    return u, w / nw
-
-
-def _member_residuals(points: np.ndarray, functionals: np.ndarray,
-                      v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Failure of the lines span{v, w} (orthonormal pairs) to be members of
-    the pencils: the point's distance from the line (span_residual) plus
-    the plane residuals |f @ v| / |v| and |f @ w| / |w|."""
-    off_line = points - v * _vdot_rows(v, points) - w * _vdot_rows(w, points)
-    return (row_norms(off_line) + _plane_residuals(functionals, v)
-            + _plane_residuals(functionals, w))[:, 0]
-
-
-def _plane_residuals(functionals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """ProjPlane.residual row by row: |f @ x| / |x|."""
-    return np.abs((functionals * x).sum(axis=-1, keepdims=True)) / row_norms(x)
 
 
 def pcen_from_complex_cr(S: np.ndarray, base: LatticeNet,

@@ -24,12 +24,14 @@ goes through svd_rank, a cut relative to the largest singular value
 where the closed form is inaccurate), and four-point planarity through
 span_ratios.  The thresholds that several modules share live here.
 
-normalize_rows, wedge_rows, join_matrices, span_planes and span_ratios take
-stacks of vectors along the last axis and broadcast over the leading axes;
-normalize_rows, wedge_rows and span_planes apply the rules of normalize_proj,
-wedge and plane_from_span row by row, and settle_planes is the rank rule of
-span_planes on ∧³ functionals computed elsewhere.  The one-vector kernels
-stay separate where broadcasting would cost more per call.
+The *_rows rules, join_matrices, span_planes and span_ratios take stacks of
+vectors along the last axis and broadcast over the leading axes.  Each
+*_rows rule sits beside its one-vector form (normalize_proj, wedge,
+proj_distance, orthonormal_pair, span_residual, ProjPlane.residual) and
+applies it row by row, as span_planes does plane_from_span; settle_planes is
+the rank rule of span_planes on ∧³ functionals computed elsewhere.  The
+one-vector kernels stay separate where broadcasting would cost more per
+call.
 """
 
 from __future__ import annotations
@@ -196,6 +198,18 @@ def _unit_distance(a: np.ndarray, b: np.ndarray) -> float:
     return math.asin(min(1.0, _norm(b - a * np.vdot(a, b))))
 
 
+def _vdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.vdot row by row; the last axis is kept with length 1."""
+    return (a.conj() * b).sum(axis=-1, keepdims=True)
+
+
+def proj_distance_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """proj_distance row by row over leading axes, for nonzero rows."""
+    a, b = a / row_norms(a), b / row_norms(b)
+    ortho = b - a * _vdot_rows(a, b)
+    return np.arcsin(np.minimum(1.0, row_norms(ortho)[..., 0]))
+
+
 def wedge(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Exterior product of two C^4 vectors as a Pluecker 6-vector."""
     v, w = np.asarray(v, dtype=complex), np.asarray(w, dtype=complex)
@@ -294,9 +308,25 @@ def orthonormal_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return u, w / nw
 
 
+def orthonormal_pair_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """orthonormal_pair row by row over leading axes, for nonzero rows; a
+    parallel row raises its error."""
+    u = a / row_norms(a)
+    w = b - u * _vdot_rows(u, b)
+    nw = row_norms(w)
+    if (nw < 1e-12 * row_norms(b)).any():
+        raise GeometryError("degenerate-span: the two vectors are parallel")
+    return u, w / nw
+
+
 def span_residual(x: np.ndarray, u: np.ndarray, w: np.ndarray) -> float:
     """Norm of the part of x orthogonal to span{u, w}, for an orthonormal pair."""
     return _norm(x - u * np.vdot(u, x) - w * np.vdot(w, x))
+
+
+def span_residual_rows(x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """span_residual row by row over leading axes."""
+    return row_norms(x - u * _vdot_rows(u, x) - w * _vdot_rows(w, x))[..., 0]
 
 
 def svd_rank(m: np.ndarray, cut: float) -> tuple[int, np.ndarray, np.ndarray]:
@@ -364,6 +394,12 @@ class ProjPlane:
         """|f @ v| for the unit-scaled v."""
         v = np.asarray(v, dtype=complex)
         return abs(self.functional @ v) / _nonzero_norm(v)
+
+
+def plane_residual_rows(functionals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """ProjPlane.residual row by row over leading axes, for unit functionals
+    and nonzero rows x: |f @ x| / |x|."""
+    return np.abs((functionals * x).sum(axis=-1)) / row_norms(x)[..., 0]
 
 
 def meet_join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ProjPlane]:

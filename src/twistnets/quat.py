@@ -1,4 +1,4 @@
-"""Quaternion algebra and the conjugation of i to a unit imaginary quaternion.
+"""Quaternion algebra.
 
 Conventions: i = jk (so ij = k, jk = i, ki = j) and i^2 = j^2 = k^2 = -1.
 The complex numbers sit inside H as the real span of {1, i}, and every
@@ -110,21 +110,3 @@ class Quaternion:
 
     def isclose(self, other: "Quaternion", tol: float = DEFAULT_TOL) -> bool:
         return (self - other).norm() < tol * max(1.0, self.norm(), other.norm())
-
-
-def is_imaginary_unit(v: Quaternion, tol: float = DEFAULT_TOL) -> bool:
-    """True iff v is a unit imaginary quaternion, equivalently v^2 = -1."""
-    return abs(v.w) < tol and abs(v.norm() - 1.0) < tol
-
-
-def conjugator_to(n: Quaternion) -> Quaternion:
-    """Return lam with lam * i * lam^-1 = n, for n a unit imaginary quaternion.
-
-    Uses lam = 1 - n*i away from the branch point n = -i, where lam = j.
-    """
-    if not is_imaginary_unit(n, 1e-6):
-        raise ValueError("conjugator_to requires a unit imaginary quaternion")
-    if (n + Quaternion.i()).norm() < 1e-8:
-        return Quaternion.j()
-    return (Quaternion.one() - n * Quaternion.i()).normalized()
-

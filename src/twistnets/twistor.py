@@ -27,8 +27,8 @@ from .proj4 import (
     normalize_proj,
     normalize_rows,
     nullspace,
-    row_norms,
     span_residual,
+    span_residual_rows,
     wedge,
     wedge_rows,
 )
@@ -162,10 +162,7 @@ def coincident_rows(x: np.ndarray, v: np.ndarray, vj: np.ndarray | None = None) 
     """Which unit rows x (..., 4) lift the points of the unit rows v: their
     distance from the fiber span{v, vj} is under 1e-10 (HPoint.isclose).
     vj, j_on_vector(v), may be passed by a caller that has it."""
-    vj = j_on_vector(v) if vj is None else vj
-    off = x - v * (v.conj() * x).sum(-1, keepdims=True) \
-        - vj * (vj.conj() * x).sum(-1, keepdims=True)
-    return row_norms(off)[..., 0] < 1e-10
+    return span_residual_rows(x, v, j_on_vector(v) if vj is None else vj) < 1e-10
 
 
 def fiber_pair(p: HPoint) -> tuple[np.ndarray, np.ndarray]:

@@ -60,11 +60,13 @@ class ExtC:
         if self.num == 0 and self.den == 0:
             raise GeometryError("invalid homogeneous pair (0, 0)")
 
-    def is_infinity(self, tol: float = 0.0) -> bool:
-        return abs(self.den) <= tol * max(1.0, abs(self.num))
+    def is_infinity(self) -> bool:
+        """Whether the point is infinity: |den| <= 1e-14 max(1, |num|), the
+        one cut of CP^1; a finite value exists exactly where it is false."""
+        return abs(self.den) <= 1e-14 * max(1.0, abs(self.num))
 
     def value(self) -> complex:
-        if self.is_infinity(1e-14):
+        if self.is_infinity():
             raise GeometryError("point at infinity has no finite value")
         return self.num / self.den
 
@@ -120,7 +122,7 @@ def check_cross_ratio(lam):
     and 1, where the fourth point collapses onto p3 or p1.
     """
     if isinstance(lam, ExtC):
-        lam = math.inf if lam.is_infinity(1e-14) else lam.value()
+        lam = math.inf if lam.is_infinity() else lam.value()
     if isinstance(lam, (int, float, complex)):
         # one number in Python arithmetic, which costs less than numpy's
         bad = cmath.isinf(lam), cmath.isnan(lam), min(abs(lam), abs(lam - 1.0)) < DEFAULT_TOL

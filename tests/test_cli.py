@@ -21,6 +21,7 @@ from twistnets.cli import (
     pcen_to_doc,
 )
 from twistnets.contact import PCEN, contact_element, pcen_from_circular, pcen_from_complex_cr
+from twistnets.xratio import ExtC
 from twistnets.nets import (
     LatticeNet,
     evolve_net_circular,
@@ -1131,6 +1132,62 @@ def test_holonomy_beyond_the_float_range_exits_2(tmp_path, capsys):
     assert main(["holonomy", _write(tmp_path, "huge.json", doc), "--lambda", "-1"]) == 2
     out = capsys.readouterr()
     assert out.err == "error: holonomy matrix overflows the float range\n" and out.out == ""
+
+
+# a cp1 curve and cross ratio whose face's fourth point has |den| = 3.3e-17,
+# inside the infinity cut of CP^1
+_NEAR_INFINITY_CURVE = {
+    "schema": 1, "dim": 1, "box": [2], "kind": "cp1",
+    "entries": {"0": [-0.535669373161111, 0.36159505490948474],
+                "1": [0.6404226504432821, 0.10490011715303971]},
+    "metadata": {"transverse": [[4.929819010210335, 4.062556159586088]]}}
+_NEAR_INFINITY_LAMBDA = "0.1257302210933933-0.1321048632913019i"
+
+
+def test_a_fourth_point_at_the_infinity_cut_is_written_as_null(tmp_path, capsys):
+    # before, the document writer decided infinity at a cut of 0 and
+    # ExtC.value at 1e-14, so this evolution exited 2 with "point at infinity
+    # has no finite value"
+    z = evolve_net_complex([complex(*z) for z in _NEAR_INFINITY_CURVE["entries"].values()],
+                           [complex(*_NEAR_INFINITY_CURVE["metadata"]["transverse"][0])],
+                           parse_complex(_NEAR_INFINITY_LAMBDA))[1, 1]
+    assert z.den != 0 and z.is_infinity()
+    out = tmp_path / "net.json"
+    assert main(["evolve", _write(tmp_path, "curve.json", _NEAR_INFINITY_CURVE), "--mode",
+                 "complex", f"--lambda={_NEAR_INFINITY_LAMBDA}", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["entries"]["1,1"] is None
+    assert main(["check", str(out), "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["report"] == "cr" and rep["ok"] and rep["max_residual"] < 1e-16
+
+
+def test_writers_and_reports_decide_infinity_as_ext_value_does(tmp_path, capsys, monkeypatch):
+    """The document writer, holonomy's text output and the cr report read
+    ExtC.is_infinity, the cut at which ExtC.value refuses; before, each
+    of them called value on ExtC(1, 1e-20) and exited 2."""
+    import twistnets.cli as cli
+    z = ExtC(1.0, 1e-20)
+    with pytest.raises(GeometryError, match="point at infinity has no finite value"):
+        z.value()
+    assert z.is_infinity() and cli._ext_out(z) is None
+    src = _write(tmp_path, "hexagon.json", _cp1_curve_doc(6))
+    monkeypatch.setattr(cli, "holonomy", lambda curve, lam: (np.eye(2), [z, ExtC(2.0, 1.0)], False))
+    assert main(["holonomy", src, "--lambda", "-1"]) == 0
+    assert capsys.readouterr().out.splitlines()[3:5] == ["eigenline 0: inf", "eigenline 1: 2"]
+    assert main(["holonomy", src, "--lambda", "-1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["eigenlines"] == [None, [2.0, 0.0]]
+    # a cr report whose cross ratios are all at the cut reads inf: its text
+    # fails the tolerance (exit 3), and JSON has no inf (exit 2)
+    net = str(tmp_path / "net.json")
+    assert main(["evolve", src, "--mode", "complex", "--lambda", "-1", "--steps", "2",
+                 "-o", net]) == 0
+    monkeypatch.setattr(cli, "complex_cr", lambda *points: z)
+    assert main(["check", net]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "max residual inf (tol 1e-08)"
+    assert main(["check", net, "--json"]) == 2
+    out = capsys.readouterr()
+    assert "non-finite value in output" in out.err and out.out == ""
 
 
 def test_lie_report_command(capsys):

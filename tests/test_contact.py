@@ -9,7 +9,10 @@ from twistnets.proj4 import (
     is_decomposable,
     lines_incident,
     normalize_proj,
+    orthonormal_pair_rows,
     plane_from_span,
+    plane_residual_rows,
+    span_residual_rows,
     wedge,
 )
 from twistnets.twistor import HPoint, classify_contact, j_on_vector, twistor_fiber, twistor_project
@@ -25,8 +28,6 @@ from twistnets.nets import (
 from twistnets.contact import (
     PCEN,
     NullLine,
-    _member_residuals,
-    _orthonormal_pairs,
     closure_faces,
     contact_element,
     null_line_real_point,
@@ -260,8 +261,9 @@ def _adjacency_reference(pcen):
         hi = (slice(None),) * ax + (slice(1, None),)
         p1, p2 = pcen.points[lo].reshape(-1, 4), pcen.points[hi].reshape(-1, 4)
         f1, f2 = pcen.functionals[lo].reshape(-1, 4), pcen.functionals[hi].reshape(-1, 4)
-        v, w = _orthonormal_pairs(p1, p2)
-        r = _member_residuals(p1, f1, v, w) + _member_residuals(p2, f2, v, w)
+        v, w = orthonormal_pair_rows(p1, p2)
+        r = sum(span_residual_rows(p, v, w) + plane_residual_rows(f, v)
+                + plane_residual_rows(f, w) for p, f in ((p1, f1), (p2, f2)))
         worst = max(worst, float(r.max()))
     return worst
 

@@ -45,7 +45,6 @@ from twistnets.contact import (
     PENCIL_TOL,
     NullLine,
     _propagate,
-    _proj_distances,
     closure_faces,
     contact_element,
     fiber_matrices,
@@ -72,6 +71,7 @@ from twistnets.proj4 import (
     orthonormal_span,
     plane_from_span,
     proj_distance,
+    proj_distance_rows,
     quadric_pair,
     quadric_roots,
     span_functional,
@@ -594,7 +594,7 @@ def _pcen_face_closure_2d(pcen):
     fiber = fiber_matrices(pcen.base.lifts()[1:, 1:][faces])
     via_m = _propagate(points[:-1, 1:][faces], functionals[:-1, 1:][faces], *fiber)
     via_n = _propagate(points[1:, :-1][faces], functionals[1:, :-1][faces], *fiber)
-    return float(max(_proj_distances(a, b).max() for a, b in zip(via_m, via_n)))
+    return float(max(proj_distance_rows(a, b).max() for a, b in zip(via_m, via_n)))
 
 
 def _assert_as_in_2d(pcen):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from twistnets.proj4 import (
     GeometryError,
     QUADRIC_MATRIX,
+    ProjPlane,
     is_decomposable,
     line_factorize,
     line_meet_point,
@@ -17,10 +19,16 @@ from twistnets.proj4 import (
     normalize_proj,
     normalize_rows,
     nullspace,
+    orthonormal_pair,
+    orthonormal_pair_rows,
     orthonormal_span,
     plane_from_span,
+    plane_residual_rows,
     proj_distance,
+    proj_distance_rows,
     quadric_pair,
+    span_residual,
+    span_residual_rows,
     wedge,
 )
 
@@ -264,3 +272,50 @@ def test_normalizers_keep_the_reference_edge_cases():
                 normalize(zero)
     with pytest.raises(GeometryError):
         normalize_rows(np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]))
+
+
+@st.composite
+def _scaled_rows(draw, count, sets):
+    """sets arrays of count random C^4 rows from one seed, each row scaled
+    by r e^(i psi) with r in [1e-6, 1e6]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.standard_normal((sets, count, 4)) + 1j * rng.standard_normal((sets, count, 4))
+    scales = draw(st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(0.0, 2 * math.pi)),
+                           min_size=sets * count, max_size=sets * count))
+    scales = [10.0 ** r * cmath.exp(1j * psi) for r, psi in scales]
+    return rows * np.reshape(scales, (sets, count, 1))
+
+
+ROW_RULES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@ROW_RULES
+@given(st.integers(1, 6).flatmap(lambda n: _scaled_rows(n, 4)), st.booleans())
+def test_row_rules_are_their_one_vector_forms_row_by_row(rows, stacked):
+    """Each *_rows rule, on rows stacked over one or two leading axes, gives
+    its one-vector form's value row by row to 1e-14, span residuals relative
+    to |x|.  Distances are compared by their sines: asin's slope grows
+    without bound at 1, so near-orthogonal points amplify a rounding."""
+    a, b, x, c = rows
+    f = normalize_rows(c)
+    shape = (2, -1, 4) if stacked and len(a) % 2 == 0 else (-1, 4)
+    u, w = (r.reshape(-1, 4) for r in orthonormal_pair_rows(a.reshape(shape), b.reshape(shape)))
+    dist = proj_distance_rows(a.reshape(shape), b.reshape(shape)).ravel()
+    span = span_residual_rows(*(r.reshape(shape) for r in (x, u, w))).ravel()
+    plane = plane_residual_rows(f.reshape(shape), x.reshape(shape)).ravel()
+    for k in range(len(a)):
+        assert np.abs(np.concatenate(orthonormal_pair(a[k], b[k])) - np.r_[u[k], w[k]]).max() < 1e-14
+        assert abs(math.sin(dist[k]) - math.sin(proj_distance(a[k], b[k]))) < 1e-14
+        assert abs(span[k] - span_residual(x[k], u[k], w[k])) < 1e-14 * np.linalg.norm(x[k])
+        assert abs(plane[k] - ProjPlane(c[k]).residual(x[k])) < 1e-14
+
+
+@ROW_RULES
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(_scaled_rows(n, 2), st.integers(0, n - 1))),
+       st.floats(-6.0, 6.0), st.floats(0.0, 2 * math.pi))
+def test_orthonormal_pair_rows_refuses_a_parallel_row(rows, r, psi):
+    (a, b), k = rows
+    b[k] = a[k] * (10.0 ** r * cmath.exp(1j * psi))
+    for pair, args in ((orthonormal_pair_rows, (a, b)), (orthonormal_pair, (a[k], b[k]))):
+        with pytest.raises(GeometryError, match="^degenerate-span: the two vectors are parallel$"):
+            pair(*args)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twistnets.quat import Quaternion, conjugator_to, is_imaginary_unit
+from twistnets.quat import Quaternion
 
 
 def test_hamilton_products():
@@ -44,17 +44,6 @@ def test_imaginary_unit_characterization():
     for _ in range(50):
         v = Quaternion(0.0, *rng.standard_normal(3)).normalized()
         assert (v * v).isclose(Quaternion.from_real(-1.0), 1e-10)
-        assert is_imaginary_unit(v, 1e-10)
-    assert not is_imaginary_unit(Quaternion(1.0, 0, 0, 0))
-
-
-def test_conjugator_rotates_unit_to_i():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        n = Quaternion(0.0, *rng.standard_normal(3)).normalized()
-        lam = conjugator_to(n)
-        res = lam.inverse() * n * lam
-        assert res.isclose(Quaternion.i(), 1e-9)
 
 
 def test_zero_inverse_raises():

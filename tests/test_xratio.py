@@ -95,6 +95,19 @@ def test_one_rule_decides_every_cross_ratio_form():
             check_cross_ratio(lam)
 
 
+def test_one_infinity_cut_for_cp1():
+    # |den| <= 1e-14 max(1, |num|): is_infinity holds exactly where value refuses
+    for z, inf in ((ExtC(1.0, 0.0), True), (ExtC(1.0, 1e-14), True), (ExtC(1.0, 2e-14), False),
+                   (ExtC(1e3, 1e-11), True), (ExtC(1e3, 2e-11), False),
+                   (ExtC(1e-3, 1e-14), True), (ExtC(1e-3, 2e-14), False)):
+        assert z.is_infinity() == inf
+        if inf:
+            with pytest.raises(GeometryError, match="^point at infinity has no finite value$"):
+                z.value()
+        else:
+            assert math.isfinite(abs(z.value()))
+
+
 _FIBERS = [wedge(*np.eye(4, dtype=complex)[[0, 1]]), wedge(*np.eye(4, dtype=complex)[[2, 3]]),
            wedge(np.array([1, 0, 1, 0], dtype=complex), np.array([0, 1, 0, 1], dtype=complex))]
 
