@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import json
 import math
@@ -110,15 +111,22 @@ def _idx_key(idx) -> str:
     return ",".join(str(i) for i in idx)
 
 
-def _key_idx(key: str, box: tuple) -> tuple:
-    """The lattice index of an entry key, inside the box."""
-    try:
-        idx = tuple(int(p) for p in key.split(","))
-    except ValueError as exc:
-        raise DocumentError(f"entry index {key!r} is not a list of integers") from exc
-    if not in_box(idx, box):
-        raise DocumentError(f"entry index {key!r} outside the box {list(box)}")
-    return idx
+def _entries_in(entries: dict, box: tuple):
+    """(key, lattice index, value) of each document entry, for both readers:
+    a key that is no index inside the box, or that names an index an
+    earlier key names, raises."""
+    seen = set()
+    for key, value in entries.items():
+        try:
+            idx = tuple(int(p) for p in key.split(","))
+        except ValueError as exc:
+            raise DocumentError(f"entry index {key!r} is not a list of integers") from exc
+        if not in_box(idx, box):
+            raise DocumentError(f"entry index {key!r} outside the box {list(box)}")
+        if idx in seen:
+            raise DocumentError(f"entry index {key!r} repeats index {idx}")
+        seen.add(idx)
+        yield key, idx, value
 
 
 def _doc_header(doc) -> tuple:
@@ -203,8 +211,8 @@ def doc_to_net(doc: dict) -> LatticeNet:
     net = LatticeNet(dim, box, kind, metadata=_metadata_in(doc.get("metadata", {})))
     # the document's values go into the fresh net's arrays as they are, so
     # that a re-export reproduces the file byte for byte
-    for key, vals in doc["entries"].items():
-        idx, what = _key_idx(key, box), f"{kind} entry {key!r}"
+    for key, idx, vals in _entries_in(doc["entries"], box):
+        what = f"{kind} entry {key!r}"
         if kind == "cp1":
             net.data[idx] = (1.0, 0.0) if vals is None else (complex(*_reals(vals, 2, what)), 1.0)
         elif kind == "hp1":
@@ -237,8 +245,7 @@ def doc_to_pcen(doc: dict) -> PCEN:
     points = np.zeros(box + (4,), dtype=complex)
     functionals = np.zeros_like(points)
     present = np.zeros(box, dtype=bool)
-    for key, entry in doc["entries"].items():
-        idx = _key_idx(key, box)
+    for key, idx, entry in _entries_in(doc["entries"], box):
         if not isinstance(entry, dict):
             raise DocumentError(f"pcen entry {key!r} must be an object")
         for field in ("point", "plane"):
@@ -253,12 +260,18 @@ def doc_to_pcen(doc: dict) -> PCEN:
     return PCEN(base, points, functionals, present)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key that it repeats raises."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k in obj if sum(k == p for p, _ in pairs) > 1)
+        raise DocumentError(f"key {key!r} repeats in a JSON object")
+    return obj
+
+
 def load_doc(path: str) -> dict:
-    if path == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(path) as fh:
-            doc = json.load(fh)
+    with contextlib.nullcontext(sys.stdin) if path == "-" else open(path) as fh:
+        doc = json.load(fh, object_pairs_hook=_unique_keys)
     _require_object(doc)
     return doc
 

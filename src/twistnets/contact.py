@@ -58,6 +58,11 @@ from .xratio import as_ext
 PENCIL_TOL = 1e-7
 
 
+def _on_pencil(points: np.ndarray, functionals: np.ndarray) -> np.ndarray:
+    """NullLine's condition |f @ x| < PENCIL_TOL, row by row on unit rows."""
+    return np.abs((points * functionals).sum(axis=-1)) < PENCIL_TOL
+
+
 @dataclass
 class NullLine:
     """The pencil of lines through a point inside a plane containing it."""
@@ -67,7 +72,7 @@ class NullLine:
 
     def __post_init__(self):
         self.point = normalize_proj(self.point)
-        if not self.plane.contains(self.point, PENCIL_TOL):
+        if not _on_pencil(self.point, self.plane.functional):
             raise GeometryError("pencil point must lie in the pencil plane")
 
     def pencil_basis(self):
@@ -192,7 +197,7 @@ def _propagate(points: np.ndarray, functionals: np.ndarray, fibers: np.ndarray,
     functional = settle_planes(np.concatenate([fibers, points[..., None, :]], axis=-2),
                                functional, 3, no_span)
     point /= np.where(in_plane[..., None], 1.0, size) if any_in_plane else size
-    on_pencil = np.abs((point * functional).sum(axis=-1)) < PENCIL_TOL
+    on_pencil = _on_pencil(point, functional)
     if no_span or any_in_plane or not on_pencil.all():
         failed = np.array(in_plane | ~on_pencil)
         for row in no_span:
@@ -231,8 +236,7 @@ class PCEN(Mapping):
         self.points, self.functionals = np.zeros((2,) + base.shape + (4,), dtype=complex)
         self.points[self.present] = normalize_rows(points[self.present])
         self.functionals[self.present] = normalize_rows(functionals[self.present])
-        # NullLine's condition, on all elements at once
-        if not (np.abs((self.points * self.functionals).sum(axis=-1)) < PENCIL_TOL).all():
+        if not _on_pencil(self.points, self.functionals).all():
             raise GeometryError("pencil point must lie in the pencil plane")
 
     @property

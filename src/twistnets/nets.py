@@ -34,13 +34,13 @@ from .proj4 import (
     QUADRIC_MATRIX,
     RANK_CUT,
     GeometryError,
-    ProjPlane,
+    join_matrices,
     line_meet_point,
     lines_incident,
-    meet_planes,
     normalize_proj,
     normalize_rows,
     orthonormal_span,
+    settle_planes,
     span_functional,
     span_ratios,
     svd_rank,
@@ -291,37 +291,35 @@ def face_vectors(net: LatticeNet) -> tuple[list, np.ndarray]:
 # hexahedron completion
 
 
-def _span_coordinates(points):
-    """Express homogeneous points in a common 4-dim linear subspace."""
-    basis = orthonormal_span(points, tol=RANK_CUT)
-    if basis.shape[1] > 4:
-        raise GeometryError("seven points span more than four dimensions; "
-                            "faces are not planar")
-    if basis.shape[1] < 4:
-        raise GeometryError("seven points span fewer than four dimensions")
-    # the basis is orthonormal, so coordinates are inner products
-    return basis, (basis.conj().T @ np.array(points).T).T
-
-
 def hexahedron_complete(phi, phi1, phi2, phi3, phi12, phi13, phi23) -> np.ndarray:
     """The eighth vertex of a combinatorial cube with planar faces.
 
     The three planes through {phi_i, phi_ij, phi_ik} meet in a single point;
     the intersection is computed inside the four-dimensional linear span of
     the seven input vectors, so inputs may be C^4 vectors or Pluecker
-    6-vectors alike.  Each plane is the ∧³ functional of its unit-scaled
-    triple, whose volume must exceed RANK_CUT.
+    6-vectors alike.  The face planes are the ∧³ functionals of the
+    unit-scaled coordinate triples and, by duality, their common point is
+    that of the three unit plane functionals; settle_planes decides all four.
     """
     # unit points: a scale moves no plane, but its square can overflow
     pts = normalize_rows([phi, phi1, phi2, phi3, phi12, phi13, phi23])
-    basis, (c0, c1, c2, c3, c12, c13, c23) = _span_coordinates(pts)
-    planes = []
-    for triple in ((c1, c12, c13), (c2, c12, c23), (c3, c13, c23)):
-        f = span_functional(*(c / np.linalg.norm(c) for c in triple))
-        if np.linalg.norm(f) <= RANK_CUT:
-            raise GeometryError("plane through point triple is degenerate")
-        planes.append(ProjPlane(f))
-    return normalize_proj(basis @ meet_planes(*planes))
+    basis = orthonormal_span(pts, tol=RANK_CUT)
+    if basis.shape[1] > 4:
+        raise GeometryError("seven points span more than four dimensions; faces are not planar")
+    if basis.shape[1] < 4:
+        raise GeometryError("seven points span fewer than four dimensions")
+    # the basis is orthonormal, so coordinates are inner products, as unit
+    # as the points; the faces through phi_i, phi_ij and phi_ik
+    faces = (basis.conj().T @ pts.T).T[[[1, 4, 5], [2, 4, 6], [3, 5, 6]]]
+    what = "plane through point triple is degenerate"
+    try:
+        planes = settle_planes(faces, (faces[:, 2, None] @ join_matrices(
+            faces[:, 0], faces[:, 1]))[:, 0], 3)
+        what = "planes-near-parallel"
+        point = settle_planes(planes, span_functional(*planes), 3)
+    except GeometryError as exc:
+        raise GeometryError(f"{what}: {exc}") from exc
+    return normalize_proj(basis @ point)
 
 
 # ---------------------------------------------------------------------------

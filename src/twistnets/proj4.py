@@ -11,27 +11,28 @@ four-dimensional quadric) iff its self-pairing under the wedge-product form
 vanishes.
 
 Incidences whose rank the construction fixes are closed forms in the
-exterior algebra: the plane through three vectors is their ∧³ functional
-(the 3x3 minors of the stacked vectors) and, dually, so is the point common
-to three planes; a line meets a plane in the point its line matrix assigns
+exterior algebra: a line meets a plane in the point its line matrix assigns
 to the plane's functional; two incident lines meet and join in the rank-one
 product of the line matrix of one with that of the other's Hodge dual
 QUADRIC_MATRIX @ a (meet_join); and a line's orthonormal spanning pair comes
-from two columns of its line matrix (line_factorize).  Singular values serve
-only inputs whose rank is not known in advance.  Every such rank decision
-goes through svd_rank, a cut relative to the largest singular value
-(nullspace, orthonormal_span, plane_from_span on nearly dependent vectors,
-where the closed form is inaccurate), and four-point planarity through
-span_ratios.  The thresholds that several modules share live here.
+from two columns of its line matrix (line_factorize).  The plane through
+three vectors is their ∧³ functional (the 3x3 minors of the stacked
+vectors) and, dually, so is the point common to three planes; one rule,
+settle_planes, keeps that functional where it is certified and otherwise
+takes the plane from singular values, which serve only inputs whose rank is
+not known in advance.  Every such rank decision goes through svd_rank, a
+cut relative to the largest singular value (nullspace, orthonormal_span,
+settle_planes on nearly dependent vectors), and four-point planarity
+through span_ratios.  The thresholds that several modules share live here.
 
 The *_rows rules, join_matrices, span_planes and span_ratios take stacks of
 vectors along the last axis and broadcast over the leading axes.  Each
 *_rows rule sits beside its one-vector form (normalize_proj, wedge,
 proj_distance, orthonormal_pair, span_residual, ProjPlane.residual) and
-applies it row by row, as span_planes does plane_from_span; settle_planes is
-the rank rule of span_planes on ∧³ functionals computed elsewhere.  The
-one-vector kernels stay separate where broadcasting would cost more per
-call.
+applies it row by row, as span_planes does plane_from_span; settle_planes
+also decides the planes of the contact element step and of hexahedron
+completion.  The one-vector kernels stay separate where broadcasting would
+cost more per call.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ INCIDENCE_TOL = 1e-7
 # |a - j(a)| bound below which a unit bivector counts as a twistor fiber
 FIBER_TOL = 1e-7
 # relative singular-value cut of the rank decisions on constructed vectors:
-# meets of lines and planes, the span of a hexahedron, sphere eigenlines
+# meets of lines, the span of a hexahedron, sphere eigenlines
 RANK_CUT = 1e-8
-# smallest triple volume for which plane_from_span trusts the ∧³ functional
+# smallest triple volume for which settle_planes trusts the ∧³ functional
 _CLOSED_FORM_VOLUME = 1e-4
 
 # Index pairs (a, b) of the six basis bivectors e_a ^ e_b.
@@ -441,28 +442,22 @@ def line_meet_point(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def plane_from_span(vectors) -> ProjPlane:
     """Plane spanned by vectors of total rank 3 (e.g. a line plus a point).
 
-    The functional is the largest ∧³ functional of a triple of the
-    unit-scaled vectors when _certified_span vouches for it, and otherwise
-    comes from the singular value decomposition (_svd_plane).
+    The candidate is the largest ∧³ functional of a triple of the
+    unit-scaled vectors, which settle_planes keeps or replaces.
     """
     rows = np.array(vectors, dtype=complex).reshape(-1, 4)
     norms = np.sqrt((rows * rows.conj()).real.sum(axis=1))
     rows = rows / np.where(norms > 0.0, norms, 1.0)[:, None]
     f = max((span_functional(*triple) for triple in itertools.combinations(rows, 3)),
             key=_norm, default=np.zeros(4))
-    off = rows @ f
-    if not _certified_span(np.vdot(f, f).real, np.vdot(off, off).real,
-                           np.count_nonzero(norms)):
-        f = _svd_plane(rows)
-    return ProjPlane(f)
+    return ProjPlane(settle_planes(rows, f, np.count_nonzero(norms)))
 
 
 def span_planes(triples: np.ndarray) -> np.ndarray:
     """plane_from_span on a stack of triples of shape (..., 3, 4).
 
-    Returns the normalized functionals, shape (..., 4).  The rank rule is
-    plane_from_span's: the ∧³ functional of each unit-scaled triple where
-    _certified_span vouches for it, the SVD of that triple where it does not.
+    Returns the normalized functionals, shape (..., 4), of the ∧³
+    functionals of the unit-scaled triples, as settle_planes decides them.
     """
     rows = np.asarray(triples, dtype=complex)
     norms = row_norms(rows)
@@ -473,60 +468,44 @@ def span_planes(triples: np.ndarray) -> np.ndarray:
 
 def settle_planes(rows: np.ndarray, f: np.ndarray, count,
                   failed: dict | None = None) -> np.ndarray:
-    """The rank rule of span_planes on the ∧³ functionals f (..., 4) of
-    triples of unit-scaled rows (..., 3, 4), count of them nonzero: f is
-    kept where _certified_span vouches for it and replaced by the _svd_plane
-    of its rows where it does not.  Returns the functionals unit-scaled.
-
-    A row whose rank is not 3 raises _svd_plane's error; with a dict failed,
-    it goes into it instead, its index over the leading axes to that error,
-    and its functional is zero."""
-    off = (rows @ f[..., None])[..., 0]
-    vol2 = (f * f.conj()).real.sum(axis=-1, keepdims=True)
-    open_ = ~_certified_span(vol2[..., 0], (off * off.conj()).real.sum(axis=-1), count)
-    if open_.any():
-        f = f.copy()
-        for i in np.ndindex(open_.shape):
-            if open_[i]:
-                try:
-                    # _svd_plane's functional is unit
-                    f[i], vol2[i] = _svd_plane(rows[i]), 1.0
-                except GeometryError as exc:
-                    if failed is None:
-                        raise
-                    failed[i], f[i], vol2[i] = exc, 0.0, 1.0
-    return f / np.sqrt(vol2)
-
-
-def _certified_span(vol2, off2, count):
-    """Whether the ∧³ functional f of a triple of unit-scaled rows is
-    certified as the plane of all the rows, from vol2 = |f|^2, off2 =
-    |rows @ f|^2 and count, the number of nonzero rows; broadcasts.
+    """The rule of every plane: the ∧³ functionals f (..., 4) of triples of
+    unit-scaled rows (..., n, 4), count of them nonzero, are kept where they
+    are certified as the plane of all the rows, and replaced by the plane
+    that the rows' singular value decomposition decides and fits where they
+    are not.  Returns the functionals unit-scaled.
 
     The rank test is the singular-value test s3 > DEFAULT_TOL s1 >= s4 of
     the rows.  With V = |f| the triple's volume and e1 = count,
     V^2 > DEFAULT_TOL^2 e1^3 implies s3 > DEFAULT_TOL s1, and
     |rows @ f|^2 <= DEFAULT_TOL^2 V^2 e1 / 4 implies s4 <= DEFAULT_TOL s1.
-    f is trusted when both bounds hold and V >= 1e-4: its rounding error is
+    f is kept when both bounds hold and V >= 1e-4: its rounding error is
     about 1e-16 / V, so nearly dependent rows, where a bound is open or f is
-    inaccurate, are left to _svd_plane.
-    """
-    tol2 = DEFAULT_TOL * DEFAULT_TOL
-    return ((vol2 >= _CLOSED_FORM_VOLUME ** 2) & (vol2 > tol2 * count ** 3)
-            & (off2 <= vol2 * (tol2 / 4 * count)))
-
-
-def _svd_plane(rows: np.ndarray) -> np.ndarray:
-    """The functional of the plane of unit-scaled rows of rank 3, decided and
-    fitted by their singular value decomposition."""
-    rank, s, vh = svd_rank(rows, DEFAULT_TOL)
-    if rank != 3:
-        values = ", ".join(f"{x:.1e}" for x in s)
-        raise GeometryError(f"degenerate-span: rank {rank}, expected 3; singular "
-                            f"values {values} of the unit-scaled vectors, "
-                            f"cutoff {DEFAULT_TOL:g} of the largest")
-    # rows @ conj(vh[3]) is s4 u4, the smallest the rows allow
-    return vh[3].conj()
+    inaccurate, are left to the decomposition.  A row whose rank is not 3
+    there raises, with its singular values and the cut; with a dict failed,
+    the error goes into it instead, under the row's index over the leading
+    axes, and the row's functional is zero."""
+    off = (rows @ f[..., None])[..., 0]
+    vol2 = (f * f.conj()).real.sum(axis=-1, keepdims=True)
+    v2, tol2 = vol2[..., 0], DEFAULT_TOL * DEFAULT_TOL
+    open_ = ~((v2 >= _CLOSED_FORM_VOLUME ** 2) & (v2 > tol2 * count ** 3)
+              & ((off * off.conj()).real.sum(axis=-1) <= v2 * (tol2 / 4 * count)))
+    if open_.any():
+        f = f.copy()
+        for i in np.ndindex(open_.shape):
+            if not open_[i]:
+                continue
+            rank, s, vh = svd_rank(rows[i], DEFAULT_TOL)
+            # rows @ conj(vh[3]) is s4 u4, the smallest the rows allow; it is unit
+            f[i], vol2[i] = vh[3].conj(), 1.0
+            if rank != 3:
+                values = ", ".join(f"{x:.1e}" for x in s)
+                exc = GeometryError(f"degenerate-span: rank {rank}, expected 3; singular "
+                                    f"values {values} of the unit-scaled vectors, "
+                                    f"cutoff {DEFAULT_TOL:g} of the largest")
+                if failed is None:
+                    raise exc
+                failed[i], f[i] = exc, 0.0
+    return f / np.sqrt(vol2)
 
 
 LINE_IN_PLANE = "line-in-plane: intersection is not a point"
@@ -544,18 +523,6 @@ def meet_line(plane: ProjPlane, line: np.ndarray) -> np.ndarray:
     x = line_matrix(line) @ plane.functional
     if _norm(x) < DEFAULT_TOL * _norm(line):
         raise GeometryError(LINE_IN_PLANE)
-    return normalize_proj(x)
-
-
-def meet_planes(p1: ProjPlane, p2: ProjPlane, p3: ProjPlane) -> np.ndarray:
-    """Common point of three planes in general position.
-
-    By duality it is the ∧³ functional of the three unit functionals; its
-    norm, their volume, must exceed RANK_CUT.
-    """
-    x = span_functional(p1.functional, p2.functional, p3.functional)
-    if _norm(x) <= RANK_CUT:
-        raise GeometryError("planes-near-parallel: three planes share no unique point")
     return normalize_proj(x)
 
 

@@ -27,7 +27,6 @@ normalization, places its three lines at infinity, 1 and 0.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -61,9 +60,9 @@ class ExtC:
             raise GeometryError("invalid homogeneous pair (0, 0)")
 
     def is_infinity(self) -> bool:
-        """Whether the point is infinity: |den| <= 1e-14 max(1, |num|), the
+        """Whether the point is infinity: |den| <= INF_CUT max(1, |num|), the
         one cut of CP^1; a finite value exists exactly where it is false."""
-        return abs(self.den) <= 1e-14 * max(1.0, abs(self.num))
+        return abs(self.den) <= INF_CUT * max(1.0, abs(self.num))
 
     def value(self) -> complex:
         if self.is_infinity():
@@ -111,6 +110,8 @@ def complex_cr(z1, z2, z3, z4) -> ExtC:
 # |Im lam| above this makes a cross ratio complex: the circular evolution
 # refuses it, and the lift evolves the conjugate parameters by it
 REAL_TOL = 1e-13
+# the one infinity cut of CP^1, of ExtC.is_infinity and check_cross_ratio
+INF_CUT = 1e-14
 
 
 def check_cross_ratio(lam):
@@ -118,17 +119,19 @@ def check_cross_ratio(lam):
     a holonomy is built on it.
 
     lam is one value in a form as_ext takes, or an array of one per row.
-    Raises unless every value is finite and more than DEFAULT_TOL from 0
-    and 1, where the fourth point collapses onto p3 or p1.
+    Raises unless every value is below the CP^1 infinity cut (as
+    ExtC.is_infinity of [lam : 1]), not NaN, and more than DEFAULT_TOL from
+    0 and 1, where the fourth point collapses onto p3 or p1.
     """
     if isinstance(lam, ExtC):
         lam = math.inf if lam.is_infinity() else lam.value()
     if isinstance(lam, (int, float, complex)):
         # one number in Python arithmetic, which costs less than numpy's
-        bad = cmath.isinf(lam), cmath.isnan(lam), min(abs(lam), abs(lam - 1.0)) < DEFAULT_TOL
+        size = abs(lam)
+        bad = INF_CUT * size >= 1.0, math.isnan(size), min(size, abs(lam - 1.0)) < DEFAULT_TOL
     else:
         lam = np.asarray(lam)
-        bad = (np.isinf(lam).any(), np.isnan(lam).any(),
+        bad = ((INF_CUT * np.abs(lam) >= 1.0).any(), np.isnan(lam).any(),
                (np.minimum(np.abs(lam), np.abs(lam - 1.0)) < DEFAULT_TOL).any())
     for degenerate, what in zip(bad, ("infinity", "nan", "0 or 1")):
         if degenerate:

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -1188,6 +1189,108 @@ def test_writers_and_reports_decide_infinity_as_ext_value_does(tmp_path, capsys,
     assert main(["check", net, "--json"]) == 2
     out = capsys.readouterr()
     assert "non-finite value in output" in out.err and out.out == ""
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["evolve", "{src}", "--mode", "complex", "--lambda", "1e14"], _cp1_curve_doc),
+    (["evolve", "{src}", "--mode", "circular", "--lambda=-1e15"], _hp1_curve_doc),
+    (["holonomy", "{src}", "--lambda", "0+1e15i"], _cp1_curve_doc),
+], ids=["complex", "circular", "holonomy"])
+def test_a_cross_ratio_at_the_infinity_cut_exits_2_in_every_command(tmp_path, capsys, argv,
+                                                                     doc):
+    # |lam| >= 1e14 is infinity in CP^1, as ExtC(lam, 1).is_infinity() says.
+    # Before, the complex evolution exited 2 with "point at infinity has no
+    # finite value" from its first face, and the circular evolution and the
+    # holonomy exited 0
+    src = _write(tmp_path, "curve.json", doc())
+    assert main([a.format(src=src) for a in argv]) == 2
+    out = capsys.readouterr()
+    row = "degenerate step in row 1: " if argv[0] == "evolve" else ""
+    assert out.err == f"error: {row}degenerate cross-ratio value infinity\n" and out.out == ""
+
+
+def _repeated_index_doc(kind):
+    """A cp1 curve or a PCEN document with one entry named twice: by the
+    key "1" and "01", or "1,1" and "1,01"."""
+    if kind == "pcen":
+        doc = _pcen_doc(np.random.default_rng(20), 3)
+        doc["entries"]["1,01"] = doc["entries"]["0,0"]
+        return doc, "entry index '1,01' repeats index (1, 1)"
+    doc = dict(_cp1_curve_doc(2), entries={"1": [1.0, 0.0], "01": [5.0, 5.0]})
+    return doc, "entry index '01' repeats index (1,)"
+
+
+@pytest.mark.parametrize("kind", ["cp1", "pcen"])
+def test_an_index_that_a_document_names_twice_exits_1(tmp_path, capsys, kind):
+    # before, the last entry for the index was kept: a JSON export of the cp1
+    # curve exited 0 and wrote one entry, [5, 5]
+    doc, message = _repeated_index_doc(kind)
+    src = _write(tmp_path, "doc.json", doc)
+    for argv in (["export", src, "--target", "json"], ["check", src]):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.err == f"error: {message}\n" and out.out == ""
+    with pytest.raises(DocumentError, match=re.escape(message)):
+        (doc_to_pcen if kind == "pcen" else doc_to_net)(doc)
+
+
+@pytest.mark.parametrize("kind", ["cp1", "pcen"])
+def test_a_key_that_a_json_object_repeats_exits_1(tmp_path, capsys, kind):
+    # json.load keeps the last value of a repeated key; the entries object
+    # of a net and an element of a PCEN each name one key twice
+    doc = _cp1_curve_doc(2) if kind == "cp1" else _pcen_doc(np.random.default_rng(21), 3)
+    text = json.dumps(doc)
+    if kind == "cp1":
+        text, key = text.replace('"1": [', '"0": [1, 0], "1": [', 1), "0"
+    else:
+        text, key = text.replace('"plane": [', '"point": [1, 0, 0, 0, 0, 0, 0, 0], "plane": [',
+                                 1), "point"
+    src = tmp_path / "doc.json"
+    src.write_text(text)
+    for argv in (["export", str(src), "--target", "json"], ["check", str(src)]):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.err == f"error: key {key!r} repeats in a JSON object\n" and out.out == ""
+
+
+def test_a_pcen_element_whose_point_is_off_its_plane_exits_2(tmp_path, capsys):
+    doc = _pcen_doc(np.random.default_rng(22), 3)
+    doc["entries"]["1,1"]["point"] = doc["entries"]["1,1"]["plane"]
+    assert main(["check", _write(tmp_path, "pcen.json", doc)]) == 2
+    out = capsys.readouterr()
+    assert out.err == "error: pencil point must lie in the pencil plane\n" and out.out == ""
+
+
+def _q4_doc_with_the_fiber_over_infinity():
+    fibers = [twistor_fiber(HPoint.infinity()),
+              twistor_fiber(HPoint.from_quaternion(Quaternion(0.5, 1.0, 0.0, -2.0)))]
+    return {"schema": 1, "dim": 1, "box": [2], "kind": "q4", "metadata": {},
+            "entries": {str(k): _cvec_out(f) for k, f in enumerate(fibers)}}
+
+
+@pytest.mark.parametrize("argv, doc, code, err, last", [
+    (["evolve", "{src}", "--mode", "circular", "--lambda", "-1"], _cp1_curve_doc, 2,
+     "error: circular evolution needs an hp1 curve\n", ""),
+    (["evolve", "{src}", "--mode", "complex", "--lambda", "-1"], _hp1_curve_doc, 2,
+     "error: complex evolution needs a cp1 curve\n", ""),
+    (["holonomy", "{src}", "--lambda", "-1"],
+     lambda: net_to_doc(evolve_net_complex([0.5, 2.0, 1j], [-1.0], -1.0)), 2,
+     "error: holonomy expects a one-dimensional cp1 document\n", ""),
+    (["export", "{src}"], _q4_doc_with_the_fiber_over_infinity, 0,
+     "warning: skipping point at infinity at index (0,)\n", "v 1 "),
+    (["check", "-"], _hp1_net_doc, 0, "", "max residual"),
+], ids=["circular-of-cp1", "complex-of-hp1", "holonomy-of-2-dim", "export-infinite-fiber",
+        "check-stdin"])
+def test_command_line_paths_of_mode_kind_and_input(tmp_path, capsys, monkeypatch, argv, doc,
+                                                   code, err, last):
+    text = json.dumps(doc())
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    src = tmp_path / "doc.json"
+    src.write_text(text)
+    assert main([a.format(src=src) for a in argv]) == code
+    out = capsys.readouterr()
+    assert out.err == err
+    assert out.out.splitlines()[-1].startswith(last) if last else out.out == ""
 
 
 def test_lie_report_command(capsys):

@@ -168,6 +168,33 @@ def test_hexahedron_rejects_degenerate_face_and_planes_sharing_a_line():
         hexahedron_complete(phi, p1, p2, p3, x, y, x + 3 * y)
 
 
+@pytest.mark.parametrize("spread", [1e-2, 1e-3, 1e-4, 3e-5])
+def test_hexahedron_completes_a_cube_with_a_narrow_face(spread):
+    # phi12 and phi13 within spread of phi1: the face {phi1, phi12, phi13}
+    # has s3 / s1 about spread, far above the relative rank cut of the plane
+    # rule, which an absolute cut on the face's volume used to refuse.  The
+    # worst s4 / s1 of a face through the eighth vertex, 3.3e-16 over 3,200
+    # such cubes, sets the bound.
+    rng = np.random.default_rng(23)
+
+    def point():
+        return rng.standard_normal(4) + 1j * rng.standard_normal(4)
+
+    def coeff():
+        return complex(*rng.standard_normal(2))
+
+    worst = 0.0
+    for _ in range(200):
+        phi, p1, p2, p3 = (point() for _ in range(4))
+        p12 = p1 + spread * (coeff() * phi + coeff() * p2)
+        p13 = p1 + spread * (coeff() * phi + coeff() * p3)
+        p23 = coeff() * phi + coeff() * p2 + coeff() * p3
+        x = hexahedron_complete(phi, p1, p2, p3, p12, p13, p23)
+        faces = np.array([[p1, p12, p13, x], [p2, p12, p23, x], [p3, p13, p23, x]])
+        worst = max(worst, span_ratios(normalize_rows(faces))[:, 1].max())
+    assert worst < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # curve evolution
 

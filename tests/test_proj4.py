@@ -15,7 +15,6 @@ from twistnets.proj4 import (
     line_meet_point,
     lines_incident,
     meet_line,
-    meet_planes,
     normalize_proj,
     normalize_rows,
     nullspace,
@@ -27,6 +26,7 @@ from twistnets.proj4 import (
     proj_distance,
     proj_distance_rows,
     quadric_pair,
+    span_planes,
     span_residual,
     span_residual_rows,
     wedge,
@@ -128,12 +128,12 @@ def test_plane_membership_and_meet():
     assert plane.contains(x, 1e-8)
 
 
-def test_meet_planes():
+def test_common_point_of_three_planes_is_the_plane_of_their_functionals():
     rng = np.random.default_rng(7)
     p = _random_vec(rng)
     planes = [plane_from_span([p, _random_vec(rng), _random_vec(rng)])
               for _ in range(3)]
-    x = meet_planes(*planes)
+    x = span_planes(np.array([plane.functional for plane in planes]))
     assert proj_distance(x, p) < 1e-8
 
 

@@ -84,13 +84,14 @@ def test_complex_fourth_point_refuses_coincident_p1_and_p2():
 
 def test_one_rule_decides_every_cross_ratio_form():
     for lam in (-1, 0.5, 2 - 1j, 1 + 2e-9, ExtC(3.0, 2.0), ExtC(1.0, 1.0 + 1e-6),
-                np.array([-1.0, 2.0, 0.3 + 4j]), [0.25, -3.0]):
+                np.array([-1.0, 2.0, 0.3 + 4j]), [0.25, -3.0], 9.9e13):
         check_cross_ratio(lam)
     for lam, what in ((0, "0 or 1"), (1 - 5e-10, "0 or 1"), (5e-10j, "0 or 1"),
                       (ExtC(2.0, 2.0), "0 or 1"), (INF, "infinity"), (ExtC(1.0, 1e-16), "infinity"),
                       (complex(math.inf, 1.0), "infinity"), (complex(0.0, math.nan), "nan"),
                       (np.array([-1.0, 1e-10]), "0 or 1"), (np.array([2.0, np.nan]), "nan"),
-                      (np.array([-np.inf, 3.0]), "infinity")):
+                      (np.array([-np.inf, 3.0]), "infinity"), (1e14, "infinity"),
+                      (-1e14j, "infinity"), (np.array([2.0, 1e15]), "infinity")):
         with pytest.raises(GeometryError, match=f"^degenerate cross-ratio value {what}$"):
             check_cross_ratio(lam)
 
