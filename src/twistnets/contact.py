@@ -28,6 +28,7 @@ from .proj4 import (
     DocumentError,
     GeometryError,
     ProjPlane,
+    RowError,
     join_matrices,
     lines_incident,
     meet_join,
@@ -160,56 +161,41 @@ def fiber_matrices(lifts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return fibers, j_on_vector(fibers).swapaxes(-1, -2), join_matrices(lifts, vj)
 
 
-class StepError(GeometryError):
-    """A propagation step's failure; row is the index, over the step's
-    leading axes, of the first row in row order that fails a check."""
-
-    def __init__(self, message: str, row: tuple):
-        super().__init__(message)
-        self.row = row
-
-
 def _propagate(points: np.ndarray, functionals: np.ndarray, fibers: np.ndarray,
                meets: np.ndarray, joins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One propagation step of contact elements, unit rows of points and
     functionals, onto the fibers of fiber_matrices: the new point is
     (f @ meets) @ fibers of the old functional f, the new functional
     y @ joins of the old point y.  Returns them unit-scaled, or raises a
-    StepError for the first failing row, with the message of the first check
-    that row fails.
+    RowError for the earlier of the first rows that fail each check, the
+    fiber-in-plane check on a tie.
 
     Taken in the fiber's coordinates, the meet is a combination of the
     stored rows v and vj; through the 4x4 line matrix of v ^ vj, one product
     fewer, PCEN closure and adjacency residuals came out about a quarter
     larger.  The checks are those of the scalar constructions: meet_line's
-    line-in-plane cut (relative to |v ^ vj| = 1), span_planes' certificate
-    with an SVD for each row it leaves open, and NullLine's pencil condition.
+    line-in-plane cut (relative to |v ^ vj| = 1), and span_planes'
+    certificate with an SVD for each row it leaves open.  They imply
+    NullLine's pencil condition: the plane rule holds the fiber, and so the
+    new point, within 1.3e-9 of the new plane.
     """
     point = ((functionals[..., None, :] @ meets) @ fibers)[..., 0, :]
     size = row_norms(point)
     in_plane = size[..., 0] < DEFAULT_TOL
-    any_in_plane = in_plane.any()
-    functional = (points[..., None, :] @ joins)[..., 0, :]
+    first = tuple(np.argwhere(in_plane)[0].tolist()) if in_plane.any() else None
     # the element's point lies on the fiber over its own base point, and
     # distinct fibers are disjoint: v, vj and that point fail to span a plane
     # only when the next base point coincides with the element's
-    no_span = {}
-    functional = settle_planes(np.concatenate([fibers, points[..., None, :]], axis=-2),
-                               functional, 3, no_span)
-    point /= np.where(in_plane[..., None], 1.0, size) if any_in_plane else size
-    on_pencil = _on_pencil(point, functional)
-    if no_span or any_in_plane or not on_pencil.all():
-        failed = np.array(in_plane | ~on_pencil)
-        for row in no_span:
-            failed[row] = True
-        row = tuple(np.argwhere(failed)[0].tolist())
-        if in_plane[row]:
-            raise StepError(f"fiber-in-plane degeneracy: {LINE_IN_PLANE}", row)
-        if row in no_span:
-            raise StepError(f"next point coincides with the element's point: {no_span[row]}",
-                            row) from no_span[row]
-        raise StepError("pencil point must lie in the pencil plane", row)
-    return point, functional
+    try:
+        functional = settle_planes(np.concatenate([fibers, points[..., None, :]], axis=-2),
+                                   (points[..., None, :] @ joins)[..., 0, :], 3)
+    except RowError as exc:
+        if first is None or exc.row < first:
+            raise RowError(f"next point coincides with the element's point: {exc}",
+                           exc.row) from exc
+    if first is not None:
+        raise RowError(f"fiber-in-plane degeneracy: {LINE_IN_PLANE}", first)
+    return point / size, functional
 
 
 def shared_sphere(l1: NullLine, l2: NullLine) -> np.ndarray:
@@ -308,7 +294,7 @@ def pcen_from_circular(base: LatticeNet, initial: NullLine) -> PCEN:
                 at, prev = origin[:a] + (k,), origin[:a] + (k - 1,)
                 points[at], functionals[at] = _propagate(
                     points[prev], functionals[prev], fibers[at], meets[at], joins[at])
-    except StepError as exc:
+    except RowError as exc:
         raise GeometryError(f"at {at + exc.row} from {prev + exc.row}: {exc}") from exc
     return PCEN(base, points, functionals)
 

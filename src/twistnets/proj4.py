@@ -18,12 +18,13 @@ QUADRIC_MATRIX @ a (meet_join); and a line's orthonormal spanning pair comes
 from two columns of its line matrix (line_factorize).  The plane through
 three vectors is their ∧³ functional (the 3x3 minors of the stacked
 vectors) and, dually, so is the point common to three planes; one rule,
-settle_planes, keeps that functional where it is certified and otherwise
-takes the plane from singular values, which serve only inputs whose rank is
-not known in advance.  Every such rank decision goes through svd_rank, a
-cut relative to the largest singular value (nullspace, orthonormal_span,
-settle_planes on nearly dependent vectors), and four-point planarity
-through span_ratios.  The thresholds that several modules share live here.
+settle_planes, keeps that functional where it is certified, otherwise
+takes the plane from singular values (for inputs of unknown rank only),
+and raises a RowError at its first failing row.  Every such rank decision
+goes through svd_rank, a cut relative to the largest singular value
+(nullspace, orthonormal_span, settle_planes on nearly dependent vectors),
+and four-point planarity through span_ratios.  The thresholds that several
+modules share live here.
 
 The *_rows rules, join_matrices, span_planes and span_ratios take stacks of
 vectors along the last axis and broadcast over the leading axes.  Each
@@ -97,6 +98,14 @@ class GeometryError(ValueError):
 
 class DocumentError(ValueError):
     """Raised when input data is malformed or lacks an entry it needs."""
+
+
+class RowError(GeometryError):
+    """A stacked rule's failure at row, its first failing index in row order."""
+
+    def __init__(self, message: str, row: tuple):
+        super().__init__(message)
+        self.row = row
 
 
 def _norm(v: np.ndarray) -> float:
@@ -466,8 +475,7 @@ def span_planes(triples: np.ndarray) -> np.ndarray:
     return normalize_rows(settle_planes(rows, f, (norms > 0.0).sum(axis=(-2, -1))))
 
 
-def settle_planes(rows: np.ndarray, f: np.ndarray, count,
-                  failed: dict | None = None) -> np.ndarray:
+def settle_planes(rows: np.ndarray, f: np.ndarray, count) -> np.ndarray:
     """The rule of every plane: the ∧³ functionals f (..., 4) of triples of
     unit-scaled rows (..., n, 4), count of them nonzero, are kept where they
     are certified as the plane of all the rows, and replaced by the plane
@@ -480,10 +488,9 @@ def settle_planes(rows: np.ndarray, f: np.ndarray, count,
     |rows @ f|^2 <= DEFAULT_TOL^2 V^2 e1 / 4 implies s4 <= DEFAULT_TOL s1.
     f is kept when both bounds hold and V >= 1e-4: its rounding error is
     about 1e-16 / V, so nearly dependent rows, where a bound is open or f is
-    inaccurate, are left to the decomposition.  A row whose rank is not 3
-    there raises, with its singular values and the cut; with a dict failed,
-    the error goes into it instead, under the row's index over the leading
-    axes, and the row's functional is zero."""
+    inaccurate, are left to the decomposition.  The first row in row order
+    whose rank is not 3 there raises a RowError with its index over the
+    leading axes, its singular values and the cut."""
     off = (rows @ f[..., None])[..., 0]
     vol2 = (f * f.conj()).real.sum(axis=-1, keepdims=True)
     v2, tol2 = vol2[..., 0], DEFAULT_TOL * DEFAULT_TOL
@@ -495,16 +502,13 @@ def settle_planes(rows: np.ndarray, f: np.ndarray, count,
             if not open_[i]:
                 continue
             rank, s, vh = svd_rank(rows[i], DEFAULT_TOL)
-            # rows @ conj(vh[3]) is s4 u4, the smallest the rows allow; it is unit
-            f[i], vol2[i] = vh[3].conj(), 1.0
             if rank != 3:
                 values = ", ".join(f"{x:.1e}" for x in s)
-                exc = GeometryError(f"degenerate-span: rank {rank}, expected 3; singular "
-                                    f"values {values} of the unit-scaled vectors, "
-                                    f"cutoff {DEFAULT_TOL:g} of the largest")
-                if failed is None:
-                    raise exc
-                failed[i], f[i] = exc, 0.0
+                raise RowError(f"degenerate-span: rank {rank}, expected 3; singular "
+                               f"values {values} of the unit-scaled vectors, "
+                               f"cutoff {DEFAULT_TOL:g} of the largest", i)
+            # rows @ conj(vh[3]) is s4 u4, the smallest the rows allow; it is unit
+            f[i], vol2[i] = vh[3].conj(), 1.0
     return f / np.sqrt(vol2)
 
 

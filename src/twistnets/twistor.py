@@ -10,6 +10,7 @@ lines correspond to round two-spheres in S^4 = HP^1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +55,9 @@ class HPoint:
         return HPoint(Quaternion.one(), Quaternion(0, 0, 0, 0))
 
     def is_infinity(self) -> bool:
-        return self.b.norm() < DEFAULT_TOL * max(1.0, self.a.norm())
+        """|b| < DEFAULT_TOL |(a, b)|, which no scale of the pair changes."""
+        nb = self.b.norm()
+        return nb < DEFAULT_TOL * math.hypot(self.a.norm(), nb)
 
     def affine(self) -> Quaternion:
         """The quaternion q with self = [q : 1]; raises at infinity."""
@@ -132,7 +135,7 @@ def affine_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # hypot, as in normalize_rows: |a|^2 overflows for components above about
     # 1e154, and a document's b is 1 or 0
     norms = np.hypot.reduce(pairs, axis=-1)
-    at_inf = norms[..., 1] < DEFAULT_TOL * np.maximum(1.0, norms[..., 0])
+    at_inf = norms[..., 1] < DEFAULT_TOL * np.hypot(norms[..., 0], norms[..., 1])
     q = a * (b.conjugate() * (1.0 / np.where(at_inf, 1.0, nb2)))
     return np.where(at_inf[..., None], QUAT_ONE, np.stack([q.w, q.x, q.y, q.z], axis=-1)), at_inf
 

@@ -1299,3 +1299,48 @@ def test_lie_report_command(capsys):
     assert rep["basis_signature"] == [2, 4]
     assert rep["omega_slice_signature"] == [1, 4]
     assert rep["dimension"] == 6
+
+
+@pytest.mark.parametrize("argv, doc, code, err", [
+    (["evolve", "{src}", "--mode", "complex", "--lambda", "-0.5+1i"], _cp1_curve_doc, 0, ""),
+    (["evolve", "{src}", "--mode", "circular", "--lambda", "-2e-3"], _hp1_curve_doc, 0, ""),
+    (["evolve", "{src}", "--mode", "circular", "--lambda", "-1e15"], _hp1_curve_doc, 2,
+     "error: degenerate step in row 1: degenerate cross-ratio value infinity\n"),
+    (["holonomy", "{src}", "--lambda", "-0.5+1i"], _cp1_curve_doc, 0, ""),
+    (["holonomy", "{src}", "--lambda", "-2e-3", "--json"], _cp1_curve_doc, 0, ""),
+    (["evolve", "{src}", "--mode", "complex", "--lambda", "-1", "--lift", "--sphere",
+      "-1" + ",0" * 11], _cp1_curve_doc, 2,
+     "error: S must be a sphere lift, not a twistor fiber\n"),
+    (["holonomy", "{src}", "--lambda", "--json"], _cp1_curve_doc, 1,
+     "error: cannot parse '--json' as a finite complex number\n"),
+], ids=["complex", "circular", "circular-infinity", "holonomy", "holonomy-json", "sphere",
+        "option-as-value"])
+def test_a_value_that_starts_with_a_minus_is_the_options_value(tmp_path, capsys, argv, doc,
+                                                               code, err):
+    # argparse reads a token that starts with '-' as an option unless it is a
+    # plain negative decimal such as -1; before, each of these exited 1 with
+    # "argument --lambda: expected one argument".  The sphere -e1^e1j is the
+    # fiber over infinity
+    src = _write(tmp_path, "curve.json", doc())
+    argv = [a.format(src=src) for a in argv]
+    assert main(argv) == code
+    out = capsys.readouterr()
+    assert out.err == err
+    # the same as the option joined to its value, which argparse always read
+    k = argv.index("--sphere" if "--sphere" in argv else "--lambda")
+    assert main(argv[:k] + [f"{argv[k]}={argv[k + 1]}"] + argv[k + 2:]) == code
+    assert capsys.readouterr() == out
+
+
+def test_a_sphere_that_starts_with_a_minus_lifts_a_net(tmp_path, capsys):
+    sphere = -_unit_sphere_bivector()
+    text = ",".join(repr(x) for x in _cvec_out(sphere))
+    assert text.startswith("-")
+    src = _write(tmp_path, "curve.json", _cp1_curve_doc())
+    out = str(tmp_path / "lifted.json")
+    assert main(["evolve", src, "--mode", "complex", "--lambda", "-1", "--lift", "-o", out,
+                 "--sphere", text]) == 0
+    assert proj_distance(doc_to_net(load_doc(out)).metadata["sphere"], sphere) < 1e-12
+    # an option with no value left is still a usage error
+    assert main(["holonomy", src, "--lambda"]) == 1
+    assert "argument --lambda: expected one argument" in capsys.readouterr().err

@@ -330,3 +330,33 @@ def test_pcen_sides_swap_parity():
     assert not on_sphere_line(left[(1, 0)].point)
     with pytest.raises(GeometryError):
         pcen_from_complex_cr(S, base, side="up")
+
+
+def _pcen_3x3():
+    """A PCEN over a 3x3 circular net whose element at (2, 2) is missing."""
+    net = _circular_net(np.random.default_rng(7), (3, 3))
+    pcen = pcen_from_circular(net, _initial_element(net))
+    present = pcen.present.copy()
+    present[2, 2] = False
+    return PCEN(net, pcen.points, pcen.functionals, present)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: contact_element(_hp(1.0, 0.0, 2.0, 0.0), _sphere_c()), GeometryError,
+     "point is not on the sphere"),
+    (lambda: _pcen_3x3()[2, 2], KeyError, r"\(2, 2\)"),
+    (lambda: _pcen_3x3()[3, 0], KeyError, r"\(3, 0\)"),
+    (lambda: _pcen_3x3()[0, -1], KeyError, r"\(0, -1\)"),
+], ids=["contact-element-off-the-sphere", "missing-element", "outside-the-box", "negative-index"])
+def test_contact_refusals(call, error, message):
+    # the sphere e1 ^ e2 is C + infinity in H, which 1 + 2j is off; a PCEN
+    # has no element where its present mask is false or outside its box
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_a_pcen_counts_and_lists_its_present_elements():
+    pcen = _pcen_3x3()
+    assert len(pcen) == 8
+    assert list(pcen) == [idx for idx in np.ndindex(3, 3) if idx != (2, 2)]
+    assert (2, 2) not in pcen and (0, 0) in pcen

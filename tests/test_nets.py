@@ -1017,3 +1017,26 @@ def test_face_planarity_never_wraps_an_index():
 def test_complex_evolution_needs_a_curve_point():
     with pytest.raises(GeometryError, match="complex evolution needs a curve point"):
         evolve_net_complex([], [1j], 0.5)
+
+
+def _cp1_curve():
+    """A complete 1-dim cp1 net of three points."""
+    return LatticeNet(1, (3,), "cp1", data=np.array([[0.5, 1.0], [1j, 1.0], [-2.0, 1.0]],
+                                                     dtype=complex))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: holonomy([0.5, 2.0], -1.0), "closed curve needs at least three distinct points"),
+    (lambda: lift_to_QS2(twistor_fiber(_hp(1.0, 0.0, 0.0, 0.0)), _cp1_curve()),
+     "S must be a sphere lift, not a twistor fiber"),
+    (lambda: lift_to_QS2(_default_sphere(), LatticeNet(1, (2,), "hp1", data=np.array(
+        [[[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]] * 2))), "lift expects a cp1 net"),
+    (lambda: lift_to_QS2(_default_sphere(), _cp1_curve(), 0.4 + 0.9j),
+     "complex-lambda lift needs a 2-dim net"),
+    (lambda: LatticeNet(1, (3,), "hp2"), "unknown net kind 'hp2'"),
+    (lambda: LatticeNet(2, (3,), "cp1"), "shape length must equal lattice dimension"),
+], ids=["holonomy-of-two-points", "lift-on-a-fiber", "lift-of-an-hp1-net",
+        "complex-lift-of-a-curve", "unknown-kind", "shape-of-the-wrong-length"])
+def test_nets_refusals(call, message):
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        call()

@@ -26,6 +26,7 @@ from twistnets.proj4 import (
     proj_distance,
     proj_distance_rows,
     quadric_pair,
+    quadric_roots,
     span_planes,
     span_residual,
     span_residual_rows,
@@ -319,3 +320,37 @@ def test_orthonormal_pair_rows_refuses_a_parallel_row(rows, r, psi):
     for pair, args in ((orthonormal_pair_rows, (a, b)), (orthonormal_pair, (a[k], b[k]))):
         with pytest.raises(GeometryError, match="^degenerate-span: the two vectors are parallel$"):
             pair(*args)
+
+
+@pytest.mark.parametrize("a", [np.array([1, 0, 0, 0, 0, 1]), np.array([0, 1j, 0, 0, 2, 0]),
+                               np.array([1e-8, 0, 0, 0, 0, 1e-8])],
+                         ids=["fibers-e1-e2", "skew-pair", "small"])
+def test_line_factorize_refuses_a_bivector_that_is_no_line(a):
+    # e1^e1j + e2^e2j and i e1^e2 + 2 e1j^e2j pair with themselves to 2 and
+    # -4i: no line of CP^3, at any scale
+    with pytest.raises(GeometryError, match="^bivector is not decomposable$"):
+        line_factorize(a)
+
+
+def test_quadric_roots_include_a_second_generator_on_the_quadric():
+    # h = e1^e1j is a line and g = e1^e2 + e1j^e2j pairs with itself to -2
+    # and with h to 0: on the pencil g + t h only t = infinity, h itself,
+    # is a point of the quadric
+    g, h = np.array([0, 1, 0, 0, 1, 0], dtype=complex), np.array([1, 0, 0, 0, 0, 0], dtype=complex)
+    roots = quadric_roots(g, h)
+    assert len(roots) == 1 and np.array_equal(roots[0], h)
+
+
+def test_the_plane_rule_names_its_first_failing_row_in_row_order():
+    # a (2, 3) stack of triples with collinear triples at (0, 2) and (1, 0)
+    rng = np.random.default_rng(24)
+    triples = rng.standard_normal((2, 3, 3, 4)) + 1j * rng.standard_normal((2, 3, 3, 4))
+    for at in ((1, 0), (0, 2)):
+        triples[at][2] = 2.0 * triples[at][0] - 1j * triples[at][1]
+    with pytest.raises(GeometryError, match="^degenerate-span: rank 2, expected 3") as exc:
+        span_planes(triples)
+    assert exc.value.row == (0, 2)
+    triples[0, 2] = rng.standard_normal((3, 4))
+    with pytest.raises(GeometryError) as exc:
+        span_planes(triples)
+    assert exc.value.row == (1, 0)

@@ -25,6 +25,7 @@ from twistnets.twistor import (
     j_on_bivector,
     j_on_vector,
     plane_fiber,
+    quat_pairs,
     sphere_contains,
     sphere_eigen_quaternion,
     sphere_from_eigenvectors,
@@ -398,3 +399,33 @@ def test_affine_rows_are_hpoint_affine_and_never_overflow():
     huge = np.array([[[1e200, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]],
                      [[1e300, -1e300, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]]])
     assert twistor.affine_rows(huge)[1].tolist() == [True, True]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False), min_size=4,
+                max_size=4).filter(lambda x: math.hypot(*x) > 0.1),
+       st.floats(-12.0, 12.0))
+def test_the_hp1_infinity_cut_is_scale_free(q, log_r):
+    # [q r : r] is q and [r : r e] is infinity exactly when |e| < 1e-9
+    # (to rounding), at every scale r in [1e-12, 1e12], for HPoint and
+    # affine_rows alike; before, the cut was |b| < 1e-9 max(1, |a|), so
+    # [1e-10 : 1e-10] was infinity
+    r, q = 10.0 ** log_r, Quaternion(*q)
+    pairs = [(q * r, Quaternion(r)), (Quaternion(r), Quaternion(r * 1e-8)),
+             (Quaternion(r), Quaternion(r * 1e-10)), (Quaternion(0.0, r), Quaternion())]
+    points = [HPoint(a, b) for a, b in pairs]
+    assert [p.is_infinity() for p in points] == [False, False, True, True]
+    assert (points[0].affine() - q).norm() < 1e-14 * q.norm()
+    rows, at_inf = twistor.affine_rows(quat_pairs(points))
+    assert at_inf.tolist() == [False, False, True, True]
+    for row, p in zip(rows[:2].tolist(), points):
+        v = p.affine()
+        assert row == [v.w, v.x, v.y, v.z]
+
+
+@pytest.mark.parametrize("point", [HPoint.infinity(), HPoint(Quaternion(1e-12), Quaternion()),
+                                   HPoint(Quaternion(0.0, 0.0, 1e12), Quaternion())],
+                         ids=["unit", "small", "large"])
+def test_a_point_at_infinity_has_no_affine_coordinate(point):
+    with pytest.raises(GeometryError, match="^point at infinity has no affine coordinate$"):
+        point.affine()

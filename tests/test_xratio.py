@@ -367,3 +367,13 @@ def test_line_off_the_conic_through_both_transversals_is_rejected():
     on = [regulus_point(reg, x) for x in (0.5, -1.0, 2.0j)]
     with pytest.raises(GeometryError, match="point is not on the regulus conic"):
         steiner_cr(reg, *on, off)
+
+
+def test_as_ext_takes_a_float_infinity_as_the_point_at_infinity():
+    assert as_ext(math.inf) is INF and as_ext(-math.inf) is INF
+
+
+@pytest.mark.parametrize("z", ["x", None, [1.0, 2.0]], ids=["text", "none", "list"])
+def test_as_ext_refuses_what_is_no_number(z):
+    with pytest.raises(TypeError, match="^cannot interpret .* as an extended complex number$"):
+        as_ext(z)
