@@ -711,14 +711,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # argparse reads a value that starts with '-' and is no plain negative decimal
-# as an option, so main joins these options to their values: --lambda=-0.5+1i
+# as an option, so main joins these options, and every abbreviation of them
+# (--lam, --sph), to their values: --lambda=-0.5+1i.  A bare '--' is no
+# abbreviation; an ambiguous one such as --l stays argparse's usage error,
+# joined or not.
 _SIGNED_OPTIONS = ("--lambda", "--sphere")
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     for k in reversed(range(len(argv) - 1)):
-        if argv[k] in _SIGNED_OPTIONS:
+        if len(argv[k]) > 2 and any(opt.startswith(argv[k]) for opt in _SIGNED_OPTIONS):
             argv[k:k + 2] = [f"{argv[k]}={argv[k + 1]}"]
     try:
         args = build_parser().parse_args(argv)

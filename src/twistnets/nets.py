@@ -51,10 +51,10 @@ from .twistor import (
     HPoint,
     is_j_real,
     j_on_vector,
-    lift_fiber_rows,
     lift_rows,
     pair_rows,
     quat_pairs,
+    real_fiber_rows,
 )
 from .xratio import (
     REAL_TOL,
@@ -211,15 +211,17 @@ class LatticeNet:
         return self._lifts
 
     def ambient(self) -> np.ndarray:
-        """The unit vectors the values stand for, box + (n,): twistor fibers
-        of lifts() for hp1, the normalized values for cp3 and q4, zero where
-        a vertex has no value.  Computed on each call, from the cached
-        lifts() for hp1; a cp1 net's values stand for no ambient vectors."""
+        """The unit vectors the values stand for, box + (n,), zero where a
+        vertex has no value: for hp1 the twistor fibers of lifts() as real
+        6-vectors, their coordinates in the real section of the Pluecker
+        quadric (real_fiber_rows), for cp3 and q4 the normalized values,
+        complex.  Computed on each call, from the cached lifts() for hp1; a
+        cp1 net's values stand for no ambient vectors."""
         if self.kind == "cp1":
             raise GeometryError("cp1 nets have no ambient planarity notion")
-        rows = lift_fiber_rows(self.lifts()[self.present]) if self.kind == "hp1" \
+        rows = real_fiber_rows(self.lifts()[self.present]) if self.kind == "hp1" \
             else normalize_rows(self.data[self.present])
-        amb = np.zeros(self.shape + rows.shape[-1:], dtype=complex)
+        amb = np.zeros(self.shape + rows.shape[-1:], dtype=rows.dtype)
         amb[self.present] = rows
         return amb
 
@@ -230,8 +232,10 @@ class LatticeNet:
         face's residual is then a few list lookups, not an array index.
 
         One stacked SVD per axis pair builds the lists, which are cached
-        until the next write.  So the first query of one face pays for every
-        face, about 3 ms at 24 x 24 against about 30 us for one face alone.
+        until the next write; an hp1 net's faces are real (faces, 4, 6)
+        stacks, which cost about two thirds of complex ones.  So the first
+        query of one face pays for every face, about 1.5 ms at 24 x 24
+        against about 10 us for one face alone (one core of a Xeon server).
         numpy hands LAPACK each matrix of a stack as it hands it a single
         one, so a face's ratio is that of its own decomposition bit for bit.
         """
@@ -256,8 +260,9 @@ def face_planarity(net: LatticeNet, base, axes) -> float:
     its four ambient vectors, read from net.planarity_lists().
 
     Zero means the four points span at most a plane.  For hp1 nets the
-    vertices are lifted to their twistor fibers first, so the residual
-    measures concircularity.  axes is a pair a < b, as in net.faces().
+    vertices are lifted to their twistor fibers first, real 6-vectors in the
+    real section of the Pluecker quadric, so the residual measures
+    concircularity.  axes is a pair a < b, as in net.faces().
     The first query on a net decomposes all of its faces at once.
     """
     base = tuple(base)
@@ -276,7 +281,8 @@ def face_planarity(net: LatticeNet, base, axes) -> float:
 
 def face_vectors(net: LatticeNet) -> tuple[list, np.ndarray]:
     """The faces of net.faces() and the ambient vectors of their vertices,
-    stacked as (faces, 4, n) in face_index order; raises for the first face
+    stacked as (faces, 4, n) in face_index order: real for an hp1 net,
+    complex for cp3 and q4 (LatticeNet.ambient).  Raises for the first face
     with a missing vertex, and for a cp1 net with or without faces."""
     faces, (_, _, corners) = list(net.faces()), box_cells(net.shape, 2)
     complete = net.present.reshape(-1)[corners].all(axis=-1)

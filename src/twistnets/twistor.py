@@ -31,7 +31,6 @@ from .proj4 import (
     span_residual,
     span_residual_rows,
     wedge,
-    wedge_rows,
 )
 
 
@@ -43,8 +42,15 @@ class HPoint:
     b: Quaternion
 
     def __post_init__(self):
-        if self.a.is_zero(1e-14) and self.b.is_zero(1e-14):
-            raise GeometryError("homogeneous quaternion pair must be nonzero")
+        a, b = self.a, self.b
+        parts = (a.w, a.x, a.y, a.z, b.w, b.x, b.y, b.z)
+        # scale-free: hypot is 0 only for zeros, and not finite for a
+        # non-finite entry or a norm above the largest float
+        if not 0.0 < math.hypot(*parts) < math.inf:
+            if not any(parts):
+                raise GeometryError("homogeneous quaternion pair must be nonzero")
+            if not all(map(math.isfinite, parts)):
+                raise GeometryError("homogeneous quaternion pair must be finite")
 
     @staticmethod
     def from_quaternion(q: Quaternion) -> "HPoint":
@@ -69,7 +75,14 @@ class HPoint:
         """A C^4 representative (the complex coordinates of (a, b))."""
         z1, z2 = self.a.complex_pair()
         z3, z4 = self.b.complex_pair()
-        return normalize_proj(np.array([z1, z2, z3, z4], dtype=complex))
+        v = np.array([z1, z2, z3, z4], dtype=complex)
+        try:
+            return normalize_proj(v)
+        except GeometryError:
+            # under normalize_proj's 1e-12 cut: an exact power of two brings
+            # the largest modulus into [0.5, 1)
+            exp = math.frexp(np.abs(v).max())[1]
+            return normalize_proj(np.ldexp(v.view(float), -exp).view(complex))
 
     def isclose(self, other: "HPoint", tol: float = DEFAULT_TOL) -> bool:
         # right-scale invariance: the lift must lie in the other point's
@@ -156,9 +169,20 @@ def pair_rows(v: np.ndarray) -> np.ndarray:
     return v.view(float).reshape(v.shape[:-1] + (2, 4)) * _CONJ_Z
 
 
-def lift_fiber_rows(v: np.ndarray) -> np.ndarray:
-    """The twistor fibers v ^ vj of unit lifts v (..., 4), normalized."""
-    return normalize_rows(wedge_rows(v, j_on_vector(v)))
+def real_fiber_rows(v: np.ndarray) -> np.ndarray:
+    """The twistor fibers x = v ^ vj of unit lifts v (..., 4) as unit real
+    rows (..., 6), their coordinates in the real section of the Pluecker
+    quadric.  x is j-real as computed: x01 = |v0|^2 + |v1|^2 and x23 are
+    real, x13 = conj(x02) and x12 = -conj(x03).  So (x01, x23, sqrt2 x02,
+    sqrt2 x03), x02 and x03 split into real and imaginary parts, is an
+    isometry of the j-real bivectors onto R^6: the rows have the Gram matrix,
+    and four of them the singular values, of their complex fibers."""
+    v0, v1, v2, v3 = np.moveaxis(v, -1, 0)
+    sq = v.real ** 2 + v.imag ** 2
+    x02 = math.sqrt(2.0) * (v2 * v1.conj() - v0 * v3.conj())
+    x03 = math.sqrt(2.0) * (v0 * v2.conj() + v3 * v1.conj())
+    return np.stack([sq[..., 0] + sq[..., 1], sq[..., 2] + sq[..., 3],
+                     x02.real, x02.imag, x03.real, x03.imag], axis=-1)
 
 
 def coincident_rows(x: np.ndarray, v: np.ndarray, vj: np.ndarray | None = None) -> np.ndarray:

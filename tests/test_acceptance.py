@@ -18,7 +18,6 @@ from twistnets.twistor import (
     HPoint,
     classify_contact,
     j_on_bivector,
-    lift_fiber_rows,
     lift_rows,
     pair_rows,
     quat_pairs,
@@ -56,6 +55,8 @@ from twistnets.contact import (
     pcen_from_complex_cr,
 )
 from twistnets.lie import QuatHermitianForm, lie_signature_report
+
+from complex_fibers import lift_fiber_rows
 
 
 def _report(num: int, label: str, ok: bool, detail: str = ""):

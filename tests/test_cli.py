@@ -1,10 +1,14 @@
+import contextlib
 import io
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistnets.quat import Quaternion
 from twistnets.proj4 import QUADRIC_MATRIX, normalize_proj, nullspace, quadric_pair, quadric_roots
@@ -39,6 +43,8 @@ from twistnets.proj4 import (
     span_ratios,
     wedge,
 )
+
+from complex_fibers import complex_face_ratios, random_hp1_net
 
 
 def _write(tmp_path, name, doc):
@@ -214,6 +220,27 @@ def test_planarity_report_of_a_3_dim_net_is_unchanged(tmp_path, capsys, kind):
         _planarity_json_reference(doc_to_net(doc))
     assert main(["check", "--json", _write(tmp_path, "hole.json", doc)]) == 2
     assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(2, 4), min_size=2, max_size=3), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_hp1_planarity_rows_are_the_complex_fibers_ratios(shape, on_circle, seed):
+    # the report decomposes an hp1 net's faces as real 6-vectors; the rows
+    # and the exit code are those of the complex fibers, phase-normalized.
+    # Bound: over 1,500 random nets a face's ratio moved by at most 5.0e-16
+    doc = net_to_doc(random_hp1_net(np.random.default_rng(seed), tuple(shape), 0.0, on_circle))
+    flat, want = complex_face_ratios(doc_to_net(doc)).T
+    want = np.where(flat <= RANK_CUT, np.maximum(want, 1.0), want)
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), \
+            contextlib.redirect_stdout(out):
+        code = main(["check", "-", "--json"])
+    rep = json.loads(out.getvalue())
+    assert code == (0 if want.max() <= 1e-8 else 3) and rep["ok"] == (code == 0)
+    assert len(rep["faces"]) == len(want)
+    assert max(abs(row["residual"] - w) for row, w in zip(rep["faces"], want.tolist())) < 1.5e-15
+    assert code == 0 or not on_circle
 
 
 @pytest.mark.parametrize("box", [[3], [2, 2]])
@@ -1330,6 +1357,38 @@ def test_a_value_that_starts_with_a_minus_is_the_options_value(tmp_path, capsys,
     k = argv.index("--sphere" if "--sphere" in argv else "--lambda")
     assert main(argv[:k] + [f"{argv[k]}={argv[k + 1]}"] + argv[k + 2:]) == code
     assert capsys.readouterr() == out
+
+
+@pytest.mark.parametrize("argv, doc, code", [
+    (["holonomy", "{src}", "--lam", "-0.5+1i"], _cp1_curve_doc, 0),
+    (["evolve", "{src}", "--mode", "complex", "--lamb", "-0.5+1i"], _cp1_curve_doc, 0),
+    (["evolve", "{src}", "--mode", "complex", "--lambda", "-1", "--lift", "--sph",
+      "-1" + ",0" * 11], _cp1_curve_doc, 2),
+], ids=["lam", "lamb", "sph"])
+def test_an_abbreviated_option_takes_a_value_that_starts_with_a_minus(tmp_path, capsys, argv,
+                                                                      doc, code):
+    # argparse resolves --lam to --lambda and --sph to --sphere; before, each
+    # exited 1 with "argument --lambda: expected one argument"
+    src = _write(tmp_path, "curve.json", doc())
+    argv = [a.format(src=src) for a in argv]
+    assert main(argv) == code
+    out = capsys.readouterr()
+    # the same as the full option name
+    full = [{"--lam": "--lambda", "--lamb": "--lambda", "--sph": "--sphere"}.get(a, a)
+            for a in argv]
+    assert main(full) == code
+    assert capsys.readouterr() == out
+
+
+def test_a_bare_double_dash_and_an_ambiguous_abbreviation_are_not_options_values(tmp_path,
+                                                                                capsys):
+    src = _write(tmp_path, "curve.json", _cp1_curve_doc())
+    # the input after '--' stays positional
+    assert main(["holonomy", "--lambda", "-2e-3", "--", src]) == 0
+    capsys.readouterr()
+    # --l could be --lambda or --lift in evolve: a usage error
+    assert main(["evolve", src, "--mode", "complex", "--l", "-1"]) == 1
+    assert "ambiguous option: --l" in capsys.readouterr().err
 
 
 def test_a_sphere_that_starts_with_a_minus_lifts_a_net(tmp_path, capsys):
