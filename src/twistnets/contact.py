@@ -52,7 +52,6 @@ from .twistor import (
     twistor_project,
 )
 from .nets import LatticeNet, box_cells, first_missing, in_box, sphere_frame
-from .xratio import as_ext
 
 
 # |f @ x| bound for the unit pencil point x in the plane with functional f
@@ -75,20 +74,6 @@ class NullLine:
         self.point = normalize_proj(self.point)
         if not _on_pencil(self.point, self.plane.functional):
             raise GeometryError("pencil point must lie in the pencil plane")
-
-    def pencil_basis(self):
-        """Two spanning directions u, v with members point ^ (u z + v w)."""
-        # complete the point to a basis of the plane; the basis is
-        # orthonormal, so the point's coordinates are inner products
-        b = self.plane.basis
-        coeff = b.conj().T @ self.point
-        k = int(np.argmax(np.abs(coeff)))
-        return tuple(b[:, i] for i in range(3) if i != k)
-
-    def member(self, z) -> np.ndarray:
-        z = as_ext(z)
-        u, v = self.pencil_basis()
-        return normalize_proj(wedge(self.point, u * z.num + v * z.den))
 
     def contains_line(self, a: np.ndarray, tol: float = 1e-7) -> bool:
         """True iff the line a is a member of the pencil."""

@@ -75,23 +75,16 @@ class QuatHermitianForm:
         self.omega = om
         self.omega_vec = om[_PAIR_A, _PAIR_B]
 
-    def value(self, v: np.ndarray, w: np.ndarray) -> Quaternion:
-        """frak_h on C^4 vectors, reassembled from the complex split."""
-        v, w = np.asarray(v, dtype=complex), np.asarray(w, dtype=complex)
-        return Quaternion.from_complex_pair(complex(v.conj() @ self.hmat @ w),
-                                            complex(v @ self.omega @ w))
-
-    def h(self, v: np.ndarray, w: np.ndarray) -> complex:
-        return complex(np.asarray(v).conj() @ self.hmat @ np.asarray(w))
-
     def omega_on_bivector(self, x: np.ndarray) -> complex:
         """omega evaluated on a bivector (omega(v, w) for x = v ^ w)."""
         return complex(self.omega_vec @ np.asarray(x, dtype=complex))
 
     def is_null_point(self, p: HPoint, tol: float = DEFAULT_TOL) -> bool:
-        """True iff p lies on the three-sphere of null lines."""
+        """True iff p lies on the three-sphere of null lines: |frak_h(v, v)|
+        < tol for the unit lift v.  frak_h(v, v) = h(v, v) + j omega(v, v),
+        and omega(v, v) = 0 as omega alternates, so the test is |v^H h v|."""
         v = p.lift()
-        return self.value(v, v).norm() < tol
+        return abs(v.conj() @ self.hmat @ v) < tol
 
 
 DEFAULT_FORM = QuatHermitianForm()

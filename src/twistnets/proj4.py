@@ -112,14 +112,26 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(v, v).real)
 
 
-def _nonzero_norm(v: np.ndarray) -> float:
-    """The norm of v by math.hypot, which does not overflow.  A norm under
+def _scale_down(v: np.ndarray) -> np.ndarray:
+    """Each vector along the last axis times the power of two that puts its
+    largest real component in [0.5, 1), for norms above the largest float;
+    the scaling is exact for every component that stays a normal float."""
+    parts = np.ascontiguousarray(v, dtype=complex).view(float)
+    exp = np.frexp(np.abs(parts).max(axis=-1, keepdims=True))[1]
+    return np.ldexp(parts, -exp).view(complex)
+
+
+def _scaled_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """v and its norm by math.hypot; where that norm overflows though every
+    entry of v is finite, v is first scaled down (_scale_down).  A norm under
     1e-12 raises: the one zero cut of normalize_proj and of the scale-free
     tests (proj_distance, lines_incident, ProjPlane.residual)."""
     n = math.hypot(*np.abs(v).tolist())
     if n < 1e-12:
         raise GeometryError("cannot normalize (near-)zero homogeneous vector")
-    return n
+    if n == math.inf and np.isfinite(v).all():
+        return _scaled_norm(_scale_down(v))
+    return v, n
 
 
 def normalize_proj(v: np.ndarray) -> np.ndarray:
@@ -128,14 +140,17 @@ def normalize_proj(v: np.ndarray) -> np.ndarray:
     The phase anchor is the first component whose modulus exceeds 1e-6 of the
     vector's norm, which keeps the anchor stable under perturbation.  The
     anchor of the result is exactly real, so normalizing a normalized vector
-    returns it unchanged, bit for bit.
+    returns it unchanged, bit for bit.  A vector of finite entries whose norm
+    overflows is normalized as its _scale_down.
     """
     v = np.asarray(v, dtype=complex)
-    # one list of moduli serves the norm (as in _nonzero_norm) and the anchor
+    # one list of moduli serves the norm (as in _scaled_norm) and the anchor
     mags = np.abs(v).tolist()
     n = math.hypot(*mags)
     if n < 1e-12:
         raise GeometryError("cannot normalize (near-)zero homogeneous vector")
+    if n == math.inf and np.isfinite(v).all():
+        return normalize_proj(_scale_down(v))
     cut = 1e-6 * n
     for anchor, m in enumerate(mags):
         if m > cut:
@@ -161,15 +176,25 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
 
     Each row gets the same anchor rule: unit norm, and its first component
     above 1e-6 of the norm exactly real and positive; as there, a row that
-    already obeys it is returned unchanged.
+    already obeys it is returned unchanged, and a row of finite entries whose
+    norm overflows is scaled down first.
     """
     v = np.asarray(v, dtype=complex)
     width = v.shape[-1]
     rows = v.reshape(-1, width)
     mags = np.abs(rows)
     # hypot, as math.hypot in normalize_proj: squares of components above
-    # about 1e154 would overflow
-    n = np.hypot.reduce(mags, axis=1)
+    # about 1e154 would overflow.  Only moduli above 1e300 can take a norm
+    # above the largest float, where the row is scaled down first
+    if mags.max(initial=0.0) < 1e300:
+        n = np.hypot.reduce(mags, axis=1)
+    else:
+        with np.errstate(over="ignore"):
+            n = np.hypot.reduce(mags, axis=1)
+        huge = (n == np.inf) & np.isfinite(rows).all(axis=1)
+        if np.count_nonzero(huge):
+            rows = np.where(huge[:, None], _scale_down(rows), rows)
+            return normalize_rows(rows).reshape(v.shape)
     if np.count_nonzero(n < 1e-12):
         raise GeometryError("cannot normalize (near-)zero homogeneous vector")
     # the anchors as indices into the flattened rows
@@ -196,9 +221,9 @@ def proj_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def _unit(v: np.ndarray) -> np.ndarray:
     """v scaled to unit norm, its phase kept; under the 1e-12 zero cut of
-    _nonzero_norm it raises."""
-    v = np.asarray(v, dtype=complex)
-    return v / _nonzero_norm(v)
+    _scaled_norm it raises."""
+    v, n = _scaled_norm(np.asarray(v, dtype=complex))
+    return v / n
 
 
 def _unit_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -368,13 +393,11 @@ def nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def orthonormal_span(vectors, rank: int | None = None, tol: float = DEFAULT_TOL) -> np.ndarray:
+def orthonormal_span(vectors, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the span of the given row vectors; a
     row of norm under 1e-12 raises, as in normalize_proj."""
     m = np.array([_unit(v) for v in vectors])
     r, _, vh = svd_rank(m, tol)
-    if rank is not None and r != rank:
-        raise GeometryError(f"degenerate-span: rank {r}, expected {rank}")
     # rows of m are combinations of rows of vh, so the (plain-linear) span is
     # given by transposing without conjugation
     return vh[:r].T
@@ -392,18 +415,13 @@ class ProjPlane:
             raise GeometryError("plane functional must have 4 entries")
         self.functional = normalize_proj(functional)
 
-    @property
-    def basis(self) -> np.ndarray:
-        """Orthonormal spanning columns (4x3), derived from the functional."""
-        return nullspace(self.functional.reshape(1, 4))
-
     def contains(self, v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         return self.residual(v) < tol
 
     def residual(self, v: np.ndarray) -> float:
         """|f @ v| for the unit-scaled v."""
-        v = np.asarray(v, dtype=complex)
-        return abs(self.functional @ v) / _nonzero_norm(v)
+        v, n = _scaled_norm(np.asarray(v, dtype=complex))
+        return abs(self.functional @ v) / n
 
 
 def plane_residual_rows(functionals: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -105,8 +105,5 @@ class Quaternion:
     def imag_norm(self) -> float:
         return math.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2)
 
-    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.norm() < tol
-
     def isclose(self, other: "Quaternion", tol: float = DEFAULT_TOL) -> bool:
         return (self - other).norm() < tol * max(1.0, self.norm(), other.norm())

@@ -60,16 +60,31 @@ class HPoint:
     def infinity() -> "HPoint":
         return HPoint(Quaternion.one(), Quaternion(0, 0, 0, 0))
 
+    def _scaled(self) -> tuple[Quaternion, Quaternion]:
+        """(a, b), where their largest component lies outside (1e-100, 1e100)
+        times the power of two that puts it in [0.5, 1): there |b|^2 would
+        underflow or overflow.  The scaling is exact for every component that
+        stays a normal float, so the quotient a b^-1 keeps its value."""
+        a, b = self.a, self.b
+        top = max(abs(a.w), abs(a.x), abs(a.y), abs(a.z), abs(b.w), abs(b.x), abs(b.y), abs(b.z))
+        if 1e-100 < top < 1e100:
+            return a, b
+        exp = -math.frexp(top)[1]
+        return (Quaternion(*(math.ldexp(c, exp) for c in (a.w, a.x, a.y, a.z))),
+                Quaternion(*(math.ldexp(c, exp) for c in (b.w, b.x, b.y, b.z))))
+
     def is_infinity(self) -> bool:
         """|b| < DEFAULT_TOL |(a, b)|, which no scale of the pair changes."""
-        nb = self.b.norm()
-        return nb < DEFAULT_TOL * math.hypot(self.a.norm(), nb)
+        a, b = self._scaled()
+        nb = b.norm()
+        return nb < DEFAULT_TOL * math.hypot(a.norm(), nb)
 
     def affine(self) -> Quaternion:
         """The quaternion q with self = [q : 1]; raises at infinity."""
         if self.is_infinity():
             raise GeometryError("point at infinity has no affine coordinate")
-        return self.a * self.b.inverse()
+        a, b = self._scaled()
+        return a * b.inverse()
 
     def lift(self) -> np.ndarray:
         """A C^4 representative (the complex coordinates of (a, b))."""
@@ -79,10 +94,8 @@ class HPoint:
         try:
             return normalize_proj(v)
         except GeometryError:
-            # under normalize_proj's 1e-12 cut: an exact power of two brings
-            # the largest modulus into [0.5, 1)
-            exp = math.frexp(np.abs(v).max())[1]
-            return normalize_proj(np.ldexp(v.view(float), -exp).view(complex))
+            # under normalize_proj's 1e-12 cut: scaled by a power of two
+            return normalize_proj(proj4._scale_down(v))
 
     def isclose(self, other: "HPoint", tol: float = DEFAULT_TOL) -> bool:
         # right-scale invariance: the lift must lie in the other point's
@@ -141,12 +154,13 @@ def affine_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """HPoint.is_infinity and HPoint.affine over leading axes of quaternion
     pairs (..., 2, 4): the mask of points at infinity, and a b^-1 elsewhere
     (1 at infinity)."""
+    # the scaling of HPoint._scaled, row by row
+    top = np.abs(pairs).max(axis=(-2, -1), keepdims=True)
+    pairs = np.ldexp(pairs, np.where((1e-100 < top) & (top < 1e100), 0, -np.frexp(top)[1]))
     # Quaternion arithmetic on arrays of components acts elementwise, in the
     # order HPoint.affine takes on floats, so each row is its value bit for bit
     a, b = (Quaternion(*np.moveaxis(pairs[..., k, :], -1, 0)) for k in (0, 1))
     nb2 = b.norm_sq()
-    # hypot, as in normalize_rows: |a|^2 overflows for components above about
-    # 1e154, and a document's b is 1 or 0
     norms = np.hypot.reduce(pairs, axis=-1)
     at_inf = norms[..., 1] < DEFAULT_TOL * np.hypot(norms[..., 0], norms[..., 1])
     q = a * (b.conjugate() * (1.0 / np.where(at_inf, 1.0, nb2)))

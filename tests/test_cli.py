@@ -814,6 +814,20 @@ def test_check_reads_huge_coordinates(tmp_path, capsys):
     assert "max residual" in capsys.readouterr().out
 
 
+def test_check_of_a_norm_above_the_largest_float_is_no_silent_pass(tmp_path, capsys):
+    # the lift of [1e308] * 4 has a norm above the largest float; its hypot
+    # overflowed to a zero row, and check printed residual 0 and exited 0.
+    # It now reports what the same document at 1e300 reports
+    outs = []
+    for top in (1e308, 1e300):
+        doc = {"schema": 1, "dim": 2, "box": [2, 2], "kind": "hp1", "metadata": {},
+               "entries": {"0,0": [top] * 4, "0,1": [1.0, 0.0, 0.0, 0.0],
+                           "1,0": [0.0, 1.0, 0.0, 0.0], "1,1": [0.5, 0.3, 0.0, 1.0]}}
+        assert main(["check", _write(tmp_path, f"top{top:.0e}.json", doc)]) == 3
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "FAIL" in outs[0]
+
+
 def test_exit_code_malformed_entries(tmp_path, capsys):
     # wrong arity, non-finite numbers and non-integer index keys are
     # malformed documents: exit 1 with a message, never a traceback

@@ -68,18 +68,6 @@ def _touching_sphere(p: HPoint, rng):
     return normalize_proj(wedge(v, w))
 
 
-def test_null_line_members_on_quadric():
-    rng = np.random.default_rng(0)
-    p = _hp(*rng.standard_normal(4))
-    el = contact_element(p, _touching_sphere(p, rng))
-    for t in np.linspace(0.0, 1.0, 7, endpoint=False):
-        a = el.member(complex(np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)))
-        assert is_decomposable(a, 1e-8)
-    # all members pass through the pencil point and pairwise touch there
-    m1, m2 = el.member(0.3), el.member(-2.0 + 1.0j)
-    assert lines_incident(m1, m2, 1e-9)
-
-
 def test_null_line_real_point_is_fiber_member():
     rng = np.random.default_rng(1)
     p = _hp(*rng.standard_normal(4))

@@ -242,7 +242,8 @@ def _propagation_case(p, q, direction):
     ref_point = _reference_meet(element.plane.functional, fiber)
     v, w = _svd_pair(fiber)
     assume(_volume(v, w, element.point) > WELL_POSED)
-    basis = orthonormal_span([v, w, element.point], rank=3)
+    basis = orthonormal_span([v, w, element.point])
+    assert basis.shape[1] == 3
     ref_plane = nullspace(basis.T, 1e-10)[:, 0]
     return element, q, ref_point, ref_plane
 
@@ -386,7 +387,8 @@ def test_one_moved_element_shows_in_closure_and_adjacency(m, n):
     el = pcen[m, n]
     x, jx = el.point, j_on_vector(el.point)
     # the direction in the plane orthogonal to the fiber span{x, jx}
-    off = next(d for d in el.plane.basis.T if span_residual(d, x, jx) > 0.5)
+    plane_basis = nullspace(el.plane.functional.reshape(1, 4))
+    off = next(d for d in plane_basis.T if span_residual(d, x, jx) > 0.5)
     off = off - x * np.vdot(x, off) - jx * np.vdot(jx, off)
     points = pcen.points.copy()
     points[m, n] = x + 1e-6 * off / _norm(off)
@@ -710,7 +712,7 @@ def test_normalize_rows_keeps_huge_components():
 @settings(settings.get_profile("kernel"))
 @given(st.lists(st.tuples(quat, quat), min_size=1, max_size=6))
 def test_lift_rows_matches_lift(pairs):
-    points = [HPoint(a, b) for a, b in pairs if not (a.is_zero(1e-14) and b.is_zero(1e-14))]
+    points = [HPoint(a, b) for a, b in pairs if not (a.norm() < 1e-14 and b.norm() < 1e-14)]
     assume(points)
     got = lift_rows(quat_pairs(points))
     for g, p in zip(got, points):
@@ -888,7 +890,8 @@ def test_plane_fiber_matches_null_space_fiber(a, b, c):
 def _reference_hexahedron(points):
     """The eighth vertex from null spaces: the face planes in the span's
     coordinates, then their common point."""
-    basis = orthonormal_span(points, rank=4, tol=1e-8)
+    basis = orthonormal_span(points, tol=1e-8)
+    assert basis.shape[1] == 4
     c0, c1, c2, c3, c12, c13, c23 = (basis.conj().T @ x for x in points)
     planes = []
     for triple in ((c1, c12, c13), (c2, c12, c23), (c3, c13, c23)):

