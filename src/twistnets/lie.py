@@ -61,15 +61,19 @@ class QuatHermitianForm:
     hmat: np.ndarray = field(init=False)
     omega: np.ndarray = field(init=False)
     omega_vec: np.ndarray = field(init=False)
+    # the largest |entry| of hmat: a positive multiple of the form has the
+    # same null cone and rho, so every test on it is relative to this
+    _scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         h = quat_matrix(self.qmat)
         om = _OMEGA_OF_H @ h
-        if np.linalg.norm(h - h.conj().T) > 1e-12:
+        self._scale = float(np.abs(h).max())
+        if np.linalg.norm(h - h.conj().T) > 1e-12 * self._scale:
             raise GeometryError("h component is not hermitian")
-        if np.linalg.norm(om + om.T) > 1e-12:
+        if np.linalg.norm(om + om.T) > 1e-12 * self._scale:
             raise GeometryError("omega component is not alternating")
-        if abs(np.linalg.det(h)) < 1e-12:
+        if svd_rank(h, RANK_CUT)[0] < 4:
             raise GeometryError("degenerate hermitian form")
         self.hmat = h
         self.omega = om
@@ -81,10 +85,11 @@ class QuatHermitianForm:
 
     def is_null_point(self, p: HPoint, tol: float = DEFAULT_TOL) -> bool:
         """True iff p lies on the three-sphere of null lines: |frak_h(v, v)|
-        < tol for the unit lift v.  frak_h(v, v) = h(v, v) + j omega(v, v),
-        and omega(v, v) = 0 as omega alternates, so the test is |v^H h v|."""
+        < tol |h|max for the unit lift v.  frak_h(v, v) = h(v, v) + j
+        omega(v, v), and omega(v, v) = 0 as omega alternates, so the test is
+        |v^H h v|."""
         v = p.lift()
-        return abs(v.conj() @ self.hmat @ v) < tol
+        return abs(v.conj() @ self.hmat @ v) < tol * self._scale
 
 
 DEFAULT_FORM = QuatHermitianForm()
@@ -170,11 +175,12 @@ def circle_to_Q3(p1: HPoint, p2: HPoint, p3: HPoint,
     omega; the result is a pair swapped by the j-action, each a two-sphere
     meeting S^3 along the circle.
     """
-    # one lift per point serves the null test, of the real frak_h(v, v) = h(v, v), and the fiber
+    # one lift per point serves the null test, of the real frak_h(v, v) = h(v, v), and the fiber;
+    # the test, and the omega row beside the unit fibers, are relative to the form's scale
     lifts = np.array([p.lift() for p in (p1, p2, p3)])
-    if not (np.abs(((lifts.conj() @ form.hmat) * lifts).sum(axis=-1)) < 1e-7).all():
+    if not (np.abs(((lifts.conj() @ form.hmat) * lifts).sum(axis=-1)) < 1e-7 * form._scale).all():
         raise GeometryError("point is not on the three-sphere")
-    ns = nullspace(np.vstack([_fibers(lifts) @ QUADRIC_MATRIX, form.omega_vec]))
+    ns = nullspace(np.vstack([_fibers(lifts) @ QUADRIC_MATRIX, form.omega_vec / form._scale]))
     if ns.shape[1] != 2:
         raise GeometryError("collinear or coincident circle points")
     roots = quadric_roots(ns[:, 0], ns[:, 1])

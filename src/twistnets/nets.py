@@ -390,7 +390,9 @@ def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
     if not curve:
         raise GeometryError("circular evolution needs a curve point")
     m_n, n_n = len(curve), len(seeds) + 1
-    # lifted one by one as HPoint.lift lifts them, as quat_fourth_point does
+    # lifted one by one as HPoint.lift lifts them, as quat_fourth_point does:
+    # lift_rows may round differently, and the net keeps the bits of the
+    # face-by-face evolution on those lifts
     rows = np.array([p.lift() for p in curve + seeds])
     frames = np.zeros((m_n, n_n, 2, 4), dtype=complex)
     frames[:, 0], frames[0, 1:] = np.split(np.stack([rows, j_on_vector(rows)], axis=-2), [m_n])

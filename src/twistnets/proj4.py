@@ -177,7 +177,9 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
     Each row gets the same anchor rule: unit norm, and its first component
     above 1e-6 of the norm exactly real and positive; as there, a row that
     already obeys it is returned unchanged, and a row of finite entries whose
-    norm overflows is scaled down first.
+    norm overflows is scaled down first.  The rounding may differ: the norm
+    is numpy's hypot.reduce, not math.hypot, and on random rows about two in
+    three differ from normalize_proj's, each entry by at most about 5e-16.
     """
     v = np.asarray(v, dtype=complex)
     width = v.shape[-1]

@@ -8,9 +8,20 @@ quaternion splits as q = z1 + j z2 with z1, z2 complex.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .proj4 import DEFAULT_TOL
+
+# A sum of squares under the smallest normal float has lost bits to underflow,
+# and one at inf all of them.  There norm and imag_norm take math.hypot, which
+# scales by a power of two itself, and inverse and normalized work on _scaled;
+# inside the range they keep the plain formulas and their bits.
+_NORMAL_MIN = sys.float_info.min
+
+
+def _in_range(sum_sq: float) -> bool:
+    return _NORMAL_MIN <= sum_sq < math.inf
 
 
 @dataclass(frozen=True)
@@ -85,25 +96,47 @@ class Quaternion:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        n2 = self.norm_sq()
+        return math.sqrt(n2) if _in_range(n2) else math.hypot(self.w, self.x, self.y, self.z)
+
+    def _scaled(self) -> tuple["Quaternion", int]:
+        """(q, e) with self = q 2^e and q's largest component in [0.5, 1), so
+        that q's squares neither underflow nor overflow; exact for every
+        component that stays a normal float.  A zero or non-finite self is
+        its own q, with e = 0."""
+        parts = (self.w, self.x, self.y, self.z)
+        top = max(map(abs, parts))
+        e = math.frexp(top)[1] if 0.0 < top < math.inf else 0
+        return Quaternion(*(math.ldexp(c, -e) for c in parts)), e
 
     def inverse(self) -> "Quaternion":
+        """conj(self) / |self|^2; raises ZeroDivisionError for zero, and
+        OverflowError where the inverse leaves the float range."""
         n2 = self.norm_sq()
+        if _in_range(n2):
+            return self.conjugate() * (1.0 / n2)
+        q, e = self._scaled()
+        n2 = q.norm_sq()
         if n2 == 0.0:
             raise ZeroDivisionError("zero quaternion has no inverse")
-        return self.conjugate() * (1.0 / n2)
+        inv = q.conjugate() * (1.0 / n2)
+        return Quaternion(*(math.ldexp(c, -e) for c in (inv.w, inv.x, inv.y, inv.z)))
 
     def normalized(self) -> "Quaternion":
-        n = self.norm()
+        q = self if _in_range(self.norm_sq()) else self._scaled()[0]
+        n = q.norm()
         if n == 0.0:
             raise ZeroDivisionError("cannot normalize zero quaternion")
-        return self * (1.0 / n)
+        return q * (1.0 / n)
 
     def real_part(self) -> float:
         return self.w
 
     def imag_norm(self) -> float:
-        return math.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2)
+        x, y, z = self.x, self.y, self.z
+        if _in_range(x * x + y * y + z * z):
+            return math.sqrt(x ** 2 + y ** 2 + z ** 2)
+        return math.hypot(x, y, z)
 
     def isclose(self, other: "Quaternion", tol: float = DEFAULT_TOL) -> bool:
         return (self - other).norm() < tol * max(1.0, self.norm(), other.norm())

@@ -36,7 +36,10 @@ from .proj4 import (
 
 @dataclass(frozen=True)
 class HPoint:
-    """Point [a : b] of HP^1 in right-scale homogeneous coordinates."""
+    """Point [a : b] of HP^1 in right-scale homogeneous coordinates.  A pair
+    whose norm lies outside [1e-12, 1e100] is stored times the power of two
+    that puts its largest component in [0.5, 1): a and b then differ from
+    the arguments, by an exact scaling that keeps the point."""
 
     a: Quaternion
     b: Quaternion
@@ -44,13 +47,17 @@ class HPoint:
     def __post_init__(self):
         a, b = self.a, self.b
         parts = (a.w, a.x, a.y, a.z, b.w, b.x, b.y, b.z)
-        # scale-free: hypot is 0 only for zeros, and not finite for a
-        # non-finite entry or a norm above the largest float
-        if not 0.0 < math.hypot(*parts) < math.inf:
+        # hypot is 0 only for zeros, and not finite for a non-finite entry or
+        # a norm above the largest float
+        if not 1e-12 <= math.hypot(*parts) <= 1e100:
             if not any(parts):
                 raise GeometryError("homogeneous quaternion pair must be nonzero")
             if not all(map(math.isfinite, parts)):
                 raise GeometryError("homogeneous quaternion pair must be finite")
+            exp = -math.frexp(max(map(abs, parts)))[1]
+            parts = [math.ldexp(c, exp) for c in parts]
+            object.__setattr__(self, "a", Quaternion(*parts[:4]))
+            object.__setattr__(self, "b", Quaternion(*parts[4:]))
 
     @staticmethod
     def from_quaternion(q: Quaternion) -> "HPoint":
@@ -60,42 +67,22 @@ class HPoint:
     def infinity() -> "HPoint":
         return HPoint(Quaternion.one(), Quaternion(0, 0, 0, 0))
 
-    def _scaled(self) -> tuple[Quaternion, Quaternion]:
-        """(a, b), where their largest component lies outside (1e-100, 1e100)
-        times the power of two that puts it in [0.5, 1): there |b|^2 would
-        underflow or overflow.  The scaling is exact for every component that
-        stays a normal float, so the quotient a b^-1 keeps its value."""
-        a, b = self.a, self.b
-        top = max(abs(a.w), abs(a.x), abs(a.y), abs(a.z), abs(b.w), abs(b.x), abs(b.y), abs(b.z))
-        if 1e-100 < top < 1e100:
-            return a, b
-        exp = -math.frexp(top)[1]
-        return (Quaternion(*(math.ldexp(c, exp) for c in (a.w, a.x, a.y, a.z))),
-                Quaternion(*(math.ldexp(c, exp) for c in (b.w, b.x, b.y, b.z))))
-
     def is_infinity(self) -> bool:
         """|b| < DEFAULT_TOL |(a, b)|, which no scale of the pair changes."""
-        a, b = self._scaled()
-        nb = b.norm()
-        return nb < DEFAULT_TOL * math.hypot(a.norm(), nb)
+        nb = self.b.norm()
+        return nb < DEFAULT_TOL * math.hypot(self.a.norm(), nb)
 
     def affine(self) -> Quaternion:
         """The quaternion q with self = [q : 1]; raises at infinity."""
         if self.is_infinity():
             raise GeometryError("point at infinity has no affine coordinate")
-        a, b = self._scaled()
-        return a * b.inverse()
+        return self.a * self.b.inverse()
 
     def lift(self) -> np.ndarray:
         """A C^4 representative (the complex coordinates of (a, b))."""
         z1, z2 = self.a.complex_pair()
         z3, z4 = self.b.complex_pair()
-        v = np.array([z1, z2, z3, z4], dtype=complex)
-        try:
-            return normalize_proj(v)
-        except GeometryError:
-            # under normalize_proj's 1e-12 cut: scaled by a power of two
-            return normalize_proj(proj4._scale_down(v))
+        return normalize_proj(np.array([z1, z2, z3, z4], dtype=complex))
 
     def isclose(self, other: "HPoint", tol: float = DEFAULT_TOL) -> bool:
         # right-scale invariance: the lift must lie in the other point's
@@ -154,7 +141,8 @@ def affine_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """HPoint.is_infinity and HPoint.affine over leading axes of quaternion
     pairs (..., 2, 4): the mask of points at infinity, and a b^-1 elsewhere
     (1 at infinity)."""
-    # the scaling of HPoint._scaled, row by row
+    # document pairs reach here without HPoint's scaling: rows whose top lies
+    # outside (1e-100, 1e100) are scaled as the constructor scales a pair
     top = np.abs(pairs).max(axis=(-2, -1), keepdims=True)
     pairs = np.ldexp(pairs, np.where((1e-100 < top) & (top < 1e100), 0, -np.frexp(top)[1]))
     # Quaternion arithmetic on arrays of components acts elementwise, in the
@@ -169,7 +157,8 @@ def affine_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def lift_rows(pairs: np.ndarray) -> np.ndarray:
     """HPoint.lift over leading axes of quaternion pairs (..., 2, 4), as
-    rows (..., 4)."""
+    rows (..., 4): the same rule, with normalize_rows' rounding, which may
+    differ from HPoint.lift's in the last bits."""
     # (w, x) and (y, -z) of a quaternion are the real and imaginary parts of
     # its complex pair
     parts = np.ascontiguousarray(pairs * _CONJ_Z).reshape(pairs.shape[:-2] + (8,))

@@ -10,7 +10,7 @@ from twistnets.proj4 import (
     quadric_pair,
     wedge,
 )
-from twistnets.twistor import HPoint, j_on_bivector, j_on_vector, twistor_fiber
+from twistnets.twistor import HPoint, j_on_bivector, j_on_vector, twistor_fiber, twistor_project
 from twistnets.lie import (
     QuatHermitianForm,
     circle_to_Q3,
@@ -175,6 +175,42 @@ def test_circle_to_Q3_rejects_coincident_points():
     q = _imag_point((0, 1, 0))
     with pytest.raises(GeometryError):
         circle_to_Q3(p, p, q, FORM)
+
+
+def _null_points(form, rng, count):
+    """count points of the form's three-sphere: on the segment from a lift v
+    with h(v, v) > 0 to one with h(w, w) < 0, the root of h(v + t w) = 0."""
+    points = []
+    while len(points) < count:
+        v, w = (rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(2))
+        hv, hw = ((x.conj() @ form.hmat @ x).real for x in (v, w))
+        if hv * hw < 0:
+            t = np.roots([hw, 2 * (v.conj() @ form.hmat @ w).real, hv])[0].real
+            points.append(twistor_project(v + t * w))
+    return points
+
+
+@INDEFINITE_FORMS
+def test_a_positive_multiple_of_the_form_decides_as_the_form(form):
+    # s form has the null cone and rho of form; before, s = 1e-6 was refused
+    # as degenerate (|det h| = s^4 |det|) and at s = 1e10 the points failed
+    # the absolute null test, and the omega row of size s set the relative
+    # cut of circle_to_Q3's null space
+    rng = np.random.default_rng(29)
+    null = _null_points(form, rng, 3)
+    points = null + [HPoint.from_quaternion(Quaternion(*rng.standard_normal(4))) for _ in range(5)]
+    want = lie_signature_report(form)
+    circle = circle_to_Q3(*null, form)
+    decisions = [form.is_null_point(p) for p in points]
+    assert decisions == [True] * 3 + [False] * 5
+    for s in (1e-6, 1e10):
+        scaled = QuatHermitianForm(tuple(tuple(q * s for q in row) for row in form.qmat))
+        got = lie_signature_report(scaled)
+        assert [got[k] for k in ("basis", "omega_slice", "dimension")] == \
+            [want[k] for k in ("basis", "omega_slice", "dimension")]
+        for x, y in zip(circle_to_Q3(*null, scaled), circle):
+            assert proj_distance(x, y) < 1e-12
+        assert [scaled.is_null_point(p) for p in points] == decisions
 
 
 # ---------------------------------------------------------------------------

@@ -827,6 +827,29 @@ def test_the_circular_pipeline_works_in_memory_bounded_by_the_net(width, height)
     assert len(peaks) == 5 and max(peaks) < 3_000_000
 
 
+@pytest.mark.parametrize("k", [-60, -700])
+def test_a_net_of_a_boundary_pair_at_any_scale_reads_as_the_unit_one(k):
+    """A net whose corner is [q 2^k : 2^k] is the net of [q : 1] bit for bit:
+    lifts, interior vertices, face ratios, PCEN, closure and adjacency.
+    Before, the pair was stored as given, and face_planarity and
+    pcen_from_circular raised at its lift (under the 1e-12 zero cut)."""
+    rng = np.random.default_rng(23)
+    points = [_hp(*rng.standard_normal(4)) for _ in range(11)]
+    q, s = points[0].affine(), Quaternion(math.ldexp(1.0, k))
+    direction = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+
+    def readings(corner):
+        net = evolve_net_circular([corner] + points[1:6], points[6:], -0.8)
+        initial = contact_element(net[0, 0], normalize_proj(wedge(net[0, 0].lift(), direction)))
+        pcen = pcen_from_circular(net, initial)
+        return (net.lifts(), net.data[1:, 1:],
+                [face_planarity(net, base, axes) for base, axes in net.faces()],
+                pcen.points, pcen.functionals, pcen_face_closure(pcen), pcen_adjacency_residual(pcen))
+
+    for got, want in zip(readings(HPoint(q * s, s)), readings(HPoint(q, Quaternion.one()))):
+        assert np.array_equal(got, want)
+
+
 def test_a_write_after_every_cache_is_built_changes_every_reading():
     """A write drops both caches of a net: lifts() and planarity_lists().
     After it, face_planarity, ambient(), pcen_from_circular and the

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
 from twistnets import proj4, twistor
@@ -485,6 +485,35 @@ def test_affine_of_pairs_whose_squares_leave_the_float_range():
     assert far.is_infinity()
     with pytest.raises(GeometryError, match="no affine coordinate"):
         far.affine()
+
+
+_part = st.floats(-10.0, 10.0, allow_subnormal=False).filter(lambda c: c == 0.0 or abs(c) > 1e-6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_part, min_size=8, max_size=8).filter(lambda x: math.hypot(*x) > 0.1),
+       st.sampled_from([1.0, 1e-8, 1e-10, 0.0]), st.integers(-1000, 1000))
+def test_a_pair_scaled_by_a_power_of_two_reads_as_the_pair_bit_for_bit(parts, t, k):
+    # (a 2^k, b 2^k) is [a : b], and the constructor stores every pair in
+    # range, so the scalar and row paths give the pair's bits; before,
+    # lift_rows of the pairs of points under 1e-12 raised, as nets lift them.
+    # b t puts some points at, or near, infinity
+    assume(t or any(parts[:4]))
+    a, b = Quaternion(*parts[:4]), Quaternion(*parts[4:]) * t
+    p = HPoint(a, b)
+    parts = [a.w, a.x, a.y, a.z, b.w, b.x, b.y, b.z]
+    shifted = [math.ldexp(c, k) for c in parts]
+    # the scaling is exact: no component leaves the normal floats
+    assume([math.ldexp(c, -k) for c in shifted] == parts)
+    scaled = HPoint(Quaternion(*shifted[:4]), Quaternion(*shifted[4:]))
+    assert scaled.lift().tolist() == p.lift().tolist()
+    assert scaled.is_infinity() == p.is_infinity()
+    if not p.is_infinity():
+        assert scaled.affine() == p.affine()
+    pairs = quat_pairs([scaled, p])
+    assert np.array_equal(*twistor.lift_rows(pairs))
+    rows, at_inf = affine_rows(pairs)
+    assert np.array_equal(*rows) and at_inf[0] == at_inf[1] == p.is_infinity()
 
 
 # ---------------------------------------------------------------------------
