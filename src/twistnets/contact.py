@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import proj4
 from .proj4 import (
     DEFAULT_TOL,
     INCIDENCE_TOL,
@@ -40,7 +39,6 @@ from .proj4 import (
     row_norms,
     settle_planes,
     span_planes,
-    span_residual,
     span_residual_rows,
     wedge,
 )
@@ -74,12 +72,6 @@ class NullLine:
         self.point = normalize_proj(self.point)
         if not _on_pencil(self.point, self.plane.functional):
             raise GeometryError("pencil point must lie in the pencil plane")
-
-    def contains_line(self, a: np.ndarray, tol: float = 1e-7) -> bool:
-        """True iff the line a is a member of the pencil."""
-        v, w = proj4.line_factorize(a)
-        return (span_residual(self.point, v, w) < tol
-                and self.plane.contains(v, tol) and self.plane.contains(w, tol))
 
 
 def null_line_real_point(l: NullLine):
@@ -183,12 +175,23 @@ def _propagate(points: np.ndarray, functionals: np.ndarray, fibers: np.ndarray,
     return point / size, functional
 
 
+def _adjacency_rows(p1: np.ndarray, f1: np.ndarray,
+                    p2: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Row by row, the failure of two elements (unit pencil points p, plane
+    functionals f) to share a pencil member: for the line through the two
+    points, spanned by an orthonormal pair (v, w), the sum over both ends of
+    the point's span_residual and the plane residuals of v and w."""
+    v, w = orthonormal_pair_rows(p1, p2)
+    return sum(span_residual_rows(p, v, w) + plane_residual_rows(f, v) + plane_residual_rows(f, w)
+               for p, f in ((p1, f1), (p2, f2)))
+
+
 def shared_sphere(l1: NullLine, l2: NullLine) -> np.ndarray:
-    """The unique pencil member common to two adjacent elements."""
-    line = normalize_proj(wedge(l1.point, l2.point))
-    if not (l1.contains_line(line, 1e-6) and l2.contains_line(line, 1e-6)):
+    """The unique pencil member common to two adjacent elements: the batch
+    of one of pcen_adjacency_residual's rule."""
+    if _adjacency_rows(l1.point, l1.plane.functional, l2.point, l2.plane.functional) > 1e-6:
         raise GeometryError("elements do not intersect in a common sphere")
-    return line
+    return normalize_proj(wedge(l1.point, l2.point))
 
 
 class PCEN(Mapping):
@@ -314,21 +317,12 @@ def pcen_face_closure(pcen: PCEN) -> float:
 
 
 def pcen_adjacency_residual(pcen: PCEN) -> float:
-    """Largest failure of adjacent elements to share a pencil member.
-
-    For each lattice edge the line joining the two pencil points, spanned by
-    an orthonormal pair (v, w), must be a member of both pencils; the
-    residual sums over the two ends the point's distance from the line
-    (span_residual) and the plane residuals of v and w.  All edges of
-    box_cells are checked in one pass.
-    """
+    """Largest failure of adjacent elements to share a pencil member, by
+    _adjacency_rows over all edges of box_cells in one pass."""
     pcen.require_elements()
     ends = box_cells(pcen.base.shape, 1)[2].T
     (p1, p2), (f1, f2) = (a.reshape(-1, 4)[ends] for a in (pcen.points, pcen.functionals))
-    v, w = orthonormal_pair_rows(p1, p2)
-    r = sum(span_residual_rows(p, v, w) + plane_residual_rows(f, v) + plane_residual_rows(f, w)
-            for p, f in ((p1, f1), (p2, f2)))
-    return float(r.max(initial=0.0))
+    return float(_adjacency_rows(p1, f1, p2, f2).max(initial=0.0))
 
 
 def pcen_from_complex_cr(S: np.ndarray, base: LatticeNet,

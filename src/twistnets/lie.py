@@ -79,10 +79,6 @@ class QuatHermitianForm:
         self.omega = om
         self.omega_vec = om[_PAIR_A, _PAIR_B]
 
-    def omega_on_bivector(self, x: np.ndarray) -> complex:
-        """omega evaluated on a bivector (omega(v, w) for x = v ^ w)."""
-        return complex(self.omega_vec @ np.asarray(x, dtype=complex))
-
     def is_null_point(self, p: HPoint, tol: float = DEFAULT_TOL) -> bool:
         """True iff p lies on the three-sphere of null lines: |frak_h(v, v)|
         < tol |h|max for the unit lift v.  frak_h(v, v) = h(v, v) + j

@@ -431,6 +431,14 @@ def sphere_frame(S: np.ndarray):
     return proj4.line_factorize(S)
 
 
+def _pairs_in_range(pairs: np.ndarray) -> np.ndarray:
+    """CP^1 pairs whose larger modulus is above 1e100 scaled by the exact
+    power of two of proj4._scale_down, so that the wedge of their lifts, of
+    size |z|^2, stays a float; every other pair is kept bit for bit."""
+    big = np.abs(pairs).max(axis=-1, keepdims=True) > 1e100
+    return np.where(big, proj4._scale_down(pairs), pairs) if big.any() else pairs
+
+
 def lift_to_QS2(S: np.ndarray, net: LatticeNet, lam=None) -> LatticeNet:
     """Lift a CP^1 net on the sphere S into the subquadric of lines through
     S and its j-image.
@@ -455,7 +463,8 @@ def lift_to_QS2(S: np.ndarray, net: LatticeNet, lam=None) -> LatticeNet:
         eta = evolve_net_complex([net[m, 0].conj() for m in range(net.shape[0])],
                                  [net[0, n].conj() for n in range(1, net.shape[1])],
                                  lam).data
-    x = net.data[..., :1] * p + net.data[..., 1:] * q
+    z, eta = _pairs_in_range(net.data), _pairs_in_range(eta)
+    x = z[..., :1] * p + z[..., 1:] * q
     y = eta[..., :1] * j_on_vector(p) + eta[..., 1:] * j_on_vector(q)
     return LatticeNet(net.dim, net.shape, "q4", data=normalize_rows(wedge_rows(x, y)),
                       metadata=dict(net.metadata, sphere=normalize_proj(S)))

@@ -108,6 +108,11 @@ class RowError(GeometryError):
         self.row = row
 
 
+# the normalizers keep a vector whose anchor is real and positive and whose
+# norm is within 4 eps of 1: their own outputs lie within 3 eps of unit norm
+_UNIT_KEEP = 4.0 * np.finfo(float).eps
+
+
 def _norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(v, v).real)
 
@@ -139,9 +144,10 @@ def normalize_proj(v: np.ndarray) -> np.ndarray:
 
     The phase anchor is the first component whose modulus exceeds 1e-6 of the
     vector's norm, which keeps the anchor stable under perturbation.  The
-    anchor of the result is exactly real, so normalizing a normalized vector
-    returns it unchanged, bit for bit.  A vector of finite entries whose norm
-    overflows is normalized as its _scale_down.
+    anchor of the result is exactly real and its norm within _UNIT_KEEP of 1,
+    so normalizing a normalized vector returns it unchanged, bit for bit.  A
+    vector of finite entries whose norm overflows is normalized as its
+    _scale_down.
     """
     v = np.asarray(v, dtype=complex)
     # one list of moduli serves the norm (as in _scaled_norm) and the anchor
@@ -158,7 +164,7 @@ def normalize_proj(v: np.ndarray) -> np.ndarray:
     else:  # a NaN norm: no component passes the cut
         anchor, m = 0, mags[0]
     a = complex(v[anchor])
-    if a.imag == 0.0 and a.real > 0.0 and abs(n - 1.0) < 1e-14:
+    if a.imag == 0.0 and a.real > 0.0 and abs(n - 1.0) <= _UNIT_KEEP:
         return v.copy()
     # dividing twice keeps the phase finite where |a| n overflows
     out = v * (a.conjugate() / m / n)
@@ -169,6 +175,23 @@ def normalize_proj(v: np.ndarray) -> np.ndarray:
 def row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis, which is kept with length 1."""
     return np.sqrt((v * v.conj()).real.sum(axis=-1, keepdims=True))
+
+
+def _row_hypot(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, moduli, norms) along the last axis, the norms by hypot, as
+    math.hypot in normalize_proj: squares of components above about 1e154
+    would overflow, and below about 1e-154 underflow.  Only moduli above
+    1e300 can take a norm above the largest float, where a row of finite
+    entries is replaced by its _scale_down first."""
+    mags = np.abs(rows)
+    if mags.max(initial=0.0) < 1e300:
+        return rows, mags, np.hypot.reduce(mags, axis=-1)
+    with np.errstate(over="ignore"):
+        n = np.hypot.reduce(mags, axis=-1)
+    huge = (n == np.inf) & np.isfinite(rows).all(axis=-1)
+    if np.count_nonzero(huge):
+        return _row_hypot(np.where(huge[..., None], _scale_down(rows), rows))
+    return rows, mags, n
 
 
 def normalize_rows(v: np.ndarray) -> np.ndarray:
@@ -183,20 +206,7 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=complex)
     width = v.shape[-1]
-    rows = v.reshape(-1, width)
-    mags = np.abs(rows)
-    # hypot, as math.hypot in normalize_proj: squares of components above
-    # about 1e154 would overflow.  Only moduli above 1e300 can take a norm
-    # above the largest float, where the row is scaled down first
-    if mags.max(initial=0.0) < 1e300:
-        n = np.hypot.reduce(mags, axis=1)
-    else:
-        with np.errstate(over="ignore"):
-            n = np.hypot.reduce(mags, axis=1)
-        huge = (n == np.inf) & np.isfinite(rows).all(axis=1)
-        if np.count_nonzero(huge):
-            rows = np.where(huge[:, None], _scale_down(rows), rows)
-            return normalize_rows(rows).reshape(v.shape)
+    rows, mags, n = _row_hypot(v.reshape(-1, width))
     if np.count_nonzero(n < 1e-12):
         raise GeometryError("cannot normalize (near-)zero homogeneous vector")
     # the anchors as indices into the flattened rows
@@ -211,7 +221,7 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
     # and unit norm) are kept bit for bit
     keep = lead == a
     if np.count_nonzero(keep):
-        keep &= np.abs(n - 1.0) < 1e-14
+        keep &= np.abs(n - 1.0) <= _UNIT_KEEP
         np.copyto(out, rows, where=keep[:, None])
     return out.reshape(v.shape)
 
@@ -474,9 +484,7 @@ def plane_from_span(vectors) -> ProjPlane:
     The candidate is the largest ∧³ functional of a triple of the
     unit-scaled vectors, which settle_planes keeps or replaces.
     """
-    rows = np.array(vectors, dtype=complex).reshape(-1, 4)
-    norms = np.sqrt((rows * rows.conj()).real.sum(axis=1))
-    rows = rows / np.where(norms > 0.0, norms, 1.0)[:, None]
+    rows, norms = _unit_scaled(np.array(vectors, dtype=complex).reshape(-1, 4))
     f = max((span_functional(*triple) for triple in itertools.combinations(rows, 3)),
             key=_norm, default=np.zeros(4))
     return ProjPlane(settle_planes(rows, f, np.count_nonzero(norms)))
@@ -488,11 +496,16 @@ def span_planes(triples: np.ndarray) -> np.ndarray:
     Returns the normalized functionals, shape (..., 4), of the ∧³
     functionals of the unit-scaled triples, as settle_planes decides them.
     """
-    rows = np.asarray(triples, dtype=complex)
-    norms = row_norms(rows)
-    rows = rows / np.where(norms > 0.0, norms, 1.0)
+    rows, norms = _unit_scaled(np.asarray(triples, dtype=complex))
     f = (rows[..., 2, None, :] @ join_matrices(rows[..., 0, :], rows[..., 1, :]))[..., 0, :]
-    return normalize_rows(settle_planes(rows, f, (norms > 0.0).sum(axis=(-2, -1))))
+    return normalize_rows(settle_planes(rows, f, (norms > 0.0).sum(axis=-1)))
+
+
+def _unit_scaled(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The plane rule's input: rows along the last axis over their norms,
+    normalize_rows' (_row_hypot), with zero rows kept zero; and the norms."""
+    rows, _, n = _row_hypot(rows)
+    return rows / np.where(n > 0.0, n, 1.0)[..., None], n
 
 
 def settle_planes(rows: np.ndarray, f: np.ndarray, count) -> np.ndarray:

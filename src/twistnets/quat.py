@@ -84,11 +84,6 @@ class Quaternion:
             a * h + b * g - c * f + d * e,
         )
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self * other
-        return NotImplemented
-
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 

@@ -304,14 +304,6 @@ def sphere_contains(s: SphereEndo, p: HPoint, tol: float = DEFAULT_TOL) -> bool:
     return bool(span_residual(target, v, vj) < tol * max(1.0, float(np.linalg.norm(target))))
 
 
-def sphere_eigen_quaternion(s: SphereEndo, p: HPoint) -> Quaternion:
-    """The quaternion mu with S v = v mu for a point p on the sphere."""
-    # (v, Jv) is orthonormal, so mu's complex pair is two inner products
-    v, vj = fiber_pair(p)
-    target = s.matrix @ v
-    return Quaternion.from_complex_pair(np.vdot(v, target), np.vdot(vj, target))
-
-
 @dataclass
 class ContactClass:
     """Outcome of comparing the point sets of two sphere lines in CP^3."""

@@ -406,6 +406,19 @@ def test_evolve_lift_on_a_given_sphere(tmp_path, capsys):
         assert err.startswith("error: --sphere") and err.count("error:") == 1
 
 
+@pytest.mark.parametrize("lam", ["0.5+1i", "-0.7"])
+def test_evolve_lifts_a_curve_point_beyond_the_square_root_of_the_largest_float(
+        tmp_path, capsys, lam):
+    src = _write(tmp_path, "far.json", {"schema": 1, "dim": 1, "box": [3], "kind": "cp1",
+                                        "entries": {"0": [1e300, 0], "1": [1, 0], "2": [0, 1]},
+                                        "metadata": {}})
+    out = str(tmp_path / "lifted.json")
+    assert main(["evolve", src, "--mode", "complex", "--lambda=" + lam, "--steps", "3",
+                 "--lift", "-o", out]) == 0
+    assert main(["check", out, "--report", "conic", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+
+
 def test_net_doc_roundtrip(tmp_path):
     src = _write(tmp_path, "curve.json", _hp1_curve_doc())
     out = str(tmp_path / "net.json")
@@ -1044,13 +1057,14 @@ def _pcen_entry_fault(fault):
      "pcen entry '1,1' is missing field 'plane'"),
     (["check", "{src}", "--report", "cr"], _hp1_net_doc, 2,
      "cross-ratio reports need a cp1 net, not hp1"),
+    (["check", "{src}", "--report", "conic"], _hp1_net_doc, 2, "conic reports need a q4 net"),
     (["check", "{src}"], _pcen_entry_fault("point"), 1,
      "pcen entry '1,1' is missing field 'point'"),
     (["check", "{src}", "--report", "pcen"], _pcen_entry_fault("list"), 1,
      "pcen entry '1,1' must be an object"),
     (["export", "{src}"], _pcen_entry_fault("list"), 1, "pcen entry '1,1' must be an object"),
-], ids=["json-no-document", "json-pcen-no-plane", "cr-of-hp1", "check-pcen-no-point",
-        "check-pcen-entry-list", "obj-pcen-entry-list"])
+], ids=["json-no-document", "json-pcen-no-plane", "cr-of-hp1", "conic-of-hp1",
+        "check-pcen-no-point", "check-pcen-entry-list", "obj-pcen-entry-list"])
 def test_documents_the_readers_refuse_exit_with_one_message(tmp_path, capsys, argv, doc, code,
                                                              message):
     # export --target json writes what the readers return, the cr report

@@ -74,7 +74,6 @@ def test_null_line_real_point_is_fiber_member():
     el = contact_element(p, _touching_sphere(p, rng))
     rp = null_line_real_point(el)
     assert rp is not None and rp.isclose(p, 1e-8)
-    assert el.contains_line(twistor_fiber(p), 1e-6)
 
 
 def test_half_contact_element_has_no_real_point():
@@ -335,7 +334,15 @@ def _pcen_3x3():
     (lambda: _pcen_3x3()[2, 2], KeyError, r"\(2, 2\)"),
     (lambda: _pcen_3x3()[3, 0], KeyError, r"\(3, 0\)"),
     (lambda: _pcen_3x3()[0, -1], KeyError, r"\(0, -1\)"),
-], ids=["contact-element-off-the-sphere", "missing-element", "outside-the-box", "negative-index"])
+    (lambda: pcen_from_circular(evolve_net_complex([0.5, 1j], [2.0], -1.0), None),
+     GeometryError, "^circular base must be an hp1 net$"),
+    (lambda: pcen_from_complex_cr(_sphere_c(), _circular_net(np.random.default_rng(3), (2, 2))),
+     GeometryError, "^complex cross-ratio base must be a cp1 net$"),
+    (lambda: shared_sphere(_pcen_3x3()[0, 0], _pcen_3x3()[1, 1]), GeometryError,
+     "^elements do not intersect in a common sphere$"),
+], ids=["contact-element-off-the-sphere", "missing-element", "outside-the-box", "negative-index",
+        "circular-pcen-over-a-cp1-net", "complex-pcen-over-an-hp1-net",
+        "diagonal-elements-share-no-sphere"])
 def test_contact_refusals(call, error, message):
     # the sphere e1 ^ e2 is C + infinity in H, which 1 + 2j is off; a PCEN
     # has no element where its present mask is false or outside its box

@@ -158,7 +158,7 @@ def test_circle_to_Q3_pair():
     assert proj_distance(normalize_proj(j_on_bivector(a)), b) < 1e-7
     for x in (a, b):
         assert abs(quadric_pair(x, x)) < 1e-7
-        assert abs(FORM.omega_on_bivector(x)) < 1e-7
+        assert abs(FORM.omega_vec @ x) < 1e-7
         for p in pts:
             assert lines_incident(x, twistor_fiber(p), 1e-7)
 
@@ -175,6 +175,18 @@ def test_circle_to_Q3_rejects_coincident_points():
     q = _imag_point((0, 1, 0))
     with pytest.raises(GeometryError):
         circle_to_Q3(p, p, q, FORM)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: QuatHermitianForm(((Quaternion(), Quaternion.one()), (Quaternion(2.0), Quaternion()))),
+     "h component is not hermitian"),
+    (lambda: QuatHermitianForm(((Quaternion(), Quaternion()), (Quaternion(), Quaternion()))),
+     "degenerate hermitian form"),
+    (lambda: rho(np.array([1, 0, 0, 0, 0, 1], dtype=complex)), "bivector is not decomposable"),
+], ids=["off-diagonal-1-and-2", "zero-matrix", "rho-of-e01-plus-e23"])
+def test_lie_refusals(call, message):
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        call()
 
 
 def _null_points(form, rng, count):

@@ -17,6 +17,7 @@ from twistnets.proj4 import (
     normalize_proj,
     normalize_rows,
     proj_distance,
+    proj_distance_rows,
     quadric_pair,
     span_ratios,
     wedge,
@@ -296,6 +297,19 @@ def test_real_lambda_lift_is_conic_too():
     assert reports and all(r.irreducible for r in reports)
 
 
+@pytest.mark.parametrize("lam", [0.5 + 1j, -0.7])
+@pytest.mark.parametrize("z", [2e154, 1e160, 1e300])
+def test_a_far_cp1_point_lifts_as_the_same_point_nearer_one(z, lam):
+    # the wedge of [z : 1]'s lifts has size |z|^2; the pair is scaled by a
+    # power of two first, so it lifts as [1 : 1/z] does
+    net = evolve_net_complex([z, 1.0, 1j], [0.3 - 0.2j, -0.4 + 0.9j, 1.1 + 0.5j], lam)
+    near = LatticeNet(net.dim, net.shape, "cp1", data=net.data.copy())
+    near.data[0, 0] = (1.0, 1.0 / z)
+    far, near = (lift_to_QS2(_default_sphere(), n, lam) for n in (net, near))
+    assert proj_distance_rows(far.data, near.data).max() < 1e-15
+    assert all(r.planarity < 1e-8 for r in is_conic_net(far))
+
+
 # ---------------------------------------------------------------------------
 # four-dimensional consistency
 
@@ -308,6 +322,15 @@ def test_bianchi_consistency():
     bad[(1, 1, 1, 1)] = normalize_proj(
         bad[(1, 1, 1, 1)] + 0.05 * bad[(0, 0, 0, 0)])
     assert not bianchi_check(bad)
+
+
+def test_a_hypercube_in_a_plane_has_planar_faces_and_no_completion():
+    # sixteen points of a 3-dim subspace of C^4: every face is planar, and
+    # no 3-cube through the far corner completes, which bianchi_check reports
+    rng = np.random.default_rng(12)
+    basis = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    cube = {key: rng.standard_normal(3) @ basis for key in itertools.product((0, 1), repeat=4)}
+    assert bianchi_check(cube) is False
 
 
 def _random_real_hypercube(rng):
@@ -1082,8 +1105,20 @@ def _cp1_curve():
      "complex-lambda lift needs a 2-dim net"),
     (lambda: LatticeNet(1, (3,), "hp2"), "unknown net kind 'hp2'"),
     (lambda: LatticeNet(2, (3,), "cp1"), "shape length must equal lattice dimension"),
+    (lambda: _cp1_curve().lifts(), "cp1 nets have no twistor lifts"),
+    (lambda: evolve_net_circular([], [], -1.0), "circular evolution needs a curve point"),
+    (lambda: project_from_QS2(_default_sphere(), _cp1_curve()), "projection expects a q4 net"),
+    (lambda: project_from_QS2(_default_sphere(), LatticeNet(1, (1,), "q4", data=np.array(
+        [normalize_proj(wedge(*np.eye(4, dtype=complex)[[1, 3]]))]))),
+     "value at (0,) is not a line through S"),
+    (lambda: bianchi_check({}), "hypercube vertex (0, 0, 0, 0) missing"),
+    (lambda: lift_to_QS2(_default_sphere(), LatticeNet(1, (2,), "cp1")),
+     "vertex (0,) missing from net"),
 ], ids=["holonomy-of-two-points", "lift-on-a-fiber", "lift-of-an-hp1-net",
-        "complex-lift-of-a-curve", "unknown-kind", "shape-of-the-wrong-length"])
+        "complex-lift-of-a-curve", "unknown-kind", "shape-of-the-wrong-length",
+        "lifts-of-a-cp1-net", "circular-evolution-of-no-curve", "projection-of-a-cp1-net",
+        "projection-of-a-line-off-the-sphere", "hypercube-without-vertices",
+        "lift-of-an-empty-net"])
 def test_nets_refusals(call, message):
     with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
         call()

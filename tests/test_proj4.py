@@ -137,6 +137,34 @@ def test_common_point_of_three_planes_is_the_plane_of_their_functionals():
     assert proj_distance(x, p) < 1e-8
 
 
+@pytest.mark.parametrize("log_s", [-300, -200, -155, -150, 0, 150, 160, 200, 300])
+def test_the_plane_rule_unit_scales_a_row_at_any_scale(log_s):
+    # the rows' norms are hypot norms: the sum of squares overflowed from
+    # 1e154 on, where a row became zero, and underflowed below 1e-154, where
+    # a point was taken for a zero row.  Over 200 draws with each row scaled
+    # the largest distance was 7.2e-16
+    rng = np.random.default_rng(25)
+    a, b, c = (_random_vec(rng) for _ in range(3))
+    ref = plane_from_span([a, b, c]).functional
+    scaled = [a * 10.0 ** log_s, b, c]
+    assert proj_distance(plane_from_span(scaled).functional, ref) < 1e-15
+    assert proj_distance(span_planes(np.array([scaled]))[0], ref) < 1e-15
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: orthonormal_pair(np.zeros(4), np.ones(4)), "degenerate-span: zero vector"),
+    (lambda: orthonormal_pair(np.ones(4), np.zeros(4)), "degenerate-span: zero vector"),
+    (lambda: ProjPlane(np.ones(3)), "plane functional must have 4 entries"),
+    (lambda: line_meet_point(np.eye(6)[0], np.eye(6)[5]), "lines are not incident"),
+    (lambda: meet_line(ProjPlane(np.eye(4)[0]), np.eye(6)[0] + np.eye(6)[5]),
+     "bivector is not decomposable"),
+], ids=["pair-of-a-zero-vector", "pair-with-a-zero-vector", "functional-of-3-entries",
+        "meet-of-skew-lines", "meet-of-a-plane-and-no-line"])
+def test_proj4_refusals(call, message):
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        call()
+
+
 def test_meet_line_in_plane_raises():
     pts = [np.eye(4, dtype=complex)[k] for k in range(3)]
     plane = plane_from_span(pts)
@@ -163,7 +191,9 @@ def test_normalize_proj_idempotent_phase():
 
 
 # normalize_proj and normalize_rows as they were before one list of moduli
-# served both the norm and the anchor, kept here to pin the results bit for bit
+# served both the norm and the anchor, kept here to pin the results bit for bit;
+# both keep a vector whose norm is within 4 eps of 1
+_KEEP = 4.0 * np.finfo(float).eps
 
 
 def _reference_normalize_proj(v):
@@ -174,7 +204,7 @@ def _reference_normalize_proj(v):
     mags = np.abs(v)
     anchor = int((mags > 1e-6 * n).argmax())
     a = complex(v[anchor])
-    if a.imag == 0.0 and a.real > 0.0 and abs(n - 1.0) < 1e-14:
+    if a.imag == 0.0 and a.real > 0.0 and abs(n - 1.0) <= _KEEP:
         return v.copy()
     out = v * (a.conjugate() / mags[anchor] / n)
     out[anchor] = mags[anchor] / n
@@ -194,7 +224,7 @@ def _reference_normalize_rows(v):
     lead = rows[k, anchor]
     out = rows * (lead.conj() / a / n)[:, None]
     out[k, anchor] = a / n
-    np.copyto(out, rows, where=((lead == a) & (np.abs(n - 1.0) < 1e-14))[:, None])
+    np.copyto(out, rows, where=((lead == a) & (np.abs(n - 1.0) <= _KEEP))[:, None])
     return out.reshape(v.shape)
 
 
@@ -388,6 +418,16 @@ def test_quadric_roots_include_a_second_generator_on_the_quadric():
     g, h = np.array([0, 1, 0, 0, 1, 0], dtype=complex), np.array([1, 0, 0, 0, 0, 0], dtype=complex)
     roots = quadric_roots(g, h)
     assert len(roots) == 1 and np.array_equal(roots[0], h)
+
+
+def test_quadric_roots_of_a_pencil_through_a_line_with_one_finite_root():
+    # h = e01 is a line, so t = infinity is a root, and a random g pairs
+    # with h: the one finite root is g + t h with t = -<g, g> / 2<g, h>
+    rng = np.random.default_rng(26)
+    g, h = _random_vec(rng, 6), np.array([1, 0, 0, 0, 0, 0], dtype=complex)
+    roots = quadric_roots(g, h)
+    assert len(roots) == 2 and np.array_equal(roots[0], h)
+    assert abs(quadric_pair(roots[1], roots[1])) < 1e-15 and proj_distance(roots[1], h) > 0.1
 
 
 def test_the_plane_rule_names_its_first_failing_row_in_row_order():

@@ -58,6 +58,11 @@ def test_zero_inverse_raises():
         Quaternion(0, 0, 0, 0).inverse()
 
 
+def test_zero_quaternion_has_no_direction():
+    with pytest.raises(ZeroDivisionError, match="^cannot normalize zero quaternion$"):
+        Quaternion(0, 0, 0, 0).normalized()
+
+
 # ---------------------------------------------------------------------------
 # both ends of the float range
 

@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, find, given, settings
+from hypothesis import assume, example, find, given, settings
 from hypothesis import strategies as st
 
 from twistnets import proj4, twistor
@@ -20,6 +21,7 @@ from twistnets.proj4 import (
 )
 from twistnets.twistor import (
     HPoint,
+    SphereEndo,
     affine_rows,
     classify_contact,
     is_j_real,
@@ -28,7 +30,6 @@ from twistnets.twistor import (
     plane_fiber,
     quat_pairs,
     sphere_contains,
-    sphere_eigen_quaternion,
     sphere_from_eigenvectors,
     sphere_from_line,
     sphere_from_rhn,
@@ -77,6 +78,18 @@ def test_distinct_points_have_disjoint_fibers():
     assert not lines_incident(twistor_fiber(p), twistor_fiber(q), 1e-9)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: SphereEndo(np.eye(4, dtype=complex)).eigenline(),
+     "endomorphism has no 2-dim i-eigenspace"),
+    (lambda: sphere_from_rhn(Quaternion.one(), Quaternion(), Quaternion.i()),
+     "matrix (R,H;0,N) does not square to -Identity"),
+], ids=["identity-endomorphism", "R-squares-to-1"])
+def test_sphere_refusals(call, message):
+    # the identity has no i-eigenvector; R = 1 squares to 1, not -1
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_sphere_from_rhn_contains_translates():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -122,16 +135,6 @@ def test_sphere_from_line_decides_points_at_fiber_tol():
         assert isinstance(sphere_from_line(wedge(v, j_on_vector(v) + eps * w)), HPoint) == point
     with pytest.raises(GeometryError, match="eigenline is j-real"):
         sphere_from_eigenvectors(v, 3 * j_on_vector(v))
-
-
-def test_sphere_eigen_quaternion_square():
-    rng = np.random.default_rng(4)
-    r = Quaternion(0.0, *rng.standard_normal(3)).normalized()
-    n = Quaternion(0.0, *rng.standard_normal(3)).normalized()
-    center = Quaternion(*rng.standard_normal(4))
-    s = sphere_translate(center, r, n)
-    mu = sphere_eigen_quaternion(s, HPoint.from_quaternion(center))
-    assert (mu * mu).isclose(Quaternion.from_real(-1.0), 1e-8)
 
 
 def test_touching_parallel_planes():
@@ -441,6 +444,8 @@ def test_a_point_at_infinity_has_no_affine_coordinate(point):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False), min_size=4,
                 max_size=4), _direction, st.floats(-300.0, 300.0))
+# the lift of [1e-7 k : 1] has norm 1 + 5e-15, which the normalizers once kept
+@example([0.0, 0.0, 0.0, 1e-7], [0.0, 0.0, 0.0, 1.0], 0.0)
 def test_a_pair_at_any_scale_lifts_onto_its_points_fiber(q, s, log_r):
     # [q s : s] with |s| in [1e-300, 1e300] is [q : 1]; before, a pair with
     # |q s| and |s| under 1e-14 was refused, and one under normalize_proj's

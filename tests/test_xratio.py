@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,17 @@ def test_complex_cr_with_infinity():
 def test_complex_cr_coincident_raises():
     with pytest.raises(GeometryError):
         complex_cr(1.0, 1.0, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ExtC(0, 0), "invalid homogeneous pair (0, 0)"),
+    (lambda: quat_cr(HPoint.infinity(), HPoint.infinity(),
+                     HPoint.from_quaternion(Quaternion.one()), HPoint.from_quaternion(Quaternion.i())),
+     "more than one point at infinity"),
+], ids=["zero-pair", "quat-cr-of-two-infinities"])
+def test_xratio_refusals(call, message):
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_complex_fourth_point_refuses_coincident_p1_and_p2():
