@@ -432,7 +432,7 @@ def _run_report(doc: dict, report: str, tol: float):
         rows = [{"face": _face_key(rep.base, rep.axes), "det": abs(rep.det),
                  "residual": max(rep.planarity, rep.defect, 0.0 if rep.irreducible else 1.0)}
                 for rep in is_conic_net(doc_to_net(doc), max(tol, 1e-12))]
-    elif report == "cr":
+    else:
         net = doc_to_net(doc)
         if net.kind != "cp1":
             raise GeometryError(f"cross-ratio reports need a cp1 net, not {net.kind}")
@@ -445,8 +445,6 @@ def _run_report(doc: dict, report: str, tol: float):
             cr = complex_cr(z[1], z[0], z[3], z[2])
             r = np.inf if cr.is_infinity() else abs(cr.value() - complex(lam))
             rows.append({"face": _face_key(base, axes), "residual": float(r)})
-    else:
-        raise GeometryError(f"unknown report {report!r}")
     return rows, max((row["residual"] for row in rows), default=0.0)
 
 

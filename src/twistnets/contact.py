@@ -82,7 +82,7 @@ def null_line_real_point(l: NullLine):
     element and the real member is the fiber over the projected point.
     Returns None for half-contact elements.
     """
-    return twistor_project(l.point) if l.plane.contains(j_on_vector(l.point), PENCIL_TOL) else None
+    return twistor_project(l.point) if l.plane.residual(j_on_vector(l.point)) < PENCIL_TOL else None
 
 
 def contact_element(p: HPoint, sphere: np.ndarray) -> NullLine:

@@ -71,8 +71,6 @@ class QuatHermitianForm:
         self._scale = float(np.abs(h).max())
         if np.linalg.norm(h - h.conj().T) > 1e-12 * self._scale:
             raise GeometryError("h component is not hermitian")
-        if np.linalg.norm(om + om.T) > 1e-12 * self._scale:
-            raise GeometryError("omega component is not alternating")
         if svd_rank(h, RANK_CUT)[0] < 4:
             raise GeometryError("degenerate hermitian form")
         self.hmat = h

@@ -119,24 +119,25 @@ def _norm(v: np.ndarray) -> float:
 
 def _scale_down(v: np.ndarray) -> np.ndarray:
     """Each vector along the last axis times the power of two that puts its
-    largest real component in [0.5, 1), for norms above the largest float;
+    largest real component in [0.5, 1), for norms out of the float range;
     the scaling is exact for every component that stays a normal float."""
     parts = np.ascontiguousarray(v, dtype=complex).view(float)
     exp = np.frexp(np.abs(parts).max(axis=-1, keepdims=True))[1]
     return np.ldexp(parts, -exp).view(complex)
 
 
-def _scaled_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """v and its norm by math.hypot; where that norm overflows though every
-    entry of v is finite, v is first scaled down (_scale_down).  A norm under
-    1e-12 raises: the one zero cut of normalize_proj and of the scale-free
-    tests (proj_distance, lines_incident, ProjPlane.residual)."""
-    n = math.hypot(*np.abs(v).tolist())
+def _scaled_norm(v: np.ndarray) -> tuple[np.ndarray, list, float]:
+    """v, its moduli and its norm by math.hypot; where that norm overflows
+    though every entry of v is finite, v is first scaled down (_scale_down).
+    A norm under 1e-12 raises: the one zero cut of normalize_proj and of the
+    scale-free tests (proj_distance, lines_incident, ProjPlane.residual)."""
+    mags = np.abs(v).tolist()
+    n = math.hypot(*mags)
     if n < 1e-12:
         raise GeometryError("cannot normalize (near-)zero homogeneous vector")
     if n == math.inf and np.isfinite(v).all():
         return _scaled_norm(_scale_down(v))
-    return v, n
+    return v, mags, n
 
 
 def normalize_proj(v: np.ndarray) -> np.ndarray:
@@ -149,14 +150,7 @@ def normalize_proj(v: np.ndarray) -> np.ndarray:
     vector of finite entries whose norm overflows is normalized as its
     _scale_down.
     """
-    v = np.asarray(v, dtype=complex)
-    # one list of moduli serves the norm (as in _scaled_norm) and the anchor
-    mags = np.abs(v).tolist()
-    n = math.hypot(*mags)
-    if n < 1e-12:
-        raise GeometryError("cannot normalize (near-)zero homogeneous vector")
-    if n == math.inf and np.isfinite(v).all():
-        return normalize_proj(_scale_down(v))
+    v, mags, n = _scaled_norm(np.asarray(v, dtype=complex))
     cut = 1e-6 * n
     for anchor, m in enumerate(mags):
         if m > cut:
@@ -234,7 +228,7 @@ def proj_distance(a: np.ndarray, b: np.ndarray) -> float:
 def _unit(v: np.ndarray) -> np.ndarray:
     """v scaled to unit norm, its phase kept; under the 1e-12 zero cut of
     _scaled_norm it raises."""
-    v, n = _scaled_norm(np.asarray(v, dtype=complex))
+    v, _, n = _scaled_norm(np.asarray(v, dtype=complex))
     return v / n
 
 
@@ -341,10 +335,20 @@ def line_point(a: np.ndarray) -> np.ndarray:
     return normalize_proj(m[:, int(np.argmax((m.real ** 2 + m.imag ** 2).sum(axis=0)))])
 
 
+def _ranged_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """v and its norm by _norm; where the sum of squares would underflow or
+    overflow, v is first scaled (_scale_down), which is exact."""
+    n = _norm(v)
+    if 1e-150 < n < 1e150:
+        return v, n
+    v = _scale_down(v)
+    return v, _norm(v)
+
+
 def orthonormal_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An orthonormal pair spanning span{a, b}, by Gram-Schmidt."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    na, nb = _norm(a), _norm(b)
+    """An orthonormal pair spanning span{a, b}, by Gram-Schmidt; a vector
+    of norm outside (1e-150, 1e150) is scaled as in _ranged_norm first."""
+    (a, na), (b, nb) = (_ranged_norm(np.asarray(x, dtype=complex)) for x in (a, b))
     if na == 0.0 or nb == 0.0:
         raise GeometryError("degenerate-span: zero vector")
     u = a / na
@@ -427,12 +431,9 @@ class ProjPlane:
             raise GeometryError("plane functional must have 4 entries")
         self.functional = normalize_proj(functional)
 
-    def contains(self, v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        return self.residual(v) < tol
-
     def residual(self, v: np.ndarray) -> float:
         """|f @ v| for the unit-scaled v."""
-        v, n = _scaled_norm(np.asarray(v, dtype=complex))
+        v, _, n = _scaled_norm(np.asarray(v, dtype=complex))
         return abs(self.functional @ v) / n
 
 

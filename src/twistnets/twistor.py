@@ -275,13 +275,18 @@ def quat_matrix(qmat) -> np.ndarray:
 def sphere_from_rhn(R: Quaternion, H: Quaternion, N: Quaternion) -> SphereEndo:
     """Build the sphere with quaternionic matrix (R, H; 0, N).
 
-    Valid when R^2 = N^2 = -1 and RH + HN = 0; the affine sphere is the set
-    of q with qN - Rq = 2H.
+    Valid when R^2 = N^2 = -1 and RH + HN = 0, each to 1e-8 of the size of
+    its terms, so that a sphere far from the origin, of large H, passes as
+    one near it; the affine sphere is the set of q with qN - Rq = 2H.
     """
-    endo = SphereEndo(quat_matrix(((R, H), (Quaternion(0, 0, 0, 0), N))))
-    if not endo.squares_to_minus_identity(1e-8):
+    # R and N are unit once their squares pass, so the squares' terms are
+    # 1 + 1 and the relation's |RH| + |HN| = 2|H|, plus those 2: an H made
+    # from a center carries rounding of the center's size
+    one = Quaternion.one()
+    if not ((R * R + one).norm() <= 2e-8 and (N * N + one).norm() <= 2e-8
+            and (R * H + H * N).norm() <= 2e-8 * (1.0 + H.norm())):
         raise GeometryError("matrix (R,H;0,N) does not square to -Identity")
-    return endo
+    return SphereEndo(quat_matrix(((R, H), (Quaternion(0, 0, 0, 0), N))))
 
 
 def sphere_translate(center: Quaternion, R: Quaternion, N: Quaternion) -> SphereEndo:

@@ -409,14 +409,15 @@ def test_evolve_lift_on_a_given_sphere(tmp_path, capsys):
 @pytest.mark.parametrize("lam", ["0.5+1i", "-0.7"])
 def test_evolve_lifts_a_curve_point_beyond_the_square_root_of_the_largest_float(
         tmp_path, capsys, lam):
-    src = _write(tmp_path, "far.json", {"schema": 1, "dim": 1, "box": [3], "kind": "cp1",
-                                        "entries": {"0": [1e300, 0], "1": [1, 0], "2": [0, 1]},
-                                        "metadata": {}})
-    out = str(tmp_path / "lifted.json")
-    assert main(["evolve", src, "--mode", "complex", "--lambda=" + lam, "--steps", "3",
-                 "--lift", "-o", out]) == 0
-    assert main(["check", out, "--report", "conic", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["ok"]
+    for z in (2e154, 1e300):
+        src = _write(tmp_path, "far.json", {"schema": 1, "dim": 1, "box": [3], "kind": "cp1",
+                                            "entries": {"0": [z, 0], "1": [1, 0], "2": [0, 1]},
+                                            "metadata": {}})
+        out = str(tmp_path / "lifted.json")
+        assert main(["evolve", src, "--mode", "complex", "--lambda=" + lam, "--steps", "3",
+                     "--lift", "-o", out]) == 0
+        assert main(["check", out, "--report", "conic", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
 
 
 def test_net_doc_roundtrip(tmp_path):
@@ -1136,6 +1137,17 @@ def test_hexahedron_command(tmp_path, capsys):
         out = capsys.readouterr()
         assert out.err == "error: cannot normalize (near-)zero homogeneous vector\n"
         assert out.out == ""
+    # a cube whose face {phi1, phi12, phi13} has a spread of 3e-5, s3 / s1 far
+    # above the plane rule's relative cut, completes (test_nets checks faces)
+    rng = np.random.default_rng(5)
+    phi, p1, p2, p3 = (np.r_[rng.standard_normal(4) + 1j * rng.standard_normal(4), 0, 0]
+                       for _ in range(4))
+    c = [complex(*rng.standard_normal(2)) for _ in range(7)]
+    narrow = [phi, p1, p2, p3, p1 + 3e-5 * (c[0] * phi + c[1] * p2),
+              p1 + 3e-5 * (c[2] * phi + c[3] * p3), c[4] * phi + c[5] * p2 + c[6] * p3]
+    assert main(["hexahedron", _write(tmp_path, "narrow.json",
+                                      {"points": [_cvec_out(p) for p in narrow]})]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_holonomy_command(tmp_path, capsys):

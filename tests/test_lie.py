@@ -354,7 +354,15 @@ def test_touching_coins_rejects_broken_chain():
 
 
 def test_touching_coins_rejects_common_sphere_degeneracy():
-    c = _circle(_ortho_circle_points(np.array([1.0, 0.0, 0.0]),
-                                     np.array([0.0, 1.0, 0.0])))
-    with pytest.raises(GeometryError):
-        touching_coins_check([c, c, c, c], FORM)
+    # circles of radii 1 to 4 tangent to the i-axis at 0, in one plane or
+    # each turned about that axis: every pair touches at 0 along one tangent
+    # line, so the chain passes the contact tests and reaches the rank test.
+    # Four copies of one circle failed earlier, as circles that do not touch
+    for turns in ((0.0, 0.0, 0.0, 0.0), (0.0, 0.5, 1.1, 2.0)):
+        circles = [_circle([_imag_point((r * np.sin(t), (r - r * np.cos(t)) * np.cos(phi),
+                                         (r - r * np.cos(t)) * np.sin(phi)))
+                            for t in (0.7, 1.9, 3.5)])
+                   for r, phi in zip((1.0, 2.0, 3.0, 4.0), turns)]
+        with pytest.raises(GeometryError, match="^common-sphere degeneracy: representatives "
+                                                "span fewer than four dimensions$"):
+            touching_coins_check(circles, FORM)

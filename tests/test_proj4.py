@@ -122,10 +122,10 @@ def test_plane_membership_and_meet():
     pts = [_random_vec(rng) for _ in range(3)]
     plane = plane_from_span(pts)
     for p in pts:
-        assert plane.contains(p, 1e-9)
+        assert plane.residual(p) < 1e-9
     line = wedge(pts[0] + pts[1], _random_vec(rng))
     x = meet_line(plane, line)
-    assert plane.contains(x, 1e-8)
+    assert plane.residual(x) < 1e-8
 
 
 def test_common_point_of_three_planes_is_the_plane_of_their_functionals():
@@ -149,6 +149,25 @@ def test_the_plane_rule_unit_scales_a_row_at_any_scale(log_s):
     scaled = [a * 10.0 ** log_s, b, c]
     assert proj_distance(plane_from_span(scaled).functional, ref) < 1e-15
     assert proj_distance(span_planes(np.array([scaled]))[0], ref) < 1e-15
+
+
+@pytest.mark.parametrize("log_s", [-300, -200, -160, -150, 0, 150, 160, 200, 300])
+def test_orthonormal_pair_is_orthonormal_at_any_scale(log_s):
+    # the norms were square roots of vdot: at 1e-160 the pair came out 4.2e-5
+    # off unit norm, at 1e-200 it was refused as a zero vector, and from 1e160
+    # on it was NaN.  In range the pair keeps the plain Gram-Schmidt bits
+    rng = np.random.default_rng(29)
+    a, b = (_random_vec(rng) * 10.0 ** log_s for _ in range(2))
+    u, w = orthonormal_pair(a, b)
+    gram = np.array([[np.vdot(x, y) for y in (u, w)] for x in (u, w)])
+    assert np.abs(gram - np.eye(2)).max() < 1e-15
+    for x in (a, b):
+        assert span_residual(x / np.abs(x).max(), u, w) < 1e-15
+    if log_s == 0:
+        plain_u = a / math.sqrt(np.vdot(a, a).real)
+        plain_w = b - plain_u * np.vdot(plain_u, b)
+        plain_w = plain_w / math.sqrt(np.vdot(plain_w, plain_w).real)
+        assert np.array_equal(np.r_[u, w], np.r_[plain_u, plain_w])
 
 
 @pytest.mark.parametrize("call, message", [

@@ -102,6 +102,22 @@ def test_sphere_from_rhn_contains_translates():
         assert sphere_contains(s, HPoint.from_quaternion(center), 1e-8)
 
 
+@pytest.mark.parametrize("log_s", [0, 3, 6, 8, 9, 12])
+def test_sphere_from_rhn_tests_each_relation_against_its_terms(log_s):
+    # the test was ||M^2 + I|| < 4e-8, whose residual grows with |H| =
+    # |cN - Rc|: from centers of size 1e8 on a valid translate was refused.
+    # R = 2i, N^2 != -1 and an H off RH + HN = 0 are refused at every size
+    rng = np.random.default_rng(3)
+    r, n = (Quaternion(0.0, *rng.standard_normal(3)).normalized() for _ in range(2))
+    center = Quaternion(*rng.standard_normal(4)) * 10.0 ** log_s
+    sphere_translate(center, r, n)
+    h = center * n - r * center
+    for bad in ((Quaternion(0, 2), h, n), (r, h, n + Quaternion(0, 0, 0.5)),
+                (r, h + Quaternion(h.norm()), n)):
+        with pytest.raises(GeometryError, match=r"^matrix \(R,H;0,N\) does not square"):
+            sphere_from_rhn(*bad)
+
+
 def test_sphere_complex_plane():
     # the sphere C: endomorphism diag-style with R = N = i and H = 0
     i = Quaternion.i()
