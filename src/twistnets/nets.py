@@ -431,14 +431,6 @@ def sphere_frame(S: np.ndarray):
     return proj4.line_factorize(S)
 
 
-def _pairs_in_range(pairs: np.ndarray) -> np.ndarray:
-    """CP^1 pairs whose larger modulus is above 1e100 scaled by the exact
-    power of two of proj4._scale_down, so that the wedge of their lifts, of
-    size |z|^2, stays a float; every other pair is kept bit for bit."""
-    big = np.abs(pairs).max(axis=-1, keepdims=True) > 1e100
-    return np.where(big, proj4._scale_down(pairs), pairs) if big.any() else pairs
-
-
 def lift_to_QS2(S: np.ndarray, net: LatticeNet, lam=None) -> LatticeNet:
     """Lift a CP^1 net on the sphere S into the subquadric of lines through
     S and its j-image.
@@ -456,14 +448,15 @@ def lift_to_QS2(S: np.ndarray, net: LatticeNet, lam=None) -> LatticeNet:
     if lam is None:
         lam = net.metadata.get("lambda")
     net.require_complete()
-    eta = net.data.conj()
+    # the wedge of the lifts has size |z|^2: for pairs in [0.5, 1e100] it stays
+    # above the zero cut and a float, and evolved and document pairs are there
+    z = proj4._scale_down(net.data, 0.5, 1e100)
+    eta = z.conj()
     if lam is not None and abs(complex(lam).imag) > REAL_TOL:
         if net.dim != 2:
             raise GeometryError("complex-lambda lift needs a 2-dim net")
-        eta = evolve_net_complex([net[m, 0].conj() for m in range(net.shape[0])],
-                                 [net[0, n].conj() for n in range(1, net.shape[1])],
-                                 lam).data
-    z, eta = _pairs_in_range(net.data), _pairs_in_range(eta)
+        eta = evolve_net_complex([ExtC(*c) for c in eta[:, 0]],
+                                 [ExtC(*c) for c in eta[0, 1:]], lam).data
     x = z[..., :1] * p + z[..., 1:] * q
     y = eta[..., :1] * j_on_vector(p) + eta[..., 1:] * j_on_vector(q)
     return LatticeNet(net.dim, net.shape, "q4", data=normalize_rows(wedge_rows(x, y)),

@@ -117,13 +117,17 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(v, v).real)
 
 
-def _scale_down(v: np.ndarray) -> np.ndarray:
-    """Each vector along the last axis times the power of two that puts its
-    largest real component in [0.5, 1), for norms out of the float range;
-    the scaling is exact for every component that stays a normal float."""
-    parts = np.ascontiguousarray(v, dtype=complex).view(float)
-    exp = np.frexp(np.abs(parts).max(axis=-1, keepdims=True))[1]
-    return np.ldexp(parts, -exp).view(complex)
+def _scale_down(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The one range rule: each real or complex vector along the last axis
+    whose largest real component lies outside [lo, hi] times the power of
+    two that puts it in [0.5, 1), exact for components that stay normal
+    floats; every other vector keeps its bits (v is returned if all do)."""
+    v = np.ascontiguousarray(v, dtype=complex if np.iscomplexobj(v) else float)
+    # numpy reduces a short last axis row by row, several times slower than
+    # the first axis of a copy that puts it first
+    top = np.abs(np.moveaxis(v.view(float), -1, 0).copy()).max(axis=0)[..., None]
+    exp = np.where((top < lo) | (top > hi), -np.frexp(top)[1], 0)
+    return np.ldexp(v.view(float), exp).view(v.dtype) if exp.any() else v
 
 
 def _scaled_norm(v: np.ndarray) -> tuple[np.ndarray, list, float]:
@@ -136,7 +140,7 @@ def _scaled_norm(v: np.ndarray) -> tuple[np.ndarray, list, float]:
     if n < 1e-12:
         raise GeometryError("cannot normalize (near-)zero homogeneous vector")
     if n == math.inf and np.isfinite(v).all():
-        return _scaled_norm(_scale_down(v))
+        return _scaled_norm(_scale_down(v, 0.0, 1e300))
     return v, mags, n
 
 
@@ -176,7 +180,7 @@ def _row_hypot(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     math.hypot in normalize_proj: squares of components above about 1e154
     would overflow, and below about 1e-154 underflow.  Only moduli above
     1e300 can take a norm above the largest float, where a row of finite
-    entries is replaced by its _scale_down first."""
+    entries is scaled (_scale_down) first."""
     mags = np.abs(rows)
     if mags.max(initial=0.0) < 1e300:
         return rows, mags, np.hypot.reduce(mags, axis=-1)
@@ -184,7 +188,7 @@ def _row_hypot(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         n = np.hypot.reduce(mags, axis=-1)
     huge = (n == np.inf) & np.isfinite(rows).all(axis=-1)
     if np.count_nonzero(huge):
-        return _row_hypot(np.where(huge[..., None], _scale_down(rows), rows))
+        return _row_hypot(np.where(huge[..., None], _scale_down(rows, 0.0, 1e300), rows))
     return rows, mags, n
 
 
@@ -335,20 +339,15 @@ def line_point(a: np.ndarray) -> np.ndarray:
     return normalize_proj(m[:, int(np.argmax((m.real ** 2 + m.imag ** 2).sum(axis=0)))])
 
 
-def _ranged_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """v and its norm by _norm; where the sum of squares would underflow or
-    overflow, v is first scaled (_scale_down), which is exact."""
-    n = _norm(v)
-    if 1e-150 < n < 1e150:
-        return v, n
-    v = _scale_down(v)
-    return v, _norm(v)
-
-
 def orthonormal_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An orthonormal pair spanning span{a, b}, by Gram-Schmidt; a vector
-    of norm outside (1e-150, 1e150) is scaled as in _ranged_norm first."""
-    (a, na), (b, nb) = (_ranged_norm(np.asarray(x, dtype=complex)) for x in (a, b))
+    """An orthonormal pair spanning span{a, b}, by Gram-Schmidt; where a norm
+    lies outside (1e-150, 1e150) its square would underflow or overflow, so
+    the vectors are first scaled (_scale_down), which is exact."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    na, nb = _norm(a), _norm(b)
+    if not (1e-150 < na < 1e150 and 1e-150 < nb < 1e150):
+        a, b = _scale_down(a, 1e-150, 1e150), _scale_down(b, 1e-150, 1e150)
+        na, nb = _norm(a), _norm(b)
     if na == 0.0 or nb == 0.0:
         raise GeometryError("degenerate-span: zero vector")
     u = a / na
@@ -360,12 +359,17 @@ def orthonormal_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def orthonormal_pair_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """orthonormal_pair row by row over leading axes, for nonzero rows; a
-    parallel row raises its error."""
-    u = a / row_norms(a)
+    """orthonormal_pair row by row over leading axes, for nonzero rows, with
+    its range rule; a parallel row raises its error."""
+    with np.errstate(over="ignore"):
+        na, nb = row_norms(a), row_norms(b)
+    if not ((1e-150 < na) & (na < 1e150) & (1e-150 < nb) & (nb < 1e150)).all():
+        a, b = _scale_down(a, 1e-150, 1e150), _scale_down(b, 1e-150, 1e150)
+        na, nb = row_norms(a), row_norms(b)
+    u = a / na
     w = b - u * _vdot_rows(u, b)
     nw = row_norms(w)
-    if (nw < 1e-12 * row_norms(b)).any():
+    if (nw < 1e-12 * nb).any():
         raise GeometryError("degenerate-span: the two vectors are parallel")
     return u, w / nw
 

@@ -54,8 +54,8 @@ class HPoint:
                 raise GeometryError("homogeneous quaternion pair must be nonzero")
             if not all(map(math.isfinite, parts)):
                 raise GeometryError("homogeneous quaternion pair must be finite")
-            exp = -math.frexp(max(map(abs, parts)))[1]
-            parts = [math.ldexp(c, exp) for c in parts]
+            # the largest component, at least the norm / sqrt(8), is out of [1e-12, 1e99]
+            parts = proj4._scale_down(np.array(parts), 1e-12, 1e99).tolist()
             object.__setattr__(self, "a", Quaternion(*parts[:4]))
             object.__setattr__(self, "b", Quaternion(*parts[4:]))
 
@@ -141,10 +141,11 @@ def affine_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """HPoint.is_infinity and HPoint.affine over leading axes of quaternion
     pairs (..., 2, 4): the mask of points at infinity, and a b^-1 elsewhere
     (1 at infinity)."""
-    # document pairs reach here without HPoint's scaling: rows whose top lies
-    # outside (1e-100, 1e100) are scaled as the constructor scales a pair
-    top = np.abs(pairs).max(axis=(-2, -1), keepdims=True)
-    pairs = np.ldexp(pairs, np.where((1e-100 < top) & (top < 1e100), 0, -np.frexp(top)[1]))
+    # document pairs reach here without HPoint's scaling: pairs whose largest
+    # component lies outside [1e-100, 1e100] are scaled as the constructor
+    # scales a pair
+    shape = pairs.shape
+    pairs = proj4._scale_down(pairs.reshape(shape[:-2] + (8,)), 1e-100, 1e100).reshape(shape)
     # Quaternion arithmetic on arrays of components acts elementwise, in the
     # order HPoint.affine takes on floats, so each row is its value bit for bit
     a, b = (Quaternion(*np.moveaxis(pairs[..., k, :], -1, 0)) for k in (0, 1))
@@ -158,10 +159,11 @@ def affine_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def lift_rows(pairs: np.ndarray) -> np.ndarray:
     """HPoint.lift over leading axes of quaternion pairs (..., 2, 4), as
     rows (..., 4): the same rule, with normalize_rows' rounding, which may
-    differ from HPoint.lift's in the last bits."""
+    differ from HPoint.lift's in the last bits.  Raw pairs, as documents
+    give them, are first scaled as HPoint scales them (window [1e-12, 1e100])."""
     # (w, x) and (y, -z) of a quaternion are the real and imaginary parts of
     # its complex pair
-    parts = np.ascontiguousarray(pairs * _CONJ_Z).reshape(pairs.shape[:-2] + (8,))
+    parts = proj4._scale_down((pairs * _CONJ_Z).reshape(pairs.shape[:-2] + (8,)), 1e-12, 1e100)
     return normalize_rows(parts.view(complex))
 
 

@@ -155,7 +155,8 @@ def _reference_meet(functional, line):
 def test_span_functional_matches_nullspace(a, b, c):
     assume(_volume(a, b, c) > WELL_POSED)
     f = plane_from_span([a, b, c]).functional
-    ref = nullspace(np.array([a, b, c]))
+    # the reference rows are unit-scaled, as _volume scales them
+    ref = nullspace(np.array([v / _norm(v) for v in (a, b, c)]))
     assert ref.shape == (4, 1)
     assert proj_distance(f, ref[:, 0]) < AGREE
 

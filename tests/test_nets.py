@@ -310,6 +310,18 @@ def test_a_far_cp1_point_lifts_as_the_same_point_nearer_one(z, lam):
     assert all(r.planarity < 1e-8 for r in is_conic_net(far))
 
 
+@pytest.mark.parametrize("lam", [0.5 + 1j, -0.7])
+@pytest.mark.parametrize("k", [-1000, -500, -40, -20, -1, 0, 1, 20, 500, 1000])
+def test_a_cp1_net_lifts_as_itself_at_any_power_of_two(k, lam):
+    # the wedge of the lifts has size |z|^2: from a scale of 1e-6 down it fell
+    # under the zero cut, and the net was refused as a zero vector
+    net = _complex_net(np.random.default_rng(30), lam, (4, 4))
+    scaled = LatticeNet(net.dim, net.shape, "cp1", data=net.data * 2.0 ** k)
+    assert np.array_equal(scaled.data * 2.0 ** -k, net.data)
+    want = lift_to_QS2(_default_sphere(), net, lam).data
+    assert np.array_equal(lift_to_QS2(_default_sphere(), scaled, lam).data, want)
+
+
 # ---------------------------------------------------------------------------
 # four-dimensional consistency
 

@@ -170,6 +170,19 @@ def test_orthonormal_pair_is_orthonormal_at_any_scale(log_s):
         assert np.array_equal(np.r_[u, w], np.r_[plain_u, plain_w])
 
 
+@pytest.mark.parametrize("log_s", [-300, -200, -160, -150, 0, 150, 160, 200, 300])
+def test_orthonormal_pair_rows_are_orthonormal_pair_at_any_scale(log_s):
+    # the row norms were square roots of sums of squares: at 1e-160 the rows
+    # came out 9.1e-5 off unit norm, at 1e-200 they divided by zero, and from
+    # 1e160 on the squares overflowed
+    rng = np.random.default_rng(30)
+    a, b = (np.array([_random_vec(rng) for _ in range(8)]) * 10.0 ** log_s for _ in range(2))
+    u, w = orthonormal_pair_rows(a, b)
+    for got, want in zip(np.stack([u, w], axis=1), map(orthonormal_pair, a, b)):
+        assert np.abs(got.conj() @ got.T - np.eye(2)).max() < 1e-15
+        assert np.abs(got - want).max() < 1e-15
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: orthonormal_pair(np.zeros(4), np.ones(4)), "degenerate-span: zero vector"),
     (lambda: orthonormal_pair(np.ones(4), np.zeros(4)), "degenerate-span: zero vector"),

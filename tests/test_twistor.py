@@ -38,6 +38,7 @@ from twistnets.twistor import (
     twistor_project,
 )
 
+from twistnets.nets import LatticeNet, face_planarity
 from complex_fibers import lift_fiber_rows
 
 
@@ -535,6 +536,22 @@ def test_a_pair_scaled_by_a_power_of_two_reads_as_the_pair_bit_for_bit(parts, t,
     assert np.array_equal(*twistor.lift_rows(pairs))
     rows, at_inf = affine_rows(pairs)
     assert np.array_equal(*rows) and at_inf[0] == at_inf[1] == p.is_infinity()
+
+
+@pytest.mark.parametrize("k", [-1000, -200, -60, -40, 0, 40, 200, 1000])
+def test_lift_rows_of_raw_pairs_at_any_power_of_two(k):
+    # document pairs reach lift_rows unscaled: under a norm of 1e-12 they
+    # were refused as zero vectors, where HPoint scales them when it is made
+    pairs = np.random.default_rng(30).standard_normal((3, 2, 2, 4))
+    scaled = pairs * 2.0 ** k
+    assert np.array_equal(scaled * 2.0 ** -k, pairs)
+    rows = twistor.lift_rows(scaled)
+    assert np.array_equal(rows, twistor.lift_rows(pairs))
+    for (a, b), row in zip(scaled.reshape(-1, 2, 4), rows.reshape(-1, 4)):
+        assert np.abs(HPoint(Quaternion(*a), Quaternion(*b)).lift() - row).max() < 1e-15
+    net, unscaled = (LatticeNet(2, (3, 2), "hp1", data=x) for x in (scaled, pairs))
+    assert np.array_equal(net.lifts(), rows)
+    assert face_planarity(net, (0, 0), (0, 1)) == face_planarity(unscaled, (0, 0), (0, 1))
 
 
 # ---------------------------------------------------------------------------
