@@ -130,7 +130,7 @@ def _entries_in(entries: dict, box: tuple):
 
 
 def _doc_header(doc) -> tuple:
-    """A net or PCEN document's kind, lattice dimension and box, its header checked."""
+    """A net or PCEN document's kind and box, its header checked."""
     _require_object(doc)
     for field in ("schema", "dim", "box", "kind", "entries"):
         if field not in doc:
@@ -150,7 +150,7 @@ def _doc_header(doc) -> tuple:
     if dim > MAX_DIM:
         raise DocumentError(f"document dim {dim} is over {MAX_DIM}")
     _require_box(box, "document box")
-    return kind, dim, tuple(box)
+    return kind, tuple(box)
 
 
 def _require_box(box, what: str):
@@ -205,10 +205,10 @@ def _require_object(doc):
 
 def doc_to_net(doc: dict) -> LatticeNet:
     """Rebuild a lattice net from a parsed document (values kept verbatim)."""
-    kind, dim, box = _doc_header(doc)
+    kind, box = _doc_header(doc)
     if kind == "pcen":
         raise GeometryError("this command needs a net document, not a pcen document")
-    net = LatticeNet(dim, box, kind, metadata=_metadata_in(doc.get("metadata", {})))
+    net = LatticeNet(box, kind, metadata=_metadata_in(doc.get("metadata", {})))
     # the document's values go into the fresh net's arrays as they are, so
     # that a re-export reproduces the file byte for byte
     for key, idx, vals in _entries_in(doc["entries"], box):
@@ -238,10 +238,10 @@ def pcen_to_doc(pcen: PCEN) -> dict:
 
 
 def doc_to_pcen(doc: dict) -> PCEN:
-    kind, dim, box = _doc_header(doc)
+    kind, box = _doc_header(doc)
     if kind != "pcen":
         raise GeometryError("not a pcen document")
-    base = LatticeNet(dim, box, "hp1", metadata=_metadata_in(doc.get("metadata", {})))
+    base = LatticeNet(box, "hp1", metadata=_metadata_in(doc.get("metadata", {})))
     points = np.zeros(box + (4,), dtype=complex)
     functionals = np.zeros_like(points)
     present = np.zeros(box, dtype=bool)

@@ -39,7 +39,6 @@ from .proj4 import (
     row_norms,
     settle_planes,
     span_planes,
-    span_residual_rows,
     wedge,
 )
 from .twistor import (
@@ -178,12 +177,11 @@ def _propagate(points: np.ndarray, functionals: np.ndarray, fibers: np.ndarray,
 def _adjacency_rows(p1: np.ndarray, f1: np.ndarray,
                     p2: np.ndarray, f2: np.ndarray) -> np.ndarray:
     """Row by row, the failure of two elements (unit pencil points p, plane
-    functionals f) to share a pencil member: for the line through the two
-    points, spanned by an orthonormal pair (v, w), the sum over both ends of
-    the point's span_residual and the plane residuals of v and w."""
+    functionals f) to share a pencil member, the line through the points:
+    the plane residuals, summed over both planes, of the orthonormal pair
+    (v, w) of the points, which spans that line."""
     v, w = orthonormal_pair_rows(p1, p2)
-    return sum(span_residual_rows(p, v, w) + plane_residual_rows(f, v) + plane_residual_rows(f, w)
-               for p, f in ((p1, f1), (p2, f2)))
+    return sum(plane_residual_rows(f, v) + plane_residual_rows(f, w) for f in (f1, f2))
 
 
 def shared_sphere(l1: NullLine, l2: NullLine) -> np.ndarray:

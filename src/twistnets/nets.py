@@ -108,8 +108,9 @@ def first_missing(present: np.ndarray):
 class LatticeNet:
     """Map from lattice indices in a finite box to projective values.
 
-    The values are one array, data (box + value shape), and present marks
-    the vertices that hold one: 'cp1' holds extended complex numbers as pairs
+    The box is shape, and the lattice dimension, dim, is its length.  The
+    values are one array, data (box + value shape), and present marks the
+    vertices that hold one: 'cp1' holds extended complex numbers as pairs
     [num : den], 'hp1' points [a : b] of HP^1 as quaternion pairs (a, b),
     'cp3' C^4 vectors and 'q4' Pluecker 6-vectors.  net[idx] builds the API
     value (ExtC, HPoint or a vector).  net[idx] = v normalizes cp3 and q4
@@ -120,12 +121,10 @@ class LatticeNet:
     before the first read, are kept verbatim.
     """
 
-    def __init__(self, dim: int, shape, kind: str, metadata=None, data=None):
+    def __init__(self, shape, kind: str, metadata=None, data=None):
         if kind not in _VALUE_SHAPE:
             raise GeometryError(f"unknown net kind {kind!r}")
-        if len(shape) != dim:
-            raise GeometryError("shape length must equal lattice dimension")
-        self.dim, self.shape, self.kind = dim, tuple(shape), kind
+        self.dim, self.shape, self.kind = len(shape), tuple(shape), kind
         self.metadata = {} if metadata is None else metadata
         self.present = np.full(self.shape, data is not None)
         self.data = np.zeros(self.shape + _VALUE_SHAPE[kind], float if kind == "hp1"
@@ -359,7 +358,7 @@ def evolve_net_complex(curve, seeds, lam) -> LatticeNet:
             raise GeometryError(f"degenerate step in row {r + 1}: {exc}") from exc
     data = np.array([[(z.num, z.den) for z in row] for row in rows], dtype=complex)
     data = data.reshape(len(rows), len(rows[0]), 2).transpose(1, 0, 2)
-    return LatticeNet(2, data.shape[:2], "cp1", metadata={"lambda": complex(lam)}, data=data)
+    return LatticeNet(data.shape[:2], "cp1", metadata={"lambda": complex(lam)}, data=data)
 
 
 def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
@@ -416,7 +415,7 @@ def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
             raise GeometryError(f"degenerate step in row {n.min()}: coincident points p1 and p2")
     pairs = pair_rows(frames[..., 0, :])
     pairs[:, 0], pairs[0, 1:] = quat_pairs(curve), quat_pairs(seeds)
-    return LatticeNet(2, (m_n, n_n), "hp1", metadata={"lambda": lam}, data=pairs)
+    return LatticeNet((m_n, n_n), "hp1", metadata={"lambda": lam}, data=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +458,7 @@ def lift_to_QS2(S: np.ndarray, net: LatticeNet, lam=None) -> LatticeNet:
                                  [ExtC(*c) for c in eta[0, 1:]], lam).data
     x = z[..., :1] * p + z[..., 1:] * q
     y = eta[..., :1] * j_on_vector(p) + eta[..., 1:] * j_on_vector(q)
-    return LatticeNet(net.dim, net.shape, "q4", data=normalize_rows(wedge_rows(x, y)),
+    return LatticeNet(net.shape, "q4", data=normalize_rows(wedge_rows(x, y)),
                       metadata=dict(net.metadata, sphere=normalize_proj(S)))
 
 
@@ -469,7 +468,7 @@ def project_from_QS2(S: np.ndarray, net: LatticeNet) -> LatticeNet:
         raise GeometryError("projection expects a q4 net")
     p, q = sphere_frame(S)
     line = wedge(p, q)
-    out = LatticeNet(net.dim, net.shape, "cp1", metadata=dict(net.metadata))
+    out = LatticeNet(net.shape, "cp1", metadata=dict(net.metadata))
     for idx in net.indices():
         a = net[idx]
         if not lines_incident(a, line, INCIDENCE_TOL):

@@ -170,9 +170,19 @@ def normalize_proj(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _column_chain(op, a: np.ndarray) -> np.ndarray:
+    """op.reduce over the last axis of a, as a chain over its columns.  numpy
+    reduces a last axis of under 8 entries row by row in this order, so the
+    chain gives its bits, on 576 rows of 4 in a third of the time."""
+    out = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = op(out, a[..., k])
+    return out
+
+
 def row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis, which is kept with length 1."""
-    return np.sqrt((v * v.conj()).real.sum(axis=-1, keepdims=True))
+    return np.sqrt(_column_chain(np.add, (v * v.conj()).real))[..., None]
 
 
 def _row_hypot(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,9 +193,9 @@ def _row_hypot(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     entries is scaled (_scale_down) first."""
     mags = np.abs(rows)
     if mags.max(initial=0.0) < 1e300:
-        return rows, mags, np.hypot.reduce(mags, axis=-1)
+        return rows, mags, _column_chain(np.hypot, mags)
     with np.errstate(over="ignore"):
-        n = np.hypot.reduce(mags, axis=-1)
+        n = _column_chain(np.hypot, mags)
     huge = (n == np.inf) & np.isfinite(rows).all(axis=-1)
     if np.count_nonzero(huge):
         return _row_hypot(np.where(huge[..., None], _scale_down(rows, 0.0, 1e300), rows))
@@ -199,8 +209,9 @@ def normalize_rows(v: np.ndarray) -> np.ndarray:
     above 1e-6 of the norm exactly real and positive; as there, a row that
     already obeys it is returned unchanged, and a row of finite entries whose
     norm overflows is scaled down first.  The rounding may differ: the norm
-    is numpy's hypot.reduce, not math.hypot, and on random rows about two in
-    three differ from normalize_proj's, each entry by at most about 5e-16.
+    is numpy's hypot, chained over the columns, not math.hypot, and on random
+    rows about two in three differ from normalize_proj's, each entry by at
+    most about 5e-16.
     """
     v = np.asarray(v, dtype=complex)
     width = v.shape[-1]

@@ -27,6 +27,7 @@ normalization, places its three lines at infinity, 1 and 0.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from .proj4 import (
     DEFAULT_TOL,
     QUADRIC_MATRIX,
     GeometryError,
+    _scale_down,
     line_factorize,
     normalize_proj,
     normalize_rows,
@@ -50,14 +52,31 @@ from .twistor import HPoint, coincident_rows, j_on_vector, pair_rows
 
 @dataclass(frozen=True)
 class ExtC:
-    """Point [num : den] of CP^1; den = 0 is the point at infinity."""
+    """Point [num : den] of CP^1; den = 0 is the point at infinity.  A pair
+    whose norm lies outside [1e-12, 1e76] is stored times the power of two
+    that puts its largest real component in [0.5, 1): num and den then
+    differ from the arguments, by an exact scaling that keeps the point.
+    Four norms up to 1e76 keep the products of complex_cr below 1e305, and
+    three, with a cross ratio below the infinity cut (1e14), those of
+    complex_fourth_step below 1e243."""
 
     num: complex
     den: complex
 
     def __post_init__(self):
-        if self.num == 0 and self.den == 0:
-            raise GeometryError("invalid homogeneous pair (0, 0)")
+        num, den = self.num, self.den
+        # hypot is 0 only for zeros, and not finite for a non-finite part or
+        # a norm above the largest float
+        if not 1e-12 <= math.hypot(num.real, num.imag, den.real, den.imag) <= 1e76:
+            if num == 0 and den == 0:
+                raise GeometryError("invalid homogeneous pair (0, 0)")
+            if not (cmath.isfinite(num) and cmath.isfinite(den)):
+                raise GeometryError("homogeneous pair must be finite")
+            # the largest real component, at least the norm / 2, is out of
+            # [1e-12, 1e75]
+            num, den = _scale_down(np.array([num, den], dtype=complex), 1e-12, 1e75).tolist()
+            object.__setattr__(self, "num", num)
+            object.__setattr__(self, "den", den)
 
     def is_infinity(self) -> bool:
         """Whether the point is infinity: |den| <= INF_CUT max(1, |num|), the
@@ -68,9 +87,6 @@ class ExtC:
         if self.is_infinity():
             raise GeometryError("point at infinity has no finite value")
         return self.num / self.den
-
-    def conj(self) -> "ExtC":
-        return ExtC(np.conj(self.num), np.conj(self.den))
 
     def isclose(self, other: "ExtC", tol: float = DEFAULT_TOL) -> bool:
         d = self.num * other.den - other.num * self.den
@@ -146,7 +162,9 @@ def complex_fourth_point(z1, z2, z3, lam) -> ExtC:
 
 def complex_fourth_step(z1: ExtC, z2: ExtC, z3: ExtC, lam: complex) -> ExtC:
     """complex_fourth_point on points of CP^1, with lam, checked by the
-    caller, as a complex number: the face step of the complex evolution."""
+    caller, as a complex number: the face step of the complex evolution.
+    Its products stay finite, since ExtC keeps each pair's norm at most
+    1e76, and a pair scaled by a power of two gives the same bits."""
     # the cross ratio of p1, p2 and any two points is 0, never lam
     if z1.isclose(z2):
         raise GeometryError("coincident points p1 and p2")

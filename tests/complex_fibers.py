@@ -42,7 +42,7 @@ def random_hp1_net(rng, shape, missing: float, on_circle: bool) -> LatticeNet:
     center = rng.standard_normal(4)
     u, w = np.linalg.qr(rng.standard_normal((4, 2)))[0].T
     radius = rng.uniform(0.1, 3.0)
-    net = LatticeNet(len(shape), shape, "hp1")
+    net = LatticeNet(shape, "hp1")
     for idx in net.indices():
         if rng.random() < missing:
             continue

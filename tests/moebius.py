@@ -48,7 +48,7 @@ class Moebius:
     def net(self, net: LatticeNet) -> LatticeNet:
         """An hp1 net with every vertex moved."""
         moved = quat_pairs([self.point(net[idx]) for idx in net.indices()])
-        return LatticeNet(net.dim, net.shape, "hp1", data=moved.reshape(net.data.shape))
+        return LatticeNet(net.shape, "hp1", data=moved.reshape(net.data.shape))
 
     def __repr__(self):
         return f"Moebius({self.g!r})"

@@ -206,7 +206,7 @@ def test_planarity_report_of_a_3_dim_net_is_unchanged(tmp_path, capsys, kind):
     # rows in net.faces() order, the three axis pairs interleaved, each
     # residual as one decomposition per face gave it
     rng = np.random.default_rng(19)
-    net = LatticeNet(3, (3, 2, 4), kind)
+    net = LatticeNet((3, 2, 4), kind)
     for idx in net.indices():
         x, y = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         net[idx] = HPoint.from_quaternion(Quaternion(*x.real)) if kind == "hp1" \
@@ -320,7 +320,7 @@ def test_cp3_documents_load_check_and_reexport(tmp_path, capsys):
     # four C^4 points in one plane, stored as 8 reals each
     rng = np.random.default_rng(16)
     plane = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    net = LatticeNet(2, (2, 2), "cp3")
+    net = LatticeNet((2, 2), "cp3")
     for idx in net.indices():
         net[idx] = rng.standard_normal(3) @ plane
     first, again = str(tmp_path / "first.json"), str(tmp_path / "again.json")
@@ -455,7 +455,7 @@ def test_export_obj_skips_infinity(tmp_path, capsys):
 def _grid_net(shape):
     """A circular hp1 net of any dimension up to 4: a box grid in H, axis a
     along the quaternion unit a, so that every face is a rectangle."""
-    net = LatticeNet(len(shape), shape, "hp1")
+    net = LatticeNet(shape, "hp1")
     for idx in net.indices():
         q = [0.3, -0.2, 0.5, 0.1]
         q[:len(idx)] = [c + 0.7 * i + 0.1 * i * i for c, i in zip(q, idx)]
@@ -779,6 +779,8 @@ _HEADER_FAULTS = {
             "entry index '3,0' outside the box [3, 3]"),
     "dim-63": (lambda doc: doc.update(dim=63, box=[1] * 63, entries={}),
                "document dim 63 is over 62"),
+    "dim-of-another-box": (lambda doc: doc.update(dim=3),
+                           "document box must hold dim sizes, none negative"),
 }
 
 
@@ -995,11 +997,11 @@ def test_pcen_document_of_a_3_dim_box_without_base_points_reports_the_adjacency(
     # no base points: the closure checks no face, and the adjacency, which
     # no report reached before, holds
     rng = np.random.default_rng(18)
-    base = LatticeNet(3, (2, 2, 2), "cp1", data=rng.standard_normal((2, 2, 2, 2))
+    base = LatticeNet((2, 2, 2), "cp1", data=rng.standard_normal((2, 2, 2, 2))
                       + 1j * rng.standard_normal((2, 2, 2, 2)))
     e = np.eye(4, dtype=complex)
     pcen = pcen_from_complex_cr(normalize_proj(wedge(e[0], e[2])), base)
-    doc = pcen_to_doc(PCEN(LatticeNet(3, (2, 2, 2), "hp1"), pcen.points, pcen.functionals))
+    doc = pcen_to_doc(PCEN(LatticeNet((2, 2, 2), "hp1"), pcen.points, pcen.functionals))
     assert main(["check", _write(tmp_path, "pcen.json", doc)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "closure: 0.000e+00 over 0 faces"
@@ -1193,13 +1195,43 @@ def test_holonomy_at_a_cross_ratio_of_0_or_1_exits_2(tmp_path, capsys, lam):
 
 
 def test_holonomy_beyond_the_float_range_exits_2(tmp_path, capsys):
-    # the transfer matrices of an 8e154 coordinate overflow in their product
-    # (a RuntimeWarning, an error here), which eig cannot take
+    # the transfer matrices of three 9e75 coordinates, pairs that ExtC keeps
+    # as they are, overflow in their product (a RuntimeWarning, an error
+    # here), which eig cannot take
     doc = _cp1_curve_doc(4)
-    doc["entries"]["3"] = [0.8, 8.4e154]
+    for key in ("1", "2", "3"):
+        doc["entries"][key][1] = 9e75
     assert main(["holonomy", _write(tmp_path, "huge.json", doc), "--lambda", "-1"]) == 2
     out = capsys.readouterr()
     assert out.err == "error: holonomy matrix overflows the float range\n" and out.out == ""
+
+
+def test_holonomy_of_a_point_beyond_the_cp1_window_is_that_of_infinity(tmp_path, capsys):
+    # ExtC scales the pair of an 8.4e154 coordinate when it is made, so the
+    # transfer matrices stay finite; before, their product overflowed and
+    # the command exited 2
+    eigenlines = []
+    for value in ([0.8, 8.4e154], None):
+        doc = _cp1_curve_doc(4)
+        doc["entries"]["3"] = value
+        assert main(["holonomy", _write(tmp_path, "curve.json", doc), "--lambda", "-1",
+                     "--json"]) == 0
+        eigenlines.append(np.array(json.loads(capsys.readouterr().out)["eigenlines"]))
+    assert np.abs(eigenlines[0] - eigenlines[1]).max() < 1e-14
+
+
+def test_two_boundary_points_near_infinity_evolve_without_nan(tmp_path):
+    # p1 and p3 of the face (1, 1) lie past the infinity cut, and its fourth
+    # point is infinity: before, the step's products overflowed, the net held
+    # the NaN pair there and the writer read it as null
+    curve = {"schema": 1, "dim": 1, "box": [2], "kind": "cp1",
+             "entries": {"0": [2, 0], "1": [1e200, 0]}, "metadata": {"transverse": [[3e200, 0]]}}
+    out = tmp_path / "net.json"
+    assert main(["evolve", _write(tmp_path, "curve.json", curve), "--mode", "complex",
+                 "--lambda", "0.5+0.5i", "--steps", "1", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["entries"]["1,1"] is None
+    net = evolve_net_complex([2.0, 1e200], [3e200], 0.5 + 0.5j)
+    assert np.isfinite(net.data).all() and net[1, 1].is_infinity()
 
 
 # a cp1 curve and cross ratio whose face's fourth point has |den| = 3.3e-17,

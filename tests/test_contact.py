@@ -12,7 +12,6 @@ from twistnets.proj4 import (
     orthonormal_pair_rows,
     plane_from_span,
     plane_residual_rows,
-    span_residual_rows,
     wedge,
 )
 from twistnets.twistor import HPoint, classify_contact, j_on_vector, twistor_fiber, twistor_project
@@ -179,7 +178,7 @@ def _grid_net(rng, shape):
     m = tuple(tuple(Quaternion(*rng.standard_normal(4)) for _ in range(2)) for _ in range(2))
     ticks = [np.cumsum(rng.uniform(0.3, 1.0, n)) for n in shape]
     offset = rng.standard_normal(4)
-    net = LatticeNet(len(shape), shape, "hp1")
+    net = LatticeNet(shape, "hp1")
     for idx in np.ndindex(*shape):
         q = offset.copy()
         q[:len(idx)] += [t[i] for t, i in zip(ticks, idx)]
@@ -212,7 +211,7 @@ def test_pcen_over_a_random_3_dim_net_fails_the_closure():
     """The control: the faces of a net of random points are not circular,
     and the two routes over them disagree (measured: 1.41)."""
     rng = np.random.default_rng(20)
-    net = LatticeNet(3, (3, 3, 3), "hp1")
+    net = LatticeNet((3, 3, 3), "hp1")
     for idx in net.indices():
         net[idx] = _hp(*rng.standard_normal(4))
     assert pcen_face_closure(pcen_from_circular(net, _origin_element(net, rng))) > 1e-3
@@ -249,8 +248,7 @@ def _adjacency_reference(pcen):
         p1, p2 = pcen.points[lo].reshape(-1, 4), pcen.points[hi].reshape(-1, 4)
         f1, f2 = pcen.functionals[lo].reshape(-1, 4), pcen.functionals[hi].reshape(-1, 4)
         v, w = orthonormal_pair_rows(p1, p2)
-        r = sum(span_residual_rows(p, v, w) + plane_residual_rows(f, v)
-                + plane_residual_rows(f, w) for p, f in ((p1, f1), (p2, f2)))
+        r = sum(plane_residual_rows(f, v) + plane_residual_rows(f, w) for f in (f1, f2))
         worst = max(worst, float(r.max()))
     return worst
 
@@ -261,7 +259,7 @@ def test_adjacency_residual_of_a_3_dim_pcen_document_is_the_per_axis_one(shape):
     alternating net of a 3-dim complex cross-ratio base, whose elements
     share their spheres, and on random elements, which do not."""
     rng = np.random.default_rng(41)
-    base = LatticeNet(len(shape), shape, "cp1",
+    base = LatticeNet(shape, "cp1",
                       data=rng.standard_normal(shape + (2,)) + 1j * rng.standard_normal(shape + (2,)))
     alternating = pcen_from_complex_cr(_sphere_c(), base)
     points = rng.standard_normal(shape + (4,)) + 1j * rng.standard_normal(shape + (4,))
@@ -271,7 +269,7 @@ def test_adjacency_residual_of_a_3_dim_pcen_document_is_the_per_axis_one(shape):
         * points.conj()
     residuals = []
     for pts, fns in ((alternating.points, alternating.functionals), (points, planes)):
-        doc = pcen_to_doc(PCEN(LatticeNet(len(shape), shape, "hp1"), pts, fns))
+        doc = pcen_to_doc(PCEN(LatticeNet(shape, "hp1"), pts, fns))
         pcen = doc_to_pcen(doc)
         residuals.append(pcen_adjacency_residual(pcen))
         assert residuals[-1] == _adjacency_reference(pcen)

@@ -776,7 +776,7 @@ def _two_svd_conic_det(vecs):
 @given(rngs, st.floats(1e-2, 1.0), st.floats(1e-2, 1.0), near_cut)
 def test_conic_form_from_one_svd_matches_two(rng, s2, s3, offset):
     values = [1.0, max(s2, s3), min(s2, s3), 1e-7 * offset]
-    net = LatticeNet(2, (2, 2), "q4")
+    net = LatticeNet((2, 2), "q4")
     for idx, v in zip(((0, 0), (1, 0), (1, 1), (0, 1)),
                       _with_singular_values(rng, 4, 6, values)):
         net[idx] = v

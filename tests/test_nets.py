@@ -303,7 +303,7 @@ def test_a_far_cp1_point_lifts_as_the_same_point_nearer_one(z, lam):
     # the wedge of [z : 1]'s lifts has size |z|^2; the pair is scaled by a
     # power of two first, so it lifts as [1 : 1/z] does
     net = evolve_net_complex([z, 1.0, 1j], [0.3 - 0.2j, -0.4 + 0.9j, 1.1 + 0.5j], lam)
-    near = LatticeNet(net.dim, net.shape, "cp1", data=net.data.copy())
+    near = LatticeNet(net.shape, "cp1", data=net.data.copy())
     near.data[0, 0] = (1.0, 1.0 / z)
     far, near = (lift_to_QS2(_default_sphere(), n, lam) for n in (net, near))
     assert proj_distance_rows(far.data, near.data).max() < 1e-15
@@ -316,7 +316,7 @@ def test_a_cp1_net_lifts_as_itself_at_any_power_of_two(k, lam):
     # the wedge of the lifts has size |z|^2: from a scale of 1e-6 down it fell
     # under the zero cut, and the net was refused as a zero vector
     net = _complex_net(np.random.default_rng(30), lam, (4, 4))
-    scaled = LatticeNet(net.dim, net.shape, "cp1", data=net.data * 2.0 ** k)
+    scaled = LatticeNet(net.shape, "cp1", data=net.data * 2.0 ** k)
     assert np.array_equal(scaled.data * 2.0 ** -k, net.data)
     want = lift_to_QS2(_default_sphere(), net, lam).data
     assert np.array_equal(lift_to_QS2(_default_sphere(), scaled, lam).data, want)
@@ -442,6 +442,21 @@ def test_evolutions_and_holonomy_refuse_a_non_finite_cross_ratio(lam):
         assert str(got.value).startswith(prefix + "degenerate cross-ratio value ")
 
 
+@pytest.mark.parametrize("k", [-700, 700])
+def test_complex_evolution_of_pairs_at_any_power_of_two(k):
+    # the stored boundary is each pair as ExtC scales it and every evolved
+    # point has the bits of the evolution at unit scale; before, the net of
+    # pairs at 2^-700 failed with coincident points and at 2^700 held NaN
+    rng = np.random.default_rng(45)
+    curve, seeds = ([complex(*z) for z in rng.standard_normal((n, 2))] for n in (5, 4))
+    s = math.ldexp(1.0, k)
+    want = evolve_net_complex(curve, seeds, 0.3 + 0.7j)
+    got = evolve_net_complex(*([xratio.ExtC(z * s, s) for z in zs] for zs in (curve, seeds)),
+                             0.3 + 0.7j)
+    assert np.array_equal(got.data[1:, 1:], want.data[1:, 1:])
+    assert all(got[idx].isclose(want[idx], 1e-15) for idx in got.indices())
+
+
 def test_the_complex_evolution_tests_lambda_at_most_once_per_row():
     rng = np.random.default_rng(18)
     curve, seeds = ([complex(*z) for z in rng.standard_normal((n, 2))] for n in (12, 11))
@@ -462,7 +477,7 @@ def test_the_complex_evolution_tests_lambda_at_most_once_per_row():
 
 
 def test_net_indexing_and_faces():
-    net = LatticeNet(2, (2, 2), "cp1")
+    net = LatticeNet((2, 2), "cp1")
     with pytest.raises(GeometryError):
         net[(0, 0)]
     net[0, 0] = as_ext(0.0)
@@ -709,12 +724,12 @@ def test_write_after_planarity_drops_the_cached_fibers():
             assert after == before[base]
     # the write dropped the cached face ratios with the fibers: every face
     # reads as on a fresh net with the same values
-    fresh = LatticeNet(2, net.shape, "hp1", data=net.data.copy())
+    fresh = LatticeNet(net.shape, "hp1", data=net.data.copy())
     for base, axes in net.faces():
         assert face_planarity(net, base, axes) == face_planarity(fresh, base, axes)
     # a write that completes faces makes them readable, and the others keep
     # their values
-    hole = LatticeNet(2, net.shape, "hp1")
+    hole = LatticeNet(net.shape, "hp1")
     for idx in net.indices():
         if idx != (1, 1):
             hole[idx] = net[idx]
@@ -905,7 +920,7 @@ def test_a_write_after_every_cache_is_built_changes_every_reading():
     before = readings(net)
     net[2, 2] = _hp(*rng.standard_normal(4))
     after = readings(net)
-    fresh = readings(LatticeNet(2, net.shape, "hp1", data=net.data.copy()))
+    fresh = readings(LatticeNet(net.shape, "hp1", data=net.data.copy()))
     for b, a, f in zip(before, after, fresh):
         assert np.array_equal(a, f)
         assert not np.array_equal(a, b)
@@ -938,7 +953,7 @@ def _random_net(kind, shape, missing, planar, rng):
     left out; planar draws cp3 and q4 values from one 3-dim subspace."""
     n = {"hp1": 8, "cp3": 4, "q4": 6}[kind]
     basis = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-    net = LatticeNet(len(shape), shape, kind)
+    net = LatticeNet(shape, kind)
     for idx in net.indices():
         if rng.random() < missing:
             continue
@@ -1103,7 +1118,7 @@ def test_complex_evolution_needs_a_curve_point():
 
 def _cp1_curve():
     """A complete 1-dim cp1 net of three points."""
-    return LatticeNet(1, (3,), "cp1", data=np.array([[0.5, 1.0], [1j, 1.0], [-2.0, 1.0]],
+    return LatticeNet((3,), "cp1", data=np.array([[0.5, 1.0], [1j, 1.0], [-2.0, 1.0]],
                                                      dtype=complex))
 
 
@@ -1111,24 +1126,23 @@ def _cp1_curve():
     (lambda: holonomy([0.5, 2.0], -1.0), "closed curve needs at least three distinct points"),
     (lambda: lift_to_QS2(twistor_fiber(_hp(1.0, 0.0, 0.0, 0.0)), _cp1_curve()),
      "S must be a sphere lift, not a twistor fiber"),
-    (lambda: lift_to_QS2(_default_sphere(), LatticeNet(1, (2,), "hp1", data=np.array(
+    (lambda: lift_to_QS2(_default_sphere(), LatticeNet((2,), "hp1", data=np.array(
         [[[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]] * 2))), "lift expects a cp1 net"),
     (lambda: lift_to_QS2(_default_sphere(), _cp1_curve(), 0.4 + 0.9j),
      "complex-lambda lift needs a 2-dim net"),
-    (lambda: LatticeNet(1, (3,), "hp2"), "unknown net kind 'hp2'"),
-    (lambda: LatticeNet(2, (3,), "cp1"), "shape length must equal lattice dimension"),
+    (lambda: LatticeNet((3,), "hp2"), "unknown net kind 'hp2'"),
     (lambda: _cp1_curve().lifts(), "cp1 nets have no twistor lifts"),
     (lambda: evolve_net_circular([], [], -1.0), "circular evolution needs a curve point"),
     (lambda: project_from_QS2(_default_sphere(), _cp1_curve()), "projection expects a q4 net"),
-    (lambda: project_from_QS2(_default_sphere(), LatticeNet(1, (1,), "q4", data=np.array(
+    (lambda: project_from_QS2(_default_sphere(), LatticeNet((1,), "q4", data=np.array(
         [normalize_proj(wedge(*np.eye(4, dtype=complex)[[1, 3]]))]))),
      "value at (0,) is not a line through S"),
     (lambda: bianchi_check({}), "hypercube vertex (0, 0, 0, 0) missing"),
-    (lambda: lift_to_QS2(_default_sphere(), LatticeNet(1, (2,), "cp1")),
+    (lambda: lift_to_QS2(_default_sphere(), LatticeNet((2,), "cp1")),
      "vertex (0,) missing from net"),
 ], ids=["holonomy-of-two-points", "lift-on-a-fiber", "lift-of-an-hp1-net",
-        "complex-lift-of-a-curve", "unknown-kind", "shape-of-the-wrong-length",
-        "lifts-of-a-cp1-net", "circular-evolution-of-no-curve", "projection-of-a-cp1-net",
+        "complex-lift-of-a-curve", "unknown-kind", "lifts-of-a-cp1-net",
+        "circular-evolution-of-no-curve", "projection-of-a-cp1-net",
         "projection-of-a-line-off-the-sphere", "hypercube-without-vertices",
         "lift-of-an-empty-net"])
 def test_nets_refusals(call, message):

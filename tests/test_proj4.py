@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistnets import proj4
 from twistnets.proj4 import (
     GeometryError,
     QUADRIC_MATRIX,
@@ -27,6 +28,7 @@ from twistnets.proj4 import (
     proj_distance_rows,
     quadric_pair,
     quadric_roots,
+    row_norms,
     span_planes,
     span_residual,
     span_residual_rows,
@@ -420,6 +422,44 @@ def test_row_rules_are_their_one_vector_forms_row_by_row(rows, stacked):
         assert abs(math.sin(dist[k]) - math.sin(proj_distance(a[k], b[k]))) < 1e-14
         assert abs(span[k] - span_residual(x[k], u[k], w[k])) < 1e-14 * np.linalg.norm(x[k])
         assert abs(plane[k] - ProjPlane(c[k]).residual(x[k])) < 1e-14
+
+
+@ROW_RULES
+@given(st.integers(1, 6).flatmap(lambda n: _scaled_rows(n, 2)), st.floats(-11.0, 0.0))
+def test_two_rows_lie_in_the_span_of_their_orthonormal_pair(rows, log_gap):
+    """a and b are off span{u, w} of orthonormal_pair_rows(a, b) by rounding
+    only, which the Gram-Schmidt step amplifies by 1 / sin of their angle:
+    w's loss of orthogonality to u.  Over 10^6 draws of unit rows at angles
+    1e-11 to 1, the residual times that sine reached 3.5 eps, and 6.6e-15
+    at angles whose sine is above 0.1.  So the PCEN adjacency rule, which
+    spans the line through two pencil points by their pair, tests no span
+    residual of the points."""
+    a, d = rows
+    # b at an angle of about 10^log_gap from a, scaled and turned as d
+    b = (a / row_norms(a) + 10.0 ** log_gap * d / row_norms(d)) * d[..., :1]
+    u, w = orthonormal_pair_rows(a, b)
+    sine = np.sin(proj_distance_rows(a, b))
+    for x in (a, b):
+        assert (span_residual_rows(x, u, w) / row_norms(x)[..., 0] * sine < 8 * np.finfo(float).eps).all()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([4, 6]), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       st.floats(-300.0, 300.0), st.floats(0.0, 2 * math.pi))
+def test_column_chains_are_numpys_reductions_bit_for_bit(width, count, seed, log_r, psi):
+    # row_norms and the norms of normalize_rows chain over the columns, in
+    # the order numpy's reductions over a short last axis take, zeros among
+    # the entries and at every scale
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((count, width)) + 1j * rng.standard_normal((count, width))
+    v[rng.random(v.shape) < 0.2] = 0.0
+    v *= 10.0 ** log_r * cmath.exp(1j * psi)
+    with np.errstate(over="ignore"):
+        norms = proj4._row_hypot(v)[2]
+        sums = row_norms(v)
+        want = np.sqrt((v * v.conj()).real.sum(axis=-1, keepdims=True))
+    assert np.array_equal(_bits(norms), _bits(np.hypot.reduce(np.abs(v), axis=-1)))
+    assert np.array_equal(_bits(sums), _bits(want))
 
 
 @ROW_RULES

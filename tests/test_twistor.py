@@ -549,7 +549,7 @@ def test_lift_rows_of_raw_pairs_at_any_power_of_two(k):
     assert np.array_equal(rows, twistor.lift_rows(pairs))
     for (a, b), row in zip(scaled.reshape(-1, 2, 4), rows.reshape(-1, 4)):
         assert np.abs(HPoint(Quaternion(*a), Quaternion(*b)).lift() - row).max() < 1e-15
-    net, unscaled = (LatticeNet(2, (3, 2), "hp1", data=x) for x in (scaled, pairs))
+    net, unscaled = (LatticeNet((3, 2), "hp1", data=x) for x in (scaled, pairs))
     assert np.array_equal(net.lifts(), rows)
     assert face_planarity(net, (0, 0), (0, 1)) == face_planarity(unscaled, (0, 0), (0, 1))
 

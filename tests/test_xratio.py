@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 
@@ -77,13 +78,40 @@ def test_complex_cr_coincident_raises():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: ExtC(0, 0), "invalid homogeneous pair (0, 0)"),
+    (lambda: ExtC(math.nan, 1.0), "homogeneous pair must be finite"),
+    (lambda: ExtC(1.0, complex(0.0, math.inf)), "homogeneous pair must be finite"),
     (lambda: quat_cr(HPoint.infinity(), HPoint.infinity(),
                      HPoint.from_quaternion(Quaternion.one()), HPoint.from_quaternion(Quaternion.i())),
      "more than one point at infinity"),
-], ids=["zero-pair", "quat-cr-of-two-infinities"])
+], ids=["zero-pair", "nan-pair", "infinite-pair", "quat-cr-of-two-infinities"])
 def test_xratio_refusals(call, message):
     with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("k", [-1000, -700, -60, 700, 1000])
+def test_complex_fourth_point_of_pairs_at_any_power_of_two(k):
+    # ExtC scales a pair outside its window when it is made, so pairs times
+    # 2^k give the fourth point of the pairs at unit scale bit for bit;
+    # before, p1 and p2 came out coincident under 2^-60, and the products of
+    # the step overflowed to a NaN pair over 2^700
+    rng = np.random.default_rng(44)
+    s = math.ldexp(1.0, k)
+    for _ in range(20):
+        z = [complex(*rng.standard_normal(2)) for _ in range(3)]
+        lam = complex(*rng.standard_normal(2))
+        want = complex_fourth_point(*z, lam)
+        got = complex_fourth_point(*(ExtC(x * s, s) for x in z), lam)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_two_points_near_infinity_give_a_finite_fourth_point():
+    # before, num = a z3.num overflowed and num / max(|num|, |den|) was the
+    # NaN pair ExtC(nan+nanj, -0j); with p1 and p3 at infinity the fourth
+    # point is infinity too
+    w = complex_fourth_point(1e200, 2.0, 3e200, 0.5 + 0.5j)
+    assert cmath.isfinite(w.num) and cmath.isfinite(w.den)
+    assert w.is_infinity() and w.isclose(complex_fourth_point(INF, 2.0, INF, 0.5 + 0.5j))
 
 
 def test_complex_fourth_point_refuses_coincident_p1_and_p2():
