@@ -49,6 +49,7 @@ from .proj4 import (
 )
 from .twistor import (
     HPoint,
+    coincident_rows,
     is_j_real,
     j_on_vector,
     lift_rows,
@@ -379,11 +380,14 @@ def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
     diagonal's inputs and writes its vertices.  The boundary is stored as
     given and a computed point as the quaternion pair of its unit lift.
 
-    A face whose p1 and p2 coincide is flagged, and the first flagged face
-    in row order (n, then m) is named after the last diagonal: the faces
-    before it read only faces before it, so it is the face a row-by-row
-    evolution fails on first.  A lam that check_cross_ratio refuses fails
-    the first face, (1, 1), when there is one.
+    The diagonals do not test p1 and p2: a face whose two points coincide
+    gets the kernel's finite stand-in, and after the last diagonal one
+    coincident_rows over every face, on the stored lifts, names the first
+    flagged face in row order (n, then m).  The faces before it read only
+    faces before it, so it is the face a row-by-row evolution fails on
+    first; the faces that read a stand-in come after it.  A lam that
+    check_cross_ratio refuses fails the first face, (1, 1), when there is
+    one.
     """
     curve, seeds, lam = list(curve), list(seeds), float(lam)
     if not curve:
@@ -402,17 +406,22 @@ def evolve_net_circular(curve, seeds, lam: float) -> LatticeNet:
             why = "degenerate lambda at edge 0" if lam in (0.0, 1.0) else exc
             raise GeometryError(f"degenerate step in row 1: {why}") from exc
         lam_array = np.asarray(lam)
-        coincident = np.zeros((m_n, n_n), dtype=bool)
         p2, p3, p1, p4 = (frames.reshape(-1, 2, 4)[k:] for k in (0, 1, n_n, n_n + 1))
-        flags, step = coincident.reshape(-1)[n_n + 1:], n_n - 1
-        for d in range(2, m_n + n_n - 1):
-            lo, hi = max(0, d - n_n), min(d, m_n) - 1
-            at = slice(d - 2 + lo * step, d - 2 + hi * step, step)
-            x, flags[at] = fourth_points_on_frames(
-                np.concatenate([p1[at], p2[at]], axis=-2), p3[at, 0], lam_array)
-            p4[at, 0], p4[at, 1] = x, j_on_vector(x)
+        step = n_n - 1
+        # a coincident face's frame may be near-singular without making the
+        # solve raise: an overflow then raises too, and the kernel solves
+        # that face again, so every stored lift is finite
+        with np.errstate(over="raise", invalid="raise"):
+            for d in range(2, m_n + n_n - 1):
+                lo, hi = max(0, d - n_n), min(d, m_n) - 1
+                at = slice(d - 2 + lo * step, d - 2 + hi * step, step)
+                x = fourth_points_on_frames(
+                    np.concatenate([p1[at], p2[at]], axis=-2), p3[at, 0], lam_array)
+                p4[at, 0], p4[at, 1] = x, j_on_vector(x)
+        # the face (m, n) has p2 at (m - 1, n - 1) and p1 at (m, n - 1)
+        coincident = coincident_rows(frames[:-1, :-1, 0], frames[1:, :-1, 0], frames[1:, :-1, 1])
         if (n := np.nonzero(coincident)[1]).size:
-            raise GeometryError(f"degenerate step in row {n.min()}: coincident points p1 and p2")
+            raise GeometryError(f"degenerate step in row {n.min() + 1}: coincident points p1 and p2")
     pairs = pair_rows(frames[..., 0, :])
     pairs[:, 0], pairs[0, 1:] = quat_pairs(curve), quat_pairs(seeds)
     return LatticeNet((m_n, n_n), "hp1", metadata={"lambda": lam}, data=pairs)
@@ -578,7 +587,9 @@ def holonomy(closed_curve, lam):
     The curve is given without repeating the first point; the product runs
     over all n edges including the closing one.  Returns the 2x2 matrix, its
     eigenlines as CP^1 points (seeds whose evolution closes up), and a flag
-    for defective (parabolic) holonomy.
+    for defective (parabolic) holonomy.  Consecutive points that coincide by
+    ExtC.isclose, the closing pair included, are refused, as complex_cr
+    refuses them: the edge's transfer matrix is singular.
     """
     pts = [as_ext(z) for z in closed_curve]
     if len(pts) >= 2 and pts[0].isclose(pts[-1], 1e-12):
@@ -586,6 +597,9 @@ def holonomy(closed_curve, lam):
     n = len(pts)
     if n < 3:
         raise GeometryError("closed curve needs at least three distinct points")
+    for k in range(n):
+        if pts[k].isclose(pts[(k + 1) % n]):
+            raise GeometryError(f"coincident points {k} and {(k + 1) % n} on the closed curve")
     check_cross_ratio(lam)
     lam = complex(lam)
     h = np.eye(2, dtype=complex)

@@ -227,37 +227,46 @@ def quat_fourth_points(x1, x2, x3, lam) -> np.ndarray:
     points is [a t + b s] for real [t : s], with p1, p2, p3 at infinity, 0
     and 1, so p4 = [x3 - lam a] sits at 1 - lam, where quat_cr is lam.  No
     input or output is special at infinity.  Returns p4's unit lifts, (k, 4).
+    Rows whose p1 and p2 coincide by coincident_rows are refused before the
+    kernel runs.
     """
     x1, x2, x3 = (np.reshape(np.asarray(x, dtype=complex), (-1, 4)) for x in (x1, x2, x3))
     check_cross_ratio(lam)
     lam = np.asarray(lam, dtype=float)
-    frames = np.stack([x1, j_on_vector(x1), x2, j_on_vector(x2)], axis=-2)
-    x4, coincident = fourth_points_on_frames(frames, x3, lam)
-    if coincident.any():
+    x1j = j_on_vector(x1)
+    if coincident_rows(x2, x1, x1j).any():
         raise GeometryError("coincident points p1 and p2")
-    return x4
+    return fourth_points_on_frames(np.stack([x1, x1j, x2, j_on_vector(x2)], axis=-2), x3, lam)
 
 
-def fourth_points_on_frames(frames: np.ndarray, x3: np.ndarray, lam: np.ndarray) -> tuple:
-    """quat_fourth_points' rows on their frames, and the mask of rows whose
-    p1 and p2 coincide: row k of frames (k, 4, 4) holds x1, x1 j, x2, x2 j,
-    and lam, checked by the caller, is a number or one per row.  A caller
-    that keeps each lift's j-image stacks two stored (k, 2, 4) frames;
-    nothing here computes one again.  A coincident row is solved on the
-    identity frame, so it cannot make the batched solve raise, and its unit
-    result stands for no point."""
-    # before LU, which leaves no exactly zero pivot for a point given twice
-    # at two scales
-    coincident = coincident_rows(frames[:, 2], frames[:, 0], frames[:, 1])
-    if coincident.any():
-        frames = np.where(coincident[:, None, None], np.eye(4), frames)
-    x1, x1j = frames[:, 0], frames[:, 1]
+def fourth_points_on_frames(frames: np.ndarray, x3: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """quat_fourth_points' rows on their frames: row k of frames (k, 4, 4)
+    holds x1, x1 j, x2, x2 j, and lam, checked by the caller, is a number or
+    one per row.  A caller that keeps each lift's j-image stacks two stored
+    (k, 2, 4) frames; nothing here computes one again.
+
+    The kernel solves and normalizes; it does not test p1 and p2, and its
+    callers test them by coincident_rows, before or after.  A row whose two
+    points coincide gives a finite unit result that stands for no point:
+    where its near-singular frame makes the batch fail (the solve raises,
+    a result row is zero, or, under np.errstate(over="raise",
+    invalid="raise"), a result overflows), the rows that coincident_rows
+    flags are solved again on the identity frame, within this call."""
     try:
-        # the frame's rows are the columns of the system
-        c = np.linalg.solve(frames.swapaxes(-1, -2), x3[..., None])
+        return _fourth_points(frames, x3, lam)
+    except (np.linalg.LinAlgError, FloatingPointError, GeometryError):
+        coincident = coincident_rows(frames[:, 2], frames[:, 0], frames[:, 1])
+    try:
+        return _fourth_points(np.where(coincident[:, None, None], np.eye(4), frames), x3, lam)
     except np.linalg.LinAlgError:
         raise GeometryError("coincident points p1 and p2") from None
-    return normalize_rows(x3 - lam[..., None] * (c[:, 0] * x1 + c[:, 1] * x1j)), coincident
+
+
+def _fourth_points(frames: np.ndarray, x3: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """p4 = [x3 - lam a], with x3 = a + b on the frame's two fibers."""
+    # the frame's rows are the columns of the system
+    c = np.linalg.solve(frames.swapaxes(-1, -2), x3[..., None])
+    return normalize_rows(x3 - lam[..., None] * (c[:, 0] * frames[:, 0] + c[:, 1] * frames[:, 1]))
 
 
 @dataclass(frozen=True)

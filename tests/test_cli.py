@@ -1195,15 +1195,33 @@ def test_holonomy_at_a_cross_ratio_of_0_or_1_exits_2(tmp_path, capsys, lam):
 
 
 def test_holonomy_beyond_the_float_range_exits_2(tmp_path, capsys):
-    # the transfer matrices of three 9e75 coordinates, pairs that ExtC keeps
-    # as they are, overflow in their product (a RuntimeWarning, an error
-    # here), which eig cannot take
-    doc = _cp1_curve_doc(4)
-    for key in ("1", "2", "3"):
-        doc["entries"][key][1] = 9e75
-    assert main(["holonomy", _write(tmp_path, "huge.json", doc), "--lambda", "-1"]) == 2
+    # 24 distinct points on the circle |z| = 1e7: at a cross ratio of 1e13
+    # the product of their transfer matrices overflows (a RuntimeWarning,
+    # an error here), which eig cannot take
+    doc = {"schema": 1, "dim": 1, "box": [24], "kind": "cp1",
+           "entries": {str(k): [1e7 * math.cos(k * math.pi / 12), 1e7 * math.sin(k * math.pi / 12)]
+                       for k in range(24)}, "metadata": {}}
+    assert main(["holonomy", _write(tmp_path, "huge.json", doc), "--lambda", "1e13"]) == 2
     out = capsys.readouterr()
     assert out.err == "error: holonomy matrix overflows the float range\n" and out.out == ""
+
+
+@pytest.mark.parametrize("entries, pair", [
+    ({"0": [0.0, 0.0], "1": [0.0, 0.0], "2": [1.0, 0.0], "3": [2.0, 0.0]}, "0 and 1"),
+    ({"0": [0.5, 0.0], "1": [1.0, 0.0], "2": [2.0, 0.0], "3": [2.0 + 1e-10, 0.0]}, "2 and 3"),
+    ({"0": [0.5, 0.0], "1": [1.0, 0.0], "2": [2.0, 0.0], "3": [0.5 + 1e-11, 0.0]}, "3 and 0"),
+    ({"0": [1e300, 0.0], "1": None, "2": [1.0, 0.0]}, "0 and 1"),
+], ids=["repeated", "near", "closing", "infinity"])
+def test_holonomy_of_coincident_curve_points_exits_2(tmp_path, capsys, entries, pair):
+    # consecutive points that coincide by ExtC.isclose, the closing pair
+    # included (one closer than the 1e-12 repeat cut is dropped), give an
+    # edge a singular transfer matrix; before, [0, 0, 1, 2] printed the
+    # singular holonomy [[4, 0], [-2, 0]] and exited 0
+    doc = {"schema": 1, "dim": 1, "box": [len(entries)], "kind": "cp1", "entries": entries,
+           "metadata": {}}
+    assert main(["holonomy", _write(tmp_path, "curve.json", doc), "--lambda", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: coincident points {pair} on the closed curve\n" and out.out == ""
 
 
 def test_holonomy_of_a_point_beyond_the_cp1_window_is_that_of_infinity(tmp_path, capsys):

@@ -257,23 +257,37 @@ def test_quat_fourth_points_is_quat_fourth_point_row_by_row():
         assert quat_cr(*p, want).isclose(Quaternion.from_real(lam), 1e-8)
 
 
-def test_fourth_points_on_frames_flags_coincident_rows():
-    # rows whose p2 is p1 at another scale, or p1 itself, are flagged, not
-    # raised, and leave the other rows' results bit for bit as they are
+def test_fourth_points_on_frames_solves_coincident_rows_without_raising():
+    # rows whose p2 is p1 at another scale, or p1 itself, do not make the
+    # kernel raise: their results are finite unit rows that stand for no
+    # point, and the other rows' results are as they are bit for bit;
+    # quat_fourth_points refuses those rows before the kernel
     rng = np.random.default_rng(8)
     x1, x2, x3 = (np.array([_hp(Quaternion(*rng.standard_normal(4))).lift() for _ in range(12)])
                   for _ in range(3))
     q, s = (Quaternion(*rng.standard_normal(4)) for _ in range(2))
     x1[3], x2[3] = _hp(q).lift(), HPoint(q * s, s).lift()
-    x2[7] = x1[7]
+    x2[5] = x1[5]
+    x1[7] = x2[7] = _hp(Quaternion.one()).lift()
     frames = np.stack([x1, j_on_vector(x1), x2, j_on_vector(x2)], axis=-2)
-    got, coincident = fourth_points_on_frames(frames, x3, np.asarray(-0.7))
-    assert np.flatnonzero(coincident).tolist() == [3, 7]
-    assert np.isfinite(got).all()
-    good = ~coincident
-    assert np.array_equal(got[good], quat_fourth_points(x1[good], x2[good], x3[good], -0.7))
+    # the solve passes on row 3, whose LU leaves rounding in the last pivot,
+    # and raises on row 7's exact zero pivot, so the kernel solves again
+    system = frames.swapaxes(-1, -2)
+    assert np.isfinite(np.linalg.solve(system[3], x3[3])).all()
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(system[7], x3[7])
+    for lam in (-0.7, 2.0):
+        got = fourth_points_on_frames(frames, x3, np.asarray(lam))
+        assert got.shape == (12, 4) and np.isfinite(got).all()
+        assert np.abs(np.linalg.norm(got, axis=-1) - 1.0).max() < 1e-15
+        good = np.ones(12, dtype=bool)
+        good[[3, 5, 7]] = False
+        assert np.array_equal(got[good], quat_fourth_points(x1[good], x2[good], x3[good], lam))
     with pytest.raises(GeometryError, match="^coincident points p1 and p2$"):
         quat_fourth_points(x1, x2, x3, -0.7)
+    for k in (3, 5, 7):
+        with pytest.raises(GeometryError, match="^coincident points p1 and p2$"):
+            quat_fourth_points(x1[k], x2[k], x3[k], -0.7)
 
 
 def test_quat_cr_moebius_invariant_pair():
