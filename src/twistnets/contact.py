@@ -55,11 +55,6 @@ from .nets import LatticeNet, box_cells, first_missing, in_box, sphere_frame
 PENCIL_TOL = 1e-7
 
 
-def _on_pencil(points: np.ndarray, functionals: np.ndarray) -> np.ndarray:
-    """NullLine's condition |f @ x| < PENCIL_TOL, row by row on unit rows."""
-    return np.abs((points * functionals).sum(axis=-1)) < PENCIL_TOL
-
-
 @dataclass
 class NullLine:
     """The pencil of lines through a point inside a plane containing it."""
@@ -69,7 +64,7 @@ class NullLine:
 
     def __post_init__(self):
         self.point = normalize_proj(self.point)
-        if not _on_pencil(self.point, self.plane.functional):
+        if not self.plane.residual(self.point) < PENCIL_TOL:
             raise GeometryError("pencil point must lie in the pencil plane")
 
 
@@ -205,11 +200,13 @@ class PCEN(Mapping):
     def __init__(self, base: LatticeNet, points, functionals, present=None):
         self.base = base
         self.present = np.ones(base.shape, dtype=bool) if present is None else present
-        self.points, self.functionals = np.zeros((2,) + base.shape + (4,), dtype=complex)
-        self.points[self.present] = normalize_rows(points[self.present])
-        self.functionals[self.present] = normalize_rows(functionals[self.present])
-        if not _on_pencil(self.points, self.functionals).all():
+        on = self.present
+        points, functionals = normalize_rows(points[on]), normalize_rows(functionals[on])
+        # present rows only: plane_residual_rows would divide by the zero rows of the others
+        if not (plane_residual_rows(functionals, points) < PENCIL_TOL).all():
             raise GeometryError("pencil point must lie in the pencil plane")
+        self.points, self.functionals = np.zeros((2,) + base.shape + (4,), dtype=complex)
+        self.points[on], self.functionals[on] = points, functionals
 
     @property
     def elements(self) -> "PCEN":

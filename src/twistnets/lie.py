@@ -18,7 +18,8 @@ import numpy as np
 from .quat import Quaternion
 from . import proj4
 from .proj4 import (
-    BIVECTOR_PAIRS,
+    _PAIR_A,
+    _PAIR_B,
     DEFAULT_TOL,
     INCIDENCE_TOL,
     RANK_CUT,
@@ -26,7 +27,6 @@ from .proj4 import (
     QUADRIC_MATRIX,
     normalize_proj,
     nullspace,
-    quadric_pair,
     quadric_roots,
     sort_key,
     svd_rank,
@@ -35,9 +35,9 @@ from .proj4 import (
 from .twistor import (
     HPoint,
     _contact,
+    fiber_rows,
     is_j_real,
     j_on_bivector,
-    j_on_vector,
     quat_matrix,
     twistor_project,
 )
@@ -45,7 +45,6 @@ from .twistor import (
 # the j-part of conj(x) y is x1 y2 - x2 y1 for x = x1 + j x2, y = y1 + j y2,
 # so omega is this row map applied to h: I_2 (x) ((0, 1), (-1, 0))
 _OMEGA_OF_H = np.kron(np.eye(2), ((0, 1), (-1, 0)))
-_PAIR_A, _PAIR_B = np.array(BIVECTOR_PAIRS).T
 
 DEFAULT_FORM_MATRIX = (
     (Quaternion(0, 0, 0, 0), Quaternion.one()),
@@ -59,7 +58,7 @@ class QuatHermitianForm:
 
     qmat: tuple = DEFAULT_FORM_MATRIX
     hmat: np.ndarray = field(init=False)
-    omega: np.ndarray = field(init=False)
+    # omega(v, w) = omega_vec @ (v ^ w)
     omega_vec: np.ndarray = field(init=False)
     # the largest |entry| of hmat: a positive multiple of the form has the
     # same null cone and rho, so every test on it is relative to this
@@ -67,15 +66,13 @@ class QuatHermitianForm:
 
     def __post_init__(self):
         h = quat_matrix(self.qmat)
-        om = _OMEGA_OF_H @ h
         self._scale = float(np.abs(h).max())
         if np.linalg.norm(h - h.conj().T) > 1e-12 * self._scale:
             raise GeometryError("h component is not hermitian")
         if svd_rank(h, RANK_CUT)[0] < 4:
             raise GeometryError("degenerate hermitian form")
         self.hmat = h
-        self.omega = om
-        self.omega_vec = om[_PAIR_A, _PAIR_B]
+        self.omega_vec = (_OMEGA_OF_H @ h)[_PAIR_A, _PAIR_B]
 
     def is_null_point(self, p: HPoint, tol: float = DEFAULT_TOL) -> bool:
         """True iff p lies on the three-sphere of null lines: |frak_h(v, v)|
@@ -174,11 +171,10 @@ def circle_to_Q3(p1: HPoint, p2: HPoint, p3: HPoint,
     lifts = np.array([p.lift() for p in (p1, p2, p3)])
     if not (np.abs(((lifts.conj() @ form.hmat) * lifts).sum(axis=-1)) < 1e-7 * form._scale).all():
         raise GeometryError("point is not on the three-sphere")
-    ns = nullspace(np.vstack([_fibers(lifts) @ QUADRIC_MATRIX, form.omega_vec / form._scale]))
+    ns = nullspace(np.vstack([fiber_rows(lifts) @ QUADRIC_MATRIX, form.omega_vec / form._scale]))
     if ns.shape[1] != 2:
         raise GeometryError("collinear or coincident circle points")
     roots = quadric_roots(ns[:, 0], ns[:, 1])
-    roots = [x for x in roots if abs(quadric_pair(x, x)) < INCIDENCE_TOL]
     if len(roots) != 2:
         raise GeometryError("circle pencil has no two quadric points")
     roots.sort(key=sort_key)
@@ -239,7 +235,7 @@ def touching_coins_check(circles, form: QuatHermitianForm = DEFAULT_FORM) -> Coi
     if svd_rank(lines, RANK_CUT)[0] < 4:
         raise GeometryError("common-sphere degeneracy: representatives span "
                             "fewer than four dimensions")
-    spheres = _polar_spheres(_fibers(np.array(points)))
+    spheres = _polar_spheres(fiber_rows(np.array(points)))
     generic = spheres is not None
     if not generic:
         spheres = _polar_spheres(lines)
@@ -249,13 +245,6 @@ def touching_coins_check(circles, form: QuatHermitianForm = DEFAULT_FORM) -> Coi
     # tags only: the report keeps no witness of the sphere's contacts
     sphere_tags = [_contact(sphere, *pair)[0] for pair in oriented]
     return CoinReport(tags, [twistor_project(p) for p in points], sphere, sphere_tags, generic)
-
-
-def _fibers(v: np.ndarray) -> np.ndarray:
-    """The twistor fibers v ^ vj through unit rows v (k, 4).  They are unit
-    too, and only the null spaces of their pairings are read, which no phase
-    moves, so they are not normalized."""
-    return wedge_rows(v, j_on_vector(v))
 
 
 def _polar_spheres(lines):
@@ -268,6 +257,5 @@ def _polar_spheres(lines):
     pol = nullspace(np.asarray(lines) @ QUADRIC_MATRIX, RANK_CUT)
     if pol.shape[1] != 2:
         return None
-    return sorted((x for x in quadric_roots(pol[:, 0], pol[:, 1])
-                   if abs(quadric_pair(x, x)) < INCIDENCE_TOL and not is_j_real(x, 1e-6)),
+    return sorted((x for x in quadric_roots(pol[:, 0], pol[:, 1]) if not is_j_real(x, 1e-6)),
                   key=sort_key)

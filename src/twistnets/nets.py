@@ -41,7 +41,6 @@ from .proj4 import (
     normalize_rows,
     orthonormal_span,
     settle_planes,
-    span_functional,
     span_ratios,
     svd_rank,
     wedge,
@@ -322,7 +321,7 @@ def hexahedron_complete(phi, phi1, phi2, phi3, phi12, phi13, phi23) -> np.ndarra
         planes = settle_planes(faces, (faces[:, 2, None] @ join_matrices(
             faces[:, 0], faces[:, 1]))[:, 0], 3)
         what = "planes-near-parallel"
-        point = settle_planes(planes, span_functional(*planes), 3)
+        point = settle_planes(planes, planes[2] @ join_matrices(planes[0], planes[1]), 3)
     except GeometryError as exc:
         raise GeometryError(f"{what}: {exc}") from exc
     return normalize_proj(basis @ point)

@@ -27,13 +27,12 @@ and four-point planarity through span_ratios.  The thresholds that several
 modules share live here.
 
 The *_rows rules, join_matrices, span_planes and span_ratios take stacks of
-vectors along the last axis and broadcast over the leading axes.  Each
-*_rows rule sits beside its one-vector form (normalize_proj, wedge,
-proj_distance, orthonormal_pair, span_residual, ProjPlane.residual) and
-applies it row by row, as span_planes does plane_from_span; settle_planes
-also decides the planes of the contact element step and of hexahedron
-completion.  The one-vector kernels stay separate where broadcasting would
-cost more per call.
+vectors along the last axis, one vector included, and broadcast over the
+leading axes.  A one-vector form (normalize_proj, wedge, proj_distance,
+orthonormal_pair, ProjPlane.residual) stays beside its *_rows rule only
+where broadcasting would cost more on a path that runs it often.  span_planes
+is plane_from_span row by row, and settle_planes also decides the planes of
+the contact element step and of hexahedron completion.
 """
 
 from __future__ import annotations
@@ -273,24 +272,20 @@ def wedge(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def wedge_rows(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """wedge row by row over leading axes."""
+    """wedge row by row over leading axes; one vector takes wedge, whose
+    plain indexing costs half as much."""
+    if v.ndim == w.ndim == 1:
+        return wedge(v, w)
     return v[..., _PAIR_A] * w[..., _PAIR_B] - v[..., _PAIR_B] * w[..., _PAIR_A]
 
 
 def join_matrices(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The ∧³ contraction W (..., 4, 4) of each line span{v, w}, over leading
-    axes: for a row vector y, y @ W = det[v; w; y; .] is the ∧³ functional
-    of span{v, w, y} (span_functional)."""
+    axes: for a row vector y, f = y @ W is the ∧³ functional of span{v, w, y},
+    f @ x = det[v; w; y; x].  Its entries are the signed 3x3 minors of the
+    stacked vectors; it vanishes exactly on their span, and its norm is
+    their volume."""
     return (wedge_rows(v, w) @ _EPS).reshape(v.shape[:-1] + (4, 4))
-
-
-def span_functional(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The ∧³ functional f of three C^4 vectors: f @ x = det[a; b; c; x].
-
-    Its entries are the signed 3x3 minors of the stacked vectors; it vanishes
-    exactly on span{a, b, c}, and its norm is the volume of the three vectors.
-    """
-    return np.asarray(c, dtype=complex) @ (wedge(a, b) @ _EPS).reshape(4, 4)
 
 
 def quadric_pair(a: np.ndarray, b: np.ndarray) -> complex:
@@ -385,13 +380,9 @@ def orthonormal_pair_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.
     return u, w / nw
 
 
-def span_residual(x: np.ndarray, u: np.ndarray, w: np.ndarray) -> float:
-    """Norm of the part of x orthogonal to span{u, w}, for an orthonormal pair."""
-    return _norm(x - u * np.vdot(u, x) - w * np.vdot(w, x))
-
-
 def span_residual_rows(x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """span_residual row by row over leading axes."""
+    """Norm of the part of each row x orthogonal to span{u, w}, for
+    orthonormal pairs, row by row over leading axes."""
     return row_norms(x - u * _vdot_rows(u, x) - w * _vdot_rows(w, x))[..., 0]
 
 
@@ -501,7 +492,7 @@ def plane_from_span(vectors) -> ProjPlane:
     unit-scaled vectors, which settle_planes keeps or replaces.
     """
     rows, norms = _unit_scaled(np.array(vectors, dtype=complex).reshape(-1, 4))
-    f = max((span_functional(*triple) for triple in itertools.combinations(rows, 3)),
+    f = max((c @ join_matrices(a, b) for a, b, c in itertools.combinations(rows, 3)),
             key=_norm, default=np.zeros(4))
     return ProjPlane(settle_planes(rows, f, np.count_nonzero(norms)))
 
@@ -580,19 +571,26 @@ def meet_line(plane: ProjPlane, line: np.ndarray) -> np.ndarray:
 
 
 def quadric_roots(g: np.ndarray, h: np.ndarray) -> list:
-    """Points of the quadric on the pencil g + t h (plus h itself at t = inf)."""
+    """The unit points x of the pencil g + t h (h itself at t = inf) that lie
+    on the quadric, |<x, x>| < INCIDENCE_TOL.
+
+    With <x, x> = a t^2 + b t + c, the cuts are those of the unit-scaled
+    pencil, so no scale of g or h moves them: h is a root where
+    |a| <= 1e-10 |h|^2, and then -c / b is one where |b| > 1e-10 |g| |h|.
+    """
     a, b, c = quadric_pair(h, h), 2.0 * quadric_pair(g, h), quadric_pair(g, g)
-    scale = max(abs(a), abs(b), abs(c), 1e-30)
+    ng, nh = _norm(g), _norm(h)
     roots = []
-    if abs(a) < 1e-10 * scale:
+    if abs(a) <= 1e-10 * nh * nh:
         roots.append(None)  # t = infinity: the line h itself
-        if abs(b) > 1e-10 * scale:
+        if abs(b) > 1e-10 * ng * nh:
             roots.append(-c / b)
     else:
         disc = np.sqrt(b * b - 4.0 * a * c + 0j)
         roots.extend([(-b + disc) / (2 * a), (-b - disc) / (2 * a)])
     xs = [h if t is None else g + t * h for t in roots]
-    return [normalize_proj(x) for x in xs if _norm(x) > 1e-12]
+    xs = [normalize_proj(x) for x in xs if _norm(x) > 1e-12]
+    return [x for x in xs if abs(quadric_pair(x, x)) < INCIDENCE_TOL]
 
 
 def sort_key(x: np.ndarray) -> tuple:

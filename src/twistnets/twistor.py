@@ -28,9 +28,9 @@ from .proj4 import (
     normalize_proj,
     normalize_rows,
     nullspace,
-    span_residual,
     span_residual_rows,
     wedge,
+    wedge_rows,
 )
 
 
@@ -87,7 +87,7 @@ class HPoint:
     def isclose(self, other: "HPoint", tol: float = DEFAULT_TOL) -> bool:
         # right-scale invariance: the lift must lie in the other point's
         # quaternionic line, i.e. in span{lift, J lift}
-        return span_residual(self.lift(), *fiber_pair(other)) < tol
+        return bool(span_residual_rows(self.lift(), *fiber_pair(other)) < tol)
 
 
 _J_PERM = np.array([1, 0, 3, 2])
@@ -203,9 +203,15 @@ def fiber_pair(p: HPoint) -> tuple[np.ndarray, np.ndarray]:
     return v, j_on_vector(v)
 
 
+def fiber_rows(v: np.ndarray) -> np.ndarray:
+    """The twistor fibers v ^ vj through the rows v (..., 4), as Pluecker
+    rows (..., 6); unit rows v give unit fibers."""
+    return wedge_rows(v, j_on_vector(v))
+
+
 def twistor_fiber(p: HPoint) -> np.ndarray:
     """The line v ^ vj over a point of HP^1; always a j-real quadric point."""
-    return normalize_proj(wedge(*fiber_pair(p)))
+    return normalize_proj(fiber_rows(p.lift()))
 
 
 @dataclass
@@ -308,7 +314,7 @@ def sphere_contains(s: SphereEndo, p: HPoint, tol: float = DEFAULT_TOL) -> bool:
     """
     v, vj = fiber_pair(p)
     target = s.matrix @ v
-    return bool(span_residual(target, v, vj) < tol * max(1.0, float(np.linalg.norm(target))))
+    return bool(span_residual_rows(target, v, vj) < tol * max(1.0, float(np.linalg.norm(target))))
 
 
 @dataclass
@@ -323,12 +329,11 @@ def plane_fiber(plane: proj4.ProjPlane) -> np.ndarray:
     """The unique twistor fiber contained in a plane of CP^3.
 
     The plane f meets its j-image, the plane j_on_vector(f), in a J-invariant
-    line, hence a fiber: the Hodge dual of f ^ j_on_vector(f).  The two planes
-    never coincide, because J-invariant subspaces have even dimension; f and
-    j_on_vector(f) are orthogonal and of equal norm.
+    line, hence a fiber: the Hodge dual of f ^ j_on_vector(f), fiber_rows(f).
+    The two planes never coincide, because J-invariant subspaces have even
+    dimension; f and j_on_vector(f) are orthogonal and of equal norm.
     """
-    f = plane.functional
-    return normalize_proj(proj4.QUADRIC_MATRIX @ wedge(f, j_on_vector(f)))
+    return normalize_proj(proj4.QUADRIC_MATRIX @ fiber_rows(plane.functional))
 
 
 # distance, incidence and tangency cut of classify_contact

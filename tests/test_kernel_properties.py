@@ -59,6 +59,7 @@ from twistnets.nets import LatticeNet, evolve_net_circular, hexahedron_complete,
 from twistnets.proj4 import (
     QUADRIC_MATRIX,
     GeometryError,
+    join_matrices,
     line_factorize,
     line_matrix,
     line_meet_point,
@@ -74,9 +75,8 @@ from twistnets.proj4 import (
     proj_distance_rows,
     quadric_pair,
     quadric_roots,
-    span_functional,
     span_planes,
-    span_residual,
+    span_residual_rows,
     svd_rank,
     wedge,
 )
@@ -116,11 +116,17 @@ def _norm(v):
     return float(np.linalg.norm(v))
 
 
+def _unit_functional(*vectors):
+    """The ∧³ functional c @ join_matrices(a, b) of the unit-scaled a, b, c."""
+    a, b, c = (v / _norm(v) for v in vectors)
+    return c @ join_matrices(a, b)
+
+
 def _volume(*vectors):
     """Volume of the unit-scaled vectors (0 if one of them is zero)."""
     if min(_norm(v) for v in vectors) == 0.0:
         return 0.0
-    return _norm(span_functional(*(v / _norm(v) for v in vectors)))
+    return _norm(_unit_functional(*vectors))
 
 
 def _meet_size(functional, line):
@@ -175,7 +181,7 @@ def test_pair_meet_matches_null_space_meet(a, b, c, v, w):
     assert proj_distance(got, ref) < AGREE
     # the meet is incident with both the plane and the line
     assert abs(plane.functional @ got) < AGREE
-    assert span_residual(got, *orthonormal_pair(v, w)) < AGREE
+    assert span_residual_rows(got, *orthonormal_pair(v, w)) < AGREE
 
 
 @settings(settings.get_profile("kernel"))
@@ -389,7 +395,7 @@ def test_one_moved_element_shows_in_closure_and_adjacency(m, n):
     x, jx = el.point, j_on_vector(el.point)
     # the direction in the plane orthogonal to the fiber span{x, jx}
     plane_basis = nullspace(el.plane.functional.reshape(1, 4))
-    off = next(d for d in plane_basis.T if span_residual(d, x, jx) > 0.5)
+    off = next(d for d in plane_basis.T if span_residual_rows(d, x, jx) > 0.5)
     off = off - x * np.vdot(x, off) - jx * np.vdot(jx, off)
     points = pcen.points.copy()
     points[m, n] = x + 1e-6 * off / _norm(off)
@@ -916,7 +922,7 @@ def test_hexahedron_matches_null_space_construction(corners, weights):
     assume(min(_norm(x) for x in cube) > WELL_POSED)
     faces = ((phi1, far[0], far[1]), (phi2, far[0], far[2]), (phi3, far[1], far[2]))
     assume(all(_volume(*face) > WELL_POSED for face in faces))
-    functionals = [span_functional(*(x / _norm(x) for x in face)) for face in faces]
+    functionals = [_unit_functional(*face) for face in faces]
     assume(_volume(*functionals) > WELL_POSED)
     assume(abs(np.linalg.det(np.array(corners))) > WELL_POSED * np.prod([_norm(x) for x in corners]))
     assert proj_distance(hexahedron_complete(*cube), _reference_hexahedron(cube)) < AGREE

@@ -12,6 +12,7 @@ from twistnets.proj4 import (
 )
 from twistnets.twistor import HPoint, j_on_bivector, j_on_vector, twistor_fiber, twistor_project
 from twistnets.lie import (
+    _OMEGA_OF_H,
     QuatHermitianForm,
     circle_to_Q3,
     is_lie_real,
@@ -60,11 +61,12 @@ def test_form_split_identities():
         assert abs(w.conj() @ FORM.hmat @ v - h_vw.conjugate()) < 1e-10
         # omega is the j-part and pairs v with the j-image of w
         h_vwj = v.conj() @ FORM.hmat @ j_on_vector(w)
-        assert abs(h_vwj.conjugate() + v @ FORM.omega @ w) < 1e-10
+        assert abs(h_vwj.conjugate() + FORM.omega_vec @ wedge(v, w)) < 1e-10
 
 
 def test_omega_alternating_and_h_hermitian():
-    h, om = FORM.hmat, FORM.omega
+    h = FORM.hmat
+    om = _OMEGA_OF_H @ h
     assert np.allclose(h, h.conj().T)
     assert np.allclose(om, -om.T)
     # h has split signature (2, 2)
@@ -187,6 +189,25 @@ def test_circle_to_Q3_rejects_coincident_points():
 def test_lie_refusals(call, message):
     with pytest.raises(GeometryError, match=f"^{message}$"):
         call()
+
+
+def test_a_form_near_the_rank_cut_passes_it_and_is_refused_by_the_lift():
+    # h of ((1, 1), (1, 0.9999)) has singular-value ratio 2.5e-5, above the
+    # rank cut, so the form is made and its null test runs; the square of its
+    # perpendicularity lift is off the identity by 4.9e-8, over the 1e-9 cut.
+    # At 0.999 the lift passes and the signatures are those of every form
+    one = Quaternion.one()
+    form = QuatHermitianForm(((one, one), (one, Quaternion.from_real(0.9999))))
+    # h([q : 1]) = q^2 + 2q + 0.9999 for real q, with the root -0.99
+    assert form.is_null_point(HPoint.from_quaternion(Quaternion.from_real(-0.99)))
+    assert not form.is_null_point(HPoint.infinity())
+    line = twistor_fiber(HPoint.from_quaternion(Quaternion.from_real(-0.99)))
+    for call in (lambda: rho(line, form), lambda: lie_basis(form),
+                 lambda: lie_signature_report(form)):
+        with pytest.raises(GeometryError, match="^perpendicularity lift does not square to identity$"):
+            call()
+    rpt = lie_signature_report(QuatHermitianForm(((one, one), (one, Quaternion.from_real(0.999)))))
+    assert (rpt["basis"], rpt["omega_slice"]) == ((2, 4), (1, 4))
 
 
 def _null_points(form, rng, count):

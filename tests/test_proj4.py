@@ -30,7 +30,6 @@ from twistnets.proj4 import (
     quadric_roots,
     row_norms,
     span_planes,
-    span_residual,
     span_residual_rows,
     wedge,
 )
@@ -164,7 +163,7 @@ def test_orthonormal_pair_is_orthonormal_at_any_scale(log_s):
     gram = np.array([[np.vdot(x, y) for y in (u, w)] for x in (u, w)])
     assert np.abs(gram - np.eye(2)).max() < 1e-15
     for x in (a, b):
-        assert span_residual(x / np.abs(x).max(), u, w) < 1e-15
+        assert span_residual_rows(x / np.abs(x).max(), u, w) < 1e-15
     if log_s == 0:
         plain_u = a / math.sqrt(np.vdot(a, a).real)
         plain_w = b - plain_u * np.vdot(plain_u, b)
@@ -420,7 +419,7 @@ def test_row_rules_are_their_one_vector_forms_row_by_row(rows, stacked):
     for k in range(len(a)):
         assert np.abs(np.concatenate(orthonormal_pair(a[k], b[k])) - np.r_[u[k], w[k]]).max() < 1e-14
         assert abs(math.sin(dist[k]) - math.sin(proj_distance(a[k], b[k]))) < 1e-14
-        assert abs(span[k] - span_residual(x[k], u[k], w[k])) < 1e-14 * np.linalg.norm(x[k])
+        assert abs(span[k] - span_residual_rows(x[k], u[k], w[k])) < 1e-14 * np.linalg.norm(x[k])
         assert abs(plane[k] - ProjPlane(c[k]).residual(x[k])) < 1e-14
 
 
@@ -500,6 +499,23 @@ def test_quadric_roots_of_a_pencil_through_a_line_with_one_finite_root():
     roots = quadric_roots(g, h)
     assert len(roots) == 2 and np.array_equal(roots[0], h)
     assert abs(quadric_pair(roots[1], roots[1])) < 1e-15 and proj_distance(roots[1], h) > 0.1
+
+
+@pytest.mark.parametrize("log_s", range(-6, 7))
+def test_quadric_roots_of_a_pencil_at_any_scale(log_s):
+    # the cuts were relative to the largest coefficient, so where one vector
+    # outweighed the other, h counted as a root: at 1e6 g the two roots were
+    # off the quadric by 0.40 and 0.064
+    rng = np.random.default_rng(0)
+    g, h = _random_vec(rng, 6), _random_vec(rng, 6)
+    want = quadric_roots(g, h)
+    assert len(want) == 2
+    s = 10.0 ** log_s
+    for pencil in ((s * g, h), (g, s * h)):
+        got = quadric_roots(*pencil)
+        assert len(got) == 2
+        for x, y in zip(got, want):
+            assert np.abs(x - y).max() < 1e-12
 
 
 def test_the_plane_rule_names_its_first_failing_row_in_row_order():

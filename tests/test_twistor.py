@@ -474,7 +474,7 @@ def test_a_pair_at_any_scale_lifts_onto_its_points_fiber(q, s, log_r):
     q = Quaternion(*q)
     s = Quaternion(*(np.array(s) / math.hypot(*s) * 10.0 ** log_r))
     p = HPoint(q * s, s)
-    assert proj4.span_residual(p.lift(), *twistor.fiber_pair(HPoint.from_quaternion(q))) < 3e-15
+    assert proj4.span_residual_rows(p.lift(), *twistor.fiber_pair(HPoint.from_quaternion(q))) < 3e-15
     got = p.affine()
     assert (got - q).norm() < 2e-15 * max(1.0, q.norm())
     rows, at_inf = affine_rows(quat_pairs([p]))
