@@ -28,7 +28,6 @@ from .proj4 import (
     GeometryError,
     normalize_proj,
     quadric_pair,
-    span_ratios,
     wedge,
 )
 from .twistor import INF_PAIR, QUAT_ONE, HPoint, SphereEndo, affine_rows, sphere_from_line
@@ -45,6 +44,7 @@ from .nets import (
     is_conic_net,
     lift_to_QS2,
     quadric_defects,
+    require_faces,
 )
 from .contact import (
     PCEN,
@@ -59,7 +59,7 @@ SCHEMA_VERSION = 1
 
 # the most vertices a document's box or an evolved net may hold, a 1000 x 1000
 # net: a q4 net of that size holds 96 MB of values, and its planarity report
-# gathers four times as much per axis pair
+# gathers four times as much
 MAX_VERTICES = 10 ** 6
 
 # the most axes a document's box may have: numpy's 64, less an hp1 value's two
@@ -420,13 +420,14 @@ def _run_report(doc: dict, report: str, tol: float):
                 {"face": "adjacency", "residual": pcen_adjacency_residual(pcen)}]
     elif report == "planarity":
         net = doc_to_net(doc)
-        faces, vecs = face_vectors(net)
-        flat, resid = span_ratios(vecs).T
+        require_faces(net)
+        ratios = net.face_ratios()
+        flat, resid = np.array(list(ratios.values())).reshape(-1, 2).T
         if net.kind == "q4":
-            resid = np.maximum(resid, quadric_defects(vecs))
+            resid = np.maximum(resid, quadric_defects(face_vectors(net)[1]))
         # a face spanning fewer than three dimensions lies in no unique plane
         resid = np.where(flat <= RANK_CUT, np.maximum(resid, 1.0), resid)
-        rows = [{"face": _face_key(*f), "residual": r} for f, r in zip(faces, resid.tolist())]
+        rows = [{"face": _face_key(*f), "residual": r} for f, r in zip(ratios, resid.tolist())]
     elif report == "conic":
         # a reducible face counts as a failure
         rows = [{"face": _face_key(rep.base, rep.axes), "det": abs(rep.det),
@@ -439,12 +440,14 @@ def _run_report(doc: dict, report: str, tol: float):
         lam = net.metadata.get("lambda")
         if lam is None:
             raise GeometryError("cross-ratio report needs lambda metadata")
-        rows = []
-        for base, axes in net.faces():
-            z = net.face_vertices(base, axes)
+        rows, values, present = [], net.data.reshape(-1, 2), net.present.reshape(-1)
+        for face, quad in zip(net.faces(), box_cells(net.shape, 2)[2]):
+            if not present[quad].all():
+                require_faces(net, [face])
+            z = [ExtC(*p) for p in values[quad].tolist()]
             cr = complex_cr(z[1], z[0], z[3], z[2])
             r = np.inf if cr.is_infinity() else abs(cr.value() - complex(lam))
-            rows.append({"face": _face_key(base, axes), "residual": float(r)})
+            rows.append({"face": _face_key(*face), "residual": float(r)})
     return rows, max((row["residual"] for row in rows), default=0.0)
 
 

@@ -63,6 +63,8 @@ class QuatHermitianForm:
     # the largest |entry| of hmat: a positive multiple of the form has the
     # same null cone and rho, so every test on it is relative to this
     _scale: float = field(init=False, repr=False)
+    # the antilinear lift of perpendicularity that rho_tilde_matrix returns
+    _lift: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = quat_matrix(self.qmat)
@@ -73,6 +75,14 @@ class QuatHermitianForm:
             raise GeometryError("degenerate hermitian form")
         self.hmat = h
         self.omega_vec = (_OMEGA_OF_H @ h)[_PAIR_A, _PAIR_B]
+        # column (a, b) of the compound is wedge(h(e_a, .), h(e_b, .)), and
+        # QUADRIC_MATRIX is its own inverse; the square's rounding grows as
+        # eps over h's singular-value ratio squared, past the rank cut too
+        m = QUADRIC_MATRIX @ wedge_rows(h[_PAIR_A], h[_PAIR_B]).T
+        m /= np.sqrt(abs(np.linalg.det(h)))
+        if np.linalg.norm(m @ m.conj() - np.eye(6)) > 1e-9:
+            raise GeometryError("perpendicularity lift does not square to identity")
+        self._lift = m
 
     def is_null_point(self, p: HPoint, tol: float = DEFAULT_TOL) -> bool:
         """True iff p lies on the three-sphere of null lines: |frak_h(v, v)|
@@ -108,15 +118,10 @@ def rho_tilde_matrix(form: QuatHermitianForm = DEFAULT_FORM) -> np.ndarray:
     The lift sends v ^ w to the quadric-dual of the wedge of the flats
     h(v, .) and h(w, .), scaled by det(h)^(-1/2) (det(h) > 0, as the
     eigenvalues of h come in pairs); its square is then the identity, so it
-    defines a real structure on the space of bivectors.
+    defines a real structure on the space of bivectors.  The form is made
+    only when that square is the identity to 1e-9.
     """
-    # column (a, b) of the compound is wedge(h(e_a, .), h(e_b, .)), and
-    # QUADRIC_MATRIX is its own inverse
-    m = QUADRIC_MATRIX @ wedge_rows(form.hmat[_PAIR_A], form.hmat[_PAIR_B]).T
-    m /= np.sqrt(abs(np.linalg.det(form.hmat)))
-    if np.linalg.norm(m @ m.conj() - np.eye(6)) > 1e-9:
-        raise GeometryError("perpendicularity lift does not square to identity")
-    return m
+    return form._lift.copy()
 
 
 def lie_basis(form: QuatHermitianForm = DEFAULT_FORM) -> np.ndarray:

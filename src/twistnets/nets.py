@@ -11,10 +11,11 @@ face in row order.  The lift into the subquadric of lines through a fixed
 sphere's two twistor lifts turns complex cross-ratio nets in CP^1 into
 conjugate nets with planar faces.
 
-Every face and edge check indexes one table of a box's cells, box_cells.  A
-face's planarity residual is looked up: the first query decomposes the four
-ambient vectors of every complete face of the net in one stacked SVD per
-axis pair, and the net keeps the s4 / s1 ratios until its next write.
+Every face and edge check indexes one table of a box's cells, box_cells,
+and a face is one row of it.  A face's planarity residual is looked up: the
+first query decomposes the four ambient vectors of every complete face of
+the net in one stacked SVD, and the net keeps the ratios, in faces() order,
+until its next write.
 """
 
 from __future__ import annotations
@@ -114,11 +115,12 @@ class LatticeNet:
     [num : den], 'hp1' points [a : b] of HP^1 as quaternion pairs (a, b),
     'cp3' C^4 vectors and 'q4' Pluecker 6-vectors.  net[idx] builds the API
     value (ExtC, HPoint or a vector).  net[idx] = v normalizes cp3 and q4
-    vectors and drops the net's two caches, lifts() and planarity_lists(),
+    vectors and drops the net's two caches, lifts() and face_ratios(),
     which a workload reads more than once; ambient() is computed on each
-    call.  It is the only writer once the net is read.  Data given to the
-    constructor fills the whole box; it, and values a document loader writes
-    before the first read, are kept verbatim.
+    call.  It is the only writer once the net is read.  A face is a row of
+    box_cells(shape, 2), and faces() and face_ratios() follow its order.
+    Data given to the constructor fills the whole box; it, and values a
+    document loader writes before the first read, are kept verbatim.
     """
 
     def __init__(self, shape, kind: str, metadata=None, data=None):
@@ -132,7 +134,7 @@ class LatticeNet:
         self._drop_caches()
 
     def _drop_caches(self):
-        self._lifts = self._planarity_lists = None
+        self._lifts = self._face_ratios = None
 
     def __contains__(self, idx) -> bool:
         idx = tuple(idx)
@@ -180,24 +182,8 @@ class LatticeNet:
     def faces(self):
         """All elementary 2-faces, (base index, axis pair), in box_cells order."""
         bases, axes, _ = box_cells(self.shape, 2)
-        return zip(map(tuple, bases.tolist()), map(tuple, axes.tolist()))
-
-    def face_index(self, base, axes) -> tuple:
-        """Index lists of a face's four vertices, in CORNER_STEPS order along
-        its axes; raises for a missing one."""
-        idx = [[i] * 4 for i in base]
-        for ax, steps in zip(axes, zip(*CORNER_STEPS)):
-            idx[ax] = [base[ax] + d for d in steps]
-        corners = list(zip(*idx))
-        # the box holds the face when it holds the corners (0, 0) and (1, 1)
-        if not (in_box(corners[0], self.shape) and in_box(corners[2], self.shape)
-                and all(self.present[c] for c in corners)):
-            missing = next(c for c in corners if c not in self)
-            raise GeometryError(f"vertex {missing} missing from net")
-        return tuple(idx)
-
-    def face_vertices(self, base, axes):
-        return [self[corner] for corner in zip(*self.face_index(base, axes))]
+        # zips of the columns make the tuples without a list per face
+        return zip(zip(*bases.T.tolist()), zip(*axes.T.tolist()))
 
     def lifts(self) -> np.ndarray:
         """The unit C^4 lifts (lift_rows) of an hp1 net's values, box + (4,),
@@ -224,39 +210,46 @@ class LatticeNet:
         amb[self.present] = rows
         return amb
 
-    def planarity_lists(self) -> dict:
-        """s4 / s1 of every face's four ambient vectors, by axis pair (a, b),
-        a < b: nested lists over the bases of the faces along the pair (box
-        less one along a and b), NaN at a face with a missing vertex.  One
-        face's residual is then a few list lookups, not an array index.
+    def face_ratios(self) -> dict:
+        """(s3 / s1, s4 / s1) of every face's four ambient vectors, keyed by
+        face (base, axes) in faces() order, NaN at a face with a missing
+        vertex: one stacked SVD over the complete faces, cached until the
+        next write.  numpy hands LAPACK each matrix of a stack as it hands
+        it a single one, so a face's ratios are those of its own
+        decomposition bit for bit."""
+        if self._face_ratios is None:
+            (_, _, corners), amb = box_cells(self.shape, 2), self.ambient()
+            complete = self.present.reshape(-1)[corners].all(axis=-1)
+            ratios = np.full((len(corners), 2), np.nan)
+            # a face with a missing vertex stays out of the decomposition
+            ratios[complete] = span_ratios(amb.reshape(-1, amb.shape[-1])[corners[complete]])
+            self._face_ratios = dict(zip(self.faces(), zip(*ratios.T.tolist())))
+        return self._face_ratios
 
-        One stacked SVD per axis pair builds the lists, which are cached
-        until the next write; an hp1 net's faces are real (faces, 4, 6)
-        stacks, which cost about two thirds of complex ones.  So the first
-        query of one face pays for every face, about 1.5 ms at 24 x 24
-        against about 10 us for one face alone (one core of a Xeon server).
-        numpy hands LAPACK each matrix of a stack as it hands it a single
-        one, so a face's ratio is that of its own decomposition bit for bit.
-        """
-        if self._planarity_lists is None:
-            (_, axes, corners), amb, lists = box_cells(self.shape, 2), self.ambient(), {}
-            amb, present = amb.reshape(-1, amb.shape[-1]), self.present.reshape(-1)
-            for pair in itertools.combinations(range(self.dim), 2):
-                # the faces along the pair, in the index order of their bases
-                at = corners[(axes == pair).all(axis=-1)]
-                complete = present[at].all(axis=-1)
-                s4 = np.full(len(at), np.nan)
-                # a face with a missing vertex stays out of the decomposition
-                s4[complete] = span_ratios(amb[at[complete]])[:, 1]
-                lists[pair] = s4.reshape([max(n - (i in pair), 0)
-                                          for i, n in enumerate(self.shape)]).tolist()
-            self._planarity_lists = lists
-        return self._planarity_lists
+
+def require_faces(net: LatticeNet, faces=None):
+    """Raise for the first vertex, in CORNER_STEPS order, that the first
+    incomplete face of faces misses: by default of net.faces(), found on the
+    corner table.  A face's corners are its base with the steps along its
+    axes, so a base outside the box is the missing vertex; an axis outside
+    the net is refused."""
+    if faces is None:
+        bases, axes, corners = box_cells(net.shape, 2)
+        first = np.flatnonzero(~net.present.reshape(-1)[corners].all(axis=-1))[:1]
+        faces = zip(bases[first].tolist(), axes[first].tolist())
+    for base, axes in faces:
+        if tuple(base) in net and not set(axes) <= set(range(net.dim)):
+            raise GeometryError(f"axes {tuple(axes)} are not an increasing pair of lattice axes")
+        for steps in CORNER_STEPS:
+            along = dict(zip(axes, steps))
+            corner = tuple(i + along.get(k, 0) for k, i in enumerate(base))
+            if corner not in net:
+                raise GeometryError(f"vertex {corner} missing from net")
 
 
 def face_planarity(net: LatticeNet, base, axes) -> float:
     """Deviation of a 2-face from lying in a projective plane: s4 / s1 of
-    its four ambient vectors, read from net.planarity_lists().
+    its four ambient vectors, read from net.face_ratios().
 
     Zero means the four points span at most a plane.  For hp1 nets the
     vertices are lifted to their twistor fibers first, real 6-vectors in the
@@ -264,32 +257,27 @@ def face_planarity(net: LatticeNet, base, axes) -> float:
     concircularity.  axes is a pair a < b, as in net.faces().
     The first query on a net decomposes all of its faces at once.
     """
-    base = tuple(base)
+    base, axes = tuple(base), tuple(axes)
     if net.kind != "cp1":
-        s4 = net.planarity_lists().get(tuple(axes))
-        for i in base:
-            s4 = s4[i] if type(s4) is list and 0 <= i < len(s4) else None
         # NaN marks a face with a missing vertex
-        if type(s4) is float and not math.isnan(s4):
+        s4 = net.face_ratios().get((base, axes), (math.nan, math.nan))[1]
+        if not math.isnan(s4):
             return s4
     # names the face's missing vertex, before ambient() refuses a cp1 net
-    net.face_index(base, axes)
+    require_faces(net, [(base, axes)])
     net.ambient()
-    raise GeometryError(f"axes {tuple(axes)} are not an increasing pair of lattice axes")
+    raise GeometryError(f"axes {axes} are not an increasing pair of lattice axes")
 
 
 def face_vectors(net: LatticeNet) -> tuple[list, np.ndarray]:
     """The faces of net.faces() and the ambient vectors of their vertices,
-    stacked as (faces, 4, n) in face_index order: real for an hp1 net,
+    stacked as (faces, 4, n) in CORNER_STEPS order: real for an hp1 net,
     complex for cp3 and q4 (LatticeNet.ambient).  Raises for the first face
     with a missing vertex, and for a cp1 net with or without faces."""
-    faces, (_, _, corners) = list(net.faces()), box_cells(net.shape, 2)
-    complete = net.present.reshape(-1)[corners].all(axis=-1)
-    if not complete.all():
-        net.face_index(*faces[int(np.argmin(complete))])
+    require_faces(net)
     # ambient() refuses a cp1 net, also one without faces
     amb = net.ambient()
-    return faces, amb.reshape(-1, amb.shape[-1])[corners]
+    return list(net.faces()), amb.reshape(-1, amb.shape[-1])[box_cells(net.shape, 2)[2]]
 
 
 # ---------------------------------------------------------------------------

@@ -185,9 +185,17 @@ def test_check_json_names_the_worst_face(tmp_path, capsys):
 
 def _planarity_json_reference(net, tol=1e-8) -> str:
     """check --json's planarity output as computed before the face ratios
-    were cached: the faces gathered by face_index, one span_ratios call."""
+    were cached: each face's corners, its base stepped along its axes, named
+    when missing, and one span_ratios call."""
     faces = list(net.faces())
-    idx = [net.face_index(base, axes) for base, axes in faces]
+    idx = []
+    for base, (a, b) in faces:
+        corners = [tuple(i + (k == a) * da + (k == b) * db for k, i in enumerate(base))
+                   for da, db in ((0, 0), (1, 0), (1, 1), (0, 1))]
+        for corner in corners:
+            if corner not in net:
+                raise GeometryError(f"vertex {corner} missing from net")
+        idx.append(tuple(zip(*corners)))
     vecs = net.ambient()[tuple(np.array(idx).transpose(1, 0, 2))]
     flat, resid = span_ratios(vecs).T
     if net.kind == "q4":

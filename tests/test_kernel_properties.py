@@ -786,7 +786,7 @@ def test_conic_form_from_one_svd_matches_two(rng, s2, s3, offset):
     for idx, v in zip(((0, 0), (1, 0), (1, 1), (0, 1)),
                       _with_singular_values(rng, 4, 6, values)):
         net[idx] = v
-    vecs = net.face_vertices((0, 0), (0, 1))
+    vecs = [net[idx] for idx in ((0, 0), (1, 0), (1, 1), (0, 1))]
     assume(_svd_rank_reference(np.array(vecs), 1e-7) is not None)
     want = _two_svd_conic_det(vecs)
     (report,) = is_conic_net(net)

@@ -191,21 +191,16 @@ def test_lie_refusals(call, message):
         call()
 
 
-def test_a_form_near_the_rank_cut_passes_it_and_is_refused_by_the_lift():
+def test_a_form_whose_lift_does_not_square_is_refused_when_made():
     # h of ((1, 1), (1, 0.9999)) has singular-value ratio 2.5e-5, above the
-    # rank cut, so the form is made and its null test runs; the square of its
-    # perpendicularity lift is off the identity by 4.9e-8, over the 1e-9 cut.
-    # At 0.999 the lift passes and the signatures are those of every form
+    # rank cut, but the square of its perpendicularity lift is off the
+    # identity by 4.9e-8, over the 1e-9 cut.  Before, the form was made and
+    # its null test ran, and rho, lie_basis and lie_signature_report then
+    # refused it.  At 0.999 (off by 2.7e-10) the form is made, and its
+    # signatures are those of every form
     one = Quaternion.one()
-    form = QuatHermitianForm(((one, one), (one, Quaternion.from_real(0.9999))))
-    # h([q : 1]) = q^2 + 2q + 0.9999 for real q, with the root -0.99
-    assert form.is_null_point(HPoint.from_quaternion(Quaternion.from_real(-0.99)))
-    assert not form.is_null_point(HPoint.infinity())
-    line = twistor_fiber(HPoint.from_quaternion(Quaternion.from_real(-0.99)))
-    for call in (lambda: rho(line, form), lambda: lie_basis(form),
-                 lambda: lie_signature_report(form)):
-        with pytest.raises(GeometryError, match="^perpendicularity lift does not square to identity$"):
-            call()
+    with pytest.raises(GeometryError, match="^perpendicularity lift does not square to identity$"):
+        QuatHermitianForm(((one, one), (one, Quaternion.from_real(0.9999))))
     rpt = lie_signature_report(QuatHermitianForm(((one, one), (one, Quaternion.from_real(0.999)))))
     assert (rpt["basis"], rpt["omega_slice"]) == ((2, 4), (1, 4))
 

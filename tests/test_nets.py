@@ -237,7 +237,7 @@ def test_complex_net_face_cross_ratios():
     seeds = [complex(*rng.standard_normal(2)) for _ in range(4)]
     net = evolve_net_complex(curve, seeds, lam)
     for base, axes in net.faces():
-        z = net.face_vertices(base, axes)
+        z = [net[base[0] + da, base[1] + db] for da, db in ((0, 0), (1, 0), (1, 1), (0, 1))]
         cr = complex_cr(z[1], z[0], z[3], z[2])
         assert cr.isclose(as_ext(lam), 1e-8)
 
@@ -954,7 +954,7 @@ def test_a_net_of_a_boundary_pair_at_any_scale_reads_as_the_unit_one(k):
 
 
 def test_a_write_after_every_cache_is_built_changes_every_reading():
-    """A write drops both caches of a net: lifts() and planarity_lists().
+    """A write drops both caches of a net: lifts() and face_ratios().
     After it, face_planarity, ambient(), pcen_from_circular and the
     planarity report's ratios read as on a fresh net with the same values,
     and differ from before."""
@@ -969,7 +969,7 @@ def test_a_write_after_every_cache_is_built_changes_every_reading():
         return (net.lifts().copy(), face_planarity(net, (1, 1), (0, 1)), net.ambient().copy(),
                 pcen_from_circular(net, initial).points, span_ratios(face_vectors(net)[1]))
 
-    net.lifts(), net.planarity_lists()
+    net.lifts(), net.face_ratios()
     before = readings(net)
     net[2, 2] = _hp(*rng.standard_normal(4))
     after = readings(net)
@@ -1140,6 +1140,15 @@ def test_face_planarity_never_wraps_an_index():
             face_planarity(net, base, (0, 1))
     with pytest.raises(GeometryError, match="not an increasing pair"):
         face_planarity(net, (0, 0), (1, 0))
+
+
+def test_face_planarity_refuses_axes_outside_the_net_and_a_base_outside_the_box():
+    # both raised IndexError: tuple index out of range before
+    net = _random_net("hp1", (4, 4), 0.0, False, np.random.default_rng(34))
+    with pytest.raises(GeometryError, match=r"^axes \(0, 2\) are not an increasing pair of lattice axes$"):
+        face_planarity(net, (0, 0), (0, 2))
+    with pytest.raises(GeometryError, match=r"^vertex \(0,\) missing from net$"):
+        face_planarity(net, (0,), (0, 1))
 
 
 
