@@ -28,6 +28,7 @@ from .proj4 import (
     GeometryError,
     normalize_proj,
     quadric_pair,
+    span_ratios,
     wedge,
 )
 from .twistor import INF_PAIR, QUAT_ONE, HPoint, SphereEndo, affine_rows, sphere_from_line
@@ -420,14 +421,13 @@ def _run_report(doc: dict, report: str, tol: float):
                 {"face": "adjacency", "residual": pcen_adjacency_residual(pcen)}]
     elif report == "planarity":
         net = doc_to_net(doc)
-        require_faces(net)
-        ratios = net.face_ratios()
-        flat, resid = np.array(list(ratios.values())).reshape(-1, 2).T
+        faces, vecs = face_vectors(net)
+        flat, resid = span_ratios(vecs).T
         if net.kind == "q4":
-            resid = np.maximum(resid, quadric_defects(face_vectors(net)[1]))
+            resid = np.maximum(resid, quadric_defects(vecs))
         # a face spanning fewer than three dimensions lies in no unique plane
         resid = np.where(flat <= RANK_CUT, np.maximum(resid, 1.0), resid)
-        rows = [{"face": _face_key(*f), "residual": r} for f, r in zip(ratios, resid.tolist())]
+        rows = [{"face": _face_key(*f), "residual": r} for f, r in zip(faces, resid.tolist())]
     elif report == "conic":
         # a reducible face counts as a failure
         rows = [{"face": _face_key(rep.base, rep.axes), "det": abs(rep.det),

@@ -52,6 +52,16 @@ DEFAULT_FORM_MATRIX = (
 )
 
 
+def _perp_lift(h: np.ndarray) -> np.ndarray:
+    """rho_tilde_matrix of the form with h component h: column (a, b) of the
+    compound is wedge(h(e_a, .), h(e_b, .)), and QUADRIC_MATRIX is self-inverse."""
+    m = QUADRIC_MATRIX @ wedge_rows(h[_PAIR_A], h[_PAIR_B]).T
+    m /= np.sqrt(abs(np.linalg.det(h)))
+    if np.linalg.norm(m @ m.conj() - np.eye(6)) > 1e-9:
+        raise GeometryError("perpendicularity lift does not square to identity")
+    return m
+
+
 @dataclass
 class QuatHermitianForm:
     """A quaternionic hermitian form with its complex split h + j omega."""
@@ -63,8 +73,6 @@ class QuatHermitianForm:
     # the largest |entry| of hmat: a positive multiple of the form has the
     # same null cone and rho, so every test on it is relative to this
     _scale: float = field(init=False, repr=False)
-    # the antilinear lift of perpendicularity that rho_tilde_matrix returns
-    _lift: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = quat_matrix(self.qmat)
@@ -75,14 +83,7 @@ class QuatHermitianForm:
             raise GeometryError("degenerate hermitian form")
         self.hmat = h
         self.omega_vec = (_OMEGA_OF_H @ h)[_PAIR_A, _PAIR_B]
-        # column (a, b) of the compound is wedge(h(e_a, .), h(e_b, .)), and
-        # QUADRIC_MATRIX is its own inverse; the square's rounding grows as
-        # eps over h's singular-value ratio squared, past the rank cut too
-        m = QUADRIC_MATRIX @ wedge_rows(h[_PAIR_A], h[_PAIR_B]).T
-        m /= np.sqrt(abs(np.linalg.det(h)))
-        if np.linalg.norm(m @ m.conj() - np.eye(6)) > 1e-9:
-            raise GeometryError("perpendicularity lift does not square to identity")
-        self._lift = m
+        _perp_lift(h)  # its square check refuses some forms past the rank cut
 
     def is_null_point(self, p: HPoint, tol: float = DEFAULT_TOL) -> bool:
         """True iff p lies on the three-sphere of null lines: |frak_h(v, v)|
@@ -121,7 +122,7 @@ def rho_tilde_matrix(form: QuatHermitianForm = DEFAULT_FORM) -> np.ndarray:
     defines a real structure on the space of bivectors.  The form is made
     only when that square is the identity to 1e-9.
     """
-    return form._lift.copy()
+    return _perp_lift(form.hmat)
 
 
 def lie_basis(form: QuatHermitianForm = DEFAULT_FORM) -> np.ndarray:

@@ -276,8 +276,7 @@ def wedge_rows(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     plain indexing costs half as much."""
     if v.ndim == w.ndim == 1:
         return wedge(v, w)
-    return (v.take(_PAIR_A, axis=-1) * w.take(_PAIR_B, axis=-1)
-            - v.take(_PAIR_B, axis=-1) * w.take(_PAIR_A, axis=-1))
+    return v[..., _PAIR_A] * w[..., _PAIR_B] - v[..., _PAIR_B] * w[..., _PAIR_A]
 
 
 def join_matrices(v: np.ndarray, w: np.ndarray) -> np.ndarray:
