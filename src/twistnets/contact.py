@@ -15,6 +15,8 @@ through linear maps of C^4 that fiber_matrices builds once per net.
 
 from __future__ import annotations
 
+import bisect
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -132,41 +134,63 @@ def fiber_matrices(lifts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return fibers, j_on_vector(fibers).swapaxes(-1, -2), join_matrices(lifts, vj)
 
 
-def _propagate(points: np.ndarray, functionals: np.ndarray, fibers: np.ndarray,
-               meets: np.ndarray, joins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One propagation step of contact elements, unit rows of points and
-    functionals, onto the fibers of fiber_matrices: the new point is
-    (f @ meets) @ fibers of the old functional f, the new functional
-    y @ joins of the old point y.  Returns them unit-scaled, or raises a
-    RowError for the earlier of the first rows that fail each check, the
-    fiber-in-plane check on a tie.
+def _step(elements: np.ndarray, fibers: np.ndarray, meets: np.ndarray,
+          joins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The arithmetic of a propagation step of contact elements (..., 2, 4),
+    unit rows of a point and a functional, onto the fibers of
+    fiber_matrices: the new point (f @ meets) @ fibers of the old
+    functional f and the new functional y @ joins of the old point y,
+    stacked the same way and not unit-scaled, with their row_norms.
 
     Taken in the fiber's coordinates, the meet is a combination of the
     stored rows v and vj; through the 4x4 line matrix of v ^ vj, one product
     fewer, PCEN closure and adjacency residuals came out about a quarter
-    larger.  The checks are those of the scalar constructions: meet_line's
+    larger.
+    """
+    new = np.concatenate([(elements[..., 1:, :] @ meets) @ fibers,
+                          elements[..., :1, :] @ joins], axis=-2)
+    return new, row_norms(new)
+
+
+def _settle_step(fibers: np.ndarray, points: np.ndarray, functionals: np.ndarray,
+                 sizes: np.ndarray) -> np.ndarray:
+    """The checks of _step's rows: from the fibers and old points the step
+    used, its new functionals and its new points' sizes (..., 1), the new
+    functionals as settle_planes settles them, unit-scaled, or a RowError
+    for the earlier of the first rows that fail each check, the
+    fiber-in-plane check on a tie.
+
+    The checks are those of the scalar constructions: meet_line's
     line-in-plane cut (relative to |v ^ vj| = 1), and span_planes'
     certificate with an SVD for each row it leaves open.  They imply
     NullLine's pencil condition: the plane rule holds the fiber, and so the
     new point, within 1.3e-9 of the new plane.
     """
-    point = ((functionals[..., None, :] @ meets) @ fibers)[..., 0, :]
-    size = row_norms(point)
-    in_plane = size[..., 0] < DEFAULT_TOL
+    in_plane = sizes[..., 0] < DEFAULT_TOL
     first = tuple(np.argwhere(in_plane)[0].tolist()) if in_plane.any() else None
     # the element's point lies on the fiber over its own base point, and
     # distinct fibers are disjoint: v, vj and that point fail to span a plane
     # only when the next base point coincides with the element's
     try:
-        functional = settle_planes(np.concatenate([fibers, points[..., None, :]], axis=-2),
-                                   (points[..., None, :] @ joins)[..., 0, :], 3)
+        functionals = settle_planes(np.concatenate([fibers, points[..., None, :]], axis=-2),
+                                    functionals, 3)
     except RowError as exc:
         if first is None or exc.row < first:
             raise RowError(f"next point coincides with the element's point: {exc}",
                            exc.row) from exc
     if first is not None:
         raise RowError(f"fiber-in-plane degeneracy: {LINE_IN_PLANE}", first)
-    return point / size, functional
+    return functionals
+
+
+def _propagate(points: np.ndarray, functionals: np.ndarray, fibers: np.ndarray,
+               meets: np.ndarray, joins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One checked propagation step of contact elements, unit rows of points
+    and functionals: _step, then _settle_step, whose RowError it raises.
+    Returns the new rows unit-scaled."""
+    new, sizes = _step(np.stack([points, functionals], axis=-2), fibers, meets, joins)
+    functional = _settle_step(fibers, points, new[..., 1, :], sizes[..., 0, :])
+    return new[..., 0, :] / sizes[..., 0, :], functional
 
 
 def _adjacency_rows(p1: np.ndarray, f1: np.ndarray,
@@ -246,15 +270,55 @@ def _check_distinct_neighbors(lifts: np.ndarray):
         raise GeometryError(f"colliding base points at {idx} and {nxt}")
 
 
+def _settle_sweep(elements: np.ndarray, raw: np.ndarray, sizes: np.ndarray,
+                  fibers: np.ndarray, source: np.ndarray, starts: list, first: int) -> int:
+    """The one check of pcen_from_circular's sweep from slab first on:
+    _settle_step over all the rows it wrote, on each row's fiber, its
+    source row's point, and the raw functional and point size the sweep
+    kept.  Where the check replaced a functional by its plane, the planes
+    are written up to that row's slab, and the slab after it is returned,
+    to sweep again from; else len(starts).  A failing row raises the
+    RowError, with its flat row, unless a slab before its own had a plane
+    replaced.  Rows past the first fiber in a plane come from it, may be
+    NaN, and stay out of the check."""
+    lo = starts[first]
+    in_plane = np.flatnonzero(sizes[lo:, 0] < DEFAULT_TOL)
+    hi = lo + int(in_plane[0]) + 1 if len(in_plane) else len(elements)
+    points = elements[source[lo:hi], 0]
+    try:
+        settled, failure = _settle_step(fibers[lo:hi], points, raw[lo:hi], sizes[lo:hi]), None
+    except RowError as exc:
+        # the slabs before the failing row's pass the checks
+        failure, hi = exc, starts[bisect.bisect_right(starts, lo + exc.row[0]) - 1]
+        settled = _settle_step(fibers[lo:hi], points[:hi - lo], raw[lo:hi], sizes[lo:hi])
+    changed = np.flatnonzero((settled != elements[lo:hi, 1]).any(axis=-1))
+    if len(changed):
+        elements[lo:hi, 1] = settled
+        return bisect.bisect_right(starts, lo + int(changed[0]))
+    if failure is not None:
+        failure.row = (lo + failure.row[0],)
+        raise failure
+    return len(starts)
+
+
 def pcen_from_circular(base: LatticeNet, initial: NullLine) -> PCEN:
     """Propagate an initial contact element over a circular base net of any
     dimension.
 
-    The fiber matrices of every base point are built once.  The axes are
-    walked last first: along axis a, the slab origin[:a] + (k,) comes from
-    origin[:a] + (k - 1,) in one step, for k = 1 ... n_a - 1.  On a 2-dim net
-    that is column m = 0 along n, then every later column from the one
-    before it.  For circular bases the two routes agree on every face, which
+    The axes are walked last first: along axis a, the slab origin[:a] + (k,)
+    comes from origin[:a] + (k - 1,) in one step, for k = 1 ... n_a - 1.
+    On a 2-dim net that is column m = 0 along n, then every later column
+    from the one before it.  In the box's rows, in index order, a slab is a
+    run of rows as long as its axis' stride, each from the row one stride
+    before it, and the slabs follow each other: the sweep visits the
+    vertices in index order.
+
+    The fiber matrices of every base point are built once.  The sweep is
+    _step's arithmetic alone, and _settle_sweep checks it once, on the
+    quantities it kept.  Where the check replaces an open row's functional
+    by its plane, the sweep runs again from the next slab and is checked
+    again, so the result is that of one checked step per slab, bit for bit.
+    For circular bases the two routes agree on every face, which
     pcen_face_closure verifies.  A failed step names the first vertex it
     fails at, in index order, and the one it propagates from.
     """
@@ -267,19 +331,34 @@ def pcen_from_circular(base: LatticeNet, initial: NullLine) -> PCEN:
     rp = null_line_real_point(initial)
     if rp is None or not rp.isclose(base[origin], 1e-7):
         raise GeometryError("initial element must be a contact element at the origin")
-    fibers, meets, joins = fiber_matrices(lifts)
-    points = np.empty_like(lifts)
-    functionals = np.empty_like(lifts)
-    points[origin], functionals[origin] = initial.point, initial.plane.functional
+    fibers, meets, joins = fiber_matrices(lifts.reshape(-1, 4))
+    # the box's rows: unit point and functional, and the raw functional and
+    # the point size that the check reads
+    elements = np.empty(fibers.shape, dtype=complex)
+    raw, sizes = np.empty_like(elements[:, 0]), np.empty((len(elements), 1))
+    elements[0] = initial.point, initial.plane.functional
+    strides = [math.prod(base.shape[a + 1:]) for a in range(base.dim)]
+    slabs = [(k * s, s) for a, s in reversed(list(enumerate(strides)))
+             for k in range(1, base.shape[a])]
+    starts, widths = [start for start, _ in slabs], [s for _, s in slabs]
+    # each row's source row, the origin its own
+    source = np.arange(len(elements)) - np.repeat([0] + widths, [1] + widths)
+    first = 0
     try:
-        for a in reversed(range(base.dim)):
-            for k in range(1, base.shape[a]):
-                at, prev = origin[:a] + (k,), origin[:a] + (k - 1,)
-                points[at], functionals[at] = _propagate(
-                    points[prev], functionals[prev], fibers[at], meets[at], joins[at])
+        while first < len(slabs):
+            # rows past a failing step may divide by zero: the check stops before them
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for start, s in slabs[first:]:
+                    at, src = slice(start, start + s), slice(start - s, start)
+                    new, size = _step(elements[src], fibers[at], meets[at], joins[at])
+                    np.divide(new, size, out=elements[at])
+                    raw[at], sizes[at] = new[:, 1], size[:, 0]
+            first = _settle_sweep(elements, raw, sizes, fibers, source, starts, first)
     except RowError as exc:
-        raise GeometryError(f"at {at + exc.row} from {prev + exc.row}: {exc}") from exc
-    return PCEN(base, points, functionals)
+        at, src = (tuple(map(int, np.unravel_index(i, base.shape)))
+                   for i in (exc.row[0], source[exc.row[0]]))
+        raise GeometryError(f"at {at} from {src}: {exc}") from exc
+    return PCEN(base, elements[:, 0].reshape(lifts.shape), elements[:, 1].reshape(lifts.shape))
 
 
 def closure_faces(pcen: PCEN) -> np.ndarray:

@@ -67,12 +67,13 @@ class QuatHermitianForm:
     """A quaternionic hermitian form with its complex split h + j omega."""
 
     qmat: tuple = DEFAULT_FORM_MATRIX
-    hmat: np.ndarray = field(init=False)
+    # the rest is computed from qmat, and forms compare by qmat alone
+    hmat: np.ndarray = field(init=False, compare=False)
     # omega(v, w) = omega_vec @ (v ^ w)
-    omega_vec: np.ndarray = field(init=False)
+    omega_vec: np.ndarray = field(init=False, compare=False)
     # the largest |entry| of hmat: a positive multiple of the form has the
     # same null cone and rho, so every test on it is relative to this
-    _scale: float = field(init=False, repr=False)
+    _scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = quat_matrix(self.qmat)

@@ -95,6 +95,16 @@ def box_cells(shape: tuple, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return cells
 
 
+@functools.lru_cache(maxsize=32)
+def _face_keys(shape: tuple) -> tuple:
+    """The 2-faces of box_cells(shape, 2) as (base, axes) tuples of ints, in
+    its order: LatticeNet.faces() and the keys of face_ratios(), built once
+    per shape."""
+    bases, axes, _ = box_cells(shape, 2)
+    # zips of the columns make the tuples without a list per face
+    return tuple(zip(zip(*bases.T.tolist()), zip(*axes.T.tolist())))
+
+
 def in_box(idx: tuple, shape: tuple) -> bool:
     """Whether a lattice index lies in the box of the given shape."""
     return len(idx) == len(shape) and all(0 <= i < n for i, n in zip(idx, shape))
@@ -180,10 +190,9 @@ class LatticeNet:
             raise GeometryError(f"vertex {missing} missing from net")
 
     def faces(self):
-        """All elementary 2-faces, (base index, axis pair), in box_cells order."""
-        bases, axes, _ = box_cells(self.shape, 2)
-        # zips of the columns make the tuples without a list per face
-        return zip(zip(*bases.T.tolist()), zip(*axes.T.tolist()))
+        """All elementary 2-faces, (base index, axis pair), in box_cells
+        order: a tuple, built once per shape."""
+        return _face_keys(self.shape)
 
     def lifts(self) -> np.ndarray:
         """The unit C^4 lifts (lift_rows) of an hp1 net's values, box + (4,),

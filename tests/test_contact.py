@@ -217,22 +217,36 @@ def test_pcen_over_a_random_3_dim_net_fails_the_closure():
     assert pcen_face_closure(pcen_from_circular(net, _origin_element(net, rng))) > 1e-3
 
 
-@pytest.mark.parametrize("gap, message", [
-    (5e-10, "fiber-in-plane degeneracy: line-in-plane: "),
-    (1.5e-9, "next point coincides with the element's point: degenerate-span: rank 2"),
+_FIBER_IN_PLANE = (5e-10, "fiber-in-plane degeneracy: line-in-plane: ")
+_RANK_2 = (1.5e-9, "next point coincides with the element's point: degenerate-span: rank 2")
+
+
+@pytest.mark.parametrize("gap, message, moves", [
+    pytest.param(*case, [((1, 0, 1), (0, 0, 1))], id=f"{case[0]}-{case[1]}")
+    for case in (_FIBER_IN_PLANE, _RANK_2)
+] + [
+    pytest.param(*case, moves, id=f"{name}-{case[0]}")
+    for name, moves in (("last-slab", [((2, 2, 2), (1, 2, 2))]),
+                        ("two-slabs", [((2, 0, 0), (1, 0, 0)), ((0, 2, 1), (0, 1, 1))]))
+    for case in (_FIBER_IN_PLANE, _RANK_2)
 ])
-def test_a_3_dim_pcen_names_the_vertex_of_a_neighbour_near_the_fiber(gap, message):
+def test_a_3_dim_pcen_names_the_vertex_of_a_neighbour_near_the_fiber(gap, message, moves):
     """A failed step of a 3-dim propagation names its vertex and its source
-    as index triples: (1, 0, 1), moved to fiber distance gap from (0, 0, 1),
-    fails the step along axis 0 that comes from it."""
+    as index triples: a vertex moved to fiber distance gap from the one it
+    comes from fails that step, as (1, 0, 1) from (0, 0, 1) along axis 0
+    and (2, 2, 2), the last vertex of the last slab.  Of two such vertices
+    in different slabs, the first in index order is named, whichever the
+    sweep reaches first."""
     rng = np.random.default_rng(5)
     net = _grid_net(rng, (3, 3, 3))
-    v = net[0, 0, 1].lift()
-    d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    d = d - v * np.vdot(v, d) - j_on_vector(v) * np.vdot(j_on_vector(v), d)
-    net[1, 0, 1] = twistor_project(v + gap * d / np.linalg.norm(d))
+    for moved, source in moves:
+        v = net[source].lift()
+        d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        d = d - v * np.vdot(v, d) - j_on_vector(v) * np.vdot(j_on_vector(v), d)
+        net[moved] = twistor_project(v + gap * d / np.linalg.norm(d))
+    moved, source = min(moves)
     with pytest.raises(GeometryError,
-                       match=re.escape(f"at (1, 0, 1) from (0, 0, 1): {message}")):
+                       match=re.escape(f"at {moved} from {source}: {message}")):
         pcen_from_circular(net, _origin_element(net, rng))
 
 

@@ -664,6 +664,33 @@ def test_pcen_on_the_lattice_table_is_the_2_dim_one_bit_for_bit(seed):
             _assert_as_in_2d(pcen)
 
 
+@pytest.mark.parametrize("moves", [
+    [((0, 3), (0, 2), 1e-6)], [((3, 2), (2, 2), 1e-6)],
+    [((0, 3), (0, 2), 1e-6), ((3, 2), (2, 2), 3e-7)],
+], ids=["column-0", "row-3", "both"])
+def test_pcen_settled_by_the_svd_is_the_2_dim_one_bit_for_bit(moves):
+    """A neighbour at fiber distance 3e-7 or 1e-6 from the vertex it comes
+    from, inside the window where the span certificate is open and the SVD
+    finds rank 3, replaces that step's plane: the sweep runs again from the
+    next slab, and the PCEN equals the 2-dim copy bit for bit."""
+    net, initial = _near_fiber_pcen(8, moves)
+    pcen, want = pcen_from_circular(net, initial), _pcen_from_circular_2d(net, initial)
+    assert pcen.points.tobytes() == want.points.tobytes()
+    assert pcen.functionals.tobytes() == want.functionals.tobytes()
+
+
+@pytest.mark.parametrize("gap, message", [
+    (5e-10, "fiber-in-plane degeneracy: line-in-plane: "),
+    (1.5e-9, "next point coincides with the element's point: degenerate-span: rank 2"),
+], ids=["fiber-in-plane", "degenerate-span"])
+def test_pcen_names_a_failing_vertex_after_a_plane_the_svd_settled(gap, message):
+    """A plane replaced by the SVD in column 0 comes before a vertex of row
+    3 that fails its step: the sweep runs again from the slab after the
+    plane, and the error is the route-by-route loop's."""
+    net, initial = _near_fiber_pcen(8, [((0, 3), (0, 2), 1e-6), ((3, 2), (2, 2), gap)])
+    _assert_pcen_error(net, initial, f"at (3, 2) from (2, 2): {message}")
+
+
 def test_pcen_document_missing_far_base_points_closes_as_in_2d():
     """A PCEN document without base points at some far corners: the closure
     leaves out the same faces as the 2-dim slice copy, and its value is that

@@ -64,6 +64,16 @@ def test_form_split_identities():
         assert abs(h_vwj.conjugate() + FORM.omega_vec @ wedge(v, w)) < 1e-10
 
 
+def test_forms_compare_by_their_quaternionic_matrix():
+    """Two forms are equal when their qmat is, and == answers a bool: the
+    arrays computed from qmat take no part in the comparison."""
+    assert QuatHermitianForm() == QuatHermitianForm()
+    doubled = QuatHermitianForm(tuple(tuple(q * 2.0 for q in row) for row in FORM.qmat))
+    assert (FORM == doubled) is False
+    assert (FORM != doubled) is True
+    assert doubled == QuatHermitianForm(doubled.qmat)
+
+
 def test_omega_alternating_and_h_hermitian():
     h = FORM.hmat
     om = _OMEGA_OF_H @ h
