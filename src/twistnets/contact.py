@@ -275,9 +275,9 @@ def _settle_sweep(elements: np.ndarray, raw: np.ndarray, sizes: np.ndarray,
     """The one check of pcen_from_circular's sweep from slab first on:
     _settle_step over all the rows it wrote, on each row's fiber, its
     source row's point, and the raw functional and point size the sweep
-    kept.  Where the check replaced a functional by its plane, the planes
-    are written up to that row's slab, and the slab after it is returned,
-    to sweep again from; else len(starts).  A failing row raises the
+    kept.  Where the check replaced a functional by its plane, the settled
+    functionals are written and the slab after the first such row's is
+    returned, to sweep again from; else len(starts).  A failing row raises the
     RowError, with its flat row, unless a slab before its own had a plane
     replaced.  Rows past the first fiber in a plane come from it, may be
     NaN, and stay out of the check."""
