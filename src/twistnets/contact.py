@@ -232,6 +232,18 @@ class PCEN(Mapping):
         self.points, self.functionals = np.zeros((2,) + base.shape + (4,), dtype=complex)
         self.points[on], self.functionals[on] = points, functionals
 
+    @classmethod
+    def _settled(cls, base: LatticeNet, elements: np.ndarray) -> "PCEN":
+        """The PCEN of a complete base from its elements (vertices, 2, 4), a
+        point and a functional per vertex in index order, that a checked
+        sweep wrote: normalized in one call, and stored without __init__'s
+        pencil check, which the sweep's checks imply (_settle_step)."""
+        pcen = cls.__new__(cls)
+        pcen.base, pcen.present = base, np.ones(base.shape, dtype=bool)
+        rows = np.moveaxis(normalize_rows(elements), 1, 0)
+        pcen.points, pcen.functionals = rows.reshape((2,) + base.shape + (4,))
+        return pcen
+
     @property
     def elements(self) -> "PCEN":
         return self
@@ -291,7 +303,9 @@ def _settle_sweep(elements: np.ndarray, raw: np.ndarray, sizes: np.ndarray,
         # the slabs before the failing row's pass the checks
         failure, hi = exc, starts[bisect.bisect_right(starts, lo + exc.row[0]) - 1]
         settled = _settle_step(fibers[lo:hi], points[:hi - lo], raw[lo:hi], sizes[lo:hi])
-    changed = np.flatnonzero((settled != elements[lo:hi, 1]).any(axis=-1))
+    # | of the columns, where .any(axis=-1) would reduce row by row
+    ne = settled != elements[lo:hi, 1]
+    changed = np.flatnonzero(ne[:, 0] | ne[:, 1] | ne[:, 2] | ne[:, 3])
     if len(changed):
         elements[lo:hi, 1] = settled
         return bisect.bisect_right(starts, lo + int(changed[0]))
@@ -317,7 +331,8 @@ def pcen_from_circular(base: LatticeNet, initial: NullLine) -> PCEN:
     _step's arithmetic alone, and _settle_sweep checks it once, on the
     quantities it kept.  Where the check replaces an open row's functional
     by its plane, the sweep runs again from the next slab and is checked
-    again, so the result is that of one checked step per slab, bit for bit.
+    again, so the result is that of one checked step per slab, bit for bit,
+    and the checked rows are stored as the PCEN once (PCEN._settled).
     For circular bases the two routes agree on every face, which
     pcen_face_closure verifies.  A failed step names the first vertex it
     fails at, in index order, and the one it propagates from.
@@ -358,7 +373,7 @@ def pcen_from_circular(base: LatticeNet, initial: NullLine) -> PCEN:
         at, src = (tuple(map(int, np.unravel_index(i, base.shape)))
                    for i in (exc.row[0], source[exc.row[0]]))
         raise GeometryError(f"at {at} from {src}: {exc}") from exc
-    return PCEN(base, elements[:, 0].reshape(lifts.shape), elements[:, 1].reshape(lifts.shape))
+    return PCEN._settled(base, elements)
 
 
 def closure_faces(pcen: PCEN) -> np.ndarray:

@@ -105,6 +105,13 @@ def _face_keys(shape: tuple) -> tuple:
     return tuple(zip(zip(*bases.T.tolist()), zip(*axes.T.tolist())))
 
 
+def _all_corners(present: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Which faces of a corner table (faces, 4) have all four corners
+    present, as & of its columns: .all(axis=-1) reduces row by row."""
+    c = present.reshape(-1)[corners]
+    return c[:, 0] & c[:, 1] & c[:, 2] & c[:, 3]
+
+
 def in_box(idx: tuple, shape: tuple) -> bool:
     """Whether a lattice index lies in the box of the given shape."""
     return len(idx) == len(shape) and all(0 <= i < n for i, n in zip(idx, shape))
@@ -228,7 +235,7 @@ class LatticeNet:
         decomposition bit for bit."""
         if self._face_ratios is None:
             (_, _, corners), amb = box_cells(self.shape, 2), self.ambient()
-            complete = self.present.reshape(-1)[corners].all(axis=-1)
+            complete = _all_corners(self.present, corners)
             ratios = np.full((len(corners), 2), np.nan)
             # a face with a missing vertex stays out of the decomposition
             ratios[complete] = span_ratios(amb.reshape(-1, amb.shape[-1])[corners[complete]])
@@ -244,7 +251,7 @@ def require_faces(net: LatticeNet, faces=None):
     the net is refused."""
     if faces is None:
         bases, axes, corners = box_cells(net.shape, 2)
-        first = np.flatnonzero(~net.present.reshape(-1)[corners].all(axis=-1))[:1]
+        first = np.flatnonzero(~_all_corners(net.present, corners))[:1]
         faces = zip(bases[first].tolist(), axes[first].tolist())
     for base, axes in faces:
         if tuple(base) in net and not set(axes) <= set(range(net.dim)):

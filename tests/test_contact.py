@@ -340,9 +340,34 @@ def _pcen_3x3():
     return PCEN(net, pcen.points, pcen.functionals, present)
 
 
+def _pcen_off_its_plane():
+    """_pcen_3x3 with the point at (1, 1) moved 1e-6
+    off its plane along the conjugate of the functional."""
+    pcen = _pcen_3x3()
+    points = pcen.points.copy()
+    points[1, 1] += 1e-6 * pcen.functionals[1, 1].conj()
+    return PCEN(pcen.base, points, pcen.functionals, pcen.present)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (3, 4, 2)])
+def test_a_swept_pcen_is_the_checked_one_bit_for_bit(shape):
+    """pcen_from_circular stores the rows its sweep checked, normalized,
+    without PCEN's second normalization and pencil check; PCEN of the same
+    rows makes both and gives the same PCEN, bit for bit."""
+    rng = np.random.default_rng(sum(shape))
+    net = _circular_net(rng, shape) if len(shape) == 2 else _grid_net(rng, shape)
+    pcen = pcen_from_circular(net, _origin_element(net, rng))
+    checked = PCEN(net, pcen.points, pcen.functionals)
+    for name in ("points", "functionals", "present"):
+        got, want = getattr(pcen, name), getattr(checked, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: contact_element(_hp(1.0, 0.0, 2.0, 0.0), _sphere_c()), GeometryError,
      "point is not on the sphere"),
+    (_pcen_off_its_plane, GeometryError, "^pencil point must lie in the pencil plane$"),
     (lambda: _pcen_3x3()[2, 2], KeyError, r"\(2, 2\)"),
     (lambda: _pcen_3x3()[3, 0], KeyError, r"\(3, 0\)"),
     (lambda: _pcen_3x3()[0, -1], KeyError, r"\(0, -1\)"),
@@ -352,12 +377,13 @@ def _pcen_3x3():
      GeometryError, "^complex cross-ratio base must be a cp1 net$"),
     (lambda: shared_sphere(_pcen_3x3()[0, 0], _pcen_3x3()[1, 1]), GeometryError,
      "^elements do not intersect in a common sphere$"),
-], ids=["contact-element-off-the-sphere", "missing-element", "outside-the-box", "negative-index",
-        "circular-pcen-over-a-cp1-net", "complex-pcen-over-an-hp1-net",
+], ids=["contact-element-off-the-sphere", "pcen-point-off-its-plane", "missing-element",
+        "outside-the-box", "negative-index", "circular-pcen-over-a-cp1-net", "complex-pcen-over-an-hp1-net",
         "diagonal-elements-share-no-sphere"])
 def test_contact_refusals(call, error, message):
     # the sphere e1 ^ e2 is C + infinity in H, which 1 + 2j is off; a PCEN
-    # has no element where its present mask is false or outside its box
+    # refuses a point off its plane, and has no element where its present
+    # mask is false or outside its box
     with pytest.raises(error, match=message):
         call()
 

@@ -461,6 +461,77 @@ def test_column_chains_are_numpys_reductions_bit_for_bit(width, count, seed, log
     assert np.array_equal(_bits(sums), _bits(want))
 
 
+# entries at the ends of the float range: signed zeros, subnormals, the
+# largest floats, infinities and NaN
+_EDGE_ENTRIES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-300, -1e-300,
+                          1.0, -1.0, 1e308, -1e308, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 1200), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0),
+       st.sampled_from(["contiguous", "strided", "3-dim"]))
+def test_row_reductions_are_numpys_sums_bit_for_bit(count, seed, edge_share, layout):
+    """_vdot_rows and plane_residual_rows add a complex row of four in the
+    order of numpy's pairwise sum, and settle_planes chains its sums of
+    squares (rows of 3 and 4) over the columns: each is .sum(axis=-1) bit
+    for bit, signed zeros included, on 1 to 1,200 rows, among entries at the
+    ends of the range."""
+    rng = np.random.default_rng(seed)
+
+    def stack():
+        parts = rng.standard_normal((count, 16)) * 10.0 ** rng.uniform(-300.0, 300.0, (count, 16))
+        edge = rng.random(parts.shape) < edge_share
+        parts[edge] = rng.choice(_EDGE_ENTRIES, np.count_nonzero(edge))
+        v = parts.view(complex)
+        if layout == "strided":
+            return v[:, ::2]
+        v = v[:, :4].copy()
+        return v.reshape(2, -1, 4) if layout == "3-dim" and count % 2 == 0 else v
+
+    a, b, f, x = stack(), stack(), stack(), stack()
+    # a's signs on zeros: a row of -0.0 sums to 0.0
+    zeros = np.copysign(0.0, np.ascontiguousarray(a).view(float)).view(complex)
+    with np.errstate(all="ignore"):
+        pairs = [(proj4._row_sums(zeros), zeros.sum(axis=-1)),
+                 (proj4._vdot_rows(a, b), (a.conj() * b).sum(axis=-1, keepdims=True)),
+                 (plane_residual_rows(f, x),
+                  np.abs((f * x).sum(axis=-1)) / row_norms(x)[..., 0])]
+        for squares in ((a * a.conj()).real, (a[..., :3] * a[..., :3].conj()).real):
+            pairs.append((proj4._column_chain(np.add, squares), squares.sum(axis=-1)))
+    for got, want in pairs:
+        assert got.shape == want.shape
+        # a NaN is compared as NaN: where both operands of an addition are
+        # NaN, the sign and payload of the result are the hardware's choice
+        got, want = (np.ascontiguousarray(r).view(float) for r in (got, want))
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(_bits(got[~nan]), _bits(want[~nan]))
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200, 1e300])
+def test_proj_distance_rows_is_proj_distance_at_any_scale(s):
+    """Squares of rows above about 1e154 overflow and below about 1e-154
+    underflow.  proj_distance_rows takes orthonormal_pair_rows' range rule,
+    so at any scale it is proj_distance of the same points: for (s, s, 0, 0)
+    and e0 it read pi/2 one way and 0 the other at 1e160, 0.785404 at
+    1e-160, and NaN at 1e-200.  Where proj_distance itself answers (norms
+    of 1e-12 and more) it is compared at scale s as well."""
+    e = np.eye(4, dtype=complex)
+    a, c = np.array([1.0, 1.0, 0.0, 0.0]), np.array([1.0, 1j, 2.0, -0.5])
+    # (x, y) at scales (sx, sy), among them a unit row, which keeps its bits
+    pairs = [(a, e[0], s, 1.0), (e[0], a, 1.0, s), (a, a * (1.0 + 1e-9j), s, s),
+             (a, c, s, s), (c, e[2], s, 1.0), (a, c, 1.0, 1.0)]
+    x = np.array([sx * x for x, _, sx, _ in pairs])
+    y = np.array([sy * y for _, y, _, sy in pairs])
+    got = proj_distance_rows(x, y)
+    for k, (u, w, su, sw) in enumerate(pairs):
+        assert abs(got[k] - proj_distance(u, w)) < 1e-15
+        if min(su, sw) >= 1e-12:
+            assert abs(got[k] - proj_distance(x[k], y[k])) < 1e-15
+    assert abs(got[0] - math.pi / 4) < 1e-15
+    assert got[-1] == proj_distance_rows(a, c)
+
+
 @ROW_RULES
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(_scaled_rows(n, 2), st.integers(0, n - 1))),
        st.floats(-6.0, 6.0), st.floats(0.0, 2 * math.pi))
