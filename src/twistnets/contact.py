@@ -222,7 +222,7 @@ class PCEN(Mapping):
     """
 
     def __init__(self, base: LatticeNet, points, functionals, present=None):
-        self.base = base
+        self.base, self._fibers = base, None
         self.present = np.ones(base.shape, dtype=bool) if present is None else present
         on = self.present
         points, functionals = normalize_rows(points[on]), normalize_rows(functionals[on])
@@ -233,13 +233,15 @@ class PCEN(Mapping):
         self.points[on], self.functionals[on] = points, functionals
 
     @classmethod
-    def _settled(cls, base: LatticeNet, elements: np.ndarray) -> "PCEN":
+    def _settled(cls, base: LatticeNet, elements: np.ndarray, fibers: tuple) -> "PCEN":
         """The PCEN of a complete base from its elements (vertices, 2, 4), a
         point and a functional per vertex in index order, that a checked
         sweep wrote: normalized in one call, and stored without __init__'s
-        pencil check, which the sweep's checks imply (_settle_step)."""
+        pencil check, which the sweep's checks imply (_settle_step).  fibers
+        are the base's lifts and the sweep's fiber_matrices of them."""
         pcen = cls.__new__(cls)
         pcen.base, pcen.present = base, np.ones(base.shape, dtype=bool)
+        pcen._fibers = fibers
         rows = np.moveaxis(normalize_rows(elements), 1, 0)
         pcen.points, pcen.functionals = rows.reshape((2,) + base.shape + (4,))
         return pcen
@@ -247,6 +249,15 @@ class PCEN(Mapping):
     @property
     def elements(self) -> "PCEN":
         return self
+
+    def _fiber_matrices(self) -> tuple:
+        """fiber_matrices of the base's lifts, flat in index order, made once
+        per base: the sweep's, or on first use for a PCEN made otherwise.  A
+        write to the base, which gives it new lifts, makes them again."""
+        lifts = self.base.lifts()
+        if self._fibers is None or self._fibers[0] is not lifts:
+            self._fibers = lifts, fiber_matrices(lifts.reshape(-1, 4))
+        return self._fibers[1]
 
     def __getitem__(self, idx) -> NullLine:
         idx = tuple(idx)
@@ -346,7 +357,8 @@ def pcen_from_circular(base: LatticeNet, initial: NullLine) -> PCEN:
     rp = null_line_real_point(initial)
     if rp is None or not rp.isclose(base[origin], 1e-7):
         raise GeometryError("initial element must be a contact element at the origin")
-    fibers, meets, joins = fiber_matrices(lifts.reshape(-1, 4))
+    matrices = fiber_matrices(lifts.reshape(-1, 4))
+    fibers, meets, joins = matrices
     # the box's rows: unit point and functional, and the raw functional and
     # the point size that the check reads
     elements = np.empty(fibers.shape, dtype=complex)
@@ -373,7 +385,7 @@ def pcen_from_circular(base: LatticeNet, initial: NullLine) -> PCEN:
         at, src = (tuple(map(int, np.unravel_index(i, base.shape)))
                    for i in (exc.row[0], source[exc.row[0]]))
         raise GeometryError(f"at {at} from {src}: {exc}") from exc
-    return PCEN._settled(base, elements)
+    return PCEN._settled(base, elements, (lifts, matrices))
 
 
 def closure_faces(pcen: PCEN) -> np.ndarray:
@@ -390,9 +402,9 @@ def pcen_face_closure(pcen: PCEN) -> float:
 
     On each face of closure_faces the element at the far corner is
     propagated once from each of its neighbours on the face, corners 3 and
-    1, all faces in one step per route on fiber matrices built once; the
-    residual is the larger proj_distance of the two points and of the two
-    plane functionals.
+    1, all faces in one step per route on the far corners' rows of the
+    base's fiber matrices (PCEN._fiber_matrices); the residual is the larger
+    proj_distance of the two points and of the two plane functionals.
     """
     faces = closure_faces(pcen)
     if not faces.any():
@@ -400,7 +412,7 @@ def pcen_face_closure(pcen: PCEN) -> float:
     pcen.require_elements()
     corners = box_cells(pcen.base.shape, 2)[2][faces].T
     points, functionals = (a.reshape(-1, 4) for a in (pcen.points, pcen.functionals))
-    fiber = fiber_matrices(pcen.base.lifts().reshape(-1, 4)[corners[2]])
+    fiber = [m.take(corners[2], axis=0) for m in pcen._fiber_matrices()]
     via_3, via_1 = (_propagate(points[c], functionals[c], *fiber) for c in corners[[3, 1]])
     return float(max(proj_distance_rows(a, b).max() for a, b in zip(via_3, via_1)))
 

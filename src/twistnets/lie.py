@@ -20,6 +20,7 @@ from . import proj4
 from .proj4 import (
     _PAIR_A,
     _PAIR_B,
+    _UnitLine,
     DEFAULT_TOL,
     INCIDENCE_TOL,
     RANK_CUT,
@@ -28,13 +29,13 @@ from .proj4 import (
     normalize_proj,
     nullspace,
     quadric_roots,
-    sort_key,
+    sort_rows,
     svd_rank,
     wedge_rows,
 )
 from .twistor import (
     HPoint,
-    _contact,
+    _line_contact,
     fiber_rows,
     is_j_real,
     j_on_bivector,
@@ -74,6 +75,8 @@ class QuatHermitianForm:
     # the largest |entry| of hmat: a positive multiple of the form has the
     # same null cone and rho, so every test on it is relative to this
     _scale: float = field(init=False, repr=False, compare=False)
+    # omega_vec / _scale, the omega row of circle_to_Q3's system
+    _omega_row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = quat_matrix(self.qmat)
@@ -84,6 +87,7 @@ class QuatHermitianForm:
             raise GeometryError("degenerate hermitian form")
         self.hmat = h
         self.omega_vec = (_OMEGA_OF_H @ h)[_PAIR_A, _PAIR_B]
+        self._omega_row = self.omega_vec / self._scale
         _perp_lift(h)  # its square check refuses some forms past the rank cut
 
     def is_null_point(self, p: HPoint, tol: float = DEFAULT_TOL) -> bool:
@@ -178,14 +182,16 @@ def circle_to_Q3(p1: HPoint, p2: HPoint, p3: HPoint,
     lifts = np.array([p.lift() for p in (p1, p2, p3)])
     if not (np.abs(((lifts.conj() @ form.hmat) * lifts).sum(axis=-1)) < 1e-7 * form._scale).all():
         raise GeometryError("point is not on the three-sphere")
-    ns = nullspace(np.vstack([fiber_rows(lifts) @ QUADRIC_MATRIX, form.omega_vec / form._scale]))
+    system = np.empty((4, 6), dtype=complex)
+    np.matmul(fiber_rows(lifts), QUADRIC_MATRIX, out=system[:3])
+    system[3] = form._omega_row
+    ns = nullspace(system)
     if ns.shape[1] != 2:
         raise GeometryError("collinear or coincident circle points")
     roots = quadric_roots(ns[:, 0], ns[:, 1])
     if len(roots) != 2:
         raise GeometryError("circle pencil has no two quadric points")
-    roots.sort(key=sort_key)
-    a, b = roots
+    a, b = sort_rows(roots)
     # the roots are unit, and so is the j-image of one
     if proj4._unit_distance(j_on_bivector(a), b) > 1e-6:
         raise GeometryError("circle representatives are not a j-pair")
@@ -209,34 +215,43 @@ def touching_coins_check(circles, form: QuatHermitianForm = DEFAULT_FORM) -> Coi
     Each circle is given by one oriented representative (a quadric point);
     consecutive representatives must touch, each after its j-image takes its
     place where only that one touches, and the chain so oriented must span
-    four dimensions.  The four contact points determine
-    a two-sphere, and that sphere half-touches every representative.  When
-    the four contact points happen to be concircular no single sphere passes
-    through all of them while meeting every representative; the report then
-    falls back to the unique two-sphere in contact with all four
-    representatives (the quadric points polar to their span) and flags the
-    configuration as non-generic.  The check reads no form: contact and
-    spheres are incidences on Q^4, so form is accepted and ignored.
+    four dimensions.  Circle 0 keeps the orientation it is given, so where
+    the closing contact, of circles 3 and 0, touches only with circle 0
+    reversed, no orientation of the chain touches all round (in one plane:
+    an odd number of its tangencies are external), and the chain is
+    refused.  The four contact points determine a two-sphere, and that
+    sphere half-touches every representative.  When the four contact points
+    happen to be concircular no single sphere passes through all of them
+    while meeting every representative; the report then falls back to the
+    unique two-sphere in contact with all four representatives (the quadric
+    points polar to their span) and flags the configuration as non-generic.
+    The check reads no form: contact and spheres are incidences on Q^4, so
+    form is accepted and ignored.
 
     Each circle is normalized and its j-image formed once; one contact
-    decision settles both orientations of the next circle.
+    decision settles both orientations of the next circle.  Each
+    representative, its j-image and the sphere is one _UnitLine, so the
+    sphere's contacts read the line matrices the chain's made.
     """
     circles = [normalize_proj(c) for c in circles]
     if len(circles) != 4:
         raise GeometryError("need exactly four circles")
     # each representative with its j-image, the other orientation
-    pairs = [(c, j_on_bivector(c)) for c in circles]
+    pairs = [(_UnitLine(c), _UnitLine(j_on_bivector(c))) for c in circles]
     tags, points, oriented = [], [], list(pairs)
     for k in range(4):
         nxt = (k + 1) % 4
-        tag, meet, flipped = _contact(oriented[k][0], *pairs[nxt], "touch")
-        if flipped:
-            oriented[nxt] = pairs[nxt][::-1]
+        tag, meet, flipped = _line_contact(oriented[k][0], *pairs[nxt], "touch")
         tags.append(tag)
         if tag != "touch":
             raise GeometryError(f"circles {k} and {nxt} do not touch")
+        if flipped:
+            if nxt == 0:
+                raise GeometryError("circles 3 and 0 touch only with circle 0 reversed: "
+                                    "the chain's orientation does not close")
+            oriented[nxt] = pairs[nxt][::-1]
         points.append(meet[0])
-    lines = np.array([c for c, _ in oriented])
+    lines = np.array([c.vec for c, _ in oriented])
     # the rank of the chain as it touches: either representative of a circle
     # is valid input, and the given ones may span fewer dimensions
     if svd_rank(lines, RANK_CUT)[0] < 4:
@@ -248,10 +263,11 @@ def touching_coins_check(circles, form: QuatHermitianForm = DEFAULT_FORM) -> Coi
         spheres = _polar_spheres(lines)
     if not spheres:
         raise GeometryError("no sphere in contact with the four circles")
-    sphere = spheres[0]
+    sphere = _UnitLine(spheres[0])
     # tags only: the report keeps no witness of the sphere's contacts
-    sphere_tags = [_contact(sphere, *pair)[0] for pair in oriented]
-    return CoinReport(tags, [twistor_project(p) for p in points], sphere, sphere_tags, generic)
+    sphere_tags = [_line_contact(sphere, *pair)[0] for pair in oriented]
+    return CoinReport(tags, [twistor_project(p) for p in points], sphere.vec, sphere_tags,
+                      generic)
 
 
 def _polar_spheres(lines):
@@ -264,5 +280,4 @@ def _polar_spheres(lines):
     pol = nullspace(np.asarray(lines) @ QUADRIC_MATRIX, RANK_CUT)
     if pol.shape[1] != 2:
         return None
-    return sorted((x for x in quadric_roots(pol[:, 0], pol[:, 1]) if not is_j_real(x, 1e-6)),
-                  key=sort_key)
+    return sort_rows(x for x in quadric_roots(pol[:, 0], pol[:, 1]) if not is_j_real(x, 1e-6))

@@ -493,15 +493,55 @@ def meet_join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ProjPlane]:
 
 def _unit_meet_join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ProjPlane]:
     """meet_join of unit a and b, which it does not scale again."""
-    if not (abs(quadric_pair(a, a)) < INCIDENCE_TOL and abs(quadric_pair(b, b)) < INCIDENCE_TOL):
+    return _line_meet(_UnitLine(a), _UnitLine(b), quadric_pair(a, b))
+
+
+class _UnitLine:
+    """A unit bivector, vec, with what meet_join reads of it, each made on
+    first use and kept: whether it is decomposable at INCIDENCE_TOL, its
+    line matrix, and the transposed line matrix of its Hodge dual
+    QUADRIC_MATRIX @ vec, whose columns are the planes through it.  A caller
+    that meets one line with several others makes one _UnitLine of it."""
+
+    # slots and properties, not functools.cached_property, which takes a
+    # lock on each first use (Python 3.11): 0.44 against 1.16 µs
+    __slots__ = ("vec", "_decomposable", "_matrix", "_dual")
+
+    def __init__(self, vec: np.ndarray):
+        self.vec = vec
+        self._decomposable = self._matrix = self._dual = None
+
+    @property
+    def decomposable(self) -> bool:
+        if self._decomposable is None:
+            self._decomposable = abs(quadric_pair(self.vec, self.vec)) < INCIDENCE_TOL
+        return self._decomposable
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = line_matrix(self.vec)
+        return self._matrix
+
+    @property
+    def dual(self) -> np.ndarray:
+        if self._dual is None:
+            self._dual = line_matrix(QUADRIC_MATRIX @ self.vec).T
+        return self._dual
+
+
+def _line_meet(a: _UnitLine, b: _UnitLine, pairing: complex) -> tuple[np.ndarray, ProjPlane]:
+    """The meet body of meet_join, on lines whose pairing <a, b> the caller
+    has computed."""
+    if not (a.decomposable and b.decomposable):
         raise GeometryError("bivector is not decomposable")
-    m = line_matrix(b) @ line_matrix(QUADRIC_MATRIX @ a).T
+    m = b.matrix @ a.dual
     sq = (m * m.conj()).real
     cols = sq.sum(axis=0)
     size = math.sqrt(cols.sum())
     if size <= 2.0 * RANK_CUT:
         raise GeometryError("lines coincide; no unique intersection point")
-    if abs(quadric_pair(a, b)) > 2.0 * RANK_CUT * size:
+    if abs(pairing) > 2.0 * RANK_CUT * size:
         raise GeometryError("lines are not incident")
     point = normalize_proj(m[:, int(cols.argmax())])
     return point, ProjPlane(m[int(sq.sum(axis=1).argmax())])
@@ -625,3 +665,14 @@ def quadric_roots(g: np.ndarray, h: np.ndarray) -> list:
 def sort_key(x: np.ndarray) -> tuple:
     """A deterministic order on vectors: real, then imaginary parts to 9 digits."""
     return tuple(np.concatenate((x.real, x.imag)).round(9).tolist())
+
+
+def sort_rows(xs) -> list:
+    """The vectors xs in sort_key order, from one key computation for all:
+    each key is the list of the rounded real parts, then that of the
+    imaginary parts, which order as sort_key's tuples do."""
+    xs = list(xs)
+    if not xs:
+        return xs
+    keys = np.array(xs).view(float).round(9).reshape(len(xs), -1, 2).swapaxes(1, 2).tolist()
+    return [xs[k] for k in sorted(range(len(xs)), key=keys.__getitem__)]

@@ -369,17 +369,27 @@ def _contact(a: np.ndarray, b: np.ndarray, bj: np.ndarray, prefer: str | None = 
     True.  Every test is a residual of the unit lines, so none depends on
     their phases.
     """
-    if proj4._unit_distance(a, b) < _CONTACT_TOL or proj4._unit_distance(a, bj) < _CONTACT_TOL:
+    return _line_contact(proj4._UnitLine(a), proj4._UnitLine(b), proj4._UnitLine(bj), prefer)
+
+
+def _line_contact(a: proj4._UnitLine, b: proj4._UnitLine, bj: proj4._UnitLine,
+                  prefer: str | None = None):
+    """_contact on _UnitLines, which keep what their meets read: a's dual
+    line matrix serves both of its meets and every later call with the same
+    a, and each meet takes the pairing that the incidence test computed."""
+    if (proj4._unit_distance(a.vec, b.vec) < _CONTACT_TOL
+            or proj4._unit_distance(a.vec, bj.vec) < _CONTACT_TOL):
         return "identical", None, False
-    on_b, on_bj = (abs(proj4.quadric_pair(a, x)) < _CONTACT_TOL for x in (b, bj))
+    ab, abj = proj4.quadric_pair(a.vec, b.vec), proj4.quadric_pair(a.vec, bj.vec)
+    on_b, on_bj = abs(ab) < _CONTACT_TOL, abs(abj) < _CONTACT_TOL
     if not (on_b or on_bj):
         return "disjoint", None, False
-    meet = proj4._unit_meet_join(a, b if on_b else bj)
+    meet = proj4._line_meet(a, b, ab) if on_b else proj4._line_meet(a, bj, abj)
     tag = _tangency(meet) if on_b else "circle_intersection"
     if prefer is None or tag == prefer or not on_bj:
         return tag, meet, False
     # a circle's meet is already that of a and bj
-    meet_j = proj4._unit_meet_join(a, bj) if on_b else meet
+    meet_j = proj4._line_meet(a, bj, abj) if on_b else meet
     tag_j = _tangency(meet_j)
     return (tag_j, meet_j, True) if tag_j == prefer else (tag, meet, False)
 

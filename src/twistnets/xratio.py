@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -298,11 +298,16 @@ class Regulus:
     Its points are the lines of the regulus the three span.  The generators
     are the rows of a 3x6 array, at unit scale, and their pairings
     (g12, g13, g23), g_ab = <f_a, f_b>, give the conic's closed
-    parametrization (_conic_point).
+    parametrization (_conic_point).  duals, generators @ QUADRIC_MATRIX, is
+    made once: duals @ a are a line's pairings with the generators.
     """
 
     generators: np.ndarray
     pairings: tuple
+    duals: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.duals = self.generators @ QUADRIC_MATRIX
 
 
 def regulus_build(f1, f2, f3) -> Regulus:
@@ -348,7 +353,7 @@ def regulus_parameter(r: Regulus, a: np.ndarray) -> ExtC:
     """
     a = normalize_proj(a)
     g12, g13, g23 = r.pairings
-    p1, p2, p3 = r.generators @ QUADRIC_MATRIX @ a
+    p1, p2, p3 = r.duals @ a
     ss = p1 / (g12 * g13)
     tt = p2 / (g12 * g23)
     ts = 0.5 * (ss + tt - p3 / (g13 * g23))

@@ -364,6 +364,32 @@ def test_a_swept_pcen_is_the_checked_one_bit_for_bit(shape):
         assert got.tobytes() == want.tobytes()
 
 
+def test_closure_builds_the_fiber_matrices_once_per_base(monkeypatch):
+    """Closure reads the rows of the fiber matrices that pcen_from_circular's
+    sweep built; a PCEN made from rows builds them on its first closure
+    only, and again after a write gives its base new lifts.  Every closure
+    is the swept PCEN's, bit for bit."""
+    from twistnets import contact
+
+    sizes = []
+
+    def counted(lifts):
+        sizes.append(len(lifts))
+        return fiber_matrices(lifts)
+
+    fiber_matrices = contact.fiber_matrices
+    monkeypatch.setattr(contact, "fiber_matrices", counted)
+    net = _circular_net(np.random.default_rng(3), (5, 5))
+    swept = pcen_from_circular(net, _initial_element(net))
+    closure = pcen_face_closure(swept)
+    made = PCEN(net, swept.points, swept.functionals)
+    assert [pcen_face_closure(made), pcen_face_closure(made)] == [closure] * 2
+    assert sizes == [25, 25]
+    net[4, 4] = net[4, 4]
+    assert [pcen_face_closure(made), pcen_face_closure(swept)] == [closure] * 2
+    assert sizes == [25] * 4
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: contact_element(_hp(1.0, 0.0, 2.0, 0.0), _sphere_c()), GeometryError,
      "point is not on the sphere"),

@@ -392,3 +392,21 @@ def test_touching_coins_rejects_common_sphere_degeneracy():
         with pytest.raises(GeometryError, match="^common-sphere degeneracy: representatives "
                                                 "span fewer than four dimensions$"):
             touching_coins_check(circles, FORM)
+
+
+def test_touching_coins_refuses_a_chain_whose_orientation_does_not_close():
+    # circles in the i,j-plane: 1 inside 0, touching it at i; 3 outside 0,
+    # touching it at j; 2 outside 1 and 3, touching both.  Three of the four
+    # tangencies are external, so the orientation of the chain that touches
+    # 0 to 1, 1 to 2 and 2 to 3 meets circle 0 reversed at the closing
+    # contact, where circle 0 is no longer the one contact 0 was decided with
+    c1, c3 = np.array([0.5, 0.0]), np.array([0.0, 1.5])
+    mid, along = (c1 + c3) / 2, (c3 - c1) / np.linalg.norm(c3 - c1)
+    c2 = mid + np.sqrt(1.0 - np.sum((c3 - c1) ** 2) / 4) * np.array([along[1], -along[0]])
+    circles = [_circle([_imag_point((c[0] + r * np.cos(t), c[1] + r * np.sin(t), 0.0))
+                        for t in (0.3, 1.7, 4.0)])
+               for c, r in (((0.0, 0.0), 1.0), (c1, 0.5), (c2, 0.5), (c3, 0.5))]
+    assert np.allclose(c2, (0.83095, 0.94365), atol=1e-5)
+    with pytest.raises(GeometryError, match="^circles 3 and 0 touch only with circle 0 "
+                                            "reversed: the chain's orientation does not close$"):
+        touching_coins_check(circles, FORM)

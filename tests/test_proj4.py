@@ -553,6 +553,20 @@ def test_line_factorize_refuses_a_bivector_that_is_no_line(a):
         line_factorize(a)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 5), st.sampled_from([4, 6]), st.integers(0, 2 ** 32 - 1))
+def test_sort_rows_is_the_sort_key_order(count, width, seed):
+    # one key computation for all rows orders as sort_key does, also where
+    # rows tie in their real parts, or in everything, to 9 digits
+    rng = np.random.default_rng(seed)
+    xs = list(np.round(rng.standard_normal((count, width)), 1)
+              + 1j * rng.standard_normal((count, width)))
+    if count > 1:
+        xs[-1] = xs[0].real + 1e-12 + 1j * (xs[-1].imag if count > 2 else xs[0].imag)
+    got, want = proj4.sort_rows(xs), sorted(xs, key=proj4.sort_key)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
 def test_quadric_roots_include_a_second_generator_on_the_quadric():
     # h = e1^e1j is a line and g = e1^e2 + e1j^e2j pairs with itself to -2
     # and with h to 0: on the pencil g + t h only t = infinity, h itself,

@@ -404,6 +404,55 @@ def test_sphere_from_line_never_disowns_a_sphere(lines, log_eps, s):
         raise
 
 
+@st.composite
+def _incident_pair(draw):
+    """Two lines that meet, one a sphere: its touching translate, a line
+    through one of its points (half-touch, or touch where the pencil has a
+    fiber), a sphere of the same normal reversed (a circle), or a line
+    through one of its points and one of its j-image's, which meets both
+    orientations."""
+    kind = draw(st.sampled_from(["touch", "half_touch", "circle_intersection", "meets both"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def unit():
+        return Quaternion(0.0, *rng.standard_normal(3)).normalized()
+
+    r, n = unit(), unit()
+    a = sphere_translate(Quaternion(*rng.standard_normal(4)), r, n).eigenline()
+    if kind == "meets both":
+        (v, w), (vj, wj) = proj4.line_factorize(a), proj4.line_factorize(j_on_bivector(a))
+        return wedge(v + rng.standard_normal() * w, vj + rng.standard_normal() * wj), a
+    if kind == "half_touch":
+        v, w = proj4.line_factorize(a)
+        return a, wedge(v + 0.7 * w, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    b = sphere_translate(Quaternion(*rng.standard_normal(4)), r if kind == "touch" else unit(), n)
+    return a, b.eigenline() if kind == "touch" else j_on_bivector(b.eigenline())
+
+
+@PREDICATES
+@given(_incident_pair(), _scale, _scale)
+def test_contact_meets_are_the_meets_of_their_lines_bit_for_bit(lines, s, t):
+    # _contact hands each meet the pairing its incidence test computed and
+    # one dual line matrix of a; with every preference, in both orders and
+    # against both orientations, its meet is _unit_meet_join's, bit for bit
+    a, b = lines
+    met = 0
+    for x, y in ((a, b), (b, a)):
+        for z in (y, j_on_bivector(y)):
+            u, w = proj4._unit(s * x), proj4._unit(t * z)
+            wj = j_on_bivector(w)
+            for prefer in (None, "touch", "half_touch"):
+                tag, meet, flipped = twistor._contact(u, w, wj, prefer)
+                if meet is None:
+                    continue
+                other = wj if flipped or tag == "circle_intersection" else w
+                point, plane = proj4._unit_meet_join(u, other)
+                assert meet[0].tobytes() == point.tobytes()
+                assert meet[1].functional.tobytes() == plane.functional.tobytes()
+                met += 1
+    assert met
+
+
 def test_affine_rows_are_hpoint_affine_and_never_overflow():
     # bit for bit the scalar chart and infinity test, on pairs at scales from
     # 1e-6 to 1e6 with b far from, near and at zero; components above 1e154,
